@@ -100,7 +100,7 @@ fn main() {
 }
 
 /// Hand-rolled JSON (no serde in the tree), following the
-/// `BENCH_reactor.json` idiom: raw results plus one acceptance block.
+/// `BENCH_group_commit.json` idiom: raw results plus one acceptance block.
 fn write_json(runs: &[Run], choices: &[(&'static str, [u64; 4])], upper_bytes: u64, k: usize) {
     let mut out = String::new();
     out.push_str("{\n");

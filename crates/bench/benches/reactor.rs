@@ -1,22 +1,16 @@
-//! KV-service front-end benchmark: the event-driven reactor vs the
-//! thread-per-connection baseline, swept over connection count ×
-//! pipeline depth × sync/async WAL, on an in-memory simulated device
-//! (so the service layer, not the disk, is what's being measured).
+//! KV-service front-end benchmark: the reactor swept over connection
+//! count × pipeline depth × sync/async WAL, on an in-memory simulated
+//! device (so the service layer, not the disk, is what's being measured).
 //!
 //! Each connection is a client thread running a 50/50 put/get stream
 //! through the pipelined `send`/`recv` window at a fixed depth;
 //! per-op latency is send-to-recv of each token. Emits
 //! `bench_results/reactor.tsv` (Report table) and
-//! `bench_results/BENCH_reactor.json`, whose acceptance block compares
-//! reactor vs blocking throughput at the largest swept connection count
-//! with pipeline depth >= 8.
+//! `bench_results/BENCH_reactor.json`.
 
 use pcp_bench::{quick_mode, results_dir, Report};
 use pcp_lsm::{CompactionPolicy, Options};
-use pcp_shard::server::ServerOptions;
-use pcp_shard::{
-    HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, ServerMode, ShardedDb,
-};
+use pcp_shard::{HashRouter, KvClient, KvServer, Request, Response, ShardedDb};
 use pcp_storage::{EnvRef, SimDevice, SimEnv};
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -27,7 +21,6 @@ const SHARDS: usize = 4;
 const VALUE_LEN: usize = 100;
 
 struct Run {
-    mode: ServerMode,
     connections: usize,
     depth: usize,
     sync: bool,
@@ -103,24 +96,8 @@ fn drive_connection(
     latencies
 }
 
-fn run_config(
-    mode: ServerMode,
-    connections: usize,
-    depth: usize,
-    sync: bool,
-    ops_per_conn: usize,
-) -> Run {
-    let db = sharded(sync);
-    let mut server = KvServer::start_with(
-        db,
-        "127.0.0.1:0",
-        ServerOptions {
-            mode: Some(mode),
-            reactor: ReactorConfig::default(),
-            ..ServerOptions::default()
-        },
-    )
-    .expect("server start");
+fn run_config(connections: usize, depth: usize, sync: bool, ops_per_conn: usize) -> Run {
+    let mut server = KvServer::start(sharded(sync), "127.0.0.1:0").expect("server start");
     let addr = server.local_addr();
     let value = vec![0xA5u8; VALUE_LEN];
     let barrier = Barrier::new(connections);
@@ -151,7 +128,6 @@ fn run_config(
     lats.sort_unstable();
     let total = (connections * ops_per_conn) as f64;
     Run {
-        mode,
         connections,
         depth,
         sync,
@@ -164,27 +140,13 @@ fn run_config(
 
 /// Best-of-`reps` throughput for one configuration. Quick-mode runs are
 /// short enough that a background scheduler hiccup swings a single
-/// measurement by ±20%; taking the best run per mode (same treatment for
-/// both) measures the front end, not the noise.
-fn best_of(
-    reps: usize,
-    mode: ServerMode,
-    connections: usize,
-    depth: usize,
-    sync: bool,
-    ops_per_conn: usize,
-) -> Run {
+/// measurement by ±20%; the best run measures the front end, not the
+/// noise.
+fn best_of(reps: usize, connections: usize, depth: usize, sync: bool, ops_per_conn: usize) -> Run {
     (0..reps)
-        .map(|_| run_config(mode, connections, depth, sync, ops_per_conn))
+        .map(|_| run_config(connections, depth, sync, ops_per_conn))
         .max_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec))
         .expect("reps >= 1")
-}
-
-fn mode_name(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Blocking => "blocking",
-        ServerMode::Reactor => "reactor",
-    }
 }
 
 fn main() {
@@ -197,49 +159,32 @@ fn main() {
     let mut runs: Vec<Run> = Vec::new();
     let mut report = Report::new(
         "reactor",
-        &[
-            "mode", "conns", "depth", "wal", "kops/s", "p50 us", "p99 us", "vs blocking",
-        ],
+        &["conns", "depth", "wal", "kops/s", "p50 us", "p99 us"],
     );
 
     for &sync in &[false, true] {
         for &connections in conn_counts {
             for &depth in depths {
-                let blocking =
-                    best_of(reps, ServerMode::Blocking, connections, depth, sync, ops_per_conn);
-                let reactor =
-                    best_of(reps, ServerMode::Reactor, connections, depth, sync, ops_per_conn);
-                let ratio = reactor.ops_per_sec / blocking.ops_per_sec;
-                for r in [&blocking, &reactor] {
-                    report.row(&[
-                        mode_name(r.mode).to_string(),
-                        r.connections.to_string(),
-                        r.depth.to_string(),
-                        if r.sync { "sync" } else { "async" }.to_string(),
-                        format!("{:.1}", r.ops_per_sec / 1000.0),
-                        format!("{:.1}", r.p50_us),
-                        format!("{:.1}", r.p99_us),
-                        if r.mode == ServerMode::Reactor {
-                            format!("{ratio:.2}x")
-                        } else {
-                            "1.00x".to_string()
-                        },
-                    ]);
-                }
-                runs.push(blocking);
-                runs.push(reactor);
+                let r = best_of(reps, connections, depth, sync, ops_per_conn);
+                report.row(&[
+                    r.connections.to_string(),
+                    r.depth.to_string(),
+                    if r.sync { "sync" } else { "async" }.to_string(),
+                    format!("{:.1}", r.ops_per_sec / 1000.0),
+                    format!("{:.1}", r.p50_us),
+                    format!("{:.1}", r.p99_us),
+                ]);
+                runs.push(r);
             }
         }
     }
-    report.finish("reactor vs thread-per-connection KV service (sim mem device)");
+    report.finish("KV service: connections x pipeline depth (sim mem device)");
 
-    write_json(&runs, ops_per_conn, *conn_counts.last().unwrap());
+    write_json(&runs, ops_per_conn);
 }
 
-/// Hand-rolled JSON (no serde in the tree). The acceptance block is the
-/// reactor-vs-blocking throughput ratio at the largest swept connection
-/// count with pipeline depth >= 8 — the regime the reactor exists for.
-fn write_json(runs: &[Run], ops_per_conn: usize, top_conns: usize) {
+/// Hand-rolled JSON (no serde in the tree): the raw sweep.
+fn write_json(runs: &[Run], ops_per_conn: usize) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"reactor\",\n");
@@ -249,20 +194,10 @@ fn write_json(runs: &[Run], ops_per_conn: usize, top_conns: usize) {
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in runs.iter().enumerate() {
-        let baseline = runs
-            .iter()
-            .find(|b| {
-                b.mode == ServerMode::Blocking
-                    && b.connections == r.connections
-                    && b.depth == r.depth
-                    && b.sync == r.sync
-            })
-            .unwrap();
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"connections\": {}, \"pipeline_depth\": {}, \
+            "    {{\"connections\": {}, \"pipeline_depth\": {}, \
              \"sync\": {}, \"ops_per_sec\": {:.1}, \"wall_secs\": {:.4}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"throughput_vs_blocking\": {:.3}}}{}\n",
-            mode_name(r.mode),
+             \"p50_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
             r.connections,
             r.depth,
             r.sync,
@@ -270,37 +205,10 @@ fn write_json(runs: &[Run], ops_per_conn: usize, top_conns: usize) {
             r.wall_secs,
             r.p50_us,
             r.p99_us,
-            r.ops_per_sec / baseline.ops_per_sec,
             if i + 1 == runs.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n");
-
-    // Acceptance: reactor >= blocking at the top connection count with
-    // the deepest pipelined window >= 8, in either WAL mode (both ratios
-    // reported). On few-core hosts async ops are so cheap that the
-    // blocking path's zero cross-thread handoff makes async a wash;
-    // sync WAL — the durable production regime — is where the worker
-    // pool's batching into the group-commit leader shows up.
-    let pick = |mode: ServerMode, sync: bool| -> &Run {
-        runs.iter()
-            .filter(|r| {
-                r.mode == mode && r.sync == sync && r.connections == top_conns && r.depth >= 8
-            })
-            .max_by_key(|r| r.depth)
-            .unwrap()
-    };
-    let async_ratio =
-        pick(ServerMode::Reactor, false).ops_per_sec / pick(ServerMode::Blocking, false).ops_per_sec;
-    let sync_ratio =
-        pick(ServerMode::Reactor, true).ops_per_sec / pick(ServerMode::Blocking, true).ops_per_sec;
-    out.push_str(&format!(
-        "  \"acceptance\": {{\"connections\": {top_conns}, \"pipeline_depth\": {}, \
-         \"async_throughput_ratio\": {async_ratio:.3}, \"sync_throughput_ratio\": {sync_ratio:.3}, \
-         \"required\": 1.0, \"pass\": {}}}\n",
-        pick(ServerMode::Reactor, false).depth,
-        async_ratio.max(sync_ratio) >= 1.0
-    ));
+    out.push_str("  ]\n");
     out.push_str("}\n");
 
     let dir = results_dir();
@@ -309,8 +217,4 @@ fn write_json(runs: &[Run], ops_per_conn: usize, top_conns: usize) {
     let mut f = std::fs::File::create(&path).expect("create BENCH_reactor.json");
     f.write_all(out.as_bytes()).expect("write json");
     println!("\nwrote {}", path.display());
-    println!(
-        "headline: reactor/blocking at {top_conns} conns, depth >= 8: \
-         async {async_ratio:.2}x, sync {sync_ratio:.2}x (required >= 1.0)"
-    );
 }

@@ -16,7 +16,7 @@
 //!   coupling that makes compaction bandwidth determine system throughput
 //!   (Fig. 10: IOPS vs compaction bandwidth).
 
-use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant, SimpleMergeExec};
+use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant};
 use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
 use crate::iter::{DbIter, LevelIter};
 use crate::memtable::Memtable;
@@ -61,11 +61,6 @@ pub struct Options {
     pub l0_stop_files: usize,
     /// Sync the WAL on every write.
     pub sync_writes: bool,
-    /// Merge concurrent writers into leader-committed groups (one WAL
-    /// record and at most one sync per group). Disabling falls back to the
-    /// fully serialized write path — kept for A/B benchmarking; the
-    /// durability contract is identical either way.
-    pub group_commit: bool,
     /// Decoded-block cache budget for the read path; 0 disables it (the
     /// paper's direct-I/O semantics — compaction always bypasses it).
     pub block_cache_bytes: usize,
@@ -85,10 +80,8 @@ pub struct Options {
     /// The compaction algorithm. Defaults to the adaptive pipelined
     /// executor ([`pcp_core::AdaptiveExec`]), which picks PCP / C-PPCP /
     /// S-PPCP / simple-merge per compaction from the published occupancy
-    /// gauges; the `PCP_EXECUTOR` environment variable overrides the
-    /// default process-wide (see [`Options::default_executor`]), and
-    /// setting this field to [`SimpleMergeExec`] restores the old
-    /// reference behavior explicitly.
+    /// gauges; set this field to pin one shape (e.g.
+    /// [`crate::SimpleMergeExec`], the reference serial merge).
     pub executor: Arc<dyn CompactionExec>,
     /// Retry policy for transient I/O failures in the WAL, MANIFEST, and
     /// background flush/compaction paths. Non-transient failures are never
@@ -124,12 +117,11 @@ impl Default for Options {
             l0_slowdown_files: 8,
             l0_stop_files: 12,
             sync_writes: false,
-            group_commit: true,
             block_cache_bytes: 0,
             framed_blocks: false,
             readahead: true,
             readahead_window_bytes: 1 << 20,
-            executor: Options::default_executor(),
+            executor: Arc::new(pcp_core::AdaptiveExec::default()),
             retry: RetryPolicy::default(),
             dir: None,
             compaction_limiter: None,
@@ -139,38 +131,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The executor [`Options::default`] installs: the adaptive pipelined
-    /// executor, unless the `PCP_EXECUTOR` environment variable names a
-    /// different one (see [`Options::executor_named`]; unknown names fall
-    /// back to adaptive). The env override exists so whole test suites and
-    /// services can be re-run under a fixed shape without code changes.
-    pub fn default_executor() -> Arc<dyn CompactionExec> {
-        std::env::var("PCP_EXECUTOR")
-            .ok()
-            .and_then(|name| Self::executor_named(&name))
-            .unwrap_or_else(|| Arc::new(pcp_core::AdaptiveExec::default()))
-    }
-
-    /// Builds an executor from its stable name, as accepted by the
-    /// `PCP_EXECUTOR` override: `adaptive`, `simple` (or `simple-merge`),
-    /// `scp`, `pcp`, `c-ppcp`, `s-ppcp`. Parallel shapes size their worker
-    /// count to the host's cores. Returns `None` for unknown names.
-    pub fn executor_named(name: &str) -> Option<Arc<dyn CompactionExec>> {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let subtask = 512 << 10; // the paper's best sub-task size (Fig. 11a)
-        match name {
-            "adaptive" => Some(Arc::new(pcp_core::AdaptiveExec::default())),
-            "simple" | "simple-merge" => Some(Arc::new(SimpleMergeExec)),
-            "scp" => Some(Arc::new(pcp_core::ScpExec::new(subtask))),
-            "pcp" => Some(Arc::new(pcp_core::PipelinedExec::pcp(subtask))),
-            "c-ppcp" => Some(Arc::new(pcp_core::PipelinedExec::c_ppcp(subtask, cores))),
-            "s-ppcp" => Some(Arc::new(pcp_core::PipelinedExec::s_ppcp(subtask, cores))),
-            _ => None,
-        }
-    }
-
     /// Default options rooted at `dir` (see [`Options::dir`]).
     pub fn with_dir(dir: impl Into<std::path::PathBuf>) -> Options {
         Options {
@@ -318,14 +278,6 @@ impl WriteBatch {
             pcp_codec::put_u64(out, v.len() as u64);
             out.extend_from_slice(v);
         }
-    }
-
-    fn encode(&self, first_sequence: SequenceNumber) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.approximate_bytes());
-        out.extend_from_slice(&first_sequence.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        self.encode_entries(&mut out);
-        out
     }
 
     fn decode(record: &[u8]) -> io::Result<(SequenceNumber, WriteBatch)> {
@@ -515,6 +467,16 @@ struct State {
     /// message of the group's WAL failure (io::Error is not Clone).
     write_results: std::collections::HashMap<u64, Result<(), String>>,
     next_ticket: u64,
+}
+
+impl State {
+    /// A failed WAL append or sync means the log can no longer be trusted
+    /// to hold this (or any later) record durably: latch the error so
+    /// every subsequent write is rejected instead of silently diverging
+    /// from the log.
+    fn latch_wal_failure(&mut self, e: &io::Error) {
+        self.bg_error = Some(format!("wal write failed: {e}"));
+    }
 }
 
 struct DbInner {
@@ -767,9 +729,6 @@ impl Db {
             return Ok(());
         }
         let inner = &*self.inner;
-        if !inner.opts.group_commit {
-            return self.write_serialized(batch);
-        }
         let mut st = inner.state.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -788,51 +747,6 @@ impl Db {
             inner.writers_cv.wait(&mut st);
         }
         inner.commit_group(&mut st, ticket)
-    }
-
-    /// The pre-group-commit write path: WAL append and sync under the
-    /// state lock, one writer at a time. Kept behind
-    /// [`Options::group_commit`]` = false` as the benchmark baseline.
-    fn write_serialized(&self, batch: WriteBatch) -> io::Result<()> {
-        let inner = &*self.inner;
-        let mut st = inner.state.lock();
-        inner.make_room_for_write(&mut st)?;
-
-        let first_seq = st.versions.last_sequence() + 1;
-        let record = batch.encode(first_seq);
-        let sync_writes = inner.opts.sync_writes;
-        let retry = inner.opts.retry;
-        let wal = st.wal.as_mut().expect("wal open");
-        let wal_result = pcp_storage::with_retry(&retry, || wal.add_record(&record))
-            .and_then(|()| {
-                if sync_writes {
-                    pcp_storage::with_retry(&retry, || wal.sync())
-                } else {
-                    Ok(())
-                }
-            });
-        if let Err(e) = wal_result {
-            // The WAL can no longer be trusted to hold this (or any later)
-            // record durably. Latch the error so every subsequent write is
-            // rejected instead of silently diverging from the log.
-            st.bg_error = Some(format!("wal write failed: {e}"));
-            return Err(e);
-        }
-        if sync_writes {
-            inner.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        if let Some(tap) = &inner.opts.wal_tap {
-            // Serialized path holds the lock across commits, so tap order
-            // matches sequence order here too.
-            tap.on_record(first_seq, first_seq + batch.len() as u64 - 1, &record);
-        }
-        let next = st.mem.insert_batch(first_seq, batch.entry_refs());
-        st.versions.set_last_sequence(next - 1);
-        inner
-            .metrics
-            .puts
-            .fetch_add(batch.len() as u64, AtomicOrdering::Relaxed);
-        Ok(())
     }
 
     /// Reads the newest visible value for `key`.
@@ -1048,23 +962,10 @@ impl Db {
                 ),
             ));
         }
-        let sync_writes = inner.opts.sync_writes;
-        let retry = inner.opts.retry;
         let wal = st.wal.as_mut().expect("wal open");
-        let wal_result = pcp_storage::with_retry(&retry, || wal.add_record(record))
-            .and_then(|()| {
-                if sync_writes {
-                    pcp_storage::with_retry(&retry, || wal.sync())
-                } else {
-                    Ok(())
-                }
-            });
-        if let Err(e) = wal_result {
-            st.bg_error = Some(format!("wal write failed: {e}"));
+        if let Err(e) = inner.log_record(wal, record) {
+            st.latch_wal_failure(&e);
             return Err(e);
-        }
-        if sync_writes {
-            inner.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
         }
         let next = st.mem.insert_batch(first_seq, batch.entry_refs());
         debug_assert_eq!(next - 1, batch_last);
@@ -1149,7 +1050,10 @@ impl Db {
     /// `pcp_engine_*` namespace (closure collectors over the atomics this
     /// database already keeps — see `OBSERVABILITY.md` for the contract).
     /// `extra_labels` is attached to every series; the sharded engine
-    /// passes `shard="<id>"` so per-shard series coexist.
+    /// passes `shard="<id>"` so per-shard series coexist. The collectors
+    /// hold the database weakly: a registry that outlives it pins nothing
+    /// (memtable, table cache, WAL handle all close with the `Db`) and its
+    /// engine series scrape as 0 from then on.
     ///
     /// Per-level series carry a `level` label: cumulative compaction
     /// traffic (`pcp_engine_level_*_total`, from the per-level counters)
@@ -1219,8 +1123,10 @@ impl Db {
             }),
         ];
         for (name, help, get) in counters {
-            let inner = Arc::clone(&self.inner);
-            registry.register_fn_counter(name, help, base.clone(), move || get(&inner.metrics));
+            let inner = Arc::downgrade(&self.inner);
+            registry.register_fn_counter(name, help, base.clone(), move || {
+                inner.upgrade().map_or(0, |inner| get(&inner.metrics))
+            });
         }
         registry.register_histogram(
             "pcp_engine_group_commit_batches",
@@ -1304,31 +1210,29 @@ impl Db {
                 }),
             ];
             for (name, help, get) in per_level {
-                let inner = Arc::clone(&self.inner);
+                let inner = Arc::downgrade(&self.inner);
                 registry.register_fn_counter(name, help, with_level(&base), move || {
-                    get(&inner.metrics, level)
+                    inner.upgrade().map_or(0, |inner| get(&inner.metrics, level))
                 });
             }
-            let inner = Arc::clone(&self.inner);
-            registry.register_fn_gauge(
-                "pcp_engine_level_files",
-                "live tables per level",
-                with_level(&base),
-                move || {
-                    let st = inner.state.lock();
-                    st.versions.current().level_files(level) as f64
-                },
-            );
-            let inner = Arc::clone(&self.inner);
-            registry.register_fn_gauge(
-                "pcp_engine_level_bytes",
-                "live bytes per level",
-                with_level(&base),
-                move || {
-                    let st = inner.state.lock();
-                    st.versions.current().level_bytes(level) as f64
-                },
-            );
+            type VersionGetter = fn(&Version, usize) -> f64;
+            let shape: [(&str, &str, VersionGetter); 2] = [
+                ("pcp_engine_level_files", "live tables per level", |v, l| {
+                    v.level_files(l) as f64
+                }),
+                ("pcp_engine_level_bytes", "live bytes per level", |v, l| {
+                    v.level_bytes(l) as f64
+                }),
+            ];
+            for (name, help, get) in shape {
+                let inner = Arc::downgrade(&self.inner);
+                registry.register_fn_gauge(name, help, with_level(&base), move || {
+                    inner.upgrade().map_or(0.0, |inner| {
+                        let st = inner.state.lock();
+                        get(&st.versions.current(), level)
+                    })
+                });
+            }
         }
     }
 
@@ -1513,6 +1417,12 @@ impl IntegrityReport {
 impl Drop for Db {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
+        // The worker checks the flag and parks under the state lock. Pass
+        // through the lock before notifying: the worker has then either
+        // not yet checked (and will see the flag) or is already parked
+        // (and gets the wakeup) — never in between, where it would miss
+        // both and this join would hang.
+        drop(self.inner.state.lock());
         self.inner.work_cv.notify_all();
         if let Some(handle) = self.bg_thread.take() {
             let _ = handle.join();
@@ -1607,63 +1517,56 @@ impl DbInner {
         // background worker keeps flushing/compacting meanwhile. New
         // arrivals see this leader's ticket still at the queue front and
         // block; no second leader can enter the WAL.
-        let sync_writes = self.opts.sync_writes;
-        let retry = self.opts.retry;
         let mut wal = st.wal.take().expect("wal open");
         let wal_result = MutexGuard::unlocked(st, || {
-            pcp_storage::with_retry(&retry, || wal.add_record(&record))
-                .and_then(|()| {
-                    if sync_writes {
-                        pcp_storage::with_retry(&retry, || wal.sync())
-                    } else {
-                        Ok(())
-                    }
-                })
-                .inspect(|()| {
-                    // Replication tap, still inside the I/O window: the
-                    // record is durable here, and windows serialize (the
-                    // next leader waits for `st.wal` to return), so taps
-                    // observe records in sequence order without holding
-                    // the state lock.
-                    if let Some(tap) = &self.opts.wal_tap {
-                        tap.on_record(first_seq, first_seq + count - 1, &record);
-                    }
-                })
+            self.log_record(&mut wal, &record).inspect(|()| {
+                // Replication tap, still inside the I/O window: the record
+                // is durable here, and windows serialize (the next leader
+                // waits for `st.wal` to return), so taps observe records in
+                // sequence order without holding the state lock.
+                if let Some(tap) = &self.opts.wal_tap {
+                    tap.on_record(first_seq, first_seq + count - 1, &record);
+                }
+            })
         });
         st.wal = Some(wal);
 
-        match wal_result {
-            Err(e) => {
-                // The WAL can no longer be trusted to hold this (or any
-                // later) record durably. Latch the error so every
-                // subsequent write is rejected, and report it to every
-                // writer in the failed group.
-                st.bg_error = Some(format!("wal write failed: {e}"));
-                self.finish_group(st, &group, leader_ticket, Err(e.to_string()));
-                Err(e)
-            }
-            Ok(()) => {
-                if sync_writes {
-                    self.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                // Publish: memtable inserts and the sequence bump happen
-                // back under the lock, so rotation/flush can never split a
-                // group between a logged WAL and a flushed memtable.
-                let mut seq = first_seq;
-                for (_, b) in &group {
-                    seq = st.mem.insert_batch(seq, b.entry_refs());
-                }
-                debug_assert_eq!(seq, first_seq + count);
-                st.versions.set_last_sequence(first_seq + count - 1);
-                self.metrics.puts.fetch_add(count, AtomicOrdering::Relaxed);
-                self.metrics
-                    .group_commits
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.group_commit_writers.record(group.len() as u64);
-                self.finish_group(st, &group, leader_ticket, Ok(()));
-                Ok(())
-            }
+        if let Err(e) = wal_result {
+            // Every writer in the failed group gets the error.
+            st.latch_wal_failure(&e);
+            self.finish_group(st, &group, leader_ticket, Err(e.to_string()));
+            return Err(e);
         }
+        // Publish: memtable inserts and the sequence bump happen back under
+        // the lock, so rotation/flush can never split a group between a
+        // logged WAL and a flushed memtable.
+        let mut seq = first_seq;
+        for (_, b) in &group {
+            seq = st.mem.insert_batch(seq, b.entry_refs());
+        }
+        debug_assert_eq!(seq, first_seq + count);
+        st.versions.set_last_sequence(first_seq + count - 1);
+        self.metrics.puts.fetch_add(count, AtomicOrdering::Relaxed);
+        self.metrics
+            .group_commits
+            .fetch_add(1, AtomicOrdering::Relaxed);
+        self.group_commit_writers.record(group.len() as u64);
+        self.finish_group(st, &group, leader_ticket, Ok(()));
+        Ok(())
+    }
+
+    /// The WAL step of every commit (a group leader's I/O window, a
+    /// replica's [`Db::apply_replicated`]): append `record`, then sync it
+    /// when `sync_writes`, retrying transient failures; a completed sync
+    /// is counted.
+    fn log_record(&self, wal: &mut WalWriter, record: &[u8]) -> io::Result<()> {
+        let retry = &self.opts.retry;
+        pcp_storage::with_retry(retry, || wal.add_record(record))?;
+        if self.opts.sync_writes {
+            pcp_storage::with_retry(retry, || wal.sync())?;
+            self.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Pops the completed group off the queue, files each follower's
@@ -2216,5 +2119,33 @@ impl DbInner {
                     .fetch_add(1, AtomicOrdering::Relaxed);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcp_storage::{SimDevice, SimEnv};
+
+    #[test]
+    fn registry_outliving_db_pins_nothing() {
+        let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+        let registry = pcp_obs::Registry::new();
+        let puts = |r: &pcp_obs::Registry| r.snapshot().counter("pcp_engine_puts_total", &[]);
+
+        let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+        db.register_metrics(&registry, &[]);
+        db.put(b"k", b"v").unwrap();
+        assert_eq!(puts(&registry), 1);
+        let inner = Arc::downgrade(&db.inner);
+        drop(db);
+        assert!(inner.upgrade().is_none(), "collectors kept DbInner alive");
+        // Scraping a closed database is harmless and reads 0.
+        assert_eq!(puts(&registry), 0);
+        assert!(registry.render_prometheus().contains("pcp_engine_level_files"));
+
+        // The same env reopens while the registry is still alive.
+        let db = Db::open(env, Options::default()).unwrap();
+        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
     }
 }

@@ -23,10 +23,9 @@
 //!
 //! Shards participate by registering a **slot** ([`CompactionLimiter::
 //! register`]) and keeping its debt fresh ([`CompactionLimiter::set_debt`]);
-//! the background worker then trades `acquire`/`release` for
+//! the background worker brackets each compaction with
 //! [`CompactionLimiter::acquire_grant`] / [`CompactionLimiter::
-//! release_grant`]. The legacy permit-only API remains for callers that
-//! only want the concurrency cap.
+//! release_grant`].
 //!
 //! Invariants (tested):
 //!
@@ -185,32 +184,6 @@ impl CompactionLimiter {
                 s.debt = if debt.is_finite() { debt.max(0.0) } else { 0.0 };
             }
         }
-    }
-
-    /// Blocks until a permit is free, polling `should_abort` every few
-    /// milliseconds. Returns `false` (without a permit) once
-    /// `should_abort` reports true. Permit-only: takes no stage tokens.
-    pub fn acquire(&self, should_abort: &dyn Fn() -> bool) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if st.in_use < self.permits {
-                st.in_use += 1;
-                st.peak = st.peak.max(st.in_use);
-                return true;
-            }
-            if should_abort() {
-                return false;
-            }
-            self.released.wait_for(&mut st, Duration::from_millis(5));
-        }
-    }
-
-    /// Returns a permit taken by [`CompactionLimiter::acquire`].
-    pub fn release(&self) {
-        let mut st = self.state.lock();
-        debug_assert!(st.in_use > 0, "release without acquire");
-        st.in_use = st.in_use.saturating_sub(1);
-        self.released.notify_all();
     }
 
     /// Blocks until both a permit and at least one stage token are free,
@@ -394,14 +367,16 @@ mod tests {
     fn caps_concurrency_and_tracks_peak() {
         let limiter = CompactionLimiter::new(2);
         let never = || false;
-        assert!(limiter.acquire(&never));
-        assert!(limiter.acquire(&never));
+        let g1 = limiter.acquire_grant(None, &never).unwrap();
+        let g2 = limiter.acquire_grant(None, &never).unwrap();
         assert_eq!(limiter.in_use(), 2);
         // Third acquire must wait; abort it instead.
         let aborted = AtomicBool::new(true);
-        assert!(!limiter.acquire(&|| aborted.load(Ordering::SeqCst)));
-        limiter.release();
-        limiter.release();
+        assert!(limiter
+            .acquire_grant(None, &|| aborted.load(Ordering::SeqCst))
+            .is_none());
+        limiter.release_grant(&g1);
+        limiter.release_grant(&g2);
         assert_eq!(limiter.in_use(), 0);
         assert_eq!(limiter.peak(), 2);
     }
@@ -418,12 +393,12 @@ mod tests {
                 let worst = Arc::clone(&worst);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        assert!(limiter.acquire(&|| false));
+                        let g = limiter.acquire_grant(None, &|| false).unwrap();
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         worst.fetch_max(now, Ordering::SeqCst);
                         std::thread::yield_now();
                         live.fetch_sub(1, Ordering::SeqCst);
-                        limiter.release();
+                        limiter.release_grant(&g);
                     }
                 })
             })
@@ -440,8 +415,8 @@ mod tests {
     fn zero_permits_clamps_to_one() {
         let limiter = CompactionLimiter::new(0);
         assert_eq!(limiter.permits(), 1);
-        assert!(limiter.acquire(&|| false));
-        limiter.release();
+        let g = limiter.acquire_grant(None, &|| false).unwrap();
+        limiter.release_grant(&g);
     }
 
     #[test]

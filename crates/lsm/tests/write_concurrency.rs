@@ -125,23 +125,6 @@ fn concurrent_writers_match_serial_model_and_replay() {
 }
 
 #[test]
-fn serialized_fallback_matches_the_same_model() {
-    let db = Db::open(
-        ram_env(),
-        Options {
-            group_commit: false,
-            memtable_bytes: 32 << 10,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    run_writers(&db);
-    check_model(&db);
-    let m = db.metrics();
-    assert_eq!(m.group_commits, 0, "legacy path forms no groups");
-}
-
-#[test]
 fn grouped_syncs_amortize_below_one_per_writer() {
     let writes_per_thread = 25;
     let db = Db::open(

@@ -9,8 +9,8 @@
 //!   flight on one connection. `send` returns a monotonically increasing
 //!   **token**; `recv` returns `(token, Response)` pairs in token order —
 //!   the wire protocol carries no tags, so responses are positional, and
-//!   the server guarantees per-connection request-order responses in both
-//!   server modes. A server-side [`Response::Err`] inside the window is
+//!   the server guarantees per-connection request-order responses. A
+//!   server-side [`Response::Err`] inside the window is
 //!   surfaced as a value with its token; it does **not** poison the
 //!   connection or the window. Pipelined traffic is *not* retried on
 //!   connection loss (the client cannot know which of the in-flight ops
@@ -201,7 +201,7 @@ impl KvClient {
     /// Sends `req` without waiting for its response, returning a token
     /// that [`KvClient::recv`] pairs with the response. Many requests may
     /// be in flight on the one connection; the server answers them in
-    /// send order (both server modes guarantee this).
+    /// send order.
     ///
     /// Unlike [`KvClient::request`], pipelined sends are never retried on
     /// connection loss: with several ops in flight there is no way to

@@ -20,13 +20,12 @@
 //!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/STATS/METRICS,
 //! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
 //!   capture, and Prometheus text exposition of the full `pcp-obs`
-//!   registry, in two [`ServerMode`]s: the baseline thread-per-connection
-//!   front end, and the event-driven [`reactor`] (epoll/poll readiness
-//!   loop, fixed worker pool, request pipelining, bounded output queues
-//!   with read backpressure) — plus the blocking [`KvClient`] (which
-//!   reconnects with backoff on transient connection loss) and its
-//!   pipelined `send`/`recv` window for many in-flight ops per
-//!   connection,
+//!   registry, served by the event-driven [`reactor`] (epoll/poll
+//!   readiness loop, fixed worker pool, request pipelining, bounded
+//!   output queues with read backpressure) — plus the blocking
+//!   [`KvClient`] (which reconnects with backoff on transient connection
+//!   loss) and its pipelined `send`/`recv` window for many in-flight ops
+//!   per connection,
 //! * primary→replica replication: a [`ReplSource`] taps every shard's
 //!   consolidated group-commit WAL records (via [`pcp_lsm::WalTap`]) into
 //!   bounded outbound queues, REPL_SUBSCRIBE streams them with lockstep
@@ -49,6 +48,6 @@ pub use proto::{BatchItem, Request, Response, Role, ServiceStats};
 pub use reactor::{FrameDecoder, ReactorConfig};
 pub use replica::ReplicaServer;
 pub use router::{HashRouter, RangeRouter, Router};
-pub use server::{KvServer, ServerMode, ServerOptions};
+pub use server::{KvServer, ServerOptions};
 pub use sharded::{ShardSnapshot, ShardedDb, ShardedHealth, ShardedIter};
 pub use ship::{ReplConfig, ReplSource};

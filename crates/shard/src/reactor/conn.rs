@@ -13,17 +13,16 @@
 //!   propagates to the client through TCP once its socket buffer fills.
 //! * **Draining** — no further reads; in-flight ops finish, queued
 //!   responses flush, then the socket closes. Entered on server shutdown
-//!   (parity with the blocking server: frames already buffered are still
-//!   served) and on peer EOF (responses to already-accepted requests are
-//!   flushed before close — TCP delivers them to a half-closed peer).
+//!   (frames already buffered are still served) and on peer EOF
+//!   (responses to already-accepted requests are flushed before close —
+//!   TCP delivers them to a half-closed peer).
 //! * **Closed** — fd deregistered and dropped.
 //!
 //! **Pipelining ordering guarantee:** responses are written in request
 //! order per connection. Workers complete out of order; completions park
 //! in `pending` (a seq → payload map) and only append to the output
 //! buffer once every earlier sequence has. The wire carries no tags, so
-//! this positional ordering *is* the protocol — identical to the
-//! blocking server, where the loop itself serializes.
+//! this positional ordering *is* the protocol.
 
 use crate::proto::take_frame;
 use std::collections::BTreeMap;

@@ -1,8 +1,8 @@
 //! Event-driven front end: a nonblocking reactor + fixed worker pool.
 //!
-//! The blocking [`crate::KvServer`] spawns a thread per connection —
-//! fine for tens of clients, fatal for thousands. This module serves the
-//! same wire protocol from a single event-loop thread:
+//! A thread per connection is fine for tens of clients and fatal for
+//! thousands. [`crate::KvServer`] serves the wire protocol from a single
+//! event-loop thread:
 //!
 //! ```text
 //!                 ┌────────────────────────── reactor thread ─┐
@@ -19,8 +19,7 @@
 //!   partial reads, a per-connection reorder window so responses leave in
 //!   request order, and a bounded output queue.
 //! * **Worker pool** ([`workers`]): a fixed set of threads executing ops
-//!   through the same `crate::server::ServerShared::handle` as the
-//!   blocking server — identical semantics, shared metrics.
+//!   through `crate::server::ServerShared::handle`.
 //! * **Request pipelining**: a client may keep many frames in flight on
 //!   one connection; concurrent ops from many connections land in the
 //!   worker pool together, which is exactly what keeps the group-commit
@@ -31,12 +30,12 @@
 //!   queue anywhere.
 //! * **Graceful shutdown**: frames already received are still served,
 //!   in-flight ops finish, queued responses flush, then sockets close —
-//!   parity with the blocking server (no accepted request is dropped).
+//!   no accepted request is dropped.
 //!
 //! Replication subscriptions (`REPL_SUBSCRIBE`) are long-lived push
 //! streams with their own lockstep pacing; the reactor hands those
-//! sockets to dedicated threads (the blocking subscriber loop) once the
-//! connection's pipelined window drains.
+//! sockets to dedicated threads (`crate::server::serve_subscriber`'s
+//! blocking loop) once the connection's pipelined window drains.
 
 pub mod conn;
 pub mod poller;
@@ -67,8 +66,8 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const WAIT_MS: i32 = 50;
 
 /// How long shutdown waits for unread clients to accept their flushed
-/// responses before force-closing. The blocking server can wedge forever
-/// on a never-reading client; the reactor bounds that.
+/// responses before force-closing, so a never-reading client cannot
+/// wedge shutdown.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Tuning for the reactor front end (see `DESIGN.md` §14).
@@ -361,7 +360,7 @@ impl Reactor {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     // Peer EOF: serve the complete frames already buffered,
-                    // answer them, then close (blocking-server parity).
+                    // answer them, then close.
                     conn.peer_eof = true;
                     if !self.parse_frames(token) {
                         return;
@@ -421,8 +420,8 @@ impl Reactor {
                 Ok(Some(payload)) => payload,
                 Ok(None) => break true,
                 Err(_) => {
-                    // Corrupt frame: the stream is unrecoverable (parity
-                    // with the blocking server, which drops the socket).
+                    // Corrupt frame: the stream is unrecoverable, so the
+                    // socket is dropped without a response.
                     self.close_conn(token);
                     break false;
                 }
@@ -448,8 +447,8 @@ impl Reactor {
                     });
                 }
                 Err(e) => {
-                    // Malformed payload: answer in-line but in-order, the
-                    // same ERR text the blocking server produces.
+                    // Malformed payload: answer in-line but in-order with
+                    // a "bad request" ERR; the connection stays usable.
                     self.shared.count_error();
                     let frame =
                         encode_frame(&Response::Err(format!("bad request: {e}")).encode());
@@ -516,8 +515,7 @@ impl Reactor {
         self.close_listener();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            // Serve frames already received (blocking-server parity), then
-            // stop reading.
+            // Serve frames already received, then stop reading.
             if self.parse_frames(token) {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     if conn.state == ConnState::Open {
@@ -611,7 +609,7 @@ impl Reactor {
         let buffered = conn.decoder.into_buffered();
         // Back to blocking mode with the poll-interval read timeout the
         // subscriber loop expects (it polls the shutdown flag between
-        // reads, exactly like the blocking server's connection loop).
+        // reads).
         if stream.set_nonblocking(false).is_err()
             || stream
                 .set_read_timeout(Some(crate::server::POLL_INTERVAL))

@@ -1,9 +1,8 @@
 //! Fixed worker pool executing decoded requests against the engine.
 //!
 //! The reactor thread never touches the `ShardedDb`: it decodes frames
-//! into [`Job`]s, enqueues them here, and workers call the same
-//! `crate::server::ServerShared::handle` the blocking server uses —
-//! one op dispatcher, two front ends, identical semantics and metrics.
+//! into [`Job`]s, enqueues them here, and workers execute them through
+//! `crate::server::ServerShared::handle`, the one op dispatcher.
 //! Completions flow back through a mutex-guarded vector; the completing
 //! worker nudges the reactor's wake pipe so the event loop collects them
 //! promptly even when no socket is otherwise ready.

@@ -1,15 +1,9 @@
-//! TCP front end over a [`ShardedDb`], in one of two server modes:
-//!
-//! * [`ServerMode::Blocking`] — deliberately boring networking:
-//!   `std::net` blocking sockets, one thread per connection, a short
-//!   read timeout so every thread notices the shutdown flag promptly.
-//!   The baseline, and the reference semantics.
-//! * [`ServerMode::Reactor`] — the event-driven front end
-//!   ([`crate::reactor`]): one epoll/poll event-loop thread, a fixed
-//!   worker pool, request pipelining, bounded per-connection output
-//!   queues. Same wire protocol, same op semantics (both modes execute
-//!   through the same `ServerShared::handle`), built for thousands of
-//!   connections instead of tens.
+//! TCP front end over a [`ShardedDb`]: the event-driven [`crate::reactor`]
+//! (one epoll/poll event-loop thread, a fixed worker pool, request
+//! pipelining, bounded per-connection output queues) serves
+//! request/response traffic; this module owns what sits around it — op
+//! execution (`ServerShared::handle`), roles and promotion, the metrics
+//! registry, replication subscriber streams, and the server lifecycle.
 //!
 //! The interesting state — memtables, WALs, compaction pipelines — all
 //! lives below, in the sharded engine; the service layer only frames
@@ -38,35 +32,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a connection thread blocks in `read` before re-checking the
+/// How long a subscriber thread blocks in `read` before re-checking the
 /// shutdown flag.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Hook a replica supplies to run its side of PROMOTE (stop pullers and
 /// drain them) before the server flips its role to primary.
 pub type PromoteHook = Arc<dyn Fn() -> io::Result<()> + Send + Sync>;
-
-/// Which front end serves request/response traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Thread per connection (the baseline).
-    Blocking,
-    /// Nonblocking event loop + worker pool ([`crate::reactor`]).
-    Reactor,
-}
-
-impl ServerMode {
-    /// Reads the `PCP_SERVER_MODE` environment override (`"reactor"` or
-    /// `"blocking"`), used by CI to run the whole e2e suite against the
-    /// reactor front end without touching the tests.
-    pub fn from_env() -> Option<ServerMode> {
-        match std::env::var("PCP_SERVER_MODE").ok()?.as_str() {
-            "reactor" => Some(ServerMode::Reactor),
-            "blocking" => Some(ServerMode::Blocking),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration for [`KvServer::start_with`].
 #[derive(Default)]
@@ -79,11 +51,7 @@ pub struct ServerOptions {
     /// Called on PROMOTE (and [`KvServer::promote`]) while still in
     /// replica role, before the role flips.
     pub on_promote: Option<PromoteHook>,
-    /// Front end to serve with. `None` falls back to the
-    /// `PCP_SERVER_MODE` environment override, then
-    /// [`ServerMode::Blocking`].
-    pub mode: Option<ServerMode>,
-    /// Reactor tuning, used only in [`ServerMode::Reactor`].
+    /// Reactor tuning.
     pub reactor: crate::reactor::ReactorConfig,
 }
 
@@ -104,7 +72,8 @@ pub(crate) struct ServerShared {
     read_latency: LatencyHistogram,
     write_latency: LatencyHistogram,
     registry: pcp_obs::Registry,
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Subscriber stream threads, joined on shutdown.
+    subscriber_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ServerShared {
@@ -134,7 +103,7 @@ impl ServerShared {
     /// Registers a service-owned thread (subscriber streams handed off by
     /// the reactor) to be joined on shutdown.
     pub(crate) fn track_thread(&self, handle: std::thread::JoinHandle<()>) {
-        self.conns.lock().push(handle);
+        self.subscriber_threads.lock().push(handle);
     }
 
     fn role(&self) -> Role {
@@ -237,8 +206,9 @@ impl ServerShared {
             Request::Promote => self
                 .promote()
                 .map(|()| (Response::Ok, &self.write_latency)),
-            // Subscriptions are intercepted in `serve_connection`; an ack
-            // with no subscription on this connection is a protocol error.
+            // Subscriptions are intercepted by the reactor before dispatch;
+            // an ack with no subscription on this connection is a protocol
+            // error.
             Request::ReplSubscribe { .. } | Request::ReplAck { .. } => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "replication message outside an active subscription",
@@ -262,11 +232,10 @@ impl ServerShared {
 pub struct KvServer {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    mode: ServerMode,
-    /// The accept loop (blocking mode) or the reactor event loop.
+    /// The reactor event loop.
     service_thread: Option<std::thread::JoinHandle<()>>,
-    /// Wakes the reactor event loop out of its poll wait (reactor mode).
-    waker: Option<crate::reactor::Waker>,
+    /// Wakes the event loop out of its poll wait.
+    waker: crate::reactor::Waker,
 }
 
 impl KvServer {
@@ -348,52 +317,30 @@ impl KvServer {
             read_latency,
             write_latency,
             registry,
-            conns: Mutex::new(Vec::new()),
+            subscriber_threads: Mutex::new(Vec::new()),
         });
         {
-            let role_shared = Arc::clone(&shared);
+            // Weak: the registry lives inside `shared`, so a strong
+            // capture would be a cycle that never frees the engine handle.
+            let role_shared = Arc::downgrade(&shared);
             shared.registry.register_fn_gauge(
                 "pcp_repl_role",
                 "service role: 0 = primary, 1 = replica",
                 Vec::new(),
-                move || role_shared.role.load(Ordering::SeqCst) as f64,
+                move || {
+                    role_shared
+                        .upgrade()
+                        .map_or(0.0, |s| s.role.load(Ordering::SeqCst) as f64)
+                },
             );
         }
-        let mode = options
-            .mode
-            .or_else(ServerMode::from_env)
-            .unwrap_or(ServerMode::Blocking);
-        match mode {
-            ServerMode::Blocking => {
-                let accept_shared = Arc::clone(&shared);
-                let accept_thread = std::thread::Builder::new()
-                    .name("pcp-kv-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))?;
-                Ok(KvServer {
-                    local_addr,
-                    shared,
-                    mode,
-                    service_thread: Some(accept_thread),
-                    waker: None,
-                })
-            }
-            ServerMode::Reactor => {
-                let handle =
-                    crate::reactor::spawn(listener, Arc::clone(&shared), options.reactor)?;
-                Ok(KvServer {
-                    local_addr,
-                    shared,
-                    mode,
-                    service_thread: Some(handle.thread),
-                    waker: Some(handle.waker),
-                })
-            }
-        }
-    }
-
-    /// The front end this server is running ([`ServerMode`]).
-    pub fn mode(&self) -> ServerMode {
-        self.mode
+        let handle = crate::reactor::spawn(listener, Arc::clone(&shared), options.reactor)?;
+        Ok(KvServer {
+            local_addr,
+            shared,
+            service_thread: Some(handle.thread),
+            waker: handle.waker,
+        })
     }
 
     /// The bound address (the actual port when started with port 0).
@@ -440,21 +387,14 @@ impl KvServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &self.waker {
-            // Reactor mode: nudge the event loop out of its poll wait; it
-            // drains in-flight ops and flushes responses before exiting.
-            Some(waker) => waker.wake(),
-            // Blocking mode: unblock the accept loop with a throwaway
-            // connection.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
+        // Nudge the event loop out of its poll wait; it drains in-flight
+        // ops and flushes responses before exiting.
+        self.waker.wake();
         if let Some(t) = self.service_thread.take() {
             let _ = t.join();
         }
-        let conns = std::mem::take(&mut *self.shared.conns.lock());
-        for t in conns {
+        let subscribers = std::mem::take(&mut *self.shared.subscriber_threads.lock());
+        for t in subscribers {
             let _ = t.join();
         }
     }
@@ -463,83 +403,6 @@ impl KvServer {
 impl Drop for KvServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        let conn_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name("pcp-kv-conn".into())
-            .spawn(move || {
-                conn_shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let _ = serve_connection(stream, &conn_shared);
-                conn_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-            });
-        match spawned {
-            Ok(handle) => shared.conns.lock().push(handle),
-            // Thread exhaustion: shed this connection (the stream was moved
-            // into the failed closure and is already closed) and keep
-            // accepting rather than taking the whole service down.
-            Err(_) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Serves one connection until the peer disconnects, a protocol error
-/// occurs, or the server shuts down.
-fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
-    // A finite read timeout turns the blocking read into a poll, so this
-    // thread observes shutdown even when its client is idle. A mid-frame
-    // timeout is harmless: bytes already read sit in `buf` and the next
-    // read continues where it left off.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true).ok();
-    let mut buf: Vec<u8> = Vec::with_capacity(16 << 10);
-    let mut chunk = [0u8; 16 << 10];
-    loop {
-        while let Some(payload) = take_frame(&mut buf)? {
-            let response = match Request::decode(&payload) {
-                Ok(Request::ReplSubscribe { shard, from_seq }) => {
-                    // The connection becomes a one-way record stream (with
-                    // lockstep acks flowing back); it never returns to
-                    // request/response service.
-                    return serve_subscriber(stream, shared, buf, shard, from_seq);
-                }
-                Ok(req) => shared.handle(req),
-                Err(e) => {
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Err(format!("bad request: {e}"))
-                }
-            };
-            write_frame(&mut stream, &response.encode())?;
-        }
-        if shared.shutting_down() {
-            return Ok(());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }
 

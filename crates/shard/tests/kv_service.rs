@@ -147,6 +147,9 @@ fn kv_service_end_to_end() {
     for (k, v) in model.iter().take(50) {
         assert_eq!(db.get(k).unwrap().as_ref(), Some(v));
     }
+    // And a dropped service lets go of it.
+    drop(server);
+    assert_eq!(Arc::strong_count(&db), 1, "server leaked its engine handle");
 }
 
 #[test]

@@ -1,13 +1,12 @@
-//! End-to-end tests for the event-driven (reactor) front end and the
-//! pipelined client: mode parity on the same op script, server-side ERR
-//! inside a pipelined window, graceful-shutdown drain, backpressure,
-//! and the poll(2)/level-triggered fallbacks.
+//! End-to-end tests for the reactor front end and the pipelined client:
+//! the wire transcript of a pipelined op script against an in-process
+//! model, server-side ERR inside a pipelined window, graceful-shutdown
+//! drain, backpressure, and the poll(2)/level-triggered fallbacks.
 
-use pcp_lsm::{CompactionPolicy, Options};
+use pcp_lsm::{CompactionPolicy, Options, WriteBatch};
 use pcp_shard::proto::{read_frame, write_frame};
 use pcp_shard::{
-    BatchItem, HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, Role,
-    ServerMode, ShardedDb,
+    BatchItem, HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, Role, ShardedDb,
 };
 use pcp_shard::server::ServerOptions;
 use pcp_storage::{EnvRef, SimDevice, SimEnv};
@@ -32,12 +31,11 @@ fn sharded(n: usize) -> Arc<ShardedDb> {
     Arc::new(ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(n))).unwrap())
 }
 
-fn start(db: Arc<ShardedDb>, mode: ServerMode, reactor: ReactorConfig) -> KvServer {
+fn start(db: Arc<ShardedDb>, reactor: ReactorConfig) -> KvServer {
     KvServer::start_with(
         db,
         "127.0.0.1:0",
         ServerOptions {
-            mode: Some(mode),
             reactor,
             ..ServerOptions::default()
         },
@@ -46,77 +44,92 @@ fn start(db: Arc<ShardedDb>, mode: ServerMode, reactor: ReactorConfig) -> KvServ
 }
 
 /// A deterministic mixed op script: puts, gets (hits and misses),
-/// deletes, a cross-shard batch, and bounded scans.
-fn op_script() -> Vec<Request> {
-    let mut ops = Vec::new();
-    for i in 0..40u32 {
-        ops.push(Request::Put(
-            format!("k{i:04}").into_bytes(),
-            format!("v{i}").into_bytes(),
-        ));
-    }
-    for i in 0..50u32 {
-        ops.push(Request::Get(format!("k{i:04}").into_bytes()));
-    }
-    for i in (0..40u32).step_by(4) {
-        ops.push(Request::Delete(format!("k{i:04}").into_bytes()));
-    }
-    ops.push(Request::Batch(vec![
+/// deletes, a cross-shard batch, and bounded scans. Workers execute a
+/// connection's in-flight ops concurrently, so the script comes in
+/// phases: the ops of one phase touch disjoint keys or only read, and a
+/// phase is drained before the next is sent.
+fn op_script() -> Vec<Vec<Request>> {
+    let key = |i: u32| format!("k{i:04}").into_bytes();
+    let puts = (0..40).map(|i| Request::Put(key(i), format!("v{i}").into_bytes()));
+    let gets = (0..50).map(|i| Request::Get(key(i)));
+    let mut overwrites: Vec<Request> = (0..40).step_by(4).map(|i| Request::Delete(key(i))).collect();
+    overwrites.push(Request::Batch(vec![
         BatchItem::Put(b"batch-a".to_vec(), b"1".to_vec()),
         BatchItem::Put(b"batch-b".to_vec(), b"2".to_vec()),
         BatchItem::Delete(b"k0001".to_vec()),
     ]));
-    for i in 0..40u32 {
-        ops.push(Request::Get(format!("k{i:04}").into_bytes()));
-    }
-    ops.push(Request::Scan {
+    let mut reads: Vec<Request> = (0..40).map(|i| Request::Get(key(i))).collect();
+    reads.push(Request::Scan {
         start: b"k".to_vec(),
         limit: 100,
     });
-    ops.push(Request::Scan {
+    reads.push(Request::Scan {
         start: b"batch".to_vec(),
         limit: 2,
     });
-    ops
+    vec![puts.collect(), gets.collect(), overwrites, reads]
 }
 
-/// Runs the script fully pipelined (every request in flight before the
-/// first response is read) and returns the encoded response bytes.
-fn run_pipelined(addr: std::net::SocketAddr, script: &[Request]) -> Vec<Vec<u8>> {
+/// Runs the script with each phase fully pipelined (every request of the
+/// phase in flight before its first response is read) and returns the
+/// encoded response bytes.
+fn run_pipelined(addr: std::net::SocketAddr, script: &[Vec<Request>]) -> Vec<Vec<u8>> {
     let mut client = KvClient::connect(addr).unwrap();
-    let mut tokens = Vec::with_capacity(script.len());
-    for req in script {
-        tokens.push(client.send(req).unwrap());
+    let mut transcript = Vec::new();
+    for phase in script {
+        let tokens: Vec<u64> = phase.iter().map(|req| client.send(req).unwrap()).collect();
+        assert_eq!(client.pending(), phase.len());
+        let responses = client.recv_all().unwrap();
+        assert_eq!(client.pending(), 0);
+        let got_tokens: Vec<u64> = responses.iter().map(|(t, _)| *t).collect();
+        assert_eq!(got_tokens, tokens, "responses out of token order");
+        transcript.extend(responses.into_iter().map(|(_, r)| r.encode()));
     }
-    assert_eq!(client.pending(), script.len());
-    let responses = client.recv_all().unwrap();
-    assert_eq!(client.pending(), 0);
-    let got_tokens: Vec<u64> = responses.iter().map(|(t, _)| *t).collect();
-    assert_eq!(got_tokens, tokens, "responses out of token order");
-    responses.into_iter().map(|(_, r)| r.encode()).collect()
+    transcript
 }
 
-/// The same fully pipelined script produces byte-identical responses
-/// from the blocking and reactor front ends — the wire contract is
-/// mode-independent, including response ordering under pipelining.
+/// The model: the script applied serially, in-process, to `db`, with the
+/// responses the service owes for each op.
+fn expected_transcript(db: &ShardedDb, script: &[Vec<Request>]) -> Vec<Vec<u8>> {
+    let apply = |req: &Request| match req {
+        Request::Get(key) => db
+            .get(key)
+            .unwrap()
+            .map_or(Response::NotFound, Response::Value),
+        Request::Put(key, value) => db.put(key, value).map(|()| Response::Ok).unwrap(),
+        Request::Delete(key) => db.delete(key).map(|()| Response::Ok).unwrap(),
+        Request::Batch(items) => {
+            let mut batch = WriteBatch::new();
+            for item in items {
+                match item {
+                    BatchItem::Put(k, v) => batch.put(k, v),
+                    BatchItem::Delete(k) => batch.delete(k),
+                }
+            }
+            db.write(batch).map(|()| Response::Ok).unwrap()
+        }
+        Request::Scan { start, limit } => Response::Entries(db.scan(start, *limit as usize)),
+        other => panic!("not a data op: {other:?}"),
+    };
+    script.iter().flatten().map(|req| apply(req).encode()).collect()
+}
+
+/// A pipelined script gets, byte for byte and in request order, the
+/// responses the same ops produce when applied serially to an identical
+/// engine.
 #[test]
-fn pipelined_parity_across_server_modes() {
+fn pipelined_transcript_matches_in_process_model() {
     let script = op_script();
-    let mut transcripts = Vec::new();
-    for mode in [ServerMode::Blocking, ServerMode::Reactor] {
-        let mut server = start(sharded(4), mode, ReactorConfig::default());
-        assert_eq!(server.mode(), mode);
-        transcripts.push(run_pipelined(server.local_addr(), &script));
-        server.shutdown();
-    }
-    let (blocking, reactor) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(blocking.len(), reactor.len());
-    for (i, (b, r)) in blocking.iter().zip(reactor.iter()).enumerate() {
-        assert_eq!(b, r, "response {i} differs between server modes");
+    let expected = expected_transcript(&sharded(4), &script);
+    let mut server = start(sharded(4), ReactorConfig::default());
+    let got = run_pipelined(server.local_addr(), &script);
+    server.shutdown();
+    assert_eq!(got.len(), expected.len());
+    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(g, e, "response {i} differs from the model");
     }
     // The script actually exercised data paths: last scans saw entries.
-    let tail = Response::decode(&reactor[reactor.len() - 1]).unwrap();
-    match tail {
+    match Response::decode(&got[got.len() - 1]).unwrap() {
         Response::Entries(entries) => assert_eq!(entries.len(), 2),
         other => panic!("expected Entries, got {other:?}"),
     }
@@ -133,7 +146,6 @@ fn pipelined_err_keeps_window_usable() {
         "127.0.0.1:0",
         ServerOptions {
             role: Some(Role::Replica),
-            mode: Some(ServerMode::Reactor),
             ..ServerOptions::default()
         },
     )
@@ -170,7 +182,7 @@ fn pipelined_err_keeps_window_usable() {
 fn shutdown_flushes_accepted_pipelined_requests() {
     const N: u64 = 200;
     let db = sharded(2);
-    let mut server = start(Arc::clone(&db), ServerMode::Reactor, ReactorConfig::default());
+    let mut server = start(Arc::clone(&db), ReactorConfig::default());
     let addr = server.local_addr();
 
     let mut client = KvClient::connect(addr).unwrap();
@@ -225,7 +237,6 @@ fn backpressure_pauses_reads_under_unread_output() {
     // client drains — either is enough to pause reads.
     let mut server = start(
         Arc::clone(&db),
-        ServerMode::Reactor,
         ReactorConfig {
             max_output_bytes: 1024,
             max_in_flight: 8,
@@ -262,12 +273,7 @@ fn backpressure_pauses_reads_under_unread_output() {
 #[test]
 fn poll_fallback_and_level_triggered_serve_correctly() {
     let script = op_script();
-    let reference = {
-        let mut server = start(sharded(2), ServerMode::Blocking, ReactorConfig::default());
-        let out = run_pipelined(server.local_addr(), &script);
-        server.shutdown();
-        out
-    };
+    let reference = expected_transcript(&sharded(2), &script);
     for cfg in [
         ReactorConfig {
             force_poll: true,
@@ -278,7 +284,7 @@ fn poll_fallback_and_level_triggered_serve_correctly() {
             ..ReactorConfig::default()
         },
     ] {
-        let mut server = start(sharded(2), ServerMode::Reactor, cfg.clone());
+        let mut server = start(sharded(2), cfg.clone());
         let got = run_pipelined(server.local_addr(), &script);
         assert_eq!(got, reference, "divergence under {cfg:?}");
         server.shutdown();
@@ -292,7 +298,6 @@ fn poll_fallback_and_level_triggered_serve_correctly() {
 fn reactor_metrics_exposition() {
     let mut server = start(
         sharded(2),
-        ServerMode::Reactor,
         ReactorConfig {
             workers: 2,
             ..ReactorConfig::default()
@@ -333,66 +338,59 @@ fn reactor_metrics_exposition() {
 }
 
 /// REPL_SUBSCRIBE against a service without replication answers with a
-/// clean ERR frame in reactor mode, exactly like the blocking server.
+/// clean ERR frame.
 #[test]
-fn repl_subscribe_without_replication_errs_in_both_modes() {
-    for mode in [ServerMode::Blocking, ServerMode::Reactor] {
-        let mut server = start(sharded(2), mode, ReactorConfig::default());
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame(
-            &mut stream,
-            &Request::ReplSubscribe { shard: 0, from_seq: 1 }.encode(),
-        )
-        .unwrap();
-        let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
-        match Response::decode(&payload).unwrap() {
-            Response::Err(msg) => {
-                assert!(msg.contains("replication"), "{mode:?}: {msg}")
-            }
-            other => panic!("{mode:?}: expected Err, got {other:?}"),
-        }
-        drop(stream);
-        server.shutdown();
+fn repl_subscribe_without_replication_errs() {
+    let mut server = start(sharded(2), ReactorConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Request::ReplSubscribe { shard: 0, from_seq: 1 }.encode(),
+    )
+    .unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Err(msg) => assert!(msg.contains("replication"), "{msg}"),
+        other => panic!("expected Err, got {other:?}"),
     }
+    drop(stream);
+    server.shutdown();
 }
 
 /// A malformed frame (valid CRC, undecodable payload) gets an ERR and
 /// the connection keeps serving; a corrupt CRC closes the connection.
-/// Parity with the blocking front end on both behaviours.
 #[test]
-fn bad_requests_match_blocking_semantics() {
-    for mode in [ServerMode::Blocking, ServerMode::Reactor] {
-        let mut server = start(sharded(2), mode, ReactorConfig::default());
-        let addr = server.local_addr();
+fn bad_request_errs_and_corrupt_frame_closes() {
+    let mut server = start(sharded(2), ReactorConfig::default());
+    let addr = server.local_addr();
 
-        // Garbage payload inside a well-formed frame: ERR, then service
-        // continues on the same connection.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, &[0xFF, 0x00, 0x13, 0x37]).unwrap();
-        let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
-        match Response::decode(&payload).unwrap() {
-            Response::Err(msg) => assert!(msg.contains("bad request"), "{mode:?}: {msg}"),
-            other => panic!("{mode:?}: expected Err, got {other:?}"),
-        }
-        write_frame(&mut stream, &Request::Get(b"k".to_vec()).encode()).unwrap();
-        let payload = read_frame(&mut stream).unwrap().expect("a response");
-        assert!(matches!(
-            Response::decode(&payload).unwrap(),
-            Response::NotFound
-        ));
-
-        // Corrupt CRC: the server closes the connection (possibly after
-        // an error frame; the stream must end rather than serve garbage).
-        let mut corrupt = pcp_shard::proto::encode_frame(&Request::Get(b"k".to_vec()).encode());
-        let len = corrupt.len();
-        corrupt[len - 1] ^= 0xFF;
-        use std::io::Write as _;
-        stream.write_all(&corrupt).unwrap();
-        let mut rest = Vec::new();
-        let _ = std::io::Read::read_to_end(&mut stream, &mut rest);
-        drop(stream);
-        server.shutdown();
+    // Garbage payload inside a well-formed frame: ERR, then service
+    // continues on the same connection.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_frame(&mut stream, &[0xFF, 0x00, 0x13, 0x37]).unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Err(msg) => assert!(msg.contains("bad request"), "{msg}"),
+        other => panic!("expected Err, got {other:?}"),
     }
+    write_frame(&mut stream, &Request::Get(b"k".to_vec()).encode()).unwrap();
+    let payload = read_frame(&mut stream).unwrap().expect("a response");
+    assert!(matches!(
+        Response::decode(&payload).unwrap(),
+        Response::NotFound
+    ));
+
+    // Corrupt CRC: the server closes the connection (possibly after
+    // an error frame; the stream must end rather than serve garbage).
+    let mut corrupt = pcp_shard::proto::encode_frame(&Request::Get(b"k".to_vec()).encode());
+    let len = corrupt.len();
+    corrupt[len - 1] ^= 0xFF;
+    use std::io::Write as _;
+    stream.write_all(&corrupt).unwrap();
+    let mut rest = Vec::new();
+    let _ = std::io::Read::read_to_end(&mut stream, &mut rest);
+    drop(stream);
+    server.shutdown();
 }
 
 /// Extracts the first sample value for a series (optionally including

@@ -299,7 +299,8 @@ mod tests {
             Arc::new(SimDevice::new(
                 n,
                 HddModel {
-                    min_seek: std::time::Duration::from_millis(5),
+                    min_seek: std::time::Duration::from_millis(20),
+                    max_seek: std::time::Duration::from_millis(20),
                     ..HddModel::default()
                 },
                 1 << 30,
@@ -307,15 +308,16 @@ mod tests {
             )) as DeviceRef
         };
         let raid = Raid0::new("r", vec![mk("a"), mk("b")], 512 * 1024);
-        // 4 MiB = 4 stripes per member: per-member busy time (~10 ms)
-        // dwarfs thread-spawn overhead, so overlap must show. Wall-clock
-        // timing on a noisy host: accept the best of three attempts.
+        // 1 MiB = one stripe per member: each member sleeps ~25 ms (a
+        // 20 ms seek dominates) while the data handled stays small, so
+        // overlap must show over thread-spawn and copy overhead.
+        // Wall-clock timing on a noisy host: accept the best of three.
         let mut best_ratio = f64::INFINITY;
         for attempt in 0..3 {
             let before: std::time::Duration =
                 raid.members().iter().map(|d| d.stats().busy()).sum();
             let t0 = Instant::now();
-            raid.read_at((attempt as u64) * (8 << 20), 4 << 20).unwrap();
+            raid.read_at((attempt as u64) * (8 << 20), 1 << 20).unwrap();
             let wall = t0.elapsed();
             let serial: std::time::Duration = raid
                 .members()

@@ -1,4 +1,5 @@
-//! KV service demo: a range-sharded engine behind the TCP front end.
+//! KV service demo: a range-sharded engine behind the TCP front end (the
+//! epoll reactor + worker pool of `DESIGN.md` §14).
 //!
 //! Opens a [`pcp::shard::ShardedDb`] over in-memory simulated devices,
 //! starts the [`pcp::shard::KvServer`] on an ephemeral localhost port,
@@ -10,21 +11,17 @@
 //! cargo run --release --example kv_server
 //! # or serve on a fixed address with real files:
 //! cargo run --release --example kv_server -- 127.0.0.1:4700 /tmp/pcp-kv
-//! # event-driven front end (epoll reactor + worker pool, DESIGN.md §14):
-//! cargo run --release --example kv_server -- --reactor
 //! ```
 //!
 //! With an address argument the server stays up until Ctrl-C so external
 //! clients can connect; without one it runs the scripted demo and exits.
-//! `--reactor`/`--blocking` pick the front end (default: blocking, or
-//! the `PCP_SERVER_MODE` environment override).
 //!
 //! Each shard compacts with the production default, the adaptive PCP
-//! executor (`Options::default()`; override with `PCP_EXECUTOR`), under
-//! the shared cross-shard scheduler — see `DESIGN.md` §15.
+//! executor (`Options::default()`), under the shared cross-shard
+//! scheduler — see `DESIGN.md` §15.
 
 use pcp::lsm::Options;
-use pcp::shard::{HashRouter, KvClient, KvServer, ServerMode, ServerOptions, ShardedDb};
+use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use pcp::workload::{run_mixed, MixedConfig};
 use std::sync::Arc;
@@ -65,36 +62,15 @@ fn print_shard_throughput(db: &ShardedDb, wall_secs: f64) {
 }
 
 fn main() {
-    let mut mode: Option<ServerMode> = None;
-    let mut positional: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--reactor" => mode = Some(ServerMode::Reactor),
-            "--blocking" => mode = Some(ServerMode::Blocking),
-            _ => positional.push(arg),
-        }
-    }
-    let mut positional = positional.into_iter();
-    let addr = positional.next();
-    let dir = positional.next();
+    let mut args = std::env::args().skip(1);
+    let addr = args.next();
+    let dir = args.next();
 
     let db = open_engine(dir.as_deref());
     let bind = addr.as_deref().unwrap_or("127.0.0.1:0");
-    let mut server = KvServer::start_with(
-        Arc::clone(&db),
-        bind,
-        ServerOptions {
-            mode,
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    let mut server = KvServer::start(Arc::clone(&db), bind).unwrap();
     println!(
-        "pcp-kv: {SHARDS} shards, {} front end, serving on {} ({})",
-        match mode.or_else(ServerMode::from_env) {
-            Some(ServerMode::Reactor) => "reactor",
-            _ => "blocking",
-        },
+        "pcp-kv: {SHARDS} shards, serving on {} ({})",
         server.local_addr(),
         dir.as_deref().unwrap_or("in-memory simulated devices"),
     );

@@ -4,49 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The adaptive-executor lanes are timing-sensitive (schedulers sampling
-# real thread interleavings): on low-core CI hosts the default test
-# parallelism oversubscribes the machine and produces spurious timeouts.
-# Run them with a thread count derived from the core count (floor of 2 so
-# cross-thread paths still run), and retry a failing lane once serially —
-# a genuine regression fails both runs, a scheduling flake only the first.
-CORES="$(nproc 2>/dev/null || echo 1)"
-TEST_THREADS=$(( CORES < 2 ? 2 : CORES ))
-run_adaptive_lane() {
-    if ! PCP_EXECUTOR=adaptive cargo test -q "$@" -- --test-threads="$TEST_THREADS"; then
-        echo "==> adaptive lane failed at --test-threads=$TEST_THREADS; retrying serially"
-        PCP_EXECUTOR=adaptive cargo test -q "$@" -- --test-threads=1
-    fi
-}
-
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo build --examples --release"
 cargo build --examples --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test -q -p pcp-shard --test kv_service (TCP service e2e)"
-cargo test -q -p pcp-shard --test kv_service
-
-echo "==> cargo test -q -p pcp-shard --test replication (replication e2e + seeded kill/promote matrix)"
-cargo test -q -p pcp-shard --test replication
-
-echo "==> cargo test -q -p pcp-shard --test reactor_frames --test reactor_service (reactor front end)"
-cargo test -q -p pcp-shard --test reactor_frames --test reactor_service
-
-echo "==> PCP_SERVER_MODE=reactor kv e2e (existing suites against the event-driven front end)"
-PCP_SERVER_MODE=reactor cargo test -q -p pcp-shard --test kv_service
-PCP_SERVER_MODE=reactor cargo test -q -p pcp-shard --test replication
-
-echo "==> PCP_EXECUTOR=adaptive engine e2e (full engine suites under the forced adaptive default)"
-run_adaptive_lane --test adaptive_scheduler --test engine_with_executors --test fault_injection
-run_adaptive_lane -p pcp-shard
-
-echo "==> cargo test -q -p pcp-lint (lint engine: rule fixtures, lexer property test, repo-clean gate)"
-cargo test -q -p pcp-lint
+echo "==> cargo test -q --workspace (every crate's unit, integration and e2e suites)"
+cargo test -q --workspace
 
 echo "==> cargo run -p pcp-lint --release (architectural lint, L1-L8; JSON report archived)"
 mkdir -p bench_results
@@ -59,10 +24,10 @@ cargo run -q -p pcp-lint --release -- --explain L6 L7 L8 > /dev/null
 echo "==> cargo test -q --features lock_order (runtime lock-order witness)"
 cargo test -q --features lock_order
 
-echo "==> cargo bench -p pcp-bench --bench write_concurrency (group-commit smoke, quick mode)"
+echo "==> cargo bench -p pcp-bench --bench write_concurrency (syncs-per-write smoke, quick mode)"
 cargo bench -p pcp-bench --bench write_concurrency
 
-echo "==> cargo bench -p pcp-bench --bench reactor (reactor-vs-blocking smoke, quick mode)"
+echo "==> cargo bench -p pcp-bench --bench reactor (connections x depth sweep, quick mode)"
 cargo bench -p pcp-bench --bench reactor
 
 echo "==> cargo bench -p pcp-bench --bench adaptive (adaptive-vs-fixed-shapes smoke, quick mode)"

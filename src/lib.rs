@@ -38,10 +38,6 @@
 //! };
 //! ```
 //!
-//! The `PCP_EXECUTOR` environment variable
-//! (`adaptive|simple|scp|pcp|c-ppcp|s-ppcp`) overrides the default
-//! process-wide without code changes.
-//!
 //! ## Crate map
 //!
 //! | module | crate | contents |
@@ -54,7 +50,7 @@
 //! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, the adaptive wrapper, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
 //! | [`workload`] | `pcp-workload` | key/value generators and insert drivers |
-//! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service |
+//! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (epoll reactor + worker pool) |
 //! | [`obs`] | `pcp-obs` | metrics registry, Prometheus exposition, pipeline event traces |
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
