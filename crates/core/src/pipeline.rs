@@ -140,6 +140,9 @@ pub struct SealedWriter<'req> {
     req: &'req CompactionRequest,
     profile: &'req CompactionProfile,
     builder: Option<(u64, TableBuilder)>,
+    /// Sealed-block bytes appended to the current table, already counted
+    /// as output; `finish_current` counts the rest of the file.
+    table_sealed_bytes: u64,
     smallest: Vec<u8>,
     last_user_key: Vec<u8>,
     outputs: Vec<Arc<FileMetadata>>,
@@ -154,6 +157,7 @@ impl<'req> SealedWriter<'req> {
             req,
             profile,
             builder: None,
+            table_sealed_bytes: 0,
             smallest: Vec::new(),
             last_user_key: Vec::new(),
             outputs: Vec::new(),
@@ -181,6 +185,7 @@ impl<'req> SealedWriter<'req> {
                     number,
                     TableBuilder::new(file, self.req.table_opts.clone()),
                 ));
+                self.table_sealed_bytes = 0;
                 self.smallest = sb.first_key.clone();
             }
             let (_, b) = self.builder.as_mut().expect("builder");
@@ -193,6 +198,7 @@ impl<'req> SealedWriter<'req> {
                 &sb.bloom_hashes,
             )?;
             appended += sb.raw.len() as u64;
+            self.table_sealed_bytes += sb.raw.len() as u64;
             self.last_user_key.clear();
             self.last_user_key.extend_from_slice(user_key(&sb.last_key));
         }
@@ -220,12 +226,9 @@ impl<'req> SealedWriter<'req> {
                     return Err(e);
                 }
             };
-            // Footer/index/filter bytes beyond the sealed data blocks.
-            self.profile.add_output_bytes(
-                stats
-                    .file_size
-                    .saturating_sub(self.outputs_last_data_bytes(stats.file_size)),
-            );
+            // Index/filter/footer bytes beyond the sealed data blocks.
+            self.profile
+                .add_output_bytes(stats.file_size.saturating_sub(self.table_sealed_bytes));
             self.outputs.push(Arc::new(FileMetadata {
                 number,
                 size: stats.file_size,
@@ -235,12 +238,6 @@ impl<'req> SealedWriter<'req> {
             }));
         }
         Ok(())
-    }
-
-    // Data bytes were already counted per append; approximate the metadata
-    // overhead as zero here to avoid double counting (kept as a hook).
-    fn outputs_last_data_bytes(&self, file_size: u64) -> u64 {
-        file_size
     }
 
     /// Finishes the trailing table; returns outputs in key order. On error
@@ -837,6 +834,23 @@ mod tests {
         let req = request(&env, vec![], vec![]);
         assert!(PipelinedExec::pcp(64 << 10).compact(&req).unwrap().is_empty());
         assert!(ScpExec::new(64 << 10).compact(&req).unwrap().is_empty());
+    }
+
+    #[test]
+    fn profile_output_bytes_equal_the_tables_written() {
+        let scp = ScpExec::new(64 << 10);
+        let pcp = PipelinedExec::pcp(64 << 10);
+        for (exec, profile) in [
+            (&scp as &dyn CompactionExec, scp.profile()),
+            (&pcp, pcp.profile()),
+        ] {
+            let env = env();
+            let upper = build_input(&env, "u.sst", 5000, 1, 1, "x");
+            let outputs = exec.compact(&request(&env, vec![upper], vec![])).unwrap();
+            assert!(outputs.len() > 1, "several tables, each with index, filter and footer");
+            let written: u64 = outputs.iter().map(|f| f.size).sum();
+            assert_eq!(profile.snapshot().output_bytes, written, "{}", exec.name());
+        }
     }
 
     #[test]

@@ -6,15 +6,20 @@
 //!   one mutex. When the memtable reaches its threshold (paper default:
 //!   4 MB) it becomes immutable and a background flush dumps it into a
 //!   level-0 SSTable.
-//! * One background worker alternates flushes and compactions. Compactions
-//!   are picked by [`crate::version_set::VersionSet::pick_compaction`] and
-//!   executed by the configured [`CompactionExec`] — this is where the
-//!   paper's SCP/PCP/PPCP executors plug in.
-//! * When compaction cannot keep up, writers first get slowed (one
-//!   millisecond per write once L0 grows past `l0_slowdown_files`), then
-//!   stalled outright (the paper's *write pauses*), which is precisely the
-//!   coupling that makes compaction bandwidth determine system throughput
-//!   (Fig. 10: IOPS vs compaction bandwidth).
+//! * Two background lanes share the state lock and the version set: the
+//!   flush lane turns the immutable memtable into a level-0 table, the
+//!   compaction lane runs one compaction at a time, so a full memtable is
+//!   flushed while a merge is in flight (DESIGN.md §12 "Background
+//!   lanes"). Compactions are picked by
+//!   [`crate::version_set::VersionSet::pick_compaction`] and executed by
+//!   the configured [`CompactionExec`] — this is where the paper's
+//!   SCP/PCP/PPCP executors plug in.
+//! * When compaction cannot keep up, level 0 grows: writers first get
+//!   slowed (one millisecond per write once L0 reaches
+//!   `l0_slowdown_files`), then stalled outright at `l0_stop_files` (the
+//!   paper's *write pauses*), which is precisely the coupling that makes
+//!   compaction bandwidth determine system throughput (Fig. 10: IOPS vs
+//!   compaction bandwidth).
 
 use crate::compact::{CompactionExec, CompactionRequest, ResourceGrant};
 use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
@@ -34,7 +39,7 @@ use pcp_sstable::{
     TableBuilderOptions,
 };
 use pcp_storage::{is_transient, EnvRef, RetryPolicy};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -457,7 +462,15 @@ struct State {
     wal: Option<WalWriter>,
     wal_number: u64,
     versions: VersionSet,
-    bg_active: bool,
+    /// In-progress marker of the flush lane: `Some(floor)` from the moment
+    /// it claims `imm` until its obsolete-file sweep is done. `floor` is
+    /// the file-number counter at the claim, so every file the job creates
+    /// is numbered at or above it — what [`State::gc_plan`] keeps out of
+    /// the other lane's sweep.
+    flushing: Option<u64>,
+    /// The same marker for the one compaction a `Db` runs at a time, taken
+    /// by the compaction lane and by [`Db::compact_range`] alike.
+    compacting: Option<u64>,
     bg_error: Option<String>,
     snapshots: BTreeMap<u64, usize>,
     /// FIFO of writers awaiting commit; the front entry's owner is the
@@ -469,14 +482,43 @@ struct State {
     next_ticket: u64,
 }
 
+/// What one obsolete-file sweep may delete, captured under the state lock
+/// so the listing and the deletes can run after it is released. Nothing
+/// captured here can turn live later: a table becomes live only through
+/// the install of a job that created it, and every such table is numbered
+/// at or above `floor`.
+struct GcPlan {
+    live: HashSet<u64>,
+    /// Lowest file number an in-flight job (or any job started after this
+    /// capture) may create; tables at or above it are left alone.
+    floor: u64,
+    log_number: u64,
+    wal_number: u64,
+}
+
 impl State {
-    /// A failed WAL append or sync means the log can no longer be trusted
-    /// to hold this (or any later) record durably: latch the error so
-    /// every subsequent write is rejected instead of silently diverging
-    /// from the log.
-    fn latch_wal_failure(&mut self, e: &io::Error) {
-        self.bg_error = Some(format!("wal write failed: {e}"));
+    fn gc_plan(&self) -> GcPlan {
+        GcPlan {
+            live: self.versions.live_files(),
+            floor: [self.flushing, self.compacting]
+                .into_iter()
+                .flatten()
+                .min()
+                .unwrap_or_else(|| self.versions.next_file_number()),
+            log_number: self.versions.log_number(),
+            wal_number: self.wal_number,
+        }
     }
+}
+
+/// Why [`DbInner::make_room_for_write`] stopped a writer — the `cause`
+/// field of the `write_stall` trace event.
+#[derive(Clone, Copy)]
+enum StallCause {
+    /// The previous memtable is still being flushed.
+    ImmPending = 0,
+    /// Level 0 holds `l0_stop_files` tables.
+    L0Stop = 1,
 }
 
 struct DbInner {
@@ -504,7 +546,8 @@ struct DbInner {
 /// An open database.
 pub struct Db {
     inner: Arc<DbInner>,
-    bg_thread: Option<std::thread::JoinHandle<()>>,
+    /// The flush lane and the compaction lane, joined on drop.
+    lanes: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Result of [`Db::health`]: whether background maintenance is alive.
@@ -555,13 +598,19 @@ impl Db {
         let mem = Arc::new(Memtable::new());
         let mut max_seq = versions.last_sequence();
 
-        // Replay WALs newer than the manifest's log number.
-        let mut logs: Vec<u64> = env
+        let on_disk: Vec<(FileKind, u64)> = env
             .list()?
             .iter()
             .filter_map(|n| parse_file_name(n))
+            .collect();
+        for (_, num) in &on_disk {
+            versions.mark_file_number_used(*num);
+        }
+        // Replay WALs newer than the manifest's log number.
+        let mut logs: Vec<u64> = on_disk
+            .iter()
             .filter(|(kind, num)| *kind == FileKind::Wal && *num >= versions.log_number())
-            .map(|(_, num)| num)
+            .map(|(_, num)| *num)
             .collect();
         logs.sort_unstable();
         let mut tail_corruptions = 0u64;
@@ -622,7 +671,8 @@ impl Db {
                 wal: Some(wal),
                 wal_number,
                 versions,
-                bg_active: false,
+                flushing: None,
+                compacting: None,
                 bg_error: None,
                 snapshots: BTreeMap::new(),
                 write_queue: std::collections::VecDeque::new(),
@@ -651,22 +701,32 @@ impl Db {
                 .trace
                 .record("wal_tail_corruption", &[("logs", tail_corruptions)]);
         }
-        inner.gc_files(&mut inner.state.lock());
+        let plan = inner.state.lock().gc_plan();
+        inner.delete_obsolete_files(&plan);
         if let Some(tap) = &inner.opts.wal_tap {
             // Seed the tap's replication horizon before the first write can
             // race it.
             tap.attach(max_seq + 1);
         }
 
-        let worker = Arc::clone(&inner);
-        let bg_thread = std::thread::Builder::new()
-            .name("pcp-lsm-bg".into())
-            .spawn(move || worker.background_loop())?;
-
-        Ok(Db {
+        // Built first so a failed second spawn drops it and joins the first.
+        let mut db = Db {
             inner,
-            bg_thread: Some(bg_thread),
-        })
+            lanes: Vec::with_capacity(2),
+        };
+        type Lane = fn(&DbInner);
+        for (name, lane) in [
+            ("pcp-lsm-flush", DbInner::flush_lane as Lane),
+            ("pcp-lsm-compact", DbInner::compaction_lane),
+        ] {
+            let inner = Arc::clone(&db.inner);
+            db.lanes.push(
+                std::thread::Builder::new()
+                    .name(name.into())
+                    .spawn(move || lane(&inner))?,
+            );
+        }
+        Ok(db)
     }
 
     fn write_memtable_to_table(
@@ -829,38 +889,38 @@ impl Db {
             return Ok(());
         }
         if !st.mem.is_empty() {
-            // Rotate (waiting for any previous imm first). Check the
-            // latched error *before* sleeping and ping the worker on every
-            // turn: a failed flush leaves `imm` in place with the worker
-            // parked, and a bare wait here would never be woken again.
+            // Rotate, waiting for any previous imm first. A failed flush
+            // leaves `imm` in place with the lane parked; the latch wakes
+            // this wait, so check the error on every turn.
             while st.imm.is_some() {
                 inner.check_bg_error(&st)?;
-                inner.work_cv.notify_all();
                 inner.done_cv.wait(&mut st);
             }
             inner.check_bg_error(&st)?;
             inner.rotate_memtable(&mut st)?;
         }
-        while st.imm.is_some() {
-            inner.work_cv.notify_all();
-            inner.done_cv.wait(&mut st);
+        // Until the flush lane has installed the table and swept.
+        while st.imm.is_some() || st.flushing.is_some() {
             inner.check_bg_error(&st)?;
+            inner.done_cv.wait(&mut st);
         }
         Ok(())
     }
 
-    /// Blocks until no flush or compaction work remains.
+    /// Blocks until no flush or compaction work remains: no immutable
+    /// memtable, no compaction to pick, neither lane running.
     pub fn wait_idle(&self) -> io::Result<()> {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
         loop {
             inner.check_bg_error(&st)?;
-            let has_work = st.imm.is_some()
+            let busy = st.imm.is_some()
+                || st.flushing.is_some()
+                || st.compacting.is_some()
                 || st.versions.pick_compaction(&inner.opts.policy).is_some();
-            if !st.bg_active && !has_work {
+            if !busy {
                 return Ok(());
             }
-            inner.work_cv.notify_all();
             inner.done_cv.wait(&mut st);
         }
     }
@@ -871,19 +931,21 @@ impl Db {
         self.flush()?;
         let inner = &*self.inner;
         for level in 0..NUM_LEVELS - 1 {
-            // One pass per level.
+            // One pass per level, each under the compaction marker the
+            // background lane also takes: never two merges in one `Db`.
             let mut st = inner.state.lock();
-            while st.bg_active {
+            while st.compacting.is_some() {
                 inner.done_cv.wait(&mut st);
             }
             inner.check_bg_error(&st)?;
             if let Some(pick) = st.versions.pick_range(level, lo, hi) {
-                st.bg_active = true;
+                st.compacting = Some(st.versions.next_file_number());
                 // Manual compactions bypass the scheduler: the caller asked
                 // for this work explicitly, so it runs unpaced.
                 let result = inner.run_compaction(&mut st, pick, None);
-                st.bg_active = false;
+                st.compacting = None;
                 inner.done_cv.notify_all();
+                inner.work_cv.notify_all();
                 drop(st);
                 result?;
             }
@@ -964,7 +1026,7 @@ impl Db {
         }
         let wal = st.wal.as_mut().expect("wal open");
         if let Err(e) = inner.log_record(wal, record) {
-            st.latch_wal_failure(&e);
+            inner.latch_wal_failure(&mut st, &e);
             return Err(e);
         }
         let next = st.mem.insert_batch(first_seq, batch.entry_refs());
@@ -1417,17 +1479,17 @@ impl IntegrityReport {
 impl Drop for Db {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
-        // The worker checks the flag and parks under the state lock. Pass
-        // through the lock before notifying: the worker has then either
-        // not yet checked (and will see the flag) or is already parked
-        // (and gets the wakeup) — never in between, where it would miss
-        // both and this join would hang.
+        // Each lane checks the flag and parks under the state lock. Pass
+        // through the lock before notifying: a lane has then either not
+        // yet checked (and will see the flag) or is already parked (and
+        // gets the wakeup) — never in between, where it would miss both
+        // and its join would hang.
         drop(self.inner.state.lock());
         self.inner.work_cv.notify_all();
-        if let Some(handle) = self.bg_thread.take() {
-            let _ = handle.join();
+        for lane in self.lanes.drain(..) {
+            let _ = lane.join();
         }
-        // After the background thread is gone no further grants can be
+        // After the compaction lane is gone no further grants can be
         // requested, so the scheduler slot can be retired (its debt stops
         // counting toward other shards' shares).
         if let (Some(limiter), Some(slot)) =
@@ -1460,6 +1522,21 @@ impl DbInner {
             Some(e) => Err(io::Error::other(e.clone())),
             None => Ok(()),
         }
+    }
+
+    /// Latches the first non-transient failure — later ones keep it — and
+    /// wakes everyone waiting for background progress that will not come.
+    fn latch_error(&self, st: &mut State, message: String) {
+        st.bg_error.get_or_insert(message);
+        self.done_cv.notify_all();
+    }
+
+    /// A failed WAL append or sync means the log can no longer be trusted
+    /// to hold this (or any later) record durably: latch the error so
+    /// every subsequent write is rejected instead of silently diverging
+    /// from the log.
+    fn latch_wal_failure(&self, st: &mut State, e: &io::Error) {
+        self.latch_error(st, format!("wal write failed: {e}"));
     }
 
     /// Leader path of [`Db::write`]: called by the writer at the queue
@@ -1514,7 +1591,7 @@ impl DbInner {
         // The I/O window: take the WAL out of the state (rotation waits
         // for it to return) and run the append + single amortized sync
         // with the lock released, so arriving writers enqueue and the
-        // background worker keeps flushing/compacting meanwhile. New
+        // background lanes keep flushing/compacting meanwhile. New
         // arrivals see this leader's ticket still at the queue front and
         // block; no second leader can enter the WAL.
         let mut wal = st.wal.take().expect("wal open");
@@ -1533,7 +1610,7 @@ impl DbInner {
 
         if let Err(e) = wal_result {
             // Every writer in the failed group gets the error.
-            st.latch_wal_failure(&e);
+            self.latch_wal_failure(st, &e);
             self.finish_group(st, &group, leader_ticket, Err(e.to_string()));
             return Err(e);
         }
@@ -1598,12 +1675,12 @@ impl DbInner {
                 && l0_files >= self.opts.l0_slowdown_files
                 && l0_files < self.opts.l0_stop_files
             {
-                // Gentle backpressure: yield 1 ms to the compactor.
+                // Gentle backpressure: hand the compaction lane 1 ms of
+                // this writer's time, once per write.
                 slowdown_done = true;
                 self.metrics
                     .slowdown_events
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                self.work_cv.notify_all();
                 MutexGuard::unlocked(st, || std::thread::sleep(Duration::from_millis(1)));
                 continue;
             }
@@ -1612,23 +1689,22 @@ impl DbInner {
             }
             if st.imm.is_some() {
                 // Previous memtable still flushing: write pause.
-                self.stall_wait(st);
+                self.stall_wait(st, StallCause::ImmPending);
                 continue;
             }
-            if st.versions.current().level_files(0) >= self.opts.l0_stop_files {
-                self.stall_wait(st);
+            if l0_files >= self.opts.l0_stop_files {
+                self.stall_wait(st, StallCause::L0Stop);
                 continue;
             }
             self.rotate_memtable(st)?;
         }
     }
 
-    fn stall_wait(&self, st: &mut MutexGuard<'_, State>) {
+    fn stall_wait(&self, st: &mut MutexGuard<'_, State>, cause: StallCause) {
         self.metrics
             .stall_events
             .fetch_add(1, AtomicOrdering::Relaxed);
         let t0 = Instant::now();
-        self.work_cv.notify_all();
         self.done_cv.wait(st);
         let waited = t0.elapsed();
         self.metrics
@@ -1636,7 +1712,10 @@ impl DbInner {
             .fetch_add(waited.as_nanos() as u64, AtomicOrdering::Relaxed);
         self.trace.record(
             "write_stall",
-            &[("stall_nanos", waited.as_nanos() as u64)],
+            &[
+                ("stall_nanos", waited.as_nanos() as u64),
+                ("cause", cause as u64),
+            ],
         );
     }
 
@@ -1766,110 +1845,124 @@ impl DbInner {
         Ok(None)
     }
 
-    // -- background -------------------------------------------------------
+    // -- background lanes -------------------------------------------------
+    //
+    // Both lanes hold the state lock except inside the unlocked windows of
+    // their jobs, and park on `work_cv`. Every change a waiter can be
+    // waiting for (`imm` cleared, a marker cleared, a version installed, an
+    // error latched) notifies `done_cv` where it happens; every change that
+    // creates work (`imm` set, a level-0 table added, the compaction marker
+    // given back) notifies `work_cv`.
 
-    fn background_loop(self: Arc<Self>) {
+    /// The flush lane: `imm` → level-0 table → MANIFEST edit. Never waits
+    /// for the compaction lane.
+    fn flush_lane(&self) {
         let mut st = self.state.lock();
-        loop {
-            if self.shutdown.load(AtomicOrdering::SeqCst) {
-                return;
-            }
-            if st.bg_error.is_some() {
-                // The error is latched: stop attempting work (retrying a
-                // dead disk in a hot loop helps nobody) and keep waking
-                // waiters so flush()/wait_idle() observe the error.
-                self.done_cv.notify_all();
+        while !self.shutdown.load(AtomicOrdering::SeqCst) {
+            // With an error latched, retrying a dead disk in a hot loop
+            // helps nobody: stay parked until shutdown.
+            if st.imm.is_none() || st.bg_error.is_some() {
                 self.work_cv.wait(&mut st);
                 continue;
             }
-            let has_flush = st.imm.is_some();
-            let pick = if has_flush {
+            st.flushing = Some(st.versions.next_file_number());
+            let result = self.retry_transient(&mut st, |st| self.run_flush(st));
+            st.flushing = None;
+            self.job_done(&mut st, result);
+        }
+    }
+
+    /// The compaction lane: pick → grant → `executor.compact` → MANIFEST
+    /// edit, one at a time and never beside a [`Db::compact_range`] merge.
+    fn compaction_lane(&self) {
+        let mut st = self.state.lock();
+        while !self.shutdown.load(AtomicOrdering::SeqCst) {
+            let pick = if st.compacting.is_some() || st.bg_error.is_some() {
                 None
             } else {
                 st.versions.pick_compaction(&self.opts.policy)
             };
-            if !has_flush && pick.is_none() {
-                self.done_cv.notify_all();
+            let Some(pick) = pick else {
                 self.work_cv.wait(&mut st);
                 continue;
-            }
-            st.bg_active = true;
-            // Compactions (never flushes) pass through the shared
-            // cross-database admission gate. `bg_active` is set before the
-            // lock is released to queue for a grant, so `compact_range`
-            // cannot start concurrently; within one `Db` only this thread
-            // mutates the version set, so the pick stays valid across the
-            // wait.
-            let mut permit = None;
-            if !has_flush {
-                if let Some(limiter) = &self.opts.compaction_limiter {
-                    let limiter = Arc::clone(limiter);
-                    if let Some(slot) = self.sched_slot {
-                        // Publish this shard's compaction debt (the max
-                        // level score) so the scheduler can weight the
-                        // grant: hot shards borrow pipeline width from
-                        // idle ones.
-                        limiter.set_debt(slot, st.versions.max_score(&self.opts.policy));
-                    }
-                    let acquired = MutexGuard::unlocked(&mut st, || {
-                        limiter.acquire_grant(self.sched_slot, &|| {
-                            self.shutdown.load(AtomicOrdering::SeqCst)
-                        })
-                    });
-                    // While queued: shutdown may have begun, a memtable may
-                    // have filled (flushes take priority), or a WAL failure
-                    // may have latched. In each case give the grant back and
-                    // re-evaluate from the top.
-                    let Some(grant) = acquired else {
-                        st.bg_active = false;
-                        self.done_cv.notify_all();
-                        continue;
-                    };
-                    if st.imm.is_some() || st.bg_error.is_some() {
-                        limiter.release_grant(&grant);
-                        st.bg_active = false;
-                        self.done_cv.notify_all();
-                        continue;
-                    }
-                    permit = Some((limiter, grant));
-                }
-            }
-            let grant_ref = permit.as_ref().map(|(_, g)| g.clone());
-            let result = self.run_with_retry(&mut st, has_flush, pick, grant_ref);
-            if let Some((limiter, grant)) = permit {
-                limiter.release_grant(&grant);
-            }
-            if let Err(e) = result {
-                st.bg_error = Some(e.to_string());
-            }
-            st.bg_active = false;
-            self.done_cv.notify_all();
+            };
+            // Taken before the lock is released to queue for a grant. The
+            // pick stays valid across that wait and across the merge: the
+            // flush lane only ever adds level-0 tables, all newer than the
+            // picked ones, and nothing else edits the version set while
+            // the marker is held.
+            st.compacting = Some(st.versions.next_file_number());
+            let result = self.compact_with_grant(&mut st, pick);
+            st.compacting = None;
+            self.job_done(&mut st, result);
         }
     }
 
-    /// Runs one flush or compaction, retrying transient I/O failures under
-    /// the configured policy with the backoff sleeps taken *outside* the
-    /// state lock so writers are not blocked behind a backoff.
-    fn run_with_retry(
+    /// Latches a failed job's error and wakes both sides: waiters see the
+    /// marker gone (or the error), the other lane sees the new level-0
+    /// table (or the error).
+    fn job_done(&self, st: &mut MutexGuard<'_, State>, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.latch_error(st, e.to_string());
+        }
+        self.done_cv.notify_all();
+        self.work_cv.notify_all();
+    }
+
+    /// Runs `pick`, under a grant from the shared cross-database admission
+    /// gate when one is configured (flushes are never gated).
+    fn compact_with_grant(
         &self,
         st: &mut MutexGuard<'_, State>,
-        has_flush: bool,
-        pick: Option<CompactionPick>,
-        grant: Option<ResourceGrant>,
+        pick: CompactionPick,
+    ) -> io::Result<()> {
+        let limiter = self.opts.compaction_limiter.as_deref();
+        let grant = match limiter {
+            None => None,
+            Some(limiter) => {
+                if let Some(slot) = self.sched_slot {
+                    // Publish this shard's compaction debt (the max level
+                    // score) so the scheduler can weight the grant: hot
+                    // shards borrow pipeline width from idle ones.
+                    limiter.set_debt(slot, st.versions.max_score(&self.opts.policy));
+                }
+                let acquired = MutexGuard::unlocked(st, || {
+                    limiter.acquire_grant(self.sched_slot, &|| {
+                        self.shutdown.load(AtomicOrdering::SeqCst)
+                    })
+                });
+                // `None`: shutdown began while queued; the lane's loop
+                // sees the flag.
+                let Some(grant) = acquired else { return Ok(()) };
+                Some(grant)
+            }
+        };
+        // A failure may have latched while queued for the grant.
+        let result = self.check_bg_error(st).and_then(|()| {
+            self.retry_transient(st, |st| self.run_compaction(st, pick.clone(), grant.clone()))
+        });
+        if let (Some(limiter), Some(grant)) = (limiter, &grant) {
+            limiter.release_grant(grant);
+        }
+        result
+    }
+
+    /// Runs one flush or compaction attempt, retrying transient I/O
+    /// failures under the configured policy with the backoff sleeps taken
+    /// *outside* the state lock so writers and the other lane are not
+    /// blocked behind a backoff.
+    fn retry_transient(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        mut attempt: impl FnMut(&mut MutexGuard<'_, State>) -> io::Result<()>,
     ) -> io::Result<()> {
         let policy = self.opts.retry;
         let mut backoff = policy.base_backoff;
-        let mut attempt = 0;
+        let mut attempts = 0;
         loop {
-            attempt += 1;
-            let result = if has_flush {
-                self.run_flush(st)
-            } else {
-                self.run_compaction(st, pick.clone().expect("pick present"), grant.clone())
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transient(&e) && attempt < policy.max_attempts => {
+            attempts += 1;
+            match attempt(st) {
+                Err(e) if is_transient(&e) && attempts < policy.max_attempts => {
                     self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
                     if backoff > Duration::ZERO {
                         let sleep = backoff.min(policy.max_backoff);
@@ -1877,17 +1970,22 @@ impl DbInner {
                     }
                     backoff = (backoff * 2).min(policy.max_backoff);
                 }
-                Err(e) => return Err(e),
+                result => return result,
             }
         }
+    }
+
+    /// Deletes obsolete files with the lock released: the other lane and
+    /// every writer wait behind it otherwise.
+    fn sweep(&self, st: &mut MutexGuard<'_, State>) {
+        let plan = st.gc_plan();
+        MutexGuard::unlocked(st, || self.delete_obsolete_files(&plan));
     }
 
     fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
         let imm = st.imm.as_ref().expect("imm present").clone();
         let number = st.versions.allocate_file_number();
         let wal_number = st.wal_number;
-        let env = Arc::clone(&self.env);
-        let opts = self.opts.clone();
 
         let meta = if imm.is_empty() {
             None
@@ -1895,17 +1993,12 @@ impl DbInner {
             // Build the table without holding the lock: this is real
             // (simulated) I/O plus compression work.
             let built = MutexGuard::unlocked(st, || {
-                Db::write_memtable_to_table(&env, &opts, &imm, number)
-            });
-            match built {
-                Ok(meta) => Some(meta),
-                Err(e) => {
-                    // Don't leave the partial table for the GC sweep to
-                    // find — it is this attempt's orphan.
-                    let _ = env.delete(&table_file(number));
-                    return Err(e);
-                }
-            }
+                Db::write_memtable_to_table(&self.env, &self.opts, &imm, number).inspect_err(|_| {
+                    // This attempt's orphan; don't leave it to a sweep.
+                    let _ = self.env.delete(&table_file(number));
+                })
+            })?;
+            Some(built)
         };
 
         let mut edit = VersionEdit {
@@ -1913,24 +2006,22 @@ impl DbInner {
             ..Default::default()
         };
         if let Some(meta) = &meta {
-            self.metrics
-                .flush_bytes
-                .fetch_add(meta.size, AtomicOrdering::Relaxed);
             edit.new_files.push((0, Arc::clone(meta)));
         }
         st.versions.log_and_apply(edit)?;
         st.imm = None;
+        // Writers paused on `imm` go on while this lane sweeps.
+        self.done_cv.notify_all();
+        let (sst_bytes, entries) = meta.map_or((0, 0), |m| (m.size, m.entries));
+        self.metrics
+            .flush_bytes
+            .fetch_add(sst_bytes, AtomicOrdering::Relaxed);
         self.metrics
             .flush_count
             .fetch_add(1, AtomicOrdering::Relaxed);
-        self.trace.record(
-            "flush_done",
-            &[
-                ("sst_bytes", meta.as_ref().map_or(0, |m| m.size)),
-                ("entries", meta.as_ref().map_or(0, |m| m.entries)),
-            ],
-        );
-        self.gc_files(st);
+        self.trace
+            .record("flush_done", &[("sst_bytes", sst_bytes), ("entries", entries)]);
+        self.sweep(st);
         Ok(())
     }
 
@@ -1964,22 +2055,8 @@ impl DbInner {
                 inputs_lower,
                 pointer_key,
             } => {
-                let open = |metas: &[Arc<FileMetadata>]| -> io::Result<Vec<_>> {
-                    metas
-                        .iter()
-                        .map(|m| {
-                            self.cache
-                                .get(m.number)
-                                .map_err(|e| io::Error::other(e.to_string()))
-                        })
-                        .collect()
-                };
-                let upper = open(&inputs_upper)?;
-                let lower = open(&inputs_lower)?;
                 let output_level = level + 1;
                 let bottom_level = {
-                    // Scoped so this Version ref is gone before gc_files
-                    // runs (a held Version pins its files against GC).
                     let version = st.versions.current();
                     ((output_level + 1)..NUM_LEVELS)
                         .all(|l| version.levels[l].is_empty())
@@ -1990,19 +2067,7 @@ impl DbInner {
                     .next()
                     .copied()
                     .unwrap_or_else(|| st.versions.last_sequence());
-                let req = CompactionRequest {
-                    env: Arc::clone(&self.env),
-                    upper,
-                    lower,
-                    output_level,
-                    bottom_level,
-                    smallest_snapshot,
-                    file_numbers: st.versions.file_number_counter(),
-                    table_opts: self.opts.table_opts(),
-                    max_output_bytes: self.opts.sstable_bytes,
-                    grant: grant.unwrap_or_default(),
-                };
-                let executor = Arc::clone(&self.opts.executor);
+                let file_numbers = st.versions.file_number_counter();
                 self.trace.record(
                     "compaction_picked",
                     &[
@@ -2011,13 +2076,39 @@ impl DbInner {
                         ("inputs_lower", inputs_lower.len() as u64),
                     ],
                 );
-                let t0 = Instant::now();
-                // On failure the executor has already swept its partial
+                let open = |metas: &[Arc<FileMetadata>]| -> io::Result<Vec<_>> {
+                    metas
+                        .iter()
+                        .map(|m| {
+                            self.cache
+                                .get(m.number)
+                                .map_err(|e| io::Error::other(e.to_string()))
+                        })
+                        .collect()
+                };
+                // The unlocked window: input-table opens (device reads on a
+                // cache miss) and the merge itself. The request, and with
+                // it the input readers, is gone before any sweep. On
+                // failure the executor has already swept its partial
                 // outputs; the error kind survives so transient faults can
-                // be retried by run_with_retry.
-                let outputs =
-                    MutexGuard::unlocked(st, || executor.compact(&req)).map_err(table_to_io)?;
-                let elapsed = t0.elapsed();
+                // be retried.
+                let (outputs, elapsed) = MutexGuard::unlocked(st, || -> io::Result<_> {
+                    let req = CompactionRequest {
+                        env: Arc::clone(&self.env),
+                        upper: open(&inputs_upper)?,
+                        lower: open(&inputs_lower)?,
+                        output_level,
+                        bottom_level,
+                        smallest_snapshot,
+                        file_numbers,
+                        table_opts: self.opts.table_opts(),
+                        max_output_bytes: self.opts.sstable_bytes,
+                        grant: grant.unwrap_or_default(),
+                    };
+                    let t0 = Instant::now();
+                    let outputs = self.opts.executor.compact(&req).map_err(table_to_io)?;
+                    Ok((outputs, t0.elapsed()))
+                })?;
 
                 let input_bytes: u64 = inputs_upper
                     .iter()
@@ -2038,16 +2129,27 @@ impl DbInner {
                     compact_pointers: vec![(level, pointer_key)],
                     ..Default::default()
                 };
-                if let Err(e) = st.versions.log_and_apply(edit) {
+                // An error latched while the merge ran (the flush lane, a
+                // WAL failure): background work has stopped and reads serve
+                // the last installed version, so this merge is abandoned.
+                let installed = self
+                    .check_bg_error(st)
+                    .and_then(|()| st.versions.log_and_apply(edit));
+                if let Err(e) = installed {
                     // The new tables were written but never installed:
                     // delete them now so a retry (which re-runs the merge
                     // with fresh file numbers) doesn't accumulate orphans.
-                    for f in &outputs {
-                        self.cache.evict(f.number);
-                        let _ = self.env.delete(&table_file(f.number));
-                    }
+                    MutexGuard::unlocked(st, || {
+                        for f in &outputs {
+                            self.cache.evict(f.number);
+                            let _ = self.env.delete(&table_file(f.number));
+                        }
+                    });
                     return Err(e);
                 }
+                // Writers stopped on a full level 0 go on while this lane
+                // sweeps.
+                self.done_cv.notify_all();
                 self.metrics
                     .compaction_count
                     .fetch_add(1, AtomicOrdering::Relaxed);
@@ -2075,26 +2177,26 @@ impl DbInner {
                         ("wall_nanos", elapsed.as_nanos() as u64),
                     ],
                 );
-                self.gc_files(st);
+                self.sweep(st);
                 Ok(())
             }
         }
     }
 
-    /// Deletes files no longer referenced: tables absent from the live set
-    /// and WALs older than the manifest's log number.
-    fn gc_files(&self, st: &mut MutexGuard<'_, State>) {
-        let live = st.versions.live_files();
-        let log_number = st.versions.log_number();
-        let current_wal = st.wal_number;
+    /// Deletes files no longer referenced: tables below the plan's floor
+    /// and absent from its live set, and WALs older than the manifest's
+    /// log number. Called with the state lock released.
+    fn delete_obsolete_files(&self, plan: &GcPlan) {
         let Ok(names) = self.env.list() else { return };
         for name in names {
             match parse_file_name(&name) {
-                Some((FileKind::Table, num)) if !live.contains(&num) => {
+                Some((FileKind::Table, num)) if num < plan.floor && !plan.live.contains(&num) => {
                     self.cache.evict(num);
                     self.count_gc_delete(&name);
                 }
-                Some((FileKind::Wal, num)) if num < log_number && num != current_wal => {
+                Some((FileKind::Wal, num))
+                    if num < plan.log_number && num != plan.wal_number =>
+                {
                     self.count_gc_delete(&name);
                 }
                 _ => {}
@@ -2105,20 +2207,15 @@ impl DbInner {
     /// Deletes one obsolete file, counting the outcome. A failed delete is
     /// not an error — the file is merely still on disk and the next sweep
     /// retries it — but a rising error counter is how an operator notices
-    /// a filesystem that has stopped honouring deletes.
+    /// a filesystem that has stopped honouring deletes. A file the other
+    /// lane's concurrent sweep removed first is neither.
     fn count_gc_delete(&self, name: &str) {
-        match self.env.delete(name) {
-            Ok(()) => {
-                self.metrics
-                    .gc_deleted_files
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-            }
-            Err(_) => {
-                self.metrics
-                    .gc_delete_errors
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-            }
-        }
+        let counter = match self.env.delete(name) {
+            Ok(()) => &self.metrics.gc_deleted_files,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return,
+            Err(_) => &self.metrics.gc_delete_errors,
+        };
+        counter.fetch_add(1, AtomicOrdering::Relaxed);
     }
 }
 

@@ -12,8 +12,9 @@
 //!   [`version_set::VersionSet`], with level sizes bounded by an
 //!   exponentially growing budget. Structural changes are version edits in
 //!   a MANIFEST log.
-//! * **Background maintenance** — one worker flushes immutable memtables to
-//!   L0 and runs compactions picked round-robin over key ranges. The merge
+//! * **Background maintenance** — a flush lane turns immutable memtables
+//!   into L0 tables beside a compaction lane that runs compactions picked
+//!   round-robin over key ranges. The merge
 //!   itself is delegated to a [`compact::CompactionExec`]: the built-in
 //!   [`compact::SimpleMergeExec`] here, or the paper's SCP/PCP/C-PPCP/
 //!   S-PPCP executors from `pcp-core`.

@@ -1,11 +1,11 @@
 //! Cross-shard compaction scheduling: admission, stage-worker tokens and
-//! device-bandwidth budget shared by the background workers of several
+//! device-bandwidth budget shared by the compaction lanes of several
 //! [`crate::Db`] instances.
 //!
 //! The paper's C-PPCP argument is that compute stages should be replicated
 //! only up to the core count — more concurrency than the hardware has
 //! merely adds contention. A sharded engine (N independent `Db`s, one
-//! background worker each) re-creates exactly that hazard one level up: N
+//! compaction lane each) re-creates exactly that hazard one level up: N
 //! simultaneous compactions each running a pipeline of their own. The
 //! original [`CompactionLimiter`] answered with a counting semaphore over
 //! *whole compactions*; this version also divides the resources *inside*
@@ -23,7 +23,7 @@
 //!
 //! Shards participate by registering a **slot** ([`CompactionLimiter::
 //! register`]) and keeping its debt fresh ([`CompactionLimiter::set_debt`]);
-//! the background worker brackets each compaction with
+//! the compaction lane brackets each compaction with
 //! [`CompactionLimiter::acquire_grant`] / [`CompactionLimiter::
 //! release_grant`].
 //!

@@ -99,10 +99,26 @@ impl Version {
     }
 }
 
+/// Level-0 tables an L0→L1 compaction takes out of `files`: the largest
+/// whole multiple of `l0_trigger`.
+///
+/// With the flush lane adding tables while a merge runs, "all of level 0"
+/// would depend on which lane got to the state lock first, and so would
+/// the tree a workload leaves behind. Whole batches make the tables left
+/// in level 0 at idle a function of the flush count alone
+/// (`flushes % l0_trigger`), while a deep backlog still amortises one
+/// level-1 rewrite over two or three batches.
+pub fn l0_batch(files: usize, l0_trigger: usize) -> usize {
+    let trigger = l0_trigger.max(1);
+    files / trigger * trigger
+}
+
 /// Compaction-eligibility scoring.
 ///
-/// Level 0 scores by file count against `l0_trigger`; deeper levels by
-/// bytes against the exponential threshold `base_bytes * multiplier^(i-1)`.
+/// Level 0 scores by the whole batches a pick would take ([`l0_batch`])
+/// against `l0_trigger`, so a partial batch adds no urgency over deeper
+/// levels; deeper levels score by bytes against the exponential threshold
+/// `base_bytes * multiplier^(i-1)`.
 /// A score ≥ 1.0 means "needs compaction"; the caller picks the max.
 pub fn compaction_score(
     version: &Version,
@@ -112,7 +128,7 @@ pub fn compaction_score(
     multiplier: u64,
 ) -> f64 {
     if level == 0 {
-        version.level_files(0) as f64 / l0_trigger as f64
+        (version.level_files(0) / l0_trigger.max(1)) as f64
     } else {
         let max = base_bytes.saturating_mul(multiplier.pow(level as u32 - 1));
         version.level_bytes(level) as f64 / max as f64

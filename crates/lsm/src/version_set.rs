@@ -13,7 +13,7 @@
 
 use crate::edit::VersionEdit;
 use crate::filename::{manifest_file, CURRENT};
-use crate::version::{compaction_score, FileMetadata, Version, NUM_LEVELS};
+use crate::version::{compaction_score, l0_batch, FileMetadata, Version, NUM_LEVELS};
 use crate::wal::{WalReader, WalWriter};
 use pcp_sstable::key::{internal_key_cmp, user_key};
 use pcp_storage::env::{read_string_file, write_string_file};
@@ -261,6 +261,20 @@ impl VersionSet {
         self.next_file.fetch_add(1, AtomicOrdering::SeqCst)
     }
 
+    /// Moves the allocator past `number`, found on a file the MANIFEST may
+    /// not know (a job's output written after the last recorded edit): no
+    /// number is handed out twice, and everything already on disk stays
+    /// below [`VersionSet::next_file_number`].
+    pub fn mark_file_number_used(&self, number: u64) {
+        self.next_file.fetch_max(number + 1, AtomicOrdering::SeqCst);
+    }
+
+    /// The number the next allocation will return: every file created from
+    /// now on is numbered at or above it.
+    pub fn next_file_number(&self) -> u64 {
+        self.next_file.load(AtomicOrdering::SeqCst)
+    }
+
     /// Shared counter handle for compaction executors that allocate output
     /// file numbers outside the DB lock.
     pub fn file_number_counter(&self) -> Arc<AtomicU64> {
@@ -334,16 +348,22 @@ impl VersionSet {
             }
         }
         let level = best_level?;
-        Some(self.build_pick(level))
+        Some(self.build_pick(level, policy))
     }
 
     /// Builds a pick for `level`, honouring the round-robin pointer.
-    pub fn build_pick(&self, level: usize) -> CompactionPick {
+    pub fn build_pick(&self, level: usize, policy: &CompactionPolicy) -> CompactionPick {
         let files = &self.current.levels[level];
         debug_assert!(!files.is_empty());
         let inputs_upper: Vec<Arc<FileMetadata>> = if level == 0 {
-            // All of L0: its tables overlap each other anyway.
-            files.clone()
+            // The oldest whole batches (level 0 is newest first): its
+            // tables overlap each other, so whatever stays behind must be
+            // newer than everything taken. Below the trigger, all of it.
+            let take = match l0_batch(files.len(), policy.l0_trigger) {
+                0 => files.len(),
+                whole_batches => whole_batches,
+            };
+            files[files.len() - take..].to_vec()
         } else {
             let pointer = &self.compact_pointers[level];
             let start = if pointer.is_empty() {
@@ -506,27 +526,55 @@ mod tests {
         assert!(n2 > n1, "numbers must never be reused: {n1} then {n2}");
     }
 
+    /// Level-0 picks take the oldest whole batches of `l0_trigger` tables,
+    /// newest first, and a partial batch neither triggers nor outranks a
+    /// deeper level.
     #[test]
-    fn l0_pick_takes_all_files() {
-        let e = env();
-        let mut vs = VersionSet::open(e).unwrap();
-        let edit = VersionEdit {
-            new_files: (1..=4).map(|i| (0, meta(i, b"a", b"z", 1 << 20))).collect(),
-            ..Default::default()
-        };
-        vs.log_and_apply(edit).unwrap();
-        match vs.pick_compaction(&CompactionPolicy::default()).unwrap() {
-            CompactionPick::Merge {
-                level,
-                inputs_upper,
-                inputs_lower,
-                ..
-            } => {
-                assert_eq!(level, 0);
-                assert_eq!(inputs_upper.len(), 4);
-                assert!(inputs_lower.is_empty());
+    fn l0_pick_takes_the_oldest_whole_batches() {
+        let policy = CompactionPolicy::default();
+        assert_eq!(policy.l0_trigger, 4);
+        let picked = |files: u64| -> Option<Vec<u64>> {
+            let mut vs = VersionSet::open(env()).unwrap();
+            let edit = VersionEdit {
+                new_files: (1..=files).map(|i| (0, meta(i, b"a", b"z", 1 << 20))).collect(),
+                ..Default::default()
+            };
+            vs.log_and_apply(edit).unwrap();
+            match vs.pick_compaction(&policy)? {
+                CompactionPick::Merge {
+                    level,
+                    inputs_upper,
+                    inputs_lower,
+                    ..
+                } => {
+                    assert_eq!(level, 0);
+                    assert!(inputs_lower.is_empty());
+                    Some(inputs_upper.iter().map(|f| f.number).collect())
+                }
+                other => panic!("expected merge, got {other:?}"),
             }
-            other => panic!("expected merge, got {other:?}"),
+        };
+        assert_eq!(picked(3), None);
+        assert_eq!(picked(4), Some(vec![4, 3, 2, 1]));
+        assert_eq!(picked(7), Some(vec![4, 3, 2, 1]), "5..7 are newer and stay");
+        assert_eq!(picked(8), Some(vec![8, 7, 6, 5, 4, 3, 2, 1]));
+        assert_eq!(picked(11), Some(vec![8, 7, 6, 5, 4, 3, 2, 1]));
+
+        // Seven tables score one batch (1.0): an over-budget level 1 at
+        // 1.5 goes first, where 7/4 = 1.75 would not have let it.
+        let mut vs = VersionSet::open(env()).unwrap();
+        let mut new_files: Vec<_> = (1..=7).map(|i| (0, meta(i, b"a", b"z", 1 << 20))).collect();
+        new_files.push((1, meta(8, b"a", b"z", 15 << 20)));
+        vs.log_and_apply(VersionEdit {
+            new_files,
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(vs.max_score(&policy), 1.5);
+        match vs.pick_compaction(&policy).unwrap() {
+            CompactionPick::TrivialMove { level, .. } | CompactionPick::Merge { level, .. } => {
+                assert_eq!(level, 1)
+            }
         }
     }
 
@@ -596,7 +644,7 @@ mod tests {
         };
         vs.log_and_apply(edit).unwrap();
         // First pick: file 1 (empty pointer).
-        let p1 = match vs.build_pick(1) {
+        let p1 = match vs.build_pick(1, &CompactionPolicy::default()) {
             CompactionPick::TrivialMove { file, .. } => file.number,
             CompactionPick::Merge { inputs_upper, .. } => inputs_upper[0].number,
         };
@@ -607,7 +655,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let p2 = match vs.build_pick(1) {
+        let p2 = match vs.build_pick(1, &CompactionPolicy::default()) {
             CompactionPick::TrivialMove { file, .. } => file.number,
             CompactionPick::Merge { inputs_upper, .. } => inputs_upper[0].number,
         };

@@ -275,7 +275,7 @@ fn sequence_numbers_monotone_across_recovery() {
 #[test]
 fn write_stalls_are_recorded_under_pressure() {
     // Tiny memtable + aggressive load: writers must hit the slowdown or
-    // stall path while the single background thread catches up.
+    // stall path while the compaction lane catches up.
     let opts = Options {
         memtable_bytes: 16 << 10,
         sstable_bytes: 16 << 10,
@@ -312,6 +312,8 @@ fn obsolete_files_are_garbage_collected() {
     }
     db.wait_idle().unwrap();
     db.compact_range(None, None).unwrap();
+    // The compaction lane may have picked up where the manual pass ended.
+    db.wait_idle().unwrap();
     // Every .sst in the env must be referenced by the live version.
     let live: std::collections::HashSet<u64> = db
         .level_summary()

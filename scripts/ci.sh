@@ -21,8 +21,11 @@ cargo run -q -p pcp-lint --release -- --format json > bench_results/lint_finding
 cargo run -q -p pcp-lint --release
 cargo run -q -p pcp-lint --release -- --explain L6 L7 L8 > /dev/null
 
-echo "==> cargo test -q --features lock_order (runtime lock-order witness)"
+echo "==> cargo test -q --features lock_order (runtime lock-order witness; includes tests/background_lanes.rs)"
 cargo test -q --features lock_order
+
+echo "==> cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo bench -p pcp-bench --bench write_concurrency (syncs-per-write smoke, quick mode)"
 cargo bench -p pcp-bench --bench write_concurrency

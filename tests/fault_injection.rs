@@ -6,7 +6,7 @@
 //!   compaction, sweeps its partial outputs, latches a background error
 //!   that stalls writes, and is surfaced through [`Db::health`] — reads
 //!   keep working.
-//! * A **transient** failure is retried by the background worker and the
+//! * A **transient** failure is retried by the background lane it hit and the
 //!   final state is byte-identical across SCP / PCP / C-PPCP / S-PPCP and
 //!   a fault-free run.
 //! * At the executor level, compaction under an arbitrary injected fault
@@ -66,8 +66,8 @@ fn sst_files(env: &EnvRef) -> Vec<String> {
     files
 }
 
-/// An executor that arms permanent write faults the moment the background
-/// worker hands it a compaction — so earlier flushes run clean and the
+/// An executor that arms permanent write faults the moment the compaction
+/// lane hands it a compaction — so earlier flushes run clean and the
 /// failure lands deterministically inside the compaction itself.
 struct ArmOnCompact {
     inner: PipelinedExec,
@@ -142,8 +142,8 @@ fn permanent_compaction_failure_latches_error_and_sweeps_orphans() {
         "orphan outputs left behind: disk={on_disk:?} live={live}"
     );
 
-    // Clean shutdown with a latched error must not hang (Drop joins the
-    // background thread).
+    // Clean shutdown with a latched error must not hang (Drop joins both
+    // background lanes).
     drop(db);
 }
 
@@ -181,7 +181,7 @@ fn run_workload(
         assert!(fault.stats().transient >= 1, "no transient fault fired");
         assert!(
             db.metrics().bg_retries >= 1,
-            "background worker never retried"
+            "no background lane retried"
         );
     }
     dump(&db)
@@ -206,7 +206,7 @@ fn transient_faults_retry_and_executors_stay_equivalent() {
 }
 
 /// Regression: a permanently failed background flush leaves the immutable
-/// memtable in place and parks the worker. A later `flush()` that needs to
+/// memtable in place and parks the flush lane. A later `flush()` that needs to
 /// rotate must observe the latched error and return — not sleep forever on
 /// a condvar nobody will signal again.
 #[test]
@@ -232,7 +232,7 @@ fn flush_after_latched_flush_failure_errors_instead_of_hanging() {
         }
     }
     // Must return the latched error promptly in every combination of
-    // (memtable non-empty, imm stuck, worker parked).
+    // (memtable non-empty, imm stuck, lane parked).
     assert!(db.flush().is_err());
     assert!(db.wait_idle().is_err());
     assert!(matches!(db.health(), DbHealth::BackgroundError(_)));
