@@ -347,19 +347,22 @@ pub fn write_obs_json(name: &str, registry: &pcp_obs::Registry) -> std::path::Pa
     path
 }
 
-/// `bench_results/` at the workspace root (or CWD as fallback).
+/// Where reports go, relative to the workspace root (or CWD as fallback):
+/// the committed `bench_results/` for full-size runs, `target/bench_results/`
+/// for quick ones, so that CI's smoke runs never rewrite committed numbers.
 pub fn results_dir() -> std::path::PathBuf {
+    let results = if quick_mode() { "target/bench_results" } else { "bench_results" };
     let mut dir = std::env::current_dir().unwrap_or_default();
     // Walk up to the workspace root (contains DESIGN.md).
     for _ in 0..4 {
         if dir.join("DESIGN.md").exists() {
-            return dir.join("bench_results");
+            return dir.join(results);
         }
         if !dir.pop() {
             break;
         }
     }
-    std::path::PathBuf::from("bench_results")
+    std::path::PathBuf::from(results)
 }
 
 /// True when the harness should shrink workloads (CI / quick runs).

@@ -13,9 +13,6 @@
 //!   format class (varint length header, literal/copy tags, greedy hash-table
 //!   matching). Compression is deliberately the most expensive computation
 //!   step and decompression the cheapest, matching the paper's profile.
-//! * [`frames`] — independent per-frame compression on top of [`lz`], the
-//!   unit of seek-in-compressed-form used by the block encoding v2 in
-//!   `pcp-sstable`.
 //! * [`varint`] — LEB128-style unsigned varints shared by the block format,
 //!   the WAL and the manifest.
 //! * [`le`] — bounds-checked little-endian integer reads shared by every
@@ -25,13 +22,11 @@
 //! `&mut Vec<u8>` outputs so buffers can be reused across pipeline stages.
 
 pub mod crc32c;
-pub mod frames;
 pub mod le;
 pub mod lz;
 pub mod varint;
 
 pub use crc32c::{crc32c, mask_crc, unmask_crc, Crc32c};
-pub use frames::{compress_frame, decompress_frame};
 pub use le::{read_u32_le, read_u64_le};
 pub use lz::{compress, decompress, decompressed_len, max_compressed_len, LzError};
 pub use varint::{

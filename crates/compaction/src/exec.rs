@@ -134,9 +134,8 @@ pub trait CompactionExec: Send + Sync {
     fn register_metrics(&self, _registry: &pcp_obs::Registry) {}
 }
 
-/// Shared output-side helper: writes filtered merged entries into
-/// size-rotated tables. Used by the reference executor here and by the
-/// sequential baseline in `pcp-core`.
+/// Output side of the reference executor: writes filtered merged entries
+/// into size-rotated tables.
 pub struct OutputWriter<'req> {
     req: &'req CompactionRequest,
     builder: Option<(u64, TableBuilder)>, // (file number, builder)
@@ -272,6 +271,8 @@ impl CompactionExec for SimpleMergeExec {
                     }
                     merged.next();
                 }
+                // The merge also ends at the first input it cannot read.
+                merged.status()?;
                 out.finish()
             };
             run()
@@ -364,12 +365,8 @@ mod tests {
 
     #[test]
     fn filter_respects_snapshots() {
-        // Snapshot at 20: version 50 is above it, so 30 (first ≤ 20... no,
-        // 30 > 20 too) — both 50 and 30 stay visible to *some* reader
-        // (latest read and snapshot-20 read respectively); 10 is shadowed
-        // by 30 for every snapshot ≥ 20... wait: snapshot 20 sees seq ≤ 20,
-        // i.e. version 10. So all three must be kept except those shadowed
-        // by a newer version that is itself ≤ 20.
+        // A version is dropped only when a newer one is itself ≤ the
+        // snapshot: 50 and 30 are above 20, so 10 is what snapshot 20 reads.
         let mut f = VersionKeepFilter::new(20, false);
         assert!(f.keep(&make_internal_key(b"k", 50, ValueType::Value)));
         assert!(f.keep(&make_internal_key(b"k", 30, ValueType::Value)));

@@ -69,19 +69,11 @@ pub struct Options {
     /// Decoded-block cache budget for the read path; 0 disables it (the
     /// paper's direct-I/O semantics — compaction always bypasses it).
     pub block_cache_bytes: usize,
-    /// Write data blocks with encoding v2 (restart-aligned compression
-    /// frames, [`CompressionKind::LzFrames`]): seeks decompress only the
-    /// frame holding the target restart point. Off by default — v1 stays
-    /// the wire default; v1 and v2 tables interoperate freely either way.
-    /// Ignored when `compression` is off.
-    pub framed_blocks: bool,
     /// Pipelined scan readahead: iterators that detect sequential access
     /// prefetch, verify and decompress blocks on a background stage (the
     /// paper's S1‖S3/S4 overlap applied to the read path). Random access
     /// is unaffected.
     pub readahead: bool,
-    /// Decoded-block budget of each iterator's readahead window.
-    pub readahead_window_bytes: usize,
     /// The compaction algorithm. Defaults to the adaptive pipelined
     /// executor ([`pcp_core::AdaptiveExec`]), which picks PCP / C-PPCP /
     /// S-PPCP / simple-merge per compaction from the published occupancy
@@ -123,9 +115,7 @@ impl Default for Options {
             l0_stop_files: 12,
             sync_writes: false,
             block_cache_bytes: 0,
-            framed_blocks: false,
             readahead: true,
-            readahead_window_bytes: 1 << 20,
             executor: Arc::new(pcp_core::AdaptiveExec::default()),
             retry: RetryPolicy::default(),
             dir: None,
@@ -162,10 +152,10 @@ impl Options {
         TableBuilderOptions {
             block_size: self.block_bytes,
             restart_interval: 16,
-            compression: match (self.compression, self.framed_blocks) {
-                (false, _) => CompressionKind::None,
-                (true, false) => CompressionKind::Lz,
-                (true, true) => CompressionKind::LzFrames,
+            compression: if self.compression {
+                CompressionKind::Lz
+            } else {
+                CompressionKind::None
             },
             bloom_bits_per_key: self.bloom_bits_per_key,
         }
@@ -173,14 +163,9 @@ impl Options {
 
     /// The scan-path context [`Db::open`] hands every table reader.
     fn scan_context(&self) -> pcp_sstable::ScanContext {
-        pcp_sstable::ScanContext {
-            opts: pcp_sstable::ReadaheadOpts {
-                enabled: self.readahead,
-                window_bytes: self.readahead_window_bytes.max(1),
-                ..Default::default()
-            },
-            stats: Arc::new(pcp_sstable::ScanStats::new()),
-        }
+        let mut ctx = pcp_sstable::ScanContext::default();
+        ctx.opts.enabled = self.readahead;
+        ctx
     }
 }
 
@@ -747,10 +732,10 @@ impl Db {
             }
             largest.clear();
             largest.extend_from_slice(it.key());
-            builder.add(it.key(), it.value()).map_err(table_to_io)?;
+            builder.add(it.key(), it.value())?;
             it.next();
         }
-        let stats = builder.finish().map_err(table_to_io)?;
+        let stats = builder.finish()?;
         Ok(Arc::new(FileMetadata {
             number,
             size: stats.file_size,
@@ -861,18 +846,12 @@ impl Db {
         if let Some(imm) = imm {
             children.push(Box::new(imm.iter()));
         }
-        for f in &version.levels[0] {
-            if let Ok(t) = inner.cache.get(f.number) {
-                children.push(Box::new(t.iter()));
-            }
-        }
-        for level in 1..NUM_LEVELS {
-            if !version.levels[level].is_empty() {
-                children.push(Box::new(LevelIter::new(
-                    version.levels[level].clone(),
-                    Arc::clone(&inner.cache),
-                )));
-            }
+        // Level-0 tables overlap, so each is a run of its own; either way
+        // the `LevelIter` opens tables lazily and keeps an open error.
+        let level0 = version.levels[0].iter().map(|f| vec![Arc::clone(f)]);
+        let deeper = version.levels[1..].iter().filter(|l| !l.is_empty()).cloned();
+        for run in level0.chain(deeper) {
+            children.push(Box::new(LevelIter::new(run, Arc::clone(&inner.cache))));
         }
         DbIter::new(
             MergingIter::new(children, internal_key_cmp),
@@ -1198,7 +1177,7 @@ impl Db {
         );
         {
             type ScanGetter = fn(&pcp_sstable::ScanStats) -> u64;
-            let scan_counters: [(&str, &str, ScanGetter); 6] = [
+            let scan_counters: [(&str, &str, ScanGetter); 5] = [
                 ("pcp_scan_readahead_spans_total", "span reads issued by scan readahead workers", |s| {
                     s.spans()
                 }),
@@ -1211,10 +1190,7 @@ impl Db {
                 ("pcp_scan_readahead_wasted_total", "prefetched blocks never consumed", |s| {
                     s.wasted()
                 }),
-                ("pcp_scan_frames_decoded_total", "individual v2 block frames decompressed", |s| {
-                    s.frames_decoded()
-                }),
-                ("pcp_scan_sync_blocks_total", "scan blocks loaded synchronously on the caller", |s| {
+                ("pcp_scan_sync_blocks_total", "data blocks loaded synchronously on the caller", |s| {
                     s.sync_blocks()
                 }),
             ];
@@ -1497,16 +1473,6 @@ impl Drop for Db {
         {
             limiter.unregister(slot);
         }
-    }
-}
-
-/// Unwraps a [`pcp_sstable::TableError`] into `io::Error` without losing
-/// the `ErrorKind` — retry classification depends on it surviving the
-/// executor boundary.
-fn table_to_io(e: pcp_sstable::TableError) -> io::Error {
-    match e {
-        pcp_sstable::TableError::Io(e) => e,
-        other => io::Error::other(other.to_string()),
     }
 }
 
@@ -2106,7 +2072,7 @@ impl DbInner {
                         grant: grant.unwrap_or_default(),
                     };
                     let t0 = Instant::now();
-                    let outputs = self.opts.executor.compact(&req).map_err(table_to_io)?;
+                    let outputs = self.opts.executor.compact(&req)?;
                     Ok((outputs, t0.elapsed()))
                 })?;
 

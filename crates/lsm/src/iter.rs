@@ -6,18 +6,23 @@ use crate::version::{FileMetadata, Version};
 use pcp_sstable::key::{
     internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType,
 };
-use pcp_sstable::{KvIter, MergingIter, TableIter};
+use pcp_sstable::{KvIter, MergingIter, TableError, TableIter};
 use std::cmp::Ordering;
+use std::io;
 use std::sync::Arc;
 
-/// Concatenating iterator over one sorted, disjoint level (levels ≥ 1):
-/// walks the file list, opening one table at a time through the cache.
+/// Concatenating iterator over one sorted, disjoint run of tables (a
+/// level ≥ 1, or a single level-0 table): walks the file list, opening one
+/// table at a time through the cache.
 pub struct LevelIter {
     files: Vec<Arc<FileMetadata>>,
     cache: Arc<TableCache>,
     /// Index of the file the current cursor is in.
     index: usize,
     table_iter: Option<TableIter>,
+    /// A table that could not be opened ends the run here, like a failed
+    /// block load ends a [`TableIter`].
+    opened: Result<(), TableError>,
 }
 
 impl LevelIter {
@@ -30,35 +35,35 @@ impl LevelIter {
             cache,
             index,
             table_iter: None,
+            opened: Ok(()),
         }
     }
 
-    fn open_table(&mut self, index: usize) -> Option<TableIter> {
-        let meta = self.files.get(index)?;
-        let reader = self.cache.get(meta.number).ok()?;
-        Some(reader.iter())
+    /// Opens the table at `self.index` and positions its cursor with
+    /// `position`; past the last file there is no cursor.
+    fn enter_table(&mut self, position: impl FnOnce(&mut TableIter)) {
+        self.opened = Ok(());
+        self.table_iter = self.files.get(self.index).and_then(|meta| {
+            match self.cache.get(meta.number) {
+                Ok(reader) => {
+                    let mut t = reader.iter();
+                    position(&mut t);
+                    Some(t)
+                }
+                Err(e) => {
+                    self.opened = Err(e);
+                    None
+                }
+            }
+        });
     }
 
+    /// Moves on from exhausted tables — not from a failed one, whose keys
+    /// would go missing.
     fn skip_to_valid(&mut self) {
-        loop {
-            if self
-                .table_iter
-                .as_ref()
-                .is_some_and(|t| t.valid())
-            {
-                return;
-            }
+        while !self.valid() && self.status().is_ok() && self.index < self.files.len() {
             self.index += 1;
-            if self.index >= self.files.len() {
-                self.table_iter = None;
-                return;
-            }
-            self.table_iter = self.open_table(self.index);
-            if let Some(t) = &mut self.table_iter {
-                t.seek_to_first();
-            } else {
-                return; // I/O error: surface as exhausted
-            }
+            self.enter_table(TableIter::seek_to_first);
         }
     }
 }
@@ -70,10 +75,7 @@ impl KvIter for LevelIter {
 
     fn seek_to_first(&mut self) {
         self.index = 0;
-        self.table_iter = self.open_table(0);
-        if let Some(t) = &mut self.table_iter {
-            t.seek_to_first();
-        }
+        self.enter_table(TableIter::seek_to_first);
         self.skip_to_valid();
     }
 
@@ -82,14 +84,7 @@ impl KvIter for LevelIter {
         self.index = self
             .files
             .partition_point(|f| internal_key_cmp(&f.largest, target) == Ordering::Less);
-        if self.index >= self.files.len() {
-            self.table_iter = None;
-            return;
-        }
-        self.table_iter = self.open_table(self.index);
-        if let Some(t) = &mut self.table_iter {
-            t.seek(target);
-        }
+        self.enter_table(|t| t.seek(target));
         self.skip_to_valid();
     }
 
@@ -106,6 +101,11 @@ impl KvIter for LevelIter {
 
     fn value(&self) -> &[u8] {
         self.table_iter.as_ref().expect("valid").value()
+    }
+
+    fn status(&self) -> Result<(), TableError> {
+        self.opened.clone()?;
+        self.table_iter.as_ref().map_or(Ok(()), |t| t.status())
     }
 }
 
@@ -147,6 +147,12 @@ impl DbIter {
     /// True if positioned on a live user entry.
     pub fn valid(&self) -> bool {
         self.valid
+    }
+
+    /// The read error that ended the scan early, if one did: a cursor that
+    /// is `!valid()` has seen every live key only when this is `Ok`.
+    pub fn status(&self) -> io::Result<()> {
+        self.merged.status().map_err(io::Error::from)
     }
 
     /// Current user key.

@@ -60,9 +60,7 @@ fn scan_table(
         entries += 1;
         it.next();
     }
-    if let Some(e) = it.status() {
-        return Err(pcp_sstable::TableError::Corruption(e.to_string()));
-    }
+    it.status()?;
     if entries == 0 {
         return Err(pcp_sstable::TableError::Corruption("empty table".into()));
     }

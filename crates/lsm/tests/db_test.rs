@@ -22,6 +22,16 @@ fn small_opts() -> Options {
     }
 }
 
+/// Rewrites the file `name` with `patch` applied to its bytes.
+fn patch_file(env: &EnvRef, name: &str, patch: impl FnOnce(&mut Vec<u8>)) {
+    let f = env.open(name).unwrap();
+    let mut bytes = f.read_at(0, f.len() as usize).unwrap().to_vec();
+    patch(&mut bytes);
+    let mut w = env.create(name).unwrap();
+    w.append(&bytes).unwrap();
+    w.sync().unwrap();
+}
+
 #[test]
 fn put_get_roundtrip() {
     let db = Db::open(ram_env(), Options::default()).unwrap();
@@ -405,12 +415,7 @@ fn integrity_check_passes_on_healthy_store_and_catches_corruption() {
         if !victim.ends_with(".sst") {
             continue;
         }
-        let f = env.open(&victim).unwrap();
-        let mut contents = f.read_at(0, f.len() as usize).unwrap().to_vec();
-        contents[100] ^= 0xFF;
-        let mut w = env.create(&victim).unwrap();
-        w.append(&contents).unwrap();
-        w.sync().unwrap();
+        patch_file(&env, &victim, |contents| contents[100] ^= 0xFF);
     }
     // Evict cached readers so the corrupt bytes are re-read. (Reopening
     // the Db would also do it; here we check the API directly.)
@@ -421,6 +426,49 @@ fn integrity_check_passes_on_healthy_store_and_catches_corruption() {
         !report.is_healthy(),
         "corruption must be detected: {report:?}"
     );
+}
+
+/// A well-checksummed block whose trailer names a kind this build does not
+/// decode — `2`, the retired framed encoding, or any other — is refused as
+/// corruption by every read path, never decoded as if it were a known kind.
+#[test]
+fn blocks_of_a_retired_or_unknown_kind_are_refused_as_corruption() {
+    for kind in [2u8, 3, 255] {
+        let env = ram_env();
+        let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+        for i in 0..200 {
+            db.put(format!("key{i:06}").as_bytes(), &[9u8; 80]).unwrap();
+        }
+        db.flush().unwrap();
+        drop(db);
+
+        // Relabel the first data block of the one table and re-checksum it.
+        let name = env.list().unwrap().into_iter().find(|n| n.ends_with(".sst")).unwrap();
+        let table = pcp_sstable::TableReader::open(env.open(&name).unwrap()).unwrap();
+        let handle = table.block_metas().unwrap()[0].handle;
+        let (start, end) = (handle.offset as usize, (handle.offset + handle.size) as usize);
+        patch_file(&env, &name, |bytes| {
+            bytes[end] = kind;
+            let crc = pcp_codec::mask_crc(pcp_codec::crc32c(&bytes[start..=end]));
+            bytes[end + 1..end + 5].copy_from_slice(&crc.to_le_bytes());
+        });
+
+        let db = Db::open(env, Options::default()).unwrap();
+        let refused = format!("corruption: bad kind byte {kind}");
+        let err = db.get(b"key000000").unwrap_err();
+        assert!(err.to_string().contains(&refused), "get: {err}");
+        let mut it = db.iter();
+        it.seek_to_first();
+        assert!(!it.valid());
+        let err = it.status().unwrap_err();
+        assert!(err.to_string().contains(&refused), "scan: {err}");
+        let report = db.verify_integrity().unwrap();
+        assert!(
+            report.errors.iter().any(|e| e.contains(&refused)),
+            "verify_integrity: {:?}",
+            report.errors
+        );
+    }
 }
 
 #[test]

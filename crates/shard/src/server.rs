@@ -186,10 +186,9 @@ impl ServerShared {
             }
             Request::Scan { start, limit } => {
                 let limit = limit.min(SCAN_LIMIT_MAX) as usize;
-                Ok((
-                    Response::Entries(self.db.scan(&start, limit)),
-                    &self.read_latency,
-                ))
+                self.db
+                    .scan(&start, limit)
+                    .map(|entries| (Response::Entries(entries), &self.read_latency))
             }
             Request::Stats => Ok((Response::Stats(self.stats()), &self.read_latency)),
             Request::Metrics => Ok((

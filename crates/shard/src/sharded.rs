@@ -25,7 +25,7 @@ use pcp_lsm::{
     BatchOp, CompactionLimiter, Db, DbHealth, DbIter, MetricsSnapshot, Options, Snapshot,
     WriteBatch, NUM_LEVELS,
 };
-use pcp_sstable::{KvIter, MergingIter};
+use pcp_sstable::{KvIter, MergingIter, TableError};
 use pcp_storage::{EnvRef, StdFsEnv};
 use std::cmp::Ordering;
 use std::io;
@@ -280,8 +280,9 @@ impl ShardedDb {
     }
 
     /// Collects up to `limit` live entries with key `>= start`, in key
-    /// order across all shards.
-    pub fn scan(&self, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// order across all shards; an error when a shard could not be read,
+    /// never a short result.
+    pub fn scan(&self, start: &[u8], limit: usize) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut it = self.iter();
         it.seek(start);
         let mut out = Vec::new();
@@ -289,7 +290,8 @@ impl ShardedDb {
             out.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
-        out
+        it.status()?;
+        Ok(out)
     }
 
     // -- maintenance and observability ------------------------------------
@@ -521,6 +523,10 @@ impl KvIter for ShardCursor {
     fn value(&self) -> &[u8] {
         self.0.value()
     }
+
+    fn status(&self) -> Result<(), TableError> {
+        self.0.status().map_err(TableError::Io)
+    }
 }
 
 /// Snapshot-consistent scan cursor over every shard, in global key order.
@@ -557,6 +563,11 @@ impl ShardedIter {
     /// Current value. Requires `valid()`.
     pub fn value(&self) -> &[u8] {
         self.merged.value()
+    }
+
+    /// The first shard read error that ended the scan early, if one did.
+    pub fn status(&self) -> io::Result<()> {
+        self.merged.status().map_err(io::Error::from)
     }
 }
 

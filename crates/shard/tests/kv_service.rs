@@ -7,7 +7,7 @@ use pcp_lsm::{CompactionPolicy, Options};
 use pcp_shard::{
     BatchItem, HashRouter, KvClient, KvServer, Request, Response, ShardedDb,
 };
-use pcp_storage::{EnvRef, SimDevice, SimEnv};
+use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -276,5 +276,38 @@ fn kv_service_error_and_edge_paths() {
     }
     assert_eq!(client.get(b"one").unwrap(), Some(b"1".to_vec()));
 
+    server.shutdown();
+}
+
+/// A SCAN the engine could not complete gets the error response, not the
+/// entries it happened to reach: over the wire a short `Entries` cannot be
+/// told from "that is all there is".
+#[test]
+fn scan_over_a_shard_that_cannot_read_gets_an_error_response() {
+    let mem = || Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20)))) as EnvRef;
+    let fault = FaultEnv::new(mem(), 1);
+    let envs = vec![Arc::new(fault.clone()) as EnvRef, mem()];
+    let router = Arc::new(HashRouter::new(2));
+    let db = Arc::new(ShardedDb::open_with_envs(envs, Options::default(), router).unwrap());
+    let mut server = KvServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = KvClient::connect(server.local_addr()).unwrap();
+    for i in 0..200 {
+        client.put(format!("user{i:05}").as_bytes(), b"value").unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(client.scan(b"", 1000).unwrap().len(), 200);
+
+    fault
+        .set_probability(FaultOp::ReadAt, 1.0)
+        .set_probabilistic_kind(FaultKind::Permanent)
+        .set_file_filter(".sst");
+    let scan = Request::Scan {
+        start: Vec::new(),
+        limit: 1000,
+    };
+    match client.request(&scan).unwrap() {
+        Response::Err(msg) => assert!(msg.contains("injected permanent fault"), "{msg}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
     server.shutdown();
 }

@@ -108,7 +108,7 @@ fn expected_transcript(db: &ShardedDb, script: &[Vec<Request>]) -> Vec<Vec<u8>> 
             }
             db.write(batch).map(|()| Response::Ok).unwrap()
         }
-        Request::Scan { start, limit } => Response::Entries(db.scan(start, *limit as usize)),
+        Request::Scan { start, limit } => Response::Entries(db.scan(start, *limit as usize).unwrap()),
         other => panic!("not a data op: {other:?}"),
     };
     script.iter().flatten().map(|req| apply(req).encode()).collect()

@@ -5,12 +5,16 @@
 //! also the scan path's way of unifying memtable + L0 tables + leveled
 //! tables into one sorted stream.
 
+use crate::Result;
 use std::cmp::Ordering;
 
 /// A positional cursor over sorted key-value entries.
 ///
 /// The iteration protocol matches LevelDB: position with `seek*`, test
-/// `valid`, read `key`/`value`, advance with `next`.
+/// `valid`, read `key`/`value`, advance with `next`. A cursor that cannot
+/// read its source turns `!valid()` and stays there until the next
+/// `seek*`, so a caller that drains one must ask [`KvIter::status`]
+/// whether it reached the end or an error.
 pub trait KvIter: Send {
     /// True if positioned on an entry.
     fn valid(&self) -> bool;
@@ -24,6 +28,11 @@ pub trait KvIter: Send {
     fn key(&self) -> &[u8];
     /// Current value. Requires `valid()`.
     fn value(&self) -> &[u8];
+    /// The error that ended iteration early, if one did. In-memory
+    /// sources never fail.
+    fn status(&self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// An iterator over an owned, already-sorted entry vector.
@@ -85,10 +94,15 @@ impl KvIter for VecIter {
 /// compaction, ≤ ~12 sources per scan), so the smallest-child search is a
 /// linear scan — measurably faster than a binary heap at these widths and
 /// free of per-advance allocation.
+///
+/// A merge with a failed child would silently miss that child's remaining
+/// keys, so the first child error ends the merge: it turns `!valid()` and
+/// reports the error through [`KvIter::status`] until the next `seek*`.
 pub struct MergingIter {
     children: Vec<Box<dyn KvIter>>,
     cmp: fn(&[u8], &[u8]) -> Ordering,
     current: Option<usize>,
+    status: Result<()>,
 }
 
 impl MergingIter {
@@ -98,10 +112,23 @@ impl MergingIter {
             children,
             cmp,
             current: None,
+            status: Ok(()),
+        }
+    }
+
+    /// Records why `child` just turned invalid, if it was an error. Only
+    /// called when a child runs out, so entries cost no status check.
+    fn note_end_of(&mut self, child: usize) {
+        if self.status.is_ok() && !self.children[child].valid() {
+            self.status = self.children[child].status();
         }
     }
 
     fn find_smallest(&mut self) {
+        if self.status.is_err() {
+            self.current = None;
+            return;
+        }
         let mut best: Option<usize> = None;
         for (i, child) in self.children.iter().enumerate() {
             if !child.valid() {
@@ -128,15 +155,19 @@ impl KvIter for MergingIter {
     }
 
     fn seek_to_first(&mut self) {
-        for c in &mut self.children {
-            c.seek_to_first();
+        self.status = Ok(());
+        for i in 0..self.children.len() {
+            self.children[i].seek_to_first();
+            self.note_end_of(i);
         }
         self.find_smallest();
     }
 
     fn seek(&mut self, target: &[u8]) {
-        for c in &mut self.children {
-            c.seek(target);
+        self.status = Ok(());
+        for i in 0..self.children.len() {
+            self.children[i].seek(target);
+            self.note_end_of(i);
         }
         self.find_smallest();
     }
@@ -144,6 +175,7 @@ impl KvIter for MergingIter {
     fn next(&mut self) {
         let cur = self.current.expect("next on invalid iterator");
         self.children[cur].next();
+        self.note_end_of(cur);
         self.find_smallest();
     }
 
@@ -153,6 +185,10 @@ impl KvIter for MergingIter {
 
     fn value(&self) -> &[u8] {
         self.children[self.current.expect("value on invalid iterator")].value()
+    }
+
+    fn status(&self) -> Result<()> {
+        self.status.clone()
     }
 }
 
@@ -170,6 +206,7 @@ pub fn collect_remaining(it: &mut dyn KvIter) -> Vec<(Vec<u8>, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TableError;
 
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
         pairs
@@ -227,6 +264,56 @@ mod tests {
         assert_eq!(m.key(), b"z");
         m.next();
         assert!(!m.valid());
+    }
+
+    /// Yields its entries, then fails — a table whose next block cannot
+    /// be read.
+    struct FailsAtEnd(VecIter);
+
+    impl KvIter for FailsAtEnd {
+        fn valid(&self) -> bool {
+            self.0.valid()
+        }
+        fn seek_to_first(&mut self) {
+            self.0.seek_to_first()
+        }
+        fn seek(&mut self, target: &[u8]) {
+            self.0.seek(target)
+        }
+        fn next(&mut self) {
+            self.0.next()
+        }
+        fn key(&self) -> &[u8] {
+            self.0.key()
+        }
+        fn value(&self) -> &[u8] {
+            self.0.value()
+        }
+        fn status(&self) -> Result<()> {
+            if self.0.valid() {
+                Ok(())
+            } else {
+                Err(TableError::Corruption("unreadable".into()))
+            }
+        }
+    }
+
+    #[test]
+    fn merge_ends_at_the_first_child_error() {
+        let good = VecIter::new(entries(&[("a", "1"), ("c", "3"), ("e", "5")]), Ord::cmp);
+        let bad = FailsAtEnd(VecIter::new(entries(&[("b", "2"), ("d", "4")]), Ord::cmp));
+        let mut m = MergingIter::new(vec![Box::new(good), Box::new(bad)], Ord::cmp);
+        m.seek_to_first();
+        assert!(m.status().is_ok());
+        // "e" is withheld: the failed child may have held keys before it.
+        let keys: Vec<Vec<u8>> = collect_remaining(&mut m).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [b"a", b"b", b"c", b"d"]);
+        assert!(matches!(m.status(), Err(TableError::Corruption(_))));
+        // The error lasts until the next seek.
+        m.seek(b"a");
+        assert!(m.valid() && m.status().is_ok());
+        m.seek(b"e");
+        assert!(!m.valid() && m.status().is_err());
     }
 
     #[test]

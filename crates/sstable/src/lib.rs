@@ -15,8 +15,6 @@
 //! * [`key`] — internal keys: user key + (sequence, type) trailer, ordered
 //!   user-key-ascending then sequence-descending.
 //! * [`block`] — block builder/reader with restart-point prefix compression.
-//! * [`frame`] — block encoding v2: restart-aligned compression frames for
-//!   bounded seek-in-compressed-form.
 //! * [`readahead`] — the pipelined scan readahead stage (sequential-access
 //!   detection, bounded prefetch window, span reads off the iterator
 //!   thread).
@@ -29,7 +27,6 @@
 pub mod block;
 pub mod bloom;
 pub mod cache;
-pub mod frame;
 pub mod iter;
 pub mod key;
 pub mod readahead;
@@ -38,7 +35,6 @@ pub mod table;
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use bloom::BloomFilter;
 pub use cache::BlockCache;
-pub use frame::{compress_framed, FrameBlock, DEFAULT_FRAME_TARGET};
 pub use readahead::{ReadaheadOpts, ScanContext, ScanStats};
 pub use iter::{KvIter, MergingIter, VecIter};
 pub use key::{
@@ -73,6 +69,28 @@ impl std::error::Error for TableError {}
 impl From<std::io::Error> for TableError {
     fn from(e: std::io::Error) -> Self {
         TableError::Io(e)
+    }
+}
+
+/// Keeps the `ErrorKind` of an I/O failure — retry classification depends
+/// on it surviving the executor and iterator boundaries.
+impl From<TableError> for std::io::Error {
+    fn from(e: TableError) -> Self {
+        match e {
+            TableError::Io(e) => e,
+            other => std::io::Error::other(other.to_string()),
+        }
+    }
+}
+
+/// `io::Error` is not `Clone`; the copy keeps its kind and message, which
+/// is all an iterator's [`KvIter::status`] has to report more than once.
+impl Clone for TableError {
+    fn clone(&self) -> Self {
+        match self {
+            TableError::Io(e) => TableError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            TableError::Corruption(m) => TableError::Corruption(m.clone()),
+        }
     }
 }
 

@@ -22,32 +22,34 @@
 
 use crate::block::Block;
 use crate::table::{BlockMeta, TableReader, BLOCK_TRAILER_SIZE};
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use pcp_storage::ReadClass;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Scan readahead knobs (per table reader, set through the LSM options).
+/// Consecutive sequential block loads before the pipeline starts.
+pub(crate) const TRIGGER_BLOCKS: usize = 3;
+/// Blocks fetched per span read (the readahead "sub-task" size).
+const SPAN_BLOCKS: usize = 8;
+/// Decoded-block budget of each iterator's prefetch window.
+const WINDOW_BYTES: usize = 1 << 20;
+
+/// Scan readahead switch (per table reader, set through the LSM options).
 #[derive(Debug, Clone)]
 pub struct ReadaheadOpts {
-    /// Master switch; disabled readers always use the synchronous path.
+    /// Disabled readers always use the synchronous path.
     pub enabled: bool,
-    /// Decoded-block budget of the prefetch window.
-    pub window_bytes: usize,
-    /// Consecutive sequential block loads before the pipeline starts.
-    pub trigger: usize,
-    /// Blocks fetched per span read (the readahead "sub-task" size).
-    pub span_blocks: usize,
+    /// `WINDOW_BYTES`, except in the unit tests that force back-pressure.
+    pub(crate) window_bytes: usize,
 }
 
 impl Default for ReadaheadOpts {
     fn default() -> Self {
         ReadaheadOpts {
             enabled: true,
-            window_bytes: 1 << 20,
-            trigger: 3,
-            span_blocks: 8,
+            window_bytes: WINDOW_BYTES,
         }
     }
 }
@@ -61,7 +63,6 @@ pub struct ScanStats {
     blocks_prefetched: AtomicU64,
     hits: AtomicU64,
     wasted: AtomicU64,
-    frames_decoded: AtomicU64,
     sync_blocks: AtomicU64,
     /// Current decoded bytes parked across all live windows (a gauge).
     window_bytes: AtomicU64,
@@ -93,11 +94,6 @@ impl ScanStats {
         self.wasted.load(Relaxed)
     }
 
-    /// Individual v2 frames decompressed (seek-in-compressed-form work).
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames_decoded.load(Relaxed)
-    }
-
     /// Blocks loaded synchronously on the caller's thread (cache misses
     /// outside any readahead window).
     pub fn sync_blocks(&self) -> u64 {
@@ -123,10 +119,6 @@ impl ScanStats {
 
     pub(crate) fn add_wasted(&self, n: u64) {
         self.wasted.fetch_add(n, Relaxed);
-    }
-
-    pub(crate) fn add_frames_decoded(&self, n: u64) {
-        self.frames_decoded.fetch_add(n, Relaxed);
     }
 
     pub(crate) fn add_sync_block(&self) {
@@ -312,32 +304,31 @@ pub(crate) fn spawn_readahead(
         inner: Mutex::new(Inner::default()),
         avail: Condvar::new(),
         space: Condvar::new(),
-        capacity: ctx.opts.window_bytes.max(1),
+        capacity: ctx.opts.window_bytes,
         stats: Arc::clone(&ctx.stats),
     });
     let producer = Producer {
         shared: Arc::clone(&shared),
     };
-    let span_blocks = ctx.opts.span_blocks.max(1);
     let stats = Arc::clone(&ctx.stats);
-    std::thread::spawn(move || run_worker(&reader, &metas, span_blocks, &stats, &producer));
+    std::thread::spawn(move || run_worker(&reader, &metas, &stats, &producer));
     ReadaheadState { shared }
 }
 
 fn run_worker(
     reader: &Arc<TableReader>,
     metas: &[BlockMeta],
-    span_blocks: usize,
     stats: &ScanStats,
     producer: &Producer,
 ) {
-    for chunk in metas.chunks(span_blocks) {
+    for chunk in metas.chunks(SPAN_BLOCKS) {
         let (Some(first), Some(last)) = (chunk.first(), chunk.last()) else {
             break;
         };
         // One device read per chunk, tagged as readahead. On error the
-        // worker simply stops: the cursor's synchronous fallback will hit
-        // the same error (or succeed on a transient one) in context.
+        // worker simply stops: the cursor's synchronous fallback hits the
+        // same error (or succeeds on a transient one) and reports it
+        // through the iterator's status.
         let raw = match reader.read_raw_span_class(
             first.handle,
             last.handle,
@@ -354,10 +345,9 @@ fn run_worker(
             if end > raw.len() {
                 return;
             }
-            let block = match reader.decode_raw_for_scan(&raw[off..end]) {
-                Ok(b) => b,
-                Err(_) => return,
-            };
+            let decoded = TableReader::decode_raw(&raw[off..end])
+                .and_then(|contents| Block::new(Bytes::from(contents)));
+            let Ok(block) = decoded else { return };
             if !producer.push(meta.handle.offset, block.clone()) {
                 return;
             }

@@ -28,10 +28,9 @@
 use crate::block::{Block, BlockBuilder, BlockIter};
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
-use crate::frame::{compress_framed, FrameBlock, DEFAULT_FRAME_TARGET};
 use crate::iter::KvIter;
 use crate::key::{internal_key_cmp, user_key};
-use crate::readahead::{spawn_readahead, ReadaheadState, ScanContext, ScanStats, Take};
+use crate::readahead::{spawn_readahead, ReadaheadState, ScanContext, Take, TRIGGER_BLOCKS};
 use crate::{Result, TableError};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
@@ -46,16 +45,14 @@ pub const FOOTER_SIZE: usize = 68;
 
 const TABLE_MAGIC: u64 = 0x7063_7074_626c_3134; // "pcptbl14"
 
-/// How a block payload is encoded.
+/// How a block payload is encoded. Kind byte `2` belonged to a retired
+/// encoding and is never reused (DESIGN.md §16.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompressionKind {
     /// Stored verbatim.
     None = 0,
-    /// [`pcp_codec::lz`] compressed as one stream (encoding v1).
+    /// [`pcp_codec::lz`] compressed as one stream.
     Lz = 1,
-    /// Encoding v2: restart-aligned [`crate::frame`] streams behind a
-    /// per-block directory, for bounded seek-in-compressed-form.
-    LzFrames = 2,
 }
 
 impl CompressionKind {
@@ -64,7 +61,6 @@ impl CompressionKind {
         match v {
             0 => Some(CompressionKind::None),
             1 => Some(CompressionKind::Lz),
-            2 => Some(CompressionKind::LzFrames),
             _ => None,
         }
     }
@@ -171,12 +167,6 @@ pub fn compress_block(contents: &[u8], kind: CompressionKind) -> (Vec<u8>, Compr
                 (contents.to_vec(), CompressionKind::None)
             }
         }
-        CompressionKind::LzFrames => match compress_framed(contents, DEFAULT_FRAME_TARGET) {
-            Some(out) => (out, CompressionKind::LzFrames),
-            // Framing couldn't shrink the block (tiny or incompressible):
-            // fall back to v1, which itself falls back to verbatim.
-            None => compress_block(contents, CompressionKind::Lz),
-        },
     }
 }
 
@@ -223,12 +213,6 @@ pub fn decompress_block(payload: &[u8], kind: CompressionKind) -> Result<Vec<u8>
             lz::decompress(payload, &mut out)
                 .map_err(|e| TableError::Corruption(format!("decompress: {e}")))?;
             Ok(out)
-        }
-        // Reassembly yields contents byte-identical to encoding v1, so
-        // the compaction pipeline and the block cache see one canonical
-        // form regardless of how the block was stored.
-        CompressionKind::LzFrames => {
-            FrameBlock::parse(Bytes::copy_from_slice(payload))?.reassemble()
         }
     }
 }
@@ -412,14 +396,7 @@ impl TableBuilder {
             ib.add(k, v);
         }
         let contents = ib.finish();
-        // With restart interval 1 a framed index would duplicate every key
-        // in the clear-text frame directory; whole-stream v1 compression
-        // is strictly better there, so v2 applies to data blocks only.
-        let index_compression = match self.opts.compression {
-            CompressionKind::LzFrames => CompressionKind::Lz,
-            other => other,
-        };
-        let (payload, kind) = compress_block(&contents, index_compression);
+        let (payload, kind) = compress_block(&contents, self.opts.compression);
         let trailer = make_trailer(&payload, kind);
         let index_handle = BlockHandle {
             offset: self.offset,
@@ -568,13 +545,25 @@ impl TableReader {
         &self.scan
     }
 
-    fn read_and_decode(file: &dyn RandomReadFile, handle: BlockHandle) -> Result<Vec<u8>> {
-        let raw = file.read_at(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
-        if raw.len() != handle.size as usize + BLOCK_TRAILER_SIZE {
+    /// Step S1 on `file`: one raw block (payload ++ trailer).
+    fn read_raw(file: &dyn RandomReadFile, handle: BlockHandle) -> Result<Bytes> {
+        let len = handle.size as usize + BLOCK_TRAILER_SIZE;
+        let raw = file.read_at(handle.offset, len)?;
+        if raw.len() != len {
             return Err(TableError::Corruption("short block read".into()));
         }
-        let (payload, kind) = verify_block(&raw)?;
+        Ok(raw)
+    }
+
+    /// Steps S2+S3 on one raw block: verifies the trailer and restores the
+    /// contents.
+    pub(crate) fn decode_raw(raw: &[u8]) -> Result<Vec<u8>> {
+        let (payload, kind) = verify_block(raw)?;
         decompress_block(payload, kind)
+    }
+
+    fn read_and_decode(file: &dyn RandomReadFile, handle: BlockHandle) -> Result<Vec<u8>> {
+        Self::decode_raw(&Self::read_raw(file, handle)?)
     }
 
     /// Table statistics from the properties block.
@@ -585,13 +574,7 @@ impl TableReader {
     /// Step S1 (READ): fetches one raw block (payload ++ trailer) without
     /// verification or decompression.
     pub fn read_raw_block(&self, handle: BlockHandle) -> Result<Bytes> {
-        let raw = self
-            .file
-            .read_at(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
-        if raw.len() != handle.size as usize + BLOCK_TRAILER_SIZE {
-            return Err(TableError::Corruption("short block read".into()));
-        }
-        Ok(raw)
+        Self::read_raw(&*self.file, handle)
     }
 
     /// Step S1 at sub-task granularity: fetches the contiguous byte span
@@ -621,21 +604,6 @@ impl TableReader {
         Ok(raw)
     }
 
-    /// Verifies and fully decodes one raw block (payload ++ trailer) for
-    /// the scan path, counting v2 frame decompression work.
-    pub(crate) fn decode_raw_for_scan(&self, raw: &[u8]) -> Result<Block> {
-        let (payload, kind) = verify_block(raw)?;
-        let contents = match kind {
-            CompressionKind::LzFrames => {
-                let fb = FrameBlock::parse(Bytes::copy_from_slice(payload))?;
-                self.scan.stats.add_frames_decoded(fb.frame_count() as u64);
-                fb.reassemble()?
-            }
-            other => decompress_block(payload, other)?,
-        };
-        Block::new(Bytes::from(contents))
-    }
-
     /// Admits a decoded block into the attached cache, if any.
     pub(crate) fn admit(&self, offset: u64, block: Block) {
         if let Some((cache, id)) = &self.cache {
@@ -643,47 +611,19 @@ impl TableReader {
         }
     }
 
-    /// Reads and fully decodes one data block (S1+S2+S3), consulting the
-    /// block cache when one is attached.
+    /// Loads one data block on the calling thread — the only way a point
+    /// lookup or a cursor outside a readahead window gets one: the block
+    /// cache when one is attached, else S1+S2+S3 and admission.
     pub fn read_block(&self, handle: BlockHandle) -> Result<Block> {
         if let Some((cache, id)) = &self.cache {
             if let Some(block) = cache.get(*id, handle.offset) {
                 return Ok(block);
             }
-            let contents = Self::read_and_decode(&*self.file, handle)?;
-            let block = Block::new(Bytes::from(contents))?;
-            cache.insert(*id, handle.offset, block.clone());
-            return Ok(block);
         }
-        let contents = Self::read_and_decode(&*self.file, handle)?;
-        Block::new(Bytes::from(contents))
-    }
-
-    /// Loads a block for the scan path: cache first, then a synchronous
-    /// read. A v2 block missing the cache is returned *in compressed
-    /// form* — the caller decompresses only the frames it touches
-    /// (seek-in-compressed-form), so framed loads are never admitted to
-    /// the cache here (the cache holds canonical full blocks only).
-    pub(crate) fn load_for_scan(&self, handle: BlockHandle) -> Result<ScanLoad> {
-        if let Some((cache, id)) = &self.cache {
-            if let Some(block) = cache.get(*id, handle.offset) {
-                return Ok(ScanLoad::Full(block));
-            }
-        }
-        let raw = self.read_raw_block(handle)?;
-        let (payload, kind) = verify_block(&raw)?;
+        let block = Block::new(Bytes::from(Self::read_and_decode(&*self.file, handle)?))?;
         self.scan.stats.add_sync_block();
-        match kind {
-            CompressionKind::LzFrames => {
-                let payload = raw.slice(..raw.len() - BLOCK_TRAILER_SIZE);
-                Ok(ScanLoad::Framed(FrameBlock::parse(payload)?))
-            }
-            other => {
-                let block = Block::new(Bytes::from(decompress_block(payload, other)?))?;
-                self.admit(handle.offset, block.clone());
-                Ok(ScanLoad::Full(block))
-            }
-        }
+        self.admit(handle.offset, block.clone());
+        Ok(block)
     }
 
     /// Decodes the index into per-block metadata, in key order.
@@ -720,8 +660,6 @@ impl TableReader {
     /// Point lookup: returns the first entry with internal key `>= target`
     /// that lives in the block the index points at, or `None`. The caller
     /// (the LSM read path) checks the user key and sequence visibility.
-    ///
-    /// `user_key_hint` lets the bloom filter veto the lookup.
     pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if let Some(bloom) = &self.bloom {
             if !bloom.may_contain(user_key(target)) {
@@ -734,40 +672,11 @@ impl TableReader {
             return Ok(None);
         }
         let meta = Self::decode_index_value(idx.key(), idx.value())?;
-        match self.load_for_scan(meta.handle)? {
-            ScanLoad::Full(block) => {
-                let mut bit = block.iter(internal_key_cmp);
-                bit.seek(target);
-                if bit.valid() {
-                    Ok(Some((bit.key().to_vec(), bit.value().to_vec())))
-                } else {
-                    Ok(None)
-                }
-            }
-            // Bounded seek-in-compressed-form: decompress only the frame
-            // that can contain `target` (plus at most its successor, when
-            // the target falls in the gap between two frames).
-            ScanLoad::Framed(fb) => {
-                let fi = fb.find_frame(target, internal_key_cmp);
-                let block = fb.decode_frame(fi)?;
-                self.scan.stats.add_frames_decoded(1);
-                let mut bit = block.iter(internal_key_cmp);
-                bit.seek(target);
-                if bit.valid() {
-                    return Ok(Some((bit.key().to_vec(), bit.value().to_vec())));
-                }
-                if fi + 1 < fb.frame_count() {
-                    let block = fb.decode_frame(fi + 1)?;
-                    self.scan.stats.add_frames_decoded(1);
-                    let mut bit = block.iter(internal_key_cmp);
-                    bit.seek_to_first();
-                    if bit.valid() {
-                        return Ok(Some((bit.key().to_vec(), bit.value().to_vec())));
-                    }
-                }
-                Ok(None)
-            }
-        }
+        let mut bit = self.read_block(meta.handle)?.iter(internal_key_cmp);
+        bit.seek(target);
+        Ok(bit
+            .valid()
+            .then(|| (bit.key().to_vec(), bit.value().to_vec())))
     }
 
     /// Whole-table cursor.
@@ -775,158 +684,12 @@ impl TableReader {
         TableIter {
             reader: Arc::clone(self),
             index_iter: self.index.iter(internal_key_cmp),
-            cursor: None,
-            status: None,
+            block_iter: None,
+            status: Ok(()),
             ra: None,
             ra_exhausted: false,
             expected_next: None,
             seq_run: 0,
-        }
-    }
-}
-
-/// How [`TableReader::load_for_scan`] delivered a block.
-pub(crate) enum ScanLoad {
-    /// Fully decoded (cache hit, or a v1/uncompressed sync read).
-    Full(Block),
-    /// A v2 block still in compressed form: frames decode on demand.
-    Framed(FrameBlock),
-}
-
-/// Cursor over the frames of one v2 block, decompressing lazily: only
-/// frames the scan actually touches are decoded.
-struct FrameCursor {
-    fb: FrameBlock,
-    stats: Arc<ScanStats>,
-    idx: usize,
-    it: Option<BlockIter>,
-}
-
-impl FrameCursor {
-    fn new(fb: FrameBlock, stats: Arc<ScanStats>) -> FrameCursor {
-        FrameCursor {
-            fb,
-            stats,
-            idx: 0,
-            it: None,
-        }
-    }
-
-    fn set_frame(&mut self, i: usize) -> Result<()> {
-        let block = self.fb.decode_frame(i)?;
-        self.stats.add_frames_decoded(1);
-        self.idx = i;
-        self.it = Some(block.iter(internal_key_cmp));
-        Ok(())
-    }
-
-    fn valid(&self) -> bool {
-        self.it.as_ref().is_some_and(|it| it.valid())
-    }
-
-    fn seek_to_first(&mut self) -> Result<()> {
-        self.set_frame(0)?;
-        if let Some(it) = &mut self.it {
-            it.seek_to_first();
-        }
-        Ok(())
-    }
-
-    fn seek(&mut self, target: &[u8]) -> Result<()> {
-        let fi = self.fb.find_frame(target, internal_key_cmp);
-        self.set_frame(fi)?;
-        if let Some(it) = &mut self.it {
-            it.seek(target);
-        }
-        // Target between this frame's last key and the next frame: the
-        // answer is the next frame's first entry.
-        if !self.valid() && fi + 1 < self.fb.frame_count() {
-            self.set_frame(fi + 1)?;
-            if let Some(it) = &mut self.it {
-                it.seek_to_first();
-            }
-        }
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<()> {
-        if let Some(it) = &mut self.it {
-            it.next();
-        }
-        while !self.valid() && self.idx + 1 < self.fb.frame_count() {
-            let next = self.idx + 1;
-            self.set_frame(next)?;
-            if let Some(it) = &mut self.it {
-                it.seek_to_first();
-            }
-        }
-        Ok(())
-    }
-
-    fn key(&self) -> &[u8] {
-        self.it.as_ref().expect("valid iterator").key()
-    }
-
-    fn value(&self) -> &[u8] {
-        self.it.as_ref().expect("valid iterator").value()
-    }
-}
-
-/// Position within the current data block.
-enum BlockCursor {
-    Plain(BlockIter),
-    Framed(FrameCursor),
-}
-
-impl BlockCursor {
-    fn valid(&self) -> bool {
-        match self {
-            BlockCursor::Plain(it) => it.valid(),
-            BlockCursor::Framed(fc) => fc.valid(),
-        }
-    }
-
-    fn seek_to_first(&mut self) -> Result<()> {
-        match self {
-            BlockCursor::Plain(it) => {
-                it.seek_to_first();
-                Ok(())
-            }
-            BlockCursor::Framed(fc) => fc.seek_to_first(),
-        }
-    }
-
-    fn seek(&mut self, target: &[u8]) -> Result<()> {
-        match self {
-            BlockCursor::Plain(it) => {
-                it.seek(target);
-                Ok(())
-            }
-            BlockCursor::Framed(fc) => fc.seek(target),
-        }
-    }
-
-    fn next(&mut self) -> Result<()> {
-        match self {
-            BlockCursor::Plain(it) => {
-                it.next();
-                Ok(())
-            }
-            BlockCursor::Framed(fc) => fc.next(),
-        }
-    }
-
-    fn key(&self) -> &[u8] {
-        match self {
-            BlockCursor::Plain(it) => it.key(),
-            BlockCursor::Framed(fc) => fc.key(),
-        }
-    }
-
-    fn value(&self) -> &[u8] {
-        match self {
-            BlockCursor::Plain(it) => it.value(),
-            BlockCursor::Framed(fc) => fc.value(),
         }
     }
 }
@@ -937,8 +700,11 @@ impl BlockCursor {
 pub struct TableIter {
     reader: Arc<TableReader>,
     index_iter: BlockIter,
-    cursor: Option<BlockCursor>,
-    status: Option<TableError>,
+    /// Cursor in the current data block; `None` at the end of the table
+    /// and after a failed load.
+    block_iter: Option<BlockIter>,
+    /// Why the cursor stopped short of the table's end, until the next seek.
+    status: Result<()>,
     /// Live readahead pipeline, once sequential access is detected.
     ra: Option<ReadaheadState>,
     /// Set when the pipeline ran to the end of the table, so a finished
@@ -951,14 +717,11 @@ pub struct TableIter {
 }
 
 impl TableIter {
-    /// First error encountered while loading blocks, if any.
-    pub fn status(&self) -> Option<&TableError> {
-        self.status.as_ref()
-    }
-
-    /// Resets the sequential-access detector and tears down any live
-    /// readahead (called on seeks: random access degrades to sync).
-    fn reset_readahead(&mut self) {
+    /// Clears the error, resets the sequential-access detector and tears
+    /// down any live readahead (called on seeks: random access degrades to
+    /// sync).
+    fn reset(&mut self) {
+        self.status = Ok(());
         self.ra = None;
         self.ra_exhausted = false;
         self.expected_next = None;
@@ -987,21 +750,15 @@ impl TableIter {
         ));
     }
 
-    fn load_current_block(&mut self) {
-        self.cursor = None;
+    /// Loads the block the index cursor points at (`None` past its end):
+    /// from the prefetch window when the pipeline is live, else through
+    /// [`TableReader::read_block`].
+    fn load_block(&mut self) -> Result<Option<Block>> {
         if !self.index_iter.valid() {
-            return;
+            return Ok(None);
         }
-        let meta = match TableReader::decode_index_value(
-            self.index_iter.key(),
-            self.index_iter.value(),
-        ) {
-            Ok(meta) => meta,
-            Err(e) => {
-                self.status = Some(e);
-                return;
-            }
-        };
+        let meta =
+            TableReader::decode_index_value(self.index_iter.key(), self.index_iter.value())?;
         let offset = meta.handle.offset;
 
         // Sequential-access detection.
@@ -1013,16 +770,14 @@ impl TableIter {
         }
         self.expected_next = Some(offset + meta.stored_size());
 
-        // Serve from the prefetch window when the pipeline is live.
         if let Some(ra) = &self.ra {
             match ra.take(offset) {
-                Take::Hit(block) => {
-                    self.cursor = Some(BlockCursor::Plain(block.iter(internal_key_cmp)));
-                    return;
-                }
+                Take::Hit(block) => return Ok(Some(block)),
                 Take::Miss => {
                     // Pipeline ended (table exhausted or worker error):
-                    // degrade to sync without respawning every block.
+                    // degrade to sync without respawning every block. A
+                    // worker error is re-hit by the load below and
+                    // reported from there.
                     self.ra = None;
                     self.ra_exhausted = true;
                 }
@@ -1030,86 +785,78 @@ impl TableIter {
         }
 
         // Maybe start pipelining the blocks *after* this one.
-        let ctx = self.reader.scan_context();
-        let (enabled, trigger) = (ctx.opts.enabled, ctx.opts.trigger.max(1));
-        if enabled && !self.ra_exhausted && self.ra.is_none() && self.seq_run >= trigger {
+        let enabled = self.reader.scan_context().opts.enabled;
+        if enabled && !self.ra_exhausted && self.ra.is_none() && self.seq_run >= TRIGGER_BLOCKS {
             self.start_readahead(offset);
         }
 
-        // Synchronous path: cache, else device read (v2 blocks stay in
-        // compressed form and decode frame-by-frame).
-        match self.reader.load_for_scan(meta.handle) {
-            Ok(ScanLoad::Full(block)) => {
-                self.cursor = Some(BlockCursor::Plain(block.iter(internal_key_cmp)));
-            }
-            Ok(ScanLoad::Framed(fb)) => {
-                let stats = Arc::clone(&self.reader.scan_context().stats);
-                self.cursor = Some(BlockCursor::Framed(FrameCursor::new(fb, stats)));
-            }
-            Err(e) => self.status = Some(e),
-        }
+        self.reader.read_block(meta.handle).map(Some)
     }
 
-    /// Runs a fallible cursor positioning call, converting an error into
-    /// iterator status (the cursor is dropped; skip_forward moves on).
-    fn position(&mut self, f: impl FnOnce(&mut BlockCursor) -> Result<()>) {
-        if let Some(c) = &mut self.cursor {
-            if let Err(e) = f(c) {
-                self.status = Some(e);
-                self.cursor = None;
+    /// Enters the block the index cursor points at and positions the block
+    /// cursor with `position`. The block load is the only fallible step of
+    /// the cursor: when it fails the iterator is `!valid()` with the error
+    /// in `status` — it does not carry on with the next block, which would
+    /// silently drop this block's keys.
+    fn enter_block(&mut self, position: impl FnOnce(&mut BlockIter)) {
+        self.block_iter = match self.load_block() {
+            Ok(block) => block.map(|b| {
+                let mut it = b.iter(internal_key_cmp);
+                position(&mut it);
+                it
+            }),
+            Err(e) => {
+                self.status = Err(e);
+                None
             }
-        }
+        };
     }
 
     /// Advances past exhausted blocks.
     fn skip_forward(&mut self) {
-        loop {
-            if self.cursor.as_ref().is_some_and(|c| c.valid()) {
-                return;
-            }
-            if !self.index_iter.valid() {
-                self.cursor = None;
-                return;
-            }
+        while !self.valid() && self.status.is_ok() && self.index_iter.valid() {
             self.index_iter.next();
-            self.load_current_block();
-            self.position(|c| c.seek_to_first());
+            self.enter_block(BlockIter::seek_to_first);
         }
     }
 }
 
 impl KvIter for TableIter {
     fn valid(&self) -> bool {
-        self.cursor.as_ref().is_some_and(|c| c.valid())
+        self.block_iter.as_ref().is_some_and(|it| it.valid())
     }
 
     fn seek_to_first(&mut self) {
-        self.reset_readahead();
+        self.reset();
         self.index_iter.seek_to_first();
-        self.load_current_block();
-        self.position(|c| c.seek_to_first());
+        self.enter_block(BlockIter::seek_to_first);
         self.skip_forward();
     }
 
     fn seek(&mut self, target: &[u8]) {
-        self.reset_readahead();
+        self.reset();
         self.index_iter.seek(target);
-        self.load_current_block();
-        self.position(|c| c.seek(target));
+        self.enter_block(|it| it.seek(target));
         self.skip_forward();
     }
 
     fn next(&mut self) {
-        self.position(|c| c.next());
+        if let Some(it) = &mut self.block_iter {
+            it.next();
+        }
         self.skip_forward();
     }
 
     fn key(&self) -> &[u8] {
-        self.cursor.as_ref().expect("valid iterator").key()
+        self.block_iter.as_ref().expect("valid iterator").key()
     }
 
     fn value(&self) -> &[u8] {
-        self.cursor.as_ref().expect("valid iterator").value()
+        self.block_iter.as_ref().expect("valid iterator").value()
+    }
+
+    fn status(&self) -> Result<()> {
+        self.status.clone()
     }
 }
 
@@ -1171,7 +918,7 @@ mod tests {
             it.next();
         }
         assert_eq!(count, n);
-        assert!(it.status().is_none());
+        assert!(it.status().is_ok());
     }
 
     #[test]
@@ -1390,99 +1137,32 @@ mod tests {
             out.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
-        assert!(it.status().is_none(), "{:?}", it.status());
+        it.status().unwrap();
         out
-    }
-
-    fn framed_opts() -> TableBuilderOptions {
-        TableBuilderOptions {
-            compression: CompressionKind::LzFrames,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn framed_tables_scan_identically_to_v1() {
-        let env = test_env();
-        let n = 4000;
-        let v1 = build_table(&env, "v1.sst", n, TableBuilderOptions::default());
-        let v2 = build_table(&env, "v2.sst", n, framed_opts());
-        assert_eq!(collect_all(&v1), collect_all(&v2));
-        assert_eq!(v1.stats().raw_bytes, v2.stats().raw_bytes);
-    }
-
-    #[test]
-    fn framed_point_gets_decode_single_frames() {
-        let env = test_env();
-        let n = 2000;
-        let reader = build_table(&env, "v2.sst", n, framed_opts());
-        let stats = Arc::clone(&reader.scan_context().stats);
-        for i in (0..n).step_by(97) {
-            let target = make_internal_key(
-                format!("key{i:08}").as_bytes(),
-                u64::MAX >> 8,
-                ValueType::Value,
-            );
-            let (k, _) = reader.get(&target).unwrap().expect("present key");
-            assert_eq!(user_key(&k), format!("key{i:08}").as_bytes());
-        }
-        assert!(
-            stats.frames_decoded() > 0,
-            "v2 gets must use the frame path"
-        );
-    }
-
-    #[test]
-    fn framed_seek_lands_between_frames() {
-        let env = test_env();
-        let reader = build_table(&env, "v2.sst", 2000, framed_opts());
-        let mut it = reader.iter();
-        // Exact, successor, and past-the-end seeks, as in the v1 test.
-        let target = make_internal_key(b"key00001234", u64::MAX >> 8, ValueType::Value);
-        it.seek(&target);
-        assert_eq!(user_key(it.key()), b"key00001234");
-        let target = make_internal_key(b"key00001234a", u64::MAX >> 8, ValueType::Value);
-        it.seek(&target);
-        assert_eq!(user_key(it.key()), b"key00001235");
-        let target = make_internal_key(b"zzz", u64::MAX >> 8, ValueType::Value);
-        it.seek(&target);
-        assert!(!it.valid());
     }
 
     #[test]
     fn readahead_scan_matches_sync_scan() {
         let env = test_env();
-        let n = 4000;
-        for (name, opts) in [("a.sst", TableBuilderOptions::default()), ("b.sst", framed_opts())] {
-            build_table(&env, name, n, opts);
-            let sync_ctx = ScanContext {
-                opts: crate::ReadaheadOpts {
-                    enabled: false,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let ra_ctx = ScanContext {
-                opts: crate::ReadaheadOpts {
-                    enabled: true,
-                    trigger: 2,
-                    span_blocks: 4,
-                    window_bytes: 64 << 10,
-                },
-                ..Default::default()
-            };
-            let plain = Arc::new(
-                TableReader::open_with_context(env.open(name).unwrap(), None, sync_ctx).unwrap(),
-            );
-            let ra = Arc::new(
-                TableReader::open_with_context(env.open(name).unwrap(), None, ra_ctx).unwrap(),
-            );
-            assert_eq!(collect_all(&plain), collect_all(&ra), "table {name}");
-            let stats = ra.scan_context().stats.as_ref();
-            assert!(stats.spans() > 0, "pipeline must have activated");
-            assert!(stats.hits() > 0, "cursor must have drained the window");
-            assert_eq!(stats.window_bytes(), 0, "window gauge must drain to zero");
-        }
+        build_table(&env, "t.sst", 4000, TableBuilderOptions::default());
+        // A window far smaller than the table, so the worker has to wait
+        // for the cursor (back-pressure).
+        let ctx = |enabled| ScanContext {
+            opts: crate::ReadaheadOpts {
+                enabled,
+                window_bytes: 64 << 10,
+            },
+            ..Default::default()
+        };
+        let open = |ctx| {
+            Arc::new(TableReader::open_with_context(env.open("t.sst").unwrap(), None, ctx).unwrap())
+        };
+        let (plain, ra) = (open(ctx(false)), open(ctx(true)));
+        assert_eq!(collect_all(&plain), collect_all(&ra));
+        let stats = ra.scan_context().stats.as_ref();
+        assert!(stats.spans() > 0, "pipeline must have activated");
+        assert!(stats.hits() > 0, "cursor must have drained the window");
+        assert_eq!(stats.window_bytes(), 0, "window gauge must drain to zero");
     }
 
     #[test]
@@ -1507,32 +1187,7 @@ mod tests {
             it.next();
         }
         assert_eq!(count, n);
-        assert!(it.status().is_none());
-    }
-
-    #[test]
-    fn v1_and_v2_interchange_through_sealed_path() {
-        // Compaction compatibility: contents round-trip through
-        // compress/decompress for every kind, byte-identically.
-        let mut bb = BlockBuilder::new(16);
-        for i in 0..200 {
-            let ik = make_internal_key(format!("k{i:05}").as_bytes(), i + 1, ValueType::Value);
-            bb.add(&ik, b"value-payload-value-payload");
-        }
-        let contents = bb.finish();
-        for kind in [
-            CompressionKind::None,
-            CompressionKind::Lz,
-            CompressionKind::LzFrames,
-        ] {
-            let (payload, actual) = compress_block(&contents, kind);
-            let trailer = make_trailer(&payload, actual);
-            let mut raw = payload.clone();
-            raw.extend_from_slice(&trailer);
-            let (p, k) = verify_block(&raw).unwrap();
-            assert_eq!(k, actual);
-            assert_eq!(decompress_block(p, k).unwrap(), contents, "{kind:?}");
-        }
+        assert!(it.status().is_ok());
     }
 
     #[test]

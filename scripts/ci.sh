@@ -13,9 +13,9 @@ cargo build --examples --release
 echo "==> cargo test -q --workspace (every crate's unit, integration and e2e suites)"
 cargo test -q --workspace
 
-echo "==> cargo run -p pcp-lint --release (architectural lint, L1-L8; JSON report archived)"
-mkdir -p bench_results
-cargo run -q -p pcp-lint --release -- --format json > bench_results/lint_findings.json
+echo "==> cargo run -p pcp-lint --release (architectural lint, L1-L8; JSON report archived under target/)"
+mkdir -p target
+cargo run -q -p pcp-lint --release -- --format json > target/lint_findings.json
 # The JSON lane already failed the build on any finding (nonzero exit);
 # surface the human-readable summary and rule rationales for the log.
 cargo run -q -p pcp-lint --release
@@ -27,7 +27,7 @@ cargo test -q --features lock_order
 echo "==> cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo bench -p pcp-bench --bench write_concurrency (syncs-per-write smoke, quick mode)"
+echo "==> cargo bench -p pcp-bench --bench write_concurrency (syncs-per-write smoke, quick mode; reports go to target/bench_results/)"
 cargo bench -p pcp-bench --bench write_concurrency
 
 echo "==> cargo bench -p pcp-bench --bench reactor (connections x depth sweep, quick mode)"
@@ -35,9 +35,6 @@ cargo bench -p pcp-bench --bench reactor
 
 echo "==> cargo bench -p pcp-bench --bench adaptive (adaptive-vs-fixed-shapes smoke, quick mode)"
 cargo bench -p pcp-bench --bench adaptive
-
-echo "==> cargo bench -p pcp-bench --bench scan (readahead + framed-encoding smoke, quick mode)"
-cargo bench -p pcp-bench --bench scan
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

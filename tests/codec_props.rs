@@ -98,106 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn frame_roundtrips_arbitrary_bytes(data in prop::collection::vec(any::<u8>(), 0..4096)) {
-        let mut comp = Vec::new();
-        let n = pcp::codec::compress_frame(&data, &mut comp);
-        prop_assert_eq!(n, comp.len());
-        // Verbatim fallback keeps frames no larger than their input.
-        prop_assert!(comp.len() <= data.len() || data.is_empty());
-        let mut out = Vec::new();
-        pcp::codec::decompress_frame(&comp, data.len(), &mut out).unwrap();
-        prop_assert_eq!(out, data);
-    }
-
-    #[test]
-    fn frame_roundtrips_compressible_bytes(
-        phrase in prop::collection::vec(any::<u8>(), 1..16),
-        repeats in 8usize..256,
-    ) {
-        // At least 128 bytes of pure repetition: always beats LZ overhead.
-        let data: Vec<u8> = phrase
-            .iter()
-            .cycle()
-            .take(128 + phrase.len() * repeats)
-            .copied()
-            .collect();
-        let mut comp = Vec::new();
-        pcp::codec::compress_frame(&data, &mut comp);
-        prop_assert!(comp.len() < data.len(), "repetitive frame should shrink");
-        let mut out = Vec::new();
-        pcp::codec::decompress_frame(&comp, data.len(), &mut out).unwrap();
-        prop_assert_eq!(out, data);
-    }
-
-    #[test]
-    fn truncated_frame_is_rejected_and_leaves_output_untouched(
-        data in prop::collection::vec(any::<u8>(), 32..1024),
-        cut_fraction in 0.01f64..0.99,
-    ) {
-        let mut comp = Vec::new();
-        pcp::codec::compress_frame(&data, &mut comp);
-        let cut = (((comp.len() - 1) as f64) * cut_fraction) as usize;
-        // A strict prefix can never equal `raw_len` (compressed frames are
-        // strictly smaller than raw, verbatim ones exactly raw), so the
-        // verbatim path cannot mask truncation; the only acceptable "Ok"
-        // would be a byte-exact roundtrip, which a prefix cannot produce.
-        let mut out = vec![0xAB; 7];
-        match pcp::codec::decompress_frame(&comp[..cut], data.len(), &mut out) {
-            Ok(()) => prop_assert_eq!(&out[7..], &data[..]),
-            Err(_) => prop_assert_eq!(out, vec![0xABu8; 7]),
-        }
-    }
-
-    #[test]
-    fn frame_with_wrong_raw_len_is_rejected(
-        phrase in prop::collection::vec(any::<u8>(), 1..16),
-        repeats in 16usize..256,
-        extra in 1usize..64,
-    ) {
-        // Compressible input so the frame takes the compressed path: the
-        // stream then decodes to exactly `data.len()` bytes, and any other
-        // declared raw length must be rejected. (A verbatim frame cannot
-        // make this guarantee — declaring raw_len == stored length is the
-        // verbatim signal itself; the block CRC covers that case.)
-        let data: Vec<u8> = phrase
-            .iter()
-            .cycle()
-            .take(128 + phrase.len() * repeats)
-            .copied()
-            .collect();
-        let mut comp = Vec::new();
-        pcp::codec::compress_frame(&data, &mut comp);
-        prop_assert!(comp.len() < data.len(), "128+ byte repetition must compress");
-        let wrong = data.len() + extra;
-        let mut out = Vec::new();
-        prop_assert!(pcp::codec::decompress_frame(&comp, wrong, &mut out).is_err());
-        prop_assert!(out.is_empty());
-    }
-
-    #[test]
-    fn corrupt_frame_never_silently_shrinks_or_grows(
-        data in prop::collection::vec(any::<u8>(), 64..1024),
-        idx_sel in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        // A flipped literal byte inside an LZ stream can still decode to
-        // the declared length with different contents — end-to-end
-        // integrity is the block CRC's job. The frame layer still must
-        // reject any corruption that changes the decoded length.
-        let mut comp = Vec::new();
-        pcp::codec::compress_frame(&data, &mut comp);
-        let mut bad = comp.clone();
-        let idx = idx_sel.index(bad.len());
-        bad[idx] ^= flip;
-        let mut out = Vec::new();
-        if pcp::codec::decompress_frame(&bad, data.len(), &mut out).is_ok() {
-            prop_assert_eq!(out.len(), data.len());
-        } else {
-            prop_assert!(out.is_empty());
-        }
-    }
-
-    #[test]
     fn crc_incremental_matches_oneshot(
         data in prop::collection::vec(any::<u8>(), 0..2048),
         split_sel in any::<prop::sample::Index>(),

@@ -10,13 +10,18 @@
 //!   final state is byte-identical across SCP / PCP / C-PPCP / S-PPCP and
 //!   a fault-free run.
 //! * At the executor level, compaction under an arbitrary injected fault
-//!   is **atomic**: either it returns the same output as a clean run, or
-//!   it fails leaving nothing but the input files on disk.
+//!   — on its input reads or its output writes — is **atomic**: either it
+//!   returns the same output as a clean run, or it fails leaving nothing
+//!   but the input files on disk.
+//! * A **scan** that cannot read a table stops there and says so through
+//!   `status()`: what it yielded is a prefix of the data, never the data
+//!   with a hole in it.
 
-use pcp::core::{PipelinedExec, ScpExec};
+use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelinedExec, ScpExec};
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
+    SimpleMergeExec,
 };
 use pcp::sstable::key::{make_internal_key, ValueType};
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
@@ -52,6 +57,7 @@ fn dump(db: &Db) -> BTreeMap<Vec<u8>, Vec<u8>> {
         out.insert(it.key().to_vec(), it.value().to_vec());
         it.next();
     }
+    it.status().unwrap();
     out
 }
 
@@ -254,20 +260,24 @@ fn atomicity_input(half: u64, seq_base: u64) -> Vec<Entry> {
         .collect()
 }
 
-fn build_table(env: &EnvRef, name: &str, entries: &[Entry]) -> Arc<TableReader> {
+/// Small blocks, so that even the serial merge reads each input in dozens
+/// of device reads for a scheduled read fault to land in.
+fn build_table(env: &EnvRef, name: &str, entries: &[Entry]) {
     let mut sorted: Vec<(Vec<u8>, Vec<u8>)> = entries
         .iter()
         .map(|(k, seq, t, v)| (make_internal_key(k, *seq, *t), v.clone()))
         .collect();
     sorted.sort_by(|a, b| pcp::sstable::internal_key_cmp(&a.0, &b.0));
     sorted.dedup_by(|a, b| a.0 == b.0);
-    let f = env.create(name).unwrap();
-    let mut b = TableBuilder::new(f, TableBuilderOptions::default());
+    let opts = TableBuilderOptions {
+        block_size: 512,
+        ..Default::default()
+    };
+    let mut b = TableBuilder::new(env.create(name).unwrap(), opts);
     for (ik, v) in &sorted {
         b.add(ik, v).unwrap();
     }
     b.finish().unwrap();
-    Arc::new(TableReader::open(env.open(name).unwrap()).unwrap())
 }
 
 fn read_outputs(env: &EnvRef, outputs: &[Arc<FileMetadata>]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -284,18 +294,26 @@ fn read_outputs(env: &EnvRef, outputs: &[Arc<FileMetadata>]) -> Vec<(Vec<u8>, Ve
     all
 }
 
-/// Compacts the fixed input pair on `env`; inputs are built and read
-/// through the *inner* env so only the compaction's own writes pass
-/// through any fault wrapper layered on top.
 type CompactOutcome = (Vec<Arc<FileMetadata>>, Vec<(Vec<u8>, Vec<u8>)>);
 
-fn compact_inputs(inner: &EnvRef, req_env: EnvRef) -> TableResult<CompactOutcome> {
-    let upper = build_table(inner, "u.sst", &atomicity_input(1, 10_000));
-    let lower = build_table(inner, "l.sst", &atomicity_input(0, 1));
+/// Compacts the fixed input pair with `exec`. The inputs are built through
+/// the *inner* env, then opened, read and merged through `req_env`, so a
+/// fault wrapper layered on top sees the compaction's input reads as well
+/// as its output writes.
+fn compact_inputs(
+    inner: &EnvRef,
+    req_env: EnvRef,
+    exec: &dyn CompactionExec,
+) -> TableResult<CompactOutcome> {
+    build_table(inner, "u.sst", &atomicity_input(1, 10_000));
+    build_table(inner, "l.sst", &atomicity_input(0, 1));
+    let open = |name: &str| -> TableResult<Arc<TableReader>> {
+        Ok(Arc::new(TableReader::open(req_env.open(name)?)?))
+    };
     let req = CompactionRequest {
-        env: req_env,
-        upper: vec![upper],
-        lower: vec![lower],
+        env: Arc::clone(&req_env),
+        upper: vec![open("u.sst")?],
+        lower: vec![open("l.sst")?],
         output_level: 1,
         bottom_level: true,
         smallest_snapshot: pcp::sstable::key::MAX_SEQUENCE,
@@ -304,9 +322,29 @@ fn compact_inputs(inner: &EnvRef, req_env: EnvRef) -> TableResult<CompactOutcome
         max_output_bytes: 8 << 10,
         grant: pcp_lsm::ResourceGrant::unlimited(),
     };
-    let outputs = PipelinedExec::pcp(2 << 10).compact(&req)?;
+    let outputs = exec.compact(&req)?;
     let entries = read_outputs(inner, &outputs);
     Ok((outputs, entries))
+}
+
+/// Every executor the engine can run, the adaptive one on both sides of
+/// `small_job_bytes` (the input pair is ≈ 25 KB): its serial path and its
+/// pipelined one.
+fn executors() -> Vec<(&'static str, Box<dyn CompactionExec>)> {
+    let adaptive_above = AdaptiveConfig {
+        subtask_bytes: 2 << 10,
+        small_job_bytes: 1 << 10,
+        ..Default::default()
+    };
+    vec![
+        ("simple-merge", Box::new(SimpleMergeExec)),
+        ("scp", Box::new(ScpExec::new(2 << 10))),
+        ("pcp", Box::new(PipelinedExec::pcp(2 << 10))),
+        ("c-ppcp", Box::new(PipelinedExec::c_ppcp(2 << 10, 2))),
+        ("s-ppcp", Box::new(PipelinedExec::s_ppcp(2 << 10, 2))),
+        ("adaptive, small job", Box::new(AdaptiveExec::default())),
+        ("adaptive, large job", Box::new(AdaptiveExec::new(adaptive_above))),
+    ]
 }
 
 proptest! {
@@ -316,38 +354,126 @@ proptest! {
     /// exactly the clean output, or fails leaving only the inputs on disk.
     #[test]
     fn compaction_under_faults_is_atomic(
-        op_sel in 0usize..3,
         nth in 1u64..40,
         transient in prop::bool::ANY,
         seed in any::<u64>(),
     ) {
         let clean_env = mem_env();
-        let (_, clean) = compact_inputs(&clean_env, Arc::clone(&clean_env)).unwrap();
-
-        let inner = mem_env();
-        let fault = FaultEnv::new(Arc::clone(&inner), seed);
-        let op = [FaultOp::Append, FaultOp::Flush, FaultOp::Sync][op_sel];
+        let (_, clean) =
+            compact_inputs(&clean_env, Arc::clone(&clean_env), &SimpleMergeExec).unwrap();
         let kind = if transient { FaultKind::Transient } else { FaultKind::Permanent };
-        fault.schedule_on_file(op, nth, kind, ".sst");
-        match compact_inputs(&inner, Arc::new(fault.clone())) {
-            Ok((outputs, entries)) => {
-                prop_assert_eq!(entries, clean, "fault-survived run diverged");
-                let mut want: Vec<String> = outputs
-                    .iter()
-                    .map(|m| table_file(m.number))
-                    .chain(["l.sst".to_string(), "u.sst".to_string()])
-                    .collect();
-                want.sort();
-                prop_assert_eq!(sst_files(&inner), want);
+        let inputs = vec!["l.sst".to_string(), "u.sst".to_string()];
+
+        for (name, exec) in executors() {
+            // ReadAt only ever hits the inputs, the other three the outputs.
+            for op in [FaultOp::ReadAt, FaultOp::Append, FaultOp::Flush, FaultOp::Sync] {
+                let inner = mem_env();
+                let fault = FaultEnv::new(Arc::clone(&inner), seed);
+                fault.schedule_on_file(op, nth, kind, ".sst");
+                match compact_inputs(&inner, Arc::new(fault.clone()), &*exec) {
+                    Ok((outputs, entries)) => {
+                        prop_assert_eq!(
+                            &entries, &clean,
+                            "{} under a {:?} fault returned Ok with different contents", name, op
+                        );
+                        let mut want: Vec<String> = outputs
+                            .iter()
+                            .map(|m| table_file(m.number))
+                            .chain(inputs.iter().cloned())
+                            .collect();
+                        want.sort();
+                        prop_assert_eq!(sst_files(&inner), want);
+                    }
+                    // Aborted: every partial output must have been swept.
+                    Err(_) => prop_assert_eq!(
+                        &sst_files(&inner), &inputs,
+                        "{} left orphan outputs after a {:?} fault", name, op
+                    ),
+                }
             }
-            Err(_) => {
-                // Aborted: every partial output must have been swept.
-                prop_assert_eq!(
-                    sst_files(&inner),
-                    vec!["l.sst".to_string(), "u.sst".to_string()],
-                    "orphan outputs after aborted compaction"
-                );
+        }
+    }
+}
+
+/// Readahead is off: the synchronous path issues its reads in one fixed
+/// order, which is what lets a scheduled fault land deterministically.
+fn scan_opts() -> Options {
+    Options {
+        readahead: false,
+        ..small_opts(Arc::new(SimpleMergeExec))
+    }
+}
+
+/// Loads 2000 keys through `env` into several levels of small tables and
+/// closes the store, so that the next open starts with no table cached.
+/// Returns the keys in order.
+fn load_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
+    let db = Db::open(Arc::clone(env), scan_opts()).unwrap();
+    for i in 0..2000u32 {
+        let k = format!("k{:05}", (i * 7919) % 2000).into_bytes();
+        db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    let tables: Vec<usize> = db.level_summary().iter().map(|(files, _)| *files).collect();
+    assert!(tables[1..].iter().sum::<usize>() >= 3, "want tables below level 0: {tables:?}");
+    dump(&db).into_keys().collect()
+}
+
+/// The three ways a table can be unreadable — a failed device read, a
+/// flipped bit (checksum mismatch), a failed open — end a `Db::iter()`
+/// scan the same way: `!valid()`, `status()` is the error, and the keys
+/// yielded so far are a strict prefix of the data.
+#[test]
+fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
+    type Arm = fn(&FaultEnv, &EnvRef);
+    let cases: [(&str, Arm); 3] = [
+        ("read error", |fault, _| {
+            fault.schedule_on_file(FaultOp::ReadAt, 12, FaultKind::Permanent, ".sst");
+        }),
+        ("bit flip", |_, inner| {
+            // One bit in the middle (a data block) of every table.
+            for name in sst_files(inner) {
+                let f = inner.open(&name).unwrap();
+                let mut bytes = f.read_at(0, f.len() as usize).unwrap().to_vec();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x10;
+                let mut w = inner.create(&name).unwrap();
+                w.append(&bytes).unwrap();
+                w.sync().unwrap();
             }
+        }),
+        ("failed open", |fault, _| {
+            fault.schedule_on_file(FaultOp::Open, 3, FaultKind::Permanent, ".sst");
+        }),
+    ];
+    for (what, arm) in cases {
+        let inner = mem_env();
+        let fault = FaultEnv::new(Arc::clone(&inner), 7);
+        let env: EnvRef = Arc::new(fault.clone());
+        let model = load_and_close(&env);
+        arm(&fault, &inner);
+
+        let db = Db::open(env, scan_opts()).unwrap();
+        let mut it = db.iter();
+        it.seek_to_first();
+        let mut got = Vec::new();
+        while it.valid() {
+            got.push(it.key().to_vec());
+            it.next();
+        }
+        assert!(
+            it.status().is_err(),
+            "{what}: scan ended cleanly after {} of {} keys",
+            got.len(),
+            model.len()
+        );
+        assert!(got.len() < model.len(), "{what}: nothing was missing");
+        assert_eq!(got[..], model[..got.len()], "{what}: not a prefix");
+        // The next seek starts over; a one-shot fault is gone by then.
+        if what != "bit flip" {
+            it.seek_to_first();
+            assert!(it.valid() && it.status().is_ok(), "{what}: error survived a seek");
         }
     }
 }

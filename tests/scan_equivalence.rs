@@ -1,9 +1,9 @@
-//! Scan fast-path equivalence: the pipelined-readahead iterator and the
-//! v2 framed block encoding must be pure performance changes. Every
-//! combination of `framed_blocks` × `readahead` must produce exactly the
-//! scan a `BTreeMap` model predicts — for full scans, for short-range
-//! seeks landing mid-table, for the sharded engine's merged cursor, and
-//! for v1 tables reopened by a v2-configured database.
+//! Scan fast-path equivalence: the pipelined-readahead iterator must be a
+//! pure performance change. With readahead on or off, over compressed or
+//! verbatim blocks (whose stored sizes — what the span reads slice by —
+//! differ), a scan must produce exactly what a `BTreeMap` model predicts:
+//! for full scans, for short-range seeks landing mid-table, and for the
+//! sharded engine's merged cursor.
 
 use pcp::lsm::{CompactionPolicy, Db, Options};
 use pcp::shard::{HashRouter, ShardedDb};
@@ -19,15 +19,13 @@ fn mem_env() -> EnvRef {
 /// Tiny thresholds so even small corpora span several tables, and tiny
 /// blocks so every table spans enough blocks for the sequential-run
 /// trigger to actually start the readahead pipeline.
-fn scan_opts(framed: bool, readahead: bool) -> Options {
+fn scan_opts(compression: bool, readahead: bool) -> Options {
     Options {
         memtable_bytes: 16 << 10,
         sstable_bytes: 8 << 10,
         block_bytes: 256,
-        compression: true,
-        framed_blocks: framed,
+        compression,
         readahead,
-        readahead_window_bytes: 64 << 10,
         policy: CompactionPolicy {
             l0_trigger: 2,
             base_level_bytes: 32 << 10,
@@ -37,8 +35,8 @@ fn scan_opts(framed: bool, readahead: bool) -> Options {
     }
 }
 
-/// Key/value corpus with enough locality that delta encoding and the
-/// frame directory both get exercised.
+/// Key/value corpus with enough locality that delta encoding gets
+/// exercised.
 fn corpus_strategy() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
     prop::collection::vec(
         (
@@ -57,6 +55,7 @@ fn full_scan_db(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
         out.push((it.key().to_vec(), it.value().to_vec()));
         it.next();
     }
+    it.status().unwrap();
     out
 }
 
@@ -87,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Full scans and mid-table short-range seeks agree with the model
-    /// for every (encoding, readahead) combination.
+    /// for every (block encoding, readahead) combination.
     #[test]
     fn db_scans_match_model_across_encodings_and_readahead(
         corpus in corpus_strategy(),
@@ -103,28 +102,28 @@ proptest! {
         let start = corpus[start_sel.index(corpus.len())].0.clone();
         let expected_range = model_range(&model, &start, limit);
 
-        for framed in [false, true] {
+        for compression in [false, true] {
             for readahead in [false, true] {
-                let db = Db::open(mem_env(), scan_opts(framed, readahead)).unwrap();
+                let db = Db::open(mem_env(), scan_opts(compression, readahead)).unwrap();
                 for (k, v) in &corpus {
                     db.put(k, v).unwrap();
                 }
                 db.flush().unwrap();
                 prop_assert_eq!(
                     &full_scan_db(&db), &expected,
-                    "full scan diverged (framed={}, readahead={})", framed, readahead
+                    "full scan diverged (compression={}, readahead={})", compression, readahead
                 );
                 prop_assert_eq!(
                     &range_scan_db(&db, &start, limit), &expected_range,
-                    "range scan diverged (framed={}, readahead={})", framed, readahead
+                    "range scan diverged (compression={}, readahead={})", compression, readahead
                 );
             }
         }
     }
 
     /// The sharded engine's merged cursor sees the same equivalence: the
-    /// scan fast path lives below the shard router, so framing and
-    /// readahead must be invisible through it too.
+    /// scan fast path lives below the shard router, so it must be
+    /// invisible through it too.
     #[test]
     fn sharded_scans_match_model_across_encodings_and_readahead(
         corpus in corpus_strategy(),
@@ -141,12 +140,12 @@ proptest! {
         let start = corpus[start_sel.index(corpus.len())].0.clone();
         let expected_range = model_range(&model, &start, limit);
 
-        for framed in [false, true] {
+        for compression in [false, true] {
             for readahead in [false, true] {
                 let envs: Vec<EnvRef> = (0..SHARDS).map(|_| mem_env()).collect();
                 let db = ShardedDb::open_with_envs(
                     envs,
-                    scan_opts(framed, readahead),
+                    scan_opts(compression, readahead),
                     Arc::new(HashRouter::new(SHARDS)),
                 )
                 .unwrap();
@@ -154,58 +153,17 @@ proptest! {
                     db.put(k, v).unwrap();
                 }
                 db.flush().unwrap();
-                let got = db.scan(b"", usize::MAX);
+                let got = db.scan(b"", usize::MAX).unwrap();
                 prop_assert_eq!(
                     &got, &expected,
-                    "sharded full scan diverged (framed={}, readahead={})", framed, readahead
+                    "sharded full scan diverged (compression={}, readahead={})", compression, readahead
                 );
-                let got_range = db.scan(&start, limit);
+                let got_range = db.scan(&start, limit).unwrap();
                 prop_assert_eq!(
                     &got_range, &expected_range,
-                    "sharded range scan diverged (framed={}, readahead={})", framed, readahead
+                    "sharded range scan diverged (compression={}, readahead={})", compression, readahead
                 );
             }
-        }
-    }
-}
-
-/// Backward compatibility: tables written by a v1 (unframed) database
-/// stay readable — point gets and readahead scans — after reopening the
-/// same files with `framed_blocks` and `readahead` turned on, and vice
-/// versa. New tables written after the reopen mix freely with the old.
-#[test]
-fn v1_tables_remain_readable_under_v2_options() {
-    for (write_framed, reopen_framed) in [(false, true), (true, false)] {
-        let env = mem_env();
-        let mut model = BTreeMap::new();
-        {
-            let db = Db::open(Arc::clone(&env), scan_opts(write_framed, false)).unwrap();
-            for i in 0..400u32 {
-                let k = format!("key-{i:06}").into_bytes();
-                let v = format!("value-{i:06}-{}", "x".repeat(40)).into_bytes();
-                db.put(&k, &v).unwrap();
-                model.insert(k, v);
-            }
-            db.flush().unwrap();
-        }
-        // Reopen the same files under the opposite encoding, readahead on.
-        let db = Db::open(Arc::clone(&env), scan_opts(reopen_framed, true)).unwrap();
-        for i in 400..500u32 {
-            let k = format!("key-{i:06}").into_bytes();
-            let v = format!("value-{i:06}").into_bytes();
-            db.put(&k, &v).unwrap();
-            model.insert(k, v);
-        }
-        db.flush().unwrap();
-        let expected: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(
-            full_scan_db(&db),
-            expected,
-            "mixed-encoding scan diverged (write_framed={write_framed})"
-        );
-        for (k, v) in model.iter().step_by(37) {
-            assert_eq!(db.get(k).unwrap().as_deref(), Some(v.as_slice()));
         }
     }
 }

@@ -3,9 +3,9 @@
 //! block is caught by the checksum step.
 
 use pcp::sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
-use pcp::sstable::table::verify_block;
+use pcp::sstable::table::{compress_block, decompress_block, make_trailer, verify_block};
 use pcp::sstable::{
-    internal_key_cmp, KvIter, TableBuilder, TableBuilderOptions, TableReader,
+    internal_key_cmp, CompressionKind, KvIter, TableBuilder, TableBuilderOptions, TableReader,
 };
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use proptest::prelude::*;
@@ -124,5 +124,33 @@ proptest! {
             "flip at byte {} bit {} of block {:?} undetected",
             idx, bit, meta.handle
         );
+    }
+
+    /// The block envelope (S2 verify, S3 inflate) over bytes it did not
+    /// seal: arbitrary bytes, a well-checksummed garbage payload, and a
+    /// sealed block with any one byte changed give an error or the
+    /// original contents — never a panic, never different contents.
+    #[test]
+    fn block_envelope_never_panics_or_misdecodes(
+        garbage in prop::collection::vec(any::<u8>(), 0..512),
+        contents in prop::collection::vec(0u8..4, 0..2048),
+        idx_sel in any::<prop::sample::Index>(),
+        flip in 1u8..=255,
+    ) {
+        let open = |raw: &[u8]| verify_block(raw).and_then(|(p, kind)| decompress_block(p, kind));
+        let _ = open(&garbage);
+        let mut sealed_garbage = garbage.clone();
+        sealed_garbage.extend_from_slice(&make_trailer(&garbage, CompressionKind::Lz));
+        let _ = open(&sealed_garbage);
+
+        let (mut sealed, kind) = compress_block(&contents, CompressionKind::Lz);
+        let trailer = make_trailer(&sealed, kind);
+        sealed.extend_from_slice(&trailer);
+        prop_assert_eq!(open(&sealed).unwrap(), contents.clone());
+        let idx = idx_sel.index(sealed.len());
+        sealed[idx] ^= flip;
+        if let Ok(got) = open(&sealed) {
+            prop_assert_eq!(got, contents, "byte {} changed, different contents decoded", idx);
+        }
     }
 }
