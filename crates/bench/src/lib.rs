@@ -349,7 +349,7 @@ pub fn write_obs_json(name: &str, registry: &pcp_obs::Registry) -> std::path::Pa
 
 /// Where reports go, relative to the workspace root (or CWD as fallback):
 /// the committed `bench_results/` for full-size runs, `target/bench_results/`
-/// for quick ones, so that CI's smoke runs never rewrite committed numbers.
+/// for quick ones, so that a quick run never rewrites committed numbers.
 pub fn results_dir() -> std::path::PathBuf {
     let results = if quick_mode() { "target/bench_results" } else { "bench_results" };
     let mut dir = std::env::current_dir().unwrap_or_default();
@@ -365,8 +365,8 @@ pub fn results_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(results)
 }
 
-/// True when the harness should shrink workloads (CI / quick runs).
-/// Controlled by `PCP_BENCH_FULL=1` for full-size runs.
+/// True when the harness should shrink workloads; `PCP_BENCH_FULL=1`
+/// selects the full-size runs behind the committed tables.
 pub fn quick_mode() -> bool {
     std::env::var("PCP_BENCH_FULL").map(|v| v != "1").unwrap_or(true)
 }

@@ -96,8 +96,7 @@ pub struct CompactionRequest {
     /// Output tables rotate at this size (paper: 2 MB SSTables).
     pub max_output_bytes: u64,
     /// The scheduler's resource allowance for this compaction: stage-worker
-    /// tokens and device-bandwidth pacing. [`ResourceGrant::unlimited`]
-    /// when no scheduler is involved.
+    /// tokens. [`ResourceGrant::unlimited`] when no scheduler is involved.
     pub grant: ResourceGrant,
 }
 

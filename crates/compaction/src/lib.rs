@@ -17,8 +17,8 @@
 //! * [`FileMetadata`] — immutable description of one SSTable.
 //! * [`filename`] — on-disk naming conventions.
 //! * [`sched`] / [`ResourceGrant`] — the resource allowance a scheduler
-//!   attaches to each compaction (stage-worker tokens + device bandwidth),
-//!   honored by the pipelined executors.
+//!   attaches to each compaction (stage-worker tokens), honored by the
+//!   pipelined executors.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

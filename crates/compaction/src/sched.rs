@@ -2,59 +2,24 @@
 //! executor.
 //!
 //! The scheduler side (the engine's `CompactionLimiter`) decides *how much*
-//! pipeline width and device bandwidth one compaction may use; this module
-//! defines the token it hands over. A [`ResourceGrant`] travels inside the
-//! `CompactionRequest`, so every executor — and every stage thread an
-//! executor spawns — can consult the same allowance:
-//!
-//! * [`ResourceGrant::stage_tokens`] caps how many parallel workers the
-//!   widest pipeline stage may run (C-PPCP compute workers, S-PPCP read
-//!   lanes);
-//! * [`ResourceGrant::throttle`] paces device I/O against the granted
-//!   bandwidth budget with a shared token bucket — clones of a grant (one
-//!   per stage thread) draw from the same bucket.
+//! pipeline width one compaction may use; this module defines the token it
+//! hands over. A [`ResourceGrant`] travels inside the `CompactionRequest`,
+//! so every executor can consult the same allowance:
+//! [`ResourceGrant::stage_tokens`] caps how many parallel workers the
+//! widest pipeline stage may run (C-PPCP compute workers, S-PPCP read
+//! lanes).
 //!
 //! A default ([`ResourceGrant::unlimited`]) grant changes nothing: no
-//! worker clamp, no pacing. Standalone `Db`s without a scheduler run on it.
-
-use parking_lot::Mutex;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Longest single pause [`ResourceGrant::throttle`] will take; bounds the
-/// stall a misconfigured (tiny) bandwidth budget can inject into one call.
-const MAX_THROTTLE_PAUSE: Duration = Duration::from_secs(1);
-
-/// Shared token bucket pacing one compaction's device I/O. All clones of a
-/// grant point at the same gate, so the budget covers the whole pipeline,
-/// not each stage separately.
-#[derive(Debug)]
-struct RateGate {
-    bytes_per_sec: u64,
-    state: Mutex<GateState>,
-}
-
-#[derive(Debug)]
-struct GateState {
-    /// First throttle call; pacing is measured from here.
-    started: Option<Instant>,
-    /// Total bytes charged against the budget so far.
-    consumed: u64,
-}
+//! worker clamp. Standalone `Db`s without a scheduler run on it.
 
 /// One compaction's resource allowance, attached by the scheduler to the
-/// `CompactionRequest` (cloned into every stage thread).
-///
-/// Grants are cheap to clone: clones share the bandwidth gate, so pacing
-/// stays global across the pipeline's stages.
+/// `CompactionRequest`.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceGrant {
     /// Scheduler slot this grant was issued to, if any.
     slot: Option<usize>,
     /// Stage-worker token count; `None` means unlimited.
     stage_tokens: Option<usize>,
-    /// Bandwidth pacing gate; `None` means unpaced.
-    gate: Option<Arc<RateGate>>,
 }
 
 impl ResourceGrant {
@@ -64,23 +29,12 @@ impl ResourceGrant {
         ResourceGrant::default()
     }
 
-    /// A grant of `stage_tokens` parallel-stage workers and (optionally)
-    /// `bytes_per_sec` of device bandwidth, issued to scheduler slot
-    /// `slot`. Token counts are clamped to at least 1; a zero bandwidth
-    /// budget is treated as unpaced rather than a full stop.
-    pub fn new(slot: Option<usize>, stage_tokens: usize, bytes_per_sec: Option<u64>) -> Self {
+    /// A grant of `stage_tokens` parallel-stage workers, issued to
+    /// scheduler slot `slot`. Token counts are clamped to at least 1.
+    pub fn new(slot: Option<usize>, stage_tokens: usize) -> Self {
         ResourceGrant {
             slot,
             stage_tokens: Some(stage_tokens.max(1)),
-            gate: bytes_per_sec.filter(|&b| b > 0).map(|bytes_per_sec| {
-                Arc::new(RateGate {
-                    bytes_per_sec,
-                    state: Mutex::new(GateState {
-                        started: None,
-                        consumed: 0,
-                    }),
-                })
-            }),
         }
     }
 
@@ -96,37 +50,10 @@ impl ResourceGrant {
         self.stage_tokens.unwrap_or(usize::MAX)
     }
 
-    /// The granted bandwidth budget in bytes/second, if any.
-    pub fn bytes_per_sec(&self) -> Option<u64> {
-        self.gate.as_ref().map(|g| g.bytes_per_sec)
-    }
-
     /// Clamps a desired per-stage worker count to this grant (at least 1 —
     /// an admitted compaction always makes progress).
     pub fn clamp_workers(&self, want: usize) -> usize {
         want.min(self.stage_tokens()).max(1)
-    }
-
-    /// Charges `bytes` of device I/O against the bandwidth budget and
-    /// sleeps just long enough to keep the cumulative rate at or under it.
-    /// No-op for unpaced grants. Individual pauses are capped at one
-    /// second; the debt carries over to later calls.
-    pub fn throttle(&self, bytes: u64) {
-        let Some(gate) = &self.gate else {
-            return;
-        };
-        let wait = {
-            let mut st = gate.state.lock();
-            let now = Instant::now();
-            let started = *st.started.get_or_insert(now);
-            st.consumed = st.consumed.saturating_add(bytes);
-            let due =
-                Duration::from_secs_f64(st.consumed as f64 / gate.bytes_per_sec as f64);
-            due.checked_sub(now.duration_since(started))
-        };
-        if let Some(wait) = wait {
-            std::thread::sleep(wait.min(MAX_THROTTLE_PAUSE));
-        }
     }
 }
 
@@ -138,53 +65,18 @@ mod tests {
     fn unlimited_grant_imposes_nothing() {
         let g = ResourceGrant::unlimited();
         assert_eq!(g.stage_tokens(), usize::MAX);
-        assert_eq!(g.bytes_per_sec(), None);
         assert_eq!(g.clamp_workers(8), 8);
         assert_eq!(g.slot(), None);
-        let t0 = Instant::now();
-        g.throttle(1 << 30);
-        assert!(t0.elapsed() < Duration::from_millis(50), "no pacing");
     }
 
     #[test]
     fn tokens_clamp_workers_but_never_to_zero() {
-        let g = ResourceGrant::new(Some(3), 2, None);
+        let g = ResourceGrant::new(Some(3), 2);
         assert_eq!(g.slot(), Some(3));
         assert_eq!(g.stage_tokens(), 2);
         assert_eq!(g.clamp_workers(8), 2);
         assert_eq!(g.clamp_workers(1), 1);
-        let zero = ResourceGrant::new(None, 0, None);
+        let zero = ResourceGrant::new(None, 0);
         assert_eq!(zero.stage_tokens(), 1, "zero tokens rounds up to one");
-    }
-
-    #[test]
-    fn zero_bandwidth_means_unpaced() {
-        let g = ResourceGrant::new(None, 4, Some(0));
-        assert_eq!(g.bytes_per_sec(), None);
-    }
-
-    #[test]
-    fn throttle_paces_to_the_budget() {
-        // 10 MiB/s budget, charge 1 MiB: the second call must wait until
-        // ~100ms have elapsed since the first.
-        let g = ResourceGrant::new(None, 4, Some(10 << 20));
-        let t0 = Instant::now();
-        g.throttle(512 << 10);
-        g.throttle(512 << 10);
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(60),
-            "expected pacing, finished in {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn clones_share_one_bucket() {
-        let g = ResourceGrant::new(None, 4, Some(10 << 20));
-        let c = g.clone();
-        let t0 = Instant::now();
-        g.throttle(512 << 10);
-        c.throttle(512 << 10); // must see the first call's consumption
-        assert!(t0.elapsed() >= Duration::from_millis(60));
     }
 }

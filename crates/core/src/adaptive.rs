@@ -15,56 +15,51 @@
 //!
 //! | condition (checked in order)                   | choice          |
 //! |------------------------------------------------|-----------------|
-//! | input < `small_job_bytes`                      | simple merge    |
 //! | no occupancy history yet (first compaction)    | PCP             |
 //! | compute ≥ read, write and ≥ threshold, k > 1   | C-PPCP(k)       |
 //! | read ≥ write and ≥ threshold, k > 1            | S-PPCP(k)       |
 //! | otherwise                                      | PCP             |
 //!
 //! where `k` is the smaller of the scheduler's stage-token grant and
-//! [`AdaptiveConfig::max_workers`]. All shapes share one
-//! [`CompactionProfile`], so the occupancy history is continuous across
-//! shape switches and the selection is a pure function of (occupancy,
-//! input size, grant) — deterministic and unit-testable.
+//! [`AdaptiveConfig::max_workers`], and the threshold is an occupancy of
+//! 0.7. All shapes share one [`CompactionProfile`], so the occupancy
+//! history is continuous across shape switches and the selection is a pure
+//! function of (occupancy, grant) — deterministic and unit-testable.
 
 use crate::pipeline::{PipelineConfig, PipelinedExec};
 use crate::profile::{CompactionProfile, Occupancy};
-use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata, SimpleMergeExec};
+use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata};
 use pcp_obs::TraceLog;
 use pcp_sstable::Result as TableResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// A stage's occupancy must reach this fraction before the pipeline is
+/// widened toward it (C-PPCP / S-PPCP instead of plain PCP), so the shape
+/// only changes when a stage is clearly the bottleneck.
+const PARALLEL_THRESHOLD: f64 = 0.7;
+
+/// Bounded-queue capacity between the stages of every delegate pipeline.
+const QUEUE_DEPTH: usize = 4;
+
 /// Tuning knobs for [`AdaptiveExec`]. Defaults follow the paper's best
-/// settings (512 KB sub-tasks, Fig. 11a) with thresholds chosen so the
-/// pipeline only widens when a stage is clearly the bottleneck.
+/// settings (512 KB sub-tasks, Fig. 11a).
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     /// Sub-task size handed to the pipelined shapes.
     pub subtask_bytes: u64,
-    /// Jobs smaller than this skip the pipeline entirely: thread spawn and
-    /// queue setup cost more than they save on a couple of sub-tasks.
-    pub small_job_bytes: u64,
-    /// A stage's occupancy must reach this fraction before the pipeline is
-    /// widened toward it (C-PPCP / S-PPCP instead of plain PCP).
-    pub parallel_threshold: f64,
     /// Upper bound on parallel-stage workers regardless of the grant
     /// (defaults to the host's cores — the paper's C-PPCP argument).
     pub max_workers: usize,
-    /// Bounded-queue capacity between pipeline stages.
-    pub queue_depth: usize,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             subtask_bytes: 512 << 10,
-            small_job_bytes: 4 << 20,
-            parallel_threshold: 0.7,
             max_workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            queue_depth: 4,
         }
     }
 }
@@ -73,8 +68,6 @@ impl Default for AdaptiveConfig {
 /// compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecChoice {
-    /// Entry-at-a-time reference merge — small jobs.
-    Simple,
     /// Plain 3-stage pipeline (1 read lane, 1 compute worker).
     Pcp,
     /// k compute workers with a resequencer — compute-bound inputs.
@@ -87,7 +80,6 @@ impl ExecChoice {
     /// Stable label for metrics and traces.
     pub fn label(&self) -> &'static str {
         match self {
-            ExecChoice::Simple => "simple",
             ExecChoice::Pcp => "pcp",
             ExecChoice::CPpcp(_) => "c-ppcp",
             ExecChoice::SPpcp(_) => "s-ppcp",
@@ -96,21 +88,20 @@ impl ExecChoice {
 
     fn index(&self) -> usize {
         match self {
-            ExecChoice::Simple => 0,
-            ExecChoice::Pcp => 1,
-            ExecChoice::CPpcp(_) => 2,
-            ExecChoice::SPpcp(_) => 3,
+            ExecChoice::Pcp => 0,
+            ExecChoice::CPpcp(_) => 1,
+            ExecChoice::SPpcp(_) => 2,
         }
     }
 }
 
-/// Labels of the four choices, index-aligned with the internal counters
-/// (the order [`AdaptiveExec::choice_counts`] reports).
-pub const CHOICE_LABELS: [&str; 4] = ["simple", "pcp", "c-ppcp", "s-ppcp"];
+/// Labels of the three choices, index-aligned with the internal counters
+/// and with the `adaptive_choice` trace event's `choice` field.
+pub const CHOICE_LABELS: [&str; 3] = ["pcp", "c-ppcp", "s-ppcp"];
 
 /// An executor that picks the pipeline shape per compaction from the
-/// previous compaction's occupancy, the input size, and the scheduler's
-/// stage-token grant — the engine's production default.
+/// previous compaction's occupancy and the scheduler's stage-token grant —
+/// the engine's production default.
 ///
 /// Output equivalence is unaffected: every shape it delegates to produces
 /// byte-identical tables for identical inputs (the repo-wide executor
@@ -125,7 +116,7 @@ pub struct AdaptiveExec {
     /// Per-choice pick counts, indexed like [`CHOICE_LABELS`]. Behind an
     /// `Arc` so metric-scrape closures can hold them without holding the
     /// executor itself.
-    choices: Arc<[AtomicU64; 4]>,
+    choices: Arc<[AtomicU64; 3]>,
 }
 
 impl Default for AdaptiveExec {
@@ -141,12 +132,7 @@ impl AdaptiveExec {
             cfg,
             profile: Arc::new(CompactionProfile::new()),
             trace: None,
-            choices: Arc::new([
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ]),
+            choices: Arc::default(),
         }
     }
 
@@ -171,15 +157,7 @@ impl AdaptiveExec {
     /// [`AdaptiveExec::compact`] and tested directly. `stage_tokens` is
     /// the scheduler's grant for this compaction (`usize::MAX` when
     /// unlimited).
-    pub fn choose(
-        cfg: &AdaptiveConfig,
-        occ: &Occupancy,
-        input_bytes: u64,
-        stage_tokens: usize,
-    ) -> ExecChoice {
-        if input_bytes < cfg.small_job_bytes {
-            return ExecChoice::Simple;
-        }
+    pub fn choose(cfg: &AdaptiveConfig, occ: &Occupancy, stage_tokens: usize) -> ExecChoice {
         let k = stage_tokens.min(cfg.max_workers).max(1);
         if occ.wall.is_zero() {
             // No history yet: start with the paper's baseline pipeline and
@@ -189,25 +167,14 @@ impl AdaptiveExec {
         if k > 1
             && occ.compute >= occ.read
             && occ.compute >= occ.write
-            && occ.compute >= cfg.parallel_threshold
+            && occ.compute >= PARALLEL_THRESHOLD
         {
             return ExecChoice::CPpcp(k);
         }
-        if k > 1 && occ.read >= occ.write && occ.read >= cfg.parallel_threshold {
+        if k > 1 && occ.read >= occ.write && occ.read >= PARALLEL_THRESHOLD {
             return ExecChoice::SPpcp(k);
         }
         ExecChoice::Pcp
-    }
-
-    /// How often each shape has been picked, index-aligned with
-    /// [`CHOICE_LABELS`].
-    pub fn choice_counts(&self) -> [u64; 4] {
-        [
-            self.choices[0].load(Ordering::Relaxed),
-            self.choices[1].load(Ordering::Relaxed),
-            self.choices[2].load(Ordering::Relaxed),
-            self.choices[3].load(Ordering::Relaxed),
-        ]
     }
 
     /// Registers the shared profile (as `exec="adaptive"`) plus the
@@ -235,7 +202,7 @@ impl AdaptiveExec {
             subtask_bytes: self.cfg.subtask_bytes,
             compute_workers,
             read_workers,
-            queue_depth: self.cfg.queue_depth,
+            queue_depth: QUEUE_DEPTH,
             deep_compute: false,
         })
         .with_profile(Arc::clone(&self.profile));
@@ -258,7 +225,7 @@ impl CompactionExec for AdaptiveExec {
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
         let occ = self.profile.last_occupancy();
         let tokens = req.grant.stage_tokens();
-        let choice = Self::choose(&self.cfg, &occ, req.input_bytes(), tokens);
+        let choice = Self::choose(&self.cfg, &occ, tokens);
         self.choices[choice.index()].fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.trace {
             t.record(
@@ -275,7 +242,6 @@ impl CompactionExec for AdaptiveExec {
             );
         }
         match choice {
-            ExecChoice::Simple => SimpleMergeExec.compact(req),
             ExecChoice::Pcp => self.pipelined(1, 1).compact(req),
             ExecChoice::CPpcp(k) => self.pipelined(1, k).compact(req),
             ExecChoice::SPpcp(k) => self.pipelined(k, 1).compact(req),
@@ -299,18 +265,9 @@ mod tests {
 
     fn cfg() -> AdaptiveConfig {
         AdaptiveConfig {
-            small_job_bytes: 4 << 20,
-            parallel_threshold: 0.7,
             max_workers: 4,
             ..AdaptiveConfig::default()
         }
-    }
-
-    #[test]
-    fn small_jobs_take_the_simple_merge() {
-        let c = cfg();
-        let choice = AdaptiveExec::choose(&c, &occ(0.9, 0.9, 0.9), 1 << 20, usize::MAX);
-        assert_eq!(choice, ExecChoice::Simple);
     }
 
     #[test]
@@ -323,7 +280,7 @@ mod tests {
             wall: Duration::ZERO,
         };
         assert_eq!(
-            AdaptiveExec::choose(&c, &none, 64 << 20, usize::MAX),
+            AdaptiveExec::choose(&c, &none, usize::MAX),
             ExecChoice::Pcp
         );
     }
@@ -332,7 +289,7 @@ mod tests {
     fn compute_bound_widens_to_c_ppcp() {
         let c = cfg();
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), 64 << 20, usize::MAX),
+            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), usize::MAX),
             ExecChoice::CPpcp(4)
         );
     }
@@ -341,7 +298,7 @@ mod tests {
     fn read_bound_widens_to_s_ppcp() {
         let c = cfg();
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.95, 0.4, 0.3), 64 << 20, usize::MAX),
+            AdaptiveExec::choose(&c, &occ(0.95, 0.4, 0.3), usize::MAX),
             ExecChoice::SPpcp(4)
         );
     }
@@ -350,11 +307,11 @@ mod tests {
     fn balanced_or_write_bound_stays_pcp() {
         let c = cfg();
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.5, 0.5, 0.5), 64 << 20, usize::MAX),
+            AdaptiveExec::choose(&c, &occ(0.5, 0.5, 0.5), usize::MAX),
             ExecChoice::Pcp
         );
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.3, 0.4, 0.95), 64 << 20, usize::MAX),
+            AdaptiveExec::choose(&c, &occ(0.3, 0.4, 0.95), usize::MAX),
             ExecChoice::Pcp,
             "a write bottleneck cannot be widened: S7 owns table rotation"
         );
@@ -364,12 +321,12 @@ mod tests {
     fn grant_caps_the_worker_count() {
         let c = cfg();
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), 64 << 20, 2),
+            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), 2),
             ExecChoice::CPpcp(2)
         );
         // A single token means no parallel stage is possible at all.
         assert_eq!(
-            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), 64 << 20, 1),
+            AdaptiveExec::choose(&c, &occ(0.4, 0.95, 0.3), 1),
             ExecChoice::Pcp
         );
     }
@@ -378,9 +335,9 @@ mod tests {
     fn choice_is_deterministic_for_a_fixed_snapshot() {
         let c = cfg();
         let snapshot = occ(0.2, 0.85, 0.4);
-        let first = AdaptiveExec::choose(&c, &snapshot, 32 << 20, 3);
+        let first = AdaptiveExec::choose(&c, &snapshot, 3);
         for _ in 0..100 {
-            assert_eq!(AdaptiveExec::choose(&c, &snapshot, 32 << 20, 3), first);
+            assert_eq!(AdaptiveExec::choose(&c, &snapshot, 3), first);
         }
         assert_eq!(first, ExecChoice::CPpcp(3));
     }

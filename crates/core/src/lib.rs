@@ -31,7 +31,7 @@
 //!   figures (Fig. 5/8/9).
 //! * [`adaptive`] — [`AdaptiveExec`], the production default: picks the
 //!   pipeline shape per compaction from the previous compaction's
-//!   occupancy, the input size, and the scheduler's resource grant.
+//!   occupancy and the scheduler's resource grant.
 
 pub mod adaptive;
 pub mod model;

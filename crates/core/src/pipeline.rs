@@ -109,16 +109,6 @@ fn compute_config(req: &CompactionRequest) -> ComputeConfig {
     }
 }
 
-/// Compressed bytes one sub-task read off the device (for bandwidth
-/// pacing against the request's [`pcp_compaction::ResourceGrant`]).
-fn raw_bytes(data: &crate::steps::SubTaskData) -> u64 {
-    data.raw_blocks
-        .iter()
-        .flat_map(|run| run.iter())
-        .map(|b| b.len() as u64)
-        .sum()
-}
-
 fn gather_runs(req: &CompactionRequest) -> TableResult<(Vec<Arc<TableReader>>, Vec<RunBlocks>)> {
     let readers: Vec<Arc<TableReader>> = req
         .upper
@@ -208,9 +198,6 @@ impl<'req> SealedWriter<'req> {
         self.profile.record(Step::Write, t0.elapsed());
         self.profile.add_output_bytes(appended);
         self.profile.add_subtasks(1);
-        // Pace against the scheduler's bandwidth grant *after* accounting,
-        // so the artificial wait is not booked as S7 busy time.
-        self.req.grant.throttle(appended);
         Ok(())
     }
 
@@ -350,7 +337,6 @@ impl CompactionExec for ScpExec {
                 for st in &plan {
                     // S1 … S7 strictly in order; one resource busy at a time.
                     let data = read_subtask(&readers, st, &self.profile)?;
-                    req.grant.throttle(raw_bytes(&data));
                     let computed = compute_subtask(data, &ccfg, &self.profile)?;
                     writer.write_subtask(computed)?;
                 }
@@ -511,14 +497,10 @@ impl CompactionExec for PipelinedExec {
                 let read_tx = read_tx.clone();
                 let readers = &readers;
                 let plan = &plan;
-                let grant = &req.grant;
                 let lanes = read_workers;
                 scope.spawn(move || {
                     for st in plan.iter().filter(|st| st.index % lanes == lane) {
                         let item = read_subtask(readers, st, profile);
-                        if let Ok(data) = &item {
-                            grant.throttle(raw_bytes(data));
-                        }
                         let failed = item.is_err();
                         if read_tx.send(item).is_err() || failed {
                             return;

@@ -45,6 +45,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Retry policy for transient I/O failures in the WAL and the background
+/// flush/compaction paths. Non-transient failures are never retried; they
+/// latch the background-error state (see [`Db::health`]).
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: Duration::from_millis(1),
+    max_backoff: Duration::from_millis(50),
+};
+
 /// Engine configuration. Defaults mirror the paper's experimental setup.
 #[derive(Clone)]
 pub struct Options {
@@ -76,14 +85,10 @@ pub struct Options {
     pub readahead: bool,
     /// The compaction algorithm. Defaults to the adaptive pipelined
     /// executor ([`pcp_core::AdaptiveExec`]), which picks PCP / C-PPCP /
-    /// S-PPCP / simple-merge per compaction from the published occupancy
-    /// gauges; set this field to pin one shape (e.g.
-    /// [`crate::SimpleMergeExec`], the reference serial merge).
+    /// S-PPCP per compaction from the published occupancy gauges; set this
+    /// field to pin one shape (e.g. [`crate::SimpleMergeExec`], the
+    /// reference serial merge).
     pub executor: Arc<dyn CompactionExec>,
-    /// Retry policy for transient I/O failures in the WAL, MANIFEST, and
-    /// background flush/compaction paths. Non-transient failures are never
-    /// retried; they latch the background-error state (see [`Db::health`]).
-    pub retry: RetryPolicy,
     /// Directory this database lives in, for constructors that build their
     /// own [`pcp_storage::StdFsEnv`] (e.g. a sharded engine stamping one
     /// subdirectory per shard). [`Db::open`] itself takes an explicit env
@@ -117,7 +122,6 @@ impl Default for Options {
             block_cache_bytes: 0,
             readahead: true,
             executor: Arc::new(pcp_core::AdaptiveExec::default()),
-            retry: RetryPolicy::default(),
             dir: None,
             compaction_limiter: None,
             wal_tap: None,
@@ -1603,10 +1607,9 @@ impl DbInner {
     /// when `sync_writes`, retrying transient failures; a completed sync
     /// is counted.
     fn log_record(&self, wal: &mut WalWriter, record: &[u8]) -> io::Result<()> {
-        let retry = &self.opts.retry;
-        pcp_storage::with_retry(retry, || wal.add_record(record))?;
+        pcp_storage::with_retry(&RETRY, || wal.add_record(record))?;
         if self.opts.sync_writes {
-            pcp_storage::with_retry(retry, || wal.sync())?;
+            pcp_storage::with_retry(&RETRY, || wal.sync())?;
             self.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
         }
         Ok(())
@@ -1703,11 +1706,11 @@ impl DbInner {
             return Ok(());
         }
         let new_wal_number = st.versions.allocate_file_number();
-        let new_wal = pcp_storage::with_retry(&self.opts.retry, || {
+        let new_wal = pcp_storage::with_retry(&RETRY, || {
             WalWriter::create(&*self.env, &wal_file(new_wal_number))
         })?;
         if let Some(mut old) = st.wal.replace(new_wal) {
-            pcp_storage::with_retry(&self.opts.retry, || old.sync())?;
+            pcp_storage::with_retry(&RETRY, || old.sync())?;
         }
         st.wal_number = new_wal_number;
         st.imm = Some(std::mem::replace(&mut st.mem, Arc::new(Memtable::new())));
@@ -1914,27 +1917,23 @@ impl DbInner {
     }
 
     /// Runs one flush or compaction attempt, retrying transient I/O
-    /// failures under the configured policy with the backoff sleeps taken
-    /// *outside* the state lock so writers and the other lane are not
-    /// blocked behind a backoff.
+    /// failures under `RETRY` with the backoff sleeps taken *outside* the
+    /// state lock so writers and the other lane are not blocked behind a
+    /// backoff.
     fn retry_transient(
         &self,
         st: &mut MutexGuard<'_, State>,
         mut attempt: impl FnMut(&mut MutexGuard<'_, State>) -> io::Result<()>,
     ) -> io::Result<()> {
-        let policy = self.opts.retry;
-        let mut backoff = policy.base_backoff;
+        let mut backoff = RETRY.base_backoff;
         let mut attempts = 0;
         loop {
             attempts += 1;
             match attempt(st) {
-                Err(e) if is_transient(&e) && attempts < policy.max_attempts => {
+                Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
                     self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
-                    if backoff > Duration::ZERO {
-                        let sleep = backoff.min(policy.max_backoff);
-                        MutexGuard::unlocked(st, || std::thread::sleep(sleep));
-                    }
-                    backoff = (backoff * 2).min(policy.max_backoff);
+                    MutexGuard::unlocked(st, || std::thread::sleep(backoff));
+                    backoff = (backoff * 2).min(RETRY.max_backoff);
                 }
                 result => return result,
             }
@@ -2188,7 +2187,9 @@ impl DbInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcp_storage::{SimDevice, SimEnv};
+    use pcp_storage::{Env, RandomReadFile, SimDevice, SimEnv, WritableFile};
+    // The gate is test scaffolding outside the engine's lock graph.
+    use std::sync::{mpsc, Mutex};
 
     #[test]
     fn registry_outliving_db_pins_nothing() {
@@ -2210,5 +2211,126 @@ mod tests {
         // The same env reopens while the registry is still alive.
         let db = Db::open(env, Options::default()).unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+    }
+
+    /// The two ends a parked `sync()` holds: it reports in on the first and
+    /// waits on the second.
+    type Turnstile = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    /// Parks the first WAL `sync()` issued once `gate` holds a turnstile.
+    struct GateEnv {
+        inner: EnvRef,
+        gate: Arc<Mutex<Option<Turnstile>>>,
+    }
+
+    impl std::fmt::Debug for GateEnv {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("GateEnv")
+        }
+    }
+
+    struct GateWal {
+        inner: Box<dyn WritableFile>,
+        gate: Arc<Mutex<Option<Turnstile>>>,
+    }
+
+    impl WritableFile for GateWal {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            self.inner.append(data)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            let turnstile = self.gate.lock().unwrap().take();
+            if let Some((parked, release)) = turnstile {
+                parked.send(()).unwrap();
+                // A test that failed drops its end, which releases too.
+                let _ = release.recv();
+            }
+            self.inner.sync()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    impl Env for GateEnv {
+        fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+            let inner = self.inner.create(name)?;
+            Ok(if name.ends_with(".log") {
+                Box::new(GateWal { inner, gate: Arc::clone(&self.gate) })
+            } else {
+                inner
+            })
+        }
+        fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
+            self.inner.open(name)
+        }
+        fn delete(&self, name: &str) -> io::Result<()> {
+            self.inner.delete(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn size(&self, name: &str) -> io::Result<u64> {
+            self.inner.size(name)
+        }
+    }
+
+    /// Group commit, by a fixed interleaving: while the first leader is
+    /// parked inside its WAL sync, seven more writers queue up; the next
+    /// leader must merge all seven into one record and one sync.
+    #[test]
+    fn writers_queued_behind_a_sync_commit_as_one_group() {
+        const FOLLOWERS: usize = 7;
+        let inner: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+        let gate = Arc::new(Mutex::new(None));
+        let env: EnvRef = Arc::new(GateEnv {
+            inner: Arc::clone(&inner),
+            gate: Arc::clone(&gate),
+        });
+        let opts = Options {
+            sync_writes: true,
+            ..Options::default()
+        };
+        let db = Db::open(env, opts.clone()).unwrap();
+        let key = |i: usize| format!("k{i}").into_bytes();
+
+        std::thread::scope(|s| {
+            let db = &db;
+            let (parked_tx, parked) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            *gate.lock().unwrap() = Some((parked_tx, release_rx));
+            s.spawn(move || db.put(&key(0), b"v").unwrap());
+            parked.recv().unwrap();
+            for i in 1..=FOLLOWERS {
+                s.spawn(move || db.put(&key(i), b"v").unwrap());
+            }
+            // The parked leader's entry stays at the queue front.
+            while db.inner.state.lock().write_queue.len() < 1 + FOLLOWERS {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+        });
+
+        let m = db.metrics();
+        assert_eq!(m.puts, 1 + FOLLOWERS as u64, "every writer was acknowledged");
+        assert_eq!(m.wal_syncs, 2, "one sync for the leader, one for all who queued behind it");
+        assert_eq!(m.group_commits, 2);
+        // The series behind `pcp_engine_group_commit_batches`.
+        assert_eq!(db.inner.group_commit_writers.max(), FOLLOWERS as u64);
+
+        drop(db);
+        let db = Db::open(inner, opts).unwrap();
+        for i in 0..=FOLLOWERS {
+            assert_eq!(db.get(&key(i)).unwrap(), Some(b"v".to_vec()), "k{i} after reopen");
+        }
     }
 }

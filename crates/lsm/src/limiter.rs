@@ -1,6 +1,5 @@
-//! Cross-shard compaction scheduling: admission, stage-worker tokens and
-//! device-bandwidth budget shared by the compaction lanes of several
-//! [`crate::Db`] instances.
+//! Cross-shard compaction scheduling: admission and stage-worker tokens
+//! shared by the compaction lanes of several [`crate::Db`] instances.
 //!
 //! The paper's C-PPCP argument is that compute stages should be replicated
 //! only up to the core count — more concurrency than the hardware has
@@ -8,18 +7,13 @@
 //! compaction lane each) re-creates exactly that hazard one level up: N
 //! simultaneous compactions each running a pipeline of their own. The
 //! original [`CompactionLimiter`] answered with a counting semaphore over
-//! *whole compactions*; this version also divides the resources *inside*
-//! that cap:
-//!
-//! * a global **stage-token budget** — how many parallel stage workers
-//!   (C-PPCP compute workers, S-PPCP read lanes) may exist across all
-//!   concurrent compactions. Tokens are granted per compaction, weighted
-//!   by each shard's pending-compaction **debt** (its max level score), so
-//!   a hot shard borrows pipeline width from idle ones instead of every
-//!   shard independently saturating the cores;
-//! * an optional **device-bandwidth budget**, split proportionally to the
-//!   granted tokens and enforced by [`ResourceGrant::throttle`] inside the
-//!   executors.
+//! *whole compactions*; this version also divides a global **stage-token
+//! budget** *inside* that cap — how many parallel stage workers (C-PPCP
+//! compute workers, S-PPCP read lanes) may exist across all concurrent
+//! compactions. Tokens are granted per compaction, weighted by each
+//! shard's pending-compaction **debt** (its max level score), so a hot
+//! shard borrows pipeline width from idle ones instead of every shard
+//! independently saturating the cores.
 //!
 //! Shards participate by registering a **slot** ([`CompactionLimiter::
 //! register`]) and keeping its debt fresh ([`CompactionLimiter::set_debt`]);
@@ -56,9 +50,6 @@ struct SlotState {
     debt: f64,
     /// Stage tokens held by this slot's running compaction (0 if idle).
     granted_tokens: usize,
-    /// Bandwidth budget (bytes/s) of the running compaction (0 if idle
-    /// or unbudgeted).
-    granted_bandwidth: u64,
 }
 
 struct SchedState {
@@ -76,8 +67,8 @@ struct SchedState {
 }
 
 /// A cross-shard compaction scheduler: bounds concurrent compactions and
-/// divides a stage-worker token budget (plus an optional device-bandwidth
-/// budget) among them, weighted by per-shard compaction debt.
+/// divides a stage-worker token budget among them, weighted by per-shard
+/// compaction debt.
 ///
 /// Created once and stamped into every shard's [`crate::Options`]
 /// (`ShardedDb` does this automatically); a standalone `Db` without one
@@ -85,7 +76,6 @@ struct SchedState {
 pub struct CompactionLimiter {
     permits: usize,
     stage_tokens: usize,
-    bandwidth: Option<u64>,
     state: Mutex<SchedState>,
     released: Condvar,
 }
@@ -96,7 +86,6 @@ impl std::fmt::Debug for CompactionLimiter {
         f.debug_struct("CompactionLimiter")
             .field("permits", &self.permits)
             .field("stage_tokens", &self.stage_tokens)
-            .field("bandwidth", &self.bandwidth)
             .field("in_use", &st.in_use)
             .field("peak", &st.peak)
             .field("tokens_out", &st.tokens_out)
@@ -109,30 +98,24 @@ impl CompactionLimiter {
     /// A scheduler with `permits` concurrent compaction slots (min 1) and
     /// a stage-token budget sized to the host's cores.
     pub fn new(permits: usize) -> Arc<CompactionLimiter> {
-        Self::with_budget(permits, available_cores(), None)
+        Self::with_budget(permits, available_cores())
     }
 
     /// A scheduler sized to the host: `min(shards, cores)` concurrent
     /// compactions sharing `cores` stage-worker tokens.
     pub fn for_shards(shards: usize) -> Arc<CompactionLimiter> {
         let cores = available_cores();
-        Self::with_budget(shards.min(cores).max(1), cores, None)
+        Self::with_budget(shards.min(cores).max(1), cores)
     }
 
     /// Full control: `permits` concurrent compactions sharing
     /// `stage_tokens` stage workers (clamped up to `permits`, so every
-    /// admitted compaction can hold a token) and, if given, a device
-    /// budget of `bytes_per_sec` split across running compactions.
-    pub fn with_budget(
-        permits: usize,
-        stage_tokens: usize,
-        bytes_per_sec: Option<u64>,
-    ) -> Arc<CompactionLimiter> {
+    /// admitted compaction can hold a token).
+    pub fn with_budget(permits: usize, stage_tokens: usize) -> Arc<CompactionLimiter> {
         let permits = permits.max(1);
         Arc::new(CompactionLimiter {
             permits,
             stage_tokens: stage_tokens.max(permits),
-            bandwidth: bytes_per_sec.filter(|&b| b > 0),
             state: Mutex::new(SchedState {
                 in_use: 0,
                 peak: 0,
@@ -190,7 +173,7 @@ impl CompactionLimiter {
     /// then admits the compaction and returns its resource grant: a
     /// debt-weighted share of the token budget (never less than 1, never
     /// more than what leaves one token per still-admittable compaction
-    /// when possible) plus the matching slice of the bandwidth budget.
+    /// when possible).
     ///
     /// `slot` attributes the grant to a registered shard; `None` (or an
     /// unregistered id) is anonymous and simply takes the available room.
@@ -225,14 +208,13 @@ impl CompactionLimiter {
         }
         if let Some(s) = grant.slot().and_then(|i| st.slots.get_mut(i)) {
             s.granted_tokens = 0;
-            s.granted_bandwidth = 0;
         }
         debug_assert!(st.in_use > 0, "release_grant without acquire_grant");
         st.in_use = st.in_use.saturating_sub(1);
         self.released.notify_all();
     }
 
-    /// Computes one admission's token/bandwidth grant. Caller holds the
+    /// Computes one admission's token grant. Caller holds the
     /// state lock and has already incremented `in_use`.
     fn grant_locked(&self, st: &mut SchedState, slot: Option<usize>) -> ResourceGrant {
         let avail = self.stage_tokens - st.tokens_out; // ≥ 1: admission waited for it
@@ -266,17 +248,11 @@ impl CompactionLimiter {
         if granted > fair_share {
             st.steals += 1;
         }
-        let bandwidth = self.bandwidth.map(|b| {
-            // Proportional slice, rounded up to ≥ 1 byte/s so a granted
-            // budget always paces rather than silently disabling itself.
-            ((b as u128 * granted as u128 / self.stage_tokens as u128) as u64).max(1)
-        });
         st.tokens_out += granted;
         if let Some(s) = live.and_then(|i| st.slots.get_mut(i)) {
             s.granted_tokens = granted;
-            s.granted_bandwidth = bandwidth.unwrap_or(0);
         }
-        ResourceGrant::new(live, granted, bandwidth)
+        ResourceGrant::new(live, granted)
     }
 
     /// Total permits (max concurrent compactions).
@@ -304,11 +280,6 @@ impl CompactionLimiter {
         self.state.lock().tokens_out
     }
 
-    /// The device-bandwidth budget in bytes/s, if one was configured.
-    pub fn bandwidth_budget(&self) -> Option<u64> {
-        self.bandwidth
-    }
-
     /// How many grants exceeded their holder's equal share — each one is a
     /// hot shard borrowing pipeline width from idle ones.
     pub fn steals(&self) -> u64 {
@@ -323,16 +294,6 @@ impl CompactionLimiter {
             .slots
             .get(slot)
             .map_or(0, |s| s.granted_tokens)
-    }
-
-    /// Bandwidth (bytes/s) granted to `slot`'s running compaction (0 when
-    /// idle, unknown, or unbudgeted).
-    pub fn granted_bandwidth(&self, slot: usize) -> u64 {
-        self.state
-            .lock()
-            .slots
-            .get(slot)
-            .map_or(0, |s| s.granted_bandwidth)
     }
 
     /// The debt last reported for `slot` (0.0 when unknown).
@@ -421,7 +382,7 @@ mod tests {
 
     #[test]
     fn anonymous_grant_takes_available_room_minus_reserve() {
-        let limiter = CompactionLimiter::with_budget(2, 8, None);
+        let limiter = CompactionLimiter::with_budget(2, 8);
         let g1 = limiter.acquire_grant(None, &|| false).unwrap();
         // One more compaction is admittable, so one token stays behind.
         assert_eq!(g1.stage_tokens(), 7);
@@ -436,7 +397,7 @@ mod tests {
 
     #[test]
     fn debt_weighting_gives_hot_shards_more_tokens() {
-        let limiter = CompactionLimiter::with_budget(4, 8, None);
+        let limiter = CompactionLimiter::with_budget(4, 8);
         let hot = limiter.register();
         let idle: Vec<usize> = (0..3).map(|_| limiter.register()).collect();
         limiter.set_debt(hot, 6.0);
@@ -458,7 +419,7 @@ mod tests {
 
     #[test]
     fn equal_debts_split_evenly_without_steals() {
-        let limiter = CompactionLimiter::with_budget(4, 8, None);
+        let limiter = CompactionLimiter::with_budget(4, 8);
         let slots: Vec<usize> = (0..4).map(|_| limiter.register()).collect();
         for &s in &slots {
             limiter.set_debt(s, 2.0);
@@ -477,26 +438,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_budget_is_split_proportionally() {
-        let limiter = CompactionLimiter::with_budget(2, 4, Some(100 << 20));
-        let a = limiter.register();
-        let b = limiter.register();
-        limiter.set_debt(a, 3.0);
-        limiter.set_debt(b, 1.0);
-        let ga = limiter.acquire_grant(Some(a), &|| false).unwrap();
-        let gb = limiter.acquire_grant(Some(b), &|| false).unwrap();
-        let total = ga.bytes_per_sec().unwrap() + gb.bytes_per_sec().unwrap();
-        assert!(total <= 100 << 20, "Σ granted bandwidth within budget");
-        assert!(ga.bytes_per_sec().unwrap() > gb.bytes_per_sec().unwrap());
-        assert_eq!(limiter.granted_bandwidth(a), ga.bytes_per_sec().unwrap());
-        limiter.release_grant(&ga);
-        limiter.release_grant(&gb);
-        assert_eq!(limiter.granted_bandwidth(a), 0);
-    }
-
-    #[test]
     fn token_budget_never_oversubscribed_under_concurrency() {
-        let limiter = CompactionLimiter::with_budget(4, 6, None);
+        let limiter = CompactionLimiter::with_budget(4, 6);
         let slots: Vec<usize> = (0..8).map(|_| limiter.register()).collect();
         let held = Arc::new(AtomicUsize::new(0));
         let worst = Arc::new(AtomicUsize::new(0));

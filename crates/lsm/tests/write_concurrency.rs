@@ -3,9 +3,12 @@
 //! The write path merges concurrent writers into leader-committed groups
 //! (one WAL record, one amortized sync). These tests pin down the three
 //! properties that matter: the final database state equals a serial
-//! model with batch atomicity preserved, sync counts amortize below one
-//! per writer under contention, and a WAL failure inside a merged group
-//! is latched and reported to every writer that rode in it.
+//! model with batch atomicity preserved, every commit group issues exactly
+//! one sync under contention (that groups *merge* is held by the
+//! fixed-interleaving test in `db.rs`,
+//! `writers_queued_behind_a_sync_commit_as_one_group`), and a WAL failure
+//! inside a merged group is latched and reported to every writer that
+//! rode in it.
 
 use pcp_lsm::{Db, Options, WriteBatch};
 use pcp_storage::{
@@ -124,8 +127,10 @@ fn concurrent_writers_match_serial_model_and_replay() {
     check_model(&db);
 }
 
+/// How many groups form here depends on thread timing, so this asserts
+/// only what holds for every interleaving.
 #[test]
-fn grouped_syncs_amortize_below_one_per_writer() {
+fn every_commit_group_syncs_exactly_once_under_contention() {
     let writes_per_thread = 25;
     let db = Db::open(
         ssd_env(),
@@ -155,13 +160,7 @@ fn grouped_syncs_amortize_below_one_per_writer() {
     let total_writes = (THREADS * writes_per_thread) as u64;
     let m = db.metrics();
     assert_eq!(m.puts, total_writes);
-    assert!(m.wal_syncs >= 1);
-    assert!(
-        m.wal_syncs < total_writes,
-        "syncs ({}) must amortize below one per write ({total_writes})",
-        m.wal_syncs
-    );
-    // Every group in sync mode issues exactly one sync.
+    assert!((1..=total_writes).contains(&m.group_commits));
     assert_eq!(m.wal_syncs, m.group_commits);
     for t in 0..THREADS {
         for j in 0..writes_per_thread {

@@ -20,7 +20,7 @@
 //!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/STATS/METRICS,
 //! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
 //!   capture, and Prometheus text exposition of the full `pcp-obs`
-//!   registry, served by the event-driven [`reactor`] (epoll/poll
+//!   registry, served by the event-driven [`reactor`] (epoll
 //!   readiness loop, fixed worker pool, request pipelining, bounded
 //!   output queues with read backpressure) — plus the blocking
 //!   [`KvClient`] (which reconnects with backoff on transient connection

@@ -6,15 +6,15 @@
 //!
 //! ```text
 //!                 ┌────────────────────────── reactor thread ─┐
-//!  accept ───▶ epoll/poll ──▶ read ──▶ FrameDecoder ──▶ dispatch ─┐
-//!                 ▲   ▲                                          │
+//!  accept ───▶ epoll ──▶ read ──▶ FrameDecoder ──▶ dispatch ─┐
+//!                 ▲   ▲                                     │
 //!                 │   └── wake pipe ◀── completions ◀── workers ◀┘
 //!                 └────── write-interest ◀── ordered responses
 //! ```
 //!
-//! * **Readiness loop** ([`poller`]): epoll (edge- or level-triggered)
-//!   with a `poll(2)` fallback; read and write paths drain until
-//!   `WouldBlock`, the invariant that makes both trigger modes correct.
+//! * **Readiness loop** ([`poller`]): edge-triggered epoll; read and
+//!   write paths drain until `WouldBlock`, the invariant edge triggering
+//!   requires.
 //! * **Connection FSM** ([`conn`]): incremental CRC-framed assembly from
 //!   partial reads, a per-connection reorder window so responses leave in
 //!   request order, and a bounded output queue.
@@ -75,11 +75,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 pub struct ReactorConfig {
     /// Worker threads executing ops. `0` means `max(2, cores)`.
     pub workers: usize,
-    /// Edge-triggered readiness (`EPOLLET`) on the epoll backend. The
-    /// poll fallback is always level-triggered.
-    pub edge_triggered: bool,
-    /// Skip epoll and use the portable `poll(2)` backend.
-    pub force_poll: bool,
     /// Per-connection output-queue budget in bytes; reading pauses while
     /// the queue is over it.
     pub max_output_bytes: usize,
@@ -92,8 +87,6 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             workers: 0,
-            edge_triggered: true,
-            force_poll: false,
             max_output_bytes: 1 << 20,
             max_in_flight: 256,
         }
@@ -142,7 +135,7 @@ pub(crate) fn spawn(
     wake_tx.set_nonblocking(true)?;
     let waker = Waker::new(wake_tx);
 
-    let mut poller = Poller::new(cfg.force_poll, cfg.edge_triggered)?;
+    let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
     poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
 

@@ -1,4 +1,4 @@
-//! Readiness poller: `epoll(7)` with a `poll(2)` fallback.
+//! Readiness poller: edge-triggered `epoll(7)`.
 //!
 //! The workspace vendors no `libc`, so the handful of syscalls the
 //! reactor needs are declared here directly against the C library the
@@ -7,16 +7,9 @@
 //! above it works in terms of [`Poller`], [`Event`], and safe `std::net`
 //! sockets (see `lint.allow` for the L1 justification).
 //!
-//! Both backends expose the same level/edge-agnostic API:
-//!
-//! * the **epoll** backend supports level-triggered (default-compatible)
-//!   and edge-triggered (`EPOLLET`) readiness — the reactor's read and
-//!   write paths always drain until `WouldBlock`, which is the invariant
-//!   edge triggering requires and level triggering tolerates;
-//! * the **poll** backend keeps a userspace interest table and rebuilds
-//!   the `pollfd` array per wait — O(n) per wakeup, but it needs nothing
-//!   beyond POSIX `poll(2)` and serves as the portable fallback (forced
-//!   via [`crate::reactor::ReactorConfig::force_poll`]).
+//! Every descriptor is registered with `EPOLLET`: the reactor's read and
+//! write paths always drain until `WouldBlock`, which is the invariant
+//! edge triggering requires.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -34,19 +27,10 @@ struct EpollEvent {
     data: u64,
 }
 
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     fn close(fd: i32) -> i32;
 }
 
@@ -61,11 +45,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
 
 /// Readiness reported for one registered descriptor.
 #[derive(Debug, Clone, Copy)]
@@ -99,24 +78,13 @@ impl Interest {
     };
 }
 
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-        edge: bool,
-        /// Scratch buffer reused across waits.
-        events: Vec<EpollEvent>,
-    },
-    Poll {
-        /// fd → (token, interest); rebuilt into a `pollfd` array per wait.
-        table: Vec<(RawFd, u64, Interest)>,
-    },
-}
-
 /// The reactor's readiness source. Single-threaded by design: only the
 /// reactor thread registers, modifies, and waits (cross-thread wakeups go
 /// through the wake pipe, which is itself just another registered fd).
 pub struct Poller {
-    backend: Backend,
+    epfd: RawFd,
+    /// Scratch buffer reused across waits.
+    events: Vec<EpollEvent>,
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -127,206 +95,102 @@ fn cvt(ret: i32) -> io::Result<i32> {
     }
 }
 
+fn epoll_mask(interest: Interest) -> u32 {
+    let mut mask = EPOLLRDHUP | EPOLLET;
+    if interest.read {
+        mask |= EPOLLIN;
+    }
+    if interest.write {
+        mask |= EPOLLOUT;
+    }
+    mask
+}
+
 impl Poller {
-    /// Opens an epoll instance, or the poll fallback when `force_poll` is
-    /// set (or epoll is unavailable). `edge` selects `EPOLLET` on the
-    /// epoll backend; the poll backend is always level-triggered.
-    pub fn new(force_poll: bool, edge: bool) -> io::Result<Poller> {
-        if !force_poll {
-            // SAFETY: epoll_create1 takes a flag word and returns a new fd
-            // or -1; no pointers are involved.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Ok(Poller {
-                    backend: Backend::Epoll {
-                        epfd,
-                        edge,
-                        events: vec![EpollEvent { events: 0, data: 0 }; 256],
-                    },
-                });
-            }
-        }
+    /// Opens an epoll instance.
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes a flag word and returns a new fd
+        // or -1; no pointers are involved.
+        let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
-            backend: Backend::Poll { table: Vec::new() },
+            epfd,
+            events: vec![EpollEvent { events: 0, data: 0 }; 256],
         })
-    }
-
-    /// The backend in use: `"epoll"` or `"poll"`.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
-    }
-
-    /// Whether readiness is edge-triggered (epoll backend with `EPOLLET`).
-    pub fn is_edge_triggered(&self) -> bool {
-        matches!(self.backend, Backend::Epoll { edge: true, .. })
-    }
-
-    fn epoll_mask(interest: Interest, edge: bool) -> u32 {
-        let mut mask = EPOLLRDHUP;
-        if interest.read {
-            mask |= EPOLLIN;
-        }
-        if interest.write {
-            mask |= EPOLLOUT;
-        }
-        if edge {
-            mask |= EPOLLET;
-        }
-        mask
     }
 
     /// Starts watching `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, edge, .. } => {
-                let mut ev = EpollEvent {
-                    events: Self::epoll_mask(interest, *edge),
-                    data: token,
-                };
-                // SAFETY: `ev` is a live, properly initialized epoll_event
-                // for the duration of the call; the kernel copies it.
-                cvt(unsafe { epoll_ctl(*epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
-                Ok(())
-            }
-            Backend::Poll { table } => {
-                if table.iter().any(|(f, _, _)| *f == fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
-                table.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        let mut ev = EpollEvent {
+            events: epoll_mask(interest),
+            data: token,
+        };
+        // SAFETY: `ev` is a live, properly initialized epoll_event
+        // for the duration of the call; the kernel copies it.
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) })?;
+        Ok(())
     }
 
     /// Replaces the interest set of a registered `fd`.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, edge, .. } => {
-                let mut ev = EpollEvent {
-                    events: Self::epoll_mask(interest, *edge),
-                    data: token,
-                };
-                // SAFETY: as in `register` — valid event struct, kernel
-                // copies it out before returning.
-                cvt(unsafe { epoll_ctl(*epfd, EPOLL_CTL_MOD, fd, &mut ev) })?;
-                Ok(())
-            }
-            Backend::Poll { table } => {
-                match table.iter_mut().find(|(f, _, _)| *f == fd) {
-                    Some(entry) => {
-                        entry.1 = token;
-                        entry.2 = interest;
-                        Ok(())
-                    }
-                    None => Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        "fd not registered",
-                    )),
-                }
-            }
-        }
+        let mut ev = EpollEvent {
+            events: epoll_mask(interest),
+            data: token,
+        };
+        // SAFETY: as in `register` — valid event struct, kernel
+        // copies it out before returning.
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) })?;
+        Ok(())
     }
 
-    /// Stops watching `fd`. Must be called before the descriptor is
-    /// closed (the poll backend would otherwise poll a dead fd).
+    /// Stops watching `fd`. Call it before the descriptor is closed.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => {
-                let mut ev = EpollEvent { events: 0, data: 0 };
-                // SAFETY: the event pointer is ignored for EPOLL_CTL_DEL on
-                // modern kernels but must be non-null for pre-2.6.9 ABI
-                // compatibility; `ev` satisfies that.
-                cvt(unsafe { epoll_ctl(*epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
-                Ok(())
-            }
-            Backend::Poll { table } => {
-                table.retain(|(f, _, _)| *f != fd);
-                Ok(())
-            }
-        }
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: the event pointer is ignored for EPOLL_CTL_DEL on
+        // modern kernels but must be non-null for pre-2.6.9 ABI
+        // compatibility; `ev` satisfies that.
+        cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) })?;
+        Ok(())
     }
 
     /// Waits up to `timeout_ms` for readiness, appending to `out`.
     /// Returns the number of events delivered; `0` means the timeout
     /// elapsed. `EINTR` is reported as `0` rather than an error.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, events, .. } => {
-                // SAFETY: `events` is a live buffer of `events.len()`
-                // epoll_event slots; the kernel writes at most that many.
-                let n = unsafe {
-                    epoll_wait(*epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-                };
-                let n = match cvt(n) {
-                    Ok(n) => n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                    Err(e) => return Err(e),
-                };
-                for ev in events.iter().take(n) {
-                    // Copy out of the (possibly packed) struct before use.
-                    let mask = ev.events;
-                    let token = ev.data;
-                    out.push(Event {
-                        token,
-                        readable: mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                        writable: mask & EPOLLOUT != 0,
-                        error: mask & (EPOLLERR | EPOLLHUP) != 0,
-                    });
-                }
-                // Grow the scratch buffer if we saturated it.
-                if n == events.len() {
-                    events.resize(events.len() * 2, EpollEvent { events: 0, data: 0 });
-                }
-                Ok(n)
-            }
-            Backend::Poll { table } => {
-                let mut fds: Vec<PollFd> = table
-                    .iter()
-                    .map(|(fd, _, interest)| PollFd {
-                        fd: *fd,
-                        events: if interest.read { POLLIN } else { 0 }
-                            | if interest.write { POLLOUT } else { 0 },
-                        revents: 0,
-                    })
-                    .collect();
-                // SAFETY: `fds` is a live array of `fds.len()` pollfd
-                // entries; the kernel writes only the `revents` fields.
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                let n = match cvt(n) {
-                    Ok(n) => n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                    Err(e) => return Err(e),
-                };
-                for (pfd, (_, token, _)) in fds.iter().zip(table.iter()) {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    out.push(Event {
-                        token: *token,
-                        readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                        writable: pfd.revents & POLLOUT != 0,
-                        error: pfd.revents & (POLLERR | POLLHUP) != 0,
-                    });
-                }
-                Ok(n)
-            }
+        let events = &mut self.events;
+        // SAFETY: `events` is a live buffer of `events.len()`
+        // epoll_event slots; the kernel writes at most that many.
+        let n = unsafe {
+            epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
+        };
+        let n = match cvt(n) {
+            Ok(n) => n as usize,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        for ev in events.iter().take(n) {
+            // Copy out of the (possibly packed) struct before use.
+            let mask = ev.events;
+            let token = ev.data;
+            out.push(Event {
+                token,
+                readable: mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                writable: mask & EPOLLOUT != 0,
+                error: mask & (EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        // Grow the scratch buffer if we saturated it.
+        if n == events.len() {
+            events.resize(events.len() * 2, EpollEvent { events: 0, data: 0 });
+        }
+        Ok(n)
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd, .. } = &self.backend {
-            // SAFETY: `epfd` is an fd this struct opened and uniquely owns;
-            // nothing else closes it.
-            let _ = unsafe { close(*epfd) };
-        }
+        // SAFETY: `epfd` is an fd this struct opened and uniquely owns;
+        // nothing else closes it.
+        let _ = unsafe { close(self.epfd) };
     }
 }
 
@@ -344,7 +208,9 @@ mod tests {
         (a, b)
     }
 
-    fn readiness_roundtrip(mut poller: Poller) {
+    #[test]
+    fn epoll_edge_roundtrip() {
+        let mut poller = Poller::new().unwrap();
         let (a, mut b) = pair();
         poller.register(a.as_raw_fd(), 7, Interest::READ).unwrap();
 
@@ -389,31 +255,8 @@ mod tests {
     }
 
     #[test]
-    fn epoll_level_roundtrip() {
-        let poller = Poller::new(false, false).unwrap();
-        assert_eq!(poller.backend_name(), "epoll");
-        assert!(!poller.is_edge_triggered());
-        readiness_roundtrip(poller);
-    }
-
-    #[test]
-    fn epoll_edge_roundtrip() {
-        let poller = Poller::new(false, true).unwrap();
-        assert!(poller.is_edge_triggered());
-        readiness_roundtrip(poller);
-    }
-
-    #[test]
-    fn poll_fallback_roundtrip() {
-        let poller = Poller::new(true, true).unwrap();
-        assert_eq!(poller.backend_name(), "poll");
-        assert!(!poller.is_edge_triggered());
-        readiness_roundtrip(poller);
-    }
-
-    #[test]
     fn hangup_reports_readable() {
-        let mut poller = Poller::new(false, false).unwrap();
+        let mut poller = Poller::new().unwrap();
         let (a, b) = pair();
         poller.register(a.as_raw_fd(), 1, Interest::READ).unwrap();
         drop(b);

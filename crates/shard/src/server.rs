@@ -1,5 +1,5 @@
 //! TCP front end over a [`ShardedDb`]: the event-driven [`crate::reactor`]
-//! (one epoll/poll event-loop thread, a fixed worker pool, request
+//! (one epoll event-loop thread, a fixed worker pool, request
 //! pipelining, bounded per-connection output queues) serves
 //! request/response traffic; this module owns what sits around it — op
 //! execution (`ServerShared::handle`), roles and promotion, the metrics

@@ -350,7 +350,7 @@ impl ShardedDb {
     /// gauges (`pcp_engine_compaction_permits`,
     /// `pcp_engine_compactions_in_use`, `pcp_engine_compactions_peak`),
     /// the cross-shard scheduler series (`pcp_sched_*` — token budget,
-    /// per-shard grants and debt, bandwidth slices, steal count; see
+    /// per-shard grants and debt, steal count; see
     /// `OBSERVABILITY.md` §scheduler), and the shared executor's own
     /// series (occupancy gauges and, for the adaptive executor, the
     /// `pcp_sched_executor_choice_total` counter). Scrapes read live
@@ -400,13 +400,6 @@ impl ShardedDb {
             move || limiter.tokens_out() as f64,
         );
         let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_bandwidth_budget_bytes_per_sec",
-            "device bandwidth budget split across running compactions (0 = unpaced)",
-            Vec::new(),
-            move || limiter.bandwidth_budget().unwrap_or(0) as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
         registry.register_fn_counter(
             "pcp_sched_steals_total",
             "grants that exceeded the fair per-shard share (a hot shard borrowing width)",
@@ -424,13 +417,6 @@ impl ShardedDb {
                 "stage-worker tokens currently granted to this shard",
                 shard_label.clone(),
                 move || limiter.granted_tokens(slot) as f64,
-            );
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_bandwidth_bytes_per_sec",
-                "device bandwidth currently granted to this shard (0 = unpaced)",
-                shard_label.clone(),
-                move || limiter.granted_bandwidth(slot) as f64,
             );
             let limiter = Arc::clone(&self.limiter);
             registry.register_fn_gauge(

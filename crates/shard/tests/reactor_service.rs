@@ -268,29 +268,6 @@ fn backpressure_pauses_reads_under_unread_output() {
     server.shutdown();
 }
 
-/// The poll(2) backend and level-triggered epoll serve the same traffic
-/// as the default edge-triggered epoll loop.
-#[test]
-fn poll_fallback_and_level_triggered_serve_correctly() {
-    let script = op_script();
-    let reference = expected_transcript(&sharded(2), &script);
-    for cfg in [
-        ReactorConfig {
-            force_poll: true,
-            ..ReactorConfig::default()
-        },
-        ReactorConfig {
-            edge_triggered: false,
-            ..ReactorConfig::default()
-        },
-    ] {
-        let mut server = start(sharded(2), cfg.clone());
-        let got = run_pipelined(server.local_addr(), &script);
-        assert_eq!(got, reference, "divergence under {cfg:?}");
-        server.shutdown();
-    }
-}
-
 /// The reactor exports its instrumentation contract: connection gauge,
 /// accept/wakeup counters, per-worker busy counters, and the queue-depth
 /// histograms (OBSERVABILITY.md).

@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# Parent/change comparison on the repository benchmark (BENCHMARK.json):
+# builds <base-rev> in a throw-away worktree under target/, runs every
+# workload on both sides back to back, alternating which side goes first,
+# and hands both sets of runs to `benchmark compare`, whose verdict table
+# and exit status are this script's.
+#
+#   ./scripts/bench_compare.sh <base-rev> [pairs=3]
+#
+# Nothing else CPU-heavy may run meanwhile. Ten pairs back a claim
+# (EXPERIMENTS.md "Background lanes"); three tell a regression from noise.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 <base-rev> [pairs=3]" >&2
+    exit 2
+fi
+base_rev=$1
+pairs=${2:-3}
+
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+
+base=target/bench-base
+out=target/bench-compare
+cleanup() {
+    git worktree remove --force "$base" 2>/dev/null || true
+    git worktree prune
+}
+trap cleanup EXIT
+cleanup
+mkdir -p "$out"
+git worktree add --quiet --detach "$base" "$base_rev"
+
+for side in "$base" .; do
+    echo "==> build $side/benchmark"
+    cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
+done
+base_bin=$base/benchmark/target/release/pcp-benchmark
+change_bin=benchmark/target/release/pcp-benchmark
+
+# The change side's history may hold earlier runs; compare only this
+# session's. The base worktree starts empty.
+history=benchmark/results/history.jsonl
+before=0
+if [ -f "$history" ]; then before=$(wc -l < "$history"); fi
+
+run() { # <binary> <workload> <seed>; a run with failed operations exits 1 and still counts
+    "$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1 || [ $? -eq 1 ]
+}
+
+seed0=$(date +%s)
+for pair in $(seq 1 "$pairs"); do
+    seed=$((seed0 + pair))
+    nth=0
+    for workload in $workloads; do
+        # Who goes first flips from one pair to the next and from one
+        # workload to the next.
+        nth=$((nth + 1))
+        if [ $(((pair + nth) % 2)) -eq 0 ]; then order="$base_bin $change_bin"; else order="$change_bin $base_bin"; fi
+        for bin in $order; do
+            echo "==> pair $pair/$pairs $workload seed $seed: $bin"
+            run "$bin" "$workload" "$seed"
+        done
+    done
+done
+
+tail -n "+$((before + 1))" "$history" > "$out/change.jsonl"
+cp "$base/benchmark/results/history.jsonl" "$out/base.jsonl"
+echo "==> compare $base_rev (base) with the working tree"
+"$change_bin" compare "$out/base.jsonl" "$out/change.jsonl"

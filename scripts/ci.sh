@@ -1,8 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, lint-clean under clippy.
-# Run from the repository root:  ./scripts/ci.sh
+#   ./scripts/ci.sh                        the gate
+#   ./scripts/ci.sh --bench-compare <rev>  the gate, then the benchmark against <rev>
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+base_rev=
+case "${1-}" in
+    "") ;;
+    --bench-compare) base_rev=${2:?--bench-compare needs a revision} ;;
+    *) echo "usage: $0 [--bench-compare <rev>]" >&2; exit 2 ;;
+esac
 
 echo "==> cargo build --release"
 cargo build --release
@@ -27,19 +35,17 @@ cargo test -q --features lock_order
 echo "==> cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo bench -p pcp-bench --bench write_concurrency (syncs-per-write smoke, quick mode; reports go to target/bench_results/)"
-cargo bench -p pcp-bench --bench write_concurrency
-
-echo "==> cargo bench -p pcp-bench --bench reactor (connections x depth sweep, quick mode)"
-cargo bench -p pcp-bench --bench reactor
-
-echo "==> cargo bench -p pcp-bench --bench adaptive (adaptive-vs-fixed-shapes smoke, quick mode)"
-cargo bench -p pcp-bench --bench adaptive
-
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+if [ -n "$base_rev" ]; then
+    echo "==> scripts/bench_compare.sh $base_rev (the benchmark against the base, failing outside the BENCHMARK.json bounds)"
+    ./scripts/bench_compare.sh "$base_rev"
+else
+    echo "==> not run: ./scripts/bench_compare.sh <base-rev> [pairs=3] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
+fi
 
 echo "==> ci green"

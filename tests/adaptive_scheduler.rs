@@ -36,7 +36,7 @@ fn small_opts() -> Options {
 #[test]
 fn sched_token_budget_holds_under_eight_shard_concurrency() {
     const SHARDS: usize = 8;
-    let limiter = Arc::new(CompactionLimiter::with_budget(4, 6, Some(64 << 20)));
+    let limiter = Arc::new(CompactionLimiter::with_budget(4, 6));
     let opts = Options {
         compaction_limiter: Some(Arc::clone(&limiter)),
         ..small_opts()
@@ -99,8 +99,8 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
     assert!(limiter.peak() >= 1, "scheduler never admitted a compaction");
 }
 
-/// The shape decision is a pure function of (config, occupancy, input
-/// size, token grant): same snapshot in, same choice out — every time.
+/// The shape decision is a pure function of (config, occupancy, token
+/// grant): same snapshot in, same choice out — every time.
 #[test]
 fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
     let cfg = AdaptiveConfig {
@@ -108,7 +108,7 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
         ..AdaptiveConfig::default()
     };
     let snapshots = [
-        // (occupancy, input, tokens) -> expected
+        // (occupancy, tokens) -> expected
         (
             Occupancy {
                 read: 0.3,
@@ -116,7 +116,6 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 write: 0.4,
                 wall: Duration::from_millis(80),
             },
-            64 << 20,
             usize::MAX,
             ExecChoice::CPpcp(4),
         ),
@@ -127,7 +126,6 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 write: 0.2,
                 wall: Duration::from_millis(80),
             },
-            64 << 20,
             usize::MAX,
             ExecChoice::SPpcp(4),
         ),
@@ -138,7 +136,6 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 write: 0.9,
                 wall: Duration::from_millis(80),
             },
-            64 << 20,
             usize::MAX,
             ExecChoice::Pcp,
         ),
@@ -149,25 +146,13 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 write: 0.4,
                 wall: Duration::from_millis(80),
             },
-            1 << 20, // small job wins over any occupancy signal
-            usize::MAX,
-            ExecChoice::Simple,
-        ),
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            64 << 20,
             2, // the scheduler's grant caps the parallel width
             ExecChoice::CPpcp(2),
         ),
     ];
-    for (occ, input, tokens, want) in snapshots {
+    for (occ, tokens, want) in snapshots {
         for _ in 0..50 {
-            assert_eq!(AdaptiveExec::choose(&cfg, &occ, input, tokens), want);
+            assert_eq!(AdaptiveExec::choose(&cfg, &occ, tokens), want);
         }
     }
 }
@@ -177,7 +162,7 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
 #[test]
 fn sched_metrics_are_exposed_by_the_sharded_engine() {
     const SHARDS: usize = 2;
-    let limiter = Arc::new(CompactionLimiter::with_budget(2, 4, Some(32 << 20)));
+    let limiter = Arc::new(CompactionLimiter::with_budget(2, 4));
     let opts = Options {
         compaction_limiter: Some(Arc::clone(&limiter)),
         ..small_opts()
@@ -196,14 +181,13 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
     for series in [
         "pcp_sched_stage_tokens",
         "pcp_sched_tokens_in_use",
-        "pcp_sched_bandwidth_budget_bytes_per_sec",
         "pcp_sched_steals_total",
         "pcp_sched_tokens_granted{shard=\"0\"}",
         "pcp_sched_tokens_granted{shard=\"1\"}",
-        "pcp_sched_bandwidth_bytes_per_sec{shard=\"0\"}",
         "pcp_sched_debt{shard=\"0\"}",
-        "pcp_sched_executor_choice_total{choice=\"simple\"}",
         "pcp_sched_executor_choice_total{choice=\"pcp\"}",
+        "pcp_sched_executor_choice_total{choice=\"c-ppcp\"}",
+        "pcp_sched_executor_choice_total{choice=\"s-ppcp\"}",
     ] {
         assert!(text.contains(series), "missing series {series} in:\n{text}");
     }
@@ -242,7 +226,6 @@ proptest! {
         let adaptive_opts = Options {
             executor: Arc::new(AdaptiveExec::new(AdaptiveConfig {
                 subtask_bytes: 8 << 10,
-                small_job_bytes: 16 << 10,
                 ..AdaptiveConfig::default()
             })),
             ..small_opts()

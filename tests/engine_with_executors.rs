@@ -76,11 +76,8 @@ fn executors() -> Vec<(&'static str, Arc<dyn CompactionExec>)> {
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(16 << 10, 2))),
         (
             "adaptive",
-            // A small-job threshold below these tiny compactions, so the
-            // adaptive path actually exercises the pipelined shapes.
             Arc::new(AdaptiveExec::new(AdaptiveConfig {
                 subtask_bytes: 16 << 10,
-                small_job_bytes: 8 << 10,
                 ..AdaptiveConfig::default()
             })),
         ),

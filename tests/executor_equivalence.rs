@@ -161,13 +161,9 @@ proptest! {
                 })),
             ),
             (
-                // Straddles the small-job threshold: some generated inputs
-                // take the simple-merge path, the rest a pipelined shape —
-                // the shape switch itself must be invisible in the output.
                 "adaptive",
                 Box::new(AdaptiveExec::new(AdaptiveConfig {
                     subtask_bytes: 2 << 10,
-                    small_job_bytes: 4 << 10,
                     ..AdaptiveConfig::default()
                 })),
             ),

@@ -327,13 +327,10 @@ fn compact_inputs(
     Ok((outputs, entries))
 }
 
-/// Every executor the engine can run, the adaptive one on both sides of
-/// `small_job_bytes` (the input pair is ≈ 25 KB): its serial path and its
-/// pipelined one.
+/// Every executor the engine can run, plus the reference merge.
 fn executors() -> Vec<(&'static str, Box<dyn CompactionExec>)> {
-    let adaptive_above = AdaptiveConfig {
+    let adaptive = AdaptiveConfig {
         subtask_bytes: 2 << 10,
-        small_job_bytes: 1 << 10,
         ..Default::default()
     };
     vec![
@@ -342,8 +339,7 @@ fn executors() -> Vec<(&'static str, Box<dyn CompactionExec>)> {
         ("pcp", Box::new(PipelinedExec::pcp(2 << 10))),
         ("c-ppcp", Box::new(PipelinedExec::c_ppcp(2 << 10, 2))),
         ("s-ppcp", Box::new(PipelinedExec::s_ppcp(2 << 10, 2))),
-        ("adaptive, small job", Box::new(AdaptiveExec::default())),
-        ("adaptive, large job", Box::new(AdaptiveExec::new(adaptive_above))),
+        ("adaptive", Box::new(AdaptiveExec::new(adaptive))),
     ]
 }
 
