@@ -19,8 +19,9 @@
 //! | S7   | WRITE       | disk     |
 //!
 //! * [`planner`] — partitions the compaction key range into disjoint
-//!   sub-key ranges ("sub-tasks") aligned to data-block boundaries of both
-//!   components, never splitting one user key across sub-tasks.
+//!   sub-key ranges ("sub-tasks") of about one target's worth of blocks
+//!   each, cut at user keys so no version chain is split, and groups them
+//!   into the read units S1 fetches.
 //! * [`steps`] — the seven steps as individually timed functions.
 //! * [`pipeline`] — the executors: [`ScpExec`] (sequential baseline) and
 //!   [`PipelinedExec`] (3-stage read|compute|write pipeline, configurable
@@ -43,6 +44,6 @@ pub mod steps;
 pub use adaptive::{AdaptiveConfig, AdaptiveExec, ExecChoice, CHOICE_LABELS};
 pub use model::{Bottleneck, StepTimes};
 pub use pipeline::{PipelineConfig, PipelinedExec, ScpExec, SealedWriter};
-pub use planner::{check_plan, plan_subtasks, RunBlocks, SubTask};
+pub use planner::{check_plan, plan_subtasks, read_units, KeyRange, RunBlocks, SubTask};
 pub use profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
-pub use steps::{compute_subtask, read_subtask, ComputeConfig, ComputedSubTask, SealedBlock, SubTaskData};
+pub use steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask, SealedBlock, SubTaskData};

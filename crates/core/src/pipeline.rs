@@ -14,7 +14,7 @@
 //!     d-cache locality, exactly the paper's argument against a deeper
 //!     pipeline), with a resequencer before the write stage;
 //!   - `read_workers = k` → **S-PPCP** (Fig. 7a): k read lanes issuing S1
-//!     for different sub-tasks concurrently; pair with a RAID0-backed
+//!     for different read units concurrently; pair with a RAID0-backed
 //!     [`pcp_storage::Env`] so the lanes land on different spindles.
 //!     Writes stay on one lane and stripe inside the array, matching the
 //!     paper's md-RAID0 setup.
@@ -23,11 +23,9 @@
 //! byte-identical output tables for identical inputs (enforced by the
 //! cross-executor integration tests).
 
-use crate::planner::{plan_subtasks, RunBlocks};
+use crate::planner::{plan_subtasks, read_units, RunBlocks};
 use crate::profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
-use crate::steps::{
-    compute_subtask, read_subtask, ComputeConfig, ComputedSubTask,
-};
+use crate::steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask};
 use crossbeam::channel::bounded;
 use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata};
 use pcp_compaction::filename::table_file;
@@ -327,6 +325,7 @@ impl CompactionExec for ScpExec {
                     ("exec", 0), // 0 = scp (see OBSERVABILITY.md)
                     ("inputs", readers.len() as u64),
                     ("subtasks", plan.len() as u64),
+                    ("read_units", read_units(&plan).count() as u64),
                 ],
             );
         }
@@ -334,11 +333,12 @@ impl CompactionExec for ScpExec {
         let mut writer = SealedWriter::new(req, &self.profile);
         let result = {
             let mut run = || -> TableResult<Vec<Arc<FileMetadata>>> {
-                for st in &plan {
+                for unit in read_units(&plan) {
                     // S1 … S7 strictly in order; one resource busy at a time.
-                    let data = read_subtask(&readers, st, &self.profile)?;
-                    let computed = compute_subtask(data, &ccfg, &self.profile)?;
-                    writer.write_subtask(computed)?;
+                    for data in read_unit(&readers, &runs, unit, &self.profile)? {
+                        let computed = compute_subtask(data, &ccfg, &self.profile)?;
+                        writer.write_subtask(computed)?;
+                    }
                 }
                 writer.finish()
             };
@@ -475,12 +475,16 @@ impl CompactionExec for PipelinedExec {
                     ("exec", 1), // 1 = pipelined (see OBSERVABILITY.md)
                     ("inputs", readers.len() as u64),
                     ("subtasks", plan.len() as u64),
+                    ("read_units", read_units(&plan).count() as u64),
                     ("read_workers", read_workers as u64),
                     ("compute_workers", compute_workers as u64),
                 ],
             );
         }
-        debug_assert!(crate::planner::check_plan(&runs, &plan).is_ok());
+        debug_assert_eq!(
+            crate::planner::check_plan(&runs, &plan, self.cfg.subtask_bytes),
+            Ok(())
+        );
         let ccfg = compute_config(req);
         let profile = &*self.profile;
 
@@ -492,18 +496,24 @@ impl CompactionExec for PipelinedExec {
 
         let mut result: TableResult<Vec<Arc<FileMetadata>>> = Ok(Vec::new());
         std::thread::scope(|scope| {
-            // Stage read: `read_workers` lanes, sub-tasks round-robin.
+            // Stage read: `read_workers` lanes, read units round-robin; a
+            // unit's sub-tasks enter the pipeline one by one.
             for lane in 0..read_workers {
                 let read_tx = read_tx.clone();
-                let readers = &readers;
-                let plan = &plan;
-                let lanes = read_workers;
+                let (readers, runs, plan) = (&readers, &runs, &plan);
                 scope.spawn(move || {
-                    for st in plan.iter().filter(|st| st.index % lanes == lane) {
-                        let item = read_subtask(readers, st, profile);
-                        let failed = item.is_err();
-                        if read_tx.send(item).is_err() || failed {
-                            return;
+                    for unit in read_units(plan).skip(lane).step_by(read_workers) {
+                        let items = match read_unit(readers, runs, unit, profile) {
+                            Ok(items) => items,
+                            Err(e) => {
+                                let _ = read_tx.send(Err(e));
+                                return;
+                            }
+                        };
+                        for item in items {
+                            if read_tx.send(Ok(item)).is_err() {
+                                return;
+                            }
                         }
                     }
                 });

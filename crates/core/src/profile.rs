@@ -101,6 +101,8 @@ pub struct CompactionProfile {
     entries_in: AtomicU64,
     entries_out: AtomicU64,
     subtasks: AtomicU64,
+    /// Stored input bytes of every sub-task planned and read.
+    subtask_bytes: Arc<pcp_obs::Histogram>,
     compactions: AtomicU64,
     wall_nanos: AtomicU64,
     /// read/compute/write fractions of the most recent compaction, as f64
@@ -153,6 +155,16 @@ impl CompactionProfile {
     /// Adds sub-tasks executed.
     pub fn add_subtasks(&self, n: u64) {
         self.subtasks.fetch_add(n, Relaxed);
+    }
+
+    /// Records the stored input bytes one sub-task lists.
+    pub fn add_subtask_bytes(&self, bytes: u64) {
+        self.subtask_bytes.record(bytes);
+    }
+
+    /// The largest sub-task read so far, in stored input bytes.
+    pub fn max_subtask_bytes(&self) -> u64 {
+        self.subtask_bytes.max()
     }
 
     /// Records one whole-compaction wall time.
@@ -227,6 +239,12 @@ impl CompactionProfile {
                 move || p.wall_nanos.load(Relaxed),
             );
         }
+        registry.register_histogram(
+            "pcp_compaction_subtask_bytes",
+            "stored input bytes per sub-task (the pipeline's unit of work)",
+            base.clone(),
+            Arc::clone(&self.subtask_bytes),
+        );
         for (stage, idx) in [("read", 0usize), ("compute", 1), ("write", 2)] {
             let p = Arc::clone(self);
             let mut labels = base.clone();

@@ -3,20 +3,20 @@
 //! Each function covers one or more steps of paper Fig. 2 and records its
 //! time in the shared [`CompactionProfile`]:
 //!
-//! * [`read_subtask`] — S1 (one span read per input run touched);
+//! * [`read_unit`] — S1 (one span read per input run touched, sliced into
+//!   the read unit's sub-tasks);
 //! * [`compute_subtask`] — S2 CHECKSUM, S3 DECOMPRESS, S4 SORT/MERGE,
 //!   S5 COMPRESS, S6 RE-CHECKSUM;
 //! * the write stage (S7) lives in [`crate::pipeline::SealedWriter`], since
 //!   it owns the output tables.
 
-use crate::planner::SubTask;
+use crate::planner::{KeyRange, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use bytes::Bytes;
 use pcp_sstable::bloom::BloomFilter;
-use pcp_sstable::key::{internal_key_cmp, user_key};
+use pcp_sstable::key::{internal_key_cmp, make_internal_key, user_key, ValueType};
 use pcp_sstable::table::{
-    compress_block, decompress_block, make_trailer, verify_block,
-    CompressionKind, BLOCK_TRAILER_SIZE,
+    compress_block, decompress_block, make_trailer, verify_block, CompressionKind,
 };
 use pcp_sstable::{Block, BlockBuilder, BlockIter, KvIter, MergingIter, TableReader};
 use pcp_compaction::VersionKeepFilter;
@@ -28,6 +28,9 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct SubTaskData {
     pub index: usize,
+    /// The user keys to merge; entries of `raw_blocks` outside it belong to
+    /// a neighbouring sub-task.
+    pub range: KeyRange,
     /// Parallel to the planner's runs: raw block bytes in key order.
     pub raw_blocks: Vec<Vec<Bytes>>,
 }
@@ -63,41 +66,58 @@ pub struct ComputeConfig {
     pub bottom_level: bool,
 }
 
-/// Step S1: reads every input block of `subtask`, one contiguous span read
-/// per run (the paper's "I/O size is equal to the sub-task size").
-pub fn read_subtask(
+/// Step S1 for one read unit (the consecutive sub-tasks sharing
+/// [`SubTask::unit`]): one contiguous span read per run — the paper's "I/O
+/// size is equal to the sub-task size", and the whole cluster where a
+/// cluster is cut into several sub-tasks — sliced without copying into the
+/// unit's sub-tasks. A block that straddles a cut reaches both neighbours
+/// but is read, and counted as input, once.
+pub fn read_unit(
     readers: &[Arc<TableReader>],
-    subtask: &SubTask,
+    runs: &[RunBlocks],
+    unit: &[SubTask],
     profile: &CompactionProfile,
-) -> TableResult<SubTaskData> {
+) -> TableResult<Vec<SubTaskData>> {
     let t0 = Instant::now();
-    let mut raw_blocks: Vec<Vec<Bytes>> = Vec::with_capacity(subtask.blocks.len());
+    let (Some(head), Some(tail)) = (unit.first(), unit.last()) else {
+        return Ok(Vec::new());
+    };
+    let mut out: Vec<SubTaskData> = unit
+        .iter()
+        .map(|st| SubTaskData {
+            index: st.index,
+            range: st.range.clone(),
+            raw_blocks: Vec::with_capacity(runs.len()),
+        })
+        .collect();
     let mut bytes_read = 0u64;
-    for (run, blocks) in subtask.blocks.iter().enumerate() {
-        if blocks.is_empty() {
-            raw_blocks.push(Vec::new());
-            continue;
-        }
-        let first = blocks.first().unwrap().handle;
-        let last = blocks.last().unwrap().handle;
-        let span = readers[run].read_raw_span(first, last)?;
+    let mut blocks_read = 0u64;
+    for (r, run) in runs.iter().enumerate() {
+        let of_unit = &run[head.blocks[r].start..tail.blocks[r].end];
+        let (span, base) = match (of_unit.first(), of_unit.last()) {
+            (Some(first), Some(last)) => (
+                readers[r].read_raw_span(first.handle, last.handle)?,
+                first.handle.offset,
+            ),
+            _ => (Bytes::new(), 0),
+        };
         bytes_read += span.len() as u64;
-        let base = first.offset;
-        let mut run_raw = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            let start = (b.handle.offset - base) as usize;
-            let end = start + b.handle.size as usize + BLOCK_TRAILER_SIZE;
-            run_raw.push(span.slice(start..end));
+        blocks_read += of_unit.len() as u64;
+        for (st, data) in unit.iter().zip(&mut out) {
+            let raw = run[st.blocks[r].clone()].iter().map(|b| {
+                let start = (b.handle.offset - base) as usize;
+                span.slice(start..start + b.stored_size() as usize)
+            });
+            data.raw_blocks.push(raw.collect());
         }
-        raw_blocks.push(run_raw);
     }
     profile.record(Step::Read, t0.elapsed());
     profile.add_input_bytes(bytes_read);
-    profile.add_blocks(subtask.block_count() as u64);
-    Ok(SubTaskData {
-        index: subtask.index,
-        raw_blocks,
-    })
+    profile.add_blocks(blocks_read);
+    for st in unit {
+        profile.add_subtask_bytes(st.bytes);
+    }
+    Ok(out)
 }
 
 /// Sequential cursor over a run's decoded blocks (they are already in key
@@ -143,12 +163,19 @@ impl KvIter for BlocksIter {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        // Rarely used in the compaction path; linear block scan.
-        self.seek_to_first();
-        while self.valid() && internal_key_cmp(self.key(), target) == std::cmp::Ordering::Less
-        {
-            self.next();
+        // A sub-task's lower bound falls in the first block of each run, so
+        // the first candidate is nearly always the one.
+        self.cur = None;
+        for (i, block) in self.blocks.iter().enumerate() {
+            let mut it = block.iter(internal_key_cmp);
+            it.seek(target);
+            if it.valid() {
+                self.pos = i + 1;
+                self.cur = Some(it);
+                return;
+            }
         }
+        self.pos = self.blocks.len();
     }
 
     fn next(&mut self) {
@@ -173,6 +200,7 @@ impl KvIter for BlocksIter {
 #[derive(Debug)]
 pub struct DecodedSubTask {
     pub index: usize,
+    pub range: KeyRange,
     pub runs: Vec<Vec<Block>>,
 }
 
@@ -222,11 +250,13 @@ pub fn verify_decompress(
     profile.record(Step::Decompress, t0.elapsed());
     Ok(DecodedSubTask {
         index: data.index,
+        range: data.range,
         runs: decoded_runs,
     })
 }
 
-/// Step S4 (SORT/MERGE): k-way merge + version filter + new block building.
+/// Step S4 (SORT/MERGE): k-way merge + version filter + new block building
+/// over the user keys in the sub-task's range.
 pub fn merge_subtask(
     decoded: DecodedSubTask,
     cfg: &ComputeConfig,
@@ -246,8 +276,18 @@ pub fn merge_subtask(
     let mut pending: Vec<MergedBlock> = Vec::new();
     let mut first_key: Vec<u8> = Vec::new();
     let mut hashes: Vec<u64> = Vec::new();
-    merged.seek_to_first();
-    while merged.valid() {
+    let range = &decoded.range;
+    match &range.lo {
+        None => merged.seek_to_first(),
+        Some(lo) => {
+            // The smallest trailer sorts last among the versions of `lo`.
+            merged.seek(&make_internal_key(lo, 0, ValueType::Deletion));
+            while merged.valid() && !range.is_past_lo(user_key(merged.key())) {
+                merged.next();
+            }
+        }
+    }
+    while merged.valid() && !range.is_past_hi(user_key(merged.key())) {
         entries_in += 1;
         if filter.keep(merged.key()) {
             if builder.is_empty() {
@@ -357,6 +397,17 @@ mod tests {
     }
 
     fn build_table(env: &EnvRef, name: &str, n: usize, seq0: u64) -> Arc<TableReader> {
+        build_padded_table(env, name, n, seq0, 60)
+    }
+
+    /// `pad` sets the value length, and with it where block boundaries fall.
+    fn build_padded_table(
+        env: &EnvRef,
+        name: &str,
+        n: usize,
+        seq0: u64,
+        pad: usize,
+    ) -> Arc<TableReader> {
         let f = env.create(name).unwrap();
         let mut b = TableBuilder::new(f, TableBuilderOptions::default());
         for i in 0..n {
@@ -365,7 +416,7 @@ mod tests {
                 seq0 + i as u64,
                 ValueType::Value,
             );
-            b.add(&ik, format!("value-{i}-{}", "y".repeat(60)).as_bytes())
+            b.add(&ik, format!("value-{i}-{}", "y".repeat(pad)).as_bytes())
                 .unwrap();
         }
         b.finish().unwrap();
@@ -392,10 +443,10 @@ mod tests {
         let profile = CompactionProfile::new();
         let mut total_entries = 0u64;
         let readers = vec![Arc::clone(&table)];
-        for st in &plan {
-            let data = read_subtask(&readers, st, &profile).unwrap();
+        for data in crate::planner::read_units(&plan)
+            .flat_map(|unit| read_unit(&readers, &runs, unit, &profile).unwrap())
+        {
             let computed = compute_subtask(data, &cfg(), &profile).unwrap();
-            assert_eq!(computed.index, st.index);
             total_entries += computed.blocks.iter().map(|b| b.entries).sum::<u64>();
             // Each sealed block must verify and decompress.
             for sb in &computed.blocks {
@@ -427,7 +478,7 @@ mod tests {
         assert_eq!(plan.len(), 1);
         let profile = CompactionProfile::new();
         let readers = vec![newer, older];
-        let data = read_subtask(&readers, &plan[0], &profile).unwrap();
+        let data = read_unit(&readers, &runs, &plan, &profile).unwrap().remove(0);
         let computed = compute_subtask(data, &cfg(), &profile).unwrap();
         let survivors: u64 = computed.blocks.iter().map(|b| b.entries).sum();
         assert_eq!(survivors, 500, "one version per user key survives");
@@ -469,13 +520,75 @@ mod tests {
     }
 
     #[test]
+    fn blocks_iter_seeks_inside_the_first_candidate_block() {
+        let mk = |keys: &[&str]| {
+            let mut bb = BlockBuilder::new(2);
+            for k in keys {
+                bb.add(&make_internal_key(k.as_bytes(), 1, ValueType::Value), b"v");
+            }
+            Block::new(Bytes::from(bb.finish())).unwrap()
+        };
+        let mut it = BlocksIter::new(vec![mk(&["a", "b", "c", "d"]), mk(&["e"]), mk(&["f", "g"])]);
+        for (target, want) in [("a", "a"), ("c", "c"), ("cc", "d"), ("dd", "e"), ("g", "g")] {
+            it.seek(&make_internal_key(target.as_bytes(), 9, ValueType::Value));
+            assert_eq!(user_key(it.key()), want.as_bytes(), "seek {target}");
+        }
+        // The cursor carries on into the following blocks.
+        it.seek(&make_internal_key(b"d", 9, ValueType::Value));
+        let mut rest = Vec::new();
+        while it.valid() {
+            rest.push(user_key(it.key()).to_vec());
+            it.next();
+        }
+        assert_eq!(rest, [b"d", b"e", b"f", b"g"]);
+        it.seek(&make_internal_key(b"h", 9, ValueType::Value));
+        assert!(!it.valid());
+    }
+
+    /// Two runs over the same keys, cut into many sub-tasks: each entry is
+    /// merged by exactly one of them, version chains stay whole, and a block
+    /// that straddles a cut is read and counted once.
+    #[test]
+    fn key_range_subtasks_merge_every_entry_once() {
+        let env = env();
+        let newer = build_padded_table(&env, "a", 3000, 10_000, 97);
+        let older = build_table(&env, "b", 3000, 1);
+        let runs = vec![newer.block_metas().unwrap(), older.block_metas().unwrap()];
+        let target = 4 << 10;
+        let plan = plan_subtasks(&runs, target);
+        crate::planner::check_plan(&runs, &plan, target).unwrap();
+        let units = crate::planner::read_units(&plan).count();
+        assert!(plan.len() > 8 && units < plan.len() / 2, "{units} units, {} sub-tasks", plan.len());
+        let listed: usize = plan.iter().map(|st| st.block_count()).sum();
+        let blocks: usize = runs.iter().map(|r| r.len()).sum();
+        assert!(listed > blocks, "some block straddles a cut");
+
+        let profile = CompactionProfile::new();
+        let mut survivors = 0u64;
+        let readers = [newer, older];
+        for data in crate::planner::read_units(&plan)
+            .flat_map(|unit| read_unit(&readers, &runs, unit, &profile).unwrap())
+        {
+            let computed = compute_subtask(data, &cfg(), &profile).unwrap();
+            survivors += computed.blocks.iter().map(|b| b.entries).sum::<u64>();
+        }
+        assert_eq!(survivors, 3000, "one version per user key survives");
+        let snap = profile.snapshot();
+        assert_eq!(snap.entries_in, 6000);
+        assert_eq!(snap.blocks, blocks as u64);
+        let stored: u64 = runs.iter().flatten().map(|b| b.stored_size()).sum();
+        assert_eq!(snap.input_bytes, stored);
+        assert!(profile.max_subtask_bytes() < 2 * target);
+    }
+
+    #[test]
     fn corrupt_raw_block_fails_checksum_step() {
         let env = env();
         let table = build_table(&env, "t", 100, 1);
         let runs = vec![table.block_metas().unwrap()];
         let plan = plan_subtasks(&runs, u64::MAX);
         let profile = CompactionProfile::new();
-        let mut data = read_subtask(&[Arc::clone(&table)], &plan[0], &profile).unwrap();
+        let mut data = read_unit(&[Arc::clone(&table)], &runs, &plan, &profile).unwrap().remove(0);
         // Corrupt the first raw block.
         let mut broken = data.raw_blocks[0][0].to_vec();
         broken[0] ^= 0xFF;

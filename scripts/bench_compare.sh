@@ -3,12 +3,16 @@
 # builds <base-rev> in a throw-away worktree under target/, runs every
 # workload on both sides back to back, alternating which side goes first,
 # and hands both sets of runs to `benchmark compare`, whose verdict table
-# and exit status are this script's.
+# (the regression rule) and exit status are this script's. It then prints
+# the gain rule (scripts/bench_gain.py): per workload and metric the
+# same-seed wins / ties / pairs, both medians and the base's quartile
+# distance, so "at least 9 of 10 pairs and a median gap above the base's
+# own spread" is read off the output.
 #
 #   ./scripts/bench_compare.sh <base-rev> [pairs=3]
 #
 # Nothing else CPU-heavy may run meanwhile. Ten pairs back a claim
-# (EXPERIMENTS.md "Background lanes"); three tell a regression from noise.
+# (EXPERIMENTS.md "Key-range sub-tasks"); three tell a regression from noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,4 +73,8 @@ done
 tail -n "+$((before + 1))" "$history" > "$out/change.jsonl"
 cp "$base/benchmark/results/history.jsonl" "$out/base.jsonl"
 echo "==> compare $base_rev (base) with the working tree"
-"$change_bin" compare "$out/base.jsonl" "$out/change.jsonl"
+status=0
+"$change_bin" compare "$out/base.jsonl" "$out/change.jsonl" || status=$?
+echo "==> gain rule, same-seed pairs"
+python3 scripts/bench_gain.py "$out/base.jsonl" "$out/change.jsonl"
+exit "$status"

@@ -5,6 +5,7 @@
 use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelineConfig, PipelinedExec, ScpExec};
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest, SimpleMergeExec};
+use pcp::obs::TraceLog;
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{KvIter, TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
@@ -19,7 +20,12 @@ fn mem_env() -> EnvRef {
     Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))))
 }
 
-fn build_table(env: &EnvRef, name: &str, entries: &[Entry]) -> Option<Arc<TableReader>> {
+fn build_table(
+    env: &EnvRef,
+    name: &str,
+    entries: &[Entry],
+    block_size: usize,
+) -> Option<Arc<TableReader>> {
     if entries.is_empty() {
         return None;
     }
@@ -30,7 +36,11 @@ fn build_table(env: &EnvRef, name: &str, entries: &[Entry]) -> Option<Arc<TableR
     sorted.sort_by(|a, b| pcp::sstable::internal_key_cmp(&a.0, &b.0));
     sorted.dedup_by(|a, b| a.0 == b.0);
     let f = env.create(name).unwrap();
-    let mut b = TableBuilder::new(f, TableBuilderOptions::default());
+    let opts = TableBuilderOptions {
+        block_size,
+        ..Default::default()
+    };
+    let mut b = TableBuilder::new(f, opts);
     for (ik, v) in &sorted {
         b.add(ik, v).unwrap();
     }
@@ -48,13 +58,49 @@ fn run_compaction(
     bottom: bool,
     subtask_note: &str,
 ) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let (uppers, lowers) = ([upper_entries.to_vec()], [lower_entries.to_vec()]);
+    let inputs = Inputs {
+        uppers: &uppers,
+        lowers: &lowers,
+        block_size: TableBuilderOptions::default().block_size,
+    };
+    compact_tables(exec, &inputs, smallest_snapshot, bottom, subtask_note).entries
+}
+
+/// The tables of one compaction: each element of `uppers` / `lowers` is one
+/// input table (an empty one is left out), built with `block_size`.
+struct Inputs<'a> {
+    uppers: &'a [Vec<Entry>],
+    lowers: &'a [Vec<Entry>],
+    block_size: usize,
+}
+
+/// What a compaction left behind: the merged entries in order and the
+/// output tables byte for byte.
+struct Outcome {
+    entries: Vec<(Vec<u8>, Vec<u8>)>,
+    files: Vec<Vec<u8>>,
+}
+
+fn compact_tables(
+    exec: &dyn CompactionExec,
+    inputs: &Inputs,
+    smallest_snapshot: u64,
+    bottom: bool,
+    subtask_note: &str,
+) -> Outcome {
     let env = mem_env();
-    let upper = build_table(&env, "u.sst", upper_entries);
-    let lower = build_table(&env, "l.sst", lower_entries);
+    let build = |tables: &[Vec<Entry>], prefix: &str| -> Vec<Arc<TableReader>> {
+        tables
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| build_table(&env, &format!("{prefix}{i}.sst"), t, inputs.block_size))
+            .collect()
+    };
     let req = CompactionRequest {
         env: Arc::clone(&env),
-        upper: upper.into_iter().collect(),
-        lower: lower.into_iter().collect(),
+        upper: build(inputs.uppers, "u"),
+        lower: build(inputs.lowers, "l"),
         output_level: 1,
         bottom_level: bottom,
         smallest_snapshot,
@@ -66,19 +112,22 @@ fn run_compaction(
     let outputs = exec
         .compact(&req)
         .unwrap_or_else(|e| panic!("{subtask_note}: {e}"));
-    let mut all = Vec::new();
+    let mut out = Outcome {
+        entries: Vec::new(),
+        files: Vec::new(),
+    };
     for meta in outputs {
-        let t = Arc::new(
-            TableReader::open(env.open(&table_file(meta.number)).unwrap()).unwrap(),
-        );
+        let file = env.open(&table_file(meta.number)).unwrap();
+        out.files.push(file.read_at(0, file.len() as usize).unwrap().to_vec());
+        let t = Arc::new(TableReader::open(file).unwrap());
         let mut it = t.iter();
         it.seek_to_first();
         while it.valid() {
-            all.push((it.key().to_vec(), it.value().to_vec()));
+            out.entries.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
     }
-    all
+    out
 }
 
 /// Strategy: up to 300 entries with small key space (forces version
@@ -174,6 +223,92 @@ proptest! {
                 "{} diverged from reference ({} vs {} entries)",
                 name, got.len(), reference.len()
             );
+        }
+    }
+}
+
+/// One upper table of the level-0 shape: random puts and deletes over the
+/// shared 256-key space plus a hot key with 12 versions, whose chain spans
+/// several 256-byte blocks — a cut that lands in it must keep it whole.
+fn l0_table_strategy(seq_base: u64) -> impl Strategy<Value = Vec<Entry>> {
+    entries_strategy(seq_base).prop_map(move |mut entries| {
+        for v in 0..12u64 {
+            let t = if v == 7 { ValueType::Deletion } else { ValueType::Value };
+            entries.push((b"key128".to_vec(), seq_base + 1000 + v, t, vec![v as u8; 30]));
+        }
+        entries
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// The shape of every L0→L1 compaction: 4–8 upper tables over one key
+    /// space and a lower level of three tables, all one overlap cluster that
+    /// the planner cuts by key. The five executors must write the same
+    /// bytes, and the same entries as the entry-level reference.
+    #[test]
+    fn executors_agree_on_overlapping_uppers(
+        uppers in prop::collection::vec(l0_table_strategy(0), 4..9),
+        lower in entries_strategy(1),
+        snapshot_sel in 0u8..3,
+        bottom in prop::bool::ANY,
+    ) {
+        let snapshot = match snapshot_sel {
+            0 => MAX_SEQUENCE,
+            1 => 20_500, // a live snapshot between the second and third upper
+            _ => 150,    // inside lower's range
+        };
+        // Later level-0 tables hold later sequences.
+        let mut uppers = uppers;
+        for (i, table) in uppers.iter_mut().enumerate() {
+            for e in table {
+                e.1 += 10_000 * (i as u64 + 1);
+            }
+        }
+        // Level 1 holds tables with disjoint user keys.
+        let mut lowers = vec![Vec::new(); 3];
+        for e in lower {
+            let slot = match e.0.as_slice() {
+                k if k < b"key085".as_slice() => 0,
+                k if k < b"key170".as_slice() => 1,
+                _ => 2,
+            };
+            lowers[slot].push(e);
+        }
+        let inputs = Inputs { uppers: &uppers, lowers: &lowers, block_size: 256 };
+        let reference = compact_tables(&SimpleMergeExec, &inputs, snapshot, bottom, "reference");
+
+        let trace = Arc::new(TraceLog::new(8));
+        let scp = ScpExec::new(2 << 10).with_trace(Arc::clone(&trace));
+        let want = compact_tables(&scp, &inputs, snapshot, bottom, "scp");
+        let start = &trace.events()[0];
+        let field = |k: &str| start.fields.iter().find(|(n, _)| *n == k).unwrap().1;
+        prop_assert!(
+            field("subtasks") > field("read_units"),
+            "{} sub-tasks in {} read units: no cluster was cut",
+            field("subtasks"), field("read_units")
+        );
+        prop_assert_eq!(&want.entries, &reference.entries, "scp diverged from the reference");
+
+        for (name, exec) in [
+            ("pcp", PipelinedExec::pcp(2 << 10)),
+            ("c-ppcp", PipelinedExec::c_ppcp(2 << 10, 3)),
+            ("s-ppcp", PipelinedExec::s_ppcp(2 << 10, 2)),
+            (
+                "pcp-deep",
+                PipelinedExec::new(PipelineConfig {
+                    subtask_bytes: 2 << 10,
+                    deep_compute: true,
+                    ..Default::default()
+                }),
+            ),
+        ] {
+            let got = compact_tables(&exec, &inputs, snapshot, bottom, name);
+            prop_assert!(got.files == want.files, "{} wrote different bytes than scp", name);
         }
     }
 }

@@ -296,7 +296,13 @@ fn read_outputs(env: &EnvRef, outputs: &[Arc<FileMetadata>]) -> Vec<(Vec<u8>, Ve
 
 type CompactOutcome = (Vec<Arc<FileMetadata>>, Vec<(Vec<u8>, Vec<u8>)>);
 
-/// Compacts the fixed input pair with `exec`. The inputs are built through
+/// The input tables of the atomicity test, the level-0 shape: four upper
+/// tables over one key space and a lower level split in two, one overlap
+/// cluster that the pipelined executors cut into sub-tasks by key.
+const UPPERS: [&str; 4] = ["u0.sst", "u1.sst", "u2.sst", "u3.sst"];
+const LOWERS: [&str; 2] = ["l0.sst", "l1.sst"];
+
+/// Compacts the fixed inputs with `exec`. The inputs are built through
 /// the *inner* env, then opened, read and merged through `req_env`, so a
 /// fault wrapper layered on top sees the compaction's input reads as well
 /// as its output writes.
@@ -305,15 +311,24 @@ fn compact_inputs(
     req_env: EnvRef,
     exec: &dyn CompactionExec,
 ) -> TableResult<CompactOutcome> {
-    build_table(inner, "u.sst", &atomicity_input(1, 10_000));
-    build_table(inner, "l.sst", &atomicity_input(0, 1));
-    let open = |name: &str| -> TableResult<Arc<TableReader>> {
-        Ok(Arc::new(TableReader::open(req_env.open(name)?)?))
+    for (i, name) in UPPERS.iter().enumerate() {
+        build_table(inner, name, &atomicity_input(1 + i as u64, 10_000 * (1 + i as u64)));
+    }
+    let (low, high): (Vec<Entry>, Vec<Entry>) = atomicity_input(0, 1)
+        .into_iter()
+        .partition(|e| e.0.as_slice() < b"key075".as_slice());
+    build_table(inner, LOWERS[0], &low);
+    build_table(inner, LOWERS[1], &high);
+    let open = |names: &[&str]| -> TableResult<Vec<Arc<TableReader>>> {
+        names
+            .iter()
+            .map(|name| Ok(Arc::new(TableReader::open(req_env.open(name)?)?)))
+            .collect()
     };
     let req = CompactionRequest {
         env: Arc::clone(&req_env),
-        upper: vec![open("u.sst")?],
-        lower: vec![open("l.sst")?],
+        upper: open(&UPPERS)?,
+        lower: open(&LOWERS)?,
         output_level: 1,
         bottom_level: true,
         smallest_snapshot: pcp::sstable::key::MAX_SEQUENCE,
@@ -357,8 +372,13 @@ proptest! {
         let clean_env = mem_env();
         let (_, clean) =
             compact_inputs(&clean_env, Arc::clone(&clean_env), &SimpleMergeExec).unwrap();
+        // The fixture is the shape it claims: its one cluster is cut by key.
+        let scp = ScpExec::new(2 << 10);
+        compact_inputs(&clean_env, Arc::clone(&clean_env), &scp).unwrap();
+        prop_assert!(scp.profile().snapshot().subtasks > 4);
+
         let kind = if transient { FaultKind::Transient } else { FaultKind::Permanent };
-        let inputs = vec!["l.sst".to_string(), "u.sst".to_string()];
+        let inputs: Vec<String> = LOWERS.iter().chain(&UPPERS).map(|n| n.to_string()).collect();
 
         for (name, exec) in executors() {
             // ReadAt only ever hits the inputs, the other three the outputs.

@@ -1,7 +1,8 @@
 //! Device-level validation of the pipeline's I/O claims, via the tracing
-//! device: compaction step S1 issues span reads (not per-block reads),
-//! and step S7 issues roughly sub-task-sized writes (one flush per
-//! sub-task).
+//! device: compaction step S1 issues span reads (not per-block reads) —
+//! one per input table where the inputs are a single overlap cluster,
+//! however many sub-tasks it is cut into — and step S7 issues roughly
+//! sub-task-sized writes (one flush per sub-task).
 
 use pcp::core::{PipelinedExec, ScpExec};
 use pcp::lsm::filename::table_file;
@@ -20,10 +21,33 @@ type Tables = Vec<Arc<TableReader>>;
 /// Builds a fixture on a traced RAM device; returns (trace handle, env,
 /// upper, lower).
 fn traced_fixture() -> (Arc<TraceDevice>, EnvRef, Tables, Tables) {
+    traced_tables(&[("upper.sst", 4000, 4, 1_000_000)], &[("lower.sst", 8000, 2, 1)])
+}
+
+/// The level-0 shape: four upper tables and one lower over the same keys,
+/// their block boundaries never aligned — one overlap cluster.
+fn traced_l0_fixture() -> (Arc<TraceDevice>, EnvRef, Tables, Tables) {
+    traced_tables(
+        &[
+            ("u0.sst", 2000, 4, 1_000_000),
+            ("u1.sst", 1600, 5, 2_000_000),
+            ("u2.sst", 1333, 6, 3_000_000),
+            ("u3.sst", 1142, 7, 4_000_000),
+        ],
+        &[("lower.sst", 4000, 2, 1)],
+    )
+}
+
+/// Builds tables from `(name, entries, key stride, first sequence)` specs
+/// on a traced RAM device; returns (trace handle, env, upper, lower).
+fn traced_tables(
+    upper: &[(&str, usize, u64, u64)],
+    lower: &[(&str, usize, u64, u64)],
+) -> (Arc<TraceDevice>, EnvRef, Tables, Tables) {
     let trace = Arc::new(TraceDevice::new(Arc::new(SimDevice::mem(1 << 30))));
     let device: DeviceRef = trace.clone();
     let env: EnvRef = Arc::new(SimEnv::new(device));
-    let mk = |name: &str, n: usize, stride: u64, seq0: u64| {
+    let mk = |&(name, n, stride, seq0): &(&str, usize, u64, u64)| {
         let f = env.create(name).unwrap();
         let mut b = TableBuilder::new(f, TableBuilderOptions::default());
         let mut x = 7u64;
@@ -45,9 +69,9 @@ fn traced_fixture() -> (Arc<TraceDevice>, EnvRef, Tables, Tables) {
         b.finish().unwrap();
         Arc::new(TableReader::open(env.open(name).unwrap()).unwrap())
     };
-    let lower = mk("lower.sst", 8000, 2, 1);
-    let upper = mk("upper.sst", 4000, 4, 1_000_000);
-    (trace, env, vec![upper], vec![lower])
+    let lower = lower.iter().map(mk).collect();
+    let upper = upper.iter().map(mk).collect();
+    (trace, env, upper, lower)
 }
 
 fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReader>>) -> CompactionRequest {
@@ -137,4 +161,40 @@ fn scp_and_pcp_issue_identical_read_patterns() {
         patterns[0], patterns[1],
         "SCP and PCP must read exactly the same spans"
     );
+}
+
+/// An L0-shaped compaction is one read unit: S1 reads each input table
+/// once, whole, while the work flows through the pipeline in sub-tasks.
+#[test]
+fn l0_shaped_compaction_issues_one_read_per_input_table() {
+    let (trace, env, upper, lower) = traced_l0_fixture();
+    let tables = upper.len() + lower.len();
+    trace.clear();
+    let exec = PipelinedExec::c_ppcp(SUBTASK, 2);
+    exec.compact(&request(&env, upper, lower)).unwrap();
+    assert_eq!(trace.count(IoKind::Read), tables);
+    let snap = exec.profile().snapshot();
+    assert!(snap.subtasks >= 4, "{} sub-tasks", snap.subtasks);
+    assert!(exec.profile().max_subtask_bytes() < 2 * SUBTASK);
+}
+
+/// Each input block is read and counted once, although a block that
+/// straddles a cut is verified and decoded by both neighbouring sub-tasks:
+/// the profile's input bytes and blocks are the device's.
+#[test]
+fn profile_input_bytes_equal_device_reads() {
+    let (trace, env, upper, lower) = traced_l0_fixture();
+    let data_blocks: u64 = upper.iter().chain(&lower).map(|t| t.stats().data_blocks).sum();
+    trace.clear();
+    let exec = PipelinedExec::pcp(SUBTASK);
+    exec.compact(&request(&env, upper, lower)).unwrap();
+    let device_bytes: u64 = trace
+        .trace()
+        .into_iter()
+        .filter(|r| r.kind == IoKind::Read)
+        .map(|r| r.len as u64)
+        .sum();
+    let snap = exec.profile().snapshot();
+    assert_eq!(snap.input_bytes, device_bytes);
+    assert_eq!(snap.blocks, data_blocks);
 }

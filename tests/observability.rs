@@ -129,6 +129,67 @@ fn pipelined_occupancy_published_through_registry() {
     }
 }
 
+/// A level-0 merge is one overlap cluster with no gap between blocks to
+/// cut in: it must still enter the pipeline as several sub-tasks, none far
+/// above the target — visible in the executor's trace and in the registry.
+#[test]
+fn l0_merge_runs_as_several_bounded_subtasks() {
+    // Sixteen 4 KiB blocks to the sub-task, as the defaults have 128: the
+    // blocks a sub-task shares with its neighbours, up to one per input
+    // table at either end, stay a small part of it.
+    const SUBTASK: u64 = 64 << 10;
+    let trace = Arc::new(TraceLog::new(512));
+    let exec = Arc::new(PipelinedExec::pcp(SUBTASK).with_trace(Arc::clone(&trace)));
+    let profile = exec.profile();
+    let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(2 << 30))));
+    let opts = Options {
+        memtable_bytes: 256 << 10,
+        sstable_bytes: 128 << 10,
+        ..small_opts(exec)
+    };
+    let db = Db::open(env, opts).unwrap();
+    // Scattered keys, so every memtable — and every level-0 table — spans
+    // the whole key space; values that do not compress away.
+    let mut x = 7u64;
+    for i in 0..12_000u64 {
+        let key = format!("key{:05}", (i * 7919) % 20_000).into_bytes();
+        let value: Vec<u8> = (0..100)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        db.put(&key, &value).unwrap();
+    }
+    db.wait_idle().unwrap();
+    db.compact_range(None, None).unwrap();
+
+    // The first merge of a fresh store is `l0_trigger` level-0 tables.
+    let events = trace.events();
+    let first = events.iter().find(|e| e.kind == "compaction_start").expect("the fill must compact");
+    let field = |k: &str| first.fields.iter().find(|(n, _)| *n == k).unwrap().1;
+    assert_eq!(field("inputs"), 4);
+    assert!(
+        field("subtasks") > 4 && field("subtasks") > 2 * field("read_units"),
+        "{} sub-tasks in {} read units",
+        field("subtasks"),
+        field("read_units")
+    );
+
+    let registry = Registry::new();
+    profile.register_metrics(&registry, "pcp");
+    let snap = registry.snapshot();
+    match &snap.get_with("pcp_compaction_subtask_bytes", &[("exec", "pcp")]).unwrap().value {
+        SampleValue::Histogram(h) => {
+            assert_eq!(h.count, snap.counter("pcp_compaction_subtasks_total", &[("exec", "pcp")]));
+            assert!(h.max < 2 * SUBTASK, "a sub-task of {} bytes at a {SUBTASK}-byte target", h.max);
+        }
+        other => panic!("expected histogram, got {other:?}"),
+    }
+}
+
 /// One registry carries the whole stack — device, engine, executor —
 /// and both renderings (Prometheus text, JSON) stay self-consistent.
 #[test]
