@@ -25,7 +25,6 @@ fn paper_options(executor: Arc<dyn CompactionExec>) -> Options {
         sstable_bytes: SSTABLE_BYTES,
         block_bytes: BLOCK_BYTES,
         compression: true,
-        bloom_bits_per_key: 10,
         policy: CompactionPolicy {
             l0_trigger: 4,
             base_level_bytes: 10 << 20,
@@ -90,7 +89,6 @@ fn main() {
                     order: KeyOrder::UniformRandom,
                     value_compressibility: VALUE_COMPRESSIBILITY,
                     seed: 0xF16 + n,
-                    pace: None,
                 };
                 let r = run_inserts(&db, &cfg).unwrap();
                 results.push(r);

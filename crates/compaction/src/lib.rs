@@ -16,9 +16,9 @@
 //!   semantic half).
 //! * [`FileMetadata`] — immutable description of one SSTable.
 //! * [`filename`] — on-disk naming conventions.
-//! * [`sched`] / [`ResourceGrant`] — the resource allowance a scheduler
-//!   attaches to each compaction (stage-worker tokens), honored by the
-//!   pipelined executors.
+//! * [`sched`] — the scheduler: [`CompactionLimiter`] admits compactions
+//!   across databases and attaches a [`ResourceGrant`] (stage-worker
+//!   tokens) to each, honored by the pipelined executors.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -32,4 +32,4 @@ pub use exec::{
     CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
 };
 pub use meta::FileMetadata;
-pub use sched::ResourceGrant;
+pub use sched::{CompactionLimiter, ResourceGrant};

@@ -166,17 +166,17 @@ impl<'req> SealedWriter<'req> {
             if rotate {
                 self.finish_current()?;
             }
-            if self.builder.is_none() {
-                let number = self.req.next_file_number();
-                let file = self.req.env.create(&table_file(number))?;
-                self.builder = Some((
-                    number,
-                    TableBuilder::new(file, self.req.table_opts.clone()),
-                ));
-                self.table_sealed_bytes = 0;
-                self.smallest = sb.first_key.clone();
-            }
-            let (_, b) = self.builder.as_mut().expect("builder");
+            let b = match &mut self.builder {
+                Some((_, b)) => b,
+                None => {
+                    let number = self.req.next_file_number();
+                    let file = self.req.env.create(&table_file(number))?;
+                    self.table_sealed_bytes = 0;
+                    self.smallest = sb.first_key.clone();
+                    let table = TableBuilder::new(file, self.req.table_opts.clone());
+                    &mut self.builder.insert((number, table)).1
+                }
+            };
             b.add_sealed_block(
                 &sb.raw,
                 &sb.first_key,
@@ -311,6 +311,10 @@ impl Default for ScpExec {
 impl CompactionExec for ScpExec {
     fn name(&self) -> &'static str {
         "scp"
+    }
+
+    fn register_metrics(&self, registry: &pcp_obs::Registry) {
+        self.profile.register_metrics(registry, self.name());
     }
 
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
@@ -456,6 +460,10 @@ impl CompactionExec for PipelinedExec {
         }
     }
 
+    fn register_metrics(&self, registry: &pcp_obs::Registry) {
+        self.profile.register_metrics(registry, self.name());
+    }
+
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
         let wall = Instant::now();
         let before = self.profile.snapshot();
@@ -495,6 +503,7 @@ impl CompactionExec for PipelinedExec {
             bounded::<TableResult<ComputedSubTask>>(self.cfg.queue_depth);
 
         let mut result: TableResult<Vec<Arc<FileMetadata>>> = Ok(Vec::new());
+        let mut swept = 0;
         std::thread::scope(|scope| {
             // Stage read: `read_workers` lanes, read units round-robin; a
             // unit's sub-tasks enter the pipeline one by one.
@@ -623,14 +632,14 @@ impl CompactionExec for PipelinedExec {
             drop(comp_rx);
             result = match failure {
                 Some(e) => {
-                    writer.abort();
+                    swept = writer.abort();
                     Err(e)
                 }
                 None => {
                     debug_assert_eq!(next, plan.len(), "all sub-tasks written");
                     let out = writer.finish();
                     if out.is_err() {
-                        writer.abort();
+                        swept = writer.abort();
                     }
                     out
                 }
@@ -648,7 +657,7 @@ impl CompactionExec for PipelinedExec {
             }
             Err(_) => {
                 if let Some(t) = &self.trace {
-                    t.record("compaction_failed", &[]);
+                    t.record("compaction_failed", &[("swept_outputs", swept as u64)]);
                 }
             }
         }
@@ -918,9 +927,45 @@ mod tests {
         assert_eq!(PipelinedExec::s_ppcp(1 << 20, 4).name(), "s-ppcp");
     }
 
+    /// A scheduler grant narrows the pipeline that runs, not only what
+    /// `clamp_workers` and `AdaptiveExec::choose` return in isolation.
+    #[test]
+    fn grant_narrows_the_pipeline_that_runs() {
+        use crate::adaptive::{AdaptiveConfig, AdaptiveExec};
+        use pcp_compaction::ResourceGrant;
+        // Compute workers in the `compaction_start` of one compaction run
+        // under a grant of `tokens`.
+        let compute_workers = |exec: &dyn CompactionExec, trace: &TraceLog, tokens: usize| {
+            let env = env();
+            let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
+            let mut req = request(&env, vec![upper], vec![]);
+            req.grant = ResourceGrant::new(None, tokens);
+            exec.compact(&req).unwrap();
+            let events = trace.events();
+            let start = events.iter().find(|e| e.kind == "compaction_start").unwrap();
+            start.fields.iter().find(|(k, _)| *k == "compute_workers").unwrap().1
+        };
+
+        let trace = Arc::new(TraceLog::new(8));
+        let fixed = PipelinedExec::c_ppcp(64 << 10, 4).with_trace(Arc::clone(&trace));
+        assert_eq!(compute_workers(&fixed, &trace, 1), 1);
+
+        let trace = Arc::new(TraceLog::new(8));
+        let cfg = AdaptiveConfig { max_workers: 4, ..AdaptiveConfig::default() };
+        let adaptive = AdaptiveExec::new(cfg).with_trace(Arc::clone(&trace));
+        // A compute-bound history asks for C-PPCP(4); two tokens allow 2.
+        adaptive.profile().set_last_occupancy(&Occupancy {
+            read: 0.2,
+            compute: 0.95,
+            write: 0.2,
+            wall: std::time::Duration::from_millis(100),
+        });
+        assert_eq!(compute_workers(&adaptive, &trace, 2), 2);
+    }
+
     /// A permanent write failure mid-compaction must terminate every stage
-    /// thread (no deadlock on the bounded queues), surface the error, and
-    /// leave no orphan output tables behind.
+    /// thread (no deadlock on the bounded queues), surface the error, leave
+    /// no orphan output tables behind and say how many it swept.
     #[test]
     fn write_failure_terminates_cleanly_and_sweeps_orphans() {
         use pcp_storage::{FaultEnv, FaultKind, FaultOp};
@@ -945,8 +990,14 @@ mod tests {
             fault.set_probabilistic_kind(FaultKind::Permanent);
             let mut req = request(&inner, vec![upper], vec![lower]);
             req.env = Arc::new(fault);
+            let trace = Arc::new(TraceLog::new(8));
+            let exec = exec.with_trace(Arc::clone(&trace));
             let out = exec.compact(&req);
             assert!(out.is_err(), "{}: fault must surface", exec.name());
+            let events = trace.events();
+            let failed = events.iter().find(|e| e.kind == "compaction_failed").unwrap();
+            // The table whose first flush failed.
+            assert_eq!(failed.fields, [("swept_outputs", 1)], "{}", exec.name());
             let left = inner.list().unwrap();
             assert_eq!(
                 {

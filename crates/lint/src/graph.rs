@@ -70,25 +70,34 @@ struct FnNode<'a> {
 
 /// Runs L6 + L7 over the analyzed library files.
 pub fn check(files: &[FileAnalysis]) -> LockGraph {
-    // Workspace lock declarations, for resolving `MutexGuard<'_, T>`
-    // parameters that guards.rs could not resolve within their own file
-    // (placeholder ids of the form `<T>` with an empty file).
+    // Workspace lock declarations, for resolving what guards.rs could not
+    // within one file: `MutexGuard<'_, T>` parameters (placeholder ids of
+    // the form `<T>`) and uses of a lock another file declares. A directory
+    // module is one module split across files, so a lock its `mod.rs`
+    // declares is that same lock in every sibling file.
     let mut by_ty: BTreeMap<&str, Vec<&LockId>> = BTreeMap::new();
+    let mut declared: BTreeSet<&LockId> = BTreeSet::new();
     for fa in files {
         for d in &fa.locks {
             by_ty.entry(d.inner_ty.as_str()).or_default().push(&d.id);
+            declared.insert(&d.id);
         }
     }
     let resolve_lock = |l: &LockId| -> LockId {
-        if l.file.is_empty() {
-            let ty = l.name.trim_start_matches('<').trim_end_matches('>');
-            if let Some(ids) = by_ty.get(ty) {
-                if ids.len() == 1 {
-                    return ids[0].clone();
-                }
-            }
+        if declared.contains(l) {
+            return l.clone();
         }
-        l.clone()
+        let parent_mod = l.file.rsplit_once('/').map(|(dir, _)| format!("{dir}/mod.rs"));
+        if let Some(ty) = l.name.strip_prefix('<').and_then(|n| n.strip_suffix('>')) {
+            let ids = by_ty.get(ty).map_or(&[][..], Vec::as_slice);
+            let in_parent = ids.iter().find(|id| Some(&id.file) == parent_mod.as_ref());
+            return match (in_parent, ids) {
+                (Some(id), _) | (None, [id]) => (*id).clone(),
+                _ => l.clone(),
+            };
+        }
+        let in_parent = parent_mod.map(|file| LockId { file, name: l.name.clone() });
+        in_parent.filter(|id| declared.contains(id)).unwrap_or_else(|| l.clone())
     };
 
     // Function index for name resolution.
@@ -504,6 +513,27 @@ mod tests {
         let l7: Vec<&Finding> = g.findings.iter().filter(|f| f.rule == "L7").collect();
         assert_eq!(l7.len(), 1, "{:?}", g.findings);
         assert!(l7[0].message.contains("state"));
+    }
+
+    #[test]
+    fn a_lock_declared_in_mod_rs_is_one_lock_across_the_directory() {
+        let g = run(&[
+            ("crates/x/src/db/mod.rs", "struct S { state: Mutex<State> }"),
+            (
+                "crates/x/src/db/write.rs",
+                "impl S {\n\
+                 fn put(&self) { let mut st = self.state.lock(); self.rotate(&mut st); }\n\
+                 fn rotate(&self, st: &mut MutexGuard<'_, State>) { with_retry(x, y); }\n\
+                 }",
+            ),
+            // Another crate's `Mutex<State>` keeps the type ambiguous.
+            ("crates/y/src/lib.rs", "struct T { state: Mutex<State> }"),
+        ]);
+        let locks: Vec<String> = g.locks.iter().map(|l| l.to_string()).collect();
+        assert_eq!(locks, ["crates/x/src/db/mod.rs:state"]);
+        let l7: Vec<&Finding> = g.findings.iter().filter(|f| f.rule == "L7").collect();
+        assert_eq!(l7.len(), 2, "{:?}", g.findings);
+        assert!(l7.iter().all(|f| f.message.contains("`crates/x/src/db/mod.rs:state`")));
     }
 
     #[test]

@@ -26,6 +26,10 @@ use crate::lexer::{is_ident_char, PreparedSource};
 /// Identity of one lock: the repository-relative file that declares it
 /// plus the field/static name. Field names repeat across the workspace
 /// (`state` appears in four crates), so the file is part of the identity.
+/// This pass sees one file at a time and names every lock after the file
+/// it is *used* in — `<T>` for a `MutexGuard<'_, T>` parameter whose lock
+/// that file does not declare; [`crate::graph`] maps both onto the
+/// declaring file.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockId {
     pub file: String,
@@ -390,7 +394,7 @@ pub fn analyze_file(file: &str, src: &PreparedSource) -> FileAnalysis {
                         // Guard parameters are live for the whole body.
                         for p in &guard_params {
                             let lock = local_ty_to_lock(&p.ty).unwrap_or(LockId {
-                                file: String::new(),
+                                file: file.to_string(),
                                 name: format!("<{}>", p.ty),
                             });
                             ctx.guards.push(LiveGuard {

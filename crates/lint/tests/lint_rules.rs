@@ -154,7 +154,7 @@ fn scoping_exempts_harness_model_and_designated_files() {
 
 #[test]
 fn classification_follows_paths() {
-    assert_eq!(classify("crates/lsm/src/db.rs"), FileClass::Library);
+    assert_eq!(classify("crates/lsm/src/db/mod.rs"), FileClass::Library);
     assert_eq!(classify("src/lib.rs"), FileClass::Library);
     assert_eq!(classify("tests/pipeline_e2e.rs"), FileClass::Harness);
     assert_eq!(classify("crates/shard/examples/kv.rs"), FileClass::Harness);

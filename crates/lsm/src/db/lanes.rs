@@ -1,0 +1,384 @@
+//! The two background lanes: flush and compaction jobs, the scheduler grant
+//! around a merge, transient-error retry and the obsolete-file sweep.
+
+use super::{Db, DbInner, GcPlan, State, RETRY};
+use crate::compact::{CompactionRequest, ResourceGrant};
+use crate::edit::VersionEdit;
+use crate::filename::{parse_file_name, table_file, FileKind};
+use crate::version::{FileMetadata, NUM_LEVELS};
+use crate::version_set::CompactionPick;
+use parking_lot::MutexGuard;
+use pcp_storage::is_transient;
+use std::io;
+use std::sync::atomic::Ordering as AtomicOrdering;
+use std::sync::Arc;
+use std::time::Instant;
+
+impl DbInner {
+    // Both lanes hold the state lock except inside the unlocked windows of
+    // their jobs, and park on `work_cv`. Every change a waiter can be
+    // waiting for (`imm` cleared, a marker cleared, a version installed, an
+    // error latched) notifies `done_cv` where it happens; every change that
+    // creates work (`imm` set, a level-0 table added, the compaction marker
+    // given back) notifies `work_cv`.
+
+    /// The flush lane: `imm` → level-0 table → MANIFEST edit. Never waits
+    /// for the compaction lane.
+    pub(super) fn flush_lane(&self) {
+        let mut st = self.state.lock();
+        while !self.shutdown.load(AtomicOrdering::SeqCst) {
+            // With an error latched, retrying a dead disk in a hot loop
+            // helps nobody: stay parked until shutdown.
+            if st.imm.is_none() || st.bg_error.is_some() {
+                self.work_cv.wait(&mut st);
+                continue;
+            }
+            st.flushing = Some(st.versions.next_file_number());
+            let result = self.retry_transient(&mut st, |st| self.run_flush(st));
+            st.flushing = None;
+            self.job_done(&mut st, result);
+        }
+    }
+
+    /// The compaction lane: pick → grant → `executor.compact` → MANIFEST
+    /// edit, one at a time and never beside a [`Db::compact_range`] merge.
+    pub(super) fn compaction_lane(&self) {
+        let mut st = self.state.lock();
+        while !self.shutdown.load(AtomicOrdering::SeqCst) {
+            let pick = if st.compacting.is_some() || st.bg_error.is_some() {
+                None
+            } else {
+                st.versions.pick_compaction(&self.opts.policy)
+            };
+            let Some(pick) = pick else {
+                self.work_cv.wait(&mut st);
+                continue;
+            };
+            // Taken before the lock is released to queue for a grant. The
+            // pick stays valid across that wait and across the merge: the
+            // flush lane only ever adds level-0 tables, all newer than the
+            // picked ones, and nothing else edits the version set while
+            // the marker is held.
+            st.compacting = Some(st.versions.next_file_number());
+            let result = self.compact_with_grant(&mut st, pick);
+            st.compacting = None;
+            self.job_done(&mut st, result);
+        }
+    }
+
+    /// Latches a failed job's error and wakes both sides: waiters see the
+    /// marker gone (or the error), the other lane sees the new level-0
+    /// table (or the error).
+    fn job_done(&self, st: &mut MutexGuard<'_, State>, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.latch_error(st, e.to_string());
+        }
+        self.done_cv.notify_all();
+        self.work_cv.notify_all();
+    }
+
+    /// Runs `pick`, under a grant from the shared cross-database admission
+    /// gate when one is configured (flushes are never gated).
+    fn compact_with_grant(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        pick: CompactionPick,
+    ) -> io::Result<()> {
+        let limiter = self.opts.compaction_limiter.as_deref();
+        let grant = match limiter {
+            None => None,
+            Some(limiter) => {
+                if let Some(slot) = self.sched_slot {
+                    // Publish this shard's compaction debt (the max level
+                    // score) so the scheduler can weight the grant: hot
+                    // shards borrow pipeline width from idle ones.
+                    limiter.set_debt(slot, st.versions.max_score(&self.opts.policy));
+                }
+                let acquired = MutexGuard::unlocked(st, || {
+                    limiter.acquire_grant(self.sched_slot, &|| {
+                        self.shutdown.load(AtomicOrdering::SeqCst)
+                    })
+                });
+                // `None`: shutdown began while queued; the lane's loop
+                // sees the flag.
+                let Some(grant) = acquired else { return Ok(()) };
+                Some(grant)
+            }
+        };
+        // A failure may have latched while queued for the grant.
+        let result = self.check_bg_error(st).and_then(|()| {
+            self.retry_transient(st, |st| self.run_compaction(st, pick.clone(), grant.clone()))
+        });
+        if let (Some(limiter), Some(grant)) = (limiter, &grant) {
+            limiter.release_grant(grant);
+        }
+        result
+    }
+
+    /// Runs one flush or compaction attempt, retrying transient I/O
+    /// failures under `RETRY` with the backoff sleeps taken *outside* the
+    /// state lock so writers and the other lane are not blocked behind a
+    /// backoff.
+    fn retry_transient(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        mut attempt: impl FnMut(&mut MutexGuard<'_, State>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut backoff = RETRY.base_backoff;
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            match attempt(st) {
+                Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
+                    self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
+                    MutexGuard::unlocked(st, || std::thread::sleep(backoff));
+                    backoff = (backoff * 2).min(RETRY.max_backoff);
+                }
+                result => return result,
+            }
+        }
+    }
+
+    /// Deletes obsolete files with the lock released: the other lane and
+    /// every writer wait behind it otherwise.
+    fn sweep(&self, st: &mut MutexGuard<'_, State>) {
+        let plan = st.gc_plan();
+        MutexGuard::unlocked(st, || self.delete_obsolete_files(&plan));
+    }
+
+    fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
+        let imm = st.imm.as_ref().expect("imm present").clone();
+        let number = st.versions.allocate_file_number();
+        let wal_number = st.wal_number;
+
+        let meta = if imm.is_empty() {
+            None
+        } else {
+            // Build the table without holding the lock: this is real
+            // (simulated) I/O plus compression work.
+            let built = MutexGuard::unlocked(st, || {
+                Db::write_memtable_to_table(&self.env, &self.opts, &imm, number).inspect_err(|_| {
+                    // This attempt's orphan; don't leave it to a sweep.
+                    let _ = self.env.delete(&table_file(number));
+                })
+            })?;
+            Some(built)
+        };
+
+        let mut edit = VersionEdit {
+            log_number: Some(wal_number),
+            ..Default::default()
+        };
+        if let Some(meta) = &meta {
+            edit.new_files.push((0, Arc::clone(meta)));
+        }
+        st.versions.log_and_apply(edit)?;
+        st.imm = None;
+        // Writers paused on `imm` go on while this lane sweeps.
+        self.done_cv.notify_all();
+        let (sst_bytes, entries) = meta.map_or((0, 0), |m| (m.size, m.entries));
+        self.metrics
+            .flush_bytes
+            .fetch_add(sst_bytes, AtomicOrdering::Relaxed);
+        self.metrics
+            .flush_count
+            .fetch_add(1, AtomicOrdering::Relaxed);
+        self.trace
+            .record("flush_done", &[("sst_bytes", sst_bytes), ("entries", entries)]);
+        self.sweep(st);
+        Ok(())
+    }
+
+    pub(super) fn run_compaction(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        pick: CompactionPick,
+        grant: Option<ResourceGrant>,
+    ) -> io::Result<()> {
+        match pick {
+            CompactionPick::TrivialMove { level, file } => {
+                let edit = VersionEdit {
+                    deleted_files: vec![(level, file.number)],
+                    new_files: vec![(level + 1, Arc::clone(&file))],
+                    compact_pointers: vec![(level, file.largest.clone())],
+                    ..Default::default()
+                };
+                st.versions.log_and_apply(edit)?;
+                self.metrics
+                    .trivial_moves
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                self.trace.record(
+                    "trivial_move",
+                    &[("level", level as u64), ("bytes", file.size)],
+                );
+                Ok(())
+            }
+            CompactionPick::Merge {
+                level,
+                inputs_upper,
+                inputs_lower,
+                pointer_key,
+            } => {
+                let output_level = level + 1;
+                let bottom_level = {
+                    let version = st.versions.current();
+                    ((output_level + 1)..NUM_LEVELS)
+                        .all(|l| version.levels[l].is_empty())
+                };
+                let smallest_snapshot = st
+                    .snapshots
+                    .keys()
+                    .next()
+                    .copied()
+                    .unwrap_or_else(|| st.versions.last_sequence());
+                let file_numbers = st.versions.file_number_counter();
+                self.trace.record(
+                    "compaction_picked",
+                    &[
+                        ("level", level as u64),
+                        ("inputs_upper", inputs_upper.len() as u64),
+                        ("inputs_lower", inputs_lower.len() as u64),
+                    ],
+                );
+                let open = |metas: &[Arc<FileMetadata>]| -> io::Result<Vec<_>> {
+                    metas
+                        .iter()
+                        .map(|m| {
+                            self.cache
+                                .get(m.number)
+                                .map_err(|e| io::Error::other(e.to_string()))
+                        })
+                        .collect()
+                };
+                // The unlocked window: input-table opens (device reads on a
+                // cache miss) and the merge itself. The request, and with
+                // it the input readers, is gone before any sweep. On
+                // failure the executor has already swept its partial
+                // outputs; the error kind survives so transient faults can
+                // be retried.
+                let (outputs, elapsed) = MutexGuard::unlocked(st, || -> io::Result<_> {
+                    let req = CompactionRequest {
+                        env: Arc::clone(&self.env),
+                        upper: open(&inputs_upper)?,
+                        lower: open(&inputs_lower)?,
+                        output_level,
+                        bottom_level,
+                        smallest_snapshot,
+                        file_numbers,
+                        table_opts: self.opts.table_opts(),
+                        max_output_bytes: self.opts.sstable_bytes,
+                        grant: grant.unwrap_or_default(),
+                    };
+                    let t0 = Instant::now();
+                    let outputs = self.opts.executor.compact(&req)?;
+                    Ok((outputs, t0.elapsed()))
+                })?;
+
+                let input_bytes: u64 = inputs_upper
+                    .iter()
+                    .chain(inputs_lower.iter())
+                    .map(|f| f.size)
+                    .sum();
+                let output_bytes: u64 = outputs.iter().map(|f| f.size).sum();
+                let edit = VersionEdit {
+                    deleted_files: inputs_upper
+                        .iter()
+                        .map(|f| (level, f.number))
+                        .chain(inputs_lower.iter().map(|f| (output_level, f.number)))
+                        .collect(),
+                    new_files: outputs
+                        .iter()
+                        .map(|f| (output_level, Arc::clone(f)))
+                        .collect(),
+                    compact_pointers: vec![(level, pointer_key)],
+                    ..Default::default()
+                };
+                // An error latched while the merge ran (the flush lane, a
+                // WAL failure): background work has stopped and reads serve
+                // the last installed version, so this merge is abandoned.
+                let installed = self
+                    .check_bg_error(st)
+                    .and_then(|()| st.versions.log_and_apply(edit));
+                if let Err(e) = installed {
+                    // The new tables were written but never installed:
+                    // delete them now so a retry (which re-runs the merge
+                    // with fresh file numbers) doesn't accumulate orphans.
+                    MutexGuard::unlocked(st, || {
+                        for f in &outputs {
+                            self.cache.evict(f.number);
+                            let _ = self.env.delete(&table_file(f.number));
+                        }
+                    });
+                    return Err(e);
+                }
+                // Writers stopped on a full level 0 go on while this lane
+                // sweeps.
+                self.done_cv.notify_all();
+                self.metrics
+                    .compaction_count
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                self.metrics
+                    .compaction_input_bytes
+                    .fetch_add(input_bytes, AtomicOrdering::Relaxed);
+                self.metrics
+                    .compaction_output_bytes
+                    .fetch_add(output_bytes, AtomicOrdering::Relaxed);
+                self.metrics
+                    .compaction_nanos
+                    .fetch_add(elapsed.as_nanos() as u64, AtomicOrdering::Relaxed);
+                self.metrics.level_compactions[level].fetch_add(1, AtomicOrdering::Relaxed);
+                self.metrics.level_compaction_input_bytes[level]
+                    .fetch_add(input_bytes, AtomicOrdering::Relaxed);
+                self.metrics.level_compaction_output_bytes[level]
+                    .fetch_add(output_bytes, AtomicOrdering::Relaxed);
+                self.trace.record(
+                    "compaction_installed",
+                    &[
+                        ("level", level as u64),
+                        ("input_bytes", input_bytes),
+                        ("output_bytes", output_bytes),
+                        ("outputs", outputs.len() as u64),
+                        ("wall_nanos", elapsed.as_nanos() as u64),
+                    ],
+                );
+                self.sweep(st);
+                Ok(())
+            }
+        }
+    }
+
+    /// Deletes files no longer referenced: tables below the plan's floor
+    /// and absent from its live set, and WALs older than the manifest's
+    /// log number. Called with the state lock released.
+    pub(super) fn delete_obsolete_files(&self, plan: &GcPlan) {
+        let Ok(names) = self.env.list() else { return };
+        for name in names {
+            match parse_file_name(&name) {
+                Some((FileKind::Table, num)) if num < plan.floor && !plan.live.contains(&num) => {
+                    self.cache.evict(num);
+                    self.count_gc_delete(&name);
+                }
+                Some((FileKind::Wal, num))
+                    if num < plan.log_number && num != plan.wal_number =>
+                {
+                    self.count_gc_delete(&name);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Deletes one obsolete file, counting the outcome. A failed delete is
+    /// not an error — the file is merely still on disk and the next sweep
+    /// retries it — but a rising error counter is how an operator notices
+    /// a filesystem that has stopped honouring deletes. A file the other
+    /// lane's concurrent sweep removed first is neither.
+    fn count_gc_delete(&self, name: &str) {
+        let counter = match self.env.delete(name) {
+            Ok(()) => &self.metrics.gc_deleted_files,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return,
+            Err(_) => &self.metrics.gc_delete_errors,
+        };
+        counter.fetch_add(1, AtomicOrdering::Relaxed);
+    }
+}

@@ -1,0 +1,789 @@
+//! The database: [`Db`], its shared state, open and recovery, and the
+//! public API; the jobs behind it live one per submodule.
+//!
+//! The moving parts follow LevelDB's architecture:
+//!
+//! * Writers append to the WAL and insert into the skiplist memtable under
+//!   one mutex. When the memtable reaches its threshold (paper default:
+//!   4 MB) it becomes immutable and a background flush dumps it into a
+//!   level-0 SSTable (`write`).
+//! * Two background lanes share the state lock and the version set: the
+//!   flush lane turns the immutable memtable into a level-0 table, the
+//!   compaction lane runs one compaction at a time, so a full memtable is
+//!   flushed while a merge is in flight (`lanes`; DESIGN.md §12
+//!   "Background lanes"). Compactions are picked by
+//!   [`crate::version_set::VersionSet::pick_compaction`] and executed by
+//!   the configured [`CompactionExec`] — this is where the paper's
+//!   SCP/PCP/PPCP executors plug in.
+//! * When compaction cannot keep up, level 0 grows: writers first get
+//!   slowed (one millisecond per write once L0 reaches
+//!   `l0_slowdown_files`), then stalled outright at `l0_stop_files` (the
+//!   paper's *write pauses*), which is precisely the coupling that makes
+//!   compaction bandwidth determine system throughput (Fig. 10: IOPS vs
+//!   compaction bandwidth).
+//! * Reads capture memtables and version under one lock acquisition and
+//!   search them newest first (`read`); `options`, `batch` and `metrics`
+//!   hold the configuration, the atomic write unit and the counters.
+
+mod batch;
+mod lanes;
+mod metrics;
+mod options;
+mod read;
+mod write;
+
+pub use batch::{BatchOp, WriteBatch};
+pub use metrics::{LevelCompaction, Metrics, MetricsSnapshot};
+pub use options::Options;
+
+use crate::compact::CompactionExec;
+use crate::edit::VersionEdit;
+use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
+use crate::memtable::Memtable;
+use crate::table_cache::TableCache;
+use crate::version::{FileMetadata, NUM_LEVELS};
+use crate::version_set::VersionSet;
+use crate::wal::{WalReader, WalWriter};
+use parking_lot::{Condvar, Mutex};
+use pcp_sstable::key::SequenceNumber;
+use pcp_sstable::{KvIter, TableBuilder};
+use pcp_storage::{EnvRef, RetryPolicy};
+use std::collections::{BTreeMap, HashSet};
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::Arc;
+use std::time::Duration;
+use write::PendingWrite;
+
+/// Retry policy for transient I/O failures in the WAL and the background
+/// flush/compaction paths. Non-transient failures are never retried; they
+/// latch the background-error state (see [`Db::health`]).
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: Duration::from_millis(1),
+    max_backoff: Duration::from_millis(50),
+};
+
+struct State {
+    mem: Arc<Memtable>,
+    imm: Option<Arc<Memtable>>,
+    /// `None` exactly while a group leader holds the WAL inside the
+    /// unlocked I/O window; [`DbInner::rotate_memtable`] waits for it to
+    /// return before swapping logs.
+    wal: Option<WalWriter>,
+    wal_number: u64,
+    versions: VersionSet,
+    /// In-progress marker of the flush lane: `Some(floor)` from the moment
+    /// it claims `imm` until its obsolete-file sweep is done. `floor` is
+    /// the file-number counter at the claim, so every file the job creates
+    /// is numbered at or above it — what [`State::gc_plan`] keeps out of
+    /// the other lane's sweep.
+    flushing: Option<u64>,
+    /// The same marker for the one compaction a `Db` runs at a time, taken
+    /// by the compaction lane and by [`Db::compact_range`] alike.
+    compacting: Option<u64>,
+    bg_error: Option<String>,
+    snapshots: BTreeMap<u64, usize>,
+    /// FIFO of writers awaiting commit; the front entry's owner is the
+    /// group leader.
+    write_queue: std::collections::VecDeque<PendingWrite>,
+    /// Results for completed followers, keyed by ticket. `Err` carries the
+    /// message of the group's WAL failure (io::Error is not Clone).
+    write_results: std::collections::HashMap<u64, Result<(), String>>,
+    next_ticket: u64,
+}
+
+/// What one obsolete-file sweep may delete, captured under the state lock
+/// so the listing and the deletes can run after it is released. Nothing
+/// captured here can turn live later: a table becomes live only through
+/// the install of a job that created it, and every such table is numbered
+/// at or above `floor`.
+struct GcPlan {
+    live: HashSet<u64>,
+    /// Lowest file number an in-flight job (or any job started after this
+    /// capture) may create; tables at or above it are left alone.
+    floor: u64,
+    log_number: u64,
+    wal_number: u64,
+}
+
+impl State {
+    fn gc_plan(&self) -> GcPlan {
+        GcPlan {
+            live: self.versions.live_files(),
+            floor: [self.flushing, self.compacting]
+                .into_iter()
+                .flatten()
+                .min()
+                .unwrap_or_else(|| self.versions.next_file_number()),
+            log_number: self.versions.log_number(),
+            wal_number: self.wal_number,
+        }
+    }
+}
+
+struct DbInner {
+    opts: Options,
+    env: EnvRef,
+    cache: Arc<TableCache>,
+    state: Mutex<State>,
+    work_cv: Condvar,
+    done_cv: Condvar,
+    /// Wakes queued writers: followers whose result arrived, the next
+    /// leader after a group completes, and WAL-rotation waiters.
+    writers_cv: Condvar,
+    shutdown: AtomicBool,
+    metrics: Metrics,
+    /// Writers merged per commit group (the `pcp_engine_group_commit_batches`
+    /// histogram).
+    group_commit_writers: Arc<pcp_obs::Histogram>,
+    /// Lifecycle event ring: flushes, compactions, trivial moves, stalls.
+    trace: Arc<pcp_obs::TraceLog>,
+    /// This database's slot in [`Options::compaction_limiter`], registered
+    /// at open so the scheduler can weight grants by per-shard debt.
+    sched_slot: Option<usize>,
+}
+
+/// An open database.
+pub struct Db {
+    inner: Arc<DbInner>,
+    /// The flush lane and the compaction lane, joined on drop.
+    lanes: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// Result of [`Db::health`]: whether background maintenance is alive.
+///
+/// Once a flush or compaction fails with a non-transient error (after the
+/// configured retries), the database latches that error RocksDB-style:
+/// background work stops, every subsequent write is rejected with the same
+/// error, and reads continue from the last consistent version. The latch
+/// clears only on reopen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DbHealth {
+    /// Background maintenance is running normally.
+    Ok,
+    /// A background error is latched; writes are rejected until reopen.
+    BackgroundError(String),
+}
+
+impl DbHealth {
+    /// True when no background error is latched.
+    pub fn is_ok(&self) -> bool {
+        matches!(self, DbHealth::Ok)
+    }
+}
+
+/// A consistent read view; reads at this snapshot ignore later writes.
+pub struct Snapshot {
+    inner: Arc<DbInner>,
+    /// The sequence number this snapshot reads at.
+    pub sequence: SequenceNumber,
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        let mut st = self.inner.state.lock();
+        if let Some(count) = st.snapshots.get_mut(&self.sequence) {
+            *count -= 1;
+            if *count == 0 {
+                st.snapshots.remove(&self.sequence);
+            }
+        }
+    }
+}
+
+impl Db {
+    /// Opens (creating or recovering) a database on `env`.
+    pub fn open(env: EnvRef, opts: Options) -> io::Result<Db> {
+        let mut versions = VersionSet::open(Arc::clone(&env))?;
+        let mem = Arc::new(Memtable::new());
+        let mut max_seq = versions.last_sequence();
+
+        let on_disk: Vec<(FileKind, u64)> = env
+            .list()?
+            .iter()
+            .filter_map(|n| parse_file_name(n))
+            .collect();
+        for (_, num) in &on_disk {
+            versions.mark_file_number_used(*num);
+        }
+        // Replay WALs newer than the manifest's log number.
+        let mut logs: Vec<u64> = on_disk
+            .iter()
+            .filter(|(kind, num)| *kind == FileKind::Wal && *num >= versions.log_number())
+            .map(|(_, num)| *num)
+            .collect();
+        logs.sort_unstable();
+        let mut tail_corruptions = 0u64;
+        for log in &logs {
+            let mut reader = WalReader::open(&*env, &wal_file(*log))?;
+            while let Some(record) = reader.next_record()? {
+                let (seq, batch) = WriteBatch::decode(&record)?;
+                let next = mem.insert_batch(seq, batch.entry_refs());
+                max_seq = max_seq.max(next - 1);
+            }
+            if reader.corruption_detected() {
+                tail_corruptions += 1;
+            }
+        }
+        versions.set_last_sequence(max_seq);
+
+        // Start a fresh WAL; flush any replayed data straight to L0 so the
+        // old logs become obsolete.
+        let wal_number = versions.allocate_file_number();
+        let wal = WalWriter::create(&*env, &wal_file(wal_number))?;
+        let block_cache = if opts.block_cache_bytes > 0 {
+            Some(pcp_sstable::BlockCache::new(opts.block_cache_bytes))
+        } else {
+            None
+        };
+        let cache = Arc::new(TableCache::with_scan_context(
+            Arc::clone(&env),
+            block_cache,
+            opts.scan_context(),
+        ));
+
+        let (mem, flush_edit) = if mem.is_empty() {
+            (mem, None)
+        } else {
+            let number = versions.allocate_file_number();
+            let meta = Self::write_memtable_to_table(&env, &opts, &mem, number)?;
+            let edit = VersionEdit {
+                log_number: Some(wal_number),
+                new_files: vec![(0, meta)],
+                ..Default::default()
+            };
+            (Arc::new(Memtable::new()), Some(edit))
+        };
+        let edit = flush_edit.unwrap_or(VersionEdit {
+            log_number: Some(wal_number),
+            ..Default::default()
+        });
+        versions.log_and_apply(edit)?;
+
+        let sched_slot = opts.compaction_limiter.as_ref().map(|l| l.register());
+        let inner = Arc::new(DbInner {
+            opts,
+            env,
+            cache,
+            state: Mutex::new(State {
+                mem,
+                imm: None,
+                wal: Some(wal),
+                wal_number,
+                versions,
+                flushing: None,
+                compacting: None,
+                bg_error: None,
+                snapshots: BTreeMap::new(),
+                write_queue: std::collections::VecDeque::new(),
+                write_results: std::collections::HashMap::new(),
+                next_ticket: 0,
+            }),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            writers_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            metrics: Metrics::default(),
+            group_commit_writers: Arc::new(pcp_obs::Histogram::new()),
+            trace: Arc::new(pcp_obs::TraceLog::new(1024)),
+            sched_slot,
+        });
+        if tail_corruptions > 0 {
+            // A crash tore the tail of one or more logs; replay stopped at
+            // the committed prefix (the durability contract), but the event
+            // must be visible outside the process — a replica promoting over
+            // a torn tail shows up here.
+            inner
+                .metrics
+                .wal_tail_corruptions
+                .store(tail_corruptions, AtomicOrdering::Relaxed);
+            inner
+                .trace
+                .record("wal_tail_corruption", &[("logs", tail_corruptions)]);
+        }
+        let plan = inner.state.lock().gc_plan();
+        inner.delete_obsolete_files(&plan);
+        if let Some(tap) = &inner.opts.wal_tap {
+            // Seed the tap's replication horizon before the first write can
+            // race it.
+            tap.attach(max_seq + 1);
+        }
+
+        // Built first so a failed second spawn drops it and joins the first.
+        let mut db = Db {
+            inner,
+            lanes: Vec::with_capacity(2),
+        };
+        type Lane = fn(&DbInner);
+        for (name, lane) in [
+            ("pcp-lsm-flush", DbInner::flush_lane as Lane),
+            ("pcp-lsm-compact", DbInner::compaction_lane),
+        ] {
+            let inner = Arc::clone(&db.inner);
+            db.lanes.push(
+                std::thread::Builder::new()
+                    .name(name.into())
+                    .spawn(move || lane(&inner))?,
+            );
+        }
+        Ok(db)
+    }
+
+    fn write_memtable_to_table(
+        env: &EnvRef,
+        opts: &Options,
+        mem: &Arc<Memtable>,
+        number: u64,
+    ) -> io::Result<Arc<FileMetadata>> {
+        let file = env.create(&table_file(number))?;
+        let mut builder = TableBuilder::new(file, opts.table_opts());
+        let mut it = mem.iter();
+        it.seek_to_first();
+        let mut smallest = Vec::new();
+        let mut largest = Vec::new();
+        while it.valid() {
+            if smallest.is_empty() {
+                smallest = it.key().to_vec();
+            }
+            largest.clear();
+            largest.extend_from_slice(it.key());
+            builder.add(it.key(), it.value())?;
+            it.next();
+        }
+        let stats = builder.finish()?;
+        Ok(Arc::new(FileMetadata {
+            number,
+            size: stats.file_size,
+            entries: stats.entries,
+            smallest,
+            largest,
+        }))
+    }
+
+    /// Registers a snapshot at the current sequence.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut st = self.inner.state.lock();
+        let seq = st.versions.last_sequence();
+        *st.snapshots.entry(seq).or_insert(0) += 1;
+        Snapshot {
+            inner: Arc::clone(&self.inner),
+            sequence: seq,
+        }
+    }
+
+    /// Forces the current memtable out to level 0 and waits.
+    pub fn flush(&self) -> io::Result<()> {
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        if st.mem.is_empty() && st.imm.is_none() {
+            return Ok(());
+        }
+        if !st.mem.is_empty() {
+            // Rotate, waiting for any previous imm first. A failed flush
+            // leaves `imm` in place with the lane parked; the latch wakes
+            // this wait, so check the error on every turn.
+            while st.imm.is_some() {
+                inner.check_bg_error(&st)?;
+                inner.done_cv.wait(&mut st);
+            }
+            inner.check_bg_error(&st)?;
+            inner.rotate_memtable(&mut st)?;
+        }
+        // Until the flush lane has installed the table and swept.
+        while st.imm.is_some() || st.flushing.is_some() {
+            inner.check_bg_error(&st)?;
+            inner.done_cv.wait(&mut st);
+        }
+        Ok(())
+    }
+
+    /// Blocks until no flush or compaction work remains: no immutable
+    /// memtable, no compaction to pick, neither lane running.
+    pub fn wait_idle(&self) -> io::Result<()> {
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        loop {
+            inner.check_bg_error(&st)?;
+            let busy = st.imm.is_some()
+                || st.flushing.is_some()
+                || st.compacting.is_some()
+                || st.versions.pick_compaction(&inner.opts.policy).is_some();
+            if !busy {
+                return Ok(());
+            }
+            inner.done_cv.wait(&mut st);
+        }
+    }
+
+    /// Synchronously compacts every level containing data in `[lo, hi]`
+    /// (unbounded when `None`), top down.
+    pub fn compact_range(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> io::Result<()> {
+        self.flush()?;
+        let inner = &*self.inner;
+        for level in 0..NUM_LEVELS - 1 {
+            // One pass per level, each under the compaction marker the
+            // background lane also takes: never two merges in one `Db`.
+            let mut st = inner.state.lock();
+            while st.compacting.is_some() {
+                inner.done_cv.wait(&mut st);
+            }
+            inner.check_bg_error(&st)?;
+            if let Some(pick) = st.versions.pick_range(level, lo, hi) {
+                st.compacting = Some(st.versions.next_file_number());
+                // Manual compactions bypass the scheduler: the caller asked
+                // for this work explicitly, so it runs unpaced.
+                let result = inner.run_compaction(&mut st, pick, None);
+                st.compacting = None;
+                inner.done_cv.notify_all();
+                inner.work_cv.notify_all();
+                drop(st);
+                result?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The sequence number of the most recent committed write — the
+    /// replication offset a replica of this database must reach to be
+    /// caught up.
+    pub fn last_sequence(&self) -> SequenceNumber {
+        self.inner.state.lock().versions.last_sequence()
+    }
+
+    /// Applies one replicated WAL record — the replica half of the
+    /// [`crate::WalTap`] contract.
+    ///
+    /// `record` must be the exact payload a primary's tap observed (a
+    /// `WriteBatch` encoding carrying its own base sequence). The record
+    /// is appended to this database's *own* WAL first — so a replica
+    /// restart replays it with the original sequence numbers — then
+    /// published through the same `Memtable::insert_batch` path the write
+    /// path uses.
+    ///
+    /// Sequence contiguity is enforced: a record entirely at or below the
+    /// applied horizon is a duplicate (idempotent resend after a
+    /// reconnect) and is skipped with `Ok`; a record starting anywhere
+    /// but exactly one past the horizon is rejected with
+    /// `InvalidData` **before** any side effect, so an out-of-order or
+    /// gapped stream can never tear the replica's state.
+    ///
+    /// Returns the new last applied sequence.
+    pub fn apply_replicated(&self, record: &[u8]) -> io::Result<SequenceNumber> {
+        let (first_seq, batch) = WriteBatch::decode(record)?;
+        if batch.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "replicated record carries no entries",
+            ));
+        }
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        inner.check_bg_error(&st)?;
+        let applied = st.versions.last_sequence();
+        let batch_last = first_seq + batch.len() as u64 - 1;
+        if batch_last <= applied {
+            return Ok(applied); // duplicate resend — already applied
+        }
+        if first_seq != applied + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "out-of-sequence replicated record: starts at {first_seq}, \
+                     applied horizon is {applied}"
+                ),
+            ));
+        }
+        inner.make_room_for_write(&mut st)?;
+        // Admission and rotation can release the lock; a concurrent group
+        // leader may also hold the WAL inside its I/O window. Wait for the
+        // WAL to be resident and re-check the horizon under the re-acquired
+        // lock before touching anything.
+        while st.wal.is_none() {
+            inner.writers_cv.wait(&mut st);
+        }
+        let applied = st.versions.last_sequence();
+        if batch_last <= applied {
+            return Ok(applied);
+        }
+        if first_seq != applied + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "out-of-sequence replicated record: starts at {first_seq}, \
+                     applied horizon is {applied}"
+                ),
+            ));
+        }
+        let wal = st.wal.as_mut().expect("wal open");
+        if let Err(e) = inner.log_record(wal, record) {
+            inner.latch_wal_failure(&mut st, &e);
+            return Err(e);
+        }
+        let next = st.mem.insert_batch(first_seq, batch.entry_refs());
+        debug_assert_eq!(next - 1, batch_last);
+        st.versions.set_last_sequence(next - 1);
+        inner
+            .metrics
+            .puts
+            .fetch_add(batch.len() as u64, AtomicOrdering::Relaxed);
+        Ok(next - 1)
+    }
+
+    /// Reports whether background maintenance is healthy or a background
+    /// error has been latched (see [`DbHealth`]).
+    pub fn health(&self) -> DbHealth {
+        match &self.inner.state.lock().bg_error {
+            Some(e) => DbHealth::BackgroundError(e.clone()),
+            None => DbHealth::Ok,
+        }
+    }
+
+    /// The engine's lifecycle trace: one [`pcp_obs::TraceEvent`] per
+    /// flush, merge compaction, trivial move, and write stall, in a
+    /// bounded ring (most recent 1024 events).
+    pub fn trace(&self) -> &Arc<pcp_obs::TraceLog> {
+        &self.inner.trace
+    }
+
+    /// The slot this database registered with its
+    /// [`Options::compaction_limiter`] at open, or `None` when no limiter
+    /// is configured. The sharded engine uses it to read per-shard
+    /// scheduler gauges ([`crate::CompactionLimiter::granted_tokens`] etc.).
+    pub fn scheduler_slot(&self) -> Option<usize> {
+        self.inner.sched_slot
+    }
+
+    /// The compaction executor this database runs. In a sharded engine
+    /// every shard holds a clone of the same `Arc`, so executor-owned
+    /// metrics ([`CompactionExec::register_metrics`]) should be registered
+    /// once per engine, not once per shard.
+    pub fn executor(&self) -> &Arc<dyn CompactionExec> {
+        &self.inner.opts.executor
+    }
+
+    /// Per-level (file count, bytes) summary.
+    pub fn level_summary(&self) -> Vec<(usize, u64)> {
+        let st = self.inner.state.lock();
+        let v = st.versions.current();
+        (0..NUM_LEVELS)
+            .map(|l| (v.level_files(l), v.level_bytes(l)))
+            .collect()
+    }
+
+    /// The environment this database lives on.
+    pub fn env(&self) -> &EnvRef {
+        &self.inner.env
+    }
+
+    /// Estimates the on-disk bytes holding user keys in `[lo, hi]`
+    /// (unbounded when `None`), from table metadata: full size for tables
+    /// entirely inside the range, half for tables straddling an edge. The
+    /// live memtable is not counted.
+    pub fn approximate_size(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> u64 {
+        let version = {
+            let st = self.inner.state.lock();
+            st.versions.current()
+        };
+        let inside = |k: &[u8]| -> bool {
+            lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi)
+        };
+        let mut total = 0u64;
+        for files in &version.levels {
+            for f in files {
+                if !f.overlaps_user_range(lo, hi) {
+                    continue;
+                }
+                let fully_inside = inside(pcp_sstable::key::user_key(&f.smallest))
+                    && inside(pcp_sstable::key::user_key(&f.largest));
+                total += if fully_inside { f.size } else { f.size / 2 };
+            }
+        }
+        total
+    }
+
+    /// Walks every live table, verifying file-level metadata, block
+    /// checksums (the S2 step, applied offline), decompression, entry
+    /// ordering, and level disjointness. Returns a report; `errors` is
+    /// empty on a healthy store.
+    pub fn verify_integrity(&self) -> io::Result<IntegrityReport> {
+        let version = {
+            let st = self.inner.state.lock();
+            st.versions.current()
+        };
+        let mut report = IntegrityReport::default();
+        if let Err(e) = version.check_invariants() {
+            report.errors.push(format!("level invariants: {e}"));
+        }
+        for (level, files) in version.levels.iter().enumerate() {
+            for meta in files {
+                report.tables += 1;
+                let table = match self.inner.cache.get(meta.number) {
+                    Ok(t) => t,
+                    Err(e) => {
+                        report
+                            .errors
+                            .push(format!("L{level} table {}: open failed: {e}", meta.number));
+                        continue;
+                    }
+                };
+                let stats = table.stats();
+                if stats.entries != meta.entries {
+                    report.errors.push(format!(
+                        "L{level} table {}: manifest says {} entries, table says {}",
+                        meta.number, meta.entries, stats.entries
+                    ));
+                }
+                match table.block_metas() {
+                    Err(e) => report
+                        .errors
+                        .push(format!("L{level} table {}: index: {e}", meta.number)),
+                    Ok(metas) => {
+                        for bm in &metas {
+                            report.blocks += 1;
+                            report.entries += bm.entries;
+                            let result = table
+                                .read_raw_block(bm.handle)
+                                .and_then(|raw| {
+                                    let (payload, kind) =
+                                        pcp_sstable::table::verify_block(&raw)?;
+                                    pcp_sstable::table::decompress_block(payload, kind)
+                                })
+                                .map(|_| ());
+                            if let Err(e) = result {
+                                report.errors.push(format!(
+                                    "L{level} table {} block @{}: {e}",
+                                    meta.number, bm.handle.offset
+                                ));
+                            }
+                        }
+                        for w in metas.windows(2) {
+                            if pcp_sstable::internal_key_cmp(&w[0].last_key, &w[1].first_key)
+                                != std::cmp::Ordering::Less
+                            {
+                                report.errors.push(format!(
+                                    "L{level} table {}: blocks out of order",
+                                    meta.number
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(report)
+    }
+
+    /// Human-readable engine summary (levels, counters) for diagnostics.
+    pub fn debug_string(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let m = self.metrics();
+        let summary = self.level_summary();
+        let _ = writeln!(out, "=== pcp-lsm engine state ===");
+        for (level, (files, bytes)) in summary.iter().enumerate() {
+            if *files > 0 {
+                let _ = writeln!(
+                    out,
+                    "  L{level}: {files:4} files  {:10.2} MB",
+                    *bytes as f64 / 1048576.0
+                );
+            }
+        }
+        let _ = writeln!(
+            out,
+            "  writes: {} puts, {} stalls ({:.1} ms), {} slowdowns",
+            m.puts,
+            m.stall_events,
+            m.stall_time.as_secs_f64() * 1e3,
+            m.slowdown_events
+        );
+        let _ = writeln!(
+            out,
+            "  flushes: {} ({:.2} MB)   compactions: {} (+{} moves), {:.2} MB at {:.1} MB/s",
+            m.flush_count,
+            m.flush_bytes as f64 / 1048576.0,
+            m.compaction_count,
+            m.trivial_moves,
+            (m.compaction_input_bytes + m.compaction_output_bytes) as f64 / 1048576.0,
+            m.compaction_bandwidth() / 1048576.0,
+        );
+        let _ = writeln!(
+            out,
+            "  gc: {} deleted, {} delete errors   bg retries: {}   health: {:?}",
+            m.gc_deleted_files,
+            m.gc_delete_errors,
+            m.bg_retries,
+            self.health(),
+        );
+        out
+    }
+}
+
+/// Result of [`Db::verify_integrity`].
+#[derive(Debug, Default)]
+pub struct IntegrityReport {
+    /// Tables inspected.
+    pub tables: u64,
+    /// Data blocks whose checksums were verified.
+    pub blocks: u64,
+    /// Entries accounted by block metadata.
+    pub entries: u64,
+    /// Problems found (empty = healthy).
+    pub errors: Vec<String>,
+}
+
+impl IntegrityReport {
+    /// True when no corruption or inconsistency was found.
+    pub fn is_healthy(&self) -> bool {
+        self.errors.is_empty()
+    }
+}
+
+impl Drop for Db {
+    fn drop(&mut self) {
+        self.inner.shutdown.store(true, AtomicOrdering::SeqCst);
+        // Each lane checks the flag and parks under the state lock. Pass
+        // through the lock before notifying: a lane has then either not
+        // yet checked (and will see the flag) or is already parked (and
+        // gets the wakeup) — never in between, where it would miss both
+        // and its join would hang.
+        drop(self.inner.state.lock());
+        self.inner.work_cv.notify_all();
+        for lane in self.lanes.drain(..) {
+            let _ = lane.join();
+        }
+        // After the compaction lane is gone no further grants can be
+        // requested, so the scheduler slot can be retired (its debt stops
+        // counting toward other shards' shares).
+        if let (Some(limiter), Some(slot)) =
+            (&self.inner.opts.compaction_limiter, self.inner.sched_slot)
+        {
+            limiter.unregister(slot);
+        }
+    }
+}
+
+impl DbInner {
+    fn check_bg_error(&self, st: &State) -> io::Result<()> {
+        match &st.bg_error {
+            Some(e) => Err(io::Error::other(e.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Latches the first non-transient failure — later ones keep it — and
+    /// wakes everyone waiting for background progress that will not come.
+    fn latch_error(&self, st: &mut State, message: String) {
+        st.bg_error.get_or_insert(message);
+        self.done_cv.notify_all();
+    }
+
+    /// A failed WAL append or sync means the log can no longer be trusted
+    /// to hold this (or any later) record durably: latch the error so
+    /// every subsequent write is rejected instead of silently diverging
+    /// from the log.
+    fn latch_wal_failure(&self, st: &mut State, e: &io::Error) {
+        self.latch_error(st, format!("wal write failed: {e}"));
+    }
+}

@@ -27,7 +27,6 @@
 pub mod db;
 pub mod edit;
 pub mod iter;
-pub mod limiter;
 pub mod memtable;
 pub mod repair;
 pub mod table_cache;
@@ -36,14 +35,14 @@ pub mod version_set;
 pub mod wal;
 
 // The compaction interface (executor trait, reference merge, file naming,
-// resource grants) lives in `pcp-compaction` so `pcp-core`'s executors can
+// the scheduler and its grants) lives in `pcp-compaction` so `pcp-core`'s executors can
 // implement it without a dependency cycle; the old `pcp_lsm::compact` and
 // `pcp_lsm::filename` paths keep working through these re-exports.
 pub use pcp_compaction as compact;
 pub use pcp_compaction::filename;
 pub use pcp_compaction::{
-    CompactionExec, CompactionRequest, OutputWriter, ResourceGrant, SimpleMergeExec,
-    VersionKeepFilter,
+    CompactionExec, CompactionLimiter, CompactionRequest, OutputWriter, ResourceGrant,
+    SimpleMergeExec, VersionKeepFilter,
 };
 pub use db::{
     BatchOp, Db, DbHealth, IntegrityReport, LevelCompaction, Metrics, MetricsSnapshot, Options,
@@ -51,7 +50,6 @@ pub use db::{
 };
 pub use edit::VersionEdit;
 pub use iter::{DbIter, LevelIter};
-pub use limiter::CompactionLimiter;
 pub use memtable::{Memtable, MemtableIter};
 pub use repair::{repair, RepairReport};
 pub use table_cache::TableCache;

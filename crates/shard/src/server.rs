@@ -7,9 +7,8 @@
 //!
 //! The interesting state — memtables, WALs, compaction pipelines — all
 //! lives below, in the sharded engine; the service layer only frames
-//! requests, routes them, and measures them (per-op latency through
-//! [`pcp_workload::LatencyHistogram`], the same histogram the workload
-//! drivers report with).
+//! requests, routes them, and measures them (per-op latency in two
+//! [`pcp_obs::Histogram`]s, read-class and write-class).
 //!
 //! The server owns the process's [`pcp_obs::Registry`]: at startup it
 //! registers its own `pcp_service_*` series plus every shard's
@@ -25,7 +24,6 @@ use crate::ship::{NextRecord, ReplSource};
 use crate::BatchItem;
 use parking_lot::Mutex;
 use pcp_lsm::WriteBatch;
-use pcp_workload::LatencyHistogram;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -69,8 +67,8 @@ pub(crate) struct ServerShared {
     ops: Arc<AtomicU64>,
     errors: Arc<AtomicU64>,
     active_conns: Arc<AtomicUsize>,
-    read_latency: LatencyHistogram,
-    write_latency: LatencyHistogram,
+    read_latency: Arc<pcp_obs::Histogram>,
+    write_latency: Arc<pcp_obs::Histogram>,
     registry: pcp_obs::Registry,
     /// Subscriber stream threads, joined on shutdown.
     subscriber_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -138,8 +136,8 @@ impl ServerShared {
             engine_gets: engine.gets,
             flushes: engine.flush_count,
             compactions: engine.compaction_count,
-            read_p99_nanos: self.read_latency.quantile(0.99).as_nanos() as u64,
-            write_p99_nanos: self.write_latency.quantile(0.99).as_nanos() as u64,
+            read_p99_nanos: self.read_latency.quantile(0.99),
+            write_p99_nanos: self.write_latency.quantile(0.99),
             per_shard_puts: self.db.shard_metrics().iter().map(|m| m.puts).collect(),
         }
     }
@@ -215,7 +213,7 @@ impl ServerShared {
         };
         match result {
             Ok((resp, histogram)) => {
-                histogram.record(t0.elapsed());
+                histogram.record_duration(t0.elapsed());
                 resp
             }
             Err(e) => {
@@ -257,8 +255,8 @@ impl KvServer {
         let ops = Arc::new(AtomicU64::new(0));
         let errors = Arc::new(AtomicU64::new(0));
         let active_conns = Arc::new(AtomicUsize::new(0));
-        let read_latency = LatencyHistogram::new();
-        let write_latency = LatencyHistogram::new();
+        let read_latency = Arc::new(pcp_obs::Histogram::new());
+        let write_latency = Arc::new(pcp_obs::Histogram::new());
         let registry = pcp_obs::Registry::new();
         db.register_metrics(&registry);
         {
@@ -287,13 +285,13 @@ impl KvServer {
                 "pcp_service_read_latency_nanoseconds",
                 "server-side latency of read-class ops (GET/SCAN/STATS/METRICS)",
                 Vec::new(),
-                Arc::clone(read_latency.inner()),
+                Arc::clone(&read_latency),
             );
             registry.register_histogram(
                 "pcp_service_write_latency_nanoseconds",
                 "server-side latency of write-class ops (PUT/DELETE/BATCH)",
                 Vec::new(),
-                Arc::clone(write_latency.inner()),
+                Arc::clone(&write_latency),
             );
         }
         if let Some(source) = &options.repl_source {

@@ -588,18 +588,6 @@ impl pcp_workload::KvStore for ShardedDb {
         ShardedDb::put(self, key, value)
     }
 
-    fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        ShardedDb::get(self, key)
-    }
-
-    fn delete(&self, key: &[u8]) -> io::Result<()> {
-        ShardedDb::delete(self, key)
-    }
-
-    fn write(&self, batch: WriteBatch) -> io::Result<()> {
-        ShardedDb::write(self, batch)
-    }
-
     fn wait_idle(&self) -> io::Result<()> {
         ShardedDb::wait_idle(self)
     }

@@ -1,30 +1,20 @@
-//! The storage backend the workload drivers run against.
+//! The storage backend the insert driver runs against.
 //!
-//! The drivers were written against [`pcp_lsm::Db`] directly; [`KvStore`]
-//! lifts the surface they actually use into a trait so the same insert and
-//! mixed read/write loads replay unchanged against any engine — a single
-//! `Db`, a range-sharded multi-`Db` engine, or a remote service client —
-//! and their reports stay comparable across backends.
+//! [`KvStore`] lifts the surface [`crate::run_inserts`] uses of
+//! [`pcp_lsm::Db`] into a trait so the same load replays unchanged against
+//! any engine — a single `Db` or a range-sharded multi-`Db` engine — and
+//! its reports stay comparable across backends.
 
-use pcp_lsm::{Db, MetricsSnapshot, WriteBatch};
+use pcp_lsm::{Db, MetricsSnapshot};
 use std::io;
 
-/// A key-value engine a workload driver can load.
+/// A key-value engine the insert driver can load.
 ///
 /// `metrics` aggregates whatever the backend considers its engine
 /// counters; a sharded backend reports the sum over its shards.
 pub trait KvStore: Send + Sync {
     /// Inserts `key → value`.
     fn put(&self, key: &[u8], value: &[u8]) -> io::Result<()>;
-
-    /// Reads the newest visible value for `key`.
-    fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>>;
-
-    /// Deletes `key`.
-    fn delete(&self, key: &[u8]) -> io::Result<()>;
-
-    /// Applies a batch atomically (per shard, for sharded backends).
-    fn write(&self, batch: WriteBatch) -> io::Result<()>;
 
     /// Blocks until no background flush or compaction work remains.
     fn wait_idle(&self) -> io::Result<()>;
@@ -36,18 +26,6 @@ pub trait KvStore: Send + Sync {
 impl KvStore for Db {
     fn put(&self, key: &[u8], value: &[u8]) -> io::Result<()> {
         Db::put(self, key, value)
-    }
-
-    fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        Db::get(self, key)
-    }
-
-    fn delete(&self, key: &[u8]) -> io::Result<()> {
-        Db::delete(self, key)
-    }
-
-    fn write(&self, batch: WriteBatch) -> io::Result<()> {
-        Db::write(self, batch)
     }
 
     fn wait_idle(&self) -> io::Result<()> {

@@ -11,8 +11,6 @@ pub enum KeyOrder {
     Sequential,
     /// Uniform random over `[0, space)` — the paper's insert workload.
     UniformRandom,
-    /// Zipfian over `[0, space)`, skew θ (hot-key heavy).
-    Zipfian(f64),
 }
 
 /// Deterministic key generator.
@@ -23,16 +21,6 @@ pub struct KeyGen {
     space: u64,
     counter: u64,
     state: u64,
-    /// Precomputed zipf constants.
-    zipf: Option<ZipfState>,
-}
-
-#[derive(Debug, Clone)]
-struct ZipfState {
-    theta: f64,
-    zetan: f64,
-    alpha: f64,
-    eta: f64,
 }
 
 impl KeyGen {
@@ -41,33 +29,12 @@ impl KeyGen {
     pub fn new(order: KeyOrder, key_len: usize, space: u64, seed: u64) -> KeyGen {
         assert!(space > 0);
         assert!(key_len >= 8, "keys shorter than 8 bytes can't hold the space");
-        let zipf = match order {
-            KeyOrder::Zipfian(theta) => {
-                assert!(theta > 0.0 && theta < 1.0, "zipf theta in (0,1)");
-                // Gray et al. incremental zeta is overkill for bench spaces;
-                // direct summation capped at 10M terms.
-                let n = space.min(10_000_000);
-                let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-                let zeta2: f64 = (1..=2u64).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-                let alpha = 1.0 / (1.0 - theta);
-                let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta))
-                    / (1.0 - zeta2 / zetan);
-                Some(ZipfState {
-                    theta,
-                    zetan,
-                    alpha,
-                    eta,
-                })
-            }
-            _ => None,
-        };
         KeyGen {
             order,
             key_len,
             space,
             counter: 0,
             state: seed | 1,
-            zipf,
         }
     }
 
@@ -90,20 +57,6 @@ impl KeyGen {
                 v
             }
             KeyOrder::UniformRandom => self.next_u64() % self.space,
-            KeyOrder::Zipfian(_) => {
-                let z = self.zipf.clone().expect("zipf state");
-                let n = self.space.min(10_000_000) as f64;
-                let u = (self.next_u64() as f64) / (u64::MAX as f64);
-                let uz = u * z.zetan;
-                let v = if uz < 1.0 {
-                    0
-                } else if uz < 1.0 + 0.5f64.powf(z.theta) {
-                    1
-                } else {
-                    (n * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64
-                };
-                v.min(self.space - 1)
-            }
         }
     }
 
@@ -164,25 +117,6 @@ mod tests {
                 "bucket {i} has {b} of 10000 — not uniform"
             );
         }
-    }
-
-    #[test]
-    fn zipfian_skews_toward_small_indices() {
-        let mut g = KeyGen::new(KeyOrder::Zipfian(0.99), 16, 1_000_000, 5);
-        let mut head = 0usize;
-        let n = 20_000;
-        for _ in 0..n {
-            let k = g.generate();
-            let v: u64 = std::str::from_utf8(&k).unwrap().parse().unwrap();
-            if v < 10_000 {
-                head += 1;
-            }
-        }
-        // 1% of the key space must draw far more than 1% of accesses.
-        assert!(
-            head as f64 / n as f64 > 0.3,
-            "zipf head share {head}/{n} too small"
-        );
     }
 
     #[test]

@@ -60,16 +60,6 @@ impl ValueGen {
         self.next_value(&mut buf);
         buf
     }
-
-    /// Value length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when values are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 #[cfg(test)]
@@ -131,6 +121,5 @@ mod tests {
     fn zero_length_values() {
         let mut g = ValueGen::new(0, 0.5, 1);
         assert!(g.generate().is_empty());
-        assert!(g.is_empty());
     }
 }

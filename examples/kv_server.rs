@@ -3,9 +3,8 @@
 //!
 //! Opens a [`pcp::shard::ShardedDb`] over in-memory simulated devices,
 //! starts the [`pcp::shard::KvServer`] on an ephemeral localhost port,
-//! drives it two ways — through the wire with [`pcp::shard::KvClient`],
-//! and directly through the `KvStore` backend with the mixed workload
-//! driver — and prints per-shard throughput plus service statistics.
+//! drives it through the wire with [`pcp::shard::KvClient`], and prints
+//! per-shard throughput plus service statistics.
 //!
 //! ```sh
 //! cargo run --release --example kv_server
@@ -23,7 +22,6 @@
 use pcp::lsm::Options;
 use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
-use pcp::workload::{run_mixed, MixedConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,7 +81,7 @@ fn main() {
         }
     }
 
-    // Act 1 — through the wire: a client does puts, gets, a batch, a scan.
+    // Through the wire: a client does puts, a get and a scan.
     let mut client = KvClient::connect(server.local_addr()).unwrap();
     let t0 = Instant::now();
     for i in 0..5_000u32 {
@@ -104,28 +102,6 @@ fn main() {
         page.len()
     );
 
-    // Act 2 — the mixed workload driver runs unchanged against the
-    // sharded engine through the KvStore backend trait.
-    let t1 = Instant::now();
-    let report = run_mixed(
-        db.as_ref(),
-        &MixedConfig {
-            ops: 50_000,
-            read_fraction: 0.4,
-            key_space: 20_000,
-            ..MixedConfig::default()
-        },
-    )
-    .unwrap();
-    let mixed_wall = t1.elapsed();
-    println!(
-        "mixed: {} reads ({} hits) + {} writes in {:.2?} ({:.0} op/s)",
-        report.reads,
-        report.read_hits,
-        report.writes,
-        mixed_wall,
-        report.ops_per_sec(),
-    );
     db.wait_idle().unwrap();
     print_shard_throughput(&db, t0.elapsed().as_secs_f64());
 

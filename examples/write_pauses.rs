@@ -49,7 +49,6 @@ fn main() {
         order: KeyOrder::UniformRandom,
         value_compressibility: 0.5,
         seed: 0xBEEF,
-        pace: None,
     };
 
     println!("insert burst of {} entries on a simulated HDD:\n", cfg.entries);

@@ -9,19 +9,22 @@
 # distance, so "at least 9 of 10 pairs and a median gap above the base's
 # own spread" is read off the output.
 #
-#   ./scripts/bench_compare.sh <base-rev> [pairs=3]
+#   ./scripts/bench_compare.sh <base-rev> [pairs=3] [seed0=now]
 #
-# Nothing else CPU-heavy may run meanwhile. Ten pairs back a claim
-# (EXPERIMENTS.md "Key-range sub-tasks"); three tell a regression from noise.
+# Pair n runs every workload on both sides with seed seed0+n; the seeds are
+# printed, so passing the same seed0 again re-runs the same pairs. Nothing
+# else CPU-heavy may run meanwhile. Ten pairs back a claim (EXPERIMENTS.md
+# "Key-range sub-tasks"); three tell a regression from noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 <base-rev> [pairs=3]" >&2
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 <base-rev> [pairs=3] [seed0=now]" >&2
     exit 2
 fi
 base_rev=$1
 pairs=${2:-3}
+seed0=${3:-$(date +%s)}
 
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
@@ -54,7 +57,7 @@ run() { # <binary> <workload> <seed>; a run with failed operations exits 1 and s
     "$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1 || [ $? -eq 1 ]
 }
 
-seed0=$(date +%s)
+echo "==> seeds $((seed0 + 1))..$((seed0 + pairs)) (seed0 $seed0)"
 for pair in $(seq 1 "$pairs"); do
     seed=$((seed0 + pair))
     nth=0

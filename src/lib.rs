@@ -49,7 +49,7 @@
 //! | [`lsm`] | `pcp-lsm` | memtable, WAL, versions, leveled compaction, the `Db` |
 //! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, the adaptive wrapper, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
-//! | [`workload`] | `pcp-workload` | key/value generators and insert drivers |
+//! | [`workload`] | `pcp-workload` | key/value generators and the insert driver |
 //! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (epoll reactor + worker pool) |
 //! | [`obs`] | `pcp-obs` | metrics registry, Prometheus exposition, pipeline event traces |
 //!

@@ -49,6 +49,11 @@ fn scp_compaction_has_nonzero_busy_time_in_all_three_stages() {
     let db = Db::open(env, small_opts(exec)).unwrap();
     drive(&db);
 
+    // A pinned executor exports its profile like the adaptive one does.
+    let registry = Registry::new();
+    db.executor().register_metrics(&registry);
+    assert!(registry.snapshot().counter("pcp_compactions_total", &[("exec", "scp")]) > 0);
+
     let snap = profile.snapshot();
     assert!(snap.compactions > 0, "workload must compact");
     for stage in [Step::Read, Step::Sort, Step::Write] {
@@ -77,13 +82,14 @@ fn scp_compaction_has_nonzero_busy_time_in_all_three_stages() {
 fn pipelined_occupancy_published_through_registry() {
     let trace = Arc::new(TraceLog::new(512));
     let exec = Arc::new(PipelinedExec::pcp(16 << 10).with_trace(Arc::clone(&trace)));
-    let profile = exec.profile();
     let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(2 << 30))));
     let db = Db::open(env, small_opts(exec)).unwrap();
     drive(&db);
 
+    // Through the trait object, as the engine registers an executor it
+    // only knows as `Arc<dyn CompactionExec>`.
     let registry = Registry::new();
-    profile.register_metrics(&registry, "pcp");
+    db.executor().register_metrics(&registry);
     let snap = registry.snapshot();
 
     // All three stage accumulators crossed the wire into the registry.
