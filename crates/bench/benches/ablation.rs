@@ -8,7 +8,7 @@
 //!    I/O-bound.
 
 use pcp_bench::*;
-use pcp_core::{PipelineConfig, PipelinedExec, ScpExec, Step};
+use pcp_core::{PipelineConfig, PipelinedExec, Step};
 use pcp_sim::{simulate_tandem, StageSpec, SubTaskCost};
 use pcp_sim::{CostParams, DeviceKind};
 use std::time::Duration;
@@ -151,7 +151,7 @@ fn compression_toggle() {
     ] {
         let env = ssd_env(1.0);
         let fixture = build_fixture(env, upper, VALUE_LEN, 400);
-        let exec = ScpExec::new(SUBTASK_BYTES);
+        let exec = PipelinedExec::scp(SUBTASK_BYTES);
         let profile = exec.profile();
         // Rebuild the request with the toggled compression for outputs;
         // inputs were built compressed either way, so the toggle mostly

@@ -12,7 +12,7 @@
 //! bandwidth gains.
 
 use pcp_bench::*;
-use pcp_core::{PipelinedExec, ScpExec};
+use pcp_core::PipelinedExec;
 use pcp_lsm::{CompactionExec, CompactionPolicy, Db, Options};
 use pcp_workload::{run_inserts, KeyOrder, WorkloadConfig};
 use std::sync::Arc;
@@ -76,7 +76,7 @@ fn main() {
                     ssd_env(1.0)
                 };
                 let executor: Arc<dyn CompactionExec> = if which == "scp" {
-                    Arc::new(ScpExec::new(subtask))
+                    Arc::new(PipelinedExec::scp(subtask))
                 } else {
                     Arc::new(PipelinedExec::pcp(subtask))
                 };

@@ -10,7 +10,7 @@
 //!     sub-task count reaches ≈ 6 (fill/drain amortization).
 
 use pcp_bench::*;
-use pcp_core::{PipelinedExec, ScpExec};
+use pcp_core::PipelinedExec;
 
 fn main() {
     // (a) sub-task sweep at fixed compaction size.
@@ -22,7 +22,7 @@ fn main() {
     let sizes: &[u64] = &[64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20];
     for &st in sizes {
         let fixture = build_fixture(ssd_env(1.0), upper, VALUE_LEN, 11);
-        let scp_bw = run_median3(&fixture, &ScpExec::new(st));
+        let scp_bw = run_median3(&fixture, &PipelinedExec::scp(st));
         let pcp_bw = run_median3(&fixture, &PipelinedExec::pcp(st));
         report.row(&[
             format!("{}K", st >> 10),
@@ -42,7 +42,7 @@ fn main() {
     for &mb in uppers {
         let fixture = build_fixture(ssd_env(1.0), mb << 20, VALUE_LEN, 12);
         let subtask = 1 << 20;
-        let scp = ScpExec::new(subtask);
+        let scp = PipelinedExec::scp(subtask);
         let scp_profile = scp.profile();
         let scp_bw = run_median3(&fixture, &scp);
         let subtasks = scp_profile.snapshot().subtasks / 3;

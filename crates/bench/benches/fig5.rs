@@ -6,7 +6,7 @@
 //! SSD compute > 60 % with write > read (CPU-bound).
 
 use pcp_bench::*;
-use pcp_core::{ScpExec, Step};
+use pcp_core::{PipelinedExec, Step};
 
 fn main() {
     let upper = if quick_mode() { 4 << 20 } else { 16 << 20 };
@@ -20,7 +20,7 @@ fn main() {
     let registry = pcp_obs::Registry::new();
     for (device, env) in [("hdd", hdd_env(1.0)), ("ssd", ssd_env(1.0))] {
         let fixture = build_fixture(env, upper, VALUE_LEN, 5);
-        let exec = ScpExec::new(SUBTASK_BYTES);
+        let exec = PipelinedExec::scp(SUBTASK_BYTES);
         let profile = exec.profile();
         profile.register_metrics(&registry, &format!("scp-{device}"));
         let snap = profiled_run(&fixture, &exec, &profile);

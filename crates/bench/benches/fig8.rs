@@ -6,7 +6,7 @@
 //! comp the most costly compute step.
 
 use pcp_bench::*;
-use pcp_core::{ScpExec, Step};
+use pcp_core::{PipelinedExec, Step};
 
 fn main() {
     let upper: u64 = if quick_mode() { 2 << 20 } else { 8 << 20 };
@@ -24,7 +24,7 @@ fn main() {
         );
         for &vs in value_sizes {
             let fixture = build_fixture(mk_env(1.0), upper, vs, 8);
-            let exec = ScpExec::new(SUBTASK_BYTES);
+            let exec = PipelinedExec::scp(SUBTASK_BYTES);
             let profile = exec.profile();
             let snap = profiled_run(&fixture, &exec, &profile);
             let mut row = vec![format!("{}", KEY_LEN + vs)];

@@ -6,7 +6,7 @@
 //! HDD efficiency.
 
 use pcp_bench::*;
-use pcp_core::{ScpExec, Step};
+use pcp_core::{PipelinedExec, Step};
 
 fn main() {
     let upper: u64 = if quick_mode() { 4 << 20 } else { 16 << 20 };
@@ -24,7 +24,7 @@ fn main() {
         );
         for &st in subtask_sizes {
             let fixture = build_fixture(mk_env(1.0), upper, VALUE_LEN, 9);
-            let exec = ScpExec::new(st);
+            let exec = PipelinedExec::scp(st);
             let profile = exec.profile();
             let snap = profiled_run(&fixture, &exec, &profile);
             let mut row = vec![format!("{}K", st >> 10)];

@@ -5,7 +5,7 @@
 //! model from real measurements, and print paper-style tables (also
 //! mirrored as TSV under `bench_results/`).
 
-use pcp_core::{CompactionProfile, ScpExec};
+use pcp_core::{CompactionProfile, PipelinedExec};
 use pcp_lsm::filename::table_file;
 use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata};
 use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
@@ -219,7 +219,7 @@ pub fn run_median3(fixture: &Fixture, exec: &dyn CompactionExec) -> f64 {
 pub fn calibrate_compute(subtask_bytes: u64) -> (f64, [f64; 7]) {
     let env = mem_env();
     let fixture = build_fixture(env, 4 << 20, VALUE_LEN, 42);
-    let exec = ScpExec::new(subtask_bytes);
+    let exec = PipelinedExec::scp(subtask_bytes);
     let profile = exec.profile();
     let req = fixture.request();
     let outputs = exec.compact(&req).expect("calibration compaction");

@@ -10,13 +10,12 @@
 //! [`VersionKeepFilter`] encodes the LSM version-visibility rules that
 //! decide which merged entries survive (step S4's semantic half).
 
-use crate::filename::table_file;
 use crate::meta::FileMetadata;
 use crate::sched::ResourceGrant;
-use pcp_sstable::key::{parse_internal_key, user_key, SequenceNumber, ValueType};
+use crate::sink::OutputSink;
+use pcp_sstable::key::{parse_internal_key, SequenceNumber, ValueType};
 use pcp_sstable::{
-    KvIter, MergingIter, Result as TableResult, TableBuilder, TableBuilderOptions,
-    TableReader,
+    KvIter, MergingIter, Result as TableResult, TableBuilderOptions, TableReader,
 };
 use pcp_storage::EnvRef;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -134,109 +133,29 @@ pub trait CompactionExec: Send + Sync {
 }
 
 /// Output side of the reference executor: writes filtered merged entries
-/// into size-rotated tables.
-pub struct OutputWriter<'req> {
-    req: &'req CompactionRequest,
-    builder: Option<(u64, TableBuilder)>, // (file number, builder)
-    smallest: Vec<u8>,
-    last_user_key: Vec<u8>,
-    outputs: Vec<Arc<FileMetadata>>,
-    /// Numbers of outputs whose finish failed, pending abort cleanup.
-    aborted_numbers: Vec<u64>,
-}
+/// into the [`OutputSink`]'s size-rotated tables.
+pub struct OutputWriter<'req>(OutputSink<'req>);
 
 impl<'req> OutputWriter<'req> {
     /// Creates a writer for `req`'s output level.
     pub fn new(req: &'req CompactionRequest) -> Self {
-        OutputWriter {
-            req,
-            builder: None,
-            smallest: Vec::new(),
-            last_user_key: Vec::new(),
-            outputs: Vec::new(),
-            aborted_numbers: Vec::new(),
-        }
+        OutputWriter(OutputSink::new(req))
     }
 
     /// Appends one surviving entry (in internal-key order).
     pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> TableResult<()> {
-        // Rotate between user keys only: splitting one user key's versions
-        // across two tables would break the level's disjointness invariant.
-        let should_rotate = self
-            .builder
-            .as_ref()
-            .is_some_and(|(_, b)| b.estimated_size() >= self.req.max_output_bytes)
-            && user_key(ikey) != self.last_user_key.as_slice();
-        if should_rotate {
-            self.finish_current()?;
-        }
-        if self.builder.is_none() {
-            let number = self.req.next_file_number();
-            let file = self.req.env.create(&table_file(number))?;
-            self.builder = Some((
-                number,
-                TableBuilder::new(file, self.req.table_opts.clone()),
-            ));
-            self.smallest = ikey.to_vec();
-        }
-        let (_, b) = self.builder.as_mut().expect("builder exists");
-        b.add(ikey, value)?;
-        self.last_user_key.clear();
-        self.last_user_key.extend_from_slice(user_key(ikey));
-        Ok(())
+        self.0.append(ikey, ikey, |b| b.add(ikey, value))
     }
 
-    fn finish_current(&mut self) -> TableResult<()> {
-        if let Some((number, builder)) = self.builder.take() {
-            let largest = builder.last_key().to_vec();
-            let stats = match builder.finish() {
-                Ok(stats) => stats,
-                Err(e) => {
-                    // The half-written table is already an orphan; remember
-                    // it so abort() can sweep it.
-                    self.aborted_numbers.push(number);
-                    return Err(e);
-                }
-            };
-            self.outputs.push(Arc::new(FileMetadata {
-                number,
-                size: stats.file_size,
-                entries: stats.entries,
-                smallest: std::mem::take(&mut self.smallest),
-                largest,
-            }));
-        }
-        Ok(())
-    }
-
-    /// Finishes the last table and returns the outputs in key order. On
-    /// error the writer still owns every created file — call
-    /// [`OutputWriter::abort`] to sweep them.
+    /// Finishes the last table and returns the outputs in key order; see
+    /// [`OutputSink::finish`].
     pub fn finish(&mut self) -> TableResult<Vec<Arc<FileMetadata>>> {
-        self.finish_current()?;
-        Ok(std::mem::take(&mut self.outputs))
+        self.0.finish()
     }
 
-    /// Deletes every output file this writer created, so a failed
-    /// compaction leaves no orphans behind. Best-effort: files whose
-    /// delete fails are left for the database's orphan scan. Returns how
-    /// many files were deleted.
+    /// Deletes every output file created; see [`OutputSink::abort`].
     pub fn abort(&mut self) -> usize {
-        if let Some((number, builder)) = self.builder.take() {
-            drop(builder); // close the file handle before unlinking
-            self.aborted_numbers.push(number);
-        }
-        let numbers = self
-            .aborted_numbers
-            .drain(..)
-            .chain(self.outputs.drain(..).map(|m| m.number));
-        let mut deleted = 0;
-        for number in numbers {
-            if self.req.env.delete(&table_file(number)).is_ok() {
-                deleted += 1;
-            }
-        }
-        deleted
+        self.0.abort()
     }
 }
 
@@ -286,7 +205,9 @@ impl CompactionExec for SimpleMergeExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcp_sstable::key::{make_internal_key, MAX_SEQUENCE};
+    use crate::filename::table_file;
+    use pcp_sstable::key::{make_internal_key, user_key, MAX_SEQUENCE};
+    use pcp_sstable::TableBuilder;
     use pcp_storage::{SimDevice, SimEnv};
 
     fn env() -> EnvRef {

@@ -12,6 +12,8 @@
 //!   Every executor must produce **identical output tables** for the same
 //!   input; the integration tests enforce this byte-for-byte.
 //! * [`SimpleMergeExec`] — the entry-at-a-time reference implementation.
+//! * [`OutputSink`] — the size-rotated output tables every executor writes
+//!   into, and the orphan sweep when one fails.
 //! * [`VersionKeepFilter`] — LSM version-visibility rules (step S4's
 //!   semantic half).
 //! * [`FileMetadata`] — immutable description of one SSTable.
@@ -27,9 +29,11 @@ pub mod sched;
 
 mod exec;
 mod meta;
+mod sink;
 
 pub use exec::{
     CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
 };
 pub use meta::FileMetadata;
+pub use sink::OutputSink;
 pub use sched::{CompactionLimiter, ResourceGrant};

@@ -1,8 +1,8 @@
 //! # pcp-core
 //!
 //! The paper's contribution: **Pipelined Compaction for the LSM-tree**
-//! (Zhang et al., IPDPS 2014), implemented as drop-in
-//! [`pcp_compaction::CompactionExec`] executors plus the supporting machinery.
+//! (Zhang et al., IPDPS 2014), implemented as one drop-in
+//! [`pcp_compaction::CompactionExec`] executor plus the supporting machinery.
 //!
 //! One compaction merges the key-value entries of a key range spanning two
 //! adjacent components. The work decomposes into seven steps per unit of
@@ -23,16 +23,18 @@
 //!   each, cut at user keys so no version chain is split, and groups them
 //!   into the read units S1 fetches.
 //! * [`steps`] — the seven steps as individually timed functions.
-//! * [`pipeline`] — the executors: [`ScpExec`] (sequential baseline) and
-//!   [`PipelinedExec`] (3-stage read|compute|write pipeline, configurable
-//!   into PCP, C-PPCP — k compute workers with a resequencer — and S-PPCP —
-//!   k read lanes over RAID0).
+//! * [`pipeline`] — [`PipelinedExec`], the one compaction driver, whose
+//!   shape is data: sequential (SCP, the baseline), a 3-stage
+//!   read|compute|write pipeline of fixed widths (PCP, C-PPCP — k compute
+//!   workers with a resequencer — and S-PPCP — k read lanes over RAID0), or
+//!   the same pipeline with the compute width chosen per compaction (the
+//!   production default).
 //! * [`model`] — the closed-form bandwidth equations Eq. 1–7.
 //! * [`profile`] — per-step time accounting used by the paper's breakdown
 //!   figures (Fig. 5/8/9).
-//! * [`adaptive`] — [`AdaptiveExec`], the production default: picks the
-//!   pipeline shape per compaction from the previous compaction's
-//!   occupancy and the scheduler's resource grant.
+//! * [`adaptive`] — [`compute_width`], the rule behind that choice: a pure
+//!   function of the previous compaction's occupancy and the scheduler's
+//!   resource grant.
 
 pub mod adaptive;
 pub mod model;
@@ -41,9 +43,9 @@ pub mod planner;
 pub mod profile;
 pub mod steps;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveExec, ExecChoice, CHOICE_LABELS};
+pub use adaptive::{compute_width, CHOICE_LABELS};
 pub use model::{Bottleneck, StepTimes};
-pub use pipeline::{PipelineConfig, PipelinedExec, ScpExec, SealedWriter};
+pub use pipeline::{PipelineConfig, PipelinedExec, SealedWriter};
 pub use planner::{check_plan, plan_subtasks, read_units, KeyRange, RunBlocks, SubTask};
 pub use profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
 pub use steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask, SealedBlock, SubTaskData};

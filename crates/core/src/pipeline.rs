@@ -1,11 +1,15 @@
-//! The compaction executors (paper §III).
+//! The compaction executor (paper §III): one driver, three kinds of shape.
 //!
-//! * [`ScpExec`] — the **Sequential Compaction Procedure**: sub-tasks are
-//!   processed one after another, the seven steps strictly in order, on one
-//!   thread. Either the disk or the CPU is busy at any instant, never both
-//!   (Fig. 3).
-//! * [`PipelinedExec`] — the **Pipelined Compaction Procedure** and its
-//!   parallel variants, configured by [`PipelineConfig`]:
+//! Every compaction is the same procedure — plan independent sub-key
+//! ranges, run the seven steps over each, write size-rotated tables —
+//! and [`PipelinedExec`] differs only in *how* the sub-tasks are run:
+//!
+//! * [`PipelinedExec::scp`] — the **Sequential Compaction Procedure**:
+//!   sub-tasks one after another, the seven steps strictly in order, on the
+//!   calling thread. Either the disk or the CPU is busy at any instant,
+//!   never both (Fig. 3).
+//! * fixed widths from a [`PipelineConfig`] — the **Pipelined Compaction
+//!   Procedure** and its parallel variants:
 //!   - `compute_workers = 1, read_workers = 1` → **PCP** (Fig. 4): three
 //!     stages — stage-read | stage-compute | stage-write — on three
 //!     threads, connected by bounded queues;
@@ -18,21 +22,23 @@
 //!     [`pcp_storage::Env`] so the lanes land on different spindles.
 //!     Writes stay on one lane and stripe inside the array, matching the
 //!     paper's md-RAID0 setup.
+//! * [`PipelinedExec::adaptive`] — PCP or C-PPCP(k), the compute width
+//!   chosen per compaction by [`crate::adaptive::compute_width`]; the
+//!   engine's default.
 //!
-//! All executors implement [`pcp_compaction::CompactionExec`] and produce
-//! byte-identical output tables for identical inputs (enforced by the
-//! cross-executor integration tests).
+//! All shapes produce byte-identical output tables for identical inputs
+//! (enforced by the cross-executor integration tests).
 
-use crate::planner::{plan_subtasks, read_units, RunBlocks};
-use crate::profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
+use crate::adaptive::{compute_width, CHOICE_LABELS};
+use crate::planner::{plan_subtasks, read_units, RunBlocks, SubTask};
+use crate::profile::{CompactionProfile, Step};
 use crate::steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask};
 use crossbeam::channel::bounded;
-use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata};
-use pcp_compaction::filename::table_file;
+use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata, OutputSink};
 use pcp_obs::TraceLog;
-use pcp_sstable::key::user_key;
-use pcp_sstable::{Result as TableResult, TableBuilder, TableReader};
+use pcp_sstable::{Result as TableResult, TableReader};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,7 +48,8 @@ use std::time::Instant;
 pub struct PipelineConfig {
     /// Target stored bytes per sub-task.
     pub subtask_bytes: u64,
-    /// Compute-stage workers (k of C-PPCP).
+    /// Compute-stage workers (k of C-PPCP); the upper bound of the width
+    /// the adaptive shape may choose.
     pub compute_workers: usize,
     /// Read-stage lanes (k of S-PPCP).
     pub read_workers: usize,
@@ -65,36 +72,6 @@ impl Default for PipelineConfig {
             deep_compute: false,
         }
     }
-}
-
-/// Shared per-compaction bookkeeping for both executors: publishes the
-/// occupancy of the compaction that just finished (computed as the
-/// profile delta over its wall time — the Fig. 5 quantity) and emits the
-/// `compaction_done` trace event. When several compactions share one
-/// profile concurrently the delta attributes overlapping step time to
-/// whichever finishes last; occupancies are exact whenever compactions on
-/// a profile are serialized (the common case: one executor per DB).
-fn finish_compaction(
-    profile: &CompactionProfile,
-    before: &ProfileSnapshot,
-    trace: Option<&TraceLog>,
-    outputs: usize,
-) -> Occupancy {
-    let occ = profile.snapshot().delta(before).occupancy();
-    profile.set_last_occupancy(&occ);
-    if let Some(t) = trace {
-        t.record(
-            "compaction_done",
-            &[
-                ("outputs", outputs as u64),
-                ("wall_nanos", occ.wall.as_nanos() as u64),
-                ("read_busy_ppm", (occ.read * 1e6) as u64),
-                ("compute_busy_ppm", (occ.compute * 1e6) as u64),
-                ("write_busy_ppm", (occ.write * 1e6) as u64),
-            ],
-        );
-    }
-    occ
 }
 
 fn compute_config(req: &CompactionRequest) -> ComputeConfig {
@@ -121,36 +98,22 @@ fn gather_runs(req: &CompactionRequest) -> TableResult<(Vec<Arc<TableReader>>, V
     Ok((readers, runs))
 }
 
-/// Step S7 owner: appends sealed blocks to size-rotated output tables.
-/// One [`SealedWriter::write_subtask`] call flushes once — one write I/O
-/// per sub-task, the unit the paper schedules on the disk.
+/// Step S7 owner: appends sealed blocks to the [`OutputSink`]'s tables and
+/// accounts for them. One [`SealedWriter::write_subtask`] call flushes
+/// once — one write I/O per sub-task, the unit the paper schedules on the
+/// disk.
 pub struct SealedWriter<'req> {
-    req: &'req CompactionRequest,
+    sink: OutputSink<'req>,
     profile: &'req CompactionProfile,
-    builder: Option<(u64, TableBuilder)>,
-    /// Sealed-block bytes appended to the current table, already counted
-    /// as output; `finish_current` counts the rest of the file.
-    table_sealed_bytes: u64,
-    smallest: Vec<u8>,
-    last_user_key: Vec<u8>,
-    outputs: Vec<Arc<FileMetadata>>,
-    /// Numbers of outputs whose finish failed, pending abort cleanup.
-    aborted_numbers: Vec<u64>,
+    /// Sealed-block bytes already counted as output; `finish` counts what
+    /// the tables hold beyond them.
+    sealed_bytes: u64,
 }
 
 impl<'req> SealedWriter<'req> {
     /// Creates a writer for `req`'s output level.
     pub fn new(req: &'req CompactionRequest, profile: &'req CompactionProfile) -> Self {
-        SealedWriter {
-            req,
-            profile,
-            builder: None,
-            table_sealed_bytes: 0,
-            smallest: Vec::new(),
-            last_user_key: Vec::new(),
-            outputs: Vec::new(),
-            aborted_numbers: Vec::new(),
-        }
+        SealedWriter { sink: OutputSink::new(req), profile, sealed_bytes: 0 }
     }
 
     /// Appends one computed sub-task (S7) and flushes it to the device.
@@ -158,70 +121,23 @@ impl<'req> SealedWriter<'req> {
         let t0 = Instant::now();
         let mut appended = 0u64;
         for sb in &st.blocks {
-            let rotate = self
-                .builder
-                .as_ref()
-                .is_some_and(|(_, b)| b.estimated_size() >= self.req.max_output_bytes)
-                && user_key(&sb.first_key) != self.last_user_key.as_slice();
-            if rotate {
-                self.finish_current()?;
-            }
-            let b = match &mut self.builder {
-                Some((_, b)) => b,
-                None => {
-                    let number = self.req.next_file_number();
-                    let file = self.req.env.create(&table_file(number))?;
-                    self.table_sealed_bytes = 0;
-                    self.smallest = sb.first_key.clone();
-                    let table = TableBuilder::new(file, self.req.table_opts.clone());
-                    &mut self.builder.insert((number, table)).1
-                }
-            };
-            b.add_sealed_block(
-                &sb.raw,
-                &sb.first_key,
-                &sb.last_key,
-                sb.entries,
-                sb.raw_len,
-                &sb.bloom_hashes,
-            )?;
+            self.sink.append(&sb.first_key, &sb.last_key, |b| {
+                b.add_sealed_block(
+                    &sb.raw,
+                    &sb.first_key,
+                    &sb.last_key,
+                    sb.entries,
+                    sb.raw_len,
+                    &sb.bloom_hashes,
+                )
+            })?;
             appended += sb.raw.len() as u64;
-            self.table_sealed_bytes += sb.raw.len() as u64;
-            self.last_user_key.clear();
-            self.last_user_key.extend_from_slice(user_key(&sb.last_key));
         }
-        if let Some((_, b)) = &mut self.builder {
-            b.flush_io()?;
-        }
+        self.sink.flush()?;
         self.profile.record(Step::Write, t0.elapsed());
         self.profile.add_output_bytes(appended);
         self.profile.add_subtasks(1);
-        Ok(())
-    }
-
-    fn finish_current(&mut self) -> TableResult<()> {
-        if let Some((number, builder)) = self.builder.take() {
-            let largest = builder.last_key().to_vec();
-            let stats = match builder.finish() {
-                Ok(stats) => stats,
-                Err(e) => {
-                    // The half-written table is already an orphan; remember
-                    // it so abort() can sweep it.
-                    self.aborted_numbers.push(number);
-                    return Err(e);
-                }
-            };
-            // Index/filter/footer bytes beyond the sealed data blocks.
-            self.profile
-                .add_output_bytes(stats.file_size.saturating_sub(self.table_sealed_bytes));
-            self.outputs.push(Arc::new(FileMetadata {
-                number,
-                size: stats.file_size,
-                entries: stats.entries,
-                smallest: std::mem::take(&mut self.smallest),
-                largest,
-            }));
-        }
+        self.sealed_bytes += appended;
         Ok(())
     }
 
@@ -230,176 +146,66 @@ impl<'req> SealedWriter<'req> {
     /// [`SealedWriter::abort`] to sweep them.
     pub fn finish(&mut self) -> TableResult<Vec<Arc<FileMetadata>>> {
         let t0 = Instant::now();
-        self.finish_current()?;
+        let outputs = self.sink.finish()?;
         self.profile.record(Step::Write, t0.elapsed());
-        Ok(std::mem::take(&mut self.outputs))
+        // Index/filter/footer bytes beyond the sealed data blocks.
+        let written: u64 = outputs.iter().map(|f| f.size).sum();
+        self.profile.add_output_bytes(written.saturating_sub(self.sealed_bytes));
+        Ok(outputs)
     }
 
-    /// Deletes every output file this writer created (the in-progress
-    /// table and all finished ones). Called when the compaction fails so
-    /// partial outputs never outlive the attempt. Best-effort: a file
-    /// whose delete fails (e.g. the env already crashed) is left for the
-    /// database's orphan scan. Returns how many files were deleted.
+    /// Deletes every output file created; see [`OutputSink::abort`].
     pub fn abort(&mut self) -> usize {
-        if let Some((number, builder)) = self.builder.take() {
-            drop(builder); // close the file handle before unlinking
-            self.aborted_numbers.push(number);
-        }
-        let numbers = self
-            .aborted_numbers
-            .drain(..)
-            .chain(self.outputs.drain(..).map(|m| m.number));
-        let mut deleted = 0;
-        for number in numbers {
-            if self.req.env.delete(&table_file(number)).is_ok() {
-                deleted += 1;
-            }
-        }
-        deleted
+        self.sink.abort()
     }
 }
 
-// ---------------------------------------------------------------------------
-// SCP
-// ---------------------------------------------------------------------------
-
-/// The sequential baseline (paper §III-A).
-pub struct ScpExec {
-    /// Sub-task size: in SCP this is simply the I/O granularity.
-    pub subtask_bytes: u64,
-    profile: Arc<CompactionProfile>,
-    trace: Option<Arc<TraceLog>>,
+/// How a [`PipelinedExec`] runs the sub-tasks of a compaction.
+enum Shape {
+    /// S1…S7 inline on the calling thread (SCP).
+    Sequential,
+    /// Three stages, widths as configured (PCP, S-/C-PPCP, `pcp-deep`).
+    Fixed,
+    /// Three stages, one read lane, compute width chosen per compaction.
+    /// Holds the per-choice pick counts, indexed like [`CHOICE_LABELS`];
+    /// behind an `Arc` so metric-scrape closures can hold them without
+    /// holding the executor itself.
+    Adaptive(Arc<[AtomicU64; 2]>),
 }
 
-impl ScpExec {
-    /// SCP with the given I/O granularity.
-    pub fn new(subtask_bytes: u64) -> ScpExec {
-        ScpExec {
-            subtask_bytes,
-            profile: Arc::new(CompactionProfile::new()),
-            trace: None,
-        }
-    }
-
-    /// Attaches a trace log; the executor emits `compaction_start` /
-    /// `compaction_done` / `compaction_failed` lifecycle events into it.
-    pub fn with_trace(mut self, trace: Arc<TraceLog>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Replaces the step profile with a shared one, so several executors
-    /// (e.g. the shapes inside [`crate::AdaptiveExec`]) account into the
-    /// same occupancy history.
-    pub fn with_profile(mut self, profile: Arc<CompactionProfile>) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Shared step profile.
-    pub fn profile(&self) -> Arc<CompactionProfile> {
-        Arc::clone(&self.profile)
-    }
-}
-
-impl Default for ScpExec {
-    fn default() -> Self {
-        ScpExec::new(512 << 10)
-    }
-}
-
-impl CompactionExec for ScpExec {
-    fn name(&self) -> &'static str {
-        "scp"
-    }
-
-    fn register_metrics(&self, registry: &pcp_obs::Registry) {
-        self.profile.register_metrics(registry, self.name());
-    }
-
-    fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
-        let wall = Instant::now();
-        let before = self.profile.snapshot();
-        let (readers, runs) = gather_runs(req)?;
-        let plan = plan_subtasks(&runs, self.subtask_bytes);
-        if let Some(t) = &self.trace {
-            t.record(
-                "compaction_start",
-                &[
-                    ("exec", 0), // 0 = scp (see OBSERVABILITY.md)
-                    ("inputs", readers.len() as u64),
-                    ("subtasks", plan.len() as u64),
-                    ("read_units", read_units(&plan).count() as u64),
-                ],
-            );
-        }
-        let ccfg = compute_config(req);
-        let mut writer = SealedWriter::new(req, &self.profile);
-        let result = {
-            let mut run = || -> TableResult<Vec<Arc<FileMetadata>>> {
-                for unit in read_units(&plan) {
-                    // S1 … S7 strictly in order; one resource busy at a time.
-                    for data in read_unit(&readers, &runs, unit, &self.profile)? {
-                        let computed = compute_subtask(data, &ccfg, &self.profile)?;
-                        writer.write_subtask(computed)?;
-                    }
-                }
-                writer.finish()
-            };
-            run()
-        };
-        match result {
-            Ok(outputs) => {
-                self.profile.add_compaction(wall.elapsed());
-                finish_compaction(
-                    &self.profile,
-                    &before,
-                    self.trace.as_deref(),
-                    outputs.len(),
-                );
-                Ok(outputs)
-            }
-            Err(e) => {
-                // Sweep partial outputs so a failed compaction leaves no
-                // orphan tables behind.
-                let swept = writer.abort();
-                if let Some(t) = &self.trace {
-                    t.record("compaction_failed", &[("swept_outputs", swept as u64)]);
-                }
-                Err(e)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PCP / C-PPCP / S-PPCP
-// ---------------------------------------------------------------------------
-
-/// The pipelined executor (PCP and both parallel variants).
+/// The compaction executor: SCP, PCP, both parallel variants and the
+/// adaptive default, by shape.
 pub struct PipelinedExec {
     cfg: PipelineConfig,
+    shape: Shape,
+    /// One profile whatever widths run, so the adaptive shape's occupancy
+    /// history is continuous across width changes.
     profile: Arc<CompactionProfile>,
     trace: Option<Arc<TraceLog>>,
 }
 
 impl PipelinedExec {
-    /// Builds an executor with an explicit shape.
-    pub fn new(cfg: PipelineConfig) -> PipelinedExec {
+    fn with_shape(cfg: PipelineConfig, shape: Shape) -> PipelinedExec {
         assert!(cfg.compute_workers >= 1 && cfg.read_workers >= 1);
         assert!(cfg.queue_depth >= 1);
         PipelinedExec {
             cfg,
+            shape,
             profile: Arc::new(CompactionProfile::new()),
             trace: None,
         }
     }
 
-    /// Attaches a trace log; the executor emits `compaction_start` /
-    /// `compaction_done` / `compaction_failed` lifecycle events into it.
-    pub fn with_trace(mut self, trace: Arc<TraceLog>) -> Self {
-        self.trace = Some(trace);
-        self
+    /// Builds a pipelined executor with explicit fixed widths.
+    pub fn new(cfg: PipelineConfig) -> PipelinedExec {
+        PipelinedExec::with_shape(cfg, Shape::Fixed)
+    }
+
+    /// The sequential baseline (paper §III-A); `subtask_bytes` is simply
+    /// the I/O granularity.
+    pub fn scp(subtask_bytes: u64) -> PipelinedExec {
+        let cfg = PipelineConfig { subtask_bytes, ..Default::default() };
+        PipelinedExec::with_shape(cfg, Shape::Sequential)
     }
 
     /// Plain PCP: 1 read lane, 1 compute worker, 1 write lane.
@@ -428,15 +234,29 @@ impl PipelinedExec {
         })
     }
 
-    /// Replaces the step profile with a shared one, so several executors
-    /// (e.g. the shapes inside [`crate::AdaptiveExec`]) account into the
-    /// same occupancy history.
-    pub fn with_profile(mut self, profile: Arc<CompactionProfile>) -> Self {
-        self.profile = profile;
+    /// PCP or C-PPCP(k ≤ `max_workers`), chosen per compaction from the
+    /// previous compaction's occupancy and the scheduler's stage-token
+    /// grant ([`compute_width`]). Every width produces byte-identical
+    /// tables, so switching between compactions is invisible to
+    /// correctness.
+    pub fn adaptive(subtask_bytes: u64, max_workers: usize) -> PipelinedExec {
+        let cfg = PipelineConfig {
+            subtask_bytes,
+            compute_workers: max_workers,
+            ..Default::default()
+        };
+        PipelinedExec::with_shape(cfg, Shape::Adaptive(Arc::default()))
+    }
+
+    /// Attaches a trace log; the executor emits `compaction_start` /
+    /// `compaction_done` / `compaction_failed` lifecycle events into it,
+    /// and the adaptive shape an `adaptive_choice` before each start.
+    pub fn with_trace(mut self, trace: Arc<TraceLog>) -> Self {
+        self.trace = Some(trace);
         self
     }
 
-    /// Shared step profile.
+    /// The step profile.
     pub fn profile(&self) -> Arc<CompactionProfile> {
         Arc::clone(&self.profile)
     }
@@ -445,71 +265,85 @@ impl PipelinedExec {
     pub fn config(&self) -> &PipelineConfig {
         &self.cfg
     }
+
+    fn record(&self, kind: &'static str, fields: &[(&'static str, u64)]) {
+        if let Some(t) = &self.trace {
+            t.record(kind, fields);
+        }
+    }
+
+    /// The adaptive shape's compute width for `req`, counted and traced.
+    fn choose_width(&self, req: &CompactionRequest, choices: &[AtomicU64; 2]) -> usize {
+        let occ = self.profile.last_occupancy();
+        let tokens = req.grant.stage_tokens();
+        let width = compute_width(&occ, tokens, self.cfg.compute_workers);
+        let choice = usize::from(width > 1); // index into CHOICE_LABELS
+        choices[choice].fetch_add(1, Ordering::Relaxed);
+        self.record(
+            "adaptive_choice",
+            &[
+                ("choice", choice as u64),
+                ("input_bytes", req.input_bytes()),
+                (
+                    "stage_tokens",
+                    if tokens == usize::MAX { 0 } else { tokens as u64 },
+                ),
+                ("bottleneck_ppm", (occ.bottleneck() * 1e6) as u64),
+            ],
+        );
+        width
+    }
 }
 
-impl CompactionExec for PipelinedExec {
-    fn name(&self) -> &'static str {
-        if self.cfg.deep_compute {
-            return "pcp-deep";
+/// The engine's production default: the adaptive shape with the paper's
+/// best sub-task size (512 KB, Fig. 11a), at most as wide as the host has
+/// cores — the paper's C-PPCP argument.
+impl Default for PipelinedExec {
+    fn default() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        PipelinedExec::adaptive(512 << 10, cores)
+    }
+}
+
+/// What the stages of one compaction share.
+struct Job<'a> {
+    readers: &'a [Arc<TableReader>],
+    runs: &'a [RunBlocks],
+    plan: &'a [SubTask],
+    ccfg: ComputeConfig,
+    profile: &'a CompactionProfile,
+}
+
+impl Job<'_> {
+    /// S1 … S7 strictly in order; one resource busy at a time.
+    fn run_sequential(&self, writer: &mut SealedWriter) -> TableResult<()> {
+        for unit in read_units(self.plan) {
+            for data in read_unit(self.readers, self.runs, unit, self.profile)? {
+                writer.write_subtask(compute_subtask(data, &self.ccfg, self.profile)?)?;
+            }
         }
-        match (self.cfg.read_workers, self.cfg.compute_workers) {
-            (1, 1) => "pcp",
-            (_, 1) => "s-ppcp",
-            (1, _) => "c-ppcp",
-            _ => "sc-ppcp",
-        }
+        Ok(())
     }
 
-    fn register_metrics(&self, registry: &pcp_obs::Registry) {
-        self.profile.register_metrics(registry, self.name());
-    }
+    /// Stage-read | stage-compute | stage-write over bounded queues, the
+    /// write stage on the calling thread.
+    fn run_pipelined(
+        &self,
+        cfg: &PipelineConfig,
+        read_workers: usize,
+        compute_workers: usize,
+        writer: &mut SealedWriter,
+    ) -> TableResult<()> {
+        let Job { readers, runs, plan, ccfg, profile } = self;
+        let (read_tx, read_rx) =
+            bounded::<TableResult<crate::steps::SubTaskData>>(cfg.queue_depth);
+        let (comp_tx, comp_rx) = bounded::<TableResult<ComputedSubTask>>(cfg.queue_depth);
 
-    fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
-        let wall = Instant::now();
-        let before = self.profile.snapshot();
-        let (readers, runs) = gather_runs(req)?;
-        let plan = plan_subtasks(&runs, self.cfg.subtask_bytes);
-        if plan.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The scheduler's grant caps how wide the parallel stages may run
-        // this time; an unlimited grant leaves the configured shape alone.
-        let read_workers = req.grant.clamp_workers(self.cfg.read_workers);
-        let compute_workers = req.grant.clamp_workers(self.cfg.compute_workers);
-        if let Some(t) = &self.trace {
-            t.record(
-                "compaction_start",
-                &[
-                    ("exec", 1), // 1 = pipelined (see OBSERVABILITY.md)
-                    ("inputs", readers.len() as u64),
-                    ("subtasks", plan.len() as u64),
-                    ("read_units", read_units(&plan).count() as u64),
-                    ("read_workers", read_workers as u64),
-                    ("compute_workers", compute_workers as u64),
-                ],
-            );
-        }
-        debug_assert_eq!(
-            crate::planner::check_plan(&runs, &plan, self.cfg.subtask_bytes),
-            Ok(())
-        );
-        let ccfg = compute_config(req);
-        let profile = &*self.profile;
-
-        let (read_tx, read_rx) = bounded::<TableResult<crate::steps::SubTaskData>>(
-            self.cfg.queue_depth,
-        );
-        let (comp_tx, comp_rx) =
-            bounded::<TableResult<ComputedSubTask>>(self.cfg.queue_depth);
-
-        let mut result: TableResult<Vec<Arc<FileMetadata>>> = Ok(Vec::new());
-        let mut swept = 0;
         std::thread::scope(|scope| {
             // Stage read: `read_workers` lanes, read units round-robin; a
             // unit's sub-tasks enter the pipeline one by one.
             for lane in 0..read_workers {
                 let read_tx = read_tx.clone();
-                let (readers, runs, plan) = (&readers, &runs, &plan);
                 scope.spawn(move || {
                     for unit in read_units(plan).skip(lane).step_by(read_workers) {
                         let items = match read_unit(readers, runs, unit, profile) {
@@ -529,13 +363,13 @@ impl CompactionExec for PipelinedExec {
             }
             drop(read_tx);
 
-            if self.cfg.deep_compute {
+            if cfg.deep_compute {
                 // Five-stage variant: S2+S3 | S4 | S5+S6 on three chained
                 // threads (the paper's rejected design, for the ablation).
                 let (dec_tx, dec_rx) =
-                    bounded::<TableResult<crate::steps::DecodedSubTask>>(self.cfg.queue_depth);
+                    bounded::<TableResult<crate::steps::DecodedSubTask>>(cfg.queue_depth);
                 let (mrg_tx, mrg_rx) =
-                    bounded::<TableResult<crate::steps::MergedSubTask>>(self.cfg.queue_depth);
+                    bounded::<TableResult<crate::steps::MergedSubTask>>(cfg.queue_depth);
                 {
                     let read_rx = read_rx.clone();
                     scope.spawn(move || {
@@ -549,22 +383,18 @@ impl CompactionExec for PipelinedExec {
                         }
                     });
                 }
-                {
-                    let ccfg = &ccfg;
-                    scope.spawn(move || {
-                        while let Ok(item) = dec_rx.recv() {
-                            let out = item
-                                .and_then(|dec| crate::steps::merge_subtask(dec, ccfg, profile));
-                            let failed = out.is_err();
-                            if mrg_tx.send(out).is_err() || failed {
-                                return;
-                            }
+                scope.spawn(move || {
+                    while let Ok(item) = dec_rx.recv() {
+                        let out =
+                            item.and_then(|dec| crate::steps::merge_subtask(dec, ccfg, profile));
+                        let failed = out.is_err();
+                        if mrg_tx.send(out).is_err() || failed {
+                            return;
                         }
-                    });
-                }
+                    }
+                });
                 {
                     let comp_tx = comp_tx.clone();
-                    let ccfg = &ccfg;
                     scope.spawn(move || {
                         while let Ok(item) = mrg_rx.recv() {
                             let out =
@@ -582,7 +412,6 @@ impl CompactionExec for PipelinedExec {
                 for _ in 0..compute_workers {
                     let read_rx = read_rx.clone();
                     let comp_tx = comp_tx.clone();
-                    let ccfg = &ccfg;
                     scope.spawn(move || {
                         while let Ok(item) = read_rx.recv() {
                             let out = item.and_then(|data| compute_subtask(data, ccfg, profile));
@@ -600,77 +429,152 @@ impl CompactionExec for PipelinedExec {
             // Stage write on this thread, resequencing by sub-task index so
             // the output tables are written in key order no matter how the
             // compute workers finish.
-            let mut writer = SealedWriter::new(req, profile);
             let mut pending: BTreeMap<usize, ComputedSubTask> = BTreeMap::new();
             let mut next = 0usize;
-            let mut failure: Option<pcp_sstable::TableError> = None;
-            for item in comp_rx.iter() {
-                match item {
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                    Ok(st) => {
-                        pending.insert(st.index, st);
-                        while let Some(st) = pending.remove(&next) {
-                            if let Err(e) = writer.write_subtask(st) {
-                                failure = Some(e);
-                                break;
-                            }
-                            next += 1;
-                        }
-                        if failure.is_some() {
-                            break;
-                        }
+            let mut write_all = || -> TableResult<()> {
+                for item in comp_rx.iter() {
+                    let st = item?;
+                    pending.insert(st.index, st);
+                    while let Some(st) = pending.remove(&next) {
+                        writer.write_subtask(st)?;
+                        next += 1;
                     }
                 }
-            }
+                Ok(())
+            };
+            let result = write_all();
             // Shut the pipeline down before the scope joins the stage
             // threads: dropping the tail receiver makes every upstream
             // `send` fail, which unwinds read and compute workers that
             // would otherwise block forever on a full bounded queue.
             drop(comp_rx);
-            result = match failure {
-                Some(e) => {
-                    swept = writer.abort();
-                    Err(e)
-                }
-                None => {
-                    debug_assert_eq!(next, plan.len(), "all sub-tasks written");
-                    let out = writer.finish();
-                    if out.is_err() {
-                        swept = writer.abort();
-                    }
-                    out
-                }
-            };
-        });
-        match &result {
-            Ok(outputs) => {
-                self.profile.add_compaction(wall.elapsed());
-                finish_compaction(
-                    &self.profile,
-                    &before,
-                    self.trace.as_deref(),
-                    outputs.len(),
+            debug_assert!(result.is_err() || next == plan.len(), "all sub-tasks written");
+            result
+        })
+    }
+}
+
+impl CompactionExec for PipelinedExec {
+    fn name(&self) -> &'static str {
+        match &self.shape {
+            Shape::Sequential => "scp",
+            Shape::Adaptive(_) => "adaptive",
+            Shape::Fixed if self.cfg.deep_compute => "pcp-deep",
+            Shape::Fixed => match (self.cfg.read_workers, self.cfg.compute_workers) {
+                (1, 1) => "pcp",
+                (_, 1) => "s-ppcp",
+                (1, _) => "c-ppcp",
+                _ => "sc-ppcp",
+            },
+        }
+    }
+
+    /// Registers the profile under `exec = name()`, plus — for the adaptive
+    /// shape — the `pcp_sched_executor_choice_total{choice=...}` counters.
+    fn register_metrics(&self, registry: &pcp_obs::Registry) {
+        self.profile.register_metrics(registry, self.name());
+        if let Shape::Adaptive(choices) = &self.shape {
+            for (idx, label) in CHOICE_LABELS.iter().enumerate() {
+                let counts = Arc::clone(choices);
+                registry.register_fn_counter(
+                    "pcp_sched_executor_choice_total",
+                    "compactions per pipeline shape picked by the adaptive executor",
+                    vec![("choice".to_string(), label.to_string())],
+                    move || counts[idx].load(Ordering::Relaxed),
                 );
             }
-            Err(_) => {
-                if let Some(t) = &self.trace {
-                    t.record("compaction_failed", &[("swept_outputs", swept as u64)]);
-                }
+        }
+    }
+
+    fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
+        let wall = Instant::now();
+        let before = self.profile.snapshot();
+        let (readers, runs) = gather_runs(req)?;
+        let plan = plan_subtasks(&runs, self.cfg.subtask_bytes);
+        if plan.is_empty() {
+            return Ok(Vec::new());
+        }
+        debug_assert_eq!(
+            crate::planner::check_plan(&runs, &plan, self.cfg.subtask_bytes),
+            Ok(())
+        );
+        // Stage widths, `None` for the sequential shape. The scheduler's
+        // grant caps how wide the parallel stages may run this time; an
+        // unlimited grant leaves the configured shape alone.
+        let widths = match &self.shape {
+            Shape::Sequential => None,
+            Shape::Fixed => Some((
+                req.grant.clamp_workers(self.cfg.read_workers),
+                req.grant.clamp_workers(self.cfg.compute_workers),
+            )),
+            Shape::Adaptive(choices) => Some((1, self.choose_width(req, choices))),
+        };
+        let mut start = vec![
+            ("exec", u64::from(widths.is_some())), // 0 = scp, 1 = pipelined (see OBSERVABILITY.md)
+            ("inputs", readers.len() as u64),
+            ("subtasks", plan.len() as u64),
+            ("read_units", read_units(&plan).count() as u64),
+        ];
+        if let Some((read_workers, compute_workers)) = widths {
+            start.push(("read_workers", read_workers as u64));
+            start.push(("compute_workers", compute_workers as u64));
+        }
+        self.record("compaction_start", &start);
+
+        let job = Job {
+            readers: &readers,
+            runs: &runs,
+            plan: &plan,
+            ccfg: compute_config(req),
+            profile: &self.profile,
+        };
+        let mut writer = SealedWriter::new(req, &self.profile);
+        let run = match widths {
+            None => job.run_sequential(&mut writer),
+            Some((r, c)) => job.run_pipelined(&self.cfg, r, c, &mut writer),
+        };
+        match run.and_then(|()| writer.finish()) {
+            Ok(outputs) => {
+                self.profile.add_compaction(wall.elapsed());
+                // Publish the occupancy of the compaction that just
+                // finished, computed as the profile delta over its wall
+                // time — the Fig. 5 quantity. When several compactions
+                // share one profile concurrently the delta attributes
+                // overlapping step time to whichever finishes last;
+                // occupancies are exact whenever compactions on a profile
+                // are serialized (the common case: one executor per DB).
+                let occ = self.profile.snapshot().delta(&before).occupancy();
+                self.profile.set_last_occupancy(&occ);
+                self.record(
+                    "compaction_done",
+                    &[
+                        ("outputs", outputs.len() as u64),
+                        ("wall_nanos", occ.wall.as_nanos() as u64),
+                        ("read_busy_ppm", (occ.read * 1e6) as u64),
+                        ("compute_busy_ppm", (occ.compute * 1e6) as u64),
+                        ("write_busy_ppm", (occ.write * 1e6) as u64),
+                    ],
+                );
+                Ok(outputs)
+            }
+            Err(e) => {
+                // Sweep partial outputs so a failed compaction leaves no
+                // orphan tables behind.
+                let swept = writer.abort();
+                self.record("compaction_failed", &[("swept_outputs", swept as u64)]);
+                Err(e)
             }
         }
-        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Occupancy;
     use pcp_compaction::filename::table_file;
-    use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
-    use pcp_sstable::{KvIter, TableBuilderOptions};
+    use pcp_sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
+    use pcp_sstable::{KvIter, TableBuilder, TableBuilderOptions};
     use pcp_storage::{EnvRef, SimDevice, SimEnv};
     use std::sync::atomic::AtomicU64;
 
@@ -764,7 +668,7 @@ mod tests {
     #[test]
     fn all_executors_produce_identical_output() {
         let n = 3000;
-        let (scp, scp_files) = run_exec(&ScpExec::new(64 << 10), n);
+        let (scp, scp_files) = run_exec(&PipelinedExec::scp(64 << 10), n);
         for exec in [
             PipelinedExec::pcp(64 << 10),
             PipelinedExec::c_ppcp(64 << 10, 3),
@@ -834,12 +738,12 @@ mod tests {
         let env = env();
         let req = request(&env, vec![], vec![]);
         assert!(PipelinedExec::pcp(64 << 10).compact(&req).unwrap().is_empty());
-        assert!(ScpExec::new(64 << 10).compact(&req).unwrap().is_empty());
+        assert!(PipelinedExec::scp(64 << 10).compact(&req).unwrap().is_empty());
     }
 
     #[test]
     fn profile_output_bytes_equal_the_tables_written() {
-        let scp = ScpExec::new(64 << 10);
+        let scp = PipelinedExec::scp(64 << 10);
         let pcp = PipelinedExec::pcp(64 << 10);
         for (exec, profile) in [
             (&scp as &dyn CompactionExec, scp.profile()),
@@ -905,7 +809,7 @@ mod tests {
     #[test]
     fn scp_occupancy_fractions_sum_to_at_most_one() {
         let trace = Arc::new(TraceLog::new(8));
-        let exec = ScpExec::new(32 << 10).with_trace(Arc::clone(&trace));
+        let exec = PipelinedExec::scp(32 << 10).with_trace(Arc::clone(&trace));
         let env = env();
         let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
         let req = request(&env, vec![upper], vec![]);
@@ -921,46 +825,59 @@ mod tests {
 
     #[test]
     fn executor_names() {
-        assert_eq!(ScpExec::default().name(), "scp");
+        assert_eq!(PipelinedExec::scp(1 << 20).name(), "scp");
+        assert_eq!(PipelinedExec::default().name(), "adaptive");
         assert_eq!(PipelinedExec::pcp(1 << 20).name(), "pcp");
         assert_eq!(PipelinedExec::c_ppcp(1 << 20, 4).name(), "c-ppcp");
         assert_eq!(PipelinedExec::s_ppcp(1 << 20, 4).name(), "s-ppcp");
     }
 
+    /// The `compaction_start` of one compaction of `exec` under `grant`.
+    fn start_widths(
+        exec: PipelinedExec,
+        history: Option<(f64, f64, f64)>,
+        grant: pcp_compaction::ResourceGrant,
+    ) -> (u64, u64) {
+        let trace = Arc::new(TraceLog::new(8));
+        let exec = exec.with_trace(Arc::clone(&trace));
+        if let Some((read, compute, write)) = history {
+            let wall = std::time::Duration::from_millis(100);
+            exec.profile().set_last_occupancy(&Occupancy { read, compute, write, wall });
+        }
+        let env = env();
+        let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
+        let mut req = request(&env, vec![upper], vec![]);
+        req.grant = grant;
+        exec.compact(&req).unwrap();
+        let events = trace.events();
+        let start = events.iter().find(|e| e.kind == "compaction_start").unwrap();
+        let field = |k: &str| start.fields.iter().find(|(n, _)| *n == k).unwrap().1;
+        (field("read_workers"), field("compute_workers"))
+    }
+
     /// A scheduler grant narrows the pipeline that runs, not only what
-    /// `clamp_workers` and `AdaptiveExec::choose` return in isolation.
+    /// `clamp_workers` and `compute_width` return in isolation.
     #[test]
     fn grant_narrows_the_pipeline_that_runs() {
-        use crate::adaptive::{AdaptiveConfig, AdaptiveExec};
         use pcp_compaction::ResourceGrant;
-        // Compute workers in the `compaction_start` of one compaction run
-        // under a grant of `tokens`.
-        let compute_workers = |exec: &dyn CompactionExec, trace: &TraceLog, tokens: usize| {
-            let env = env();
-            let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
-            let mut req = request(&env, vec![upper], vec![]);
-            req.grant = ResourceGrant::new(None, tokens);
-            exec.compact(&req).unwrap();
-            let events = trace.events();
-            let start = events.iter().find(|e| e.kind == "compaction_start").unwrap();
-            start.fields.iter().find(|(k, _)| *k == "compute_workers").unwrap().1
-        };
-
-        let trace = Arc::new(TraceLog::new(8));
-        let fixed = PipelinedExec::c_ppcp(64 << 10, 4).with_trace(Arc::clone(&trace));
-        assert_eq!(compute_workers(&fixed, &trace, 1), 1);
-
-        let trace = Arc::new(TraceLog::new(8));
-        let cfg = AdaptiveConfig { max_workers: 4, ..AdaptiveConfig::default() };
-        let adaptive = AdaptiveExec::new(cfg).with_trace(Arc::clone(&trace));
+        let one = ResourceGrant::new(None, 1);
+        assert_eq!(start_widths(PipelinedExec::c_ppcp(64 << 10, 4), None, one), (1, 1));
         // A compute-bound history asks for C-PPCP(4); two tokens allow 2.
-        adaptive.profile().set_last_occupancy(&Occupancy {
-            read: 0.2,
-            compute: 0.95,
-            write: 0.2,
-            wall: std::time::Duration::from_millis(100),
-        });
-        assert_eq!(compute_workers(&adaptive, &trace, 2), 2);
+        let two = ResourceGrant::new(None, 2);
+        let adaptive = PipelinedExec::adaptive(64 << 10, 4);
+        assert_eq!(start_widths(adaptive, Some((0.2, 0.95, 0.2)), two), (1, 2));
+    }
+
+    /// The adaptive shape widens the compute stage only: a read-bound
+    /// history runs as PCP however many tokens the grant holds.
+    #[test]
+    fn adaptive_shape_widens_compute_and_never_read() {
+        use pcp_compaction::ResourceGrant;
+        let adaptive = || PipelinedExec::adaptive(64 << 10, 3);
+        let unlimited = ResourceGrant::unlimited;
+        assert_eq!(start_widths(adaptive(), Some((0.95, 0.4, 0.3)), unlimited()), (1, 1));
+        assert_eq!(start_widths(adaptive(), Some((0.4, 0.95, 0.3)), unlimited()), (1, 3));
+        assert_eq!(start_widths(adaptive(), None, unlimited()), (1, 1));
     }
 
     /// A permanent write failure mid-compaction must terminate every stage
@@ -970,6 +887,7 @@ mod tests {
     fn write_failure_terminates_cleanly_and_sweeps_orphans() {
         use pcp_storage::{FaultEnv, FaultKind, FaultOp};
         for exec in [
+            PipelinedExec::scp(16 << 10),
             PipelinedExec::pcp(16 << 10),
             PipelinedExec::c_ppcp(16 << 10, 3),
             PipelinedExec::s_ppcp(16 << 10, 3),
@@ -1010,20 +928,6 @@ mod tests {
                 exec.name()
             );
         }
-    }
-
-    /// SCP gets the same abort-and-sweep treatment as the pipeline.
-    #[test]
-    fn scp_write_failure_sweeps_orphans() {
-        use pcp_storage::{FaultEnv, FaultKind, FaultOp};
-        let inner = env();
-        let upper = build_input(&inner, "u.sst", 3000, 1, 1, "x");
-        let fault = FaultEnv::new(Arc::clone(&inner), 7);
-        fault.schedule(FaultOp::Flush, 3, FaultKind::Permanent);
-        let mut req = request(&inner, vec![upper], vec![]);
-        req.env = Arc::new(fault);
-        assert!(ScpExec::new(16 << 10).compact(&req).is_err());
-        assert_eq!(inner.list().unwrap(), vec!["u.sst".to_string()]);
     }
 
     /// A transient fault window makes an attempt fail, but re-running the

@@ -4,8 +4,8 @@
 //! disagrees with the canonical opcode table.
 
 pub fn register(r: &Registry) {
-    let _ok = r.counter("pcp_fixture_ok_total", "documented series");
-    let _rogue = r.counter("pcp_fixture_rogue_total", "undocumented series"); // LINT:L8
+    r.register_fn_counter("pcp_fixture_ok_total", "documented series", Vec::new(), || 0);
+    r.register_fn_counter("pcp_fixture_rogue_total", "undocumented series", Vec::new(), || 0); // LINT:L8
 }
 
 pub fn record(log: &TraceLog) {

@@ -37,11 +37,11 @@ pub struct Options {
     /// paper's S1‖S3/S4 overlap applied to the read path). Random access
     /// is unaffected.
     pub readahead: bool,
-    /// The compaction algorithm. Defaults to the adaptive pipelined
-    /// executor ([`pcp_core::AdaptiveExec`]), which picks PCP / C-PPCP /
-    /// S-PPCP per compaction from the published occupancy gauges; set this
-    /// field to pin one shape (e.g. [`crate::SimpleMergeExec`], the
-    /// reference serial merge).
+    /// The compaction algorithm. Defaults to the adaptive shape of
+    /// [`pcp_core::PipelinedExec`], which runs each compaction as PCP or
+    /// C-PPCP(k) by the occupancy the previous one published; set this
+    /// field to pin one shape (e.g. `PipelinedExec::pcp`, or
+    /// `PipelinedExec::s_ppcp` over a striped env).
     pub executor: Arc<dyn CompactionExec>,
     /// Directory this database lives in, for constructors that build their
     /// own [`pcp_storage::StdFsEnv`] (e.g. a sharded engine stamping one
@@ -74,7 +74,7 @@ impl Default for Options {
             sync_writes: false,
             block_cache_bytes: 0,
             readahead: true,
-            executor: Arc::new(pcp_core::AdaptiveExec::default()),
+            executor: Arc::new(pcp_core::PipelinedExec::default()),
             dir: None,
             compaction_limiter: None,
             wal_tap: None,

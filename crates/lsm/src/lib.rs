@@ -15,9 +15,9 @@
 //! * **Background maintenance** — a flush lane turns immutable memtables
 //!   into L0 tables beside a compaction lane that runs compactions picked
 //!   round-robin over key ranges. The merge
-//!   itself is delegated to a [`compact::CompactionExec`]: the built-in
-//!   [`compact::SimpleMergeExec`] here, or the paper's SCP/PCP/C-PPCP/
-//!   S-PPCP executors from `pcp-core`.
+//!   itself is delegated to a [`compact::CompactionExec`]: `pcp-core`'s
+//!   executor in one of the paper's shapes (SCP/PCP/C-PPCP/S-PPCP, or PCP /
+//!   C-PPCP chosen per compaction, the default).
 //! * **Backpressure** — writers are slowed and then stalled when level 0
 //!   outgrows compaction, reproducing the *write pauses* that tie system
 //!   throughput to compaction bandwidth (the paper's central coupling).
@@ -41,8 +41,7 @@ pub mod wal;
 pub use pcp_compaction as compact;
 pub use pcp_compaction::filename;
 pub use pcp_compaction::{
-    CompactionExec, CompactionLimiter, CompactionRequest, OutputWriter, ResourceGrant,
-    SimpleMergeExec, VersionKeepFilter,
+    CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, VersionKeepFilter,
 };
 pub use db::{
     BatchOp, Db, DbHealth, IntegrityReport, LevelCompaction, Metrics, MetricsSnapshot, Options,

@@ -377,38 +377,13 @@ impl VersionSet {
             vec![Arc::clone(&files[start])]
         };
 
-        let lo = inputs_upper
-            .iter()
-            .map(|f| user_key(&f.smallest))
-            .min()
-            .unwrap()
-            .to_vec();
-        let hi = inputs_upper
-            .iter()
-            .map(|f| user_key(&f.largest))
-            .max()
-            .unwrap()
-            .to_vec();
-        let inputs_lower =
-            self.current
-                .overlapping_files(level + 1, Some(&lo), Some(&hi));
-
-        if level > 0 && inputs_upper.len() == 1 && inputs_lower.is_empty() {
-            return CompactionPick::TrivialMove {
-                level,
-                file: inputs_upper.into_iter().next().unwrap(),
-            };
-        }
-        let pointer_key = inputs_upper
-            .iter()
-            .map(|f| f.largest.clone())
-            .max_by(|a, b| internal_key_cmp(a, b))
-            .unwrap();
-        CompactionPick::Merge {
-            level,
-            inputs_upper,
-            inputs_lower,
-            pointer_key,
+        match self.merge_pick(level, inputs_upper) {
+            CompactionPick::Merge { mut inputs_upper, inputs_lower, .. }
+                if level > 0 && inputs_upper.len() == 1 && inputs_lower.is_empty() =>
+            {
+                CompactionPick::TrivialMove { level, file: inputs_upper.remove(0) }
+            }
+            pick => pick,
         }
     }
 
@@ -419,36 +394,47 @@ impl VersionSet {
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
     ) -> Option<CompactionPick> {
-        let inputs_upper = self.current.overlapping_files(level, lo, hi);
+        let files = &self.current.levels[level];
+        let inputs_upper = if level == 0 {
+            // The rule of `build_pick`: level-0 tables overlap each other,
+            // so whatever stays behind must be newer than everything taken —
+            // every table at least as old as the newest one in range goes.
+            let newest = files.iter().position(|f| f.overlaps_user_range(lo, hi))?;
+            files[newest..].to_vec()
+        } else {
+            self.current.overlapping_files(level, lo, hi)
+        };
         if inputs_upper.is_empty() {
             return None;
         }
-        let lo2 = inputs_upper
+        Some(self.merge_pick(level, inputs_upper))
+    }
+
+    /// The merge of `inputs_upper` (level `level`, not empty) with every
+    /// table of the next level inside their user-key hull.
+    fn merge_pick(&self, level: usize, inputs_upper: Vec<Arc<FileMetadata>>) -> CompactionPick {
+        let lo = inputs_upper
             .iter()
             .map(|f| user_key(&f.smallest))
             .min()
-            .unwrap()
-            .to_vec();
-        let hi2 = inputs_upper
+            .expect("inputs_upper is not empty");
+        let hi = inputs_upper
             .iter()
             .map(|f| user_key(&f.largest))
             .max()
-            .unwrap()
-            .to_vec();
-        let inputs_lower =
-            self.current
-                .overlapping_files(level + 1, Some(&lo2), Some(&hi2));
+            .expect("inputs_upper is not empty");
+        let inputs_lower = self.current.overlapping_files(level + 1, Some(lo), Some(hi));
         let pointer_key = inputs_upper
             .iter()
             .map(|f| f.largest.clone())
             .max_by(|a, b| internal_key_cmp(a, b))
-            .unwrap();
-        Some(CompactionPick::Merge {
+            .expect("inputs_upper is not empty");
+        CompactionPick::Merge {
             level,
             inputs_upper,
             inputs_lower,
             pointer_key,
-        })
+        }
     }
 }
 

@@ -353,13 +353,9 @@ mod tests {
 
     fn demo_registry() -> Registry {
         let r = Registry::new();
-        r.counter("demo_ops_total", "operations served").add(42);
-        r.gauge_with(
-            "demo_occupancy",
-            "busy fraction",
-            vec![("stage".into(), "read".into())],
-        )
-        .set(0.75);
+        r.register_fn_counter("demo_ops_total", "operations served", Vec::new(), || 42);
+        let stage = vec![("stage".into(), "read".into())];
+        r.register_fn_gauge("demo_occupancy", "busy fraction", stage, || 0.75);
         let h = r.histogram("demo_latency_nanoseconds", "op latency");
         for i in 1..=100u64 {
             h.record(i * 1000);
@@ -400,11 +396,8 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         let r = Registry::new();
-        r.counter_with(
-            "demo_weird_total",
-            "",
-            vec![("path".into(), "a\"b\\c\nd".into())],
-        );
+        let weird = vec![("path".into(), "a\"b\\c\nd".into())];
+        r.register_fn_counter("demo_weird_total", "", weird, || 0);
         let text = r.render_prometheus();
         assert!(text.contains(r#"path="a\"b\\c\nd""#), "got: {text}");
         validate_exposition(&text).expect("escaped output must still parse");

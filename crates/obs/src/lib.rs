@@ -8,8 +8,8 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Lock-cheap on the hot path.** Recording into a [`Counter`],
-//!    [`Gauge`], or [`Histogram`] is a relaxed atomic operation; the
+//! 1. **Lock-cheap on the hot path.** Recording into a component's own
+//!    atomic or a [`Histogram`] is a relaxed atomic operation; the
 //!    registry's `parking_lot` mutex is taken only on registration and on
 //!    scrape (both rare). Nothing on the write path, read path, or inside
 //!    a compaction stage ever blocks on observability.
@@ -36,12 +36,10 @@
 
 pub mod expo;
 pub mod histogram;
-pub mod metric;
 pub mod registry;
 pub mod trace;
 
 pub use expo::{validate_exposition, ExpoError};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metric::{Counter, Gauge};
 pub use registry::{MetricsSnapshot, Registry, Sample, SampleValue};
 pub use trace::{TraceEvent, TraceLog};

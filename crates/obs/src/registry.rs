@@ -1,18 +1,17 @@
 //! The metrics registry: named, labelled instruments in one place.
 //!
-//! Components *register* once (taking the `parking_lot` mutex) and get
-//! back an `Arc` instrument they record into lock-free forever after.
-//! Components that already own their counters as plain atomics export
-//! them through closure collectors instead
-//! ([`Registry::register_fn_counter`] / [`Registry::register_fn_gauge`]),
-//! read only at scrape time — adoption without restructuring.
+//! Components *register* once (taking the `parking_lot` mutex). Counters
+//! and gauges stay where they already live — plain atomics inside the
+//! component — and are exported through closure collectors
+//! ([`Registry::register_fn_counter`] / [`Registry::register_fn_gauge`])
+//! read only at scrape time; a histogram is an `Arc` the component records
+//! into lock-free forever after.
 //!
 //! Scraping ([`Registry::snapshot`]) takes the mutex, reads every
 //! instrument once, and returns plain data; rendering to Prometheus text
 //! or JSON happens on the snapshot, outside the lock.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::metric::{Counter, Gauge};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -20,8 +19,6 @@ use std::sync::Arc;
 pub type Labels = Vec<(String, String)>;
 
 enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     FnCounter(Box<dyn Fn() -> u64 + Send + Sync>),
     FnGauge(Box<dyn Fn() -> f64 + Send + Sync>),
@@ -30,8 +27,8 @@ enum Instrument {
 impl Instrument {
     fn kind(&self) -> &'static str {
         match self {
-            Instrument::Counter(_) | Instrument::FnCounter(_) => "counter",
-            Instrument::Gauge(_) | Instrument::FnGauge(_) => "gauge",
+            Instrument::FnCounter(_) => "counter",
+            Instrument::FnGauge(_) => "gauge",
             Instrument::Histogram(_) => "histogram",
         }
     }
@@ -47,9 +44,16 @@ struct Entry {
 /// A collection of named instruments; the unit of exposition.
 ///
 /// ```
+/// use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+/// use std::sync::Arc;
+///
+/// let reqs = Arc::new(AtomicU64::new(0));
 /// let registry = pcp_obs::Registry::new();
-/// let reqs = registry.counter("demo_requests_total", "requests served");
-/// reqs.inc();
+/// let exported = Arc::clone(&reqs);
+/// registry.register_fn_counter("demo_requests_total", "requests served", Vec::new(), move || {
+///     exported.load(Relaxed)
+/// });
+/// reqs.fetch_add(1, Relaxed);
 /// let text = registry.render_prometheus();
 /// assert!(text.contains("demo_requests_total 1"));
 /// ```
@@ -99,30 +103,6 @@ impl Registry {
             labels,
             instrument,
         });
-    }
-
-    /// Registers and returns a new counter with no labels.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, Vec::new())
-    }
-
-    /// Registers and returns a new counter with `labels`.
-    pub fn counter_with(&self, name: &str, help: &str, labels: Labels) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.insert(name, help, labels, Instrument::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Registers and returns a new gauge with no labels.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, Vec::new())
-    }
-
-    /// Registers and returns a new gauge with `labels`.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: Labels) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.insert(name, help, labels, Instrument::Gauge(Arc::clone(&g)));
-        g
     }
 
     /// Registers and returns a new histogram with no labels.
@@ -195,9 +175,7 @@ impl Registry {
                 help: e.help.clone(),
                 labels: e.labels.clone(),
                 value: match &e.instrument {
-                    Instrument::Counter(c) => SampleValue::Counter(c.get()),
                     Instrument::FnCounter(f) => SampleValue::Counter(f()),
-                    Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
                     Instrument::FnGauge(f) => SampleValue::Gauge(f()),
                     Instrument::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                 },
@@ -299,23 +277,22 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
     fn register_and_snapshot_all_kinds() {
         let r = Registry::new();
-        let c = r.counter("test_ops_total", "ops");
-        let g = r.gauge("test_depth", "queue depth");
+        let ops = Arc::new(AtomicU64::new(0));
+        let exported = Arc::clone(&ops);
+        r.register_fn_counter("test_ops_total", "ops", Vec::new(), move || exported.load(Relaxed));
         let h = r.histogram("test_latency_nanoseconds", "latency");
-        r.register_fn_counter("test_fn_total", "external", Vec::new(), || 7);
         r.register_fn_gauge("test_fn_gauge", "external", Vec::new(), || 0.25);
-        c.add(3);
-        g.set(2.0);
+        // Collectors are read at scrape time, not at registration.
+        ops.store(3, Relaxed);
         h.record(500);
         let snap = r.snapshot();
-        assert_eq!(snap.samples.len(), 5);
+        assert_eq!(snap.samples.len(), 3);
         assert_eq!(snap.counter("test_ops_total", &[]), 3);
-        assert_eq!(snap.counter("test_fn_total", &[]), 7);
-        assert_eq!(snap.gauge("test_depth", &[]), 2.0);
         assert_eq!(snap.gauge("test_fn_gauge", &[]), 0.25);
         match &snap.get("test_latency_nanoseconds").unwrap().value {
             SampleValue::Histogram(h) => assert_eq!(h.count, 1),
@@ -327,12 +304,8 @@ mod tests {
     fn labelled_series_coexist_and_sort_stably() {
         let r = Registry::new();
         for shard in 0..3 {
-            r.counter_with(
-                "test_puts_total",
-                "puts",
-                vec![("shard".into(), shard.to_string())],
-            )
-            .add(shard);
+            let labels = vec![("shard".into(), shard.to_string())];
+            r.register_fn_counter("test_puts_total", "puts", labels, move || shard);
         }
         let snap = r.snapshot();
         assert_eq!(snap.counter("test_puts_total", &[("shard", "2")]), 2);
@@ -348,14 +321,22 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_series_panics() {
         let r = Registry::new();
-        r.counter("test_dup_total", "");
-        r.counter("test_dup_total", "");
+        r.register_fn_counter("test_dup_total", "", Vec::new(), || 0);
+        r.register_fn_counter("test_dup_total", "", Vec::new(), || 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as both counter and gauge")]
+    fn kind_clash_panics() {
+        let r = Registry::new();
+        r.register_fn_counter("test_clash", "", vec![("shard".into(), "0".into())], || 0);
+        r.register_fn_gauge("test_clash", "", vec![("shard".into(), "1".into())], || 0.0);
     }
 
     #[test]
     #[should_panic(expected = "invalid metric name")]
     fn bad_name_panics() {
-        Registry::new().counter("0bad-name", "");
+        Registry::new().register_fn_counter("0bad-name", "", Vec::new(), || 0);
     }
 
     #[test]

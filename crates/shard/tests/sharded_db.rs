@@ -202,6 +202,27 @@ fn cross_shard_batch_never_torn_by_snapshot() {
 
 /// Aggregated health points at the wedged shard, and healthy shards keep
 /// serving.
+/// `ShardedDb::compact_range` hands the bounds to every shard: the bounded
+/// pick must leave each shard's newer versions on top (the single-`Db`
+/// case is `bounded_compact_range_keeps_newer_versions_on_top`).
+#[test]
+fn bounded_compact_range_keeps_newer_versions_on_top() {
+    // Shard 0 holds keys below "n", shard 1 the rest.
+    let db = sharded(Arc::new(RangeRouter::new(vec![b"n".to_vec()])), Options::default());
+    db.put(b"b", b"old").unwrap();
+    db.put(b"p", b"old").unwrap();
+    db.flush().unwrap();
+    db.put(b"b", b"new").unwrap();
+    db.put(b"m", b"x").unwrap();
+    db.put(b"p", b"new").unwrap();
+    db.put(b"z", b"x").unwrap();
+    db.flush().unwrap();
+    // In each shard only the newer table overlaps the range.
+    db.compact_range(Some(b"m"), Some(b"z")).unwrap();
+    assert_eq!(db.get(b"b").unwrap(), Some(b"new".to_vec()));
+    assert_eq!(db.get(b"p").unwrap(), Some(b"new".to_vec()));
+}
+
 #[test]
 fn health_reports_first_wedged_shard_with_index() {
     let router = Arc::new(RangeRouter::new(vec![b"m".to_vec()]));

@@ -7,7 +7,7 @@
 //! cargo run --release --example compaction_lab
 //! ```
 
-use pcp::core::{PipelinedExec, ScpExec, Step};
+use pcp::core::{PipelinedExec, Step};
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
@@ -105,7 +105,7 @@ fn main() {
                 )))),
             }
         };
-        let scp = ScpExec::new(SUBTASK);
+        let scp = PipelinedExec::scp(SUBTASK);
         run(mk_env(), "SCP (sequential baseline)", &scp, &scp.profile());
         let pcp = PipelinedExec::pcp(SUBTASK);
         run(mk_env(), "PCP (3-stage pipeline)", &pcp, &pcp.profile());

@@ -9,7 +9,7 @@
 //! cargo run --release --example write_pauses
 //! ```
 
-use pcp::core::{PipelinedExec, ScpExec};
+use pcp::core::PipelinedExec;
 use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options};
 use pcp::storage::{EnvRef, HddModel, SimDevice, SimEnv};
 use pcp::workload::{run_inserts, KeyOrder, WorkloadConfig};
@@ -55,7 +55,7 @@ fn main() {
     for (name, exec) in [
         (
             "SCP",
-            Arc::new(ScpExec::new(256 << 10)) as Arc<dyn CompactionExec>,
+            Arc::new(PipelinedExec::scp(256 << 10)) as Arc<dyn CompactionExec>,
         ),
         ("PCP", Arc::new(PipelinedExec::pcp(256 << 10))),
     ] {

@@ -35,6 +35,14 @@ cargo test -q --features lock_order
 echo "==> cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> git status -- BENCHMARK.json benchmark/ (the benchmark is untouched: an engine change may not edit it, nor may building it rewrite its Cargo.lock)"
+touched=$(git status --porcelain -- BENCHMARK.json benchmark/)
+if [ -n "$touched" ]; then
+    echo "$touched" >&2
+    echo "ci: the benchmark changed; leave it to a PR of its own" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

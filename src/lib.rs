@@ -19,8 +19,8 @@
 //! // or StdFsEnv for real files).
 //! let env = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))));
 //!
-//! // The default executor is the adaptive pipeline: each compaction
-//! // picks SCP / PCP / C-PPCP / S-PPCP from the live occupancy gauges.
+//! // The default executor is the adaptive pipeline: each compaction runs
+//! // as PCP or C-PPCP(k), by the occupancy the previous one published.
 //! let db = Db::open(env, Options::default()).unwrap();
 //! db.put(b"key", b"value").unwrap();
 //! assert_eq!(db.get(b"key").unwrap(), Some(b"value".to_vec()));
@@ -47,7 +47,7 @@
 //! | [`sstable`] | `pcp-sstable` | block/table formats, bloom filters, merging iterators |
 //! | [`compaction`] | `pcp-compaction` | `CompactionExec` interface, resource grants, the cross-shard scheduler |
 //! | [`lsm`] | `pcp-lsm` | memtable, WAL, versions, leveled compaction, the `Db` |
-//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, SCP/PCP/C-PPCP/S-PPCP executors, the adaptive wrapper, Eq. 1–7, step profiler |
+//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, the one executor in its SCP/PCP/C-PPCP/S-PPCP/adaptive shapes, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
 //! | [`workload`] | `pcp-workload` | key/value generators and the insert driver |
 //! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (epoll reactor + worker pool) |
@@ -69,7 +69,7 @@ pub use pcp_workload as workload;
 
 /// Convenience prelude for applications.
 pub mod prelude {
-    pub use pcp_core::{AdaptiveConfig, AdaptiveExec, PipelineConfig, PipelinedExec, ScpExec};
+    pub use pcp_core::{PipelineConfig, PipelinedExec};
     pub use pcp_obs::{MetricsSnapshot, Registry, TraceLog};
     pub use pcp_lsm::{CompactionLimiter, CompactionPolicy, Db, DbHealth, Options, WriteBatch};
     pub use pcp_shard::{HashRouter, KvClient, KvServer, RangeRouter, ShardedDb, ShardedHealth};

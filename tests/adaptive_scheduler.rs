@@ -4,8 +4,9 @@
 //! byte-for-byte equivalence of an adaptive-default database against the
 //! reference simple-merge executor.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, ExecChoice, Occupancy};
-use pcp::lsm::{CompactionLimiter, CompactionPolicy, Db, Options, SimpleMergeExec};
+use pcp::compaction::SimpleMergeExec;
+use pcp::core::{compute_width, Occupancy, PipelinedExec};
+use pcp::lsm::{CompactionLimiter, CompactionPolicy, Db, Options};
 use pcp::obs::Registry;
 use pcp::shard::{HashRouter, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
@@ -99,16 +100,12 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
     assert!(limiter.peak() >= 1, "scheduler never admitted a compaction");
 }
 
-/// The shape decision is a pure function of (config, occupancy, token
-/// grant): same snapshot in, same choice out — every time.
+/// The shape decision is a pure function of (occupancy, token grant,
+/// worker bound): same snapshot in, same compute width out — every time.
 #[test]
 fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
-    let cfg = AdaptiveConfig {
-        max_workers: 4,
-        ..AdaptiveConfig::default()
-    };
     let snapshots = [
-        // (occupancy, tokens) -> expected
+        // (occupancy, tokens) -> expected compute width (1 = PCP)
         (
             Occupancy {
                 read: 0.3,
@@ -117,7 +114,7 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 wall: Duration::from_millis(80),
             },
             usize::MAX,
-            ExecChoice::CPpcp(4),
+            4,
         ),
         (
             Occupancy {
@@ -127,7 +124,7 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 wall: Duration::from_millis(80),
             },
             usize::MAX,
-            ExecChoice::SPpcp(4),
+            1, // the read stage is never widened
         ),
         (
             Occupancy {
@@ -137,7 +134,7 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 wall: Duration::from_millis(80),
             },
             usize::MAX,
-            ExecChoice::Pcp,
+            1,
         ),
         (
             Occupancy {
@@ -147,12 +144,12 @@ fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
                 wall: Duration::from_millis(80),
             },
             2, // the scheduler's grant caps the parallel width
-            ExecChoice::CPpcp(2),
+            2,
         ),
     ];
     for (occ, tokens, want) in snapshots {
         for _ in 0..50 {
-            assert_eq!(AdaptiveExec::choose(&cfg, &occ, tokens), want);
+            assert_eq!(compute_width(&occ, tokens, 4), want);
         }
     }
 }
@@ -187,10 +184,10 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
         "pcp_sched_debt{shard=\"0\"}",
         "pcp_sched_executor_choice_total{choice=\"pcp\"}",
         "pcp_sched_executor_choice_total{choice=\"c-ppcp\"}",
-        "pcp_sched_executor_choice_total{choice=\"s-ppcp\"}",
     ] {
         assert!(text.contains(series), "missing series {series} in:\n{text}");
     }
+    assert!(!text.contains("choice=\"s-ppcp\""), "the chooser has no S-PPCP arm:\n{text}");
     // The default executor is the adaptive one, and it ran compactions.
     assert_eq!(db.shard(0).executor().name(), "adaptive");
 }
@@ -224,10 +221,7 @@ proptest! {
         ),
     ) {
         let adaptive_opts = Options {
-            executor: Arc::new(AdaptiveExec::new(AdaptiveConfig {
-                subtask_bytes: 8 << 10,
-                ..AdaptiveConfig::default()
-            })),
+            executor: Arc::new(PipelinedExec::adaptive(8 << 10, 3)),
             ..small_opts()
         };
         let simple_opts = Options {

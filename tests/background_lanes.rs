@@ -6,9 +6,9 @@
 //! wait for the engine it waits on a gate or on a counter the engine
 //! publishes.
 
+use pcp::compaction::SimpleMergeExec;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
-    SimpleMergeExec,
 };
 use pcp::sstable::Result as TableResult;
 use pcp::storage::{

@@ -2,8 +2,9 @@
 //! put/overwrite/delete workload checked against a BTreeMap oracle,
 //! including across restarts, on latency-free and latency-modeled devices.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelinedExec, ScpExec};
-use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options, SimpleMergeExec};
+use pcp::core::PipelinedExec;
+use pcp::compaction::SimpleMergeExec;
+use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options};
 use pcp::storage::{EnvRef, SimDevice, SimEnv, SsdModel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -70,17 +71,11 @@ fn check_against_oracle(db: &Db, oracle: &BTreeMap<Vec<u8>, Vec<u8>>) {
 fn executors() -> Vec<(&'static str, Arc<dyn CompactionExec>)> {
     vec![
         ("simple", Arc::new(SimpleMergeExec)),
-        ("scp", Arc::new(ScpExec::new(16 << 10))),
+        ("scp", Arc::new(PipelinedExec::scp(16 << 10))),
         ("pcp", Arc::new(PipelinedExec::pcp(16 << 10))),
         ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(16 << 10, 3))),
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(16 << 10, 2))),
-        (
-            "adaptive",
-            Arc::new(AdaptiveExec::new(AdaptiveConfig {
-                subtask_bytes: 16 << 10,
-                ..AdaptiveConfig::default()
-            })),
-        ),
+        ("adaptive", Arc::new(PipelinedExec::adaptive(16 << 10, 3))),
     ]
 }
 
@@ -147,7 +142,7 @@ fn executor_swap_between_restarts() {
     // (the on-disk format is executor-independent).
     let env = mem_env();
     let oracle = {
-        let db = Db::open(Arc::clone(&env), small_opts(Arc::new(ScpExec::new(16 << 10)))).unwrap();
+        let db = Db::open(Arc::clone(&env), small_opts(Arc::new(PipelinedExec::scp(16 << 10)))).unwrap();
         let oracle = apply_workload(&db, 12_000, 0x55);
         db.wait_idle().unwrap();
         oracle

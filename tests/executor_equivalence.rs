@@ -2,9 +2,10 @@
 //! procedure — SCP, PCP, C-PPCP, S-PPCP, and the engine's entry-level
 //! reference — produces the same logical output for the same input.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelineConfig, PipelinedExec, ScpExec};
+use pcp::core::{PipelineConfig, PipelinedExec};
 use pcp::lsm::filename::table_file;
-use pcp::lsm::{CompactionExec, CompactionRequest, SimpleMergeExec};
+use pcp::compaction::SimpleMergeExec;
+use pcp::lsm::{CompactionExec, CompactionRequest};
 use pcp::obs::TraceLog;
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{KvIter, TableBuilder, TableBuilderOptions, TableReader};
@@ -187,7 +188,7 @@ proptest! {
             "reference",
         );
         for (name, exec) in [
-            ("scp", Box::new(ScpExec::new(2 << 10)) as Box<dyn CompactionExec>),
+            ("scp", Box::new(PipelinedExec::scp(2 << 10)) as Box<dyn CompactionExec>),
             ("pcp", Box::new(PipelinedExec::pcp(2 << 10))),
             ("c-ppcp", Box::new(PipelinedExec::c_ppcp(2 << 10, 3))),
             ("s-ppcp", Box::new(PipelinedExec::s_ppcp(2 << 10, 2))),
@@ -211,10 +212,7 @@ proptest! {
             ),
             (
                 "adaptive",
-                Box::new(AdaptiveExec::new(AdaptiveConfig {
-                    subtask_bytes: 2 << 10,
-                    ..AdaptiveConfig::default()
-                })),
+                Box::new(PipelinedExec::adaptive(2 << 10, 3)),
             ),
         ] {
             let got = run_compaction(&*exec, &upper, &lower, snapshot, bottom, name);
@@ -283,7 +281,7 @@ proptest! {
         let reference = compact_tables(&SimpleMergeExec, &inputs, snapshot, bottom, "reference");
 
         let trace = Arc::new(TraceLog::new(8));
-        let scp = ScpExec::new(2 << 10).with_trace(Arc::clone(&trace));
+        let scp = PipelinedExec::scp(2 << 10).with_trace(Arc::clone(&trace));
         let want = compact_tables(&scp, &inputs, snapshot, bottom, "scp");
         let start = &trace.events()[0];
         let field = |k: &str| start.fields.iter().find(|(n, _)| *n == k).unwrap().1;
@@ -344,7 +342,7 @@ fn executors_agree_on_large_structured_input() {
     // The reference must have collapsed versions.
     assert!(reference.len() <= 2500);
     for exec in [
-        Box::new(ScpExec::new(8 << 10)) as Box<dyn CompactionExec>,
+        Box::new(PipelinedExec::scp(8 << 10)) as Box<dyn CompactionExec>,
         Box::new(PipelinedExec::pcp(8 << 10)),
         Box::new(PipelinedExec::c_ppcp(8 << 10, 4)),
     ] {

@@ -17,11 +17,11 @@
 //!   `status()`: what it yielded is a prefix of the data, never the data
 //!   with a hole in it.
 
-use pcp::core::{AdaptiveConfig, AdaptiveExec, PipelinedExec, ScpExec};
+use pcp::compaction::SimpleMergeExec;
+use pcp::core::PipelinedExec;
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
-    SimpleMergeExec,
 };
 use pcp::sstable::key::{make_internal_key, ValueType};
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
@@ -198,7 +198,7 @@ fn transient_faults_retry_and_executors_stay_equivalent() {
     let reference = run_workload(Arc::new(PipelinedExec::pcp(4 << 10)), false);
     assert!(!reference.is_empty());
     for (name, exec) in [
-        ("scp", Arc::new(ScpExec::new(4 << 10)) as Arc<dyn CompactionExec>),
+        ("scp", Arc::new(PipelinedExec::scp(4 << 10)) as Arc<dyn CompactionExec>),
         ("pcp", Arc::new(PipelinedExec::pcp(4 << 10))),
         ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(4 << 10, 3))),
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(4 << 10, 2))),
@@ -344,17 +344,13 @@ fn compact_inputs(
 
 /// Every executor the engine can run, plus the reference merge.
 fn executors() -> Vec<(&'static str, Box<dyn CompactionExec>)> {
-    let adaptive = AdaptiveConfig {
-        subtask_bytes: 2 << 10,
-        ..Default::default()
-    };
     vec![
         ("simple-merge", Box::new(SimpleMergeExec)),
-        ("scp", Box::new(ScpExec::new(2 << 10))),
+        ("scp", Box::new(PipelinedExec::scp(2 << 10))),
         ("pcp", Box::new(PipelinedExec::pcp(2 << 10))),
         ("c-ppcp", Box::new(PipelinedExec::c_ppcp(2 << 10, 2))),
         ("s-ppcp", Box::new(PipelinedExec::s_ppcp(2 << 10, 2))),
-        ("adaptive", Box::new(AdaptiveExec::new(adaptive))),
+        ("adaptive", Box::new(PipelinedExec::adaptive(2 << 10, 2))),
     ]
 }
 
@@ -373,7 +369,7 @@ proptest! {
         let (_, clean) =
             compact_inputs(&clean_env, Arc::clone(&clean_env), &SimpleMergeExec).unwrap();
         // The fixture is the shape it claims: its one cluster is cut by key.
-        let scp = ScpExec::new(2 << 10);
+        let scp = PipelinedExec::scp(2 << 10);
         compact_inputs(&clean_env, Arc::clone(&clean_env), &scp).unwrap();
         prop_assert!(scp.profile().snapshot().subtasks > 4);
 

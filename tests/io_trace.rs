@@ -4,7 +4,7 @@
 //! however many sub-tasks it is cut into — and step S7 issues roughly
 //! sub-task-sized writes (one flush per sub-task).
 
-use pcp::core::{PipelinedExec, ScpExec};
+use pcp::core::PipelinedExec;
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
@@ -143,7 +143,7 @@ fn scp_and_pcp_issue_identical_read_patterns() {
         trace.clear();
         let req = request(&env, upper, lower);
         let exec: Box<dyn CompactionExec> = if which == "scp" {
-            Box::new(ScpExec::new(SUBTASK))
+            Box::new(PipelinedExec::scp(SUBTASK))
         } else {
             Box::new(PipelinedExec::pcp(SUBTASK))
         };

@@ -6,7 +6,7 @@
 //! `OBSERVABILITY.md`; the occupancy quantity is the paper's Fig. 5
 //! busy-time fraction per resource (read | compute | write).
 
-use pcp::core::{PipelinedExec, ScpExec, Step};
+use pcp::core::{PipelinedExec, Step};
 use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options};
 use pcp::obs::{Registry, SampleValue, TraceLog};
 use pcp::storage::{register_device_metrics, DeviceRef, EnvRef, SimDevice, SimEnv};
@@ -43,7 +43,7 @@ fn drive(db: &Db) {
 /// the compaction wall time.
 #[test]
 fn scp_compaction_has_nonzero_busy_time_in_all_three_stages() {
-    let exec = Arc::new(ScpExec::new(16 << 10));
+    let exec = Arc::new(PipelinedExec::scp(16 << 10));
     let profile = exec.profile();
     let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(2 << 30))));
     let db = Db::open(env, small_opts(exec)).unwrap();
