@@ -5,6 +5,17 @@
 //! model from real measurements, and print paper-style tables (also
 //! mirrored as TSV under `bench_results/`).
 
+#![forbid(unsafe_code)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "harness tooling, never on the measured engine path: it crashes on a failed \
+              setup (the measurement is void anyway) and writes its reports with std::fs"
+)]
+
 use pcp_core::{CompactionProfile, PipelinedExec};
 use pcp_lsm::filename::table_file;
 use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata};

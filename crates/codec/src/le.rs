@@ -6,7 +6,8 @@
 //! helpers make the read itself total: an out-of-range offset yields
 //! `None` instead of a panicking slice conversion, so callers propagate
 //! a corruption error rather than aborting the process on a malformed
-//! input (enforced repo-wide by `pcp-lint` rule L3).
+//! input (each crate root denies `clippy::{unwrap_used, expect_used,
+//! panic}`).
 
 /// Reads the little-endian `u32` at `buf[off..off + 4]`, or `None` when
 /// the range falls outside `buf`.

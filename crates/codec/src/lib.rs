@@ -21,6 +21,9 @@
 //! All functions are pure and allocation-conscious: the hot paths take
 //! `&mut Vec<u8>` outputs so buffers can be reused across pipeline stages.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod crc32c;
 pub mod le;
 pub mod lz;

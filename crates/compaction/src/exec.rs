@@ -52,6 +52,11 @@ impl VersionKeepFilter {
 
     /// Returns true if the entry with internal key `ikey` must be kept.
     /// Must be fed entries in [`pcp_sstable::key::internal_key_cmp`] order.
+    #[expect(
+        clippy::expect_used,
+        reason = "the merge feeds keys read back out of checksum-verified blocks this engine \
+                  wrote, each one `make_internal_key`'s user key plus its 8-byte trailer"
+    )]
     pub fn keep(&mut self, ikey: &[u8]) -> bool {
         let parsed = parse_internal_key(ikey).expect("well-formed internal key");
         if !self.has_current_user_key || self.current_user_key != parsed.user_key {

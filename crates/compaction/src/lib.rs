@@ -22,7 +22,8 @@
 //!   across databases and attaches a [`ResourceGrant`] (stage-worker
 //!   tokens) to each, honored by the pipelined executors.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod filename;
 pub mod sched;

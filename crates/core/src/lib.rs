@@ -36,6 +36,9 @@
 //!   function of the previous compaction's occupancy and the scheduler's
 //!   resource grant.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod adaptive;
 pub mod model;
 pub mod pipeline;

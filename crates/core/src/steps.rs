@@ -187,10 +187,18 @@ impl KvIter for BlocksIter {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the key only when `valid()`, which implies `cur.is_some()`"
+    )]
     fn key(&self) -> &[u8] {
         self.cur.as_ref().expect("valid").key()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the value only when `valid()`, which implies `cur.is_some()`"
+    )]
     fn value(&self) -> &[u8] {
         self.cur.as_ref().expect("valid").value()
     }

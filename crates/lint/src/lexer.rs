@@ -2,18 +2,16 @@
 //! string/char literals, and marks `#[cfg(test)]` / `#[test]` regions.
 //!
 //! This is deliberately *not* a parser — the lint rules (see [`crate::rules`])
-//! are token-shaped, so a line-oriented view with literals blanked out and
-//! comments captured separately is exactly enough, runs in one pass, and
-//! needs no rustc internals.
+//! are token-shaped, so a line-oriented view with comments dropped and
+//! literals blanked out is exactly enough, runs in one pass, and needs no
+//! rustc internals.
 
-/// A source file split into per-line code text (comments and the contents
-/// of string/char literals replaced by spaces), per-line comment text, and
-/// a per-line "inside test code" flag.
+/// A source file split into per-line code text (comments dropped, the
+/// contents of string/char literals replaced by spaces), the captured
+/// string literals, and a per-line "inside test code" flag.
 pub struct PreparedSource {
-    /// Line-by-line source with comments and literal contents blanked.
+    /// Line-by-line source with comments dropped and literal contents blanked.
     pub code: Vec<String>,
-    /// Line-by-line concatenated comment text (`//`, `///`, `/* … */`).
-    pub comments: Vec<String>,
     /// True when the line sits inside a `#[cfg(test)]` or `#[test]` item.
     pub in_test: Vec<bool>,
     /// String-literal contents, keyed by the line the literal *opens* on.
@@ -48,9 +46,7 @@ enum State {
 pub fn prepare(source: &str) -> PreparedSource {
     let chars: Vec<char> = source.chars().collect();
     let mut code_lines = Vec::new();
-    let mut comment_lines = Vec::new();
     let mut code = String::new();
-    let mut comment = String::new();
     let mut state = State::Code;
     // In-flight string capture: (opening line, opening column, contents).
     let mut lit: Option<(usize, usize, String)> = None;
@@ -66,7 +62,6 @@ pub fn prepare(source: &str) -> PreparedSource {
                 text.push('\n');
             }
             code_lines.push(std::mem::take(&mut code));
-            comment_lines.push(std::mem::take(&mut comment));
             i += 1;
             continue;
         }
@@ -101,10 +96,7 @@ pub fn prepare(source: &str) -> PreparedSource {
                     i += 1;
                 }
             }
-            State::LineComment => {
-                comment.push(c);
-                i += 1;
-            }
+            State::LineComment => i += 1,
             State::BlockComment(depth) => {
                 let next = chars.get(i + 1).copied();
                 if c == '*' && next == Some('/') {
@@ -113,13 +105,11 @@ pub fn prepare(source: &str) -> PreparedSource {
                     } else {
                         State::Code
                     };
-                    comment.push(' ');
                     i += 2;
                 } else if c == '/' && next == Some('*') {
                     state = State::BlockComment(depth + 1);
                     i += 2;
                 } else {
-                    comment.push(c);
                     i += 1;
                 }
             }
@@ -171,7 +161,6 @@ pub fn prepare(source: &str) -> PreparedSource {
         }
     }
     code_lines.push(code);
-    comment_lines.push(comment);
     if let Some(entry) = lit.take() {
         captured.push(entry); // unterminated literal at EOF
     }
@@ -182,7 +171,6 @@ pub fn prepare(source: &str) -> PreparedSource {
     }
     PreparedSource {
         code: code_lines,
-        comments: comment_lines,
         in_test,
         strings,
     }
@@ -305,25 +293,6 @@ pub fn token_offsets(line: &str, needle: &str) -> Vec<usize> {
     found
 }
 
-/// Returns the byte offsets where an identifier *starting with* `prefix`
-/// begins in `line` (boundary check on the left side only).
-pub fn prefix_offsets(line: &str, prefix: &str) -> Vec<usize> {
-    let mut found = Vec::new();
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(prefix) {
-        let at = start + pos;
-        let before_ok = line[..at]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !is_ident_char(c));
-        if before_ok {
-            found.push(at);
-        }
-        start = at + prefix.len();
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +302,7 @@ mod tests {
         let src = "let a = \"std::fs\"; // std::net here\nlet b = 1; /* unsafe */ call();";
         let p = prepare(src);
         assert!(!p.code[0].contains("std::fs"));
-        assert!(p.comments[0].contains("std::net"));
+        assert!(!p.code[0].contains("std::net"));
         assert!(!p.code[1].contains("unsafe"));
         assert!(p.code[1].contains("call()"));
     }

@@ -1,13 +1,12 @@
 //! # pcp-lint
 //!
 //! A from-scratch architectural linter for this workspace (DESIGN.md §11).
-//! It walks every Rust source file, splits code from comments and literals
-//! with a hand-rolled lexer ([`lexer`]), and enforces the repo-specific
-//! invariants L1–L8 that `rustc`/clippy cannot know about:
+//! It walks every library source file, splits code from comments and
+//! literals with a hand-rolled lexer ([`lexer`]), and enforces the
+//! repo-specific invariants that `rustc`/clippy cannot express (L1–L3 and
+//! L5 are compiler lints now, set in each crate root and `clippy.toml`):
 //!
-//! * per-file token rules ([`rules`]): Env-mediated I/O, justified
-//!   `unsafe`, panic-free library code, deterministic model code,
-//!   self-contained vendor shims (L1–L5);
+//! * deterministic model code (L4, [`rules::rule_l4`]): no wall-clock reads;
 //! * workspace rules: the guard-scope analysis ([`guards`]) feeds a
 //!   cross-function lock-acquisition graph ([`graph`]) that reports lock
 //!   cycles as potential deadlocks (L6) and blocking operations performed
@@ -16,13 +15,23 @@
 //!   against OBSERVABILITY.md's canonical name index, wire opcodes against
 //!   DESIGN.md's canonical opcode table.
 //!
-//! Findings print as `file:line: rule: message` (or as JSON with
-//! `--format json`); a nonzero exit fails CI. Suppressions live in
-//! `lint.allow` at the repository root — one line per file/rule pair, each
-//! carrying a human justification. Stale or malformed allowlist entries
-//! are themselves findings, so the allowlist cannot rot.
+//! Findings print as `file:line: rule: message`; a nonzero exit fails CI.
+//! Suppressions live in `lint.allow` at the repository root — one line per
+//! file/rule pair, each carrying a human justification. Stale or malformed
+//! allowlist entries are themselves findings, so the allowlist cannot rot.
 //!
 //! Run it with `cargo run -p pcp-lint --release` from the workspace root.
+
+#![forbid(unsafe_code)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "tooling, not engine code under FaultEnv: it reads the source tree with std::fs \
+              and may crash loudly on its own bugs"
+)]
 
 pub mod graph;
 pub mod guards;
@@ -40,7 +49,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule tag: `L1`–`L5`, `stale-allow` or `allow-syntax`.
+    /// Rule tag: `L4`, `L6`–`L8`, `stale-allow` or `allow-syntax`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -67,47 +76,14 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Which rule set applies to a file — decided purely from its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
-    /// `crates/*/src/**` and `src/**`: full L1–L4 discipline.
-    Library,
-    /// Tests, benches and examples: crash-on-failure is idiomatic there,
-    /// and several deliberately demonstrate direct `std::fs` usage; only
-    /// the `unsafe`-justification rule (L2) applies.
-    Harness,
-    /// `vendor/*/src/**`: only the isolation rule (L5) applies.
-    Vendor,
-    /// `vendor/*/Cargo.toml`: checked textually for workspace deps.
-    VendorManifest,
+/// True for library code — `crates/*/src/**` and `src/**` — the only
+/// code the walker collects: tests, benches, examples and vendored shims
+/// are out of scope.
+fn is_library(rel: &str) -> bool {
+    rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
 }
 
-/// Classifies a repository-relative path (forward slashes).
-pub fn classify(rel: &str) -> FileClass {
-    if rel.starts_with("vendor/") {
-        if rel.ends_with("Cargo.toml") {
-            return FileClass::VendorManifest;
-        }
-        return FileClass::Vendor;
-    }
-    let harness = ["/tests/", "/benches/", "/examples/"]
-        .iter()
-        .any(|d| rel.contains(d))
-        || ["tests/", "benches/", "examples/"]
-            .iter()
-            .any(|d| rel.starts_with(d));
-    if harness {
-        return FileClass::Harness;
-    }
-    if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
-        return FileClass::Library;
-    }
-    // Anything else (build scripts, stray top-level files) gets the
-    // permissive harness treatment.
-    FileClass::Harness
-}
-
-/// Lints a single source file under its repository-relative path — a
+/// Lints a single library file under its repository-relative path — a
 /// one-file workspace, so the guard-scope rules L6/L7 run too (L8 needs
 /// docs; pass them via [`lint_sources`]). This is the entry point the
 /// fixture tests use.
@@ -115,8 +91,8 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     lint_sources(&[(rel.to_string(), source.to_string())], None, None).findings
 }
 
-/// Lints a set of sources as one workspace: per-file rules L1–L5, the
-/// cross-function lock rules L6/L7 over all files together, and — when
+/// Lints a set of library sources as one workspace: the per-file rule L4,
+/// the cross-function lock rules L6/L7 over all files together, and — when
 /// the docs are provided — the contract-drift rule L8.
 pub fn lint_sources(
     files: &[(String, String)],
@@ -127,17 +103,10 @@ pub fn lint_sources(
     let mut analyses = Vec::new();
     let mut inventory = rules::ContractInventory::default();
     for (rel, source) in files {
-        let class = classify(rel);
-        if class == FileClass::VendorManifest {
-            findings.extend(lint_vendor_manifest(rel, source));
-            continue;
-        }
         let src = lexer::prepare(source);
-        findings.extend(rules::lint_prepared(rel, &src, class));
-        if class == FileClass::Library {
-            rules::collect_contract_names(rel, &src, &mut inventory);
-            analyses.push(guards::analyze_file(rel, &src));
-        }
+        rules::rule_l4(rel, &src, &mut findings);
+        rules::collect_contract_names(rel, &src, &mut inventory);
+        analyses.push(guards::analyze_file(rel, &src));
     }
     let lock_graph = graph::check(&analyses);
     findings.extend(lock_graph.findings);
@@ -150,24 +119,6 @@ pub fn lint_sources(
         lock_edges: lock_graph.edges.len(),
         lock_cycles: lock_graph.cycles.len(),
     }
-}
-
-/// L5 for manifests: a vendored shim's `Cargo.toml` must not declare
-/// dependencies pointing back into the workspace.
-fn lint_vendor_manifest(rel: &str, source: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, line) in source.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("");
-        if line.contains("crates/") || !lexer::prefix_offsets(line, "pcp-").is_empty() {
-            findings.push(Finding::new(
-                rel,
-                i + 1,
-                "L5",
-                "vendored shim manifest depends on a workspace crate".to_string(),
-            ));
-        }
-    }
-    findings
 }
 
 /// One `lint.allow` suppression: `<rule> <path> <justification…>`.
@@ -215,7 +166,7 @@ fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<Finding>) {
 pub struct Report {
     /// Surviving findings, sorted by file then line.
     pub findings: Vec<Finding>,
-    /// Number of files scanned (sources and vendor manifests).
+    /// Number of library files scanned.
     pub files_scanned: usize,
     /// Distinct locks in the L6 acquisition graph.
     pub locks: usize,
@@ -237,95 +188,10 @@ impl Report {
             self.lock_cycles
         )
     }
-
-    /// The report as a JSON document (hand-rolled — the linter stays
-    /// dependency-free), for `--format json` and the CI artifact.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                json_escape(f.rule),
-                json_escape(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"lock_graph\": {{\"locks\": {}, \"edges\": {}, \"cycles\": {}}}\n}}\n",
-            self.files_scanned, self.locks, self.lock_edges, self.lock_cycles
-        ));
-        out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One paragraph of rationale per rule, for `pcp-lint --explain`.
-pub fn explain(rule: &str) -> Option<&'static str> {
-    Some(match rule {
-        "L1" => "L1 — Env-only I/O: engine code must not call std::fs/std::net directly. \
-                 FaultEnv can only inject faults into I/O that flows through the Env \
-                 abstraction, so a direct call is a hole in the fault-injection test net. \
-                 Designated owners (std_env.rs, the TCP service endpoints) are exempted \
-                 in lint.allow with a justification.",
-        "L2" => "L2 — justified unsafe: every `unsafe` block or impl needs a `// SAFETY:` \
-                 comment within five lines above it stating the discharged obligation. \
-                 `unsafe fn`/`unsafe trait` declare a contract and are not flagged.",
-        "L3" => "L3 — panic-free library code: `.unwrap()`, `.expect(…)` and `panic!` \
-                 abort the process; library code must propagate errors. Invariant-backed \
-                 uses are suppressed in lint.allow with the invariant spelled out.",
-        "L4" => "L4 — deterministic model code: the analytical model and the simulator \
-                 compute time, they must not observe it (`Instant::now`/`SystemTime::now` \
-                 would make modeled results vary run to run).",
-        "L5" => "L5 — vendor isolation: vendored shims stand in for crates.io packages; \
-                 depending on workspace crates would invert the dependency direction.",
-        "L6" => "L6 — lock-acquisition cycles: the guard-scope analysis records which \
-                 locks are held at every acquisition, within and across functions (call \
-                 edges by workspace name resolution), and reports cycles in the resulting \
-                 graph as potential deadlocks. The static, exhaustive complement to the \
-                 vendored parking_lot `lock_order` runtime witness: it checks every path, \
-                 not just the interleavings a test happens to execute.",
-        "L7" => "L7 — blocking under a live guard: Env I/O, file sync, channel recv, \
-                 thread::sleep/join, socket accept, and Condvar waits that release a \
-                 *different* lock are flagged while any guard is live. Suspension windows \
-                 (`MutexGuard::unlocked`, a Condvar wait's own lock) are understood — the \
-                 group-commit leader's lock-free WAL write passes clean. Each real finding \
-                 is either restructured out or justified in lint.allow.",
-        "L8" => "L8 — contract drift: every pcp_* metric and trace kind emitted by \
-                 library code must appear in OBSERVABILITY.md's canonical name index and \
-                 vice versa; every wire opcode in proto.rs must match DESIGN.md's \
-                 canonical opcode table byte-for-byte. Docs are the contract dashboards \
-                 and replicas are built against — drift is an incident waiting to happen.",
-        _ => return None,
-    })
 }
 
 /// Directory names never descended into, at any depth.
 const SKIP_DIRS: [&str; 4] = ["target", "bench_results", ".git", "node_modules"];
-
-/// The seeded-violation corpus for pcp-lint's own tests: deliberately full
-/// of findings, never part of the repository scan.
-const FIXTURE_DIR: &str = "crates/lint/tests/fixtures";
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
@@ -346,11 +212,11 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result
             .to_string_lossy()
             .replace('\\', "/");
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') || rel == FIXTURE_DIR {
+            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
                 continue;
             }
             walk(root, &path, out)?;
-        } else if name.ends_with(".rs") || (name == "Cargo.toml" && rel.starts_with("vendor/")) {
+        } else if name.ends_with(".rs") && is_library(&rel) {
             out.push((rel, path));
         }
     }

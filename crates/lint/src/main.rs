@@ -1,64 +1,20 @@
 //! CLI for the workspace linter: scans the repository (default `.`, or the
-//! root given as the first non-flag argument), prints findings as
-//! `file:line: rule: message` (or a JSON report with `--format json`), and
-//! exits nonzero when any survive. `--explain L6 L7` prints rule
-//! rationales instead of scanning.
+//! root given as the only argument), prints findings as
+//! `file:line: rule: message`, and exits nonzero when any survive.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = String::from("text");
-    let mut explain: Option<Vec<String>> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--format" => match args.next() {
-                Some(f) if f == "text" || f == "json" => format = f,
-                _ => {
-                    eprintln!("pcp-lint: --format takes `text` or `json`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--explain" => {
-                // Everything after --explain is a rule tag.
-                explain = Some(args.by_ref().collect());
-            }
-            _ => root = PathBuf::from(arg),
-        }
-    }
-
-    if let Some(rules) = explain {
-        let rules = if rules.is_empty() {
-            (1..=8).map(|n| format!("L{n}")).collect()
-        } else {
-            rules
-        };
-        for rule in &rules {
-            match pcp_lint::explain(rule) {
-                Some(text) => println!("{text}\n"),
-                None => {
-                    eprintln!("pcp-lint: unknown rule `{rule}` (expected L1..L8)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
+    let root = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| ".".to_string()));
     let started = Instant::now();
     match pcp_lint::lint_repo(&root) {
         Ok(report) => {
-            if format == "json" {
-                print!("{}", report.to_json());
-            } else {
-                for finding in &report.findings {
-                    println!("{finding}");
-                }
-                println!("{} in {:.2?}", report.summary(), started.elapsed());
+            for finding in &report.findings {
+                println!("{finding}");
             }
+            println!("{} in {:.2?}", report.summary(), started.elapsed());
             if report.findings.is_empty() {
                 ExitCode::SUCCESS
             } else {

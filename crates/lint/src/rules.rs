@@ -1,27 +1,17 @@
-//! The architectural invariants, as token-shaped rules over a
-//! [`PreparedSource`] view.
+//! The token-shaped rules over a [`PreparedSource`] view.
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | L1 | all I/O goes through `Env` — no `std::fs`/`std::net` outside the designated modules |
-//! | L2 | every `unsafe` block/impl carries a `// SAFETY:` comment |
-//! | L3 | no `unwrap()`/`expect()`/`panic!` in non-test library code |
 //! | L4 | no wall-clock reads in deterministic-model code |
-//! | L5 | vendored shims stay independent of workspace crates |
 //! | L8 | metric/trace names and wire opcodes match the docs' canonical tables |
 //!
 //! (L6 — lock-acquisition cycles — and L7 — blocking under a live guard —
 //! are workspace-level rules and live in [`crate::graph`], fed by the
-//! guard-scope analysis in [`crate::guards`].)
-//!
-//! Scoping (which files each rule applies to) lives in [`crate::FileClass`]
-//! and the `*_scope` helpers here; suppression lives in `lint.allow` at the
-//! repository root. Designated-owner exemptions (e.g. `std_env.rs` doing
-//! real `std::fs` calls) are ordinary `lint.allow` entries — there is no
-//! second, hardcoded exemption mechanism.
+//! guard-scope analysis in [`crate::guards`].) Suppression lives in
+//! `lint.allow` at the repository root.
 
 use crate::lexer::{token_offsets, PreparedSource};
-use crate::{FileClass, Finding};
+use crate::Finding;
 
 /// Deterministic-model code: the analytical model and planner in
 /// `pcp-core` plus the whole discrete-event simulator. Wall-clock reads
@@ -32,103 +22,11 @@ fn l4_scope(path: &str) -> bool {
         || path == "crates/core/src/planner.rs"
 }
 
-/// How many preceding lines a `// SAFETY:` comment may sit above its
-/// `unsafe` token — lets one comment cover a short cluster of unsafe
-/// operations in the same statement.
-const SAFETY_WINDOW: usize = 5;
-
-/// Runs every applicable rule over one prepared file.
-pub fn lint_prepared(path: &str, src: &PreparedSource, class: FileClass) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    match class {
-        FileClass::Library => {
-            rule_l1(path, src, &mut findings);
-            rule_l2(path, src, &mut findings);
-            rule_l3(path, src, &mut findings);
-            if l4_scope(path) {
-                rule_l4(path, src, &mut findings);
-            }
-        }
-        FileClass::Harness => {
-            rule_l2(path, src, &mut findings);
-        }
-        FileClass::Vendor => {
-            rule_l5(path, src, &mut findings);
-        }
-        FileClass::VendorManifest => {} // handled textually in lint_repo
-    }
-    findings
-}
-
-/// L1: engine code must not reach the OS directly — `FaultEnv` can only
-/// inject faults into I/O that flows through the `Env` abstraction.
-fn rule_l1(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
-    const NEEDLES: [&str; 4] = ["std::fs", "std::net", "File::open", "File::create"];
-    for (i, line) in src.code.iter().enumerate() {
-        for needle in NEEDLES {
-            if !token_offsets(line, needle).is_empty() {
-                out.push(Finding::new(
-                    path,
-                    i + 1,
-                    "L1",
-                    format!("direct `{needle}` bypasses the Env abstraction (fault injection cannot reach it)"),
-                ));
-            }
-        }
-    }
-}
-
-/// L2: every `unsafe` block or impl is preceded by a `// SAFETY:` comment
-/// (same line or within [`SAFETY_WINDOW`] lines above). `unsafe fn` /
-/// `unsafe trait` declarations state a contract rather than discharge one,
-/// so they are not flagged; their callers are.
-fn rule_l2(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
-    for (i, line) in src.code.iter().enumerate() {
-        if src.in_test[i] {
-            continue;
-        }
-        for at in token_offsets(line, "unsafe") {
-            let following = next_token_after(src, i, at + "unsafe".len());
-            if matches!(following.as_str(), "fn" | "trait" | "extern") {
-                continue;
-            }
-            let lo = i.saturating_sub(SAFETY_WINDOW);
-            let documented = src.comments[lo..=i]
-                .iter()
-                .any(|c| c.contains("SAFETY:"));
-            if !documented {
-                out.push(Finding::new(
-                    path,
-                    i + 1,
-                    "L2",
-                    "`unsafe` without an immediately preceding `// SAFETY:` justification".to_string(),
-                ));
-            }
-        }
-    }
-}
-
-/// L3: library code returns errors instead of aborting the process.
-fn rule_l3(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
-    const NEEDLES: [(&str, &str); 3] = [
-        (".unwrap()", "`unwrap()` in library code — propagate the error or justify in lint.allow"),
-        (".expect(", "`expect()` in library code — propagate the error or justify in lint.allow"),
-        ("panic!", "`panic!` in library code — return an error or justify in lint.allow"),
-    ];
-    for (i, line) in src.code.iter().enumerate() {
-        if src.in_test[i] {
-            continue;
-        }
-        for (needle, message) in NEEDLES {
-            if !token_offsets(line, needle).is_empty() {
-                out.push(Finding::new(path, i + 1, "L3", message.to_string()));
-            }
-        }
-    }
-}
-
 /// L4: deterministic-model code computes time, it must not observe it.
-fn rule_l4(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
+pub fn rule_l4(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
+    if !l4_scope(path) {
+        return;
+    }
     for (i, line) in src.code.iter().enumerate() {
         if src.in_test[i] {
             continue;
@@ -142,22 +40,6 @@ fn rule_l4(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
                     format!("`{needle}` in deterministic-model code — take time as an input"),
                 ));
             }
-        }
-    }
-}
-
-/// L5: vendored shims stand in for crates.io packages; depending on
-/// workspace crates would invert the dependency direction and smuggle
-/// engine behavior into the "external" layer.
-fn rule_l5(path: &str, src: &PreparedSource, out: &mut Vec<Finding>) {
-    for (i, line) in src.code.iter().enumerate() {
-        if !crate::lexer::prefix_offsets(line, "pcp_").is_empty() {
-            out.push(Finding::new(
-                path,
-                i + 1,
-                "L5",
-                "vendored shim references a workspace crate".to_string(),
-            ));
         }
     }
 }
@@ -415,24 +297,4 @@ pub fn check_contracts(
     }
 
     out
-}
-
-/// The first token (identifier or symbol run) after byte offset `from` on
-/// line `i`, looking up to three lines ahead — used to classify what an
-/// `unsafe` keyword introduces.
-fn next_token_after(src: &PreparedSource, i: usize, from: usize) -> String {
-    let mut text = src.code[i][from.min(src.code[i].len())..].to_string();
-    for extra in src.code.iter().skip(i + 1).take(3) {
-        text.push(' ');
-        text.push_str(extra);
-        if text.trim().len() > 8 {
-            break;
-        }
-    }
-    text.split_whitespace()
-        .next()
-        .unwrap_or("")
-        .chars()
-        .take_while(|c| crate::lexer::is_ident_char(*c))
-        .collect()
 }

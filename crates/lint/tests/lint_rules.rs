@@ -5,10 +5,16 @@
 //! trailing `// LINT:<rule>` marker; the test derives the expected
 //! (line, rule) set from those markers so fixtures stay self-describing.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test harness: reads fixtures and builds a scratch tree on the real filesystem"
+)]
 
-use pcp_lint::{classify, lint_repo, lint_source, lint_sources, FileClass};
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use pcp_lint::{lint_repo, lint_source, lint_sources};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,11 +47,7 @@ fn found(rel: &str, source: &str) -> BTreeSet<(usize, String)> {
 #[test]
 fn every_rule_fires_on_its_fixture_and_only_there() {
     let cases = [
-        ("L1", "l1_violation.rs", "l1_clean.rs", "crates/fake/src/lib.rs"),
-        ("L2", "l2_violation.rs", "l2_clean.rs", "crates/fake/src/lib.rs"),
-        ("L3", "l3_violation.rs", "l3_clean.rs", "crates/fake/src/lib.rs"),
         ("L4", "l4_violation.rs", "l4_clean.rs", "crates/sim/src/fake.rs"),
-        ("L5", "l5_violation.rs", "l5_clean.rs", "vendor/fake/src/lib.rs"),
         ("L6", "l6_violation.rs", "l6_clean.rs", "crates/fake/src/lib.rs"),
         ("L7", "l7_violation.rs", "l7_clean.rs", "crates/fake/src/lib.rs"),
     ];
@@ -65,6 +67,9 @@ fn every_rule_fires_on_its_fixture_and_only_there() {
             "{clean} must lint clean"
         );
     }
+    // L4 is scoped to model code: the same clock reads pass elsewhere.
+    let l4 = fixture("l4_violation.rs");
+    assert_eq!(found("crates/core/src/pipeline.rs", &l4), BTreeSet::new());
 }
 
 /// L8 needs a workspace view with docs: the violation fixture's rogue
@@ -130,87 +135,35 @@ fn l8_contract_drift_fires_against_docs_and_stays_quiet_when_aligned() {
     assert!(ghosts[0].message.contains("pcp_fixture_ghost_total"));
 }
 
-/// The same L1/L3/L4 sources are exempt outside the rules' scope: tests
-/// and benches may unwrap and touch the filesystem, non-model code may
-/// read clocks. The former hardcoded L1 exemptions (std_env.rs and the
-/// service edge) are now `lint.allow` entries, so at the engine level
-/// those paths DO fire — suppression happens in `lint_repo`.
-#[test]
-fn scoping_exempts_harness_model_and_designated_files() {
-    let l1 = fixture("l1_violation.rs");
-    assert_eq!(found("crates/fake/tests/e2e.rs", &l1), BTreeSet::new());
-    assert_eq!(
-        found("crates/storage/src/std_env.rs", &l1),
-        expected_markers(&l1, "L1"),
-        "std_env.rs is no longer exempted by the engine, only by lint.allow"
-    );
-    let l3 = fixture("l3_violation.rs");
-    assert_eq!(found("crates/fake/benches/b.rs", &l3), BTreeSet::new());
-    let l4 = fixture("l4_violation.rs");
-    assert_eq!(found("crates/core/src/pipeline.rs", &l4), BTreeSet::new());
-    // Inside vendor/ only L5 applies — the L3 fixture's unwraps pass.
-    assert_eq!(found("vendor/fake/src/lib.rs", &l3), BTreeSet::new());
-}
-
-#[test]
-fn classification_follows_paths() {
-    assert_eq!(classify("crates/lsm/src/db/mod.rs"), FileClass::Library);
-    assert_eq!(classify("src/lib.rs"), FileClass::Library);
-    assert_eq!(classify("tests/pipeline_e2e.rs"), FileClass::Harness);
-    assert_eq!(classify("crates/shard/examples/kv.rs"), FileClass::Harness);
-    assert_eq!(classify("vendor/bytes/src/lib.rs"), FileClass::Vendor);
-    assert_eq!(classify("vendor/bytes/Cargo.toml"), FileClass::VendorManifest);
-}
-
-#[test]
-fn vendor_manifest_workspace_deps_are_flagged() {
-    let bad = "[package]\nname = \"shim\"\n[dependencies]\npcp-core = { path = \"../../crates/core\" }\n";
-    let findings = lint_source("vendor/shim/Cargo.toml", bad);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, "L5");
-    assert_eq!(findings[0].line, 4);
-
-    let good = "[package]\nname = \"shim\"\n# comment about crates/ is fine\n[dependencies]\n";
-    assert!(lint_source("vendor/shim/Cargo.toml", good).is_empty());
-}
-
 /// A throwaway tree exercising the walker's skip rules and the allowlist:
 /// suppression consumes a finding, unused entries surface as stale-allow,
-/// malformed lines as allow-syntax, and `target/` contents never count.
+/// malformed lines as allow-syntax, and neither skipped directories nor
+/// non-library code ever count.
 #[test]
 fn walker_and_allowlist_on_a_synthetic_tree() {
     let root = std::env::temp_dir().join(format!("pcp-lint-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let mkdir = |p: &PathBuf| std::fs::create_dir_all(p).unwrap();
-    mkdir(&root.join("crates/x/src"));
-    mkdir(&root.join("target/debug"));
-    mkdir(&root.join("bench_results"));
-    mkdir(&root.join("vendor/shim"));
-
-    std::fs::write(
-        root.join("crates/x/src/lib.rs"),
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    )
-    .unwrap();
-    // Violations under skipped directories must never surface.
-    std::fs::write(root.join("target/debug/gen.rs"), "fn g() { panic!(); }\n").unwrap();
-    std::fs::write(root.join("bench_results/old.rs"), "fn h() { panic!(); }\n").unwrap();
-    std::fs::write(
-        root.join("vendor/shim/Cargo.toml"),
-        "[package]\nname = \"shim\"\n",
-    )
-    .unwrap();
-    std::fs::write(
-        root.join("lint.allow"),
-        "L3 crates/x/src/lib.rs demo suppression with a justification\n\
-         L1 crates/x/src/lib.rs this entry matches nothing\n\
-         L3 missing-justification\n",
-    )
-    .unwrap();
+    let clock = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
+    for (rel, source) in [
+        ("crates/sim/src/lib.rs", clock),
+        // The same L4 violation under a skipped directory and in a test
+        // target must never surface.
+        ("crates/sim/src/target/gen.rs", clock),
+        ("crates/sim/tests/t.rs", clock),
+        (
+            "lint.allow",
+            "L4 crates/sim/src/lib.rs demo suppression with a justification\n\
+             L7 crates/sim/src/lib.rs this entry matches nothing\n\
+             L4 missing-justification\n",
+        ),
+    ] {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, source).unwrap();
+    }
 
     let report = lint_repo(&root).unwrap();
-    // crates/x/src/lib.rs + vendor/shim/Cargo.toml; skipped dirs excluded.
-    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.files_scanned, 1, "only the one library file counts");
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, vec!["stale-allow", "allow-syntax"]);
     assert_eq!(report.findings[0].line, 2);
@@ -241,4 +194,26 @@ fn the_repository_itself_is_clean() {
         report.locks
     );
     assert_eq!(report.lock_cycles, 0, "lock-acquisition graph has cycles");
+
+    // L1–L3 are compiler lints set in each crate root: a crate without
+    // the header would escape them silently.
+    let mut roots = vec![repo.join("src/lib.rs")];
+    for entry in std::fs::read_dir(repo.join("crates")).unwrap() {
+        roots.push(entry.unwrap().path().join("src/lib.rs"));
+    }
+    for root in roots {
+        let text = std::fs::read_to_string(&root).unwrap();
+        assert!(
+            text.contains("#![forbid(unsafe_code)]")
+                || text.contains("clippy::undocumented_unsafe_blocks"),
+            "{} neither forbids `unsafe` nor requires `// SAFETY:` comments",
+            root.display()
+        );
+        let lints = ["clippy::unwrap_used", "clippy::expect_used", "clippy::panic"];
+        assert!(
+            lints.iter().all(|lint| text.contains(lint)),
+            "{} does not set the unwrap/expect/panic lints",
+            root.display()
+        );
+    }
 }

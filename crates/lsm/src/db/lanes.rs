@@ -146,6 +146,11 @@ impl DbInner {
         MutexGuard::unlocked(st, || self.delete_obsolete_files(&plan));
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the flush lane calls this only with `imm` set, checked under the same \
+                  state-lock hold, and nothing else clears it"
+    )]
     fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
         let imm = st.imm.as_ref().expect("imm present").clone();
         let number = st.versions.allocate_file_number();

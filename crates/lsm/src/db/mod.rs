@@ -469,6 +469,10 @@ impl Db {
     /// gapped stream can never tear the replica's state.
     ///
     /// Returns the new last applied sequence.
+    #[expect(
+        clippy::expect_used,
+        reason = "it waits until `st.wal` is resident and takes it under the same state-lock hold"
+    )]
     pub fn apply_replicated(&self, record: &[u8]) -> io::Result<SequenceNumber> {
         let (first_seq, batch) = WriteBatch::decode(record)?;
         if batch.is_empty() {

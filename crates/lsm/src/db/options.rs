@@ -97,6 +97,7 @@ impl Options {
     ///
     /// # Panics
     /// Panics if `dir` is unset.
+    #[expect(clippy::expect_used, reason = "the documented `# Panics` contract")]
     pub fn in_subdir(&self, name: impl AsRef<std::path::Path>) -> Options {
         let base = self.dir.as_ref().expect("Options::dir is unset");
         Options {

@@ -91,6 +91,12 @@ impl DbInner {
     /// front with the state lock held. Merges the pending batches into one
     /// group, commits it through the WAL with the lock released, then
     /// publishes and distributes the outcome.
+    #[expect(
+        clippy::expect_used,
+        reason = "group-commit invariants, each held under the state lock: the leader is the \
+                  queue front, a queued batch stays unclaimed until its leader takes it, and \
+                  `st.wal` is resident whenever no leader is inside its I/O window"
+    )]
     fn commit_group(&self, st: &mut MutexGuard<'_, State>, leader_ticket: u64) -> io::Result<()> {
         if let Err(e) = self.make_room_for_write(st) {
             // The leader's own admission failed (latched error). Followers
@@ -195,6 +201,11 @@ impl DbInner {
 
     /// Pops the completed group off the queue, files each follower's
     /// result, and wakes both the followers and the next leader.
+    #[expect(
+        clippy::expect_used,
+        reason = "every group member stays queued until its leader finishes the group, under \
+                  the state lock"
+    )]
     fn finish_group(
         &self,
         st: &mut MutexGuard<'_, State>,

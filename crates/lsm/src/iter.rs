@@ -95,10 +95,18 @@ impl KvIter for LevelIter {
         self.skip_to_valid();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the key only when `valid()`, which implies a table iterator"
+    )]
     fn key(&self) -> &[u8] {
         self.table_iter.as_ref().expect("valid").key()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the value only when `valid()`, which implies a table iterator"
+    )]
     fn value(&self) -> &[u8] {
         self.table_iter.as_ref().expect("valid").value()
     }
@@ -188,6 +196,11 @@ impl DbIter {
 
     /// Scans forward for the newest visible version of the next user key
     /// not equal to `skip_user_key`, skipping tombstoned keys.
+    #[expect(
+        clippy::expect_used,
+        reason = "every source yields internal keys: memtable keys from `make_internal_key`, \
+                  table keys out of checksum-verified blocks this engine wrote"
+    )]
     fn find_next_user_entry(&mut self, skip_user_key: Option<&[u8]>) {
         let mut skip: Option<Vec<u8>> = skip_user_key.map(|k| k.to_vec());
         self.valid = false;

@@ -22,7 +22,8 @@
 //!   outgrows compaction, reproducing the *write pauses* that tie system
 //!   throughput to compaction bandwidth (the paper's central coupling).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod db;
 pub mod edit;

@@ -64,6 +64,8 @@ pub struct Memtable {
 // SAFETY: nodes are immutable after publication; the single-writer /
 // multi-reader protocol above makes shared access sound.
 unsafe impl Send for Memtable {}
+// SAFETY: `insert` is serialized by the caller (the DB write lock), and
+// readers only follow `Acquire`-loaded pointers to published nodes.
 unsafe impl Sync for Memtable {}
 
 impl Default for Memtable {
@@ -114,6 +116,7 @@ impl Memtable {
             // are fully initialized and never freed while `self` lives.
             let next = unsafe { (*node).next(level) };
             let advance = !next.is_null()
+                // SAFETY: `next` is non-null, so it is a published node too.
                 && internal_key_cmp(unsafe { &(*next).ikey }, target) == Ordering::Less;
             if advance {
                 node = next;
@@ -144,10 +147,10 @@ impl Memtable {
         let ikey = make_internal_key(user_key_bytes, sequence, value_type);
         let mut prevs = [ptr::null_mut(); MAX_HEIGHT];
         let existing = self.find_greater_or_equal(&ikey, Some(&mut prevs));
-        // SAFETY: `existing` is null or a published node; published nodes
-        // are fully initialized and never freed while `self` lives.
         debug_assert!(
             existing.is_null()
+                // SAFETY: `existing` is non-null, so a published node; those
+                // are fully initialized and never freed while `self` lives.
                 || internal_key_cmp(unsafe { &(*existing).ikey }, &ikey) != Ordering::Equal,
             "duplicate internal key (sequence reuse)"
         );
@@ -205,6 +208,10 @@ impl Memtable {
     /// * `Some(Some(value))` — a live value is visible,
     /// * `Some(None)` — a tombstone is visible (definitely deleted),
     /// * `None` — this memtable has no visible entry (check older sources).
+    #[expect(
+        clippy::expect_used,
+        reason = "every node key was built by `make_internal_key` in `insert`"
+    )]
     pub fn get(
         &self,
         user_key_bytes: &[u8],
@@ -262,6 +269,8 @@ impl Drop for Memtable {
             // SAFETY: `node` is non-null, was allocated by `Box::into_raw`
             // in `insert`, and is unlinked from the walk before being freed.
             let next = unsafe { (*node).next(0) };
+            // SAFETY: as above; `next` was read first, and nothing else
+            // points at `node` once the walk has left it.
             drop(unsafe { Box::from_raw(node) });
             node = next;
         }

@@ -200,6 +200,10 @@ impl VersionSet {
 
     /// Applies `edit`, persists it to the manifest, and installs the new
     /// current version.
+    #[expect(
+        clippy::expect_used,
+        reason = "a missing manifest is rolled just above; `roll_manifest` sets it or errors"
+    )]
     pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> io::Result<()> {
         if edit.next_file_number.is_none() {
             edit.next_file_number = Some(self.next_file.load(AtomicOrdering::SeqCst));
@@ -412,6 +416,11 @@ impl VersionSet {
 
     /// The merge of `inputs_upper` (level `level`, not empty) with every
     /// table of the next level inside their user-key hull.
+    #[expect(
+        clippy::expect_used,
+        reason = "`inputs_upper` is never empty: `build_pick` takes at least one table of a \
+                  level that has some, and `pick_range` returns `None` on an empty range first"
+    )]
     fn merge_pick(&self, level: usize, inputs_upper: Vec<Arc<FileMetadata>>) -> CompactionPick {
         let lo = inputs_upper
             .iter()

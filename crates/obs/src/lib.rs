@@ -34,6 +34,9 @@
 //! [`pcp_lsm::Metrics`]: https://docs.rs/pcp-lsm
 //! [`CompactionProfile`]: https://docs.rs/pcp-core
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod expo;
 pub mod histogram;
 pub mod registry;

@@ -79,6 +79,11 @@ impl Registry {
         Registry::default()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "registering one series twice, or one name as two kinds, is a programming \
+                  error; failing at startup beats silently aliasing series"
+    )]
     fn insert(&self, name: &str, help: &str, labels: Labels, instrument: Instrument) {
         assert!(valid_name(name), "invalid metric name {name:?}");
         for (k, _) in &labels {

@@ -30,6 +30,12 @@
 //! here; a non-idempotent protocol extension should disable retry via
 //! [`pcp_storage::RetryPolicy::none`].
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "TCP client endpoint: socket I/O is the wire, not engine storage"
+)]
+
 use crate::proto::{read_frame, write_frame, BatchItem, Request, Response, Role, ServiceStats};
 use pcp_storage::RetryPolicy;
 use std::io::{self, Write};

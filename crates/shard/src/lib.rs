@@ -34,6 +34,9 @@
 //!   failover, exercised under seeded `FaultEnv` kills (see `DESIGN.md`
 //!   §13 "Replication & failover").
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod client;
 pub mod proto;
 pub mod reactor;

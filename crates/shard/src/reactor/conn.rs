@@ -24,6 +24,13 @@
 //! buffer once every earlier sequence has. The wire carries no tags, so
 //! this positional ordering *is* the protocol.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "per-connection socket state of the reactor front end: holds the TcpStream the event \
+              loop reads and writes"
+)]
+
 use crate::proto::take_frame;
 use std::collections::BTreeMap;
 use std::io;

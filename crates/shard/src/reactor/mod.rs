@@ -37,6 +37,13 @@
 //! sockets to dedicated threads (`crate::server::serve_subscriber`'s
 //! blocking loop) once the connection's pipelined window drains.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "service front end like server.rs: nonblocking TCP accept and I/O is the reactor's \
+              job; engine I/O below it stays on Env"
+)]
+
 pub mod conn;
 pub mod poller;
 pub mod workers;

@@ -5,7 +5,7 @@
 //! Rust standard library already links. This module is the **only**
 //! place in the repository that touches raw file descriptors; everything
 //! above it works in terms of [`Poller`], [`Event`], and safe `std::net`
-//! sockets (see `lint.allow` for the L1 justification).
+//! sockets (`mod.rs` and `conn.rs` allow `clippy::disallowed_types` for them).
 //!
 //! Every descriptor is registered with `EPOLLET`: the reactor's read and
 //! write paths always drain until `WouldBlock`, which is the invariant

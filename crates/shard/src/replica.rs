@@ -23,6 +23,13 @@
 //! compactions ran as records applied — so the promoted node accepts
 //! writes immediately, continuing from the applied sequence.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the replication puller dials TCP to the primary; the apply path underneath runs on \
+              the replica's Env"
+)]
+
 use crate::proto::{write_frame, Request, Response, Role};
 use crate::server::{KvServer, PromoteHook, ServerOptions};
 use crate::sharded::ShardedDb;

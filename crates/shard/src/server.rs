@@ -16,6 +16,13 @@
 //! METRICS request renders the whole registry as Prometheus text
 //! exposition — the metric contract is documented in `OBSERVABILITY.md`.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "TCP service endpoint: the listener/stream layer is the service edge; engine I/O \
+              below it stays on Env"
+)]
+
 use crate::proto::{
     take_frame, write_frame, Request, Response, Role, ServiceStats, SCAN_LIMIT_MAX,
 };

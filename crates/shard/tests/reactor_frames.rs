@@ -6,8 +6,9 @@
 //! must reconstruct exactly the frames a one-shot decode of the full
 //! byte stream would produce — for every possible split of the stream
 //! into partial reads. Corrupt or truncated tails must reject or pend
-//! without panicking: the event loop is panic-free library code
-//! (pcp-lint L3), and one bad client must not take down the service.
+//! without panicking: the event loop is panic-free library code (its
+//! crate denies `clippy::unwrap_used` and friends), and one bad client
+//! must not take down the service.
 
 use pcp_shard::proto::{encode_frame, take_frame};
 use pcp_shard::FrameDecoder;

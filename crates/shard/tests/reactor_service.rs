@@ -3,6 +3,12 @@
 //! model, server-side ERR inside a pipelined window, graceful-shutdown
 //! drain, backpressure, and the poll(2)/level-triggered fallbacks.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test harness: speaks the wire protocol over raw TcpStreams"
+)]
+
 use pcp_lsm::{CompactionPolicy, Options, WriteBatch};
 use pcp_shard::proto::{read_frame, write_frame};
 use pcp_shard::{
@@ -251,9 +257,16 @@ fn backpressure_pauses_reads_under_unread_output() {
             tokens.push(client.send(&Request::Get(format!("big{i}").into_bytes())).unwrap());
         }
     }
-    // Let the server run the window into the paused state before the
-    // client starts draining.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait for the server to pause reads before the client starts draining.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let text = server.metrics_text();
+        if metric_value(&text, "pcp_service_backpressure_pauses_total") > 0.0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no backpressure pause:\n{text}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let responses = client.recv_all().unwrap();
     assert_eq!(responses.len(), tokens.len());
     for (token, resp) in responses {
@@ -262,9 +275,6 @@ fn backpressure_pauses_reads_under_unread_output() {
             other => panic!("token {token}: expected Value, got {other:?}"),
         }
     }
-    let text = server.metrics_text();
-    let pauses = metric_value(&text, "pcp_service_backpressure_pauses_total");
-    assert!(pauses > 0.0, "no backpressure pause recorded:\n{text}");
     server.shutdown();
 }
 

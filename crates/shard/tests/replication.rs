@@ -6,6 +6,12 @@
 //! acknowledged to a client before the crash must be readable on the
 //! promoted node with no torn or out-of-sequence record ever applied.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test harness: speaks the wire protocol over raw TcpStreams"
+)]
+
 use pcp_lsm::{CompactionPolicy, Options, WalTap};
 use pcp_shard::proto::{read_frame, write_frame, Request, Response};
 use pcp_shard::{

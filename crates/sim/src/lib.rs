@@ -19,6 +19,9 @@
 //! * [`costs`] — sub-task cost synthesis from device models + measured
 //!   compute rates.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod costs;
 pub mod procedures;
 pub mod tandem;

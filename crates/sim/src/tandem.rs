@@ -120,37 +120,27 @@ pub fn simulate_tandem(stages: &[StageSpec], costs: &[Vec<Duration>]) -> TandemR
             for s in 0..st.len() {
                 // Start services.
                 while st[s].free_servers > 0 {
-                    let can_start = match st[s].queue.front() {
-                        None => false,
-                        Some(&j) => !st[s].spec.in_order || j == st[s].next_index,
+                    // An in-order stage serves its next index, which may be
+                    // deeper in the queue (arrived out of order); any other
+                    // stage serves the front.
+                    let want = st[s].next_index;
+                    let pos = if st[s].spec.in_order {
+                        st[s].queue.iter().position(|&j| j == want)
+                    } else {
+                        Some(0)
                     };
-                    if !can_start {
-                        // In-order stage: the needed job may be deeper in
-                        // the queue (arrived out of order).
-                        if st[s].spec.in_order {
-                            let want = st[s].next_index;
-                            if let Some(pos) =
-                                st[s].queue.iter().position(|&j| j == want)
-                            {
-                                let j = st[s].queue.remove(pos).unwrap();
-                                start_service(now, s, j, st, job_state, costs, heap);
-                                progressed = true;
-                                continue;
-                            }
-                        }
+                    let Some(j) = pos.and_then(|pos| st[s].queue.remove(pos)) else {
                         break;
-                    }
-                    let j = st[s].queue.pop_front().unwrap();
+                    };
                     start_service(now, s, j, st, job_state, costs, heap);
                     progressed = true;
                 }
                 // Unblock upstream jobs into freed buffer space.
                 if s > 0 {
-                    while !st[s - 1].blocked.is_empty()
-                        && st[s].queue.len() < st[s].spec.buffer
-                    {
-                        let j = *st[s - 1].blocked.iter().next().unwrap();
-                        st[s - 1].blocked.remove(&j);
+                    while st[s].queue.len() < st[s].spec.buffer {
+                        let Some(j) = st[s - 1].blocked.pop_first() else {
+                            break;
+                        };
                         // Account blocked time.
                         if let Some(pos) = st[s - 1]
                             .blocked_since

@@ -239,6 +239,11 @@ impl BlockIter {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`BlockBuilder` starts every restart point with a full entry header, and \
+                  blocks reach a cursor only after their checksum verified"
+    )]
     fn full_key_at_restart(&self, i: usize) -> Vec<u8> {
         let mut off = self.block.restart_point(i);
         let data = &self.block.data[..self.block.restarts_offset];

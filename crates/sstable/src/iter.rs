@@ -172,6 +172,10 @@ impl KvIter for MergingIter {
         self.find_smallest();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` advances only when `valid()`, which is `current.is_some()`"
+    )]
     fn next(&mut self) {
         let cur = self.current.expect("next on invalid iterator");
         self.children[cur].next();
@@ -179,10 +183,18 @@ impl KvIter for MergingIter {
         self.find_smallest();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the key only when `valid()`, which is `current.is_some()`"
+    )]
     fn key(&self) -> &[u8] {
         self.children[self.current.expect("key on invalid iterator")].key()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the value only when `valid()`, which is `current.is_some()`"
+    )]
     fn value(&self) -> &[u8] {
         self.children[self.current.expect("value on invalid iterator")].value()
     }

@@ -24,6 +24,9 @@
 //! * [`iter`] — the [`KvIter`] trait and the merging iterator used by
 //!   compaction step S4 and by scans.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod block;
 pub mod bloom;
 pub mod cache;

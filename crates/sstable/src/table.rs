@@ -268,6 +268,10 @@ impl TableBuilder {
         Ok(())
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "a non-empty block got at least one `add`, and `add` records the block's first key"
+    )]
     fn flush_data_block(&mut self) -> Result<()> {
         if self.block.is_empty() {
             return Ok(());
@@ -847,10 +851,18 @@ impl KvIter for TableIter {
         self.skip_forward();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the key only when `valid()`, which implies a block iterator"
+    )]
     fn key(&self) -> &[u8] {
         self.block_iter.as_ref().expect("valid iterator").key()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`KvIter` reads the value only when `valid()`, which implies a block iterator"
+    )]
     fn value(&self) -> &[u8] {
         self.block_iter.as_ref().expect("valid iterator").value()
     }

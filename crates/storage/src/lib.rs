@@ -24,6 +24,9 @@
 //!   simulated implementation backed by a [`BlockDevice`] plus extent
 //!   allocator, and a real `std::fs` implementation.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod alloc;
 pub mod device;
 pub mod env;

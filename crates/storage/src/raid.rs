@@ -106,15 +106,12 @@ impl Raid0 {
                 .filter(|s| s.device == d)
                 .copied()
                 .collect();
-            if chunks.is_empty() {
+            let (Some(start), Some(end)) = (
+                chunks.iter().map(|c| c.dev_offset).min(),
+                chunks.iter().map(|c| c.dev_offset + c.len as u64).max(),
+            ) else {
                 continue;
-            }
-            let start = chunks.iter().map(|c| c.dev_offset).min().unwrap();
-            let end = chunks
-                .iter()
-                .map(|c| c.dev_offset + c.len as u64)
-                .max()
-                .unwrap();
+            };
             debug_assert_eq!(
                 (end - start) as usize,
                 chunks.iter().map(|c| c.len).sum::<usize>(),
@@ -127,6 +124,11 @@ impl Raid0 {
 
     /// Runs `f` once per member device touched by the plan, concurrently
     /// (each member sleeps on its own service lock).
+    #[expect(
+        clippy::expect_used,
+        reason = "`f` returns its I/O errors; a panic in it is a bug, re-raised here as \
+                  `thread::scope` would"
+    )]
     fn for_each_device<F>(
         &self,
         plan: &[(usize, u64, usize, Vec<Segment>)],
@@ -162,6 +164,10 @@ impl Raid0 {
 
 
 impl BlockDevice for Raid0 {
+    #[expect(
+        clippy::expect_used,
+        reason = "`for_each_device` returned `Ok`, so every member's closure stored its span"
+    )]
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
         let segments = self.map(offset, len);
         let plan = self.device_plan(&segments);

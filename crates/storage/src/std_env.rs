@@ -4,6 +4,13 @@
 //! the examples on real disks. All paper experiments use [`crate::SimEnv`]
 //! instead, for determinism.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the real-filesystem Env is the designated std::fs owner; everything above it goes \
+              through Env"
+)]
+
 use crate::env::{Env, RandomReadFile, WritableFile};
 use bytes::Bytes;
 use std::fs;

@@ -7,6 +7,9 @@
 //! random keys with snappy-compressible values. Everything else the engine
 //! is measured with lives in `benchmark/`.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod backend;
 pub mod driver;
 pub mod keys;

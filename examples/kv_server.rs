@@ -19,6 +19,12 @@
 //! executor (`Options::default()`), under the shared cross-shard
 //! scheduler — see `DESIGN.md` §15.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "example: drives the server over a raw TcpStream"
+)]
+
 use pcp::lsm::Options;
 use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};

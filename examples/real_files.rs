@@ -6,6 +6,12 @@
 //! cargo run --release --example real_files
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "example: runs the engine on the real filesystem and inspects it with std::fs"
+)]
+
 use pcp::core::PipelinedExec;
 use pcp::lsm::{Db, Options};
 use pcp::storage::StdFsEnv;

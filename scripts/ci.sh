@@ -21,13 +21,14 @@ cargo build --examples --release
 echo "==> cargo test -q --workspace (every crate's unit, integration and e2e suites)"
 cargo test -q --workspace
 
-echo "==> cargo run -p pcp-lint --release (architectural lint, L1-L8; JSON report archived under target/)"
-mkdir -p target
-cargo run -q -p pcp-lint --release -- --format json > target/lint_findings.json
-# The JSON lane already failed the build on any finding (nonzero exit);
-# surface the human-readable summary and rule rationales for the log.
+echo "==> cargo run -p pcp-lint --release (architectural lint, L4 and L6-L8; L1-L3 are the clippy lane's)"
 cargo run -q -p pcp-lint --release
-cargo run -q -p pcp-lint --release -- --explain L6 L7 L8 > /dev/null
+
+echo "==> vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a pcp_* crate)"
+if grep -n '^\[.*dependencies' vendor/*/Cargo.toml; then
+    echo "ci: a vendored shim declares dependencies; shims stand in for leaf crates.io packages" >&2
+    exit 1
+fi
 
 echo "==> cargo test -q --features lock_order (runtime lock-order witness; includes tests/background_lanes.rs)"
 cargo test -q --features lock_order
@@ -43,7 +44,7 @@ if [ -n "$touched" ]; then
     exit 1
 fi
 
-echo "==> cargo clippy -- -D warnings"
+echo "==> cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"

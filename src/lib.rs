@@ -56,6 +56,9 @@
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
 //! and `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub use pcp_codec as codec;
 pub use pcp_compaction as compaction;
 pub use pcp_core as core;
