@@ -18,7 +18,7 @@
 
 use pcp_core::{CompactionProfile, PipelinedExec};
 use pcp_lsm::filename::table_file;
-use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata};
+use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata, TableCache};
 use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp_sstable::{
     CompressionKind, TableBuilder, TableBuilderOptions, TableReader,
@@ -146,7 +146,7 @@ pub fn build_fixture_ratio(
             values.next_value(&mut value);
             b.add(&ik, &value).unwrap();
         }
-        b.finish().unwrap()
+        b.finish().unwrap().stats()
     };
 
     // Lower: dense even keys.
@@ -182,7 +182,7 @@ impl Fixture {
     /// Builds a compaction request over this fixture.
     pub fn request(&self) -> CompactionRequest {
         CompactionRequest {
-            env: Arc::clone(&self.env),
+            tables: Arc::new(TableCache::new(Arc::clone(&self.env))),
             upper: self.upper.clone(),
             lower: self.lower.clone(),
             output_level: 2,

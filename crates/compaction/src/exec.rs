@@ -13,11 +13,11 @@
 use crate::meta::FileMetadata;
 use crate::sched::ResourceGrant;
 use crate::sink::OutputSink;
+use crate::table_cache::TableCache;
 use pcp_sstable::key::{parse_internal_key, SequenceNumber, ValueType};
 use pcp_sstable::{
     KvIter, MergingIter, Result as TableResult, TableBuilderOptions, TableReader,
 };
-use pcp_storage::EnvRef;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -81,8 +81,10 @@ impl VersionKeepFilter {
 
 /// Everything an executor needs to run one compaction.
 pub struct CompactionRequest {
-    /// Filesystem for output tables.
-    pub env: EnvRef,
+    /// The engine's table cache: outputs are created in its env and each
+    /// one's reader is put into it as the table finishes (evicted again if
+    /// the compaction fails).
+    pub tables: Arc<TableCache>,
     /// Open readers for the upper component C_i, in version order.
     pub upper: Vec<Arc<TableReader>>,
     /// Open readers for the lower component C_{i+1}, in key order.
@@ -213,7 +215,7 @@ mod tests {
     use crate::filename::table_file;
     use pcp_sstable::key::{make_internal_key, user_key, MAX_SEQUENCE};
     use pcp_sstable::TableBuilder;
-    use pcp_storage::{SimDevice, SimEnv};
+    use pcp_storage::{EnvRef, SimDevice, SimEnv};
 
     fn env() -> EnvRef {
         Arc::new(SimEnv::new(Arc::new(SimDevice::mem(128 << 20))))
@@ -246,7 +248,7 @@ mod tests {
         bottom: bool,
     ) -> (Vec<Arc<FileMetadata>>, EnvRef) {
         let req = CompactionRequest {
-            env: Arc::clone(&env),
+            tables: Arc::new(TableCache::new(Arc::clone(&env))),
             upper,
             lower,
             output_level: 1,
@@ -397,7 +399,7 @@ mod tests {
             TableReader::open(env.open(&table_file(1)).unwrap()).unwrap(),
         );
         let req = CompactionRequest {
-            env: Arc::clone(&env),
+            tables: Arc::new(TableCache::new(Arc::clone(&env))),
             upper: vec![upper],
             lower: vec![],
             output_level: 1,

@@ -13,7 +13,10 @@
 //!   input; the integration tests enforce this byte-for-byte.
 //! * [`SimpleMergeExec`] — the entry-at-a-time reference implementation.
 //! * [`OutputSink`] — the size-rotated output tables every executor writes
-//!   into, and the orphan sweep when one fails.
+//!   into, handed to the [`TableCache`] as each one finishes, and the
+//!   orphan sweep when one fails.
+//! * [`TableCache`] — the engine's open table readers, which a request's
+//!   inputs come from and its outputs go into.
 //! * [`VersionKeepFilter`] — LSM version-visibility rules (step S4's
 //!   semantic half).
 //! * [`FileMetadata`] — immutable description of one SSTable.
@@ -31,6 +34,7 @@ pub mod sched;
 mod exec;
 mod meta;
 mod sink;
+mod table_cache;
 
 pub use exec::{
     CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
@@ -38,3 +42,4 @@ pub use exec::{
 pub use meta::FileMetadata;
 pub use sink::OutputSink;
 pub use sched::{CompactionLimiter, ResourceGrant};
+pub use table_cache::TableCache;

@@ -1,5 +1,6 @@
 //! The output side of every executor: size-rotated tables at the output
-//! level, and the orphan sweep when the compaction fails.
+//! level, each handed to the table cache as it finishes, and the orphan
+//! sweep when the compaction fails.
 
 use crate::exec::CompactionRequest;
 use crate::filename::table_file;
@@ -11,9 +12,10 @@ use std::sync::Arc;
 /// Owns the output tables of one compaction: allocates their file numbers,
 /// creates them, starts a new one once the current table is over
 /// [`CompactionRequest::max_output_bytes`], describes each finished table
-/// as a [`FileMetadata`], and deletes whatever it created if the
-/// compaction fails. What goes *into* a table — entries or sealed blocks —
-/// is the caller's business ([`OutputSink::append`]).
+/// as a [`FileMetadata`] and puts its reader into
+/// [`CompactionRequest::tables`], and evicts and deletes whatever it
+/// created if the compaction fails. What goes *into* a table — entries or
+/// sealed blocks — is the caller's business ([`OutputSink::append`]).
 pub struct OutputSink<'req> {
     req: &'req CompactionRequest,
     builder: Option<(u64, TableBuilder)>, // (file number, builder)
@@ -60,7 +62,7 @@ impl<'req> OutputSink<'req> {
             Some((_, b)) => b,
             None => {
                 let number = self.req.next_file_number();
-                let file = self.req.env.create(&table_file(number))?;
+                let file = self.req.tables.env().create(&table_file(number))?;
                 self.smallest = first_key.to_vec();
                 let table = TableBuilder::new(file, self.req.table_opts.clone());
                 &mut self.builder.insert((number, table)).1
@@ -83,7 +85,12 @@ impl<'req> OutputSink<'req> {
     fn finish_current(&mut self) -> TableResult<()> {
         if let Some((number, builder)) = self.builder.take() {
             let largest = builder.last_key().to_vec();
-            let stats = match builder.finish() {
+            let handed_off = builder.finish().and_then(|meta| {
+                let stats = meta.stats();
+                self.req.tables.insert(number, meta)?;
+                Ok(stats)
+            });
+            let stats = match handed_off {
                 Ok(stats) => stats,
                 Err(e) => {
                     // The half-written table is already an orphan; remember
@@ -111,11 +118,11 @@ impl<'req> OutputSink<'req> {
         Ok(std::mem::take(&mut self.outputs))
     }
 
-    /// Deletes every output file this sink created (the in-progress table
-    /// and all finished ones), so a failed compaction leaves no orphans
-    /// behind. Best-effort: a file whose delete fails (e.g. the env already
-    /// crashed) is left for the database's orphan scan. Returns how many
-    /// files were deleted.
+    /// Evicts and deletes every output table this sink created (the
+    /// in-progress table and all finished ones), so a failed compaction
+    /// leaves neither a reader nor an orphan behind. Best-effort: a file
+    /// whose delete fails (e.g. the env already crashed) is left for the
+    /// database's orphan scan. Returns how many files were deleted.
     pub fn abort(&mut self) -> usize {
         if let Some((number, builder)) = self.builder.take() {
             drop(builder); // close the file handle before unlinking
@@ -127,7 +134,8 @@ impl<'req> OutputSink<'req> {
             .chain(self.outputs.drain(..).map(|m| m.number));
         let mut deleted = 0;
         for number in numbers {
-            if self.req.env.delete(&table_file(number)).is_ok() {
+            self.req.tables.evict(number);
+            if self.req.tables.env().delete(&table_file(number)).is_ok() {
                 deleted += 1;
             }
         }
@@ -139,17 +147,17 @@ impl<'req> OutputSink<'req> {
 mod tests {
     use super::*;
     use crate::sched::ResourceGrant;
+    use crate::table_cache::TableCache;
     use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
     use pcp_sstable::TableBuilderOptions;
     use pcp_storage::{SimDevice, SimEnv};
     use std::sync::atomic::AtomicU64;
 
-    /// Five versions per user key and a rotation threshold every table
-    /// crosses mid-key: a new table still starts only at a new user key.
-    #[test]
-    fn rotation_never_splits_the_versions_of_a_user_key() {
-        let req = CompactionRequest {
-            env: Arc::new(SimEnv::new(Arc::new(SimDevice::mem(16 << 20)))),
+    fn request() -> CompactionRequest {
+        CompactionRequest {
+            tables: Arc::new(TableCache::new(Arc::new(SimEnv::new(Arc::new(SimDevice::mem(
+                16 << 20,
+            )))))),
             upper: vec![],
             lower: vec![],
             output_level: 1,
@@ -159,9 +167,12 @@ mod tests {
             table_opts: TableBuilderOptions { block_size: 256, ..Default::default() },
             max_output_bytes: 1 << 10,
             grant: ResourceGrant::unlimited(),
-        };
-        let mut sink = OutputSink::new(&req);
-        for k in 0..200u64 {
+        }
+    }
+
+    /// Appends five versions of each of `keys` user keys.
+    fn fill(sink: &mut OutputSink, keys: u64) {
+        for k in 0..keys {
             for version in (0..5u64).rev() {
                 let user = format!("key{k:04}");
                 let ikey = make_internal_key(user.as_bytes(), k * 5 + version + 1, ValueType::Value);
@@ -170,6 +181,15 @@ mod tests {
                 sink.append(&ikey, &ikey, |b| b.add(&ikey, &value)).unwrap();
             }
         }
+    }
+
+    /// Five versions per user key and a rotation threshold every table
+    /// crosses mid-key: a new table still starts only at a new user key.
+    #[test]
+    fn rotation_never_splits_the_versions_of_a_user_key() {
+        let req = request();
+        let mut sink = OutputSink::new(&req);
+        fill(&mut sink, 200);
         let outputs = sink.finish().unwrap();
         assert!(outputs.len() > 10, "rotation expected, got {}", outputs.len());
         assert_eq!(outputs.iter().map(|f| f.entries).sum::<u64>(), 1000);
@@ -179,5 +199,27 @@ mod tests {
         for w in outputs.windows(2) {
             assert!(user_key(&w[0].largest) < user_key(&w[1].smallest));
         }
+    }
+
+    /// Every finished output is readable from the cache with nothing read
+    /// back; an abort takes the readers out again with the files.
+    #[test]
+    fn finished_outputs_are_handed_to_the_table_cache_and_abort_evicts_them() {
+        let req = request();
+        let mut sink = OutputSink::new(&req);
+        fill(&mut sink, 50);
+        let outputs = sink.finish().unwrap();
+        assert_eq!(req.tables.len(), outputs.len());
+        for f in &outputs {
+            assert_eq!(req.tables.get(f.number).unwrap().stats().entries, f.entries);
+        }
+        assert_eq!(req.tables.cold_opens(), 0);
+
+        let mut sink = OutputSink::new(&req);
+        fill(&mut sink, 50);
+        sink.flush().unwrap();
+        sink.abort();
+        assert_eq!(req.tables.len(), outputs.len(), "an aborted output stayed cached");
+        assert_eq!(req.tables.env().list().unwrap().len(), outputs.len());
     }
 }

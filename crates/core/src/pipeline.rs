@@ -573,6 +573,7 @@ mod tests {
     use super::*;
     use crate::profile::Occupancy;
     use pcp_compaction::filename::table_file;
+    use pcp_compaction::TableCache;
     use pcp_sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
     use pcp_sstable::{KvIter, TableBuilder, TableBuilderOptions};
     use pcp_storage::{EnvRef, SimDevice, SimEnv};
@@ -625,7 +626,7 @@ mod tests {
 
     fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReader>>) -> CompactionRequest {
         CompactionRequest {
-            env: Arc::clone(env),
+            tables: Arc::new(TableCache::new(Arc::clone(env))),
             upper,
             lower,
             output_level: 1,
@@ -907,7 +908,7 @@ mod tests {
             fault.set_probability(FaultOp::Flush, 1.0);
             fault.set_probabilistic_kind(FaultKind::Permanent);
             let mut req = request(&inner, vec![upper], vec![lower]);
-            req.env = Arc::new(fault);
+            req.tables = Arc::new(TableCache::new(Arc::new(fault)));
             let trace = Arc::new(TraceLog::new(8));
             let exec = exec.with_trace(Arc::clone(&trace));
             let out = exec.compact(&req);
@@ -945,7 +946,7 @@ mod tests {
         let fault = FaultEnv::new(Arc::clone(&inner), 5);
         fault.schedule(FaultOp::Flush, 2, FaultKind::Transient);
         let mut req = request(&inner, vec![upper], vec![lower]);
-        req.env = Arc::new(fault.clone());
+        req.tables = Arc::new(TableCache::new(Arc::new(fault.clone())));
         let exec = PipelinedExec::pcp(32 << 10);
         assert!(exec.compact(&req).is_err(), "first attempt hits the fault");
         assert_eq!(fault.stats().transient, 1);

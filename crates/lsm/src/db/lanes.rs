@@ -162,7 +162,7 @@ impl DbInner {
             // Build the table without holding the lock: this is real
             // (simulated) I/O plus compression work.
             let built = MutexGuard::unlocked(st, || {
-                Db::write_memtable_to_table(&self.env, &self.opts, &imm, number).inspect_err(|_| {
+                Db::write_memtable_to_table(&self.cache, &self.opts, &imm, number).inspect_err(|_| {
                     // This attempt's orphan; don't leave it to a sweep.
                     let _ = self.env.delete(&table_file(number));
                 })
@@ -177,7 +177,14 @@ impl DbInner {
         if let Some(meta) = &meta {
             edit.new_files.push((0, Arc::clone(meta)));
         }
-        st.versions.log_and_apply(edit)?;
+        if let Err(e) = st.versions.log_and_apply(edit) {
+            // Written but never installed: its reader goes now, the file
+            // with the orphan sweep.
+            if let Some(meta) = &meta {
+                MutexGuard::unlocked(st, || self.cache.evict(meta.number));
+            }
+            return Err(e);
+        }
         st.imm = None;
         // Writers paused on `imm` go on while this lane sweeps.
         self.done_cv.notify_all();
@@ -255,15 +262,16 @@ impl DbInner {
                         })
                         .collect()
                 };
-                // The unlocked window: input-table opens (device reads on a
-                // cache miss) and the merge itself. The request, and with
-                // it the input readers, is gone before any sweep. On
-                // failure the executor has already swept its partial
-                // outputs; the error kind survives so transient faults can
-                // be retried.
+                // The unlocked window: input-table opens (device reads only
+                // for a table found at open) and the merge itself, whose
+                // outputs enter the table cache as they finish. The
+                // request, and with it the input readers, is gone before
+                // any sweep. On failure the executor has already evicted
+                // and swept its partial outputs; the error kind survives so
+                // transient faults can be retried.
                 let (outputs, elapsed) = MutexGuard::unlocked(st, || -> io::Result<_> {
                     let req = CompactionRequest {
-                        env: Arc::clone(&self.env),
+                        tables: Arc::clone(&self.cache),
                         upper: open(&inputs_upper)?,
                         lower: open(&inputs_lower)?,
                         output_level,
@@ -306,8 +314,9 @@ impl DbInner {
                     .and_then(|()| st.versions.log_and_apply(edit));
                 if let Err(e) = installed {
                     // The new tables were written but never installed:
-                    // delete them now so a retry (which re-runs the merge
-                    // with fresh file numbers) doesn't accumulate orphans.
+                    // evict and delete them now so a retry (which re-runs
+                    // the merge with fresh file numbers) doesn't accumulate
+                    // readers or orphans.
                     MutexGuard::unlocked(st, || {
                         for f in &outputs {
                             self.cache.evict(f.number);
@@ -385,5 +394,89 @@ impl DbInner {
             Err(_) => &self.metrics.gc_delete_errors,
         };
         counter.fetch_add(1, AtomicOrdering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compact::{CompactionExec, SimpleMergeExec};
+    use crate::db::Options;
+    use crate::version_set::CompactionPolicy;
+    use pcp_sstable::Result as TableResult;
+    use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
+    use std::sync::atomic::AtomicUsize;
+
+    /// Makes every later MANIFEST write fail for good.
+    fn fail_manifest_writes(fault: &FaultEnv) {
+        fault
+            .set_probability(FaultOp::Append, 1.0)
+            .set_probability(FaultOp::Sync, 1.0)
+            .set_probabilistic_kind(FaultKind::Permanent)
+            .set_file_filter("MANIFEST");
+    }
+
+    /// Merges, notes how many readers the cache then holds, and breaks the
+    /// MANIFEST, so the install that follows fails.
+    struct FailInstall(FaultEnv, AtomicUsize);
+
+    impl CompactionExec for FailInstall {
+        fn name(&self) -> &'static str {
+            "fail-install"
+        }
+
+        fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
+            let outputs = SimpleMergeExec.compact(req)?;
+            self.1.store(req.tables.len(), AtomicOrdering::SeqCst);
+            fail_manifest_writes(&self.0);
+            Ok(outputs)
+        }
+    }
+
+    fn open(executor: Arc<dyn CompactionExec>, fault: &FaultEnv) -> Db {
+        let opts = Options {
+            memtable_bytes: 1 << 20,
+            policy: CompactionPolicy { l0_trigger: 2, ..Default::default() },
+            executor,
+            ..Default::default()
+        };
+        Db::open(Arc::new(fault.clone()), opts).unwrap()
+    }
+
+    fn fault_env() -> FaultEnv {
+        let inner: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+        FaultEnv::new(inner, 7)
+    }
+
+    fn put_and_flush(db: &Db, round: u32) -> io::Result<()> {
+        for i in 0..200u32 {
+            db.put(format!("key{i:04}").as_bytes(), format!("v{round}-{i}").as_bytes())?;
+        }
+        db.flush()
+    }
+
+    /// A compaction whose install fails leaves the cache holding its inputs
+    /// and none of its outputs.
+    #[test]
+    fn compaction_whose_install_fails_leaves_no_output_reader() {
+        let fault = fault_env();
+        let exec = Arc::new(FailInstall(fault.clone(), AtomicUsize::new(0)));
+        let db = open(exec.clone(), &fault);
+        put_and_flush(&db, 0).unwrap();
+        put_and_flush(&db, 1).unwrap();
+        assert!(db.wait_idle().is_err(), "the install must fail");
+        assert_eq!(db.level_summary()[0].0, 2);
+        assert!(exec.1.load(AtomicOrdering::SeqCst) > 2, "the outputs were handed over");
+        assert_eq!(db.inner.cache.len(), 2, "only the two level-0 inputs stay cached");
+    }
+
+    /// A flush whose install fails leaves no reader for its table.
+    #[test]
+    fn flush_whose_install_fails_leaves_no_reader() {
+        let fault = fault_env();
+        let db = open(Arc::new(SimpleMergeExec), &fault);
+        fail_manifest_writes(&fault);
+        assert!(put_and_flush(&db, 0).is_err(), "the flush must fail");
+        assert!(db.inner.cache.is_empty());
     }
 }

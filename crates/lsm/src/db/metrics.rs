@@ -250,6 +250,13 @@ impl Db {
                 inner.upgrade().map_or(0, |inner| get(&inner.metrics))
             });
         }
+        let inner = Arc::downgrade(&self.inner);
+        registry.register_fn_counter(
+            "pcp_engine_table_opens_total",
+            "tables opened from the device (metadata read back)",
+            base.clone(),
+            move || inner.upgrade().map_or(0, |inner| inner.cache.cold_opens()),
+        );
         registry.register_histogram(
             "pcp_engine_group_commit_batches",
             "writers merged per commit group",

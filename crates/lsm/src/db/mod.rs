@@ -40,7 +40,7 @@ use crate::compact::CompactionExec;
 use crate::edit::VersionEdit;
 use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
 use crate::memtable::Memtable;
-use crate::table_cache::TableCache;
+use crate::compact::TableCache;
 use crate::version::{FileMetadata, NUM_LEVELS};
 use crate::version_set::VersionSet;
 use crate::wal::{WalReader, WalWriter};
@@ -247,7 +247,7 @@ impl Db {
             (mem, None)
         } else {
             let number = versions.allocate_file_number();
-            let meta = Self::write_memtable_to_table(&env, &opts, &mem, number)?;
+            let meta = Self::write_memtable_to_table(&cache, &opts, &mem, number)?;
             let edit = VersionEdit {
                 log_number: Some(wal_number),
                 new_files: vec![(0, meta)],
@@ -330,13 +330,14 @@ impl Db {
         Ok(db)
     }
 
+    /// Writes `mem` as table `number` and puts its reader into `cache`.
     fn write_memtable_to_table(
-        env: &EnvRef,
+        cache: &TableCache,
         opts: &Options,
         mem: &Arc<Memtable>,
         number: u64,
     ) -> io::Result<Arc<FileMetadata>> {
-        let file = env.create(&table_file(number))?;
+        let file = cache.env().create(&table_file(number))?;
         let mut builder = TableBuilder::new(file, opts.table_opts());
         let mut it = mem.iter();
         it.seek_to_first();
@@ -351,7 +352,9 @@ impl Db {
             builder.add(it.key(), it.value())?;
             it.next();
         }
-        let stats = builder.finish()?;
+        let table = builder.finish()?;
+        let stats = table.stats();
+        cache.insert(number, table)?;
         Ok(Arc::new(FileMetadata {
             number,
             size: stats.file_size,
@@ -608,8 +611,10 @@ impl Db {
 
     /// Walks every live table, verifying file-level metadata, block
     /// checksums (the S2 step, applied offline), decompression, entry
-    /// ordering, and level disjointness. Returns a report; `errors` is
-    /// empty on a healthy store.
+    /// ordering, and level disjointness. Each table is opened afresh from
+    /// the device, so what is checked is what is on disk, not what the
+    /// table cache holds. Returns a report; `errors` is empty on a healthy
+    /// store.
     pub fn verify_integrity(&self) -> io::Result<IntegrityReport> {
         let version = {
             let st = self.inner.state.lock();
@@ -622,7 +627,7 @@ impl Db {
         for (level, files) in version.levels.iter().enumerate() {
             for meta in files {
                 report.tables += 1;
-                let table = match self.inner.cache.get(meta.number) {
+                let table = match self.inner.cache.open_uncached(meta.number) {
                     Ok(t) => t,
                     Err(e) => {
                         report

@@ -1,7 +1,7 @@
 //! Read-path iterators: per-level concatenation and the user-facing
 //! snapshot-consistent scan cursor.
 
-use crate::table_cache::TableCache;
+use crate::compact::TableCache;
 use crate::version::{FileMetadata, Version};
 use pcp_sstable::key::{
     internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType,
@@ -267,7 +267,7 @@ mod level_iter_tests {
                 largest = ik.clone();
                 b.add(&ik, format!("v{}", base + i).as_bytes()).unwrap();
             }
-            let stats = b.finish().unwrap();
+            let stats = b.finish().unwrap().stats();
             files.push(Arc::new(FileMetadata {
                 number,
                 size: stats.file_size,

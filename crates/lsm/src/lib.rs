@@ -30,19 +30,20 @@ pub mod edit;
 pub mod iter;
 pub mod memtable;
 pub mod repair;
-pub mod table_cache;
 pub mod version;
 pub mod version_set;
 pub mod wal;
 
 // The compaction interface (executor trait, reference merge, file naming,
-// the scheduler and its grants) lives in `pcp-compaction` so `pcp-core`'s executors can
+// the scheduler and its grants, the table cache a request reads from and
+// writes into) lives in `pcp-compaction` so `pcp-core`'s executors can
 // implement it without a dependency cycle; the old `pcp_lsm::compact` and
 // `pcp_lsm::filename` paths keep working through these re-exports.
 pub use pcp_compaction as compact;
 pub use pcp_compaction::filename;
 pub use pcp_compaction::{
-    CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, VersionKeepFilter,
+    CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, TableCache,
+    VersionKeepFilter,
 };
 pub use db::{
     BatchOp, Db, DbHealth, IntegrityReport, LevelCompaction, Metrics, MetricsSnapshot, Options,
@@ -52,7 +53,6 @@ pub use edit::VersionEdit;
 pub use iter::{DbIter, LevelIter};
 pub use memtable::{Memtable, MemtableIter};
 pub use repair::{repair, RepairReport};
-pub use table_cache::TableCache;
 pub use version::{FileMetadata, Version, NUM_LEVELS};
 pub use version_set::{CompactionPick, CompactionPolicy, VersionSet};
 pub use wal::{WalReader, WalTap, WalWriter};

@@ -1,6 +1,7 @@
 //! End-to-end engine tests over a RAM-backed simulated filesystem.
 
 use pcp_lsm::{CompactionPolicy, Db, Options, WriteBatch};
+use pcp_sstable::BlockHandle;
 use pcp_storage::{EnvRef, SimDevice, SimEnv};
 use std::sync::Arc;
 
@@ -442,6 +443,83 @@ fn integrity_check_passes_on_healthy_store_and_catches_corruption() {
         !report.is_healthy(),
         "corruption must be detected: {report:?}"
     );
+}
+
+/// `verify_integrity` checks the bytes on the device: a table whose index
+/// changed on disk after the engine cached its reader is reported, not
+/// vouched for by the cached copy.
+#[test]
+fn verify_integrity_reads_the_device_not_the_table_cache() {
+    let env = ram_env();
+    let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+    for i in 0..500 {
+        db.put(format!("key{i:06}").as_bytes(), &[9u8; 80]).unwrap();
+    }
+    db.flush().unwrap();
+    assert!(db.get(b"key000042").unwrap().is_some(), "the table is read, so cached");
+    assert!(db.verify_integrity().unwrap().is_healthy());
+
+    // Flip one byte of the index block, which the footer locates: the
+    // second of its three handles (filter, index, properties).
+    let name = env.list().unwrap().into_iter().find(|n| n.ends_with(".sst")).unwrap();
+    patch_file(&env, &name, |bytes| {
+        let footer = &bytes[bytes.len() - pcp_sstable::table::FOOTER_SIZE..];
+        let (_, n) = BlockHandle::decode(footer).unwrap();
+        let (index, _) = BlockHandle::decode(&footer[n..]).unwrap();
+        bytes[index.offset as usize] ^= 0x01;
+    });
+    let report = db.verify_integrity().unwrap();
+    assert!(
+        report.errors.iter().any(|e| e.contains("checksum mismatch")),
+        "a corrupt index on the device must be reported: {report:?}"
+    );
+}
+
+/// The engine never reads back the metadata of a table it wrote: a fill,
+/// its flushes and a full compaction open no table from the device. After
+/// a reopen, each table a scan touches is opened exactly once.
+#[test]
+fn written_tables_open_with_no_reads_and_found_tables_with_one_each() {
+    let opens = |db: &Db| {
+        let registry = pcp_obs::Registry::new();
+        db.register_metrics(&registry, &[]);
+        registry.snapshot().counter("pcp_engine_table_opens_total", &[])
+    };
+    let env = ram_env();
+    let db = Db::open(Arc::clone(&env), small_opts()).unwrap();
+    for i in 0..4000u32 {
+        let k = format!("key{:06}", (i * 7919) % 4000);
+        db.put(k.as_bytes(), &[7u8; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact_range(None, None).unwrap();
+    db.wait_idle().unwrap();
+    assert!(db.metrics().compaction_count > 0);
+    let scanned = dump(&db);
+    assert_eq!(scanned.len(), 4000);
+    assert_eq!(opens(&db), 0, "a table the engine wrote was read back");
+    drop(db);
+
+    let db = Db::open(env, small_opts()).unwrap();
+    let live: usize = db.level_summary().iter().map(|(files, _)| *files).sum();
+    assert!(live > 1, "{live} tables");
+    assert_eq!(opens(&db), 0);
+    assert_eq!(dump(&db), scanned);
+    assert_eq!(opens(&db), live as u64, "one cold open per table found at open");
+    assert_eq!(dump(&db), scanned);
+    assert_eq!(opens(&db), live as u64);
+}
+
+fn dump(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut it = db.iter();
+    it.seek_to_first();
+    let mut out = Vec::new();
+    while it.valid() {
+        out.push((it.key().to_vec(), it.value().to_vec()));
+        it.next();
+    }
+    it.status().unwrap();
+    out
 }
 
 /// A well-checksummed block whose trailer names a kind this build does not

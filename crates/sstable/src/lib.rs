@@ -45,7 +45,7 @@ pub use key::{
     SequenceNumber, ValueType, MAX_SEQUENCE,
 };
 pub use table::{
-    BlockHandle, CompressionKind, TableBuilder, TableBuilderOptions, TableIter,
+    BlockHandle, CompressionKind, TableBuilder, TableBuilderOptions, TableIter, TableMeta,
     TableReader, TableStats,
 };
 

@@ -14,6 +14,11 @@
 //! over the (possibly compressed) payload plus kind byte. Those five bytes
 //! are what compaction steps S2 (verify) and S6 (re-checksum) work on.
 //!
+//! Filter, index and properties sit back to back in front of the footer,
+//! so [`TableMeta::read`] opens a table in two reads: the footer, then one
+//! span over the three. A table this process wrote needs no read at all:
+//! [`TableBuilder::finish`] returns the same [`TableMeta`] it just wrote.
+//!
 //! The *index block* maps each data block's **last** internal key to a
 //! value of `BlockHandle ++ first_key ++ entry_count` — exactly the "start
 //! key, end key and offset of each data block" the paper describes, which
@@ -88,6 +93,14 @@ impl BlockHandle {
             .map_err(|e| TableError::Corruption(format!("bad handle: {e}")))?;
         Ok((BlockHandle { offset, size }, n1 + n2))
     }
+
+    /// File offset just past the block's trailer; `None` on overflow (a
+    /// corrupt handle).
+    fn stored_end(&self) -> Option<u64> {
+        self.offset
+            .checked_add(self.size)?
+            .checked_add(BLOCK_TRAILER_SIZE as u64)
+    }
 }
 
 /// Per-data-block metadata decoded from the index block.
@@ -145,6 +158,87 @@ pub struct TableStats {
     pub raw_bytes: u64,
     /// Final file size (available after `finish`).
     pub file_size: u64,
+}
+
+/// What a [`TableReader`] holds besides its file: the decoded index block,
+/// the bloom filter (if the table has one) and the stats.
+/// [`TableBuilder::finish`] hands over the state it built; [`TableMeta::read`]
+/// decodes the same state from a table's tail.
+#[derive(Debug)]
+pub struct TableMeta {
+    index: Block,
+    bloom: Option<BloomFilter>,
+    stats: TableStats,
+}
+
+impl TableMeta {
+    /// The table's stats.
+    pub fn stats(&self) -> TableStats {
+        self.stats
+    }
+
+    /// Reads and verifies a table's metadata in two reads: the footer, then
+    /// the one span that holds filter ‖ index ‖ properties.
+    pub fn read(file: &dyn RandomReadFile) -> Result<TableMeta> {
+        let corrupt = |what: &str| TableError::Corruption(what.into());
+        let len = file.len();
+        let footer_at = len
+            .checked_sub(FOOTER_SIZE as u64)
+            .ok_or_else(|| corrupt("file shorter than footer"))?;
+        let footer = file.read_at(footer_at, FOOTER_SIZE)?;
+        if footer.len() != FOOTER_SIZE {
+            return Err(corrupt("short footer read"));
+        }
+        let magic = pcp_codec::read_u64_le(&footer, FOOTER_SIZE - 8)
+            .ok_or_else(|| corrupt("short footer read"))?;
+        if magic != TABLE_MAGIC {
+            return Err(TableError::Corruption(format!(
+                "bad table magic {magic:#x}"
+            )));
+        }
+        let (filter_handle, n1) = BlockHandle::decode(&footer)?;
+        let (index_handle, n2) = BlockHandle::decode(&footer[n1..])?;
+        let (props_handle, _) = BlockHandle::decode(&footer[n1 + n2..])?;
+
+        let has_filter = filter_handle.size > 0;
+        let start = if has_filter { filter_handle.offset } else { index_handle.offset };
+        let end = props_handle
+            .stored_end()
+            .filter(|&end| start <= end && end <= footer_at)
+            .ok_or_else(|| corrupt("metadata handles outside the table"))?;
+        let tail = file.read_at(start, (end - start) as usize)?;
+        if tail.len() as u64 != end - start {
+            return Err(corrupt("short metadata read"));
+        }
+        // Steps S2+S3 on one block of the span.
+        let block = |h: BlockHandle| -> Result<Vec<u8>> {
+            let raw = (h.offset.checked_sub(start))
+                .zip(h.stored_end())
+                .and_then(|(from, to)| tail.get(from as usize..(to - start) as usize))
+                .ok_or_else(|| corrupt("metadata block outside its span"))?;
+            TableReader::decode_raw(raw)
+        };
+
+        let index = Block::new(Bytes::from(block(index_handle)?))?;
+        let bloom = if has_filter {
+            Some(
+                BloomFilter::decode(&block(filter_handle)?)
+                    .ok_or_else(|| corrupt("undecodable bloom filter"))?,
+            )
+        } else {
+            None
+        };
+        let props = block(props_handle)?;
+        let prop = |at: usize| {
+            pcp_codec::decode_u64(&props[at..])
+                .map_err(|e| TableError::Corruption(format!("props: {e}")))
+        };
+        let (entries, n1) = prop(0)?;
+        let (data_blocks, n2) = prop(n1)?;
+        let (raw_bytes, _) = prop(n1 + n2)?;
+        let stats = TableStats { entries, data_blocks, raw_bytes, file_size: len };
+        Ok(TableMeta { index, bloom, stats })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +382,7 @@ impl TableBuilder {
         Ok(())
     }
 
-    fn append_block(&mut self, payload: &[u8], trailer: &[u8]) -> Result<BlockHandle> {
+    fn write_raw(&mut self, payload: &[u8], trailer: &[u8]) -> Result<BlockHandle> {
         let handle = BlockHandle {
             offset: self.offset,
             size: payload.len() as u64,
@@ -296,8 +390,17 @@ impl TableBuilder {
         self.file.append(payload)?;
         self.file.append(trailer)?;
         self.offset += (payload.len() + trailer.len()) as u64;
-        self.stats.data_blocks += 1;
         Ok(handle)
+    }
+
+    fn append_block(&mut self, payload: &[u8], trailer: &[u8]) -> Result<BlockHandle> {
+        self.stats.data_blocks += 1;
+        self.write_raw(payload, trailer)
+    }
+
+    /// Writes one filter, index or properties block with its trailer.
+    fn write_meta_block(&mut self, payload: &[u8], kind: CompressionKind) -> Result<BlockHandle> {
+        self.write_raw(payload, &make_trailer(payload, kind))
     }
 
     fn push_index_entry(
@@ -369,29 +472,19 @@ impl TableBuilder {
     }
 
     /// Completes the table: writes filter, index, properties and footer,
-    /// then syncs the file. Returns the final stats.
-    pub fn finish(mut self) -> Result<TableStats> {
+    /// then syncs the file. Returns the reader-side state it wrote, so the
+    /// table opens without reading any of it back.
+    pub fn finish(mut self) -> Result<TableMeta> {
         self.flush_data_block()?;
         self.finished = true;
 
         // Bloom-filter block.
-        let filter_handle = if self.opts.bloom_bits_per_key > 0 {
-            let filter = BloomFilter::build_from_hashes(
-                &self.bloom_hashes,
-                self.opts.bloom_bits_per_key,
-            );
-            let payload = filter.encode();
-            let trailer = make_trailer(&payload, CompressionKind::None);
-            let h = BlockHandle {
-                offset: self.offset,
-                size: payload.len() as u64,
-            };
-            self.file.append(&payload)?;
-            self.file.append(&trailer)?;
-            self.offset += (payload.len() + BLOCK_TRAILER_SIZE) as u64;
-            h
-        } else {
-            BlockHandle { offset: 0, size: 0 }
+        let bloom = (self.opts.bloom_bits_per_key > 0).then(|| {
+            BloomFilter::build_from_hashes(&self.bloom_hashes, self.opts.bloom_bits_per_key)
+        });
+        let filter_handle = match &bloom {
+            Some(filter) => self.write_meta_block(&filter.encode(), CompressionKind::None)?,
+            None => BlockHandle { offset: 0, size: 0 },
         };
 
         // Index block (restart interval 1: every entry is a restart point).
@@ -401,28 +494,14 @@ impl TableBuilder {
         }
         let contents = ib.finish();
         let (payload, kind) = compress_block(&contents, self.opts.compression);
-        let trailer = make_trailer(&payload, kind);
-        let index_handle = BlockHandle {
-            offset: self.offset,
-            size: payload.len() as u64,
-        };
-        self.file.append(&payload)?;
-        self.file.append(&trailer)?;
-        self.offset += (payload.len() + BLOCK_TRAILER_SIZE) as u64;
+        let index_handle = self.write_meta_block(&payload, kind)?;
 
         // Properties block.
         let mut props = Vec::new();
         pcp_codec::put_u64(&mut props, self.stats.entries);
         pcp_codec::put_u64(&mut props, self.stats.data_blocks);
         pcp_codec::put_u64(&mut props, self.stats.raw_bytes);
-        let trailer = make_trailer(&props, CompressionKind::None);
-        let props_handle = BlockHandle {
-            offset: self.offset,
-            size: props.len() as u64,
-        };
-        self.file.append(&props)?;
-        self.file.append(&trailer)?;
-        self.offset += (props.len() + BLOCK_TRAILER_SIZE) as u64;
+        let props_handle = self.write_meta_block(&props, CompressionKind::None)?;
 
         // Footer.
         let mut footer = Vec::with_capacity(FOOTER_SIZE);
@@ -437,7 +516,11 @@ impl TableBuilder {
         self.file.sync()?;
 
         self.stats.file_size = self.offset;
-        Ok(self.stats)
+        Ok(TableMeta {
+            index: Block::new(Bytes::from(contents))?,
+            bloom,
+            stats: self.stats,
+        })
     }
 }
 
@@ -466,72 +549,20 @@ impl std::fmt::Debug for TableReader {
 }
 
 impl TableReader {
-    /// Opens a table, reading footer, index, filter and properties.
-    pub fn open(file: Arc<dyn RandomReadFile>) -> Result<TableReader> {
-        Self::open_with_cache(file, None)
-    }
-
-    /// Opens a table that reads data blocks through `cache` (the
-    /// compaction path's raw-span reads always bypass it — direct I/O).
-    pub fn open_with_cache(
+    /// The reader of `file`, whose metadata is `meta` — from
+    /// [`TableBuilder::finish`] for a table just written, from
+    /// [`TableMeta::read`] otherwise. Data blocks are read through `cache`
+    /// when one is given (the compaction path's raw-span reads always
+    /// bypass it — direct I/O); `scan` carries the scan-path knobs and the
+    /// stats sink (the LSM passes one for the whole database).
+    pub fn new(
         file: Arc<dyn RandomReadFile>,
-        cache: Option<Arc<BlockCache>>,
-    ) -> Result<TableReader> {
-        Self::open_with_context(file, cache, ScanContext::default())
-    }
-
-    /// Opens a table with explicit scan-path knobs and a shared stats
-    /// sink (the LSM passes one [`ScanContext`] for the whole database).
-    pub fn open_with_context(
-        file: Arc<dyn RandomReadFile>,
+        meta: TableMeta,
         cache: Option<Arc<BlockCache>>,
         scan: ScanContext,
-    ) -> Result<TableReader> {
-        let len = file.len();
-        if len < FOOTER_SIZE as u64 {
-            return Err(TableError::Corruption("file shorter than footer".into()));
-        }
-        let footer = file.read_at(len - FOOTER_SIZE as u64, FOOTER_SIZE)?;
-        if footer.len() != FOOTER_SIZE {
-            return Err(TableError::Corruption("short footer read".into()));
-        }
-        let magic = pcp_codec::read_u64_le(&footer, FOOTER_SIZE - 8)
-            .ok_or_else(|| TableError::Corruption("short footer read".into()))?;
-        if magic != TABLE_MAGIC {
-            return Err(TableError::Corruption(format!(
-                "bad table magic {magic:#x}"
-            )));
-        }
-        let (filter_handle, n1) = BlockHandle::decode(&footer)?;
-        let (index_handle, n2) = BlockHandle::decode(&footer[n1..])?;
-        let (props_handle, _) = BlockHandle::decode(&footer[n1 + n2..])?;
-
-        let index_contents = Self::read_and_decode(&*file, index_handle)?;
-        let index = Block::new(Bytes::from(index_contents))?;
-
-        let bloom = if filter_handle.size > 0 {
-            let payload = Self::read_and_decode(&*file, filter_handle)?;
-            Some(BloomFilter::decode(&payload).ok_or_else(|| {
-                TableError::Corruption("undecodable bloom filter".into())
-            })?)
-        } else {
-            None
-        };
-
-        let props = Self::read_and_decode(&*file, props_handle)?;
-        let mut stats = TableStats::default();
-        let (entries, n1) = pcp_codec::decode_u64(&props)
-            .map_err(|e| TableError::Corruption(format!("props: {e}")))?;
-        let (blocks, n2) = pcp_codec::decode_u64(&props[n1..])
-            .map_err(|e| TableError::Corruption(format!("props: {e}")))?;
-        let (raw, _) = pcp_codec::decode_u64(&props[n1 + n2..])
-            .map_err(|e| TableError::Corruption(format!("props: {e}")))?;
-        stats.entries = entries;
-        stats.data_blocks = blocks;
-        stats.raw_bytes = raw;
-        stats.file_size = len;
-
-        Ok(TableReader {
+    ) -> TableReader {
+        let TableMeta { index, bloom, stats } = meta;
+        TableReader {
             file,
             index,
             bloom,
@@ -541,7 +572,14 @@ impl TableReader {
                 (c, id)
             }),
             scan,
-        })
+        }
+    }
+
+    /// Cold open: [`TableMeta::read`] then [`TableReader::new`], with no
+    /// block cache.
+    pub fn open(file: Arc<dyn RandomReadFile>) -> Result<TableReader> {
+        let meta = TableMeta::read(&*file)?;
+        Ok(Self::new(file, meta, None, ScanContext::default()))
     }
 
     /// The scan-path knobs and counters this reader reports into.
@@ -900,8 +938,7 @@ mod tests {
             let value = format!("value-{i:08}-{}", "x".repeat(80));
             b.add(&ikey, value.as_bytes()).unwrap();
         }
-        let stats = b.finish().unwrap();
-        assert_eq!(stats.entries, n as u64);
+        assert_eq!(b.finish().unwrap().stats().entries, n as u64);
         let file = env.open(name).unwrap();
         Arc::new(TableReader::open(file).unwrap())
     }
@@ -1094,7 +1131,7 @@ mod tests {
             &hashes,
         )
         .unwrap();
-        let stats = tb.finish().unwrap();
+        let stats = tb.finish().unwrap().stats();
         assert_eq!(stats.entries, 100);
         assert_eq!(stats.data_blocks, 1);
 
@@ -1167,7 +1204,9 @@ mod tests {
             ..Default::default()
         };
         let open = |ctx| {
-            Arc::new(TableReader::open_with_context(env.open("t.sst").unwrap(), None, ctx).unwrap())
+            let file = env.open("t.sst").unwrap();
+            let meta = TableMeta::read(&*file).unwrap();
+            Arc::new(TableReader::new(file, meta, None, ctx))
         };
         let (plain, ra) = (open(ctx(false)), open(ctx(true)));
         assert_eq!(collect_all(&plain), collect_all(&ra));
@@ -1200,6 +1239,74 @@ mod tests {
         }
         assert_eq!(count, n);
         assert!(it.status().is_ok());
+    }
+
+    /// Counts the reads issued against a file.
+    struct CountingFile {
+        inner: Arc<dyn RandomReadFile>,
+        reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl RandomReadFile for CountingFile {
+        fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Bytes> {
+            self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.read_at(offset, len)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    /// Footer, then one span over filter ‖ index ‖ properties (or index ‖
+    /// properties) — and what the two reads decode is what the builder
+    /// handed over.
+    #[test]
+    fn cold_open_reads_the_tail_in_two_reads() {
+        for bloom_bits_per_key in [10, 0] {
+            let env = test_env();
+            let opts = TableBuilderOptions { bloom_bits_per_key, ..Default::default() };
+            let mut b = TableBuilder::new(env.create("t.sst").unwrap(), opts);
+            for i in 0..2000u64 {
+                let ikey = make_internal_key(format!("k{i:06}").as_bytes(), i + 1, ValueType::Value);
+                b.add(&ikey, b"value").unwrap();
+            }
+            let built = b.finish().unwrap();
+            let file = Arc::new(CountingFile {
+                inner: env.open("t.sst").unwrap(),
+                reads: Default::default(),
+            });
+            let cold = TableMeta::read(&*file).unwrap();
+            assert_eq!(file.reads.load(std::sync::atomic::Ordering::Relaxed), 2);
+            assert_eq!(cold.stats, built.stats);
+            assert_eq!(cold.bloom, built.bloom);
+            assert_eq!(cold.bloom.is_some(), bloom_bits_per_key > 0);
+            let reader = |meta| TableReader::new(file.clone(), meta, None, ScanContext::default());
+            assert_eq!(reader(cold).block_metas().unwrap(), reader(built).block_metas().unwrap());
+        }
+    }
+
+    #[test]
+    fn cold_open_rejects_metadata_handles_outside_the_table() {
+        let env = test_env();
+        build_table(&env, "t.sst", 100, TableBuilderOptions::default());
+        let f = env.open("t.sst").unwrap();
+        let mut bytes = f.read_at(0, f.len() as usize).unwrap().to_vec();
+        // Point the footer's first handle (the filter) far past the end,
+        // keeping the other two.
+        let footer_at = bytes.len() - FOOTER_SIZE;
+        let (_, n) = BlockHandle::decode(&bytes[footer_at..]).unwrap();
+        let mut footer = Vec::new();
+        BlockHandle { offset: u64::MAX - 2, size: 1 }.encode_to(&mut footer);
+        footer.extend_from_slice(&bytes[footer_at + n..]);
+        footer.truncate(FOOTER_SIZE - 8);
+        footer.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
+        bytes.splice(footer_at.., footer);
+        let mut w = env.create("bad.sst").unwrap();
+        w.append(&bytes).unwrap();
+        w.sync().unwrap();
+        let err = TableReader::open(env.open("bad.sst").unwrap()).unwrap_err();
+        assert!(matches!(err, TableError::Corruption(_)), "{err}");
     }
 
     #[test]

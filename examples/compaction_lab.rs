@@ -9,7 +9,7 @@
 
 use pcp::core::{PipelinedExec, Step};
 use pcp::lsm::filename::table_file;
-use pcp::lsm::{CompactionExec, CompactionRequest};
+use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::{DeviceRef, EnvRef, HddModel, Raid0, SimDevice, SimEnv, SsdModel};
@@ -42,7 +42,7 @@ fn build_inputs(env: &EnvRef, entries: usize) -> (Vec<Arc<TableReader>>, Vec<Arc
             }
             b.add(&ik, &v).unwrap();
         }
-        let stats = b.finish().unwrap();
+        let stats = b.finish().unwrap().stats();
         (
             Arc::new(TableReader::open(env.open(name).unwrap()).unwrap()),
             stats.file_size,
@@ -57,7 +57,7 @@ fn build_inputs(env: &EnvRef, entries: usize) -> (Vec<Arc<TableReader>>, Vec<Arc
 fn run(env: EnvRef, name: &str, exec: &dyn CompactionExec, profile: &pcp::core::CompactionProfile) {
     let (upper, lower, input_bytes) = build_inputs(&env, 20_000);
     let req = CompactionRequest {
-        env: Arc::clone(&env),
+        tables: Arc::new(TableCache::new(Arc::clone(&env))),
         upper,
         lower,
         output_level: 2,

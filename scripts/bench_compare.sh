@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Parent/change comparison on the repository benchmark (BENCHMARK.json):
-# builds <base-rev> in a throw-away worktree under target/, runs every
+# builds <base> — a revision, checked out in a throw-away worktree under
+# target/, or the directory of a checkout someone already made (and maybe
+# built), used in place — runs every
 # workload on both sides back to back, alternating which side goes first,
 # and hands both sets of runs to `benchmark compare`, whose verdict table
 # (the regression rule) and exit status are this script's. It then prints
@@ -9,7 +11,7 @@
 # distance, so "at least 9 of 10 pairs and a median gap above the base's
 # own spread" is read off the output.
 #
-#   ./scripts/bench_compare.sh <base-rev> [pairs=3] [seed0=now]
+#   ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now]
 #
 # Pair n runs every workload on both sides with seed seed0+n; the seeds are
 # printed, so passing the same seed0 again re-runs the same pairs. Nothing
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <base-rev> [pairs=3] [seed0=now]" >&2
+    echo "usage: $0 <base-rev | base-dir> [pairs=3] [seed0=now]" >&2
     exit 2
 fi
 base_rev=$1
@@ -29,16 +31,21 @@ seed0=${3:-$(date +%s)}
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
 
-base=target/bench-base
 out=target/bench-compare
-cleanup() {
-    git worktree remove --force "$base" 2>/dev/null || true
-    git worktree prune
-}
-trap cleanup EXIT
-cleanup
 mkdir -p "$out"
-git worktree add --quiet --detach "$base" "$base_rev"
+if [ -d "$base_rev" ]; then
+    # A checkout of the caller's: neither created nor removed here.
+    base=$base_rev
+else
+    base=target/bench-base
+    cleanup() {
+        git worktree remove --force "$base" 2>/dev/null || true
+        git worktree prune
+    }
+    trap cleanup EXIT
+    cleanup
+    git worktree add --quiet --detach "$base" "$base_rev"
+fi
 
 for side in "$base" .; do
     echo "==> build $side/benchmark"
@@ -47,11 +54,13 @@ done
 base_bin=$base/benchmark/target/release/pcp-benchmark
 change_bin=benchmark/target/release/pcp-benchmark
 
-# The change side's history may hold earlier runs; compare only this
-# session's. The base worktree starts empty.
+# Either side's history may hold earlier runs; compare only this
+# session's.
+lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi; }
 history=benchmark/results/history.jsonl
-before=0
-if [ -f "$history" ]; then before=$(wc -l < "$history"); fi
+base_history=$base/benchmark/results/history.jsonl
+before=$(lines "$history")
+base_before=$(lines "$base_history")
 
 run() { # <binary> <workload> <seed>; a run with failed operations exits 1 and still counts
     "$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1 || [ $? -eq 1 ]
@@ -74,7 +83,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 tail -n "+$((before + 1))" "$history" > "$out/change.jsonl"
-cp "$base/benchmark/results/history.jsonl" "$out/base.jsonl"
+tail -n "+$((base_before + 1))" "$base_history" > "$out/base.jsonl"
 echo "==> compare $base_rev (base) with the working tree"
 status=0
 "$change_bin" compare "$out/base.jsonl" "$out/change.jsonl" || status=$?

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, full test suite, lint-clean under clippy.
 #   ./scripts/ci.sh                        the gate
-#   ./scripts/ci.sh --bench-compare <rev>  the gate, then the benchmark against <rev>
+#   ./scripts/ci.sh --bench-compare <rev|dir>  the gate, then the benchmark against a base revision or checkout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base_rev=
 case "${1-}" in
     "") ;;
-    --bench-compare) base_rev=${2:?--bench-compare needs a revision} ;;
-    *) echo "usage: $0 [--bench-compare <rev>]" >&2; exit 2 ;;
+    --bench-compare) base_rev=${2:?--bench-compare needs a revision or a checkout directory} ;;
+    *) echo "usage: $0 [--bench-compare <rev|dir>]" >&2; exit 2 ;;
 esac
 
 echo "==> cargo build --release"
@@ -54,7 +54,7 @@ if [ -n "$base_rev" ]; then
     echo "==> scripts/bench_compare.sh $base_rev (the benchmark against the base, failing outside the BENCHMARK.json bounds)"
     ./scripts/bench_compare.sh "$base_rev"
 else
-    echo "==> not run: ./scripts/bench_compare.sh <base-rev> [pairs=3] [seed0=now] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
+    echo "==> not run: ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
 fi
 
 echo "==> ci green"

@@ -5,7 +5,7 @@
 use pcp::core::{PipelineConfig, PipelinedExec};
 use pcp::lsm::filename::table_file;
 use pcp::compaction::SimpleMergeExec;
-use pcp::lsm::{CompactionExec, CompactionRequest};
+use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::obs::TraceLog;
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{KvIter, TableBuilder, TableBuilderOptions, TableReader};
@@ -99,7 +99,7 @@ fn compact_tables(
             .collect()
     };
     let req = CompactionRequest {
-        env: Arc::clone(&env),
+        tables: Arc::new(TableCache::new(Arc::clone(&env))),
         upper: build(inputs.uppers, "u"),
         lower: build(inputs.lowers, "l"),
         output_level: 1,

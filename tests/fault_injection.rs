@@ -22,6 +22,7 @@ use pcp::core::PipelinedExec;
 use pcp::lsm::filename::table_file;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
+    TableCache,
 };
 use pcp::sstable::key::{make_internal_key, ValueType};
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
@@ -326,7 +327,7 @@ fn compact_inputs(
             .collect()
     };
     let req = CompactionRequest {
-        env: Arc::clone(&req_env),
+        tables: Arc::new(TableCache::new(Arc::clone(&req_env))),
         upper: open(&UPPERS)?,
         lower: open(&LOWERS)?,
         output_level: 1,

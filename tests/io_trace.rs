@@ -6,7 +6,7 @@
 
 use pcp::core::PipelinedExec;
 use pcp::lsm::filename::table_file;
-use pcp::lsm::{CompactionExec, CompactionRequest};
+use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::model::IoKind;
@@ -76,7 +76,7 @@ fn traced_tables(
 
 fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReader>>) -> CompactionRequest {
     CompactionRequest {
-        env: Arc::clone(env),
+        tables: Arc::new(TableCache::new(Arc::clone(env))),
         upper,
         lower,
         output_level: 1,

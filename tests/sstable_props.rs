@@ -1,11 +1,13 @@
 //! Property tests of the SSTable layer: arbitrary entry sets roundtrip
-//! through build → scan/get, and any single-bit corruption of any data
-//! block is caught by the checksum step.
+//! through build → scan/get, the reader a builder hands over equals the
+//! one a cold open makes, and any single-bit corruption of any data block
+//! is caught by the checksum step.
 
 use pcp::sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::table::{compress_block, decompress_block, make_trailer, verify_block};
 use pcp::sstable::{
-    internal_key_cmp, CompressionKind, KvIter, TableBuilder, TableBuilderOptions, TableReader,
+    internal_key_cmp, CompressionKind, KvIter, ScanContext, TableBuilder, TableBuilderOptions,
+    TableMeta, TableReader,
 };
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use proptest::prelude::*;
@@ -20,6 +22,17 @@ fn build(
     entries: &[(Vec<u8>, u64, bool, Vec<u8>)],
     block_size: usize,
 ) -> Arc<TableReader> {
+    build_with(env, entries, TableBuilderOptions { block_size, ..Default::default() });
+    Arc::new(TableReader::open(env.open("t.sst").unwrap()).unwrap())
+}
+
+/// Writes `entries` (sorted, deduplicated) as `t.sst`; returns what the
+/// builder handed back.
+fn build_with(
+    env: &EnvRef,
+    entries: &[(Vec<u8>, u64, bool, Vec<u8>)],
+    opts: TableBuilderOptions,
+) -> TableMeta {
     let mut sorted: Vec<(Vec<u8>, Vec<u8>)> = entries
         .iter()
         .map(|(k, seq, del, v)| {
@@ -35,19 +48,23 @@ fn build(
         .collect();
     sorted.sort_by(|a, b| internal_key_cmp(&a.0, &b.0));
     sorted.dedup_by(|a, b| a.0 == b.0);
-    let f = env.create("t.sst").unwrap();
-    let mut b = TableBuilder::new(
-        f,
-        TableBuilderOptions {
-            block_size,
-            ..Default::default()
-        },
-    );
+    let mut b = TableBuilder::new(env.create("t.sst").unwrap(), opts);
     for (ik, v) in &sorted {
         b.add(ik, v).unwrap();
     }
-    b.finish().unwrap();
-    Arc::new(TableReader::open(env.open("t.sst").unwrap()).unwrap())
+    b.finish().unwrap()
+}
+
+fn scan(reader: &Arc<TableReader>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut it = reader.iter();
+    it.seek_to_first();
+    let mut out = Vec::new();
+    while it.valid() {
+        out.push((it.key().to_vec(), it.value().to_vec()));
+        it.next();
+    }
+    it.status().unwrap();
+    out
 }
 
 fn entry_strategy() -> impl Strategy<Value = Vec<(Vec<u8>, u64, bool, Vec<u8>)>> {
@@ -82,14 +99,42 @@ proptest! {
         want.sort_by(|a, b| internal_key_cmp(&a.0, &b.0));
         want.dedup_by(|a, b| a.0 == b.0);
 
-        let mut it = reader.iter();
-        it.seek_to_first();
-        let mut got = Vec::new();
-        while it.valid() {
-            got.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
+        prop_assert_eq!(scan(&reader), want);
+    }
+
+    /// The reader made from what the builder handed over is the reader a
+    /// cold open of the same file makes, with or without a filter.
+    #[test]
+    fn handed_off_reader_equals_cold_opened_reader(
+        entries in entry_strategy(),
+        absent in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..24), 1..40),
+        block_size in 64usize..2048,
+        with_filter in any::<bool>(),
+    ) {
+        let env = mem_env();
+        let opts = TableBuilderOptions {
+            block_size,
+            bloom_bits_per_key: if with_filter { 10 } else { 0 },
+            ..Default::default()
+        };
+        let built = build_with(&env, &entries, opts);
+        let file = env.open("t.sst").unwrap();
+        let handed_off = Arc::new(TableReader::new(
+            Arc::clone(&file),
+            built,
+            None,
+            ScanContext::default(),
+        ));
+        let cold = Arc::new(TableReader::open(file).unwrap());
+
+        prop_assert_eq!(handed_off.stats(), cold.stats());
+        prop_assert_eq!(handed_off.block_metas().unwrap(), cold.block_metas().unwrap());
+        prop_assert_eq!(scan(&handed_off), scan(&cold));
+        let present = entries.iter().map(|(k, _, _, _)| k);
+        for key in present.chain(&absent) {
+            let target = make_internal_key(key, MAX_SEQUENCE, ValueType::Value);
+            prop_assert_eq!(handed_off.get(&target).unwrap(), cold.get(&target).unwrap());
         }
-        prop_assert_eq!(got, want);
     }
 
     #[test]
