@@ -6,17 +6,13 @@
 //! merely adds contention. A sharded engine (N independent `Db`s, one
 //! compaction lane each) re-creates exactly that hazard one level up: N
 //! simultaneous compactions each running a pipeline of their own. The
-//! limiter bounds *whole compactions* with a counting semaphore and divides
-//! a global **stage-token budget** *inside* that cap — how many parallel
-//! stage workers (C-PPCP compute workers, S-PPCP read lanes) may exist
-//! across all concurrent compactions. Tokens are granted per compaction,
-//! weighted by each shard's pending-compaction **debt** (its max level
-//! score), so a hot shard borrows pipeline width from idle ones instead of
-//! every shard independently saturating the cores.
+//! limiter bounds *whole compactions* with a counting semaphore and gives
+//! every admitted compaction the same fixed **share** of a global
+//! stage-token budget — how many parallel stage workers (C-PPCP compute
+//! workers, S-PPCP read lanes) may exist across all concurrent
+//! compactions: `share = budget / permits`, at least 1.
 //!
-//! Shards participate by registering a **slot** ([`CompactionLimiter::
-//! register`]) and keeping its debt fresh ([`CompactionLimiter::set_debt`]);
-//! the compaction lane brackets each compaction with
+//! The compaction lane brackets each compaction with
 //! [`CompactionLimiter::acquire_grant`] / [`CompactionLimiter::
 //! release_grant`]. The grant travels inside the `CompactionRequest`, so
 //! every executor consults the same allowance:
@@ -27,9 +23,8 @@
 //! Invariants (tested):
 //!
 //! * permits in use never exceed the permit count;
-//! * the sum of granted stage tokens never exceeds the token budget —
-//!   admission waits until at least one token is free, and a grant leaves
-//!   one token per still-admittable compaction behind when it can;
+//! * the sum of granted stage tokens never exceeds the token budget — by
+//!   construction, `permits × share ≤ budget`;
 //! * every admitted compaction holds at least one token, so it always
 //!   makes progress.
 //!
@@ -46,8 +41,6 @@ use std::time::Duration;
 /// `CompactionRequest`.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceGrant {
-    /// Scheduler slot this grant was issued to, if any.
-    slot: Option<usize>,
     /// Stage-worker token count; `None` means unlimited.
     stage_tokens: Option<usize>,
 }
@@ -59,19 +52,12 @@ impl ResourceGrant {
         ResourceGrant::default()
     }
 
-    /// A grant of `stage_tokens` parallel-stage workers, issued to
-    /// scheduler slot `slot`. Token counts are clamped to at least 1.
-    pub fn new(slot: Option<usize>, stage_tokens: usize) -> Self {
+    /// A grant of `stage_tokens` parallel-stage workers, clamped to at
+    /// least 1.
+    pub fn new(stage_tokens: usize) -> Self {
         ResourceGrant {
-            slot,
             stage_tokens: Some(stage_tokens.max(1)),
         }
-    }
-
-    /// The scheduler slot the grant was issued to (`None` for anonymous or
-    /// unlimited grants).
-    pub fn slot(&self) -> Option<usize> {
-        self.slot
     }
 
     /// How many parallel workers the widest pipeline stage may run.
@@ -87,35 +73,15 @@ impl ResourceGrant {
     }
 }
 
-/// Per-registered-shard scheduler bookkeeping.
-#[derive(Debug, Clone, Default)]
-struct SlotState {
-    /// Slot is live (between `register` and `unregister`).
-    registered: bool,
-    /// Pending-compaction debt, normally the shard's max level score
-    /// (≥ 1.0 means compaction work is due).
-    debt: f64,
-    /// Stage tokens held by this slot's running compaction (0 if idle).
-    granted_tokens: usize,
-}
-
 struct SchedState {
     /// Compactions currently admitted.
     in_use: usize,
     /// High-water mark of `in_use`, for tests and diagnostics.
     peak: usize,
-    /// Stage tokens currently granted across all compactions.
-    tokens_out: usize,
-    /// Times a grant exceeded its holder's equal share — i.e. a hot shard
-    /// borrowed pipeline width from idle ones.
-    steals: u64,
-    /// Slot table, indexed by the id `register` hands out.
-    slots: Vec<SlotState>,
 }
 
 /// A cross-shard compaction scheduler: bounds concurrent compactions and
-/// divides a stage-worker token budget among them, weighted by per-shard
-/// compaction debt.
+/// grants each one an equal share of a stage-worker token budget.
 ///
 /// Created once and stamped into every shard's `Options`
 /// (`ShardedDb` does this automatically); a standalone `Db` without one
@@ -123,6 +89,8 @@ struct SchedState {
 pub struct CompactionLimiter {
     permits: usize,
     stage_tokens: usize,
+    /// Tokens every grant carries: `stage_tokens / permits`, at least 1.
+    share: usize,
     state: Mutex<SchedState>,
     released: Condvar,
 }
@@ -133,10 +101,9 @@ impl std::fmt::Debug for CompactionLimiter {
         f.debug_struct("CompactionLimiter")
             .field("permits", &self.permits)
             .field("stage_tokens", &self.stage_tokens)
+            .field("share", &self.share)
             .field("in_use", &st.in_use)
             .field("peak", &st.peak)
-            .field("tokens_out", &st.tokens_out)
-            .field("steals", &st.steals)
             .finish()
     }
 }
@@ -157,149 +124,43 @@ impl CompactionLimiter {
 
     /// Full control: `permits` concurrent compactions sharing
     /// `stage_tokens` stage workers (clamped up to `permits`, so every
-    /// admitted compaction can hold a token).
+    /// admitted compaction can hold a token). Each grant carries
+    /// `stage_tokens / permits` tokens.
     pub fn with_budget(permits: usize, stage_tokens: usize) -> Arc<CompactionLimiter> {
         let permits = permits.max(1);
+        let stage_tokens = stage_tokens.max(permits);
         Arc::new(CompactionLimiter {
             permits,
-            stage_tokens: stage_tokens.max(permits),
-            state: Mutex::new(SchedState {
-                in_use: 0,
-                peak: 0,
-                tokens_out: 0,
-                steals: 0,
-                slots: Vec::new(),
-            }),
+            stage_tokens,
+            share: (stage_tokens / permits).max(1),
+            state: Mutex::new(SchedState { in_use: 0, peak: 0 }),
             released: Condvar::new(),
         })
     }
 
-    /// Registers a shard with the scheduler and returns its slot id.
-    /// `Db::open` calls this when the options carry a limiter; the slot
-    /// feeds debt in and lets metrics attribute grants per shard.
-    pub fn register(&self) -> usize {
-        let mut st = self.state.lock();
-        if let Some(free) = st.slots.iter().position(|s| !s.registered) {
-            st.slots[free] = SlotState {
-                registered: true,
-                ..SlotState::default()
-            };
-            return free;
-        }
-        st.slots.push(SlotState {
-            registered: true,
-            ..SlotState::default()
-        });
-        st.slots.len() - 1
-    }
-
-    /// Releases a slot taken by [`CompactionLimiter::register`] (called on
-    /// `Db` shutdown). The id may be reused by a later `register`.
-    pub fn unregister(&self, slot: usize) {
-        let mut st = self.state.lock();
-        if let Some(s) = st.slots.get_mut(slot) {
-            s.registered = false;
-            s.debt = 0.0;
-        }
-    }
-
-    /// Updates a slot's pending-compaction debt. The engine reports its
-    /// max level score here on every background-work pass; the next
-    /// [`CompactionLimiter::acquire_grant`] divides tokens proportionally
-    /// to these values.
-    pub fn set_debt(&self, slot: usize, debt: f64) {
-        let mut st = self.state.lock();
-        if let Some(s) = st.slots.get_mut(slot) {
-            if s.registered {
-                s.debt = if debt.is_finite() { debt.max(0.0) } else { 0.0 };
-            }
-        }
-    }
-
-    /// Blocks until both a permit and at least one stage token are free,
-    /// then admits the compaction and returns its resource grant: a
-    /// debt-weighted share of the token budget (never less than 1, never
-    /// more than what leaves one token per still-admittable compaction
-    /// when possible).
+    /// Blocks until a permit is free, then admits the compaction and
+    /// returns its grant of one share of the token budget.
     ///
-    /// `slot` attributes the grant to a registered shard; `None` (or an
-    /// unregistered id) is anonymous and simply takes the available room.
     /// Returns `None` without admitting once `should_abort` reports true.
-    pub fn acquire_grant(
-        &self,
-        slot: Option<usize>,
-        should_abort: &dyn Fn() -> bool,
-    ) -> Option<ResourceGrant> {
+    pub fn acquire_grant(&self, should_abort: &dyn Fn() -> bool) -> Option<ResourceGrant> {
         let mut st = self.state.lock();
-        loop {
-            if st.in_use < self.permits && st.tokens_out < self.stage_tokens {
-                st.in_use += 1;
-                st.peak = st.peak.max(st.in_use);
-                return Some(self.grant_locked(&mut st, slot));
-            }
+        while st.in_use == self.permits {
             if should_abort() {
                 return None;
             }
             self.released.wait_for(&mut st, Duration::from_millis(5));
         }
+        st.in_use += 1;
+        st.peak = st.peak.max(st.in_use);
+        Some(ResourceGrant::new(self.share))
     }
 
-    /// Returns a grant taken by [`CompactionLimiter::acquire_grant`]:
-    /// frees the permit, the stage tokens, and the slot's running-grant
-    /// bookkeeping.
-    pub fn release_grant(&self, grant: &ResourceGrant) {
+    /// Returns the permit taken by [`CompactionLimiter::acquire_grant`].
+    pub fn release_grant(&self) {
         let mut st = self.state.lock();
-        let tokens = grant.stage_tokens();
-        if tokens != usize::MAX {
-            st.tokens_out = st.tokens_out.saturating_sub(tokens);
-        }
-        if let Some(s) = grant.slot().and_then(|i| st.slots.get_mut(i)) {
-            s.granted_tokens = 0;
-        }
         debug_assert!(st.in_use > 0, "release_grant without acquire_grant");
         st.in_use = st.in_use.saturating_sub(1);
-        self.released.notify_all();
-    }
-
-    /// Computes one admission's token grant. Caller holds the
-    /// state lock and has already incremented `in_use`.
-    fn grant_locked(&self, st: &mut SchedState, slot: Option<usize>) -> ResourceGrant {
-        let avail = self.stage_tokens - st.tokens_out; // ≥ 1: admission waited for it
-        let reserve = self.permits - st.in_use; // compactions still admittable
-        let max_take = avail.saturating_sub(reserve).clamp(1, avail);
-
-        let live = slot.filter(|&i| st.slots.get(i).is_some_and(|s| s.registered));
-        let (want, fair_share) = match live {
-            Some(i) => {
-                let shards = st.slots.iter().filter(|s| s.registered).count().max(1);
-                let fair = (self.stage_tokens / shards).max(1);
-                let total_debt: f64 = st
-                    .slots
-                    .iter()
-                    .filter(|s| s.registered)
-                    .map(|s| s.debt)
-                    .sum();
-                let want = if total_debt > f64::EPSILON {
-                    let share = self.stage_tokens as f64 * st.slots[i].debt / total_debt;
-                    share.round() as usize
-                } else {
-                    fair
-                };
-                (want.max(1), fair)
-            }
-            // Anonymous grants have no debt signal: take the room.
-            None => (max_take, max_take),
-        };
-
-        let granted = want.clamp(1, max_take);
-        if granted > fair_share {
-            st.steals += 1;
-        }
-        st.tokens_out += granted;
-        if let Some(s) = live.and_then(|i| st.slots.get_mut(i)) {
-            s.granted_tokens = granted;
-        }
-        ResourceGrant::new(live, granted)
+        self.released.notify_one();
     }
 
     /// Total permits (max concurrent compactions).
@@ -324,38 +185,14 @@ impl CompactionLimiter {
 
     /// Stage tokens currently granted across all running compactions.
     pub fn tokens_out(&self) -> usize {
-        self.state.lock().tokens_out
+        self.in_use() * self.share
     }
 
-    /// How many grants exceeded their holder's equal share — each one is a
-    /// hot shard borrowing pipeline width from idle ones.
+    /// Always 0: every grant is an equal share, so none borrows width from
+    /// another. Kept only because the benchmark's `compaction.steals` row
+    /// reads it.
     pub fn steals(&self) -> u64 {
-        self.state.lock().steals
-    }
-
-    /// Stage tokens currently held by `slot`'s running compaction (0 when
-    /// idle or unknown).
-    pub fn granted_tokens(&self, slot: usize) -> usize {
-        self.state
-            .lock()
-            .slots
-            .get(slot)
-            .map_or(0, |s| s.granted_tokens)
-    }
-
-    /// The debt last reported for `slot` (0.0 when unknown).
-    pub fn debt(&self, slot: usize) -> f64 {
-        self.state.lock().slots.get(slot).map_or(0.0, |s| s.debt)
-    }
-
-    /// Number of currently registered shard slots.
-    pub fn registered(&self) -> usize {
-        self.state
-            .lock()
-            .slots
-            .iter()
-            .filter(|s| s.registered)
-            .count()
+        0
     }
 }
 
@@ -376,17 +213,15 @@ mod tests {
         let g = ResourceGrant::unlimited();
         assert_eq!(g.stage_tokens(), usize::MAX);
         assert_eq!(g.clamp_workers(8), 8);
-        assert_eq!(g.slot(), None);
     }
 
     #[test]
     fn tokens_clamp_workers_but_never_to_zero() {
-        let g = ResourceGrant::new(Some(3), 2);
-        assert_eq!(g.slot(), Some(3));
+        let g = ResourceGrant::new(2);
         assert_eq!(g.stage_tokens(), 2);
         assert_eq!(g.clamp_workers(8), 2);
         assert_eq!(g.clamp_workers(1), 1);
-        let zero = ResourceGrant::new(None, 0);
+        let zero = ResourceGrant::new(0);
         assert_eq!(zero.stage_tokens(), 1, "zero tokens rounds up to one");
     }
 
@@ -394,16 +229,16 @@ mod tests {
     fn caps_concurrency_and_tracks_peak() {
         let limiter = CompactionLimiter::new(2);
         let never = || false;
-        let g1 = limiter.acquire_grant(None, &never).unwrap();
-        let g2 = limiter.acquire_grant(None, &never).unwrap();
+        limiter.acquire_grant(&never).unwrap();
+        limiter.acquire_grant(&never).unwrap();
         assert_eq!(limiter.in_use(), 2);
         // Third acquire must wait; abort it instead.
         let aborted = AtomicBool::new(true);
         assert!(limiter
-            .acquire_grant(None, &|| aborted.load(Ordering::SeqCst))
+            .acquire_grant(&|| aborted.load(Ordering::SeqCst))
             .is_none());
-        limiter.release_grant(&g1);
-        limiter.release_grant(&g2);
+        limiter.release_grant();
+        limiter.release_grant();
         assert_eq!(limiter.in_use(), 0);
         assert_eq!(limiter.peak(), 2);
     }
@@ -420,12 +255,12 @@ mod tests {
                 let worst = Arc::clone(&worst);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        let g = limiter.acquire_grant(None, &|| false).unwrap();
+                        limiter.acquire_grant(&|| false).unwrap();
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         worst.fetch_max(now, Ordering::SeqCst);
                         std::thread::yield_now();
                         live.fetch_sub(1, Ordering::SeqCst);
-                        limiter.release_grant(&g);
+                        limiter.release_grant();
                     }
                 })
             })
@@ -442,90 +277,58 @@ mod tests {
     fn zero_permits_clamps_to_one() {
         let limiter = CompactionLimiter::new(0);
         assert_eq!(limiter.permits(), 1);
-        let g = limiter.acquire_grant(None, &|| false).unwrap();
-        limiter.release_grant(&g);
+        limiter.acquire_grant(&|| false).unwrap();
+        limiter.release_grant();
     }
 
+    /// (permits, budget) → the grant of each concurrent admission, up to
+    /// the permit count; one more admission must wait.
     #[test]
-    fn anonymous_grant_takes_available_room_minus_reserve() {
-        let limiter = CompactionLimiter::with_budget(2, 8);
-        let g1 = limiter.acquire_grant(None, &|| false).unwrap();
-        // One more compaction is admittable, so one token stays behind.
-        assert_eq!(g1.stage_tokens(), 7);
-        let g2 = limiter.acquire_grant(None, &|| false).unwrap();
-        assert_eq!(g2.stage_tokens(), 1);
-        assert_eq!(limiter.tokens_out(), 8);
-        limiter.release_grant(&g1);
-        limiter.release_grant(&g2);
-        assert_eq!(limiter.tokens_out(), 0);
-        assert_eq!(limiter.in_use(), 0);
-    }
-
-    #[test]
-    fn debt_weighting_gives_hot_shards_more_tokens() {
-        let limiter = CompactionLimiter::with_budget(4, 8);
-        let hot = limiter.register();
-        let idle: Vec<usize> = (0..3).map(|_| limiter.register()).collect();
-        limiter.set_debt(hot, 6.0);
-        for &s in &idle {
-            limiter.set_debt(s, 0.5);
-        }
-        // Hot shard's share: 8 × 6.0/7.5 = 6.4 → 6, clamped by the reserve
-        // (3 still-admittable compactions): max_take = 8 − 3 = 5.
-        let g = limiter.acquire_grant(Some(hot), &|| false).unwrap();
-        assert_eq!(g.stage_tokens(), 5);
-        assert_eq!(limiter.granted_tokens(hot), 5);
-        assert!(limiter.steals() >= 1, "grant above fair share is a steal");
-        // An idle shard still gets its guaranteed single token.
-        let g2 = limiter.acquire_grant(Some(idle[0]), &|| false).unwrap();
-        assert_eq!(g2.stage_tokens(), 1);
-        limiter.release_grant(&g);
-        limiter.release_grant(&g2);
-    }
-
-    #[test]
-    fn equal_debts_split_evenly_without_steals() {
-        let limiter = CompactionLimiter::with_budget(4, 8);
-        let slots: Vec<usize> = (0..4).map(|_| limiter.register()).collect();
-        for &s in &slots {
-            limiter.set_debt(s, 2.0);
-        }
-        let grants: Vec<ResourceGrant> = slots
-            .iter()
-            .map(|&s| limiter.acquire_grant(Some(s), &|| false).unwrap())
-            .collect();
-        for g in &grants {
-            assert_eq!(g.stage_tokens(), 2, "8 tokens / 4 equal shards");
-        }
-        assert_eq!(limiter.steals(), 0);
-        for g in &grants {
-            limiter.release_grant(g);
+    fn every_grant_is_an_equal_share_of_the_budget() {
+        let rows: [(usize, usize, &[usize]); 5] = [
+            (2, 2, &[1, 1]), // `for_shards(2)` on a 2-core host
+            (1, 4, &[4]),
+            (2, 8, &[4, 4]),
+            (4, 6, &[1, 1, 1, 1]),
+            (3, 2, &[1, 1, 1]),
+        ];
+        for (permits, budget, want) in rows {
+            let limiter = CompactionLimiter::with_budget(permits, budget);
+            let got: Vec<usize> = (0..permits)
+                .map(|_| limiter.acquire_grant(&|| false).unwrap().stage_tokens())
+                .collect();
+            assert_eq!(got, want, "({permits}, {budget})");
+            assert_eq!(limiter.tokens_out(), want.iter().sum::<usize>());
+            assert!(limiter.tokens_out() <= limiter.stage_tokens());
+            assert!(limiter.acquire_grant(&|| true).is_none(), "({permits}, {budget})");
+            for _ in 0..permits {
+                limiter.release_grant();
+            }
+            assert_eq!(limiter.tokens_out(), 0);
+            assert_eq!(limiter.steals(), 0);
         }
     }
 
     #[test]
     fn token_budget_never_oversubscribed_under_concurrency() {
         let limiter = CompactionLimiter::with_budget(4, 6);
-        let slots: Vec<usize> = (0..8).map(|_| limiter.register()).collect();
         let held = Arc::new(AtomicUsize::new(0));
         let worst = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = slots
-            .into_iter()
-            .map(|slot| {
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
                 let limiter = Arc::clone(&limiter);
                 let held = Arc::clone(&held);
                 let worst = Arc::clone(&worst);
                 std::thread::spawn(move || {
-                    for round in 0..40 {
-                        limiter.set_debt(slot, (slot + round) as f64);
-                        let g = limiter.acquire_grant(Some(slot), &|| false).unwrap();
+                    for _ in 0..40 {
+                        let g = limiter.acquire_grant(&|| false).unwrap();
                         assert!(g.stage_tokens() >= 1);
                         let now = held.fetch_add(g.stage_tokens(), Ordering::SeqCst)
                             + g.stage_tokens();
                         worst.fetch_max(now, Ordering::SeqCst);
                         std::thread::yield_now();
                         held.fetch_sub(g.stage_tokens(), Ordering::SeqCst);
-                        limiter.release_grant(&g);
+                        limiter.release_grant();
                     }
                 })
             })
@@ -540,18 +343,5 @@ mod tests {
         );
         assert_eq!(limiter.tokens_out(), 0);
         assert_eq!(limiter.in_use(), 0);
-    }
-
-    #[test]
-    fn slots_are_reused_after_unregister() {
-        let limiter = CompactionLimiter::new(2);
-        let a = limiter.register();
-        let b = limiter.register();
-        assert_ne!(a, b);
-        limiter.unregister(a);
-        assert_eq!(limiter.registered(), 1);
-        let c = limiter.register();
-        assert_eq!(c, a, "freed slot id is recycled");
-        assert_eq!(limiter.debt(c), 0.0, "recycled slot starts clean");
     }
 }

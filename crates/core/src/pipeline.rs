@@ -861,10 +861,10 @@ mod tests {
     #[test]
     fn grant_narrows_the_pipeline_that_runs() {
         use pcp_compaction::ResourceGrant;
-        let one = ResourceGrant::new(None, 1);
+        let one = ResourceGrant::new(1);
         assert_eq!(start_widths(PipelinedExec::c_ppcp(64 << 10, 4), None, one), (1, 1));
         // A compute-bound history asks for C-PPCP(4); two tokens allow 2.
-        let two = ResourceGrant::new(None, 2);
+        let two = ResourceGrant::new(2);
         let adaptive = PipelinedExec::adaptive(64 << 10, 4);
         assert_eq!(start_widths(adaptive, Some((0.2, 0.95, 0.2)), two), (1, 2));
     }

@@ -185,14 +185,15 @@ fn the_repository_itself_is_clean() {
         rendered.join("\n")
     );
     assert!(report.files_scanned > 50, "walker found suspiciously few files");
-    // The L6 graph must actually see the codebase (an empty graph would
-    // mean the analysis silently stopped resolving locks) and stay
-    // cycle-free — deadlock cycles get fixed in code, never allowlisted.
+    // The L6 graph must actually see the codebase (no locks would mean
+    // the analysis silently stopped resolving them) and take no lock
+    // while another is held — so it cannot have a deadlock cycle.
     assert!(
         report.locks >= 10,
         "lock graph covers only {} locks — the guard analysis regressed",
         report.locks
     );
+    assert_eq!(report.lock_edges, 0, "a lock is taken while another is held");
     assert_eq!(report.lock_cycles, 0, "lock-acquisition graph has cycles");
 
     // L1–L3 are compiler lints set in each crate root: a crate without

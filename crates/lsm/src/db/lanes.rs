@@ -88,16 +88,8 @@ impl DbInner {
         let grant = match limiter {
             None => None,
             Some(limiter) => {
-                if let Some(slot) = self.sched_slot {
-                    // Publish this shard's compaction debt (the max level
-                    // score) so the scheduler can weight the grant: hot
-                    // shards borrow pipeline width from idle ones.
-                    limiter.set_debt(slot, st.versions.max_score(&self.opts.policy));
-                }
                 let acquired = MutexGuard::unlocked(st, || {
-                    limiter.acquire_grant(self.sched_slot, &|| {
-                        self.shutdown.load(AtomicOrdering::SeqCst)
-                    })
+                    limiter.acquire_grant(&|| self.shutdown.load(AtomicOrdering::SeqCst))
                 });
                 // `None`: shutdown began while queued; the lane's loop
                 // sees the flag.
@@ -109,8 +101,9 @@ impl DbInner {
         let result = self.check_bg_error(st).and_then(|()| {
             self.retry_transient(st, |st| self.run_compaction(st, pick.clone(), grant.clone()))
         });
-        if let (Some(limiter), Some(grant)) = (limiter, &grant) {
-            limiter.release_grant(grant);
+        if let Some(limiter) = limiter {
+            // The engine lock is never held across the scheduler's.
+            MutexGuard::unlocked(st, || limiter.release_grant());
         }
         result
     }

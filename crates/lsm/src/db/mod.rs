@@ -139,9 +139,6 @@ struct DbInner {
     group_commit_writers: Arc<pcp_obs::Histogram>,
     /// Lifecycle event ring: flushes, compactions, trivial moves, stalls.
     trace: Arc<pcp_obs::TraceLog>,
-    /// This database's slot in [`Options::compaction_limiter`], registered
-    /// at open so the scheduler can weight grants by per-shard debt.
-    sched_slot: Option<usize>,
 }
 
 /// An open database.
@@ -261,7 +258,6 @@ impl Db {
         });
         versions.log_and_apply(edit)?;
 
-        let sched_slot = opts.compaction_limiter.as_ref().map(|l| l.register());
         let inner = Arc::new(DbInner {
             opts,
             env,
@@ -287,7 +283,6 @@ impl Db {
             metrics: Metrics::default(),
             group_commit_writers: Arc::new(pcp_obs::Histogram::new()),
             trace: Arc::new(pcp_obs::TraceLog::new(1024)),
-            sched_slot,
         });
         if tail_corruptions > 0 {
             // A crash tore the tail of one or more logs; replay stopped at
@@ -553,14 +548,6 @@ impl Db {
         &self.inner.trace
     }
 
-    /// The slot this database registered with its
-    /// [`Options::compaction_limiter`] at open, or `None` when no limiter
-    /// is configured. The sharded engine uses it to read per-shard
-    /// scheduler gauges ([`crate::CompactionLimiter::granted_tokens`] etc.).
-    pub fn scheduler_slot(&self) -> Option<usize> {
-        self.inner.sched_slot
-    }
-
     /// The compaction executor this database runs. In a sharded engine
     /// every shard holds a clone of the same `Arc`, so executor-owned
     /// metrics ([`CompactionExec::register_metrics`]) should be registered
@@ -761,14 +748,6 @@ impl Drop for Db {
         self.inner.work_cv.notify_all();
         for lane in self.lanes.drain(..) {
             let _ = lane.join();
-        }
-        // After the compaction lane is gone no further grants can be
-        // requested, so the scheduler slot can be retired (its debt stops
-        // counting toward other shards' shares).
-        if let (Some(limiter), Some(slot)) =
-            (&self.inner.opts.compaction_limiter, self.inner.sched_slot)
-        {
-            limiter.unregister(slot);
         }
     }
 }

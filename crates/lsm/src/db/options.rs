@@ -49,9 +49,10 @@ pub struct Options {
     /// an explicit env and treats this field as advisory.
     pub dir: Option<std::path::PathBuf>,
     /// Shared admission gate bounding how many databases compact at once
-    /// (see [`crate::CompactionLimiter`]). `None` means ungated. Flushes
-    /// are never gated — delaying a flush turns directly into writer
-    /// stalls.
+    /// and handing each admitted compaction an equal share of the
+    /// stage-worker budget (see [`crate::CompactionLimiter`]). `None` means
+    /// ungated and an unlimited grant. Flushes are never gated — delaying a
+    /// flush turns directly into writer stalls.
     pub compaction_limiter: Option<Arc<crate::CompactionLimiter>>,
     /// Replication tap: observes every committed WAL record after its
     /// append (and sync, when `sync_writes`) succeeded, receiving the

@@ -319,21 +319,6 @@ impl VersionSet {
         live
     }
 
-    /// Largest compaction score across levels (≥ 1.0 means work to do).
-    pub fn max_score(&self, policy: &CompactionPolicy) -> f64 {
-        (0..NUM_LEVELS - 1)
-            .map(|l| {
-                compaction_score(
-                    &self.current,
-                    l,
-                    policy.l0_trigger,
-                    policy.base_level_bytes,
-                    policy.level_multiplier,
-                )
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Picks the next compaction, if any level is over budget.
     pub fn pick_compaction(&self, policy: &CompactionPolicy) -> Option<CompactionPick> {
         let mut best_level = None;
@@ -565,7 +550,16 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        assert_eq!(vs.max_score(&policy), 1.5);
+        let score = |level| {
+            compaction_score(
+                &vs.current(),
+                level,
+                policy.l0_trigger,
+                policy.base_level_bytes,
+                policy.level_multiplier,
+            )
+        };
+        assert_eq!((score(0), score(1)), (1.0, 1.5));
         match vs.pick_compaction(&policy).unwrap() {
             CompactionPick::TrivialMove { level, .. } | CompactionPick::Merge { level, .. } => {
                 assert_eq!(level, 1)

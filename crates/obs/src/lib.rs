@@ -29,7 +29,7 @@
 //!    [`Registry`]: the executor trait's `register_metrics` hook is how
 //!    the adaptive executor exports its `pcp_sched_executor_choice_total`
 //!    counters and the sharded engine exports the rest of the
-//!    `pcp_sched_*` scheduler family (see `OBSERVABILITY.md` §2.1).
+//!    `pcp_sched_*` scheduler family (see `OBSERVABILITY.md` §2.2).
 //!
 //! [`pcp_lsm::Metrics`]: https://docs.rs/pcp-lsm
 //! [`CompactionProfile`]: https://docs.rs/pcp-core

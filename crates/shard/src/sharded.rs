@@ -349,10 +349,10 @@ impl ShardedDb {
     /// labelled `shard="<index>"`, plus the shared compaction-limiter
     /// gauges (`pcp_engine_compaction_permits`,
     /// `pcp_engine_compactions_in_use`, `pcp_engine_compactions_peak`),
-    /// the cross-shard scheduler series (`pcp_sched_*` — token budget,
-    /// per-shard grants and debt, steal count; see
-    /// `OBSERVABILITY.md` §scheduler), and the shared executor's own
-    /// series (occupancy gauges and, for the adaptive executor, the
+    /// the cross-shard scheduler's token budget and tokens in use
+    /// (`pcp_sched_stage_tokens`, `pcp_sched_tokens_in_use`; see
+    /// `OBSERVABILITY.md` §2.2), and the shared executor's own series
+    /// (occupancy gauges and, for the adaptive executor, the
     /// `pcp_sched_executor_choice_total` counter). Scrapes read live
     /// atomics or take the scheduler's short state lock — registration is
     /// one-time, snapshotting never blocks compactions for long.
@@ -361,7 +361,7 @@ impl ShardedDb {
             db.register_metrics(registry, &[("shard", &i.to_string())]);
         }
         type Getter = fn(&CompactionLimiter) -> usize;
-        let gauges: [(&str, &str, Getter); 3] = [
+        let gauges: [(&str, &str, Getter); 5] = [
             (
                 "pcp_engine_compaction_permits",
                 "size of the shared compaction admission pool",
@@ -377,54 +377,20 @@ impl ShardedDb {
                 "high-water mark of simultaneously held permits",
                 |l| l.peak(),
             ),
+            (
+                "pcp_sched_stage_tokens",
+                "total stage-worker token budget shared by all shards",
+                |l| l.stage_tokens(),
+            ),
+            (
+                "pcp_sched_tokens_in_use",
+                "stage-worker tokens currently granted across all shards",
+                |l| l.tokens_out(),
+            ),
         ];
         for (name, help, get) in gauges {
             let limiter = Arc::clone(&self.limiter);
             registry.register_fn_gauge(name, help, Vec::new(), move || get(&limiter) as f64);
-        }
-
-        // Scheduler-level series: the global budgets plus one series per
-        // shard keyed off the slot that shard registered at open.
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_stage_tokens",
-            "total stage-worker token budget shared by all shards",
-            Vec::new(),
-            move || limiter.stage_tokens() as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_gauge(
-            "pcp_sched_tokens_in_use",
-            "stage-worker tokens currently granted across all shards",
-            Vec::new(),
-            move || limiter.tokens_out() as f64,
-        );
-        let limiter = Arc::clone(&self.limiter);
-        registry.register_fn_counter(
-            "pcp_sched_steals_total",
-            "grants that exceeded the fair per-shard share (a hot shard borrowing width)",
-            Vec::new(),
-            move || limiter.steals(),
-        );
-        for (i, db) in self.shards.iter().enumerate() {
-            let Some(slot) = db.scheduler_slot() else {
-                continue;
-            };
-            let shard_label = vec![("shard".to_string(), i.to_string())];
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_tokens_granted",
-                "stage-worker tokens currently granted to this shard",
-                shard_label.clone(),
-                move || limiter.granted_tokens(slot) as f64,
-            );
-            let limiter = Arc::clone(&self.limiter);
-            registry.register_fn_gauge(
-                "pcp_sched_debt",
-                "this shard's published compaction debt (max level score)",
-                shard_label,
-                move || limiter.debt(slot),
-            );
         }
 
         // Every shard shares one executor Arc (the base options are cloned
