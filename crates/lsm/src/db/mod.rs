@@ -287,8 +287,7 @@ impl Db {
         if tail_corruptions > 0 {
             // A crash tore the tail of one or more logs; replay stopped at
             // the committed prefix (the durability contract), but the event
-            // must be visible outside the process — a replica promoting over
-            // a torn tail shows up here.
+            // must be visible outside the process.
             inner
                 .metrics
                 .wal_tail_corruptions
@@ -299,11 +298,6 @@ impl Db {
         }
         let plan = inner.state.lock().gc_plan();
         inner.delete_obsolete_files(&plan);
-        if let Some(tap) = &inner.opts.wal_tap {
-            // Seed the tap's replication horizon before the first write can
-            // race it.
-            tap.attach(max_seq + 1);
-        }
 
         // Built first so a failed second spawn drops it and joins the first.
         let mut db = Db {
@@ -440,96 +434,6 @@ impl Db {
             }
         }
         Ok(())
-    }
-
-    /// The sequence number of the most recent committed write — the
-    /// replication offset a replica of this database must reach to be
-    /// caught up.
-    pub fn last_sequence(&self) -> SequenceNumber {
-        self.inner.state.lock().versions.last_sequence()
-    }
-
-    /// Applies one replicated WAL record — the replica half of the
-    /// [`crate::WalTap`] contract.
-    ///
-    /// `record` must be the exact payload a primary's tap observed (a
-    /// `WriteBatch` encoding carrying its own base sequence). The record
-    /// is appended to this database's *own* WAL first — so a replica
-    /// restart replays it with the original sequence numbers — then
-    /// published through the same `Memtable::insert_batch` path the write
-    /// path uses.
-    ///
-    /// Sequence contiguity is enforced: a record entirely at or below the
-    /// applied horizon is a duplicate (idempotent resend after a
-    /// reconnect) and is skipped with `Ok`; a record starting anywhere
-    /// but exactly one past the horizon is rejected with
-    /// `InvalidData` **before** any side effect, so an out-of-order or
-    /// gapped stream can never tear the replica's state.
-    ///
-    /// Returns the new last applied sequence.
-    #[expect(
-        clippy::expect_used,
-        reason = "it waits until `st.wal` is resident and takes it under the same state-lock hold"
-    )]
-    pub fn apply_replicated(&self, record: &[u8]) -> io::Result<SequenceNumber> {
-        let (first_seq, batch) = WriteBatch::decode(record)?;
-        if batch.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "replicated record carries no entries",
-            ));
-        }
-        let inner = &*self.inner;
-        let mut st = inner.state.lock();
-        inner.check_bg_error(&st)?;
-        let applied = st.versions.last_sequence();
-        let batch_last = first_seq + batch.len() as u64 - 1;
-        if batch_last <= applied {
-            return Ok(applied); // duplicate resend — already applied
-        }
-        if first_seq != applied + 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "out-of-sequence replicated record: starts at {first_seq}, \
-                     applied horizon is {applied}"
-                ),
-            ));
-        }
-        inner.make_room_for_write(&mut st)?;
-        // Admission and rotation can release the lock; a concurrent group
-        // leader may also hold the WAL inside its I/O window. Wait for the
-        // WAL to be resident and re-check the horizon under the re-acquired
-        // lock before touching anything.
-        while st.wal.is_none() {
-            inner.writers_cv.wait(&mut st);
-        }
-        let applied = st.versions.last_sequence();
-        if batch_last <= applied {
-            return Ok(applied);
-        }
-        if first_seq != applied + 1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "out-of-sequence replicated record: starts at {first_seq}, \
-                     applied horizon is {applied}"
-                ),
-            ));
-        }
-        let wal = st.wal.as_mut().expect("wal open");
-        if let Err(e) = inner.log_record(wal, record) {
-            inner.latch_wal_failure(&mut st, &e);
-            return Err(e);
-        }
-        let next = st.mem.insert_batch(first_seq, batch.entry_refs());
-        debug_assert_eq!(next - 1, batch_last);
-        st.versions.set_last_sequence(next - 1);
-        inner
-            .metrics
-            .puts
-            .fetch_add(batch.len() as u64, AtomicOrdering::Relaxed);
-        Ok(next - 1)
     }
 
     /// Reports whether background maintenance is healthy or a background

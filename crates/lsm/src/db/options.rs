@@ -54,12 +54,6 @@ pub struct Options {
     /// ungated and an unlimited grant. Flushes are never gated — delaying a
     /// flush turns directly into writer stalls.
     pub compaction_limiter: Option<Arc<crate::CompactionLimiter>>,
-    /// Replication tap: observes every committed WAL record after its
-    /// append (and sync, when `sync_writes`) succeeded, receiving the
-    /// exact record bytes plus its sequence span (see [`crate::WalTap`]). The
-    /// tap must not fail the write — the record is already locally
-    /// durable when it fires. `None` disables the tap entirely.
-    pub wal_tap: Option<Arc<dyn crate::WalTap>>,
 }
 
 impl Default for Options {
@@ -78,7 +72,6 @@ impl Default for Options {
             executor: Arc::new(pcp_core::PipelinedExec::default()),
             dir: None,
             compaction_limiter: None,
-            wal_tap: None,
         }
     }
 }

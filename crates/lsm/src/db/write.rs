@@ -149,17 +149,7 @@ impl DbInner {
         // arrivals see this leader's ticket still at the queue front and
         // block; no second leader can enter the WAL.
         let mut wal = st.wal.take().expect("wal open");
-        let wal_result = MutexGuard::unlocked(st, || {
-            self.log_record(&mut wal, &record).inspect(|()| {
-                // Replication tap, still inside the I/O window: the record
-                // is durable here, and windows serialize (the next leader
-                // waits for `st.wal` to return), so taps observe records in
-                // sequence order without holding the state lock.
-                if let Some(tap) = &self.opts.wal_tap {
-                    tap.on_record(first_seq, first_seq + count - 1, &record);
-                }
-            })
-        });
+        let wal_result = MutexGuard::unlocked(st, || self.log_record(&mut wal, &record));
         st.wal = Some(wal);
 
         if let Err(e) = wal_result {
@@ -186,11 +176,10 @@ impl DbInner {
         Ok(())
     }
 
-    /// The WAL step of every commit (a group leader's I/O window, a
-    /// replica's [`Db::apply_replicated`]): append `record`, then sync it
-    /// when `sync_writes`, retrying transient failures; a completed sync
-    /// is counted.
-    pub(super) fn log_record(&self, wal: &mut WalWriter, record: &[u8]) -> io::Result<()> {
+    /// The WAL step of a group leader's I/O window: append `record`, then
+    /// sync it when `sync_writes`, retrying transient failures; a completed
+    /// sync is counted.
+    fn log_record(&self, wal: &mut WalWriter, record: &[u8]) -> io::Result<()> {
         pcp_storage::with_retry(&RETRY, || wal.add_record(record))?;
         if self.opts.sync_writes {
             pcp_storage::with_retry(&RETRY, || wal.sync())?;

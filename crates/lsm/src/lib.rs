@@ -55,4 +55,4 @@ pub use memtable::{Memtable, MemtableIter};
 pub use repair::{repair, RepairReport};
 pub use version::{FileMetadata, Version, NUM_LEVELS};
 pub use version_set::{CompactionPick, CompactionPolicy, VersionSet};
-pub use wal::{WalReader, WalTap, WalWriter};
+pub use wal::{WalReader, WalWriter};

@@ -14,32 +14,6 @@ use std::sync::Arc;
 
 const HEADER: usize = 8;
 
-/// Observer for committed WAL records — the replication hook.
-///
-/// The group-commit leader calls [`WalTap::on_record`] after a record's
-/// append+sync succeeded and before the batch is published to the memtable,
-/// handing over the exact payload bytes that went to the log. A tap must
-/// never fail the write: the record is already durable locally, so a tap
-/// that cannot forward it (queue full, peer down) degrades internally and
-/// reports through its own metrics.
-///
-/// Calls are serialized: group commit runs one I/O window at a time and the
-/// serialized fallback path holds the state lock, so `on_record` observes
-/// records in strictly increasing sequence order.
-pub trait WalTap: Send + Sync {
-    /// Called once at the end of `Db::open` with the sequence the next
-    /// record will start at, letting the tap seed its replication horizon
-    /// before any write happens.
-    fn attach(&self, next_seq: u64) {
-        let _ = next_seq;
-    }
-
-    /// One committed record: `payload` is the exact WAL record body
-    /// (a `WriteBatch` encoding starting at `first_seq`, ending at
-    /// `last_seq`).
-    fn on_record(&self, first_seq: u64, last_seq: u64, payload: &[u8]);
-}
-
 /// Appends length-prefixed, checksummed records to a log file.
 pub struct WalWriter {
     file: Box<dyn WritableFile>,

@@ -58,7 +58,11 @@ fn single_writer_many_readers_visibility_and_order() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut max_seen = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                // Scan until stopped, and once more after: a scanner first
+                // scheduled when the writer is already done still checks
+                // the whole table.
+                loop {
+                    let stopped = stop.load(Ordering::Acquire);
                     let mut iter = mt.iter();
                     iter.seek_to_first();
                     let mut previous: Option<Vec<u8>> = None;
@@ -88,6 +92,9 @@ fn single_writer_many_readers_visibility_and_order() {
                     // Monotonic growth: a later scan never sees fewer keys.
                     assert!(count >= max_seen, "scan shrank: {count} < {max_seen}");
                     max_seen = count;
+                    if stopped {
+                        break;
+                    }
                 }
                 max_seen
             })
@@ -106,7 +113,8 @@ fn single_writer_many_readers_visibility_and_order() {
         }
     }
     writer.join().expect("writer panicked");
-    stop.store(true, Ordering::Relaxed);
+    // Release: a scan that reads the flag sees every insert.
+    stop.store(true, Ordering::Release);
     for scanner in scanners {
         let seen = scanner.join().expect("scanner panicked");
         assert!(seen > 0, "scanner never observed a populated memtable");

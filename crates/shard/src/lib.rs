@@ -23,16 +23,8 @@
 //!   registry, served by the event-driven [`reactor`] (epoll
 //!   readiness loop, fixed worker pool, request pipelining, bounded
 //!   output queues with read backpressure) — plus the blocking
-//!   [`KvClient`] (which reconnects with backoff on transient connection
-//!   loss) and its pipelined `send`/`recv` window for many in-flight ops
-//!   per connection,
-//! * primary→replica replication: a [`ReplSource`] taps every shard's
-//!   consolidated group-commit WAL records (via [`pcp_lsm::WalTap`]) into
-//!   bounded outbound queues, REPL_SUBSCRIBE streams them with lockstep
-//!   acknowledgements, and a [`ReplicaServer`] applies them on a
-//!   read-only replica that can be promoted to primary — crash-correct
-//!   failover, exercised under seeded `FaultEnv` kills (see `DESIGN.md`
-//!   §13 "Replication & failover").
+//!   [`KvClient`] and its pipelined `send`/`recv` window for many
+//!   in-flight ops per connection.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -40,17 +32,13 @@
 pub mod client;
 pub mod proto;
 pub mod reactor;
-pub mod replica;
 pub mod router;
 pub mod server;
 pub mod sharded;
-pub mod ship;
 
 pub use client::KvClient;
-pub use proto::{BatchItem, Request, Response, Role, ServiceStats};
+pub use proto::{BatchItem, Request, Response, ServiceStats};
 pub use reactor::{FrameDecoder, ReactorConfig};
-pub use replica::ReplicaServer;
 pub use router::{HashRouter, RangeRouter, Router};
-pub use server::{KvServer, ServerOptions};
+pub use server::KvServer;
 pub use sharded::{ShardSnapshot, ShardedDb, ShardedHealth, ShardedIter};
-pub use ship::{ReplConfig, ReplSource};

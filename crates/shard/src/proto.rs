@@ -15,18 +15,8 @@
 //! message: an opcode byte followed by varint-length-prefixed fields
 //! ([`pcp_codec::put_u64`]).
 //!
-//! Requests: GET, PUT, DELETE, BATCH, SCAN, STATS, METRICS, plus the
-//! replication control plane: REPL_SUBSCRIBE, REPL_ACK, PROMOTE, ROLE.
-//! Responses: OK, VALUE, NOT_FOUND, ENTRIES, STATS, ERR, METRICS_TEXT,
-//! REPL_RECORD, REPL_END, ROLE_INFO.
-//!
-//! A REPL_SUBSCRIBE turns its connection into a record stream: the server
-//! sends REPL_RECORD frames (each carrying one consolidated group-commit
-//! WAL record plus its base sequence and payload CRC-32C) and waits for the
-//! subscriber's REPL_ACK before sending the next — a lockstep window of
-//! one, which makes the acknowledged replication offset exact. REPL_END
-//! closes the stream cleanly (server shutdown), distinguishing a drained
-//! subscriber from a dropped socket.
+//! Requests: GET, PUT, DELETE, BATCH, SCAN, STATS, METRICS.
+//! Responses: OK, VALUE, NOT_FOUND, ENTRIES, STATS, ERR, METRICS_TEXT.
 
 use std::io::{self, Read, Write};
 
@@ -61,13 +51,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Blocking frame read. Returns `Ok(None)` on clean EOF at a frame
 /// boundary; EOF inside a frame, a bad checksum, or an oversized length
-/// prefix are errors.
+/// prefix are errors. An interrupted read is retried, as `read_exact`
+/// retries it for the rest of the frame.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf[..1])? {
-        0 => return Ok(None),
-        1 => {}
-        _ => unreachable!(),
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -83,8 +77,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Extracts one complete frame from the front of `buf` if present,
-/// draining the consumed bytes — the incremental-read path for servers
-/// polling sockets with a timeout.
+/// draining the consumed bytes — the incremental-read path of the
+/// reactor's [`crate::FrameDecoder`].
 pub fn take_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
     if buf.len() < 4 {
         return Ok(None);
@@ -145,6 +139,9 @@ fn take_u8(input: &mut &[u8]) -> io::Result<u8> {
 
 // -- messages --------------------------------------------------------------
 
+/// Opcodes. `0x08`–`0x0b` and `0x87`–`0x89` are retired: they carried a
+/// replication protocol that is gone. Both decoders refuse them, and no new
+/// message may take them.
 mod op {
     pub const GET: u8 = 0x01;
     pub const PUT: u8 = 0x02;
@@ -153,10 +150,6 @@ mod op {
     pub const SCAN: u8 = 0x05;
     pub const STATS: u8 = 0x06;
     pub const METRICS: u8 = 0x07;
-    pub const REPL_SUBSCRIBE: u8 = 0x08;
-    pub const PROMOTE: u8 = 0x09;
-    pub const ROLE: u8 = 0x0a;
-    pub const REPL_ACK: u8 = 0x0b;
 
     pub const OK: u8 = 0x80;
     pub const VALUE: u8 = 0x81;
@@ -165,38 +158,9 @@ mod op {
     pub const STATS_REPLY: u8 = 0x84;
     pub const ERR: u8 = 0x85;
     pub const METRICS_TEXT: u8 = 0x86;
-    pub const REPL_RECORD: u8 = 0x87;
-    pub const REPL_END: u8 = 0x88;
-    pub const ROLE_INFO: u8 = 0x89;
 
     pub const ITEM_PUT: u8 = 0x00;
     pub const ITEM_DELETE: u8 = 0x01;
-}
-
-/// Service role, carried by [`Response::RoleInfo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Accepts writes; streams its WAL to subscribers.
-    Primary,
-    /// Applies a primary's stream; refuses writes until promoted.
-    Replica,
-}
-
-impl Role {
-    fn to_wire(self) -> u8 {
-        match self {
-            Role::Primary => 0,
-            Role::Replica => 1,
-        }
-    }
-
-    fn from_wire(b: u8) -> io::Result<Role> {
-        match b {
-            0 => Ok(Role::Primary),
-            1 => Ok(Role::Replica),
-            t => Err(bad(format!("unknown role tag {t:#04x}"))),
-        }
-    }
 }
 
 /// One operation of a BATCH request.
@@ -227,24 +191,6 @@ pub enum Request {
     /// Fetch the full metrics registry in Prometheus text exposition
     /// format (see `OBSERVABILITY.md` for the metric contract).
     Metrics,
-    /// Turn this connection into a replication stream for `shard`,
-    /// starting at `from_seq` (the subscriber's applied horizon + 1).
-    ReplSubscribe {
-        /// Shard index on the serving side.
-        shard: u64,
-        /// First sequence the subscriber still needs.
-        from_seq: u64,
-    },
-    /// Acknowledge the last [`Response::ReplRecord`]: everything up to
-    /// `applied_seq` is durable on the subscriber.
-    ReplAck {
-        /// The subscriber's new applied horizon.
-        applied_seq: u64,
-    },
-    /// Promote a replica service to primary (idempotent).
-    Promote,
-    /// Query the service's current role and per-shard applied sequences.
-    Role,
 }
 
 /// A server → client message.
@@ -264,27 +210,6 @@ pub enum Response {
     MetricsText(String),
     /// The request failed; human-readable reason.
     Err(String),
-    /// One replicated WAL record. `crc` is the unmasked CRC-32C of
-    /// `record`, re-verified on the apply path (the frame CRC already
-    /// covered it in flight; this one survives into the subscriber's
-    /// buffers).
-    ReplRecord {
-        /// Base sequence of the record (also embedded in its bytes).
-        first_seq: u64,
-        /// CRC-32C of `record`.
-        crc: u32,
-        /// The exact consolidated WAL record payload.
-        record: Vec<u8>,
-    },
-    /// Clean end of a replication stream (server shutting down).
-    ReplEnd,
-    /// ROLE result: current role plus each shard's last applied sequence.
-    RoleInfo {
-        /// Primary or replica.
-        role: Role,
-        /// Last applied sequence per shard, indexed by shard.
-        last_seqs: Vec<u64>,
-    },
 }
 
 /// Service-level and engine-level counters returned by STATS.
@@ -354,17 +279,6 @@ impl Request {
             }
             Request::Stats => out.push(op::STATS),
             Request::Metrics => out.push(op::METRICS),
-            Request::ReplSubscribe { shard, from_seq } => {
-                out.push(op::REPL_SUBSCRIBE);
-                pcp_codec::put_u64(&mut out, *shard);
-                pcp_codec::put_u64(&mut out, *from_seq);
-            }
-            Request::ReplAck { applied_seq } => {
-                out.push(op::REPL_ACK);
-                pcp_codec::put_u64(&mut out, *applied_seq);
-            }
-            Request::Promote => out.push(op::PROMOTE),
-            Request::Role => out.push(op::ROLE),
         }
         out
     }
@@ -407,16 +321,6 @@ impl Request {
             }
             op::STATS => Request::Stats,
             op::METRICS => Request::Metrics,
-            op::REPL_SUBSCRIBE => {
-                let shard = take_u64(&mut input)?;
-                let from_seq = take_u64(&mut input)?;
-                Request::ReplSubscribe { shard, from_seq }
-            }
-            op::REPL_ACK => Request::ReplAck {
-                applied_seq: take_u64(&mut input)?,
-            },
-            op::PROMOTE => Request::Promote,
-            op::ROLE => Request::Role,
             t => return Err(bad(format!("unknown request opcode {t:#04x}"))),
         };
         if !input.is_empty() {
@@ -472,25 +376,6 @@ impl Response {
             Response::Err(msg) => {
                 out.push(op::ERR);
                 put_bytes(&mut out, msg.as_bytes());
-            }
-            Response::ReplRecord {
-                first_seq,
-                crc,
-                record,
-            } => {
-                out.push(op::REPL_RECORD);
-                pcp_codec::put_u64(&mut out, *first_seq);
-                pcp_codec::put_u64(&mut out, *crc as u64);
-                put_bytes(&mut out, record);
-            }
-            Response::ReplEnd => out.push(op::REPL_END),
-            Response::RoleInfo { role, last_seqs } => {
-                out.push(op::ROLE_INFO);
-                out.push(role.to_wire());
-                pcp_codec::put_u64(&mut out, last_seqs.len() as u64);
-                for s in last_seqs {
-                    pcp_codec::put_u64(&mut out, *s);
-                }
             }
         }
         out
@@ -551,30 +436,6 @@ impl Response {
                 let msg = take_bytes(&mut input)?;
                 Response::Err(String::from_utf8_lossy(&msg).into_owned())
             }
-            op::REPL_RECORD => {
-                let first_seq = take_u64(&mut input)?;
-                let crc = take_u64(&mut input)?;
-                let crc = u32::try_from(crc).map_err(|_| bad("repl record crc out of range"))?;
-                let record = take_bytes(&mut input)?;
-                Response::ReplRecord {
-                    first_seq,
-                    crc,
-                    record,
-                }
-            }
-            op::REPL_END => Response::ReplEnd,
-            op::ROLE_INFO => {
-                let role = Role::from_wire(take_u8(&mut input)?)?;
-                let n = take_u64(&mut input)?;
-                if n > 1 << 20 {
-                    return Err(bad("absurd shard count in role info"));
-                }
-                let mut last_seqs = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    last_seqs.push(take_u64(&mut input)?);
-                }
-                Response::RoleInfo { role, last_seqs }
-            }
             t => return Err(bad(format!("unknown response opcode {t:#04x}"))),
         };
         if !input.is_empty() {
@@ -613,15 +474,6 @@ mod tests {
         });
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Metrics);
-        roundtrip_request(Request::ReplSubscribe {
-            shard: 3,
-            from_seq: 1_000_001,
-        });
-        roundtrip_request(Request::ReplAck {
-            applied_seq: u64::MAX,
-        });
-        roundtrip_request(Request::Promote);
-        roundtrip_request(Request::Role);
     }
 
     #[test]
@@ -653,20 +505,6 @@ mod tests {
                     .into(),
             ),
             Response::Err("shard 2 wedged".into()),
-            Response::ReplRecord {
-                first_seq: 42,
-                crc: pcp_codec::crc32c(b"record-bytes"),
-                record: b"record-bytes".to_vec(),
-            },
-            Response::ReplEnd,
-            Response::RoleInfo {
-                role: Role::Replica,
-                last_seqs: vec![10, 0, 73],
-            },
-            Response::RoleInfo {
-                role: Role::Primary,
-                last_seqs: Vec::new(),
-            },
         ] {
             let payload = resp.encode();
             assert_eq!(Response::decode(&payload).unwrap(), resp);
@@ -694,6 +532,34 @@ mod tests {
         let frame = encode_frame(b"payload");
         let cut = &frame[..frame.len() - 2];
         assert!(read_frame(&mut io::Cursor::new(cut.to_vec())).is_err());
+    }
+
+    /// Fails its first `read` with `Interrupted` (a signal landed), then
+    /// reads from `inner`.
+    struct InterruptedOnce {
+        interrupted: bool,
+        inner: io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for InterruptedOnce {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn interrupted_first_read_is_retried() {
+        let payload = Request::Get(b"k".to_vec()).encode();
+        let mut r = InterruptedOnce {
+            interrupted: false,
+            inner: io::Cursor::new(encode_frame(&payload)),
+        };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]
@@ -741,5 +607,24 @@ mod tests {
         let mut p = Request::Get(b"k".to_vec()).encode();
         p.push(0);
         assert!(Request::decode(&p).is_err());
+        // Retired opcodes, bare and with the varint fields they once took.
+        for opcode in 0x08..=0x0b {
+            assert!(Request::decode(&[opcode]).is_err(), "{opcode:#04x}");
+            assert!(
+                Request::decode(&[opcode, 0x01, 0x02]).is_err(),
+                "{opcode:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_response_opcodes_are_rejected() {
+        for opcode in 0x87..=0x89 {
+            assert!(Response::decode(&[opcode]).is_err(), "{opcode:#04x}");
+            assert!(
+                Response::decode(&[opcode, 0x00, 0x00]).is_err(),
+                "{opcode:#04x}"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! A connection moves through three states:
 //!
 //! ```text
-//! Open ──(server shutdown / peer EOF / REPL_SUBSCRIBE)──▶ Draining ──▶ Closed
+//! Open ──(server shutdown / peer EOF)──▶ Draining ──▶ Closed
 //! ```
 //!
 //! * **Open** — reading requests, dispatching to workers, flushing
@@ -53,12 +53,6 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// A decoder that starts with `buf` already received — used when a
-    /// connection is handed between serving modes mid-stream.
-    pub fn with_buffered(buf: Vec<u8>) -> FrameDecoder {
-        FrameDecoder { buf }
-    }
-
     /// Appends freshly read bytes.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -74,12 +68,6 @@ impl FrameDecoder {
     /// Bytes buffered but not yet consumed by a complete frame.
     pub fn buffered(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Consumes the decoder, returning the unparsed tail — the bytes a
-    /// successor (e.g. the replication subscriber loop) must start from.
-    pub fn into_buffered(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -125,9 +113,6 @@ pub struct Conn {
     pub registered_interest: (bool, bool),
     /// Reading is paused by backpressure (distinct from Draining).
     pub paused: bool,
-    /// Parsed a REPL_SUBSCRIBE: hand the socket to a dedicated subscriber
-    /// thread once fully drained.
-    pub handoff: Option<(u64, u64)>,
 }
 
 impl Conn {
@@ -147,7 +132,6 @@ impl Conn {
             peer_eof: false,
             registered_interest: (true, false),
             paused: false,
-            handoff: None,
         }
     }
 
@@ -210,14 +194,11 @@ impl Conn {
 
     /// The interest this connection wants right now.
     ///
-    /// * read — only while [`ConnState::Open`], not paused, peer not gone,
-    ///   and no pending mode handoff;
+    /// * read — only while [`ConnState::Open`], not paused, and peer not
+    ///   gone;
     /// * write — whenever output is queued.
     pub fn desired_interest(&self, over_budget: bool) -> (bool, bool) {
-        let read = self.state == ConnState::Open
-            && !self.peer_eof
-            && !over_budget
-            && self.handoff.is_none();
+        let read = self.state == ConnState::Open && !self.peer_eof && !over_budget;
         let write = self.out_bytes() > 0;
         (read, write)
     }

@@ -31,11 +31,6 @@
 //! * **Graceful shutdown**: frames already received are still served,
 //!   in-flight ops finish, queued responses flush, then sockets close —
 //!   no accepted request is dropped.
-//!
-//! Replication subscriptions (`REPL_SUBSCRIBE`) are long-lived push
-//! streams with their own lockstep pacing; the reactor hands those
-//! sockets to dedicated threads (`crate::server::serve_subscriber`'s
-//! blocking loop) once the connection's pipelined window drains.
 
 #![allow(
     clippy::disallowed_methods,
@@ -353,7 +348,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.state != ConnState::Open || conn.handoff.is_some() {
+            if conn.state != ConnState::Open {
                 return;
             }
             use std::io::Read;
@@ -389,9 +384,6 @@ impl Reactor {
                         }
                         return;
                     }
-                    if self.conns.get(&token).is_some_and(|c| c.handoff.is_some()) {
-                        return;
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -413,9 +405,6 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 break false;
             };
-            if conn.handoff.is_some() {
-                break true;
-            }
             let payload = match conn.decoder.next_frame() {
                 Ok(Some(payload)) => payload,
                 Ok(None) => break true,
@@ -429,12 +418,6 @@ impl Reactor {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             match Request::decode(&payload) {
-                Ok(Request::ReplSubscribe { shard, from_seq }) => {
-                    // Do not consume the seq for ordering purposes: the
-                    // subscription takes over once earlier ops drain.
-                    conn.next_seq -= 1;
-                    conn.handoff = Some((shard, from_seq));
-                }
                 Ok(req) => {
                     conn.in_flight += 1;
                     self.counters
@@ -533,8 +516,8 @@ impl Reactor {
     }
 
     /// Updates poller interest to match each connection's desires, applies
-    /// backpressure accounting, performs subscriber handoffs, and reaps
-    /// drained/deadline-expired connections.
+    /// backpressure accounting, and reaps drained/deadline-expired
+    /// connections.
     fn sweep(&mut self) {
         let deadline_passed = self
             .drain_started
@@ -548,7 +531,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.state == ConnState::Open && conn.handoff.is_none() {
+            if conn.state == ConnState::Open {
                 if over && !conn.paused {
                     conn.paused = true;
                     self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
@@ -556,14 +539,7 @@ impl Reactor {
                     conn.paused = false;
                 }
             }
-            let drained = conn.drained();
-            // Subscriber handoff: once the pipelined window is empty the
-            // socket leaves the reactor for a dedicated push-stream thread.
-            if conn.handoff.is_some() && drained {
-                self.handoff_subscriber(token);
-                continue;
-            }
-            if (conn.state == ConnState::Draining || conn.peer_eof) && drained {
+            if (conn.state == ConnState::Draining || conn.peer_eof) && conn.drained() {
                 self.close_conn(token);
                 continue;
             }
@@ -592,44 +568,6 @@ impl Reactor {
                     conn.registered_interest = desired;
                 }
             }
-        }
-    }
-
-    fn handoff_subscriber(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else {
-            return;
-        };
-        self.counters.connections.fetch_sub(1, Ordering::SeqCst);
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        let Some((shard, from_seq)) = conn.handoff else {
-            self.shared.connection_closed();
-            return;
-        };
-        let stream = conn.stream;
-        let buffered = conn.decoder.into_buffered();
-        // Back to blocking mode with the poll-interval read timeout the
-        // subscriber loop expects (it polls the shutdown flag between
-        // reads).
-        if stream.set_nonblocking(false).is_err()
-            || stream
-                .set_read_timeout(Some(crate::server::POLL_INTERVAL))
-                .is_err()
-        {
-            self.shared.connection_closed();
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name("pcp-kv-subscriber".into())
-            .spawn(move || {
-                let _ = crate::server::serve_subscriber(
-                    stream, &shared, buffered, shard, from_seq,
-                );
-                shared.connection_closed();
-            });
-        match spawned {
-            Ok(handle) => self.shared.track_thread(handle),
-            Err(_) => self.shared.connection_closed(),
         }
     }
 

@@ -116,21 +116,6 @@ impl ShardedDb {
         base: Options,
         router: Arc<dyn Router>,
     ) -> io::Result<ShardedDb> {
-        Self::open_with_envs_configured(envs, base, router, |_, _| {})
-    }
-
-    /// [`ShardedDb::open_with_envs`] with a per-shard options hook:
-    /// `configure(i, &mut opts)` runs on shard `i`'s cloned options before
-    /// its database opens. This is how a replicated engine installs one
-    /// [`pcp_lsm::WalTap`] per shard (the base options are cloned for
-    /// every shard, so a tap set there would be shared — wrong for
-    /// per-shard sequence streams).
-    pub fn open_with_envs_configured(
-        envs: Vec<EnvRef>,
-        base: Options,
-        router: Arc<dyn Router>,
-        mut configure: impl FnMut(usize, &mut Options),
-    ) -> io::Result<ShardedDb> {
         let n = router.shards();
         if n == 0 || envs.len() != n {
             return Err(io::Error::new(
@@ -153,7 +138,6 @@ impl ShardedDb {
                 if opts.dir.is_some() {
                     opts = opts.in_subdir(format!("shard-{i:03}"));
                 }
-                configure(i, &mut opts);
                 Db::open(env, opts)
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -185,12 +169,6 @@ impl ShardedDb {
     /// Direct access to one shard's database (diagnostics and tests).
     pub fn shard(&self, i: usize) -> &Db {
         &self.shards[i]
-    }
-
-    /// Last committed sequence per shard — the per-shard replication
-    /// offsets a replica must reach to be caught up.
-    pub fn last_sequences(&self) -> Vec<u64> {
-        self.shards.iter().map(|db| db.last_sequence()).collect()
     }
 
     // -- write path -------------------------------------------------------

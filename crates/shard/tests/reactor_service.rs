@@ -1,7 +1,7 @@
 //! End-to-end tests for the reactor front end and the pipelined client:
 //! the wire transcript of a pipelined op script against an in-process
 //! model, server-side ERR inside a pipelined window, graceful-shutdown
-//! drain, backpressure, and the poll(2)/level-triggered fallbacks.
+//! drain, backpressure, metrics, and malformed or corrupt frames.
 
 #![allow(
     clippy::disallowed_methods,
@@ -12,10 +12,9 @@
 use pcp_lsm::{CompactionPolicy, Options, WriteBatch};
 use pcp_shard::proto::{read_frame, write_frame};
 use pcp_shard::{
-    BatchItem, HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, Role, ShardedDb,
+    BatchItem, HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, ShardedDb,
 };
-use pcp_shard::server::ServerOptions;
-use pcp_storage::{EnvRef, SimDevice, SimEnv};
+use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,15 +37,7 @@ fn sharded(n: usize) -> Arc<ShardedDb> {
 }
 
 fn start(db: Arc<ShardedDb>, reactor: ReactorConfig) -> KvServer {
-    KvServer::start_with(
-        db,
-        "127.0.0.1:0",
-        ServerOptions {
-            reactor,
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap()
+    KvServer::start_with(db, "127.0.0.1:0", reactor).unwrap()
 }
 
 /// A deterministic mixed op script: puts, gets (hits and misses),
@@ -143,42 +134,51 @@ fn pipelined_transcript_matches_in_process_model() {
 
 /// A server-side ERR inside the pipelined window surfaces as a value
 /// with the right token; the window keeps draining and the connection
-/// stays usable (no latch, no poisoning).
+/// stays usable. The ERR is a SCAN over a shard whose table reads fault.
 #[test]
 fn pipelined_err_keeps_window_usable() {
-    let db = sharded(2);
-    let mut server = KvServer::start_with(
-        Arc::clone(&db),
-        "127.0.0.1:0",
-        ServerOptions {
-            role: Some(Role::Replica),
-            ..ServerOptions::default()
-        },
-    )
-    .unwrap();
+    let mem = || Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20)))) as EnvRef;
+    let fault = FaultEnv::new(mem(), 1);
+    let envs = vec![Arc::new(fault.clone()) as EnvRef, mem()];
+    let router = Arc::new(HashRouter::new(2));
+    let db = Arc::new(ShardedDb::open_with_envs(envs, Options::default(), router).unwrap());
+    let key = |i: u32| format!("user{i:05}").into_bytes();
+    for i in 0..200 {
+        db.put(&key(i), b"value").unwrap();
+    }
+    db.flush().unwrap();
+    // A key of shard 1, whose env never faults.
+    let healthy = (0..200).map(key).find(|k| db.shard_of(k) == 1).unwrap();
+    fault
+        .set_probability(FaultOp::ReadAt, 1.0)
+        .set_probabilistic_kind(FaultKind::Permanent)
+        .set_file_filter(".sst");
+    let mut server = start(Arc::clone(&db), ReactorConfig::default());
 
     let mut client = KvClient::connect(server.local_addr()).unwrap();
-    let t_get1 = client.send(&Request::Get(b"x".to_vec())).unwrap();
-    // Writes are rejected on a replica: this lands mid-window.
-    let t_put = client.send(&Request::Put(b"x".to_vec(), b"1".to_vec())).unwrap();
-    let t_get2 = client.send(&Request::Get(b"x".to_vec())).unwrap();
+    let t_get1 = client.send(&Request::Get(healthy.clone())).unwrap();
+    // The scan must read shard 0's tables: it fails mid-window.
+    let scan = Request::Scan {
+        start: Vec::new(),
+        limit: 1000,
+    };
+    let t_scan = client.send(&scan).unwrap();
+    let t_get2 = client.send(&Request::Get(healthy.clone())).unwrap();
 
+    let value = Response::Value(b"value".to_vec());
     let (t1, r1) = client.recv().unwrap();
-    assert_eq!(t1, t_get1);
-    assert!(matches!(r1, Response::NotFound));
+    assert_eq!((t1, r1), (t_get1, value.clone()));
     let (t2, r2) = client.recv().unwrap();
-    assert_eq!(t2, t_put, "ERR must carry the erring request's token");
+    assert_eq!(t2, t_scan, "ERR must carry the erring request's token");
     match r2 {
-        Response::Err(msg) => assert!(msg.contains("replica"), "unexpected: {msg}"),
-        other => panic!("expected Err for write on replica, got {other:?}"),
+        Response::Err(msg) => assert!(msg.contains("injected permanent fault"), "{msg}"),
+        other => panic!("expected Err for the faulting scan, got {other:?}"),
     }
     let (t3, r3) = client.recv().unwrap();
-    assert_eq!(t3, t_get2);
-    assert!(matches!(r3, Response::NotFound));
+    assert_eq!((t3, r3), (t_get2, value));
 
-    // Not latched: the connection immediately serves new traffic.
-    assert!(client.connection_error().is_none());
-    assert_eq!(client.get(b"x").unwrap(), None);
+    // The connection immediately serves new traffic.
+    assert_eq!(client.get(&healthy).unwrap(), Some(b"value".to_vec()));
     server.shutdown();
 }
 
@@ -324,43 +324,30 @@ fn reactor_metrics_exposition() {
     server.shutdown();
 }
 
-/// REPL_SUBSCRIBE against a service without replication answers with a
-/// clean ERR frame.
-#[test]
-fn repl_subscribe_without_replication_errs() {
-    let mut server = start(sharded(2), ReactorConfig::default());
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_frame(
-        &mut stream,
-        &Request::ReplSubscribe { shard: 0, from_seq: 1 }.encode(),
-    )
-    .unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
-    match Response::decode(&payload).unwrap() {
-        Response::Err(msg) => assert!(msg.contains("replication"), "{msg}"),
-        other => panic!("expected Err, got {other:?}"),
-    }
-    drop(stream);
-    server.shutdown();
-}
-
-/// A malformed frame (valid CRC, undecodable payload) gets an ERR and
-/// the connection keeps serving; a corrupt CRC closes the connection.
+/// A malformed frame (valid CRC, undecodable payload) gets an in-order
+/// ERR and the connection keeps serving; a corrupt CRC closes the
+/// connection.
 #[test]
 fn bad_request_errs_and_corrupt_frame_closes() {
     let mut server = start(sharded(2), ReactorConfig::default());
     let addr = server.local_addr();
 
-    // Garbage payload inside a well-formed frame: ERR, then service
-    // continues on the same connection.
+    // Undecodable payloads inside well-formed frames: an unknown opcode,
+    // and a retired one (0x08 opened a replication stream once). Each gets
+    // its ERR in order, then service continues on the same connection.
     let mut stream = TcpStream::connect(addr).unwrap();
-    write_frame(&mut stream, &[0xFF, 0x00, 0x13, 0x37]).unwrap();
-    let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
-    match Response::decode(&payload).unwrap() {
-        Response::Err(msg) => assert!(msg.contains("bad request"), "{msg}"),
-        other => panic!("expected Err, got {other:?}"),
+    let garbage: [&[u8]; 2] = [&[0xFF, 0x00, 0x13, 0x37], &[0x08, 0x00, 0x01]];
+    for payload in garbage {
+        write_frame(&mut stream, payload).unwrap();
     }
     write_frame(&mut stream, &Request::Get(b"k".to_vec()).encode()).unwrap();
+    for _ in garbage {
+        let payload = read_frame(&mut stream).unwrap().expect("an ERR frame");
+        match Response::decode(&payload).unwrap() {
+            Response::Err(msg) => assert!(msg.contains("bad request"), "{msg}"),
+            other => panic!("expected Err, got {other:?}"),
+        }
+    }
     let payload = read_frame(&mut stream).unwrap().expect("a response");
     assert!(matches!(
         Response::decode(&payload).unwrap(),

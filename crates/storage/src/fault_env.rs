@@ -362,15 +362,6 @@ impl FaultEnv {
         self.shared.frozen.load(Ordering::Acquire)
     }
 
-    /// Freezes the filesystem immediately, as if a crash point had fired:
-    /// every subsequent op fails and the inner image stops changing. A
-    /// failover test uses this to kill a whole node at once — a scheduled
-    /// crash freezes only the shard whose op tripped it, while the other
-    /// shards of the same "process" must die with it.
-    pub fn freeze(&self) {
-        self.shared.frozen.store(true, Ordering::Release);
-    }
-
     /// Disarms all faults and unfreezes, keeping the inner image — useful
     /// to continue a test against the same env after a fault window.
     pub fn reset(&self) {

@@ -12,47 +12,57 @@ case "${1-}" in
     *) echo "usage: $0 [--bench-compare <rev|dir>]" >&2; exit 2 ;;
 esac
 
-echo "==> cargo build --release"
-cargo build --release
+# lane <title> <command…>: prints the title, runs the command, then its wall
+# time in seconds.
+lane() {
+    echo "==> $1"
+    shift
+    SECONDS=0
+    "$@"
+    echo "    (${SECONDS}s)"
+}
 
-echo "==> cargo build --examples --release"
-cargo build --examples --release
+vendor_declares_no_dependencies() {
+    if grep -n '^\[.*dependencies' vendor/*/Cargo.toml; then
+        echo "ci: a vendored shim declares dependencies; shims stand in for leaf crates.io packages" >&2
+        return 1
+    fi
+}
 
-echo "==> cargo test -q --workspace (every crate's unit, integration and e2e suites)"
-cargo test -q --workspace
+benchmark_untouched() {
+    local touched
+    touched=$(git status --porcelain -- BENCHMARK.json benchmark/)
+    if [ -n "$touched" ]; then
+        echo "$touched" >&2
+        echo "ci: the benchmark changed; leave it to a PR of its own" >&2
+        return 1
+    fi
+}
 
-echo "==> cargo run -p pcp-lint --release (architectural lint, L4 and L6-L8; L1-L3 are the clippy lane's)"
-cargo run -q -p pcp-lint --release
-
-echo "==> vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a pcp_* crate)"
-if grep -n '^\[.*dependencies' vendor/*/Cargo.toml; then
-    echo "ci: a vendored shim declares dependencies; shims stand in for leaf crates.io packages" >&2
-    exit 1
-fi
-
-echo "==> cargo test -q --features lock_order (runtime lock-order witness; includes tests/background_lanes.rs)"
-cargo test -q --features lock_order
-
-echo "==> cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
-echo "==> git status -- BENCHMARK.json benchmark/ (the benchmark is untouched: an engine change may not edit it, nor may building it rewrite its Cargo.lock)"
-touched=$(git status --porcelain -- BENCHMARK.json benchmark/)
-if [ -n "$touched" ]; then
-    echo "$touched" >&2
-    echo "ci: the benchmark changed; leave it to a PR of its own" >&2
-    exit 1
-fi
-
-echo "==> cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header)"
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+lane "cargo build --release" \
+    cargo build --release
+lane "cargo build --examples --release" \
+    cargo build --examples --release
+lane "cargo test -q --workspace (every crate's unit, integration and e2e suites)" \
+    cargo test -q --workspace
+lane "cargo run -p pcp-lint --release (architectural lint, L4 and L6-L8; L1-L3 are the clippy lane's)" \
+    cargo run -q -p pcp-lint --release
+lane "vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a pcp_* crate)" \
+    vendor_declares_no_dependencies
+lane "cargo test -q --features lock_order (runtime lock-order witness; includes tests/background_lanes.rs)" \
+    cargo test -q --features lock_order
+lane "cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+lane "git status -- BENCHMARK.json benchmark/ (the benchmark is untouched: an engine change may not edit it, nor may building it rewrite its Cargo.lock)" \
+    benchmark_untouched
+lane "cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header)" \
+    cargo clippy --workspace --all-targets -- -D warnings
+lane "cargo doc --no-deps (rustdoc warnings are errors)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 if [ -n "$base_rev" ]; then
-    echo "==> scripts/bench_compare.sh $base_rev (the benchmark against the base, failing outside the BENCHMARK.json bounds)"
-    ./scripts/bench_compare.sh "$base_rev"
+    lane "scripts/bench_compare.sh $base_rev (the benchmark against the base, failing outside the BENCHMARK.json bounds)" \
+        ./scripts/bench_compare.sh "$base_rev"
 else
     echo "==> not run: ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
 fi
