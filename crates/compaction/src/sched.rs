@@ -244,6 +244,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
     fn contended_acquires_never_exceed_permits() {
         let limiter = CompactionLimiter::new(3);
         let live = Arc::new(AtomicUsize::new(0));
@@ -310,6 +311,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
     fn token_budget_never_oversubscribed_under_concurrency() {
         let limiter = CompactionLimiter::with_budget(4, 6);
         let held = Arc::new(AtomicUsize::new(0));

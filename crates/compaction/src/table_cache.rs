@@ -10,7 +10,7 @@
 
 use crate::filename::table_file;
 use parking_lot::Mutex;
-use pcp_sstable::{BlockCache, Result as TableResult, ScanContext, TableMeta, TableReader};
+use pcp_sstable::{BlockCache, Result as TableResult, ScanStats, TableMeta, TableReader};
 use pcp_storage::{EnvRef, RandomReadFile};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,30 +21,25 @@ pub struct TableCache {
     env: EnvRef,
     opened: Mutex<HashMap<u64, Arc<TableReader>>>,
     block_cache: Option<Arc<BlockCache>>,
-    /// Scan-path knobs and counters shared by every reader this cache
-    /// opens, so `pcp_scan_*` metrics aggregate database-wide.
-    scan: ScanContext,
+    /// Scan-path counters shared by every reader this cache opens, so
+    /// `pcp_scan_*` metrics aggregate database-wide.
+    scan: Arc<ScanStats>,
     cold_opens: AtomicU64,
 }
 
 impl TableCache {
     /// Creates an empty cache over `env` (no block cache).
     pub fn new(env: EnvRef) -> TableCache {
-        TableCache::with_scan_context(env, None, ScanContext::default())
+        TableCache::with_block_cache(env, None)
     }
 
-    /// Creates a cache whose readers share `block_cache` and the scan-path
-    /// knobs / stats of `scan`.
-    pub fn with_scan_context(
-        env: EnvRef,
-        block_cache: Option<Arc<BlockCache>>,
-        scan: ScanContext,
-    ) -> TableCache {
+    /// Creates a cache whose readers share `block_cache`.
+    pub fn with_block_cache(env: EnvRef, block_cache: Option<Arc<BlockCache>>) -> TableCache {
         TableCache {
             env,
             opened: Mutex::new(HashMap::new()),
             block_cache,
-            scan,
+            scan: Arc::default(),
             cold_opens: AtomicU64::new(0),
         }
     }
@@ -59,8 +54,8 @@ impl TableCache {
         self.block_cache.as_ref()
     }
 
-    /// The scan context every opened reader shares.
-    pub fn scan_context(&self) -> &ScanContext {
+    /// The scan-path counters every opened reader shares.
+    pub fn scan_stats(&self) -> &Arc<ScanStats> {
         &self.scan
     }
 

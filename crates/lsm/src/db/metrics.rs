@@ -266,33 +266,26 @@ impl Db {
         {
             type ScanGetter = fn(&pcp_sstable::ScanStats) -> u64;
             let scan_counters: [(&str, &str, ScanGetter); 5] = [
-                ("pcp_scan_readahead_spans_total", "span reads issued by scan readahead workers", |s| {
+                ("pcp_scan_readahead_spans_total", "span reads issued by scan cursors", |s| {
                     s.spans()
                 }),
-                ("pcp_scan_readahead_blocks_total", "blocks decoded ahead of scan cursors", |s| {
+                ("pcp_scan_readahead_blocks_total", "blocks fetched by scan span reads", |s| {
                     s.blocks_prefetched()
                 }),
-                ("pcp_scan_readahead_hits_total", "block loads served from a prefetch window", |s| {
+                ("pcp_scan_readahead_hits_total", "block loads served from a span", |s| {
                     s.hits()
                 }),
-                ("pcp_scan_readahead_wasted_total", "prefetched blocks never consumed", |s| {
+                ("pcp_scan_readahead_wasted_total", "span blocks the cursor never reached", |s| {
                     s.wasted()
                 }),
-                ("pcp_scan_sync_blocks_total", "data blocks loaded synchronously on the caller", |s| {
+                ("pcp_scan_sync_blocks_total", "blocks loaded one read each on the caller", |s| {
                     s.sync_blocks()
                 }),
             ];
             for (name, help, get) in scan_counters {
-                let stats = Arc::clone(&self.inner.cache.scan_context().stats);
+                let stats = Arc::clone(self.inner.cache.scan_stats());
                 registry.register_fn_counter(name, help, base.clone(), move || get(&stats));
             }
-            let stats = Arc::clone(&self.inner.cache.scan_context().stats);
-            registry.register_fn_gauge(
-                "pcp_scan_window_bytes",
-                "decoded bytes currently parked in prefetch windows",
-                base.clone(),
-                move || stats.window_bytes() as f64,
-            );
         }
         if let Some(cache) = self.inner.cache.block_cache() {
             for shard in 0..cache.num_shards() {

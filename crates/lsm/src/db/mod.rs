@@ -234,11 +234,7 @@ impl Db {
         } else {
             None
         };
-        let cache = Arc::new(TableCache::with_scan_context(
-            Arc::clone(&env),
-            block_cache,
-            opts.scan_context(),
-        ));
+        let cache = Arc::new(TableCache::with_block_cache(Arc::clone(&env), block_cache));
 
         let (mem, flush_edit) = if mem.is_empty() {
             (mem, None)

@@ -1,5 +1,5 @@
-//! Engine configuration: [`Options`] and the table-builder and scan-path
-//! settings derived from it.
+//! Engine configuration: [`Options`] and the table-builder settings
+//! derived from it.
 
 use crate::compact::CompactionExec;
 use crate::version_set::CompactionPolicy;
@@ -32,11 +32,6 @@ pub struct Options {
     /// Decoded-block cache budget for the read path; 0 disables it (the
     /// paper's direct-I/O semantics — compaction always bypasses it).
     pub block_cache_bytes: usize,
-    /// Pipelined scan readahead: iterators that detect sequential access
-    /// prefetch, verify and decompress blocks on a background stage (the
-    /// paper's S1‖S3/S4 overlap applied to the read path). Random access
-    /// is unaffected.
-    pub readahead: bool,
     /// The compaction algorithm. Defaults to the adaptive shape of
     /// [`pcp_core::PipelinedExec`], which runs each compaction as PCP or
     /// C-PPCP(k) by the occupancy the previous one published; set this
@@ -68,7 +63,6 @@ impl Default for Options {
             l0_stop_files: 12,
             sync_writes: false,
             block_cache_bytes: 0,
-            readahead: true,
             executor: Arc::new(pcp_core::PipelinedExec::default()),
             dir: None,
             compaction_limiter: None,
@@ -111,12 +105,5 @@ impl Options {
             },
             bloom_bits_per_key: BLOOM_BITS_PER_KEY,
         }
-    }
-
-    /// The scan-path context [`Db::open`] hands every table reader.
-    pub(super) fn scan_context(&self) -> pcp_sstable::ScanContext {
-        let mut ctx = pcp_sstable::ScanContext::default();
-        ctx.opts.enabled = self.readahead;
-        ctx
     }
 }

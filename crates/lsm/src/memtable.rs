@@ -415,6 +415,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
     fn concurrent_readers_during_writes() {
         // One writer inserting; several readers scanning concurrently.
         // Readers must always observe a sorted prefix of the inserts.

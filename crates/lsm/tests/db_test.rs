@@ -566,6 +566,7 @@ fn blocks_of_a_retired_or_unknown_kind_are_refused_as_corruption() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn concurrent_writers_and_readers() {
     let db = Arc::new(Db::open(ram_env(), small_opts()).unwrap());
     let writers: Vec<_> = (0..4)

@@ -27,6 +27,7 @@ fn value(n: u64) -> Vec<u8> {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn single_writer_many_readers_visibility_and_order() {
     let mt = Arc::new(Memtable::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -126,6 +127,7 @@ fn single_writer_many_readers_visibility_and_order() {
 /// `get` in insertion order: a reader at a given snapshot sees exactly
 /// the latest entry at or below it.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn snapshot_reads_race_with_overwrites() {
     let mt = Arc::new(Memtable::new());
     let (done_tx, done_rx) = channel::bounded::<SequenceNumber>(1);

@@ -398,6 +398,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
     fn concurrent_recording_loses_nothing() {
         let h = std::sync::Arc::new(Histogram::new());
         let threads: Vec<_> = (0..8)

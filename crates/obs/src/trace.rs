@@ -172,6 +172,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
     fn concurrent_recording_keeps_every_seq_once() {
         let log = std::sync::Arc::new(TraceLog::new(10_000));
         let handles: Vec<_> = (0..8)

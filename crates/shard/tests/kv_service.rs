@@ -153,6 +153,7 @@ fn kv_service_end_to_end() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn kv_service_concurrent_clients() {
     let db = sharded(2);
     let mut server = KvServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();

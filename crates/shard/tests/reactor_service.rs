@@ -185,6 +185,7 @@ fn pipelined_err_keeps_window_usable() {
 /// Graceful shutdown drains: every request the server accepted gets its
 /// response flushed before the socket closes — none silently dropped.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn shutdown_flushes_accepted_pipelined_requests() {
     const N: u64 = 200;
     let db = sharded(2);

@@ -136,6 +136,7 @@ proptest! {
 /// A multi-shard `WriteBatch` is atomic with respect to snapshots: a
 /// snapshot taken at any moment sees either all of a batch or none of it.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn cross_shard_batch_never_torn_by_snapshot() {
     // Four range shards with one known key each.
     let router = Arc::new(RangeRouter::new(vec![

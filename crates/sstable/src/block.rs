@@ -172,6 +172,7 @@ impl Block {
 }
 
 /// Cursor over a [`Block`].
+#[derive(Clone)]
 pub struct BlockIter {
     block: Block,
     cmp: fn(&[u8], &[u8]) -> Ordering,

@@ -15,9 +15,8 @@
 //! * [`key`] — internal keys: user key + (sequence, type) trailer, ordered
 //!   user-key-ascending then sequence-descending.
 //! * [`block`] — block builder/reader with restart-point prefix compression.
-//! * [`readahead`] — the pipelined scan readahead stage (sequential-access
-//!   detection, bounded prefetch window, span reads off the iterator
-//!   thread).
+//! * [`readahead`] — scan readahead: once a cursor runs sequentially, it
+//!   reads its next blocks in one growing span on its own thread.
 //! * [`bloom`] — per-table bloom filter.
 //! * [`table`] — [`TableBuilder`] / [`TableReader`] with both entry-level
 //!   APIs (flush path) and raw-block APIs (compaction pipeline path).
@@ -38,12 +37,12 @@ pub mod table;
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use bloom::BloomFilter;
 pub use cache::BlockCache;
-pub use readahead::{ReadaheadOpts, ScanContext, ScanStats};
 pub use iter::{KvIter, MergingIter, VecIter};
 pub use key::{
     append_internal_key, internal_key_cmp, parse_internal_key, InternalKey, ParsedKey,
     SequenceNumber, ValueType, MAX_SEQUENCE,
 };
+pub use readahead::ScanStats;
 pub use table::{
     BlockHandle, CompressionKind, TableBuilder, TableBuilderOptions, TableIter, TableMeta,
     TableReader, TableStats,

@@ -35,7 +35,7 @@ use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
 use crate::key::{internal_key_cmp, user_key};
-use crate::readahead::{spawn_readahead, ReadaheadState, ScanContext, Take, TRIGGER_BLOCKS};
+use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS, SPAN_BLOCKS, TRIGGER_BLOCKS};
 use crate::{Result, TableError};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
@@ -96,7 +96,7 @@ impl BlockHandle {
 
     /// File offset just past the block's trailer; `None` on overflow (a
     /// corrupt handle).
-    fn stored_end(&self) -> Option<u64> {
+    pub(crate) fn stored_end(&self) -> Option<u64> {
         self.offset
             .checked_add(self.size)?
             .checked_add(BLOCK_TRAILER_SIZE as u64)
@@ -116,9 +116,10 @@ pub struct BlockMeta {
 }
 
 impl BlockMeta {
-    /// On-disk size of payload + trailer.
+    /// On-disk size of payload + trailer. Saturates on a corrupt handle,
+    /// which index decoding refuses.
     pub fn stored_size(&self) -> u64 {
-        self.handle.size + BLOCK_TRAILER_SIZE as u64
+        self.handle.size.saturating_add(BLOCK_TRAILER_SIZE as u64)
     }
 }
 
@@ -536,8 +537,8 @@ pub struct TableReader {
     stats: TableStats,
     /// Optional decoded-block cache and this table's namespace in it.
     cache: Option<(Arc<BlockCache>, u64)>,
-    /// Scan-path knobs and counters (shared database-wide by the LSM).
-    scan: ScanContext,
+    /// Scan-path counters (shared database-wide by the LSM).
+    scan: Arc<ScanStats>,
 }
 
 impl std::fmt::Debug for TableReader {
@@ -553,13 +554,13 @@ impl TableReader {
     /// [`TableBuilder::finish`] for a table just written, from
     /// [`TableMeta::read`] otherwise. Data blocks are read through `cache`
     /// when one is given (the compaction path's raw-span reads always
-    /// bypass it — direct I/O); `scan` carries the scan-path knobs and the
-    /// stats sink (the LSM passes one for the whole database).
+    /// bypass it — direct I/O); `scan` is the scan-path stats sink (the LSM
+    /// passes one for the whole database).
     pub fn new(
         file: Arc<dyn RandomReadFile>,
         meta: TableMeta,
         cache: Option<Arc<BlockCache>>,
-        scan: ScanContext,
+        scan: Arc<ScanStats>,
     ) -> TableReader {
         let TableMeta { index, bloom, stats } = meta;
         TableReader {
@@ -579,22 +580,7 @@ impl TableReader {
     /// block cache.
     pub fn open(file: Arc<dyn RandomReadFile>) -> Result<TableReader> {
         let meta = TableMeta::read(&*file)?;
-        Ok(Self::new(file, meta, None, ScanContext::default()))
-    }
-
-    /// The scan-path knobs and counters this reader reports into.
-    pub fn scan_context(&self) -> &ScanContext {
-        &self.scan
-    }
-
-    /// Step S1 on `file`: one raw block (payload ++ trailer).
-    fn read_raw(file: &dyn RandomReadFile, handle: BlockHandle) -> Result<Bytes> {
-        let len = handle.size as usize + BLOCK_TRAILER_SIZE;
-        let raw = file.read_at(handle.offset, len)?;
-        if raw.len() != len {
-            return Err(TableError::Corruption("short block read".into()));
-        }
-        Ok(raw)
+        Ok(Self::new(file, meta, None, Arc::default()))
     }
 
     /// Steps S2+S3 on one raw block: verifies the trailer and restores the
@@ -602,10 +588,6 @@ impl TableReader {
     pub(crate) fn decode_raw(raw: &[u8]) -> Result<Vec<u8>> {
         let (payload, kind) = verify_block(raw)?;
         decompress_block(payload, kind)
-    }
-
-    fn read_and_decode(file: &dyn RandomReadFile, handle: BlockHandle) -> Result<Vec<u8>> {
-        Self::decode_raw(&Self::read_raw(file, handle)?)
     }
 
     /// Table statistics from the properties block.
@@ -616,7 +598,7 @@ impl TableReader {
     /// Step S1 (READ): fetches one raw block (payload ++ trailer) without
     /// verification or decompression.
     pub fn read_raw_block(&self, handle: BlockHandle) -> Result<Bytes> {
-        Self::read_raw(&*self.file, handle)
+        self.read_raw_span_class(handle, handle, ReadClass::Foreground)
     }
 
     /// Step S1 at sub-task granularity: fetches the contiguous byte span
@@ -629,43 +611,57 @@ impl TableReader {
     }
 
     /// [`read_raw_span`](TableReader::read_raw_span) with a scheduling
-    /// class, so the readahead stage's speculative I/O is accounted
-    /// separately by the storage model.
+    /// class, so a scan's readahead is accounted separately by the storage
+    /// model.
     pub fn read_raw_span_class(
         &self,
         first: BlockHandle,
         last: BlockHandle,
         class: ReadClass,
     ) -> Result<Bytes> {
-        debug_assert!(last.offset >= first.offset);
-        let len = (last.offset + last.size + BLOCK_TRAILER_SIZE as u64 - first.offset) as usize;
-        let raw = self.file.read_at_class(first.offset, len, class)?;
-        if raw.len() != len {
-            return Err(TableError::Corruption("short span read".into()));
+        let len = last
+            .stored_end()
+            .and_then(|end| end.checked_sub(first.offset))
+            .ok_or_else(|| TableError::Corruption("block span ends before it starts".into()))?;
+        let raw = self.file.read_at_class(first.offset, len as usize, class)?;
+        if raw.len() as u64 != len {
+            return Err(TableError::Corruption("short block read".into()));
         }
         Ok(raw)
     }
 
-    /// Admits a decoded block into the attached cache, if any.
-    pub(crate) fn admit(&self, offset: u64, block: Block) {
-        if let Some((cache, id)) = &self.cache {
-            cache.insert(*id, offset, block);
-        }
+    /// The block at `handle`, if the attached block cache holds it.
+    fn cached(&self, handle: BlockHandle) -> Option<Block> {
+        let (cache, id) = self.cache.as_ref()?;
+        cache.get(*id, handle.offset)
     }
 
-    /// Loads one data block on the calling thread — the only way a point
-    /// lookup or a cursor outside a readahead window gets one: the block
-    /// cache when one is attached, else S1+S2+S3 and admission.
-    pub fn read_block(&self, handle: BlockHandle) -> Result<Block> {
+    /// Steps S2+S3 on the raw block at `handle`, then admission to the
+    /// attached block cache, if any.
+    fn decode_block(&self, handle: BlockHandle, raw: &[u8]) -> Result<Block> {
+        let block = Block::new(Bytes::from(Self::decode_raw(raw)?))?;
         if let Some((cache, id)) = &self.cache {
-            if let Some(block) = cache.get(*id, handle.offset) {
-                return Ok(block);
-            }
+            cache.insert(*id, handle.offset, block.clone());
         }
-        let block = Block::new(Bytes::from(Self::read_and_decode(&*self.file, handle)?))?;
-        self.scan.stats.add_sync_block();
-        self.admit(handle.offset, block.clone());
         Ok(block)
+    }
+
+    /// A block-cache miss outside any readahead span: S1 of the one block,
+    /// then [`decode_block`](TableReader::decode_block).
+    fn read_uncached(&self, handle: BlockHandle) -> Result<Block> {
+        let block = self.decode_block(handle, &self.read_raw_block(handle)?)?;
+        self.scan.add_sync_block();
+        Ok(block)
+    }
+
+    /// Loads one data block on the calling thread, as a point lookup does:
+    /// from the block cache when one is attached and holds it, else with one
+    /// read (S1+S2+S3 and admission).
+    pub fn read_block(&self, handle: BlockHandle) -> Result<Block> {
+        match self.cached(handle) {
+            Some(block) => Ok(block),
+            None => self.read_uncached(handle),
+        }
     }
 
     /// Decodes the index into per-block metadata, in key order.
@@ -681,16 +677,21 @@ impl TableReader {
     }
 
     fn decode_index_value(last_key: &[u8], value: &[u8]) -> Result<BlockMeta> {
+        let corrupt = |what: &str| TableError::Corruption(format!("index value: {what}"));
         let (handle, n) = BlockHandle::decode(value)?;
-        let (fk_len, m) = pcp_codec::decode_u64(&value[n..])
-            .map_err(|e| TableError::Corruption(format!("index value: {e}")))?;
+        handle
+            .stored_end()
+            .ok_or_else(|| corrupt("block handle overflows"))?;
+        let (fk_len, m) =
+            pcp_codec::decode_u64(&value[n..]).map_err(|e| corrupt(&e.to_string()))?;
         let fk_start = n + m;
-        let fk_end = fk_start + fk_len as usize;
-        if fk_end > value.len() {
-            return Err(TableError::Corruption("index first_key overruns".into()));
-        }
-        let (entries, _) = pcp_codec::decode_u64(&value[fk_end..])
-            .map_err(|e| TableError::Corruption(format!("index value: {e}")))?;
+        let fk_end = usize::try_from(fk_len)
+            .ok()
+            .and_then(|len| fk_start.checked_add(len))
+            .filter(|&end| end <= value.len())
+            .ok_or_else(|| corrupt("first key overruns"))?;
+        let (entries, _) =
+            pcp_codec::decode_u64(&value[fk_end..]).map_err(|e| corrupt(&e.to_string()))?;
         Ok(BlockMeta {
             handle,
             first_key: value[fk_start..fk_end].to_vec(),
@@ -728,17 +729,17 @@ impl TableReader {
             index_iter: self.index.iter(internal_key_cmp),
             block_iter: None,
             status: Ok(()),
-            ra: None,
-            ra_exhausted: false,
+            span: None,
+            span_blocks: SPAN_BLOCKS,
             expected_next: None,
             seq_run: 0,
         }
     }
 }
 
-/// Two-level cursor: index block → data block, with a pipelined
-/// readahead stage that activates on sequential access (and tears down
-/// again on the first seek — random access uses the synchronous path).
+/// Two-level cursor: index block → data block. A sequential run reads
+/// ahead in spans on the cursor's own thread (`readahead.rs`); a seek ends
+/// the run.
 pub struct TableIter {
     reader: Arc<TableReader>,
     index_iter: BlockIter,
@@ -747,11 +748,10 @@ pub struct TableIter {
     block_iter: Option<BlockIter>,
     /// Why the cursor stopped short of the table's end, until the next seek.
     status: Result<()>,
-    /// Live readahead pipeline, once sequential access is detected.
-    ra: Option<ReadaheadState>,
-    /// Set when the pipeline ran to the end of the table, so a finished
-    /// pipeline is not respawned block after block.
-    ra_exhausted: bool,
+    /// Raw blocks read ahead of the cursor by the last span read.
+    span: Option<Span>,
+    /// Blocks the next span read asks for.
+    span_blocks: usize,
     /// File offset the next block starts at if access stays sequential.
     expected_next: Option<u64>,
     /// Length of the current sequential run, in blocks.
@@ -759,80 +759,68 @@ pub struct TableIter {
 }
 
 impl TableIter {
-    /// Clears the error, resets the sequential-access detector and tears
-    /// down any live readahead (called on seeks: random access degrades to
-    /// sync).
+    /// Clears the error and ends the sequential run (called on seeks).
     fn reset(&mut self) {
         self.status = Ok(());
-        self.ra = None;
-        self.ra_exhausted = false;
+        self.end_run();
+    }
+
+    /// Ends the sequential run: the span goes, its unread blocks counted
+    /// as wasted, and the next span starts at `SPAN_BLOCKS` again.
+    fn end_run(&mut self) {
+        self.span = None;
+        self.span_blocks = SPAN_BLOCKS;
         self.expected_next = None;
         self.seq_run = 0;
     }
 
-    /// Starts the pipeline over every block strictly after `current`.
-    fn start_readahead(&mut self, current: u64) {
-        let rest: Vec<BlockMeta> = match self.reader.block_metas() {
-            Ok(metas) => metas
-                .into_iter()
-                .filter(|m| m.handle.offset > current)
-                .collect(),
-            // Index trouble surfaces through the sync path in context;
-            // just don't pipeline.
-            Err(_) => Vec::new(),
-        };
-        if rest.is_empty() {
-            self.ra_exhausted = true;
-            return;
+    /// Reads the next span — `first`'s block and up to `span_blocks - 1`
+    /// blocks after it, in one read — and takes `first`'s raw block from it.
+    fn read_span(&mut self, first: BlockHandle) -> Result<Bytes> {
+        let mut ahead = self.index_iter.clone();
+        let (mut last, mut blocks) = (first, 1);
+        while blocks < self.span_blocks {
+            ahead.next();
+            if !ahead.valid() {
+                break;
+            }
+            last = BlockHandle::decode(ahead.value())?.0;
+            blocks += 1;
         }
-        self.ra = Some(spawn_readahead(
-            Arc::clone(&self.reader),
-            rest,
-            self.reader.scan_context(),
-        ));
+        let raw = self
+            .reader
+            .read_raw_span_class(first, last, ReadClass::Readahead)?;
+        self.span_blocks = (self.span_blocks * 2).min(MAX_SPAN_BLOCKS);
+        let span = Span::new(first.offset, raw, blocks, &self.reader.scan);
+        self.span
+            .insert(span)
+            .take(first)
+            .ok_or_else(|| TableError::Corruption("block outside its span".into()))
     }
 
     /// Loads the block the index cursor points at (`None` past its end):
-    /// from the prefetch window when the pipeline is live, else through
-    /// [`TableReader::read_block`].
+    /// from the block cache, else from the span, else by reading a new span
+    /// once the run is `TRIGGER_BLOCKS` long, else with one read of its own.
     fn load_block(&mut self) -> Result<Option<Block>> {
         if !self.index_iter.valid() {
             return Ok(None);
         }
-        let meta =
-            TableReader::decode_index_value(self.index_iter.key(), self.index_iter.value())?;
-        let offset = meta.handle.offset;
-
-        // Sequential-access detection.
-        if self.expected_next == Some(offset) {
-            self.seq_run += 1;
-        } else {
-            self.seq_run = 1;
-            self.ra = None;
+        let (handle, _) = BlockHandle::decode(self.index_iter.value())?;
+        if self.expected_next != Some(handle.offset) {
+            self.end_run();
         }
-        self.expected_next = Some(offset + meta.stored_size());
+        self.seq_run += 1;
+        self.expected_next = handle.stored_end();
 
-        if let Some(ra) = &self.ra {
-            match ra.take(offset) {
-                Take::Hit(block) => return Ok(Some(block)),
-                Take::Miss => {
-                    // Pipeline ended (table exhausted or worker error):
-                    // degrade to sync without respawning every block. A
-                    // worker error is re-hit by the load below and
-                    // reported from there.
-                    self.ra = None;
-                    self.ra_exhausted = true;
-                }
-            }
+        if let Some(block) = self.reader.cached(handle) {
+            return Ok(Some(block));
         }
-
-        // Maybe start pipelining the blocks *after* this one.
-        let enabled = self.reader.scan_context().opts.enabled;
-        if enabled && !self.ra_exhausted && self.ra.is_none() && self.seq_run >= TRIGGER_BLOCKS {
-            self.start_readahead(offset);
-        }
-
-        self.reader.read_block(meta.handle).map(Some)
+        let raw = match self.span.as_mut().and_then(|span| span.take(handle)) {
+            Some(raw) => raw,
+            None if self.seq_run >= TRIGGER_BLOCKS => self.read_span(handle)?,
+            None => return self.reader.read_uncached(handle).map(Some),
+        };
+        self.reader.decode_block(handle, &raw).map(Some)
     }
 
     /// Enters the block the index cursor points at and positions the block
@@ -915,9 +903,29 @@ mod tests {
     use super::*;
     use crate::key::{make_internal_key, ValueType};
     use pcp_storage::{Env, SimDevice, SimEnv};
+    use std::io;
+    use std::sync::mpsc::{self, Receiver};
 
     fn test_env() -> SimEnv {
         SimEnv::new(Arc::new(SimDevice::mem(256 << 20)))
+    }
+
+    /// The `n` entries `build_table` writes, in order: mildly compressible
+    /// values.
+    fn model(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..n)
+            .map(|i| {
+                let ikey = make_internal_key(
+                    format!("key{i:08}").as_bytes(),
+                    i as u64 + 1,
+                    ValueType::Value,
+                );
+                (
+                    ikey,
+                    format!("value-{i:08}-{}", "x".repeat(80)).into_bytes(),
+                )
+            })
+            .collect()
     }
 
     fn build_table(
@@ -928,15 +936,8 @@ mod tests {
     ) -> Arc<TableReader> {
         let file = env.create(name).unwrap();
         let mut b = TableBuilder::new(file, opts);
-        for i in 0..n {
-            let ikey = make_internal_key(
-                format!("key{i:08}").as_bytes(),
-                i as u64 + 1,
-                ValueType::Value,
-            );
-            // Mildly compressible values.
-            let value = format!("value-{i:08}-{}", "x".repeat(80));
-            b.add(&ikey, value.as_bytes()).unwrap();
+        for (ikey, value) in model(n) {
+            b.add(&ikey, &value).unwrap();
         }
         assert_eq!(b.finish().unwrap().stats().entries, n as u64);
         let file = env.open(name).unwrap();
@@ -1190,71 +1191,151 @@ mod tests {
         out
     }
 
-    #[test]
-    fn readahead_scan_matches_sync_scan() {
-        let env = test_env();
-        build_table(&env, "t.sst", 4000, TableBuilderOptions::default());
-        // A window far smaller than the table, so the worker has to wait
-        // for the cursor (back-pressure).
-        let ctx = |enabled| ScanContext {
-            opts: crate::ReadaheadOpts {
-                enabled,
-                window_bytes: 64 << 10,
-            },
-            ..Default::default()
-        };
-        let open = |ctx| {
-            let file = env.open("t.sst").unwrap();
-            let meta = TableMeta::read(&*file).unwrap();
-            Arc::new(TableReader::new(file, meta, None, ctx))
-        };
-        let (plain, ra) = (open(ctx(false)), open(ctx(true)));
-        assert_eq!(collect_all(&plain), collect_all(&ra));
-        let stats = ra.scan_context().stats.as_ref();
-        assert!(stats.spans() > 0, "pipeline must have activated");
-        assert!(stats.hits() > 0, "cursor must have drained the window");
-        assert_eq!(stats.window_bytes(), 0, "window gauge must drain to zero");
-    }
+    /// One read a [`RecordingFile`] saw: offset, length, class.
+    type Read = (u64, usize, ReadClass);
 
-    #[test]
-    fn readahead_tears_down_on_seek() {
-        let env = test_env();
-        let n = 3000;
-        let reader = build_table(&env, "t.sst", n, TableBuilderOptions::default());
-        let mut it = reader.iter();
-        it.seek_to_first();
-        // Scan deep enough to activate the pipeline...
-        for _ in 0..n / 2 {
-            assert!(it.valid());
-            it.next();
-        }
-        // ...then seek back to the start: the window is abandoned and the
-        // scan stays correct.
-        let target = make_internal_key(b"key00000000", u64::MAX >> 8, ValueType::Value);
-        it.seek(&target);
-        let mut count = 0;
-        while it.valid() {
-            count += 1;
-            it.next();
-        }
-        assert_eq!(count, n);
-        assert!(it.status().is_ok());
-    }
-
-    /// Counts the reads issued against a file.
-    struct CountingFile {
+    /// Sends every read issued against a file to its receiver, and fails
+    /// those longer than `fail_over` bytes.
+    struct RecordingFile {
         inner: Arc<dyn RandomReadFile>,
-        reads: std::sync::atomic::AtomicUsize,
+        reads: mpsc::Sender<Read>,
+        fail_over: usize,
     }
 
-    impl RandomReadFile for CountingFile {
-        fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Bytes> {
-            self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    impl RecordingFile {
+        fn new(inner: Arc<dyn RandomReadFile>, fail_over: usize) -> (Arc<Self>, Receiver<Read>) {
+            let (reads, rx) = mpsc::channel();
+            (Arc::new(RecordingFile { inner, reads, fail_over }), rx)
+        }
+    }
+
+    impl RandomReadFile for RecordingFile {
+        fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+            self.read_at_class(offset, len, ReadClass::Foreground)
+        }
+
+        fn read_at_class(&self, offset: u64, len: usize, class: ReadClass) -> io::Result<Bytes> {
+            self.reads.send((offset, len, class)).unwrap();
+            if len > self.fail_over {
+                return Err(io::Error::other("read longer than one block"));
+            }
             self.inner.read_at(offset, len)
         }
 
         fn len(&self) -> u64 {
             self.inner.len()
+        }
+    }
+
+    /// A table of `model(n)`, reopened over a [`RecordingFile`] that fails
+    /// reads longer than `fail_over(blocks)` bytes, with `cache` attached;
+    /// its blocks; and the receiver of its reads (the tail read not among
+    /// them).
+    fn recorded(
+        n: usize,
+        fail_over: fn(&[BlockMeta]) -> usize,
+        cache: Option<Arc<BlockCache>>,
+    ) -> (Arc<TableReader>, Vec<BlockMeta>, Receiver<Read>) {
+        let env = test_env();
+        let blocks = build_table(&env, "t.sst", n, TableBuilderOptions::default()).block_metas();
+        let (blocks, plain) = (blocks.unwrap(), env.open("t.sst").unwrap());
+        let meta = TableMeta::read(&*plain).unwrap();
+        let (file, reads) = RecordingFile::new(plain, fail_over(&blocks));
+        (Arc::new(TableReader::new(file, meta, cache, Arc::default())), blocks, reads)
+    }
+
+    /// How many of `blocks` each readahead-class read covers, in issue order.
+    fn span_lengths(blocks: &[BlockMeta], reads: &Receiver<Read>) -> Vec<usize> {
+        let spans = reads.try_iter().filter(|r| r.2 == ReadClass::Readahead);
+        let count = |(at, len, _): Read| {
+            blocks.iter().filter(|b| (at..at + len as u64).contains(&b.handle.offset)).count()
+        };
+        spans.map(count).collect()
+    }
+
+    #[test]
+    fn full_scan_matches_model_and_spans_double_to_the_cap() {
+        let n = 10_000;
+        let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
+        assert_eq!(collect_all(&reader), model(n));
+        // The first TRIGGER_BLOCKS - 1 blocks are read one at a time, the
+        // rest in spans of 8, 16, 32, 64, 64, …
+        let stats = &reader.scan;
+        assert_eq!(stats.sync_blocks(), TRIGGER_BLOCKS as u64 - 1);
+        let spans = span_lengths(&blocks, &reads);
+        let (tail, full) = spans.split_last().unwrap();
+        let want: Vec<_> = (0..full.len()).map(|i| MAX_SPAN_BLOCKS.min(SPAN_BLOCKS << i)).collect();
+        assert!(full.len() >= 5 && full == want && *tail <= MAX_SPAN_BLOCKS, "{spans:?}");
+        assert_eq!(spans.iter().sum::<usize>(), blocks.len() - (TRIGGER_BLOCKS - 1));
+        assert_eq!((stats.spans(), stats.hits()), (spans.len() as u64, stats.blocks_prefetched()));
+        assert_eq!(stats.wasted(), 0);
+    }
+
+    #[test]
+    fn seek_ends_the_run_and_restarts_the_span_length() {
+        let n = 3000;
+        let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
+        let mut it = reader.iter();
+        it.seek_to_first();
+        // Scan deep enough to grow the span...
+        for _ in 0..n / 2 {
+            it.next();
+        }
+        let grown = span_lengths(&blocks, &reads);
+        assert_eq!(grown[..3], [SPAN_BLOCKS, 2 * SPAN_BLOCKS, 4 * SPAN_BLOCKS]);
+        // ...then seek back to the start: the span is dropped unread, the
+        // scan stays correct, and the next span is short again.
+        it.seek(&make_internal_key(b"key00000000", u64::MAX >> 8, ValueType::Value));
+        assert!(reader.scan.wasted() > 0, "the dropped span's unread blocks");
+        let mut count = 0;
+        while it.valid() {
+            count += 1;
+            it.next();
+        }
+        assert!(count == n && it.status().is_ok());
+        assert_eq!(span_lengths(&blocks, &reads)[..2], [SPAN_BLOCKS, 2 * SPAN_BLOCKS]);
+    }
+
+    #[test]
+    fn cursor_over_cached_blocks_reads_nothing() {
+        let n = 3000;
+        let (reader, _, reads) = recorded(n, |_| usize::MAX, Some(BlockCache::new(64 << 20)));
+        assert_eq!(collect_all(&reader), model(n));
+        assert!(reads.try_iter().count() > 0);
+        // Every block is cached now.
+        assert_eq!(collect_all(&reader), model(n));
+        assert_eq!(reads.try_iter().count(), 0);
+    }
+
+    /// A span read that fails ends the scan with its error; nothing falls
+    /// back to reading the block on its own.
+    #[test]
+    fn failed_span_read_ends_the_scan_after_a_prefix() {
+        let n = 3000;
+        let largest_block: fn(&[BlockMeta]) -> usize =
+            |blocks| blocks.iter().map(|b| b.stored_size() as usize).max().unwrap();
+        let (reader, _, _reads) = recorded(n, largest_block, None);
+        let mut it = reader.iter();
+        it.seek_to_first();
+        let mut got = Vec::new();
+        while it.valid() {
+            got.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        assert!(it.status().is_err(), "scan ended cleanly after {} of {n} entries", got.len());
+        assert!(!got.is_empty() && got.len() < n, "{} entries", got.len());
+        assert_eq!(got[..], model(n)[..got.len()]);
+    }
+
+    #[test]
+    fn index_value_lengths_are_checked() {
+        for (offset, first_key_len) in [(0, u64::MAX), (u64::MAX, 0)] {
+            let mut value = Vec::new();
+            BlockHandle { offset, size: 10 }.encode_to(&mut value);
+            pcp_codec::put_u64(&mut value, first_key_len);
+            pcp_codec::put_u64(&mut value, 1);
+            let err = TableReader::decode_index_value(b"k", &value).unwrap_err();
+            assert!(matches!(err, TableError::Corruption(_)), "{err}");
         }
     }
 
@@ -1272,16 +1353,13 @@ mod tests {
                 b.add(&ikey, b"value").unwrap();
             }
             let built = b.finish().unwrap();
-            let file = Arc::new(CountingFile {
-                inner: env.open("t.sst").unwrap(),
-                reads: Default::default(),
-            });
+            let (file, reads) = RecordingFile::new(env.open("t.sst").unwrap(), usize::MAX);
             let cold = TableMeta::read(&*file).unwrap();
-            assert_eq!(file.reads.load(std::sync::atomic::Ordering::Relaxed), 2);
+            assert_eq!(reads.try_iter().count(), 2);
             assert_eq!(cold.stats, built.stats);
             assert_eq!(cold.bloom, built.bloom);
             assert_eq!(cold.bloom.is_some(), bloom_bits_per_key > 0);
-            let reader = |meta| TableReader::new(file.clone(), meta, None, ScanContext::default());
+            let reader = |meta| TableReader::new(file.clone(), meta, None, Arc::default());
             assert_eq!(reader(cold).block_metas().unwrap(), reader(built).block_metas().unwrap());
         }
     }

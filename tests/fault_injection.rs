@@ -408,13 +408,11 @@ proptest! {
     }
 }
 
-/// Readahead is off: the synchronous path issues its reads in one fixed
-/// order, which is what lets a scheduled fault land deterministically.
+/// A scan issues its reads in one fixed order on the scanning thread,
+/// spans included, which is what lets a scheduled fault land
+/// deterministically.
 fn scan_opts() -> Options {
-    Options {
-        readahead: false,
-        ..small_opts(Arc::new(SimpleMergeExec))
-    }
+    small_opts(Arc::new(SimpleMergeExec))
 }
 
 /// Loads 2000 keys through `env` into several levels of small tables and

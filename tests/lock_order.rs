@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 /// Runs `f` on a fresh thread with panic output silenced, returning the
 /// panic message if it panicked.
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -30,6 +31,7 @@ fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn inverted_mutex_order_on_two_threads_fires_with_both_sites() {
     let a = Arc::new(Mutex::new(0u32));
     let b = Arc::new(Mutex::new(0u32));
@@ -67,6 +69,7 @@ fn inverted_mutex_order_on_two_threads_fires_with_both_sites() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn consistent_order_across_many_threads_stays_silent() {
     let outer = Arc::new(Mutex::new(())); // always taken first
     let inner = Arc::new(RwLock::new(0u64));
@@ -92,6 +95,7 @@ fn consistent_order_across_many_threads_stays_silent() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn rwlock_participates_in_the_order_graph() {
     let m = Arc::new(Mutex::new(()));
     let rw = Arc::new(RwLock::new(()));

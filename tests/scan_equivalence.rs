@@ -1,16 +1,23 @@
-//! Scan fast-path equivalence: the pipelined-readahead iterator must be a
-//! pure performance change. With readahead on or off, over compressed or
-//! verbatim blocks (whose stored sizes — what the span reads slice by —
-//! differ), a scan must produce exactly what a `BTreeMap` model predicts:
-//! for full scans, for short-range seeks landing mid-table, and for the
-//! sharded engine's merged cursor.
+//! Scan fast-path equivalence: span readahead must be a pure performance
+//! change. With or without a block cache (a cached block skips the span),
+//! over compressed or verbatim blocks (whose stored sizes — what the span
+//! reads slice by — differ), a scan must produce exactly what a `BTreeMap`
+//! model predicts: for full scans, for short-range seeks landing mid-table,
+//! and for the sharded engine's merged cursor. And every read a scan issues
+//! runs on the scanning thread.
 
+use bytes::Bytes;
 use pcp::lsm::{CompactionPolicy, Db, Options};
 use pcp::shard::{HashRouter, ShardedDb};
-use pcp::storage::{EnvRef, SimDevice, SimEnv};
+use pcp::storage::{Env, EnvRef, RandomReadFile, ReadClass, SimDevice, SimEnv, WritableFile};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::io;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+
+/// Without a block cache, and with one the corpus fits in.
+const BLOCK_CACHE_BYTES: [usize; 2] = [0, 64 << 10];
 
 fn mem_env() -> EnvRef {
     Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))))
@@ -18,14 +25,14 @@ fn mem_env() -> EnvRef {
 
 /// Tiny thresholds so even small corpora span several tables, and tiny
 /// blocks so every table spans enough blocks for the sequential-run
-/// trigger to actually start the readahead pipeline.
-fn scan_opts(compression: bool, readahead: bool) -> Options {
+/// trigger to actually read spans.
+fn scan_opts(compression: bool, block_cache_bytes: usize) -> Options {
     Options {
         memtable_bytes: 16 << 10,
         sstable_bytes: 8 << 10,
         block_bytes: 256,
         compression,
-        readahead,
+        block_cache_bytes,
         policy: CompactionPolicy {
             l0_trigger: 2,
             base_level_bytes: 32 << 10,
@@ -86,9 +93,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Full scans and mid-table short-range seeks agree with the model
-    /// for every (block encoding, readahead) combination.
+    /// for every (block encoding, block cache) combination.
     #[test]
-    fn db_scans_match_model_across_encodings_and_readahead(
+    fn db_scans_match_model_across_encodings_and_block_cache(
         corpus in corpus_strategy(),
         start_sel in any::<prop::sample::Index>(),
         limit in 1usize..20,
@@ -103,19 +110,19 @@ proptest! {
         let expected_range = model_range(&model, &start, limit);
 
         for compression in [false, true] {
-            for readahead in [false, true] {
-                let db = Db::open(mem_env(), scan_opts(compression, readahead)).unwrap();
+            for cache in BLOCK_CACHE_BYTES {
+                let db = Db::open(mem_env(), scan_opts(compression, cache)).unwrap();
                 for (k, v) in &corpus {
                     db.put(k, v).unwrap();
                 }
                 db.flush().unwrap();
                 prop_assert_eq!(
                     &full_scan_db(&db), &expected,
-                    "full scan diverged (compression={}, readahead={})", compression, readahead
+                    "full scan diverged (compression={}, cache={})", compression, cache
                 );
                 prop_assert_eq!(
                     &range_scan_db(&db, &start, limit), &expected_range,
-                    "range scan diverged (compression={}, readahead={})", compression, readahead
+                    "range scan diverged (compression={}, cache={})", compression, cache
                 );
             }
         }
@@ -125,7 +132,7 @@ proptest! {
     /// scan fast path lives below the shard router, so it must be
     /// invisible through it too.
     #[test]
-    fn sharded_scans_match_model_across_encodings_and_readahead(
+    fn sharded_scans_match_model_across_encodings_and_block_cache(
         corpus in corpus_strategy(),
         start_sel in any::<prop::sample::Index>(),
         limit in 1usize..20,
@@ -141,11 +148,11 @@ proptest! {
         let expected_range = model_range(&model, &start, limit);
 
         for compression in [false, true] {
-            for readahead in [false, true] {
+            for cache in BLOCK_CACHE_BYTES {
                 let envs: Vec<EnvRef> = (0..SHARDS).map(|_| mem_env()).collect();
                 let db = ShardedDb::open_with_envs(
                     envs,
-                    scan_opts(compression, readahead),
+                    scan_opts(compression, cache),
                     Arc::new(HashRouter::new(SHARDS)),
                 )
                 .unwrap();
@@ -156,14 +163,108 @@ proptest! {
                 let got = db.scan(b"", usize::MAX).unwrap();
                 prop_assert_eq!(
                     &got, &expected,
-                    "sharded full scan diverged (compression={}, readahead={})", compression, readahead
+                    "sharded full scan diverged (compression={}, cache={})", compression, cache
                 );
                 let got_range = db.scan(&start, limit).unwrap();
                 prop_assert_eq!(
                     &got_range, &expected_range,
-                    "sharded range scan diverged (compression={}, readahead={})", compression, readahead
+                    "sharded range scan diverged (compression={}, cache={})", compression, cache
                 );
             }
         }
     }
+}
+
+type ReadLog = Arc<Mutex<Vec<(ThreadId, ReadClass)>>>;
+
+/// An env whose files log the thread and class of every read.
+#[derive(Debug)]
+struct ReadLogEnv {
+    inner: EnvRef,
+    log: ReadLog,
+}
+
+struct LoggedFile {
+    inner: Arc<dyn RandomReadFile>,
+    log: ReadLog,
+}
+
+impl RandomReadFile for LoggedFile {
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        self.read_at_class(offset, len, ReadClass::Foreground)
+    }
+
+    fn read_at_class(&self, offset: u64, len: usize, class: ReadClass) -> io::Result<Bytes> {
+        self.log.lock().unwrap().push((thread::current().id(), class));
+        self.inner.read_at_class(offset, len, class)
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+impl Env for ReadLogEnv {
+    fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+        self.inner.create(name)
+    }
+
+    fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
+        let inner = self.inner.open(name)?;
+        Ok(Arc::new(LoggedFile { inner, log: Arc::clone(&self.log) }))
+    }
+
+    fn delete(&self, name: &str) -> io::Result<()> {
+        self.inner.delete(name)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        self.inner.list()
+    }
+
+    fn size(&self, name: &str) -> io::Result<u64> {
+        self.inner.size(name)
+    }
+}
+
+/// Readahead has no thread of its own: a full scan over three levels
+/// issues every read — the spans included — from the thread that scans.
+#[test]
+fn every_read_of_a_scan_runs_on_the_scanning_thread() {
+    let log = ReadLog::default();
+    let env: EnvRef = Arc::new(ReadLogEnv { inner: mem_env(), log: Arc::clone(&log) });
+    let db = Db::open(env, scan_opts(true, 0)).unwrap();
+    let mut model = BTreeMap::new();
+    let mut put = |k: String, v: Vec<u8>| {
+        db.put(k.as_bytes(), &v).unwrap();
+        model.insert(k.into_bytes(), v);
+    };
+    for i in 0..4000u32 {
+        put(format!("key-{:06}", (i * 7919) % 4000), format!("v{i}-{}", "z".repeat(60)).into());
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    // One table more stays in level 0 (its trigger is two).
+    for i in 0..20u32 {
+        put(format!("key-{:06}", i * 200), b"newer".to_vec());
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+    let levels = db.level_summary().iter().filter(|(files, _)| *files > 0).count();
+    assert!(levels >= 3, "want three levels: {:?}", db.level_summary());
+
+    log.lock().unwrap().clear();
+    assert_eq!(full_scan_db(&db), model.into_iter().collect::<Vec<_>>());
+    let reads = std::mem::take(&mut *log.lock().unwrap());
+    let me = thread::current().id();
+    assert!(reads.iter().all(|(thread, _)| *thread == me), "a read ran on another thread");
+    assert!(reads.iter().any(|(_, class)| *class == ReadClass::Readahead), "no span was read");
 }

@@ -6,8 +6,8 @@
 use pcp::sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::table::{compress_block, decompress_block, make_trailer, verify_block};
 use pcp::sstable::{
-    internal_key_cmp, CompressionKind, KvIter, ScanContext, TableBuilder, TableBuilderOptions,
-    TableMeta, TableReader,
+    internal_key_cmp, CompressionKind, KvIter, TableBuilder, TableBuilderOptions, TableMeta,
+    TableReader,
 };
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use proptest::prelude::*;
@@ -119,12 +119,7 @@ proptest! {
         };
         let built = build_with(&env, &entries, opts);
         let file = env.open("t.sst").unwrap();
-        let handed_off = Arc::new(TableReader::new(
-            Arc::clone(&file),
-            built,
-            None,
-            ScanContext::default(),
-        ));
+        let handed_off = Arc::new(TableReader::new(Arc::clone(&file), built, None, Arc::default()));
         let cold = Arc::new(TableReader::open(file).unwrap());
 
         prop_assert_eq!(handed_off.stats(), cold.stats());
