@@ -62,9 +62,8 @@ impl<'req> OutputSink<'req> {
             Some((_, b)) => b,
             None => {
                 let number = self.req.next_file_number();
-                let file = self.req.tables.env().create(&table_file(number))?;
+                let table = self.req.tables.create(number, self.req.table_opts.clone())?;
                 self.smallest = first_key.to_vec();
-                let table = TableBuilder::new(file, self.req.table_opts.clone());
                 &mut self.builder.insert((number, table)).1
             }
         };

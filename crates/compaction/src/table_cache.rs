@@ -5,14 +5,22 @@
 //! so nothing of it is read back. Only a table the cache has never held —
 //! one found on the device at open — is opened cold, with two reads (footer,
 //! then filter ‖ index ‖ properties); [`TableCache::cold_opens`] counts them.
+//!
 //! Data blocks are read through the shared [`BlockCache`] when the engine
-//! configures one.
+//! configures one, and a table the engine writes starts there: its writer
+//! makes its builder with [`TableCache::create`], which then keeps every
+//! block it writes, decoded, in the [`TableMeta`], and those blocks enter
+//! the block cache as the reader is made ([`TableCache::written_blocks`]).
 
 use crate::filename::table_file;
 use parking_lot::Mutex;
-use pcp_sstable::{BlockCache, Result as TableResult, ScanStats, TableMeta, TableReader};
+use pcp_sstable::{
+    BlockCache, Result as TableResult, ScanStats, TableBuilder, TableBuilderOptions, TableMeta,
+    TableReader,
+};
 use pcp_storage::{EnvRef, RandomReadFile};
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,6 +33,7 @@ pub struct TableCache {
     /// `pcp_scan_*` metrics aggregate database-wide.
     scan: Arc<ScanStats>,
     cold_opens: AtomicU64,
+    written_blocks: AtomicU64,
 }
 
 impl TableCache {
@@ -41,6 +50,7 @@ impl TableCache {
             block_cache,
             scan: Arc::default(),
             cold_opens: AtomicU64::new(0),
+            written_blocks: AtomicU64::new(0),
         }
     }
 
@@ -63,6 +73,11 @@ impl TableCache {
     /// and every [`TableCache::open_uncached`].
     pub fn cold_opens(&self) -> u64 {
         self.cold_opens.load(Ordering::Relaxed)
+    }
+
+    /// Data blocks handed to the block cache with a table just written.
+    pub fn written_blocks(&self) -> u64 {
+        self.written_blocks.load(Ordering::Relaxed)
     }
 
     fn reader(&self, file: Arc<dyn RandomReadFile>, meta: TableMeta) -> TableReader {
@@ -90,10 +105,24 @@ impl TableCache {
         Ok(self.reader(file, meta))
     }
 
+    /// Creates table `number` and the builder that writes it. With a block
+    /// cache the builder keeps its blocks, for [`TableCache::insert`] to
+    /// admit: a table the engine writes starts warm.
+    pub fn create(&self, number: u64, opts: TableBuilderOptions) -> io::Result<TableBuilder> {
+        let builder = TableBuilder::new(self.env.create(&table_file(number))?, opts);
+        Ok(if self.block_cache.is_some() { builder.keep_blocks() } else { builder })
+    }
+
     /// Caches the reader of table `number`, just written, from the `meta`
-    /// its builder returned: opening the file reads nothing.
+    /// its builder returned: opening the file reads nothing, and the data
+    /// blocks `meta` carries enter the block cache.
     pub fn insert(&self, number: u64, meta: TableMeta) -> TableResult<()> {
-        let reader = Arc::new(self.reader(self.env.open(&table_file(number))?, meta));
+        let file = self.env.open(&table_file(number))?;
+        if self.block_cache.is_some() {
+            self.written_blocks
+                .fetch_add(meta.kept_blocks() as u64, Ordering::Relaxed);
+        }
+        let reader = Arc::new(self.reader(file, meta));
         self.opened.lock().insert(number, reader);
         Ok(())
     }
@@ -162,6 +191,37 @@ mod tests {
         // A check that must see the device opens afresh, and is counted.
         assert_eq!(cache.open_uncached(7).unwrap().stats().entries, 1);
         assert_eq!((cache.cold_opens(), cache.len()), (1, 1));
+    }
+
+    /// A table written through `create` starts warm: with a block cache,
+    /// every block enters it at `insert`, under the reader's id; without
+    /// one, the builder keeps nothing.
+    #[test]
+    fn created_tables_are_admitted_at_insert() {
+        for block_cache in [Some(BlockCache::new(8 << 20)), None] {
+            let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(32 << 20))));
+            let cache = TableCache::with_block_cache(env, block_cache.clone());
+            let opts = TableBuilderOptions { block_size: 256, ..Default::default() };
+            let mut b = cache.create(7, opts).unwrap();
+            for i in 0..200u64 {
+                let ikey = make_internal_key(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value);
+                b.add(&ikey, &[b'v'; 40]).unwrap();
+            }
+            let meta = b.finish().unwrap();
+            let kept = meta.kept_blocks();
+            cache.insert(7, meta).unwrap();
+            let reader = cache.get(7).unwrap();
+            let blocks = reader.block_metas().unwrap();
+            assert!(blocks.len() > 1);
+            let Some(block_cache) = block_cache else {
+                assert_eq!((kept, cache.written_blocks()), (0, 0));
+                continue;
+            };
+            assert_eq!(kept, blocks.len());
+            assert_eq!(cache.written_blocks(), blocks.len() as u64);
+            let id = reader.cache_id().unwrap();
+            assert!(blocks.iter().all(|b| block_cache.get(id, b.handle.offset).is_some()));
+        }
     }
 
     #[test]

@@ -51,4 +51,5 @@ pub use model::{Bottleneck, StepTimes};
 pub use pipeline::{PipelineConfig, PipelinedExec, SealedWriter};
 pub use planner::{check_plan, plan_subtasks, read_units, KeyRange, RunBlocks, SubTask};
 pub use profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
-pub use steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask, SealedBlock, SubTaskData};
+pub use pcp_sstable::SealedBlock;
+pub use steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask, SubTaskData};

@@ -120,18 +120,10 @@ impl<'req> SealedWriter<'req> {
     pub fn write_subtask(&mut self, st: ComputedSubTask) -> TableResult<()> {
         let t0 = Instant::now();
         let mut appended = 0u64;
-        for sb in &st.blocks {
-            self.sink.append(&sb.first_key, &sb.last_key, |b| {
-                b.add_sealed_block(
-                    &sb.raw,
-                    &sb.first_key,
-                    &sb.last_key,
-                    sb.entries,
-                    sb.raw_len,
-                    &sb.bloom_hashes,
-                )
-            })?;
+        for sb in st.blocks {
             appended += sb.raw.len() as u64;
+            let (first_key, last_key) = (sb.first_key.clone(), sb.last_key.clone());
+            self.sink.append(&first_key, &last_key, |b| b.add_sealed_block(sb))?;
         }
         self.sink.flush()?;
         self.profile.record(Step::Write, t0.elapsed());

@@ -9,6 +9,10 @@
 //!   S5 COMPRESS, S6 RE-CHECKSUM;
 //! * the write stage (S7) lives in [`crate::pipeline::SealedWriter`], since
 //!   it owns the output tables.
+//!
+//! Each sealed block keeps the uncompressed contents S4 built beside its
+//! sealed bytes, so that S7 can hand them to an output table that admits its
+//! blocks to the block cache (see [`SealedBlock::contents`]).
 
 use crate::planner::{KeyRange, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
@@ -16,7 +20,7 @@ use bytes::Bytes;
 use pcp_sstable::bloom::BloomFilter;
 use pcp_sstable::key::{internal_key_cmp, make_internal_key, user_key, ValueType};
 use pcp_sstable::table::{
-    compress_block, decompress_block, make_trailer, verify_block, CompressionKind,
+    compress_block, decompress_block, make_trailer, verify_block, CompressionKind, SealedBlock,
 };
 use pcp_sstable::{Block, BlockBuilder, BlockIter, KvIter, MergingIter, TableReader};
 use pcp_compaction::VersionKeepFilter;
@@ -33,20 +37,6 @@ pub struct SubTaskData {
     pub range: KeyRange,
     /// Parallel to the planner's runs: raw block bytes in key order.
     pub raw_blocks: Vec<Vec<Bytes>>,
-}
-
-/// One output block after S5/S6, ready for pure-I/O append.
-#[derive(Debug, Clone)]
-pub struct SealedBlock {
-    /// payload ++ 5-byte trailer.
-    pub raw: Vec<u8>,
-    pub first_key: Vec<u8>,
-    pub last_key: Vec<u8>,
-    pub entries: u64,
-    /// Uncompressed contents length.
-    pub raw_len: u64,
-    /// Bloom hashes of the block's user keys.
-    pub bloom_hashes: Vec<u64>,
 }
 
 /// A sub-task after the compute stage.
@@ -333,24 +323,31 @@ pub fn merge_subtask(
 }
 
 /// Steps S5 (COMPRESS) + S6 (RE-CHECKSUM): seal merged blocks for pure-I/O
-/// append.
+/// append. Each block keeps its contents, moved, not copied.
 pub fn seal_subtask(
     merged: MergedSubTask,
     cfg: &ComputeConfig,
     profile: &CompactionProfile,
 ) -> TableResult<ComputedSubTask> {
-    // S5 COMPRESS.
+    // S5 COMPRESS: each block's payload goes in its `raw`, not yet trailed.
     let t0 = Instant::now();
-    // (payload, kind, first_key, last_key, entries, raw_len, bloom hashes).
-    type CompressedBlock = (Vec<u8>, CompressionKind, Vec<u8>, Vec<u8>, u64, u64, Vec<u64>);
-    let mut compressed: Vec<CompressedBlock> = Vec::with_capacity(merged.blocks.len());
+    let mut compressed: Vec<(SealedBlock, CompressionKind)> =
+        Vec::with_capacity(merged.blocks.len());
     let mut raw_bytes = 0u64;
     let mut entries_out = 0u64;
     for (contents, first, last, entries, h) in merged.blocks {
         raw_bytes += contents.len() as u64;
         entries_out += entries;
         let (payload, kind) = compress_block(&contents, cfg.compression);
-        compressed.push((payload, kind, first, last, entries, contents.len() as u64, h));
+        let sealed = SealedBlock {
+            raw: payload,
+            first_key: first,
+            last_key: last,
+            entries,
+            bloom_hashes: h,
+            contents,
+        };
+        compressed.push((sealed, kind));
     }
     profile.record(Step::Compress, t0.elapsed());
     profile.add_raw_bytes(raw_bytes);
@@ -359,17 +356,10 @@ pub fn seal_subtask(
     // S6 RE-CHECKSUM.
     let t0 = Instant::now();
     let mut blocks = Vec::with_capacity(compressed.len());
-    for (mut payload, kind, first, last, entries, raw_len, h) in compressed {
-        let trailer = make_trailer(&payload, kind);
-        payload.extend_from_slice(&trailer);
-        blocks.push(SealedBlock {
-            raw: payload,
-            first_key: first,
-            last_key: last,
-            entries,
-            raw_len,
-            bloom_hashes: h,
-        });
+    for (mut block, kind) in compressed {
+        let trailer = make_trailer(&block.raw, kind);
+        block.raw.extend_from_slice(&trailer);
+        blocks.push(block);
     }
     profile.record(Step::ReChecksum, t0.elapsed());
 
@@ -456,11 +446,11 @@ mod tests {
         {
             let computed = compute_subtask(data, &cfg(), &profile).unwrap();
             total_entries += computed.blocks.iter().map(|b| b.entries).sum::<u64>();
-            // Each sealed block must verify and decompress.
+            // Each sealed block must verify and decompress to the contents
+            // it carries.
             for sb in &computed.blocks {
                 let (payload, kind) = verify_block(&sb.raw).unwrap();
-                let contents = decompress_block(payload, kind).unwrap();
-                assert_eq!(contents.len() as u64, sb.raw_len);
+                assert_eq!(decompress_block(payload, kind).unwrap(), sb.contents);
             }
         }
         assert_eq!(total_entries, 2000);

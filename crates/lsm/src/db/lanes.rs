@@ -463,6 +463,49 @@ mod tests {
         assert_eq!(db.inner.cache.len(), 2, "only the two level-0 inputs stay cached");
     }
 
+    /// With a block cache every table fits in, and four flushed rounds
+    /// under a level-0 trigger of 2 so that the lanes merge: every block of
+    /// every live table — flushed or merged — sits in the block cache under
+    /// its hand-off reader's id, and equals what a cold reader of the same
+    /// file decodes.
+    #[test]
+    fn every_admitted_block_equals_a_cold_decode() {
+        let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+        let opts = Options {
+            memtable_bytes: 1 << 20,
+            block_cache_bytes: 32 << 20,
+            policy: CompactionPolicy { l0_trigger: 2, ..Default::default() },
+            ..Default::default()
+        };
+        let db = Db::open(env, opts).unwrap();
+        for round in 0..4u32 {
+            for i in 0..2000u32 {
+                let key = format!("key{:05}", (i * 7 + round) % 2000);
+                db.put(key.as_bytes(), format!("v{round}-{i:060}").as_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.wait_idle().unwrap();
+        assert!(db.metrics().compaction_count > 0, "no merge ran");
+        let block_cache = db.inner.cache.block_cache().unwrap();
+        let live = db.inner.state.lock().versions.current();
+        let mut checked = 0;
+        for number in live.levels.iter().flatten().map(|f| f.number) {
+            let handed_off = db.inner.cache.get(number).unwrap();
+            let id = handed_off.cache_id().unwrap();
+            let cold = db.inner.cache.open_uncached(number).unwrap();
+            for bm in cold.block_metas().unwrap() {
+                let raw = cold.read_raw_block(bm.handle).unwrap();
+                let (payload, kind) = pcp_sstable::table::verify_block(&raw).unwrap();
+                let decoded = pcp_sstable::table::decompress_block(payload, kind).unwrap();
+                let cached = block_cache.get(id, bm.handle.offset);
+                assert_eq!(cached.as_ref().map(|b| b.data()), Some(&decoded[..]), "table {number}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
+
     /// A flush whose install fails leaves no reader for its table.
     #[test]
     fn flush_whose_install_fails_leaves_no_reader() {

@@ -250,13 +250,21 @@ impl Db {
                 inner.upgrade().map_or(0, |inner| get(&inner.metrics))
             });
         }
-        let inner = Arc::downgrade(&self.inner);
-        registry.register_fn_counter(
-            "pcp_engine_table_opens_total",
-            "tables opened from the device (metadata read back)",
-            base.clone(),
-            move || inner.upgrade().map_or(0, |inner| inner.cache.cold_opens()),
-        );
+        type TableCacheGetter = fn(&crate::compact::TableCache) -> u64;
+        let table_cache_counters: [(&str, &str, TableCacheGetter); 2] = [
+            ("pcp_engine_table_opens_total", "tables opened from the device (metadata read back)", |c| {
+                c.cold_opens()
+            }),
+            ("pcp_engine_block_cache_written_total", "blocks admitted to the block cache with a table just written", |c| {
+                c.written_blocks()
+            }),
+        ];
+        for (name, help, get) in table_cache_counters {
+            let inner = Arc::downgrade(&self.inner);
+            registry.register_fn_counter(name, help, base.clone(), move || {
+                inner.upgrade().map_or(0, |inner| get(&inner.cache))
+            });
+        }
         registry.register_histogram(
             "pcp_engine_group_commit_batches",
             "writers merged per commit group",
@@ -361,6 +369,33 @@ mod tests {
     use super::*;
     use crate::db::Options;
     use pcp_storage::{EnvRef, SimDevice, SimEnv};
+
+    /// Put → flush → `compact_range`: with a block cache, the flushed and
+    /// the merged tables' blocks are admitted as they are handed over;
+    /// without one, the counter does not move.
+    #[test]
+    fn block_cache_written_counts_hand_offs() {
+        for block_cache_bytes in [8 << 20, 0] {
+            let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+            let opts = Options { block_cache_bytes, ..Default::default() };
+            let db = Db::open(env, opts).unwrap();
+            let registry = pcp_obs::Registry::new();
+            db.register_metrics(&registry, &[]);
+            for round in 0..2 {
+                for i in 0..2000u32 {
+                    db.put(format!("key{i:05}").as_bytes(), format!("v{round}-{i:040}").as_bytes())
+                        .unwrap();
+                }
+                db.flush().unwrap();
+            }
+            db.compact_range(None, None).unwrap();
+            let snap = registry.snapshot();
+            let written = snap.counter("pcp_engine_block_cache_written_total", &[]);
+            let merged = db.metrics().compaction_count;
+            assert!(merged > 0, "no merge ran");
+            assert_eq!(written > 0, block_cache_bytes > 0, "written {written}");
+        }
+    }
 
     #[test]
     fn registry_outliving_db_pins_nothing() {

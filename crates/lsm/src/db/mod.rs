@@ -38,7 +38,7 @@ pub use options::Options;
 
 use crate::compact::CompactionExec;
 use crate::edit::VersionEdit;
-use crate::filename::{parse_file_name, table_file, wal_file, FileKind};
+use crate::filename::{parse_file_name, wal_file, FileKind};
 use crate::memtable::Memtable;
 use crate::compact::TableCache;
 use crate::version::{FileMetadata, NUM_LEVELS};
@@ -46,7 +46,7 @@ use crate::version_set::VersionSet;
 use crate::wal::{WalReader, WalWriter};
 use parking_lot::{Condvar, Mutex};
 use pcp_sstable::key::SequenceNumber;
-use pcp_sstable::{KvIter, TableBuilder};
+use pcp_sstable::KvIter;
 use pcp_storage::{EnvRef, RetryPolicy};
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -322,8 +322,7 @@ impl Db {
         mem: &Arc<Memtable>,
         number: u64,
     ) -> io::Result<Arc<FileMetadata>> {
-        let file = cache.env().create(&table_file(number))?;
-        let mut builder = TableBuilder::new(file, opts.table_opts());
+        let mut builder = cache.create(number, opts.table_opts())?;
         let mut it = mem.iter();
         it.seek_to_first();
         let mut smallest = Vec::new();

@@ -160,6 +160,11 @@ impl Block {
         }
     }
 
+    /// The serialized contents (uncompressed, trailer-free).
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Serialized length.
     pub fn len(&self) -> usize {
         self.data.len()

@@ -1,10 +1,10 @@
 //! Decoded-block LRU cache for the read path.
 //!
 //! The paper profiles compaction with direct I/O — the compaction
-//! executors therefore bypass this cache entirely (they read raw spans).
-//! Point reads and scans, however, benefit from caching decoded blocks
-//! exactly like LevelDB's block cache; it is off by default and enabled
-//! via `Options::block_cache_bytes`.
+//! executors therefore read raw spans from the device, never through this
+//! cache. Point reads and scans, however, benefit from caching decoded
+//! blocks exactly like LevelDB's block cache; it is off by default and
+//! enabled via `Options::block_cache_bytes`.
 //!
 //! The cache is split into a power-of-two number of independently locked
 //! **shards**, selected by an FNV-1a hash of the `(id, offset)` key, so
@@ -24,7 +24,15 @@
 //! Eviction is lazy LRU per shard: a use-tick per entry plus a FIFO of
 //! (key, tick) observations; eviction pops observations and drops entries
 //! whose tick is stale (classic amortized-O(1) approximation, no
-//! intrusive lists).
+//! intrusive lists). A shard that never fills compacts its FIFO instead
+//! once it holds more than twice as many observations as entries, so hits
+//! on a cache under budget cost no memory.
+//!
+//! Blocks enter on a read-side miss and, for a table the engine writes,
+//! when its writer hands the table over: every block a flush or a merge
+//! writes enters decoded, so nothing the engine just wrote is read back
+//! (DESIGN.md §12 "Sharded block cache"). Blocks leave only by eviction: a
+//! deleted table's blocks are never used again and age out.
 
 use crate::block::Block;
 use parking_lot::Mutex;
@@ -41,6 +49,9 @@ const MAX_SHARDS: usize = 16;
 /// Minimum useful per-shard budget (≈32 default 4 KB blocks). Capacities
 /// below `shards × MIN_SHARD_BYTES` get fewer shards instead.
 const MIN_SHARD_BYTES: usize = 128 << 10;
+/// Observations a shard's queue may hold beyond twice its entries before
+/// the stale ones are dropped.
+const QUEUE_SLACK: usize = 64;
 
 struct Entry {
     block: Block,
@@ -86,7 +97,7 @@ impl Shard {
             Some(e) => {
                 e.tick = tick;
                 let block = e.block.clone();
-                inner.queue.push_back((key, tick));
+                inner.observe(key, tick);
                 self.hits.fetch_add(1, Relaxed);
                 Some(block)
             }
@@ -115,7 +126,7 @@ impl Shard {
             inner.used -= old.charge;
         }
         inner.used += charge;
-        inner.queue.push_back((key, tick));
+        inner.observe(key, tick);
         // Evict: pop observations; drop entries whose latest tick matches
         // (i.e. not touched since this observation).
         while inner.used > self.capacity {
@@ -131,6 +142,20 @@ impl Shard {
                     inner.used -= e.charge;
                 }
             }
+        }
+    }
+}
+
+impl Inner {
+    /// Queues a use of `key` at `tick`. Only eviction pops the queue, so a
+    /// shard under budget would grow it by one per hit forever: past twice
+    /// the live entries (plus slack) it keeps only each entry's latest
+    /// observation, which is amortized O(1) per push.
+    fn observe(&mut self, key: Key, tick: u64) {
+        self.queue.push_back((key, tick));
+        if self.queue.len() > 2 * self.map.len() + QUEUE_SLACK {
+            let map = &self.map;
+            self.queue.retain(|(k, t)| map.get(k).is_some_and(|e| e.tick == *t));
         }
     }
 }
@@ -283,6 +308,44 @@ mod tests {
         assert!(c.get(id, 0).is_some());
         let (h, m) = c.stats();
         assert_eq!((h, m), (1, 1));
+    }
+
+    /// Hits on a cache that never fills do not grow its recency queue:
+    /// each shard keeps at most twice its entries plus the slack.
+    #[test]
+    fn hits_under_budget_keep_the_queue_bounded() {
+        let c = BlockCache::new(1 << 20);
+        let id = c.new_id();
+        for i in 0..10u64 {
+            c.insert(id, i * 4096, block(i as u8, 100));
+        }
+        for n in 0..200_000u64 {
+            assert!(c.get(id, (n % 10) * 4096).is_some());
+        }
+        assert_eq!(c.len(), 10);
+        for s in c.shards.iter() {
+            let inner = s.inner.lock();
+            assert!(
+                inner.queue.len() <= 2 * inner.map.len() + QUEUE_SLACK,
+                "{} observations for {} entries",
+                inner.queue.len(),
+                inner.map.len()
+            );
+        }
+        // Recency survives the compaction: the block touched last outlives
+        // one touched long ago once the shard must evict.
+        let c = BlockCache::new(3000);
+        let id = c.new_id();
+        c.insert(id, 0, block(0, 900));
+        c.insert(id, 1, block(1, 900));
+        for _ in 0..1000 {
+            assert!(c.get(id, 1).is_some());
+        }
+        assert!(c.get(id, 0).is_some());
+        c.insert(id, 2, block(2, 900));
+        c.insert(id, 3, block(3, 900));
+        assert!(c.get(id, 1).is_none());
+        assert!(c.get(id, 0).is_some(), "most recently used entry evicted");
     }
 
     #[test]

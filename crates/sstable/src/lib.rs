@@ -44,8 +44,8 @@ pub use key::{
 };
 pub use readahead::ScanStats;
 pub use table::{
-    BlockHandle, CompressionKind, TableBuilder, TableBuilderOptions, TableIter, TableMeta,
-    TableReader, TableStats,
+    BlockHandle, CompressionKind, SealedBlock, TableBuilder, TableBuilderOptions, TableIter,
+    TableMeta, TableReader, TableStats,
 };
 
 /// Errors from decoding table structures.

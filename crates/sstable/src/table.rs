@@ -17,7 +17,9 @@
 //! Filter, index and properties sit back to back in front of the footer,
 //! so [`TableMeta::read`] opens a table in two reads: the footer, then one
 //! span over the three. A table this process wrote needs no read at all:
-//! [`TableBuilder::finish`] returns the same [`TableMeta`] it just wrote.
+//! [`TableBuilder::finish`] returns the same [`TableMeta`] it just wrote —
+//! with the decoded data blocks its writer asked it to keep, which
+//! [`TableReader::new`] admits to the block cache.
 //!
 //! The *index block* maps each data block's **last** internal key to a
 //! value of `BlockHandle ++ first_key ++ entry_count` — exactly the "start
@@ -27,8 +29,8 @@
 //! Two build paths:
 //! * [`TableBuilder::add`] — entry-at-a-time (memtable flush, baselines).
 //! * [`TableBuilder::add_sealed_block`] — whole pre-compressed blocks with
-//!   their trailers, produced by the pipeline's compute stage; the write
-//!   stage just appends bytes (step S7 is pure I/O).
+//!   their trailers ([`SealedBlock`]), produced by the pipeline's compute
+//!   stage; the write stage just appends bytes (step S7 is pure I/O).
 
 use crate::block::{Block, BlockBuilder, BlockIter};
 use crate::bloom::BloomFilter;
@@ -165,17 +167,28 @@ pub struct TableStats {
 /// the bloom filter (if the table has one) and the stats.
 /// [`TableBuilder::finish`] hands over the state it built; [`TableMeta::read`]
 /// decodes the same state from a table's tail.
+///
+/// A builder's hand-off also carries the decoded data blocks its writer
+/// kept (`(offset, block)`; see [`TableBuilder::keep_blocks`] and
+/// [`SealedBlock::contents`]), for [`TableReader::new`] to admit to the
+/// block cache. A cold read carries none.
 #[derive(Debug)]
 pub struct TableMeta {
     index: Block,
     bloom: Option<BloomFilter>,
     stats: TableStats,
+    blocks: Vec<(u64, Block)>,
 }
 
 impl TableMeta {
     /// The table's stats.
     pub fn stats(&self) -> TableStats {
         self.stats
+    }
+
+    /// Data blocks carried for admission to the block cache.
+    pub fn kept_blocks(&self) -> usize {
+        self.blocks.len()
     }
 
     /// Reads and verifies a table's metadata in two reads: the footer, then
@@ -238,7 +251,7 @@ impl TableMeta {
         let (data_blocks, n2) = prop(n1)?;
         let (raw_bytes, _) = prop(n1 + n2)?;
         let stats = TableStats { entries, data_blocks, raw_bytes, file_size: len };
-        Ok(TableMeta { index, bloom, stats })
+        Ok(TableMeta { index, bloom, stats, blocks: Vec::new() })
     }
 }
 
@@ -316,6 +329,22 @@ pub fn decompress_block(payload: &[u8], kind: CompressionKind) -> Result<Vec<u8>
 // Builder
 // ---------------------------------------------------------------------------
 
+/// One data block after steps S5/S6, ready for a pure-I/O append by
+/// [`TableBuilder::add_sealed_block`].
+#[derive(Debug, Clone)]
+pub struct SealedBlock {
+    /// payload ++ 5-byte trailer.
+    pub raw: Vec<u8>,
+    pub first_key: Vec<u8>,
+    pub last_key: Vec<u8>,
+    pub entries: u64,
+    /// Bloom hashes of the block's user keys.
+    pub bloom_hashes: Vec<u64>,
+    /// The uncompressed contents `raw` seals, for a builder that keeps its
+    /// blocks ([`TableBuilder::keep_blocks`]).
+    pub contents: Vec<u8>,
+}
+
 /// Writes one SSTable to a [`WritableFile`].
 pub struct TableBuilder {
     file: Box<dyn WritableFile>,
@@ -328,6 +357,10 @@ pub struct TableBuilder {
     offset: u64,
     stats: TableStats,
     finished: bool,
+    /// Whether the data blocks are kept for the hand-off.
+    keep_blocks: bool,
+    /// Decoded data blocks kept for the hand-off, by offset.
+    kept: Vec<(u64, Block)>,
 }
 
 impl TableBuilder {
@@ -344,7 +377,18 @@ impl TableBuilder {
             offset: 0,
             stats: TableStats::default(),
             finished: false,
+            keep_blocks: false,
+            kept: Vec::new(),
         }
+    }
+
+    /// Keeps every data block this builder writes — by
+    /// [`TableBuilder::add`] or [`TableBuilder::add_sealed_block`] — decoded,
+    /// in the [`TableMeta`] that `finish` returns, so the table enters the
+    /// block cache as it is handed over.
+    pub fn keep_blocks(mut self) -> Self {
+        self.keep_blocks = true;
+        self
     }
 
     /// Appends an entry. `ikey` must sort after all previous keys under
@@ -380,6 +424,9 @@ impl TableBuilder {
         let trailer = make_trailer(&payload, kind);
         let handle = self.append_block(&payload, &trailer)?;
         self.push_index_entry(handle, first_key, last_key, entries);
+        if self.keep_blocks {
+            self.kept.push((handle.offset, Block::new(Bytes::from(contents))?));
+        }
         Ok(())
     }
 
@@ -420,27 +467,22 @@ impl TableBuilder {
     }
 
     /// Appends a block already compressed and trailed by the compaction
-    /// pipeline's compute stage (`raw` = payload ++ trailer). The caller
-    /// supplies the block's key range, entry count, uncompressed size, and
-    /// the per-key bloom hashes.
-    pub fn add_sealed_block(
-        &mut self,
-        raw: &[u8],
-        first_key: &[u8],
-        last_key: &[u8],
-        entries: u64,
-        raw_len: u64,
-        bloom_hashes: &[u64],
-    ) -> Result<()> {
+    /// pipeline's compute stage, with its key range, entry count, per-key
+    /// bloom hashes and uncompressed contents.
+    pub fn add_sealed_block(&mut self, block: SealedBlock) -> Result<()> {
         debug_assert!(!self.finished);
         debug_assert!(self.block.is_empty(), "mixing add() and sealed blocks mid-block");
+        let SealedBlock { raw, first_key, last_key, entries, bloom_hashes, contents } = block;
         debug_assert!(raw.len() >= BLOCK_TRAILER_SIZE);
         let payload_len = raw.len() - BLOCK_TRAILER_SIZE;
         let handle = self.append_block(&raw[..payload_len], &raw[payload_len..])?;
-        self.push_index_entry(handle, first_key.to_vec(), last_key.to_vec(), entries);
-        self.bloom_hashes.extend_from_slice(bloom_hashes);
+        self.push_index_entry(handle, first_key, last_key, entries);
+        self.bloom_hashes.extend_from_slice(&bloom_hashes);
         self.stats.entries += entries;
-        self.stats.raw_bytes += raw_len;
+        self.stats.raw_bytes += contents.len() as u64;
+        if self.keep_blocks {
+            self.kept.push((handle.offset, Block::new(Bytes::from(contents))?));
+        }
         Ok(())
     }
 
@@ -521,6 +563,7 @@ impl TableBuilder {
             index: Block::new(Bytes::from(contents))?,
             bloom,
             stats: self.stats,
+            blocks: self.kept,
         })
     }
 }
@@ -554,26 +597,24 @@ impl TableReader {
     /// [`TableBuilder::finish`] for a table just written, from
     /// [`TableMeta::read`] otherwise. Data blocks are read through `cache`
     /// when one is given (the compaction path's raw-span reads always
-    /// bypass it — direct I/O); `scan` is the scan-path stats sink (the LSM
-    /// passes one for the whole database).
+    /// bypass it — direct I/O), and the blocks `meta` carries are admitted
+    /// to it now; `scan` is the scan-path stats sink (the LSM passes one
+    /// for the whole database).
     pub fn new(
         file: Arc<dyn RandomReadFile>,
         meta: TableMeta,
         cache: Option<Arc<BlockCache>>,
         scan: Arc<ScanStats>,
     ) -> TableReader {
-        let TableMeta { index, bloom, stats } = meta;
-        TableReader {
-            file,
-            index,
-            bloom,
-            stats,
-            cache: cache.map(|c| {
-                let id = c.new_id();
-                (c, id)
-            }),
-            scan,
-        }
+        let TableMeta { index, bloom, stats, blocks } = meta;
+        let cache = cache.map(|c| {
+            let id = c.new_id();
+            for (offset, block) in blocks {
+                c.insert(id, offset, block);
+            }
+            (c, id)
+        });
+        TableReader { file, index, bloom, stats, cache, scan }
     }
 
     /// Cold open: [`TableMeta::read`] then [`TableReader::new`], with no
@@ -628,6 +669,11 @@ impl TableReader {
             return Err(TableError::Corruption("short block read".into()));
         }
         Ok(raw)
+    }
+
+    /// This reader's namespace in its block cache, if it has one.
+    pub fn cache_id(&self) -> Option<u64> {
+        self.cache.as_ref().map(|(_, id)| *id)
     }
 
     /// The block at `handle`, if the attached block cache holds it.
@@ -1123,18 +1169,19 @@ mod tests {
         let mut raw = payload;
         raw.extend_from_slice(&trailer);
 
-        tb.add_sealed_block(
-            &raw,
-            &first.unwrap(),
-            &last,
-            100,
-            contents.len() as u64,
-            &hashes,
-        )
+        tb.add_sealed_block(SealedBlock {
+            raw,
+            first_key: first.unwrap(),
+            last_key: last,
+            entries: 100,
+            bloom_hashes: hashes,
+            contents,
+        })
         .unwrap();
-        let stats = tb.finish().unwrap().stats();
-        assert_eq!(stats.entries, 100);
-        assert_eq!(stats.data_blocks, 1);
+        let meta = tb.finish().unwrap();
+        assert_eq!(meta.stats().entries, 100);
+        assert_eq!(meta.stats().data_blocks, 1);
+        assert_eq!(meta.kept_blocks(), 0, "a builder that keeps no blocks kept one");
 
         let reader =
             Arc::new(TableReader::open(env.open("sealed.sst").unwrap()).unwrap());
@@ -1149,6 +1196,71 @@ mod tests {
         assert_eq!(n, 100);
         let target = make_internal_key(b"k00050", u64::MAX >> 8, ValueType::Value);
         assert!(reader.get(&target).unwrap().is_some());
+    }
+
+    /// A block a `keep_blocks` builder wrote — by `add` or as a sealed
+    /// block — is in the block cache the moment the reader exists, and
+    /// equals what a cold read decodes; a reader with no cache drops them.
+    #[test]
+    fn kept_blocks_are_cached_at_hand_off_and_equal_cold_decodes() {
+        let env = test_env();
+        let mut b = TableBuilder::new(env.create("t.sst").unwrap(), TableBuilderOptions::default())
+            .keep_blocks();
+        for (ikey, value) in model(2000) {
+            b.add(&ikey, &value).unwrap();
+        }
+        let meta = b.finish().unwrap();
+        assert_eq!(meta.kept_blocks() as u64, meta.stats().data_blocks);
+        let cache = BlockCache::new(64 << 20);
+        let file = env.open("t.sst").unwrap();
+        let (reader, reads) = {
+            let (file, reads) = RecordingFile::new(file, usize::MAX);
+            (Arc::new(TableReader::new(file, meta, Some(cache.clone()), Arc::default())), reads)
+        };
+        let id = reader.cache_id().unwrap();
+        let blocks = reader.block_metas().unwrap();
+        assert_eq!(cache.len(), blocks.len());
+        for bm in &blocks {
+            let cold = TableReader::decode_raw(&reader.read_raw_block(bm.handle).unwrap()).unwrap();
+            assert_eq!(cache.get(id, bm.handle.offset).unwrap().data(), &cold[..]);
+        }
+        reads.try_iter().count();
+        assert_eq!(collect_all(&reader), model(2000));
+        assert_eq!(reads.try_iter().count(), 0, "a kept block was read back");
+
+        // The same blocks resealed.
+        let mut sealed = TableBuilder::new(env.create("s.sst").unwrap(), TableBuilderOptions::default())
+            .keep_blocks();
+        for bm in &blocks {
+            let raw = reader.read_raw_block(bm.handle).unwrap().to_vec();
+            let contents = TableReader::decode_raw(&raw).unwrap();
+            sealed
+                .add_sealed_block(SealedBlock {
+                    raw,
+                    first_key: bm.first_key.clone(),
+                    last_key: bm.last_key.clone(),
+                    entries: bm.entries,
+                    bloom_hashes: Vec::new(),
+                    contents,
+                })
+                .unwrap();
+        }
+        let meta = sealed.finish().unwrap();
+        assert_eq!(meta.kept_blocks(), blocks.len());
+        let file = env.open("s.sst").unwrap();
+        let resealed = TableReader::new(file, meta, Some(cache.clone()), Arc::default());
+        let resealed_id = resealed.cache_id().unwrap();
+        for bm in &blocks {
+            let (kept, cold) = (cache.get(resealed_id, bm.handle.offset), cache.get(id, bm.handle.offset));
+            assert_eq!(kept.unwrap().data(), cold.unwrap().data());
+        }
+
+        let mut b = TableBuilder::new(env.create("u.sst").unwrap(), TableBuilderOptions::default())
+            .keep_blocks();
+        b.add(&model(1)[0].0, b"v").unwrap();
+        let meta = b.finish().unwrap();
+        let uncached = TableReader::new(env.open("u.sst").unwrap(), meta, None, Arc::default());
+        assert_eq!(uncached.cache_id(), None);
     }
 
     #[test]

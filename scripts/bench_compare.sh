@@ -11,17 +11,21 @@
 # distance, so "at least 9 of 10 pairs and a median gap above the base's
 # own spread" is read off the output.
 #
-#   ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now]
+#   ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now] [workloads=all]
 #
 # Pair n runs every workload on both sides with seed seed0+n; the seeds are
-# printed, so passing the same seed0 again re-runs the same pairs. Nothing
-# else CPU-heavy may run meanwhile. Ten pairs back a claim (EXPERIMENTS.md
-# "Key-range sub-tasks"); three tell a regression from noise.
+# printed, so passing the same seed0 again re-runs the same pairs. The
+# optional fourth argument is a space-separated subset of BENCHMARK.json's
+# workloads (quoted, e.g. "fill_ssd serve_ssd"), so extra pairs for one
+# claim need not re-run the rest. Nothing else CPU-heavy may run meanwhile.
+# Ten pairs back a claim (EXPERIMENTS.md "Key-range sub-tasks"); three tell
+# a regression from noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <base-rev | base-dir> [pairs=3] [seed0=now]" >&2
+usage="usage: $0 <base-rev | base-dir> [pairs=3] [seed0=now] [workloads=all]"
+if [ $# -lt 1 ] || [ $# -gt 4 ]; then
+    echo "$usage" >&2
     exit 2
 fi
 base_rev=$1
@@ -29,7 +33,14 @@ pairs=${2:-3}
 seed0=${3:-$(date +%s)}
 
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
-workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+all_workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+workloads=${4:-$all_workloads}
+for workload in $workloads; do
+    case " $all_workloads " in
+        *" $workload "*) ;;
+        *) echo "unknown workload '$workload' (BENCHMARK.json has: $all_workloads)" >&2; echo "$usage" >&2; exit 2 ;;
+    esac
+done
 
 out=target/bench-compare
 mkdir -p "$out"

@@ -64,7 +64,7 @@ if [ -n "$base_rev" ]; then
     lane "scripts/bench_compare.sh $base_rev (the benchmark against the base, failing outside the BENCHMARK.json bounds)" \
         ./scripts/bench_compare.sh "$base_rev"
 else
-    echo "==> not run: ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
+    echo "==> not run: ./scripts/bench_compare.sh <base-rev | base-dir> [pairs=3] [seed0=now] [workloads=all] (the benchmark against a base revision; --bench-compare <rev> adds it here)"
 fi
 
 echo "==> ci green"

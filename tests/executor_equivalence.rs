@@ -1,6 +1,7 @@
 //! The reproduction's central correctness property: every compaction
 //! procedure — SCP, PCP, C-PPCP, S-PPCP, and the engine's entry-level
-//! reference — produces the same logical output for the same input.
+//! reference — produces the same logical output for the same input, and
+//! the same bytes whether or not the output tables have a block cache.
 
 use pcp::core::{PipelineConfig, PipelinedExec};
 use pcp::lsm::filename::table_file;
@@ -8,7 +9,7 @@ use pcp::compaction::SimpleMergeExec;
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::obs::TraceLog;
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
-use pcp::sstable::{KvIter, TableBuilder, TableBuilderOptions, TableReader};
+use pcp::sstable::{BlockCache, KvIter, TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -64,23 +65,30 @@ fn run_compaction(
         uppers: &uppers,
         lowers: &lowers,
         block_size: TableBuilderOptions::default().block_size,
+        block_cache: false,
     };
     compact_tables(exec, &inputs, smallest_snapshot, bottom, subtask_note).entries
 }
 
 /// The tables of one compaction: each element of `uppers` / `lowers` is one
-/// input table (an empty one is left out), built with `block_size`.
+/// input table (an empty one is left out), built with `block_size`. With
+/// `block_cache`, the output tables are handed to a table cache that has a
+/// block cache.
 struct Inputs<'a> {
     uppers: &'a [Vec<Entry>],
     lowers: &'a [Vec<Entry>],
     block_size: usize,
+    block_cache: bool,
 }
 
-/// What a compaction left behind: the merged entries in order and the
-/// output tables byte for byte.
+/// What a compaction left behind: the merged entries in order, the output
+/// tables byte for byte, their data blocks, and how many of those entered
+/// the block cache at hand-off.
 struct Outcome {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
     files: Vec<Vec<u8>>,
+    data_blocks: u64,
+    written_blocks: u64,
 }
 
 fn compact_tables(
@@ -98,8 +106,9 @@ fn compact_tables(
             .filter_map(|(i, t)| build_table(&env, &format!("{prefix}{i}.sst"), t, inputs.block_size))
             .collect()
     };
+    let block_cache = inputs.block_cache.then(|| BlockCache::new(64 << 20));
     let req = CompactionRequest {
-        tables: Arc::new(TableCache::new(Arc::clone(&env))),
+        tables: Arc::new(TableCache::with_block_cache(Arc::clone(&env), block_cache)),
         upper: build(inputs.uppers, "u"),
         lower: build(inputs.lowers, "l"),
         output_level: 1,
@@ -116,11 +125,14 @@ fn compact_tables(
     let mut out = Outcome {
         entries: Vec::new(),
         files: Vec::new(),
+        data_blocks: 0,
+        written_blocks: req.tables.written_blocks(),
     };
     for meta in outputs {
         let file = env.open(&table_file(meta.number)).unwrap();
         out.files.push(file.read_at(0, file.len() as usize).unwrap().to_vec());
         let t = Arc::new(TableReader::open(file).unwrap());
+        out.data_blocks += t.stats().data_blocks;
         let mut it = t.iter();
         it.seek_to_first();
         while it.valid() {
@@ -277,7 +289,7 @@ proptest! {
             };
             lowers[slot].push(e);
         }
-        let inputs = Inputs { uppers: &uppers, lowers: &lowers, block_size: 256 };
+        let inputs = Inputs { uppers: &uppers, lowers: &lowers, block_size: 256, block_cache: false };
         let reference = compact_tables(&SimpleMergeExec, &inputs, snapshot, bottom, "reference");
 
         let trace = Arc::new(TraceLog::new(8));
@@ -308,6 +320,13 @@ proptest! {
             let got = compact_tables(&exec, &inputs, snapshot, bottom, name);
             prop_assert!(got.files == want.files, "{} wrote different bytes than scp", name);
         }
+        // With a block cache every output block enters it at hand-off, and
+        // the bytes written do not change.
+        let cached = Inputs { block_cache: true, ..inputs };
+        let got = compact_tables(&PipelinedExec::pcp(2 << 10), &cached, snapshot, bottom, "pcp+cache");
+        prop_assert!(got.files == want.files, "pcp with a block cache wrote different bytes than scp");
+        prop_assert_eq!(got.written_blocks, got.data_blocks);
+        prop_assert_eq!(want.written_blocks, 0);
     }
 }
 
