@@ -13,6 +13,10 @@
 //!   surfaced as a value with its token; it does **not** poison the
 //!   connection or the window.
 //!
+//! Responses are read through a [`FrameDecoder`]: one `read(2)` takes
+//! whatever the socket holds, so a burst of pipelined responses costs one
+//! read, not four per frame.
+//!
 //! A lost connection is an error on the call that finds it; the client
 //! does not reconnect. A caller that wants to carry on connects anew.
 
@@ -22,13 +26,21 @@
     reason = "TCP client endpoint: socket I/O is the wire, not engine storage"
 )]
 
-use crate::proto::{read_frame, write_frame, BatchItem, Request, Response, ServiceStats};
-use std::io::{self, Write};
+use crate::proto::{write_frame, BatchItem, Request, Response, ServiceStats};
+use crate::FrameDecoder;
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+
+/// Bytes one socket read may take.
+const READ_CHUNK: usize = 16 << 10;
 
 /// A connected KV service client.
 pub struct KvClient {
     stream: TcpStream,
+    /// Response bytes read but not yet taken as frames.
+    decoder: FrameDecoder,
+    /// Scratch for socket reads, allocated once.
+    read_buf: Vec<u8>,
     /// Next pipelined-send token.
     next_token: u64,
     /// Tokens of pipelined requests sent but not yet received, oldest
@@ -53,6 +65,8 @@ impl KvClient {
         stream.set_nodelay(true).ok();
         Ok(KvClient {
             stream,
+            decoder: FrameDecoder::new(),
+            read_buf: vec![0; READ_CHUNK],
             next_token: 0,
             window: std::collections::VecDeque::new(),
         })
@@ -76,10 +90,34 @@ impl KvClient {
         }
         write_frame(&mut self.stream, &req.encode())?;
         self.stream.flush()?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = self.read_payload()?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
         })?;
         Response::decode(&payload)
+    }
+
+    /// The next response frame's payload: from the bytes already read,
+    /// else after one more socket read. `Ok(None)` is EOF at a frame
+    /// boundary; EOF inside a frame is `UnexpectedEof`, never a partial
+    /// response.
+    fn read_payload(&mut self) -> io::Result<Option<Vec<u8>>> {
+        loop {
+            if let Some(payload) = self.decoder.next_frame()? {
+                return Ok(Some(payload));
+            }
+            match self.stream.read(&mut self.read_buf) {
+                Ok(0) if self.decoder.buffered() == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed inside a response frame",
+                    ))
+                }
+                Ok(n) => self.decoder.push(&self.read_buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     // -- pipelined window ---------------------------------------------------
@@ -112,7 +150,7 @@ impl KvClient {
                 "recv() with no pipelined requests outstanding",
             ));
         };
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = self.read_payload()?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed with pipelined responses outstanding",
@@ -200,5 +238,49 @@ impl KvClient {
             Response::MetricsText(text) => Ok(text),
             other => Err(unexpected(other)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{encode_frame, read_frame};
+    use std::net::{Shutdown, TcpListener};
+
+    /// Responses that arrive several to a segment, or split across
+    /// segments, come out whole and in order; a frame cut short by EOF is
+    /// an error, never a partial response.
+    #[test]
+    fn recv_reassembles_bursts_and_split_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = KvClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        for i in 0..5u8 {
+            client.send(&Request::Get(vec![i])).unwrap();
+        }
+        for _ in 0..5 {
+            read_frame(&mut peer).unwrap().unwrap();
+        }
+        let frame = |i: u8| encode_frame(&Response::Value(vec![i; 100]).encode());
+        let burst: Vec<u8> = (0..3).flat_map(frame).collect();
+        peer.write_all(&burst).unwrap();
+        let fourth = frame(3);
+        peer.write_all(&fourth[..50]).unwrap();
+        peer.flush().unwrap();
+        peer.write_all(&fourth[50..]).unwrap();
+        let fifth = frame(4);
+        peer.write_all(&fifth[..fifth.len() - 1]).unwrap();
+        peer.shutdown(Shutdown::Write).unwrap();
+
+        for i in 0..4u8 {
+            let (token, response) = client.recv().unwrap();
+            assert_eq!(
+                (token, response),
+                (u64::from(i), Response::Value(vec![i; 100]))
+            );
+        }
+        let err = client.recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(client.pending(), 1, "the cut frame answered nothing");
     }
 }

@@ -20,11 +20,11 @@
 //!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/STATS/METRICS,
 //! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
 //!   capture, and Prometheus text exposition of the full `pcp-obs`
-//!   registry, served by the event-driven [`reactor`] (epoll
-//!   readiness loop, fixed worker pool, request pipelining, bounded
-//!   output queues with read backpressure) — plus the blocking
-//!   [`KvClient`] and its pipelined `send`/`recv` window for many
-//!   in-flight ops per connection.
+//!   registry, served by the event-driven [`reactor`] (one epoll
+//!   event loop per core running each request to completion, request
+//!   pipelining, bounded output queues with read backpressure) — plus the
+//!   blocking [`KvClient`] and its pipelined `send`/`recv` window for
+//!   many in-flight ops per connection.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

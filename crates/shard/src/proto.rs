@@ -35,13 +35,20 @@ fn bad(msg: impl Into<String>) -> io::Error {
 
 /// Encodes `payload` as one frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME);
     let mut out = Vec::with_capacity(payload.len() + 8);
+    append_frame(&mut out, payload);
+    out
+}
+
+/// Appends `payload` as one frame to `out` — how the reactor queues a
+/// response straight into its connection's output buffer.
+pub(crate) fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    debug_assert!(payload.len() <= MAX_FRAME);
+    out.reserve(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     let crc = pcp_codec::mask_crc(pcp_codec::crc32c(payload));
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Writes `payload` as one frame.
@@ -77,9 +84,20 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Extracts one complete frame from the front of `buf` if present,
-/// draining the consumed bytes — the incremental-read path of the
-/// reactor's [`crate::FrameDecoder`].
+/// draining the consumed bytes — the one-shot reference the incremental
+/// [`crate::FrameDecoder`] is property-tested against.
 pub fn take_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
+    let Some((payload, total)) = parse_frame(buf)? else {
+        return Ok(None);
+    };
+    let payload = payload.to_vec();
+    buf.drain(..total);
+    Ok(Some(payload))
+}
+
+/// Checks the frame at the front of `buf` without consuming it: its
+/// payload and the frame's total length, or `None` while incomplete.
+pub(crate) fn parse_frame(buf: &[u8]) -> io::Result<Option<(&[u8], usize)>> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -92,12 +110,11 @@ pub fn take_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
     if buf.len() < total {
         return Ok(None);
     }
-    let payload = buf[4..4 + len].to_vec();
+    let payload = &buf[4..4 + len];
     let crc = pcp_codec::read_u32_le(buf, 4 + len)
         .ok_or_else(|| bad("frame trailer shorter than checksum"))?;
-    check_crc(&payload, crc)?;
-    buf.drain(..total);
-    Ok(Some(payload))
+    check_crc(payload, crc)?;
+    Ok(Some((payload, total)))
 }
 
 fn check_crc(payload: &[u8], got: u32) -> io::Result<()> {

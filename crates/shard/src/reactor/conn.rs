@@ -1,5 +1,5 @@
-//! Per-connection state: incremental frame assembly, the response
-//! reorder window, and the bounded output queue.
+//! Per-connection state: incremental frame assembly and the bounded
+//! output queue.
 //!
 //! A connection moves through three states:
 //!
@@ -7,22 +7,24 @@
 //! Open ──(server shutdown / peer EOF)──▶ Draining ──▶ Closed
 //! ```
 //!
-//! * **Open** — reading requests, dispatching to workers, flushing
-//!   responses. Reading pauses (interest drops to write-only) while the
-//!   output queue or the in-flight window is over budget — backpressure
-//!   propagates to the client through TCP once its socket buffer fills.
-//! * **Draining** — no further reads; in-flight ops finish, queued
-//!   responses flush, then the socket closes. Entered on server shutdown
-//!   (frames already buffered are still served) and on peer EOF
-//!   (responses to already-accepted requests are flushed before close —
-//!   TCP delivers them to a half-closed peer).
+//! * **Open** — reading requests, executing them on the owning loop,
+//!   flushing responses. Execution and reading pause (interest drops to
+//!   write-only) while the output queue is at or over its budget —
+//!   backpressure propagates to the client through TCP once its socket
+//!   buffer fills. Frames already decoded wait in the [`FrameDecoder`]
+//!   and run once the queue drains.
+//! * **Draining** — no further reads; frames already received are
+//!   served, queued responses flush, then the socket closes. Entered on
+//!   server shutdown and on peer EOF (responses to already-accepted
+//!   requests are flushed before close — TCP delivers them to a
+//!   half-closed peer).
 //! * **Closed** — fd deregistered and dropped.
 //!
-//! **Pipelining ordering guarantee:** responses are written in request
-//! order per connection. Workers complete out of order; completions park
-//! in `pending` (a seq → payload map) and only append to the output
-//! buffer once every earlier sequence has. The wire carries no tags, so
-//! this positional ordering *is* the protocol.
+//! **Ordering guarantee:** responses are written in request order per
+//! connection. The loop that owns a connection executes its requests one
+//! after another and appends each response to the output queue as it
+//! finishes, so the order holds by construction. The wire carries no
+//! tags, so this positional ordering *is* the protocol.
 
 #![allow(
     clippy::disallowed_methods,
@@ -31,8 +33,7 @@
               loop reads and writes"
 )]
 
-use crate::proto::take_frame;
-use std::collections::BTreeMap;
+use crate::proto::{append_frame, parse_frame};
 use std::io;
 use std::net::TcpStream;
 
@@ -41,10 +42,15 @@ use std::net::TcpStream;
 /// Semantically identical to running [`crate::proto::take_frame`] over
 /// the fully buffered stream — `tests/reactor_frames.rs` proptests that
 /// equivalence for adversarial chunkings (1-byte reads, frames spanning
-/// reads, many frames per read, corrupt and truncated tails).
+/// reads, many frames per read, corrupt and truncated tails). Frames are
+/// consumed by advancing an offset; the consumed prefix is shifted out
+/// once per [`FrameDecoder::push`], so a burst of small frames costs one
+/// move of the buffer, not one per frame.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    pos: usize,
 }
 
 impl FrameDecoder {
@@ -55,6 +61,10 @@ impl FrameDecoder {
 
     /// Appends freshly read bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -62,12 +72,17 @@ impl FrameDecoder {
     /// bytes are needed; an error (oversized length prefix, checksum
     /// mismatch) poisons the stream and the connection should close.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        take_frame(&mut self.buf)
+        let Some((payload, total)) = parse_frame(&self.buf[self.pos..])? else {
+            return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.pos += total;
+        Ok(Some(payload))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 }
 
@@ -76,31 +91,20 @@ impl FrameDecoder {
 pub enum ConnState {
     /// Serving requests.
     Open,
-    /// No further reads; finishing in-flight ops and flushing.
+    /// No further reads; serving what was received and flushing.
     Draining,
     /// Ready to be dropped.
     Closed,
 }
 
-/// One reactor-managed connection.
+/// One connection, owned by one event loop.
 pub struct Conn {
     /// The nonblocking socket.
     pub stream: TcpStream,
-    /// Poller token.
-    pub token: u64,
     /// Incremental frame assembly for inbound bytes.
     pub decoder: FrameDecoder,
     /// Lifecycle state.
     pub state: ConnState,
-    /// Next sequence to assign to a parsed request.
-    pub next_seq: u64,
-    /// Next sequence eligible to append to the output buffer.
-    pub next_flush_seq: u64,
-    /// Completed responses waiting for earlier sequences (reorder window).
-    pub pending: BTreeMap<u64, Vec<u8>>,
-    /// Requests dispatched to workers whose responses have not yet been
-    /// appended to the output buffer.
-    pub in_flight: usize,
     /// Encoded response bytes awaiting the socket — frames are appended
     /// back-to-back so a whole pipelined burst flushes in one `write(2)`
     /// instead of one syscall per response.
@@ -111,22 +115,18 @@ pub struct Conn {
     pub peer_eof: bool,
     /// Interest currently registered with the poller (read, write).
     pub registered_interest: (bool, bool),
-    /// Reading is paused by backpressure (distinct from Draining).
+    /// Execution and reading are paused by output backpressure; complete
+    /// frames may still wait in `decoder`.
     pub paused: bool,
 }
 
 impl Conn {
     /// Wraps an accepted, already-nonblocking socket.
-    pub fn new(stream: TcpStream, token: u64) -> Conn {
+    pub fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            token,
             decoder: FrameDecoder::new(),
             state: ConnState::Open,
-            next_seq: 0,
-            next_flush_seq: 0,
-            pending: BTreeMap::new(),
-            in_flight: 0,
             out: Vec::new(),
             out_pos: 0,
             peer_eof: false,
@@ -140,19 +140,9 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    /// Records a completed response for `seq`, then appends every
-    /// now-in-order response to the output buffer. Returns the number of
-    /// responses that became flushable.
-    pub fn complete(&mut self, seq: u64, frame: Vec<u8>) -> usize {
-        self.pending.insert(seq, frame);
-        let mut advanced = 0;
-        while let Some(frame) = self.pending.remove(&self.next_flush_seq) {
-            self.out.extend_from_slice(&frame);
-            self.next_flush_seq += 1;
-            self.in_flight = self.in_flight.saturating_sub(1);
-            advanced += 1;
-        }
-        advanced
+    /// Appends one response payload, framed, to the output queue.
+    pub fn queue(&mut self, payload: &[u8]) {
+        append_frame(&mut self.out, payload);
     }
 
     /// Writes as much queued output as the socket accepts. Returns
@@ -187,9 +177,9 @@ impl Conn {
         Ok(true)
     }
 
-    /// Whether every accepted request has been answered and flushed.
+    /// Whether every received request has been answered and flushed.
     pub fn drained(&self) -> bool {
-        self.in_flight == 0 && self.pending.is_empty() && self.out_bytes() == 0
+        !self.paused && self.out_bytes() == 0
     }
 
     /// The interest this connection wants right now.
@@ -197,8 +187,8 @@ impl Conn {
     /// * read — only while [`ConnState::Open`], not paused, and peer not
     ///   gone;
     /// * write — whenever output is queued.
-    pub fn desired_interest(&self, over_budget: bool) -> (bool, bool) {
-        let read = self.state == ConnState::Open && !self.peer_eof && !over_budget;
+    pub fn desired_interest(&self) -> (bool, bool) {
+        let read = self.state == ConnState::Open && !self.peer_eof && !self.paused;
         let write = self.out_bytes() > 0;
         (read, write)
     }
@@ -207,7 +197,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::encode_frame;
+    use crate::proto::{encode_frame, read_frame};
 
     #[test]
     fn decoder_matches_one_shot_for_split_input() {
@@ -230,24 +220,38 @@ mod tests {
     }
 
     #[test]
-    fn reorder_window_emits_in_sequence_order() {
+    fn a_thousand_frames_pushed_at_once_decode_in_order() {
+        let frames: Vec<Vec<u8>> = (0..1000u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            stream.extend_from_slice(&encode_frame(f));
+        }
+        let mut dec = FrameDecoder::new();
+        dec.push(&stream);
+        let mut got = Vec::new();
+        while let Some(f) = dec.next_frame().unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, frames);
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn queued_responses_flush_in_order() {
         // A Conn needs a real socket; use a loopback pair.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (sock, _) = listener.accept().unwrap();
         sock.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(sock, 9);
-        conn.in_flight = 3;
-        conn.next_seq = 3;
-
-        assert_eq!(conn.complete(2, b"two".to_vec()), 0);
-        assert_eq!(conn.complete(1, b"one".to_vec()), 0);
-        assert_eq!(conn.out_bytes(), 0);
-        // Seq 0 unblocks all three, in order.
-        assert_eq!(conn.complete(0, b"zero".to_vec()), 3);
-        assert_eq!(conn.out_bytes(), 4 + 3 + 3);
-        assert_eq!(conn.in_flight, 0);
+        let mut conn = Conn::new(sock);
+        for payload in [&b"zero"[..], b"one", b"two"] {
+            conn.queue(payload);
+        }
+        assert_eq!(conn.out_bytes(), 3 * 8 + 4 + 3 + 3);
         assert!(conn.flush().unwrap());
-        drop(peer);
+        assert!(conn.drained());
+        for want in [&b"zero"[..], b"one", b"two"] {
+            assert_eq!(read_frame(&mut peer).unwrap().unwrap(), want);
+        }
     }
 }

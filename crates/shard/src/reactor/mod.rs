@@ -1,36 +1,44 @@
-//! Event-driven front end: a nonblocking reactor + fixed worker pool.
+//! Event-driven front end: one event loop per core, each running every
+//! request it parses to completion.
 //!
 //! A thread per connection is fine for tens of clients and fatal for
-//! thousands. [`crate::KvServer`] serves the wire protocol from a single
-//! event-loop thread:
+//! thousands. [`crate::KvServer`] serves the wire protocol from
+//! [`ReactorConfig::workers`] event loops, each on a thread of its own:
 //!
 //! ```text
-//!                 ┌────────────────────────── reactor thread ─┐
-//!  accept ───▶ epoll ──▶ read ──▶ FrameDecoder ──▶ dispatch ─┐
-//!                 ▲   ▲                                     │
-//!                 │   └── wake pipe ◀── completions ◀── workers ◀┘
-//!                 └────── write-interest ◀── ordered responses
+//!  loop 0: accept ──▶ connection k goes to loop k mod N (channel + wake pipe)
+//!
+//!  loop i: epoll ──▶ read ──▶ FrameDecoder ──▶ ServerShared::handle ──▶ output queue
+//!            ▲                                                          │
+//!            └───────────── write interest while output is queued ◀─────┘
 //! ```
 //!
 //! * **Readiness loop** ([`poller`]): edge-triggered epoll; read and
 //!   write paths drain until `WouldBlock`, the invariant edge triggering
-//!   requires.
+//!   requires. Each loop owns its poller, its wake pipe and its
+//!   connections; a connection never moves between loops.
+//! * **Run to completion**: a loop executes every request it parses
+//!   through `crate::server::ServerShared::handle` on its own thread and
+//!   appends the encoded response to that connection's output queue, so
+//!   responses leave in request order by construction. Nothing crosses a
+//!   thread between a request's read and its response's write.
 //! * **Connection FSM** ([`conn`]): incremental CRC-framed assembly from
-//!   partial reads, a per-connection reorder window so responses leave in
-//!   request order, and a bounded output queue.
-//! * **Worker pool** ([`workers`]): a fixed set of threads executing ops
-//!   through `crate::server::ServerShared::handle`.
-//! * **Request pipelining**: a client may keep many frames in flight on
-//!   one connection; concurrent ops from many connections land in the
-//!   worker pool together, which is exactly what keeps the group-commit
-//!   leader's batches full (DESIGN.md §12, §14).
-//! * **Backpressure**: when a connection's output queue or in-flight
-//!   window is over budget the reactor stops *reading* from it — TCP then
-//!   pushes back on the client once socket buffers fill. No unbounded
-//!   queue anywhere.
-//! * **Graceful shutdown**: frames already received are still served,
-//!   in-flight ops finish, queued responses flush, then sockets close —
-//!   no accepted request is dropped.
+//!   partial reads and a bounded output queue.
+//! * **Assignment**: loop 0 owns the listener and deals accepted sockets
+//!   round-robin — connection *k* goes to loop *k* mod *N* through an
+//!   `mpsc` channel and that loop's wake pipe.
+//! * **Backpressure**: once a connection's queued output reaches
+//!   `max_output_bytes` its loop stops executing its frames and stops
+//!   *reading* it — TCP then pushes back on the client once socket
+//!   buffers fill. When the output drains, the loop first runs the frames
+//!   already in the decoder (edge-triggered epoll will not report them
+//!   again), then reads on. No unbounded queue anywhere.
+//! * **Blocking requests**: a request that blocks (a write stall, a
+//!   cache-miss read) holds its loop's other connections, not the other
+//!   loops' (`DESIGN.md` §14).
+//! * **Graceful shutdown**: every loop serves the frames it has already
+//!   received, flushes the queued responses, then closes its sockets — no
+//!   accepted request is dropped.
 
 #![allow(
     clippy::disallowed_methods,
@@ -41,21 +49,20 @@
 
 pub mod conn;
 pub mod poller;
-pub mod workers;
 
 pub use conn::FrameDecoder;
-pub use workers::Waker;
 
-use crate::proto::{encode_frame, Request, Response};
+use crate::proto::{Request, Response};
 use crate::server::ServerShared;
 use conn::{Conn, ConnState};
 use poller::{Event, Interest, Poller};
 use std::collections::HashMap;
-use std::io;
-use std::net::TcpListener;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,14 +82,12 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 /// Tuning for the reactor front end (see `DESIGN.md` §14).
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Worker threads executing ops. `0` means `max(2, cores)`.
+    /// Event loops, one thread each, executing the requests of the
+    /// connections dealt to them. `0` means `max(2, cores)`.
     pub workers: usize,
-    /// Per-connection output-queue budget in bytes; reading pauses while
-    /// the queue is over it.
+    /// Per-connection output-queue budget in bytes; a loop stops executing
+    /// and reading a connection while its queue is at or over it.
     pub max_output_bytes: usize,
-    /// Per-connection cap on dispatched-but-unflushed requests; reading
-    /// pauses at the cap (bounds the reorder window).
-    pub max_in_flight: usize,
 }
 
 impl Default for ReactorConfig {
@@ -90,7 +95,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             workers: 0,
             max_output_bytes: 1 << 20,
-            max_in_flight: 256,
         }
     }
 }
@@ -107,167 +111,224 @@ impl ReactorConfig {
     }
 }
 
-/// Handle the [`crate::KvServer`] keeps for a running reactor.
-pub(crate) struct ReactorHandle {
-    pub thread: std::thread::JoinHandle<()>,
-    pub waker: Waker,
+/// Nudges one event loop out of its poll wait from another thread.
+///
+/// A byte written to the wake pipe makes the registered read end ready;
+/// the payload is meaningless and the pipe filling up is fine — any
+/// pending byte already guarantees a wakeup.
+struct Waker {
+    pipe: UnixStream,
 }
 
-/// Counters shared between the loop and the metrics registry.
+impl Waker {
+    /// Never blocks; a full pipe is success.
+    fn wake(&self) {
+        let _ = (&self.pipe).write(&[1u8]);
+    }
+}
+
+/// What the [`crate::KvServer`] keeps of its running loops.
+pub(crate) struct ReactorHandle {
+    loops: Vec<(std::thread::JoinHandle<()>, Waker)>,
+}
+
+impl ReactorHandle {
+    /// Wakes every loop and joins it. The caller has requested shutdown
+    /// first, so each loop drains its connections and exits.
+    pub(crate) fn join(self) {
+        for (_, waker) in &self.loops {
+            waker.wake();
+        }
+        for (thread, _) in self.loops {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Counters every loop adds to; the registry reads their sums.
 struct Counters {
-    accepts: Arc<AtomicU64>,
-    wakeups: Arc<AtomicU64>,
-    backpressure: Arc<AtomicU64>,
-    connections: Arc<AtomicUsize>,
-    dispatch_depth: Arc<pcp_obs::Histogram>,
-    pipeline_depth: Arc<pcp_obs::Histogram>,
+    accepts: AtomicU64,
+    wakeups: AtomicU64,
+    backpressure: AtomicU64,
     output_bytes: Arc<pcp_obs::Histogram>,
 }
 
-/// Builds the poller, wake pipe, and worker pool, registers the
-/// `pcp_service_*` reactor series, and spawns the event-loop thread.
+/// One loop's share of the work, exported under its `worker` label.
+#[derive(Default)]
+struct LoopStats {
+    ops: AtomicU64,
+    busy_nanos: AtomicU64,
+}
+
+/// Where loop 0 deals a socket for another loop.
+struct Peer {
+    inbox: Sender<TcpStream>,
+    waker: Waker,
+}
+
+/// Builds every loop — poller, wake pipe, inbox — registers the
+/// `pcp_service_*` reactor series, then starts one thread per loop.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<ServerShared>,
     cfg: ReactorConfig,
 ) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
-    let (wake_rx, wake_tx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    let waker = Waker::new(wake_tx);
-
-    let mut poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
-
-    let workers = cfg.effective_workers();
-    let pool = workers::WorkerPool::start(workers, Arc::clone(&shared), waker.try_clone()?)?;
-
     let registry = shared.registry();
-    let counters = Counters {
-        accepts: Arc::new(AtomicU64::new(0)),
-        wakeups: Arc::new(AtomicU64::new(0)),
-        backpressure: Arc::new(AtomicU64::new(0)),
-        connections: Arc::new(AtomicUsize::new(0)),
-        dispatch_depth: registry.histogram(
-            "pcp_service_dispatch_queue_depth",
-            "worker-queue depth observed at each dispatch",
-        ),
-        pipeline_depth: registry.histogram(
-            "pcp_service_pipeline_depth",
-            "per-connection in-flight requests observed at each dispatch",
-        ),
+    let counters = Arc::new(Counters {
+        accepts: AtomicU64::new(0),
+        wakeups: AtomicU64::new(0),
+        backpressure: AtomicU64::new(0),
         output_bytes: registry.histogram(
             "pcp_service_output_queue_bytes",
-            "per-connection queued response bytes observed at each completion",
+            "per-connection queued response bytes observed at each flush",
         ),
+    });
+    let sum = |read: fn(&Counters) -> &AtomicU64| {
+        let counters = Arc::clone(&counters);
+        move || read(&counters).load(Ordering::Relaxed)
     };
-    {
-        let conns = Arc::clone(&counters.connections);
-        registry.register_fn_gauge(
-            "pcp_service_connections",
-            "connections currently owned by the reactor event loop",
-            Vec::new(),
-            move || conns.load(Ordering::SeqCst) as f64,
-        );
-        let accepts = Arc::clone(&counters.accepts);
+    registry.register_fn_counter(
+        "pcp_service_accepts_total",
+        "connections accepted by the reactor",
+        Vec::new(),
+        sum(|c| &c.accepts),
+    );
+    registry.register_fn_counter(
+        "pcp_service_reactor_wakeups_total",
+        "readiness wakeups (poller waits that delivered events), summed over the loops",
+        Vec::new(),
+        sum(|c| &c.wakeups),
+    );
+    registry.register_fn_counter(
+        "pcp_service_backpressure_pauses_total",
+        "times a connection's execution and reads were paused by output backpressure",
+        Vec::new(),
+        sum(|c| &c.backpressure),
+    );
+
+    // Build every loop before starting any, so a failed syscall leaves no
+    // thread behind.
+    let n = cfg.effective_workers();
+    let mut loops = Vec::with_capacity(n);
+    let mut wakers = Vec::with_capacity(n);
+    let mut peers = Vec::with_capacity(n - 1);
+    for i in 0..n {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let mut poller = Poller::new()?;
+        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::READ)?;
+        let (inbox_tx, inbox) = mpsc::channel();
+        if i > 0 {
+            peers.push(Peer {
+                inbox: inbox_tx,
+                waker: Waker {
+                    pipe: wake_tx.try_clone()?,
+                },
+            });
+        }
+        wakers.push(Waker { pipe: wake_tx });
+
+        let stats = Arc::new(LoopStats::default());
+        let label = vec![("worker".to_string(), i.to_string())];
+        let ops = Arc::clone(&stats);
         registry.register_fn_counter(
-            "pcp_service_accepts_total",
-            "connections accepted by the reactor",
-            Vec::new(),
-            move || accepts.load(Ordering::Relaxed),
+            "pcp_service_worker_ops_total",
+            "ops executed per event loop",
+            label.clone(),
+            move || ops.ops.load(Ordering::Relaxed),
         );
-        let wakeups = Arc::clone(&counters.wakeups);
+        let busy = Arc::clone(&stats);
         registry.register_fn_counter(
-            "pcp_service_reactor_wakeups_total",
-            "readiness wakeups (poller waits that delivered events)",
-            Vec::new(),
-            move || wakeups.load(Ordering::Relaxed),
+            "pcp_service_worker_busy_nanoseconds_total",
+            "time spent executing and encoding ops per event loop",
+            label,
+            move || busy.busy_nanos.load(Ordering::Relaxed),
         );
-        let bp = Arc::clone(&counters.backpressure);
-        registry.register_fn_counter(
-            "pcp_service_backpressure_pauses_total",
-            "times a connection's reads were paused by output backpressure",
-            Vec::new(),
-            move || bp.load(Ordering::Relaxed),
-        );
-        for (i, ws) in pool.stats().iter().enumerate() {
-            let label = vec![("worker".to_string(), i.to_string())];
-            let ops = Arc::clone(&ws.ops);
-            registry.register_fn_counter(
-                "pcp_service_worker_ops_total",
-                "ops executed per worker",
-                label.clone(),
-                move || ops.load(Ordering::Relaxed),
-            );
-            let busy = Arc::clone(&ws.busy_nanos);
-            registry.register_fn_counter(
-                "pcp_service_worker_busy_nanoseconds_total",
-                "time spent executing ops per worker",
-                label,
-                move || busy.load(Ordering::Relaxed),
-            );
+        loops.push(EventLoop {
+            shared: Arc::clone(&shared),
+            poller,
+            wake_rx,
+            inbox,
+            listener: None,
+            peers: Vec::new(),
+            dealt: 0,
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            max_output_bytes: cfg.max_output_bytes,
+            counters: Arc::clone(&counters),
+            stats,
+            drain_started: None,
+        });
+    }
+    let first = &mut loops[0];
+    first
+        .poller
+        .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    first.listener = Some(listener);
+    first.peers = peers;
+
+    let mut handle = ReactorHandle {
+        loops: Vec::with_capacity(n),
+    };
+    for (i, (event_loop, waker)) in loops.into_iter().zip(wakers).enumerate() {
+        let spawned = std::thread::Builder::new()
+            .name(format!("pcp-kv-loop-{i}"))
+            .spawn(move || event_loop.run());
+        match spawned {
+            Ok(thread) => handle.loops.push((thread, waker)),
+            Err(e) => {
+                shared.request_shutdown();
+                handle.join();
+                return Err(e);
+            }
         }
     }
-
-    let loop_waker = waker.try_clone()?;
-    let reactor = Reactor {
-        listener: Some(listener),
-        wake_rx,
-        poller,
-        pool,
-        shared,
-        cfg,
-        conns: HashMap::new(),
-        next_token: FIRST_CONN_TOKEN,
-        counters,
-        drain_started: None,
-    };
-    let thread = std::thread::Builder::new()
-        .name("pcp-kv-reactor".into())
-        .spawn(move || reactor.run())?;
-    Ok(ReactorHandle {
-        thread,
-        waker: loop_waker,
-    })
+    Ok(handle)
 }
 
-struct Reactor {
-    listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    poller: Poller,
-    pool: workers::WorkerPool,
+struct EventLoop {
     shared: Arc<ServerShared>,
-    cfg: ReactorConfig,
+    poller: Poller,
+    wake_rx: UnixStream,
+    /// Sockets loop 0 dealt to this loop.
+    inbox: Receiver<TcpStream>,
+    /// Loop 0 only: the listener, the other loops' inboxes, and how many
+    /// sockets it has dealt.
+    listener: Option<TcpListener>,
+    peers: Vec<Peer>,
+    dealt: usize,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    counters: Counters,
+    max_output_bytes: usize,
+    counters: Arc<Counters>,
+    stats: Arc<LoopStats>,
     drain_started: Option<Instant>,
 }
 
-impl Reactor {
+impl EventLoop {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(256);
         loop {
             events.clear();
             match self.poller.wait(&mut events, WAIT_MS) {
-                Ok(n) if n > 0 => {
+                Ok(0) => {}
+                Ok(_) => {
                     self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(_) => {}
-                Err(_) => {
-                    if self.shared.shutting_down() && self.conns.is_empty() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // `wait` reports EINTR as no events; any other error is
+                // this loop's own epoll fd gone bad, which no retry mends:
+                // close up as on shutdown.
+                Err(_) => break,
             }
-            let ready = std::mem::take(&mut events);
-            for ev in &ready {
+            for ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.drain_wake_pipe(),
+                    WAKE_TOKEN => {
+                        self.drain_wake_pipe();
+                        self.adopt_dealt();
+                    }
                     token => {
                         if ev.readable || ev.error {
                             self.conn_readable(token);
@@ -278,8 +339,6 @@ impl Reactor {
                     }
                 }
             }
-            events = ready;
-            self.collect_completions();
             if self.shared.shutting_down() {
                 self.begin_drain();
             }
@@ -289,11 +348,16 @@ impl Reactor {
             }
         }
         self.close_listener();
-        self.pool.shutdown();
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.close_conn(token);
+        }
     }
 
     // -- accept ------------------------------------------------------------
 
+    /// Loop 0: accepts every pending connection and deals each to the
+    /// next loop in turn.
     fn accept_ready(&mut self) {
         loop {
             let Some(listener) = self.listener.as_ref() else {
@@ -305,22 +369,18 @@ impl Reactor {
                         continue; // accept-and-close during drain
                     }
                     self.counters.accepts.fetch_add(1, Ordering::Relaxed);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+                    let target = self.dealt % (self.peers.len() + 1);
+                    self.dealt += 1;
+                    match target.checked_sub(1).map(|i| &self.peers[i]) {
+                        None => self.adopt(stream),
+                        Some(peer) => {
+                            // A send fails only once that loop has exited;
+                            // the socket then closes unserved.
+                            if peer.inbox.send(stream).is_ok() {
+                                peer.waker.wake();
+                            }
+                        }
                     }
-                    stream.set_nodelay(true).ok();
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(token, Conn::new(stream, token));
-                    self.counters.connections.fetch_add(1, Ordering::SeqCst);
-                    self.shared.connection_opened();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -329,18 +389,39 @@ impl Reactor {
         }
     }
 
+    /// Takes every socket loop 0 has dealt here since the last call.
+    fn adopt_dealt(&mut self) {
+        while let Ok(stream) = self.inbox.try_recv() {
+            self.adopt(stream);
+        }
+    }
+
+    fn adopt(&mut self, stream: TcpStream) {
+        // A socket dealt after this loop began draining has sent nothing
+        // the server read: it closes unserved.
+        if self.drain_started.is_some() || stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        stream.set_nodelay(true).ok();
+        let token = self.next_token;
+        self.next_token += 1;
+        if self
+            .poller
+            .register(stream.as_raw_fd(), token, Interest::READ)
+            .is_err()
+        {
+            return;
+        }
+        self.conns.insert(token, Conn::new(stream));
+        self.shared.connection_opened();
+    }
+
     fn drain_wake_pipe(&mut self) {
-        use std::io::Read;
         let mut sink = [0u8; 64];
         while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 
     // -- per-connection I/O --------------------------------------------------
-
-    fn over_budget(&self, conn: &Conn) -> bool {
-        conn.out_bytes() >= self.cfg.max_output_bytes
-            || conn.in_flight + conn.pending.len() >= self.cfg.max_in_flight
-    }
 
     fn conn_readable(&mut self, token: u64) {
         let mut chunk = [0u8; 16 << 10];
@@ -348,42 +429,21 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.state != ConnState::Open {
+            if conn.state != ConnState::Open || conn.paused {
                 return;
             }
-            use std::io::Read;
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    // Peer EOF: serve the complete frames already buffered,
-                    // answer them, then close.
+                    // Peer EOF: the complete frames already received were
+                    // served as they arrived (or wait out a pause); flush
+                    // their answers, then close.
                     conn.peer_eof = true;
-                    if !self.parse_frames(token) {
-                        return;
-                    }
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.state = ConnState::Draining;
-                    }
+                    conn.state = ConnState::Draining;
                     return;
                 }
                 Ok(n) => {
                     conn.decoder.push(&chunk[..n]);
-                    if !self.parse_frames(token) {
-                        return;
-                    }
-                    // Stop reading while over budget; sweep() drops read
-                    // interest until the queue drains. The pause is marked
-                    // here — the moment reads actually stop — because the
-                    // budget can be exceeded and fully drained again between
-                    // two sweeps, which would otherwise never count it.
-                    if self.conns.get(&token).is_some_and(|c| self.over_budget(c)) {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            if !conn.paused {
-                                conn.paused = true;
-                                self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        return;
-                    }
+                    self.serve(token);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -395,55 +455,37 @@ impl Reactor {
         }
     }
 
-    /// Parses every complete frame buffered on `token`, dispatching ops to
-    /// the worker pool as one batch (one queue lock, one condvar round per
-    /// readable event, not per frame). Returns `false` if the connection
-    /// was closed (bad frame) or vanished.
-    fn parse_frames(&mut self, token: u64) -> bool {
-        let mut batch: Vec<workers::Job> = Vec::new();
-        let alive = loop {
+    /// Executes the complete frames buffered on `token`, in order, and
+    /// flushes their responses. Stops at the output budget: the
+    /// connection is paused (counted) and stays paused while the socket
+    /// leaves the queue at or over the budget.
+    fn serve(&mut self, token: u64) {
+        loop {
             let Some(conn) = self.conns.get_mut(&token) else {
-                break false;
+                return;
             };
-            let payload = match conn.decoder.next_frame() {
-                Ok(Some(payload)) => payload,
-                Ok(None) => break true,
-                Err(_) => {
-                    // Corrupt frame: the stream is unrecoverable, so the
-                    // socket is dropped without a response.
-                    self.close_conn(token);
-                    break false;
-                }
-            };
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match Request::decode(&payload) {
-                Ok(req) => {
-                    conn.in_flight += 1;
-                    self.counters
-                        .pipeline_depth
-                        .record(conn.in_flight as u64);
-                    batch.push(workers::Job {
-                        conn: token,
-                        seq,
-                        req,
-                    });
-                }
-                Err(e) => {
-                    // Malformed payload: answer in-line but in-order with
-                    // a "bad request" ERR; the connection stays usable.
-                    self.shared.count_error();
-                    let frame =
-                        encode_frame(&Response::Err(format!("bad request: {e}")).encode());
-                    conn.complete(seq, frame);
-                }
+            if execute(conn, &self.shared, &self.stats, self.max_output_bytes).is_err() {
+                // Corrupt frame: the stream is unrecoverable, so the
+                // socket is dropped without a response.
+                self.close_conn(token);
+                return;
             }
-        };
-        if !batch.is_empty() {
-            let depth = self.pool.dispatch_batch(&mut batch);
-            self.counters.dispatch_depth.record(depth as u64);
+            let over = conn.out_bytes() >= self.max_output_bytes;
+            if over {
+                conn.paused = true;
+                self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
+            }
+            self.counters.output_bytes.record(conn.out_bytes() as u64);
+            if conn.flush().is_err() {
+                self.close_conn(token);
+                return;
+            }
+            if !over || conn.out_bytes() >= self.max_output_bytes {
+                return;
+            }
+            // The socket took the queue below budget at once: resume.
+            conn.paused = false;
         }
-        alive
     }
 
     fn conn_writable(&mut self, token: u64) {
@@ -452,59 +494,31 @@ impl Reactor {
         };
         if conn.flush().is_err() {
             self.close_conn(token);
-        }
-    }
-
-    fn collect_completions(&mut self) {
-        let completions = self.pool.take_completions();
-        if completions.is_empty() {
             return;
         }
-        // Land every completion first, then flush each touched connection
-        // once — a pipelined burst becomes one write(2), not one per op.
-        let mut touched: Vec<u64> = Vec::new();
-        for completion in completions {
-            let Some(conn) = self.conns.get_mut(&completion.conn) else {
-                continue; // connection died with ops in flight
-            };
-            if conn.complete(completion.seq, completion.frame) > 0
-                && !touched.contains(&completion.conn)
-            {
-                touched.push(completion.conn);
-            }
-        }
-        for token in touched {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            self.counters.output_bytes.record(conn.out_bytes() as u64);
-            // Optimistic flush: skip an event-loop round trip when the
-            // socket has room (the common case).
-            if conn.flush().is_err() {
-                self.close_conn(token);
-            }
+        if conn.paused && conn.out_bytes() < self.max_output_bytes {
+            // Edge-triggered epoll will not report the frames already in
+            // the decoder again: run them now, then read on.
+            conn.paused = false;
+            self.serve(token);
+            self.conn_readable(token);
         }
     }
 
     // -- lifecycle ----------------------------------------------------------
 
     /// Transitions every connection into draining once shutdown is
-    /// requested. Idempotent.
+    /// requested. Idempotent. Frames already received have been served
+    /// as they arrived, or wait out a pause and run when it lifts.
     fn begin_drain(&mut self) {
         if self.drain_started.is_some() {
             return;
         }
         self.drain_started = Some(Instant::now());
         self.close_listener();
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            // Serve frames already received, then stop reading.
-            if self.parse_frames(token) {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    if conn.state == ConnState::Open {
-                        conn.state = ConnState::Draining;
-                    }
-                }
+        for conn in self.conns.values_mut() {
+            if conn.state == ConnState::Open {
+                conn.state = ConnState::Draining;
             }
         }
     }
@@ -515,42 +529,22 @@ impl Reactor {
         }
     }
 
-    /// Updates poller interest to match each connection's desires, applies
-    /// backpressure accounting, and reaps drained/deadline-expired
-    /// connections.
+    /// Updates poller interest to match each connection's desires and
+    /// reaps drained/deadline-expired connections.
     fn sweep(&mut self) {
         let deadline_passed = self
             .drain_started
             .is_some_and(|t| t.elapsed() > DRAIN_DEADLINE);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            let over = match self.conns.get(&token) {
-                Some(conn) => self.over_budget(conn),
-                None => continue,
-            };
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.state == ConnState::Open {
-                if over && !conn.paused {
-                    conn.paused = true;
-                    self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
-                } else if !over && conn.paused {
-                    conn.paused = false;
-                }
-            }
-            if (conn.state == ConnState::Draining || conn.peer_eof) && conn.drained() {
+            if deadline_passed || (conn.state == ConnState::Draining && conn.drained()) {
                 self.close_conn(token);
                 continue;
             }
-            if deadline_passed {
-                self.close_conn(token);
-                continue;
-            }
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            let desired = conn.desired_interest(over);
+            let desired = conn.desired_interest();
             if desired != conn.registered_interest {
                 let interest = Interest {
                     read: desired.0,
@@ -564,9 +558,7 @@ impl Reactor {
                     self.close_conn(token);
                     continue;
                 }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.registered_interest = desired;
-                }
+                conn.registered_interest = desired;
             }
         }
     }
@@ -574,8 +566,40 @@ impl Reactor {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.counters.connections.fetch_sub(1, Ordering::SeqCst);
             self.shared.connection_closed();
         }
     }
+}
+
+/// Runs `conn`'s complete frames to completion, in order, until the
+/// decoder runs dry or the queued output reaches `budget`. An undecodable
+/// payload is answered in its slot with a "bad request" ERR and the
+/// connection stays usable; `Err` is a corrupt frame.
+fn execute(
+    conn: &mut Conn,
+    shared: &ServerShared,
+    stats: &LoopStats,
+    budget: usize,
+) -> io::Result<()> {
+    while conn.out_bytes() < budget {
+        let Some(payload) = conn.decoder.next_frame()? else {
+            break;
+        };
+        match Request::decode(&payload) {
+            Ok(req) => {
+                let t0 = Instant::now();
+                let response = shared.handle(req);
+                conn.queue(&response.encode());
+                stats
+                    .busy_nanos
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                stats.ops.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                shared.count_error();
+                conn.queue(&Response::Err(format!("bad request: {e}")).encode());
+            }
+        }
+    }
+    Ok(())
 }

@@ -78,9 +78,10 @@ impl Interest {
     };
 }
 
-/// The reactor's readiness source. Single-threaded by design: only the
-/// reactor thread registers, modifies, and waits (cross-thread wakeups go
-/// through the wake pipe, which is itself just another registered fd).
+/// One event loop's readiness source. Single-threaded by design: only
+/// its loop's thread registers, modifies, and waits (cross-thread wakeups
+/// go through the loop's wake pipe, which is itself just another
+/// registered fd).
 pub struct Poller {
     epfd: RawFd,
     /// Scratch buffer reused across waits.

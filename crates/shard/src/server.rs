@@ -1,9 +1,9 @@
 //! TCP front end over a [`ShardedDb`]: the event-driven [`crate::reactor`]
-//! (one epoll event-loop thread, a fixed worker pool, request
-//! pipelining, bounded per-connection output queues) serves
-//! request/response traffic; this module owns what sits around it — op
-//! execution (`ServerShared::handle`), the metrics registry, and the server
-//! lifecycle.
+//! (one epoll event loop per core, each running its connections' requests
+//! to completion, request pipelining, bounded per-connection output
+//! queues) serves request/response traffic; this module owns what sits
+//! around it — op execution (`ServerShared::handle`), the metrics
+//! registry, and the server lifecycle.
 //!
 //! The interesting state — memtables, WALs, compaction pipelines — all
 //! lives below, in the sharded engine; the service layer only frames
@@ -24,7 +24,7 @@
 )]
 
 use crate::proto::{Request, Response, ServiceStats, SCAN_LIMIT_MAX};
-use crate::reactor::ReactorConfig;
+use crate::reactor::{ReactorConfig, ReactorHandle};
 use crate::sharded::ShardedDb;
 use crate::BatchItem;
 use pcp_lsm::WriteBatch;
@@ -36,7 +36,7 @@ use std::time::Instant;
 
 pub(crate) struct ServerShared {
     db: Arc<ShardedDb>,
-    /// Set once by [`KvServer::shutdown`]: the reactor drains and exits.
+    /// Set once by [`KvServer::shutdown`]: the event loops drain and exit.
     shutdown: AtomicBool,
     ops: Arc<AtomicU64>,
     errors: Arc<AtomicU64>,
@@ -49,6 +49,11 @@ pub(crate) struct ServerShared {
 impl ServerShared {
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Sets the shutdown flag; returns whether it was already set.
+    pub(crate) fn request_shutdown(&self) -> bool {
+        self.shutdown.swap(true, Ordering::SeqCst)
     }
 
     /// The server-owned metrics registry (for the reactor's series).
@@ -145,10 +150,8 @@ impl ServerShared {
 pub struct KvServer {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
-    /// The reactor event loop.
-    service_thread: Option<std::thread::JoinHandle<()>>,
-    /// Wakes the event loop out of its poll wait.
-    waker: crate::reactor::Waker,
+    /// The event loops; taken by shutdown.
+    reactor: Option<ReactorHandle>,
 }
 
 impl KvServer {
@@ -218,12 +221,11 @@ impl KvServer {
             write_latency,
             registry,
         });
-        let handle = crate::reactor::spawn(listener, Arc::clone(&shared), reactor)?;
+        let reactor = crate::reactor::spawn(listener, Arc::clone(&shared), reactor)?;
         Ok(KvServer {
             local_addr,
             shared,
-            service_thread: Some(handle.thread),
-            waker: handle.waker,
+            reactor: Some(reactor),
         })
     }
 
@@ -254,17 +256,16 @@ impl KvServer {
         &self.shared.registry
     }
 
-    /// Stops accepting, drains in-flight connections, and joins every
-    /// service thread. Idempotent; also runs on drop.
+    /// Stops accepting, drains every connection, and joins every event
+    /// loop. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.request_shutdown() {
             return;
         }
-        // Nudge the event loop out of its poll wait; it drains in-flight
-        // ops and flushes responses before exiting.
-        self.waker.wake();
-        if let Some(t) = self.service_thread.take() {
-            let _ = t.join();
+        // Each loop, woken out of its poll wait, serves what it has
+        // received and flushes the responses before exiting.
+        if let Some(reactor) = self.reactor.take() {
+            reactor.join();
         }
     }
 }

@@ -50,7 +50,7 @@
 //! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, the one executor in its SCP/PCP/C-PPCP/S-PPCP/adaptive shapes, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
 //! | [`workload`] | `pcp-workload` | key/value generators and the insert driver |
-//! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (epoll reactor + worker pool) |
+//! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (one epoll event loop per core) |
 //! | [`obs`] | `pcp-obs` | metrics registry, Prometheus exposition, pipeline event traces |
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment index,
