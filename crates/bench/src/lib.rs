@@ -17,7 +17,7 @@
 )]
 
 use pcp_core::{CompactionProfile, PipelinedExec};
-use pcp_lsm::filename::table_file;
+use pcp_compaction::filename::table_file;
 use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata, TableCache};
 use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp_sstable::{

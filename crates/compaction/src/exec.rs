@@ -18,7 +18,7 @@ use pcp_sstable::key::{parse_internal_key, SequenceNumber, ValueType};
 use pcp_sstable::{
     KvIter, MergingIter, Result as TableResult, TableBuilderOptions, TableReader,
 };
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Decides, entry by entry in internal-key order, whether a merged entry is
@@ -116,9 +116,16 @@ impl CompactionRequest {
             .sum()
     }
 
-    /// Allocates the next output file number.
-    pub fn next_file_number(&self) -> u64 {
-        self.file_numbers.fetch_add(1, AtomicOrdering::SeqCst)
+    /// The sink the outputs go through: [`CompactionRequest::tables`],
+    /// numbered from [`CompactionRequest::file_numbers`], rotated at
+    /// [`CompactionRequest::max_output_bytes`].
+    pub fn output_sink(&self) -> OutputSink<'_> {
+        OutputSink::new(
+            &self.tables,
+            &self.file_numbers,
+            self.table_opts.clone(),
+            self.max_output_bytes,
+        )
     }
 }
 
@@ -137,33 +144,6 @@ pub trait CompactionExec: Send + Sync {
     /// instance, not once per database sharing it — the engine-level
     /// `register_metrics` entry points take care of that.
     fn register_metrics(&self, _registry: &pcp_obs::Registry) {}
-}
-
-/// Output side of the reference executor: writes filtered merged entries
-/// into the [`OutputSink`]'s size-rotated tables.
-pub struct OutputWriter<'req>(OutputSink<'req>);
-
-impl<'req> OutputWriter<'req> {
-    /// Creates a writer for `req`'s output level.
-    pub fn new(req: &'req CompactionRequest) -> Self {
-        OutputWriter(OutputSink::new(req))
-    }
-
-    /// Appends one surviving entry (in internal-key order).
-    pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> TableResult<()> {
-        self.0.append(ikey, ikey, |b| b.add(ikey, value))
-    }
-
-    /// Finishes the last table and returns the outputs in key order; see
-    /// [`OutputSink::finish`].
-    pub fn finish(&mut self) -> TableResult<Vec<Arc<FileMetadata>>> {
-        self.0.finish()
-    }
-
-    /// Deletes every output file created; see [`OutputSink::abort`].
-    pub fn abort(&mut self) -> usize {
-        self.0.abort()
-    }
 }
 
 /// Reference executor: single-threaded, entry-at-a-time merge through the
@@ -186,13 +166,14 @@ impl CompactionExec for SimpleMergeExec {
             .collect();
         let mut merged = MergingIter::new(children, pcp_sstable::internal_key_cmp);
         let mut filter = VersionKeepFilter::new(req.smallest_snapshot, req.bottom_level);
-        let mut out = OutputWriter::new(req);
+        let mut out = req.output_sink();
         let result = {
             let mut run = || -> TableResult<Vec<Arc<FileMetadata>>> {
                 merged.seek_to_first();
                 while merged.valid() {
-                    if filter.keep(merged.key()) {
-                        out.add(merged.key(), merged.value())?;
+                    let (key, value) = (merged.key(), merged.value());
+                    if filter.keep(key) {
+                        out.append(key, key, |b| b.add(key, value))?;
                     }
                     merged.next();
                 }

@@ -12,9 +12,10 @@
 //!   Every executor must produce **identical output tables** for the same
 //!   input; the integration tests enforce this byte-for-byte.
 //! * [`SimpleMergeExec`] — the entry-at-a-time reference implementation.
-//! * [`OutputSink`] — the size-rotated output tables every executor writes
-//!   into, handed to the [`TableCache`] as each one finishes, and the
-//!   orphan sweep when one fails.
+//! * [`OutputSink`] — the one table writer: every executor's size-rotated
+//!   outputs and every flush's level-0 table (rotation off) go through it,
+//!   handed to the [`TableCache`] as each one finishes, and discarded when
+//!   the job fails.
 //! * [`TableCache`] — the engine's open table readers, which a request's
 //!   inputs come from and its outputs go into.
 //! * [`VersionKeepFilter`] — LSM version-visibility rules (step S4's
@@ -36,9 +37,7 @@ mod meta;
 mod sink;
 mod table_cache;
 
-pub use exec::{
-    CompactionExec, CompactionRequest, OutputWriter, SimpleMergeExec, VersionKeepFilter,
-};
+pub use exec::{CompactionExec, CompactionRequest, SimpleMergeExec, VersionKeepFilter};
 pub use meta::FileMetadata;
 pub use sink::OutputSink;
 pub use sched::{CompactionLimiter, ResourceGrant};

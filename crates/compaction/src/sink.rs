@@ -1,23 +1,26 @@
-//! The output side of every executor: size-rotated tables at the output
-//! level, each handed to the table cache as it finishes, and the orphan
-//! sweep when the compaction fails.
+//! The output side of every table writer: a flush's one level-0 table or
+//! a merge's size-rotated tables, each handed to the table cache as it
+//! finishes, and the sweep of what a failed job wrote.
 
-use crate::exec::CompactionRequest;
-use crate::filename::table_file;
 use crate::meta::FileMetadata;
+use crate::table_cache::TableCache;
 use pcp_sstable::key::user_key;
-use pcp_sstable::{Result as TableResult, TableBuilder};
+use pcp_sstable::{Result as TableResult, TableBuilder, TableBuilderOptions};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Owns the output tables of one compaction: allocates their file numbers,
-/// creates them, starts a new one once the current table is over
-/// [`CompactionRequest::max_output_bytes`], describes each finished table
-/// as a [`FileMetadata`] and puts its reader into
-/// [`CompactionRequest::tables`], and evicts and deletes whatever it
-/// created if the compaction fails. What goes *into* a table — entries or
-/// sealed blocks — is the caller's business ([`OutputSink::append`]).
-pub struct OutputSink<'req> {
-    req: &'req CompactionRequest,
+/// Owns the output tables of one job: draws their file numbers from the
+/// shared counter, creates them, starts a new one once the current table
+/// is over `max_table_bytes` (`u64::MAX`: never — a flush), describes each
+/// finished table as a [`FileMetadata`] and puts its reader into the
+/// [`TableCache`], and evicts and deletes whatever it created if the job
+/// fails. What goes *into* a table — entries or sealed blocks — is the
+/// caller's business ([`OutputSink::append`]).
+pub struct OutputSink<'a> {
+    tables: &'a TableCache,
+    file_numbers: &'a AtomicU64,
+    table_opts: TableBuilderOptions,
+    max_table_bytes: u64,
     builder: Option<(u64, TableBuilder)>, // (file number, builder)
     smallest: Vec<u8>,
     last_user_key: Vec<u8>,
@@ -26,11 +29,21 @@ pub struct OutputSink<'req> {
     aborted_numbers: Vec<u64>,
 }
 
-impl<'req> OutputSink<'req> {
-    /// Creates a sink for `req`'s output level.
-    pub fn new(req: &'req CompactionRequest) -> Self {
+impl<'a> OutputSink<'a> {
+    /// Creates a sink whose tables go into `tables`, numbered from
+    /// `file_numbers`, formatted by `table_opts`, rotated past
+    /// `max_table_bytes`.
+    pub fn new(
+        tables: &'a TableCache,
+        file_numbers: &'a AtomicU64,
+        table_opts: TableBuilderOptions,
+        max_table_bytes: u64,
+    ) -> Self {
         OutputSink {
-            req,
+            tables,
+            file_numbers,
+            table_opts,
+            max_table_bytes,
             builder: None,
             smallest: Vec::new(),
             last_user_key: Vec::new(),
@@ -53,7 +66,7 @@ impl<'req> OutputSink<'req> {
         let rotate = self
             .builder
             .as_ref()
-            .is_some_and(|(_, b)| b.estimated_size() >= self.req.max_output_bytes)
+            .is_some_and(|(_, b)| b.estimated_size() >= self.max_table_bytes)
             && user_key(first_key) != self.last_user_key.as_slice();
         if rotate {
             self.finish_current()?;
@@ -61,8 +74,8 @@ impl<'req> OutputSink<'req> {
         let builder = match &mut self.builder {
             Some((_, b)) => b,
             None => {
-                let number = self.req.next_file_number();
-                let table = self.req.tables.create(number, self.req.table_opts.clone())?;
+                let number = self.file_numbers.fetch_add(1, Ordering::SeqCst);
+                let table = self.tables.create(number, self.table_opts.clone())?;
                 self.smallest = first_key.to_vec();
                 &mut self.builder.insert((number, table)).1
             }
@@ -86,7 +99,7 @@ impl<'req> OutputSink<'req> {
             let largest = builder.last_key().to_vec();
             let handed_off = builder.finish().and_then(|meta| {
                 let stats = meta.stats();
-                self.req.tables.insert(number, meta)?;
+                self.tables.insert(number, meta)?;
                 Ok(stats)
             });
             let stats = match handed_off {
@@ -117,11 +130,10 @@ impl<'req> OutputSink<'req> {
         Ok(std::mem::take(&mut self.outputs))
     }
 
-    /// Evicts and deletes every output table this sink created (the
-    /// in-progress table and all finished ones), so a failed compaction
-    /// leaves neither a reader nor an orphan behind. Best-effort: a file
-    /// whose delete fails (e.g. the env already crashed) is left for the
-    /// database's orphan scan. Returns how many files were deleted.
+    /// Discards every output table this sink created (the in-progress
+    /// table and all finished ones; [`TableCache::discard`]), so a failed
+    /// job leaves neither a reader nor an orphan behind. Returns how many
+    /// files were deleted.
     pub fn abort(&mut self) -> usize {
         if let Some((number, builder)) = self.builder.take() {
             drop(builder); // close the file handle before unlinking
@@ -131,42 +143,29 @@ impl<'req> OutputSink<'req> {
             .aborted_numbers
             .drain(..)
             .chain(self.outputs.drain(..).map(|m| m.number));
-        let mut deleted = 0;
-        for number in numbers {
-            self.req.tables.evict(number);
-            if self.req.tables.env().delete(&table_file(number)).is_ok() {
-                deleted += 1;
-            }
-        }
-        deleted
+        let tables = self.tables;
+        numbers.filter(|&number| tables.discard(number)).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::ResourceGrant;
-    use crate::table_cache::TableCache;
-    use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
-    use pcp_sstable::TableBuilderOptions;
+    use pcp_sstable::key::{make_internal_key, ValueType};
     use pcp_storage::{SimDevice, SimEnv};
-    use std::sync::atomic::AtomicU64;
 
-    fn request() -> CompactionRequest {
-        CompactionRequest {
-            tables: Arc::new(TableCache::new(Arc::new(SimEnv::new(Arc::new(SimDevice::mem(
-                16 << 20,
-            )))))),
-            upper: vec![],
-            lower: vec![],
-            output_level: 1,
-            bottom_level: false,
-            smallest_snapshot: MAX_SEQUENCE,
-            file_numbers: Arc::new(AtomicU64::new(1)),
-            table_opts: TableBuilderOptions { block_size: 256, ..Default::default() },
-            max_output_bytes: 1 << 10,
-            grant: ResourceGrant::unlimited(),
-        }
+    fn tables() -> TableCache {
+        TableCache::new(Arc::new(SimEnv::new(Arc::new(SimDevice::mem(16 << 20)))))
+    }
+
+    /// A sink of 256-byte blocks rotating past `max_table_bytes`.
+    fn sink<'a>(
+        tables: &'a TableCache,
+        numbers: &'a AtomicU64,
+        max_table_bytes: u64,
+    ) -> OutputSink<'a> {
+        let opts = TableBuilderOptions { block_size: 256, ..Default::default() };
+        OutputSink::new(tables, numbers, opts, max_table_bytes)
     }
 
     /// Appends five versions of each of `keys` user keys.
@@ -184,12 +183,13 @@ mod tests {
 
     /// Five versions per user key and a rotation threshold every table
     /// crosses mid-key: a new table still starts only at a new user key.
+    /// With rotation off the same entries make one table.
     #[test]
     fn rotation_never_splits_the_versions_of_a_user_key() {
-        let req = request();
-        let mut sink = OutputSink::new(&req);
-        fill(&mut sink, 200);
-        let outputs = sink.finish().unwrap();
+        let (tables, numbers) = (tables(), AtomicU64::new(1));
+        let mut rotating = sink(&tables, &numbers, 1 << 10);
+        fill(&mut rotating, 200);
+        let outputs = rotating.finish().unwrap();
         assert!(outputs.len() > 10, "rotation expected, got {}", outputs.len());
         assert_eq!(outputs.iter().map(|f| f.entries).sum::<u64>(), 1000);
         for f in &outputs {
@@ -198,27 +198,34 @@ mod tests {
         for w in outputs.windows(2) {
             assert!(user_key(&w[0].largest) < user_key(&w[1].smallest));
         }
+
+        let mut one = sink(&tables, &numbers, u64::MAX);
+        fill(&mut one, 200);
+        let outputs = one.finish().unwrap();
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(outputs[0].entries, 1000);
+        assert_eq!(outputs[0].number, numbers.load(Ordering::SeqCst) - 1);
     }
 
     /// Every finished output is readable from the cache with nothing read
     /// back; an abort takes the readers out again with the files.
     #[test]
     fn finished_outputs_are_handed_to_the_table_cache_and_abort_evicts_them() {
-        let req = request();
-        let mut sink = OutputSink::new(&req);
-        fill(&mut sink, 50);
-        let outputs = sink.finish().unwrap();
-        assert_eq!(req.tables.len(), outputs.len());
+        let (tables, numbers) = (tables(), AtomicU64::new(1));
+        let mut first = sink(&tables, &numbers, 1 << 10);
+        fill(&mut first, 50);
+        let outputs = first.finish().unwrap();
+        assert_eq!(tables.len(), outputs.len());
         for f in &outputs {
-            assert_eq!(req.tables.get(f.number).unwrap().stats().entries, f.entries);
+            assert_eq!(tables.get(f.number).unwrap().stats().entries, f.entries);
         }
-        assert_eq!(req.tables.cold_opens(), 0);
+        assert_eq!(tables.cold_opens(), 0);
 
-        let mut sink = OutputSink::new(&req);
-        fill(&mut sink, 50);
-        sink.flush().unwrap();
-        sink.abort();
-        assert_eq!(req.tables.len(), outputs.len(), "an aborted output stayed cached");
-        assert_eq!(req.tables.env().list().unwrap().len(), outputs.len());
+        let mut failed = sink(&tables, &numbers, 1 << 10);
+        fill(&mut failed, 50);
+        failed.flush().unwrap();
+        failed.abort();
+        assert_eq!(tables.len(), outputs.len(), "an aborted output stayed cached");
+        assert_eq!(tables.env().list().unwrap().len(), outputs.len());
     }
 }

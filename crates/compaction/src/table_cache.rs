@@ -132,6 +132,15 @@ impl TableCache {
         self.opened.lock().remove(&number);
     }
 
+    /// Evicts and deletes table `number`, written but never installed: the
+    /// one way such a table goes. Returns whether the file was deleted; one
+    /// whose delete fails (the env already crashed) is left for the
+    /// database's orphan sweep.
+    pub fn discard(&self, number: u64) -> bool {
+        self.evict(number);
+        self.env.delete(&table_file(number)).is_ok()
+    }
+
     /// Number of cached readers.
     pub fn len(&self) -> usize {
         self.opened.lock().len()

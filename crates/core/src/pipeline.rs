@@ -113,7 +113,7 @@ pub struct SealedWriter<'req> {
 impl<'req> SealedWriter<'req> {
     /// Creates a writer for `req`'s output level.
     pub fn new(req: &'req CompactionRequest, profile: &'req CompactionProfile) -> Self {
-        SealedWriter { sink: OutputSink::new(req), profile, sealed_bytes: 0 }
+        SealedWriter { sink: req.output_sink(), profile, sealed_bytes: 0 }
     }
 
     /// Appends one computed sub-task (S7) and flushes it to the device.
@@ -122,7 +122,7 @@ impl<'req> SealedWriter<'req> {
         let mut appended = 0u64;
         for sb in st.blocks {
             appended += sb.raw.len() as u64;
-            let (first_key, last_key) = (sb.first_key.clone(), sb.last_key.clone());
+            let (first_key, last_key) = (sb.block.first_key.clone(), sb.block.last_key.clone());
             self.sink.append(&first_key, &last_key, |b| b.add_sealed_block(sb))?;
         }
         self.sink.flush()?;
@@ -251,11 +251,6 @@ impl PipelinedExec {
     /// The step profile.
     pub fn profile(&self) -> Arc<CompactionProfile> {
         Arc::clone(&self.profile)
-    }
-
-    /// The configured shape.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
     }
 
     fn record(&self, kind: &'static str, fields: &[(&'static str, u64)]) {

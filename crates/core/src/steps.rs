@@ -10,19 +10,19 @@
 //! * the write stage (S7) lives in [`crate::pipeline::SealedWriter`], since
 //!   it owns the output tables.
 //!
-//! Each sealed block keeps the uncompressed contents S4 built beside its
-//! sealed bytes, so that S7 can hand them to an output table that admits its
-//! blocks to the block cache (see [`SealedBlock::contents`]).
+//! S4 cuts its blocks with the table builder's own rule
+//! ([`BlockCutter`]), and each sealed block keeps the [`CutBlock`] it seals,
+//! so that S7 can hand its contents to an output table that admits its
+//! blocks to the block cache.
 
 use crate::planner::{KeyRange, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use bytes::Bytes;
-use pcp_sstable::bloom::BloomFilter;
 use pcp_sstable::key::{internal_key_cmp, make_internal_key, user_key, ValueType};
 use pcp_sstable::table::{
     compress_block, decompress_block, make_trailer, verify_block, CompressionKind, SealedBlock,
 };
-use pcp_sstable::{Block, BlockBuilder, BlockIter, KvIter, MergingIter, TableReader};
+use pcp_sstable::{Block, BlockCutter, BlockIter, CutBlock, KvIter, MergingIter, TableReader};
 use pcp_compaction::VersionKeepFilter;
 use pcp_sstable::Result as TableResult;
 use std::sync::Arc;
@@ -202,15 +202,11 @@ pub struct DecodedSubTask {
     pub runs: Vec<Vec<Block>>,
 }
 
-/// One merged-but-unsealed block: (contents, first_key, last_key, entries,
-/// bloom hashes).
-pub type MergedBlock = (Vec<u8>, Vec<u8>, Vec<u8>, u64, Vec<u64>);
-
 /// A sub-task after S4: merged, filtered, re-blocked — not yet sealed.
 #[derive(Debug)]
 pub struct MergedSubTask {
     pub index: usize,
-    pub blocks: Vec<MergedBlock>,
+    pub blocks: Vec<CutBlock>,
 }
 
 /// Steps S2 (CHECKSUM) + S3 (DECOMPRESS) for one sub-task.
@@ -270,10 +266,8 @@ pub fn merge_subtask(
         .collect();
     let mut merged = MergingIter::new(children, internal_key_cmp);
     let mut filter = VersionKeepFilter::new(cfg.smallest_snapshot, cfg.bottom_level);
-    let mut builder = BlockBuilder::new(cfg.restart_interval);
-    let mut pending: Vec<MergedBlock> = Vec::new();
-    let mut first_key: Vec<u8> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
+    let mut cutter = BlockCutter::new(cfg.block_size, cfg.restart_interval);
+    let mut blocks = Vec::new();
     let range = &decoded.range;
     match &range.lo {
         None => merged.seek_to_first(),
@@ -288,42 +282,22 @@ pub fn merge_subtask(
     while merged.valid() && !range.is_past_hi(user_key(merged.key())) {
         entries_in += 1;
         if filter.keep(merged.key()) {
-            if builder.is_empty() {
-                first_key = merged.key().to_vec();
-            }
-            hashes.push(BloomFilter::hash_key(user_key(merged.key())));
-            builder.add(merged.key(), merged.value());
-            if builder.size_estimate() >= cfg.block_size {
-                let last_key = builder.last_key().to_vec();
-                let entries = builder.entries() as u64;
-                let contents = builder.finish();
-                pending.push((
-                    contents,
-                    std::mem::take(&mut first_key),
-                    last_key,
-                    entries,
-                    std::mem::take(&mut hashes),
-                ));
-            }
+            blocks.extend(cutter.add(merged.key(), merged.value()));
         }
         merged.next();
     }
-    if !builder.is_empty() {
-        let last_key = builder.last_key().to_vec();
-        let entries = builder.entries() as u64;
-        let contents = builder.finish();
-        pending.push((contents, first_key, last_key, entries, hashes));
-    }
+    blocks.extend(cutter.finish());
     profile.record(Step::Sort, t0.elapsed());
     profile.add_entries_in(entries_in);
     Ok(MergedSubTask {
         index: decoded.index,
-        blocks: pending,
+        blocks,
     })
 }
 
 /// Steps S5 (COMPRESS) + S6 (RE-CHECKSUM): seal merged blocks for pure-I/O
-/// append. Each block keeps its contents, moved, not copied.
+/// append. Each sealed block keeps the cut block it seals, moved, not
+/// copied.
 pub fn seal_subtask(
     merged: MergedSubTask,
     cfg: &ComputeConfig,
@@ -335,19 +309,11 @@ pub fn seal_subtask(
         Vec::with_capacity(merged.blocks.len());
     let mut raw_bytes = 0u64;
     let mut entries_out = 0u64;
-    for (contents, first, last, entries, h) in merged.blocks {
-        raw_bytes += contents.len() as u64;
-        entries_out += entries;
-        let (payload, kind) = compress_block(&contents, cfg.compression);
-        let sealed = SealedBlock {
-            raw: payload,
-            first_key: first,
-            last_key: last,
-            entries,
-            bloom_hashes: h,
-            contents,
-        };
-        compressed.push((sealed, kind));
+    for block in merged.blocks {
+        raw_bytes += block.contents.len() as u64;
+        entries_out += block.entries;
+        let (payload, kind) = compress_block(&block.contents, cfg.compression);
+        compressed.push((SealedBlock { raw: payload, block }, kind));
     }
     profile.record(Step::Compress, t0.elapsed());
     profile.add_raw_bytes(raw_bytes);
@@ -387,7 +353,7 @@ mod tests {
     use super::*;
     use crate::planner::plan_subtasks;
     use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
-    use pcp_sstable::{TableBuilder, TableBuilderOptions};
+    use pcp_sstable::{BlockBuilder, TableBuilder, TableBuilderOptions};
     use pcp_storage::{EnvRef, SimDevice, SimEnv};
 
     fn env() -> EnvRef {
@@ -445,12 +411,12 @@ mod tests {
             .flat_map(|unit| read_unit(&readers, &runs, unit, &profile).unwrap())
         {
             let computed = compute_subtask(data, &cfg(), &profile).unwrap();
-            total_entries += computed.blocks.iter().map(|b| b.entries).sum::<u64>();
+            total_entries += computed.blocks.iter().map(|b| b.block.entries).sum::<u64>();
             // Each sealed block must verify and decompress to the contents
             // it carries.
             for sb in &computed.blocks {
                 let (payload, kind) = verify_block(&sb.raw).unwrap();
-                assert_eq!(decompress_block(payload, kind).unwrap(), sb.contents);
+                assert_eq!(decompress_block(payload, kind).unwrap(), sb.block.contents);
             }
         }
         assert_eq!(total_entries, 2000);
@@ -478,7 +444,7 @@ mod tests {
         let readers = vec![newer, older];
         let data = read_unit(&readers, &runs, &plan, &profile).unwrap().remove(0);
         let computed = compute_subtask(data, &cfg(), &profile).unwrap();
-        let survivors: u64 = computed.blocks.iter().map(|b| b.entries).sum();
+        let survivors: u64 = computed.blocks.iter().map(|b| b.block.entries).sum();
         assert_eq!(survivors, 500, "one version per user key survives");
         // All surviving sequences are the newer ones.
         for sb in &computed.blocks {
@@ -568,7 +534,7 @@ mod tests {
             .flat_map(|unit| read_unit(&readers, &runs, unit, &profile).unwrap())
         {
             let computed = compute_subtask(data, &cfg(), &profile).unwrap();
-            survivors += computed.blocks.iter().map(|b| b.entries).sum::<u64>();
+            survivors += computed.blocks.iter().map(|b| b.block.entries).sum::<u64>();
         }
         assert_eq!(survivors, 3000, "one version per user key survives");
         let snap = profile.snapshot();

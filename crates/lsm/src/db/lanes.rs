@@ -1,13 +1,13 @@
 //! The two background lanes: flush and compaction jobs, the scheduler grant
 //! around a merge, transient-error retry and the obsolete-file sweep.
 
-use super::{Db, DbInner, GcPlan, State, RETRY};
-use crate::compact::{CompactionRequest, ResourceGrant};
+use super::{write_level0, DbInner, GcPlan, State, RETRY};
 use crate::edit::VersionEdit;
-use crate::filename::{parse_file_name, table_file, FileKind};
 use crate::version::{FileMetadata, NUM_LEVELS};
 use crate::version_set::CompactionPick;
 use parking_lot::MutexGuard;
+use pcp_compaction::filename::{parse_file_name, FileKind};
+use pcp_compaction::{CompactionRequest, ResourceGrant};
 use pcp_storage::is_transient;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -146,22 +146,17 @@ impl DbInner {
     )]
     fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
         let imm = st.imm.as_ref().expect("imm present").clone();
-        let number = st.versions.allocate_file_number();
         let wal_number = st.wal_number;
+        // Level 0 is ordered by file number: the table's is drawn from the
+        // shared counter, at or above the `flushing` floor, and flushes are
+        // serialized.
+        let file_numbers = st.versions.file_number_counter();
 
-        let meta = if imm.is_empty() {
-            None
-        } else {
-            // Build the table without holding the lock: this is real
-            // (simulated) I/O plus compression work.
-            let built = MutexGuard::unlocked(st, || {
-                Db::write_memtable_to_table(&self.cache, &self.opts, &imm, number).inspect_err(|_| {
-                    // This attempt's orphan; don't leave it to a sweep.
-                    let _ = self.env.delete(&table_file(number));
-                })
-            })?;
-            Some(built)
-        };
+        // Build the table without holding the lock: this is real
+        // (simulated) I/O plus compression work.
+        let meta = MutexGuard::unlocked(st, || {
+            write_level0(&self.cache, &file_numbers, &self.opts, &imm)
+        })?;
 
         let mut edit = VersionEdit {
             log_number: Some(wal_number),
@@ -171,10 +166,10 @@ impl DbInner {
             edit.new_files.push((0, Arc::clone(meta)));
         }
         if let Err(e) = st.versions.log_and_apply(edit) {
-            // Written but never installed: its reader goes now, the file
-            // with the orphan sweep.
+            // Written but never installed: the reader and the file go now
+            // (a latched error stops every sweep).
             if let Some(meta) = &meta {
-                MutexGuard::unlocked(st, || self.cache.evict(meta.number));
+                MutexGuard::unlocked(st, || self.cache.discard(meta.number));
             }
             return Err(e);
         }
@@ -312,8 +307,7 @@ impl DbInner {
                     // readers or orphans.
                     MutexGuard::unlocked(st, || {
                         for f in &outputs {
-                            self.cache.evict(f.number);
-                            let _ = self.env.delete(&table_file(f.number));
+                            self.cache.discard(f.number);
                         }
                     });
                     return Err(e);
@@ -393,9 +387,9 @@ impl DbInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::{CompactionExec, SimpleMergeExec};
-    use crate::db::Options;
+    use crate::db::{Db, Options};
     use crate::version_set::CompactionPolicy;
+    use pcp_compaction::{CompactionExec, SimpleMergeExec};
     use pcp_sstable::Result as TableResult;
     use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
     use std::sync::atomic::AtomicUsize;
@@ -506,7 +500,9 @@ mod tests {
         assert!(checked > 0);
     }
 
-    /// A flush whose install fails leaves no reader for its table.
+    /// A flush whose install fails leaves neither a reader nor a file for
+    /// its table: the latched error stops every sweep, so nothing else
+    /// would delete it before a reopen.
     #[test]
     fn flush_whose_install_fails_leaves_no_reader() {
         let fault = fault_env();
@@ -514,5 +510,8 @@ mod tests {
         fail_manifest_writes(&fault);
         assert!(put_and_flush(&db, 0).is_err(), "the flush must fail");
         assert!(db.inner.cache.is_empty());
+        let names = db.inner.env.list().unwrap();
+        let orphans: Vec<_> = names.iter().filter(|n| n.ends_with(".sst")).collect();
+        assert!(orphans.is_empty(), "orphans left: {orphans:?}");
     }
 }

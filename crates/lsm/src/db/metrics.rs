@@ -250,7 +250,7 @@ impl Db {
                 inner.upgrade().map_or(0, |inner| get(&inner.metrics))
             });
         }
-        type TableCacheGetter = fn(&crate::compact::TableCache) -> u64;
+        type TableCacheGetter = fn(&pcp_compaction::TableCache) -> u64;
         let table_cache_counters: [(&str, &str, TableCacheGetter); 2] = [
             ("pcp_engine_table_opens_total", "tables opened from the device (metadata read back)", |c| {
                 c.cold_opens()

@@ -36,24 +36,53 @@ pub use batch::{BatchOp, WriteBatch};
 pub use metrics::{LevelCompaction, Metrics, MetricsSnapshot};
 pub use options::Options;
 
-use crate::compact::CompactionExec;
 use crate::edit::VersionEdit;
-use crate::filename::{parse_file_name, wal_file, FileKind};
 use crate::memtable::Memtable;
-use crate::compact::TableCache;
 use crate::version::{FileMetadata, NUM_LEVELS};
 use crate::version_set::VersionSet;
 use crate::wal::{WalReader, WalWriter};
 use parking_lot::{Condvar, Mutex};
+use pcp_compaction::filename::{parse_file_name, wal_file, FileKind};
+use pcp_compaction::{CompactionExec, OutputSink, TableCache};
 use pcp_sstable::key::SequenceNumber;
 use pcp_sstable::KvIter;
 use pcp_storage::{EnvRef, RetryPolicy};
 use std::collections::{BTreeMap, HashSet};
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 use write::PendingWrite;
+
+/// Writes `mem` as one level-0 table through an [`OutputSink`] with
+/// rotation off — the path every table the engine writes takes — numbered
+/// from `file_numbers`, and puts its reader into `cache`. `None` for an
+/// empty memtable; a failed write leaves neither file nor reader.
+fn write_level0(
+    cache: &TableCache,
+    file_numbers: &AtomicU64,
+    opts: &Options,
+    mem: &Arc<Memtable>,
+) -> io::Result<Option<Arc<FileMetadata>>> {
+    let mut sink = OutputSink::new(cache, file_numbers, opts.table_opts(), u64::MAX);
+    let mut it = mem.iter();
+    it.seek_to_first();
+    let mut write = || {
+        while it.valid() {
+            let (key, value) = (it.key(), it.value());
+            sink.append(key, key, |b| b.add(key, value))?;
+            it.next();
+        }
+        sink.finish()
+    };
+    match write() {
+        Ok(mut tables) => Ok(tables.pop()),
+        Err(e) => {
+            sink.abort();
+            Err(e.into())
+        }
+    }
+}
 
 /// Retry policy for transient I/O failures in the WAL and the background
 /// flush/compaction paths. Non-transient failures are never retried; they
@@ -236,30 +265,19 @@ impl Db {
         };
         let cache = Arc::new(TableCache::with_block_cache(Arc::clone(&env), block_cache));
 
-        let (mem, flush_edit) = if mem.is_empty() {
-            (mem, None)
-        } else {
-            let number = versions.allocate_file_number();
-            let meta = Self::write_memtable_to_table(&cache, &opts, &mem, number)?;
-            let edit = VersionEdit {
-                log_number: Some(wal_number),
-                new_files: vec![(0, meta)],
-                ..Default::default()
-            };
-            (Arc::new(Memtable::new()), Some(edit))
-        };
-        let edit = flush_edit.unwrap_or(VersionEdit {
+        let replayed = write_level0(&cache, &versions.file_number_counter(), &opts, &mem)?;
+        versions.log_and_apply(VersionEdit {
             log_number: Some(wal_number),
+            new_files: replayed.map(|meta| (0, meta)).into_iter().collect(),
             ..Default::default()
-        });
-        versions.log_and_apply(edit)?;
+        })?;
 
         let inner = Arc::new(DbInner {
             opts,
             env,
             cache,
             state: Mutex::new(State {
-                mem,
+                mem: Arc::new(Memtable::new()),
                 imm: None,
                 wal: Some(wal),
                 wal_number,
@@ -313,39 +331,6 @@ impl Db {
             );
         }
         Ok(db)
-    }
-
-    /// Writes `mem` as table `number` and puts its reader into `cache`.
-    fn write_memtable_to_table(
-        cache: &TableCache,
-        opts: &Options,
-        mem: &Arc<Memtable>,
-        number: u64,
-    ) -> io::Result<Arc<FileMetadata>> {
-        let mut builder = cache.create(number, opts.table_opts())?;
-        let mut it = mem.iter();
-        it.seek_to_first();
-        let mut smallest = Vec::new();
-        let mut largest = Vec::new();
-        while it.valid() {
-            if smallest.is_empty() {
-                smallest = it.key().to_vec();
-            }
-            largest.clear();
-            largest.extend_from_slice(it.key());
-            builder.add(it.key(), it.value())?;
-            it.next();
-        }
-        let table = builder.finish()?;
-        let stats = table.stats();
-        cache.insert(number, table)?;
-        Ok(Arc::new(FileMetadata {
-            number,
-            size: stats.file_size,
-            entries: stats.entries,
-            smallest,
-            largest,
-        }))
     }
 
     /// Registers a snapshot at the current sequence.

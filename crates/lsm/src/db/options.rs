@@ -1,8 +1,8 @@
 //! Engine configuration: [`Options`] and the table-builder settings
 //! derived from it.
 
-use crate::compact::CompactionExec;
 use crate::version_set::CompactionPolicy;
+use pcp_compaction::CompactionExec;
 use pcp_sstable::{CompressionKind, TableBuilderOptions};
 use std::sync::Arc;
 

@@ -2,10 +2,10 @@
 //! (slowdown, stall) and memtable rotation.
 
 use super::{Db, DbInner, State, WriteBatch, RETRY};
-use crate::filename::wal_file;
 use crate::memtable::Memtable;
 use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
+use pcp_compaction::filename::wal_file;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;

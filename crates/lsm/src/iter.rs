@@ -1,8 +1,8 @@
 //! Read-path iterators: per-level concatenation and the user-facing
 //! snapshot-consistent scan cursor.
 
-use crate::compact::TableCache;
 use crate::version::{FileMetadata, Version};
+use pcp_compaction::TableCache;
 use pcp_sstable::key::{
     internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType,
 };
@@ -240,7 +240,7 @@ impl DbIter {
 #[cfg(test)]
 mod level_iter_tests {
     use super::*;
-    use crate::filename::table_file;
+    use pcp_compaction::filename::table_file;
     use pcp_sstable::key::{make_internal_key, user_key, MAX_SEQUENCE};
     use pcp_sstable::{TableBuilder, TableBuilderOptions};
     use pcp_storage::{EnvRef, SimDevice, SimEnv};

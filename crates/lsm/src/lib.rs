@@ -15,7 +15,7 @@
 //! * **Background maintenance** — a flush lane turns immutable memtables
 //!   into L0 tables beside a compaction lane that runs compactions picked
 //!   round-robin over key ranges. The merge
-//!   itself is delegated to a [`compact::CompactionExec`]: `pcp-core`'s
+//!   itself is delegated to a [`CompactionExec`]: `pcp-core`'s
 //!   executor in one of the paper's shapes (SCP/PCP/C-PPCP/S-PPCP, or PCP /
 //!   C-PPCP chosen per compaction, the default).
 //! * **Backpressure** — writers are slowed and then stalled when level 0
@@ -37,10 +37,7 @@ pub mod wal;
 // The compaction interface (executor trait, reference merge, file naming,
 // the scheduler and its grants, the table cache a request reads from and
 // writes into) lives in `pcp-compaction` so `pcp-core`'s executors can
-// implement it without a dependency cycle; the old `pcp_lsm::compact` and
-// `pcp_lsm::filename` paths keep working through these re-exports.
-pub use pcp_compaction as compact;
-pub use pcp_compaction::filename;
+// implement it without a dependency cycle.
 pub use pcp_compaction::{
     CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, TableCache,
     VersionKeepFilter,

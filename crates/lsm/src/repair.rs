@@ -15,9 +15,9 @@
 //!    winners, so replay over recovered tables is idempotent).
 
 use crate::edit::VersionEdit;
-use crate::filename::{parse_file_name, FileKind, CURRENT};
 use crate::version::FileMetadata;
 use crate::version_set::VersionSet;
+use pcp_compaction::filename::{parse_file_name, FileKind, CURRENT};
 use pcp_sstable::key::parse_internal_key;
 use pcp_sstable::{KvIter, TableReader};
 use pcp_storage::EnvRef;
@@ -151,7 +151,7 @@ pub fn is_quarantined(name: &str) -> bool {
 mod tests {
     use super::*;
     use crate::db::{Db, Options};
-    use crate::filename::manifest_file;
+    use pcp_compaction::filename::manifest_file;
     use pcp_storage::{SimDevice, SimEnv};
 
     fn env() -> EnvRef {

@@ -12,9 +12,9 @@
 //! C3").
 
 use crate::edit::VersionEdit;
-use crate::filename::{manifest_file, CURRENT};
 use crate::version::{compaction_score, l0_batch, FileMetadata, Version, NUM_LEVELS};
 use crate::wal::{WalReader, WalWriter};
+use pcp_compaction::filename::{manifest_file, CURRENT};
 use pcp_sstable::key::{internal_key_cmp, user_key};
 use pcp_storage::env::{read_string_file, write_string_file};
 use pcp_storage::EnvRef;

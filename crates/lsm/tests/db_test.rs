@@ -658,3 +658,37 @@ fn metrics_registry_and_trace_follow_engine_lifecycle() {
     assert_eq!(per_level, m.compaction_count);
     assert!(m.levels.iter().map(|l| l.input_bytes).sum::<u64>() <= m.compaction_input_bytes);
 }
+
+/// A flushed table's bytes are pinned: the level-0 table that
+/// `Options::default()` + `flush()` writes for a fixed stream of 20,000
+/// puts and deletes hashes (FNV-1a-64) to the same value with and without
+/// a block cache.
+#[test]
+fn flushed_table_bytes_are_pinned() {
+    for block_cache_bytes in [0, 32 << 20] {
+        let env = ram_env();
+        let opts = Options { block_cache_bytes, ..Default::default() };
+        let db = Db::open(env.clone(), opts).unwrap();
+        let mut x: u64 = 42;
+        for i in 0..20_000u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let key = format!("key{:08}", (x >> 33) % 8000);
+            if i % 17 == 0 {
+                db.delete(key.as_bytes()).unwrap();
+            } else {
+                let value = format!("v{i}-{}", "x".repeat((x % 90) as usize));
+                db.put(key.as_bytes(), value.as_bytes()).unwrap();
+            }
+        }
+        db.flush().unwrap();
+        let tables: Vec<String> =
+            env.list().unwrap().into_iter().filter(|n| n.ends_with(".sst")).collect();
+        assert_eq!(tables.len(), 1, "{tables:?}");
+        let f = env.open(&tables[0]).unwrap();
+        let bytes = f.read_at(0, f.len() as usize).unwrap();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, 0x4ef5_9633_6921_dc7d, "cache {block_cache_bytes}: {hash:#018x}");
+    }
+}

@@ -10,7 +10,12 @@
 //! Keys within a block share prefixes with their predecessor except at
 //! *restart points*, where the full key is stored; binary search over the
 //! restart array gives `O(log r + interval)` seeks.
+//!
+//! [`BlockCutter`] decides where a table's data blocks end; every table
+//! writer cuts its blocks through it.
 
+use crate::bloom::BloomFilter;
+use crate::key::user_key;
 use crate::{Result, TableError};
 use bytes::Bytes;
 use std::cmp::Ordering;
@@ -95,6 +100,78 @@ impl BlockBuilder {
         self.last_key.clear();
         self.entries = 0;
         out
+    }
+}
+
+/// One data block as step S4 leaves it: its uncompressed contents and what
+/// the table's index and filter need of it.
+#[derive(Debug, Clone)]
+pub struct CutBlock {
+    /// The finished block, not yet compressed.
+    pub contents: Vec<u8>,
+    pub first_key: Vec<u8>,
+    pub last_key: Vec<u8>,
+    pub entries: u64,
+    /// Bloom hashes of the block's user keys.
+    pub bloom_hashes: Vec<u64>,
+}
+
+/// The one place a data block ends. Entries go in, in internal-key order;
+/// a block comes out with the entry that takes it to `block_size`, and the
+/// partial block at [`BlockCutter::finish`].
+pub struct BlockCutter {
+    builder: BlockBuilder,
+    block_size: usize,
+    first_key: Vec<u8>,
+    bloom_hashes: Vec<u64>,
+}
+
+impl BlockCutter {
+    /// A cutter for blocks of `block_size` uncompressed bytes.
+    pub fn new(block_size: usize, restart_interval: usize) -> Self {
+        BlockCutter {
+            builder: BlockBuilder::new(restart_interval),
+            block_size,
+            first_key: Vec::new(),
+            bloom_hashes: Vec::new(),
+        }
+    }
+
+    /// Adds an entry; returns the block it completes, if it completes one.
+    pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> Option<CutBlock> {
+        if self.builder.is_empty() {
+            self.first_key = ikey.to_vec();
+        }
+        self.bloom_hashes.push(BloomFilter::hash_key(user_key(ikey)));
+        self.builder.add(ikey, value);
+        (self.builder.size_estimate() >= self.block_size).then(|| self.cut())
+    }
+
+    /// The partial block, if entries are pending.
+    pub fn finish(&mut self) -> Option<CutBlock> {
+        (!self.builder.is_empty()).then(|| self.cut())
+    }
+
+    fn cut(&mut self) -> CutBlock {
+        let last_key = self.builder.last_key().to_vec();
+        let entries = self.builder.entries() as u64;
+        CutBlock {
+            contents: self.builder.finish(),
+            first_key: std::mem::take(&mut self.first_key),
+            last_key,
+            entries,
+            bloom_hashes: std::mem::take(&mut self.bloom_hashes),
+        }
+    }
+
+    /// Serialized size of the pending block if it were cut now.
+    pub(crate) fn size_estimate(&self) -> usize {
+        self.builder.size_estimate()
+    }
+
+    /// Key of the last pending entry; `None` when no entry is pending.
+    pub(crate) fn last_key(&self) -> Option<&[u8]> {
+        (!self.builder.is_empty()).then(|| self.builder.last_key())
     }
 }
 
@@ -477,5 +554,41 @@ mod tests {
         assert!(it.valid());
         let p = crate::key::parse_internal_key(it.key()).unwrap();
         assert_eq!(p.sequence, 5);
+    }
+
+    /// A block ends with the entry that takes it to `block_size`, and
+    /// carries that block's keys, count and bloom hashes; `finish` returns
+    /// the remainder once, then nothing.
+    #[test]
+    fn cutter_ends_a_block_at_the_entry_that_fills_it() {
+        use crate::key::{make_internal_key, ValueType};
+        let keys: Vec<Vec<u8>> = (0..10u64)
+            .map(|i| make_internal_key(format!("k{i}").as_bytes(), i + 1, ValueType::Value))
+            .collect();
+        let mut cutter = BlockCutter::new(100, 4);
+        let mut blocks = Vec::new();
+        for k in &keys {
+            let cut = cutter.add(k, &[b'v'; 20]);
+            // The entry that completes a block leaves nothing pending.
+            assert_eq!(cutter.last_key(), if cut.is_some() { None } else { Some(&k[..]) });
+            blocks.extend(cut);
+        }
+        blocks.extend(cutter.finish());
+        assert!(cutter.finish().is_none());
+        assert!(blocks.len() > 2);
+        let mut next = 0;
+        for (i, b) in blocks.iter().enumerate() {
+            let n = b.entries as usize;
+            let block = Block::new(Bytes::from(b.contents.clone())).unwrap();
+            let got: Vec<Vec<u8>> = collect(&block).into_iter().map(|(k, _)| k).collect();
+            assert_eq!(got, keys[next..next + n]);
+            assert_eq!((&b.first_key, &b.last_key), (&keys[next], &keys[next + n - 1]));
+            assert_eq!(b.bloom_hashes.len(), n);
+            // Every block but the last is the first to reach the size.
+            let full = b.contents.len() >= 100;
+            assert_eq!(full, i + 1 < blocks.len(), "block {i}");
+            next += n;
+        }
+        assert_eq!(next, keys.len());
     }
 }

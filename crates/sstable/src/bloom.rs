@@ -97,11 +97,6 @@ impl BloomFilter {
             bits: bits.to_vec(),
         })
     }
-
-    /// Size of the bit array in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bits.len()
-    }
 }
 
 #[cfg(test)]

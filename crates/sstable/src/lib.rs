@@ -14,12 +14,15 @@
 //!
 //! * [`key`] — internal keys: user key + (sequence, type) trailer, ordered
 //!   user-key-ascending then sequence-descending.
-//! * [`block`] — block builder/reader with restart-point prefix compression.
+//! * [`block`] — block builder/reader with restart-point prefix
+//!   compression, and [`BlockCutter`], the one rule for where a data block
+//!   ends.
 //! * [`readahead`] — scan readahead: once a cursor runs sequentially, it
 //!   reads its next blocks in one growing span on its own thread.
 //! * [`bloom`] — per-table bloom filter.
-//! * [`table`] — [`TableBuilder`] / [`TableReader`] with both entry-level
-//!   APIs (flush path) and raw-block APIs (compaction pipeline path).
+//! * [`table`] — [`TableBuilder`] / [`TableReader`]. A builder takes
+//!   entries or sealed blocks, and appends both as sealed blocks; a reader
+//!   serves keys, scans and the raw blocks compaction reads.
 //! * [`iter`] — the [`KvIter`] trait and the merging iterator used by
 //!   compaction step S4 and by scans.
 
@@ -34,7 +37,7 @@ pub mod key;
 pub mod readahead;
 pub mod table;
 
-pub use block::{Block, BlockBuilder, BlockIter};
+pub use block::{Block, BlockBuilder, BlockCutter, BlockIter, CutBlock};
 pub use bloom::BloomFilter;
 pub use cache::BlockCache;
 pub use iter::{KvIter, MergingIter, VecIter};

@@ -26,13 +26,13 @@
 //! key, end key and offset of each data block" the paper describes, which
 //! is also what the compaction sub-task planner consumes.
 //!
-//! Two build paths:
-//! * [`TableBuilder::add`] — entry-at-a-time (memtable flush, baselines).
-//! * [`TableBuilder::add_sealed_block`] — whole pre-compressed blocks with
-//!   their trailers ([`SealedBlock`]), produced by the pipeline's compute
-//!   stage; the write stage just appends bytes (step S7 is pure I/O).
+//! A data block is cut in one place, [`BlockCutter`], sealed (S5 compress,
+//! S6 trailer) into a [`SealedBlock`], and appended by
+//! [`TableBuilder::add_sealed_block`] — step S7, pure I/O.
+//! [`TableBuilder::add`] runs the three for one entry; the compaction
+//! pipeline runs them as separate, separately timed stages.
 
-use crate::block::{Block, BlockBuilder, BlockIter};
+use crate::block::{Block, BlockBuilder, BlockCutter, BlockIter, CutBlock};
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
@@ -170,7 +170,7 @@ pub struct TableStats {
 ///
 /// A builder's hand-off also carries the decoded data blocks its writer
 /// kept (`(offset, block)`; see [`TableBuilder::keep_blocks`] and
-/// [`SealedBlock::contents`]), for [`TableReader::new`] to admit to the
+/// [`CutBlock::contents`]), for [`TableReader::new`] to admit to the
 /// block cache. A cold read carries none.
 #[derive(Debug)]
 pub struct TableMeta {
@@ -335,23 +335,18 @@ pub fn decompress_block(payload: &[u8], kind: CompressionKind) -> Result<Vec<u8>
 pub struct SealedBlock {
     /// payload ++ 5-byte trailer.
     pub raw: Vec<u8>,
-    pub first_key: Vec<u8>,
-    pub last_key: Vec<u8>,
-    pub entries: u64,
-    /// Bloom hashes of the block's user keys.
-    pub bloom_hashes: Vec<u64>,
-    /// The uncompressed contents `raw` seals, for a builder that keeps its
+    /// The block `raw` seals; its contents go to a builder that keeps its
     /// blocks ([`TableBuilder::keep_blocks`]).
-    pub contents: Vec<u8>,
+    pub block: CutBlock,
 }
 
 /// Writes one SSTable to a [`WritableFile`].
 pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     opts: TableBuilderOptions,
-    block: BlockBuilder,
-    first_key_in_block: Option<Vec<u8>>,
-    /// (last_key, encoded index value) per flushed data block.
+    /// Cuts the blocks of [`TableBuilder::add`].
+    cutter: BlockCutter,
+    /// (last_key, encoded index value) per data block.
     index_entries: Vec<(Vec<u8>, Vec<u8>)>,
     bloom_hashes: Vec<u64>,
     offset: u64,
@@ -366,12 +361,10 @@ pub struct TableBuilder {
 impl TableBuilder {
     /// Starts a table at the beginning of `file`.
     pub fn new(file: Box<dyn WritableFile>, opts: TableBuilderOptions) -> Self {
-        let restart = opts.restart_interval;
         TableBuilder {
             file,
+            cutter: BlockCutter::new(opts.block_size, opts.restart_interval),
             opts,
-            block: BlockBuilder::new(restart),
-            first_key_in_block: None,
             index_entries: Vec::new(),
             bloom_hashes: Vec::new(),
             offset: 0,
@@ -395,39 +388,18 @@ impl TableBuilder {
     /// [`internal_key_cmp`].
     pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> Result<()> {
         debug_assert!(!self.finished);
-        if self.first_key_in_block.is_none() {
-            self.first_key_in_block = Some(ikey.to_vec());
+        match self.cutter.add(ikey, value) {
+            Some(block) => self.seal_and_add(block),
+            None => Ok(()),
         }
-        self.block.add(ikey, value);
-        self.bloom_hashes.push(BloomFilter::hash_key(user_key(ikey)));
-        self.stats.entries += 1;
-        if self.block.size_estimate() >= self.opts.block_size {
-            self.flush_data_block()?;
-        }
-        Ok(())
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "a non-empty block got at least one `add`, and `add` records the block's first key"
-    )]
-    fn flush_data_block(&mut self) -> Result<()> {
-        if self.block.is_empty() {
-            return Ok(());
-        }
-        let entries = self.block.entries() as u64;
-        let last_key = self.block.last_key().to_vec();
-        let first_key = self.first_key_in_block.take().expect("first key recorded");
-        let contents = self.block.finish();
-        self.stats.raw_bytes += contents.len() as u64;
-        let (payload, kind) = compress_block(&contents, self.opts.compression);
-        let trailer = make_trailer(&payload, kind);
-        let handle = self.append_block(&payload, &trailer)?;
-        self.push_index_entry(handle, first_key, last_key, entries);
-        if self.keep_blocks {
-            self.kept.push((handle.offset, Block::new(Bytes::from(contents))?));
-        }
-        Ok(())
+    /// Steps S5 and S6 on one cut block, then its append.
+    fn seal_and_add(&mut self, block: CutBlock) -> Result<()> {
+        let (mut raw, kind) = compress_block(&block.contents, self.opts.compression);
+        let trailer = make_trailer(&raw, kind);
+        raw.extend_from_slice(&trailer);
+        self.add_sealed_block(SealedBlock { raw, block })
     }
 
     fn write_raw(&mut self, payload: &[u8], trailer: &[u8]) -> Result<BlockHandle> {
@@ -441,43 +413,30 @@ impl TableBuilder {
         Ok(handle)
     }
 
-    fn append_block(&mut self, payload: &[u8], trailer: &[u8]) -> Result<BlockHandle> {
-        self.stats.data_blocks += 1;
-        self.write_raw(payload, trailer)
-    }
-
     /// Writes one filter, index or properties block with its trailer.
     fn write_meta_block(&mut self, payload: &[u8], kind: CompressionKind) -> Result<BlockHandle> {
         self.write_raw(payload, &make_trailer(payload, kind))
     }
 
-    fn push_index_entry(
-        &mut self,
-        handle: BlockHandle,
-        first_key: Vec<u8>,
-        last_key: Vec<u8>,
-        entries: u64,
-    ) {
+    /// Appends a sealed data block — the one way a data block enters the
+    /// table — and records its index entry, bloom hashes, stats and, for a
+    /// builder that keeps its blocks, its contents.
+    pub fn add_sealed_block(&mut self, sealed: SealedBlock) -> Result<()> {
+        debug_assert!(!self.finished);
+        debug_assert!(self.cutter.last_key().is_none(), "mixing add() and sealed blocks mid-block");
+        let SealedBlock { raw, block } = sealed;
+        let CutBlock { contents, first_key, last_key, entries, bloom_hashes } = block;
+        debug_assert!(raw.len() >= BLOCK_TRAILER_SIZE);
+        let payload_len = raw.len() - BLOCK_TRAILER_SIZE;
+        let handle = self.write_raw(&raw[..payload_len], &raw[payload_len..])?;
         let mut value = Vec::with_capacity(first_key.len() + 24);
         handle.encode_to(&mut value);
         pcp_codec::put_u64(&mut value, first_key.len() as u64);
         value.extend_from_slice(&first_key);
         pcp_codec::put_u64(&mut value, entries);
         self.index_entries.push((last_key, value));
-    }
-
-    /// Appends a block already compressed and trailed by the compaction
-    /// pipeline's compute stage, with its key range, entry count, per-key
-    /// bloom hashes and uncompressed contents.
-    pub fn add_sealed_block(&mut self, block: SealedBlock) -> Result<()> {
-        debug_assert!(!self.finished);
-        debug_assert!(self.block.is_empty(), "mixing add() and sealed blocks mid-block");
-        let SealedBlock { raw, first_key, last_key, entries, bloom_hashes, contents } = block;
-        debug_assert!(raw.len() >= BLOCK_TRAILER_SIZE);
-        let payload_len = raw.len() - BLOCK_TRAILER_SIZE;
-        let handle = self.append_block(&raw[..payload_len], &raw[payload_len..])?;
-        self.push_index_entry(handle, first_key, last_key, entries);
         self.bloom_hashes.extend_from_slice(&bloom_hashes);
+        self.stats.data_blocks += 1;
         self.stats.entries += entries;
         self.stats.raw_bytes += contents.len() as u64;
         if self.keep_blocks {
@@ -494,31 +453,24 @@ impl TableBuilder {
 
     /// Estimated final file size if finished now.
     pub fn estimated_size(&self) -> u64 {
-        self.offset + self.block.size_estimate() as u64
-    }
-
-    /// Entries added so far.
-    pub fn entry_count(&self) -> u64 {
-        self.stats.entries
+        self.offset + self.cutter.size_estimate() as u64
     }
 
     /// Last internal key added (empty before any add).
     pub fn last_key(&self) -> &[u8] {
-        if self.block.is_empty() {
-            self.index_entries
-                .last()
-                .map(|(k, _)| k.as_slice())
-                .unwrap_or(&[])
-        } else {
-            self.block.last_key()
-        }
+        self.cutter
+            .last_key()
+            .or_else(|| self.index_entries.last().map(|(k, _)| k.as_slice()))
+            .unwrap_or(&[])
     }
 
     /// Completes the table: writes filter, index, properties and footer,
     /// then syncs the file. Returns the reader-side state it wrote, so the
     /// table opens without reading any of it back.
     pub fn finish(mut self) -> Result<TableMeta> {
-        self.flush_data_block()?;
+        if let Some(block) = self.cutter.finish() {
+            self.seal_and_add(block)?;
+        }
         self.finished = true;
 
         // Bloom-filter block.
@@ -1146,38 +1098,21 @@ mod tests {
         let file = env.create("sealed.sst").unwrap();
         let mut tb = TableBuilder::new(file, TableBuilderOptions::default());
 
-        let mut bb = BlockBuilder::new(16);
-        let mut hashes = Vec::new();
-        let mut first = None;
-        let mut last = Vec::new();
+        let mut cutter = BlockCutter::new(usize::MAX, 16);
         for i in 0..100 {
             let ik = make_internal_key(
                 format!("k{i:05}").as_bytes(),
                 i + 1,
                 ValueType::Value,
             );
-            bb.add(&ik, b"sealed-value");
-            hashes.push(BloomFilter::hash_key(user_key(&ik)));
-            if first.is_none() {
-                first = Some(ik.clone());
-            }
-            last = ik;
+            assert!(cutter.add(&ik, b"sealed-value").is_none());
         }
-        let contents = bb.finish();
-        let (payload, kind) = compress_block(&contents, CompressionKind::Lz);
-        let trailer = make_trailer(&payload, kind);
-        let mut raw = payload;
+        let block = cutter.finish().unwrap();
+        let (mut raw, kind) = compress_block(&block.contents, CompressionKind::Lz);
+        let trailer = make_trailer(&raw, kind);
         raw.extend_from_slice(&trailer);
 
-        tb.add_sealed_block(SealedBlock {
-            raw,
-            first_key: first.unwrap(),
-            last_key: last,
-            entries: 100,
-            bloom_hashes: hashes,
-            contents,
-        })
-        .unwrap();
+        tb.add_sealed_block(SealedBlock { raw, block }).unwrap();
         let meta = tb.finish().unwrap();
         assert_eq!(meta.stats().entries, 100);
         assert_eq!(meta.stats().data_blocks, 1);
@@ -1237,11 +1172,13 @@ mod tests {
             sealed
                 .add_sealed_block(SealedBlock {
                     raw,
-                    first_key: bm.first_key.clone(),
-                    last_key: bm.last_key.clone(),
-                    entries: bm.entries,
-                    bloom_hashes: Vec::new(),
-                    contents,
+                    block: CutBlock {
+                        contents,
+                        first_key: bm.first_key.clone(),
+                        last_key: bm.last_key.clone(),
+                        entries: bm.entries,
+                        bloom_hashes: Vec::new(),
+                    },
                 })
                 .unwrap();
         }

@@ -8,7 +8,7 @@
 //! ```
 
 use pcp::core::{PipelinedExec, Step};
-use pcp::lsm::filename::table_file;
+use pcp::compaction::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};

@@ -9,7 +9,7 @@
 //! ```
 
 use pcp::core::PipelinedExec;
-use pcp::lsm::filename::CURRENT;
+use pcp::compaction::filename::CURRENT;
 use pcp::lsm::{repair, Db, Options};
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::sync::Arc;

@@ -55,6 +55,8 @@ lane "cargo test -q -p pcp-shard --features lock_order (the witness over the sui
     cargo test -q -p pcp-shard --features lock_order
 lane "cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)" \
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
+lane "scripts/bench_gain.py --check bench_results/trajectory.jsonl (the committed trajectory parses and its PR numbers increase)" \
+    python3 scripts/bench_gain.py --check bench_results/trajectory.jsonl
 lane "git status -- BENCHMARK.json benchmark/ (the benchmark is untouched: an engine change may not edit it, nor may building it rewrite its Cargo.lock)" \
     benchmark_untouched
 lane "cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header)" \

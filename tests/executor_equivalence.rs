@@ -4,7 +4,7 @@
 //! the same bytes whether or not the output tables have a block cache.
 
 use pcp::core::{PipelineConfig, PipelinedExec};
-use pcp::lsm::filename::table_file;
+use pcp::compaction::filename::table_file;
 use pcp::compaction::SimpleMergeExec;
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::obs::TraceLog;

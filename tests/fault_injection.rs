@@ -19,7 +19,7 @@
 
 use pcp::compaction::SimpleMergeExec;
 use pcp::core::PipelinedExec;
-use pcp::lsm::filename::table_file;
+use pcp::compaction::filename::table_file;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
     TableCache,

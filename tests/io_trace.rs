@@ -5,7 +5,7 @@
 //! sub-task-sized writes (one flush per sub-task).
 
 use pcp::core::PipelinedExec;
-use pcp::lsm::filename::table_file;
+use pcp::compaction::filename::table_file;
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};
