@@ -30,8 +30,6 @@ fn paper_options(executor: Arc<dyn CompactionExec>) -> Options {
             base_level_bytes: 10 << 20,
             level_multiplier: 10,
         },
-        l0_slowdown_files: 8,
-        l0_stop_files: 12,
         sync_writes: false,
         block_cache_bytes: 0,
         executor,

@@ -5,6 +5,7 @@ use super::{write_level0, DbInner, GcPlan, State, RETRY};
 use crate::edit::VersionEdit;
 use crate::version::{FileMetadata, NUM_LEVELS};
 use crate::version_set::CompactionPick;
+use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
 use pcp_compaction::filename::{parse_file_name, FileKind};
 use pcp_compaction::{CompactionRequest, ResourceGrant};
@@ -41,27 +42,36 @@ impl DbInner {
     }
 
     /// The compaction lane: pick → grant → `executor.compact` → MANIFEST
-    /// edit, one at a time and never beside a [`Db::compact_range`] merge.
+    /// edit, one at a time — the only place a `Db` merges. A posted
+    /// [`Db::compact_range`] level goes first, ungated: the caller asked
+    /// for this work explicitly, so it runs unpaced.
     pub(super) fn compaction_lane(&self) {
         let mut st = self.state.lock();
         while !self.shutdown.load(AtomicOrdering::SeqCst) {
-            let pick = if st.compacting.is_some() || st.bg_error.is_some() {
-                None
-            } else {
-                st.versions.pick_compaction(&self.opts.policy)
-            };
-            let Some(pick) = pick else {
+            let manual = (st.manual.as_ref())
+                .filter(|m| !m.done)
+                .map(|m| st.versions.pick_range(m.level, m.lo.as_deref(), m.hi.as_deref()));
+            let is_manual = manual.is_some();
+            let pick = manual.unwrap_or_else(|| st.versions.pick_compaction(&self.opts.policy));
+            // With an error latched, stay parked as the flush lane does.
+            if st.bg_error.is_some() || (!is_manual && pick.is_none()) {
                 self.work_cv.wait(&mut st);
                 continue;
-            };
+            }
             // Taken before the lock is released to queue for a grant. The
             // pick stays valid across that wait and across the merge: the
             // flush lane only ever adds level-0 tables, all newer than the
             // picked ones, and nothing else edits the version set while
             // the marker is held.
             st.compacting = Some(st.versions.next_file_number());
-            let result = self.compact_with_grant(&mut st, pick);
+            let result = match pick {
+                Some(pick) => self.compact_with_grant(&mut st, pick, !is_manual),
+                None => Ok(()), // a manual level with nothing in range
+            };
             st.compacting = None;
+            if let Some(m) = st.manual.as_mut().filter(|_| is_manual) {
+                m.done = true;
+            }
             self.job_done(&mut st, result);
         }
     }
@@ -78,13 +88,14 @@ impl DbInner {
     }
 
     /// Runs `pick`, under a grant from the shared cross-database admission
-    /// gate when one is configured (flushes are never gated).
+    /// gate when `gated` and one is configured (flushes are never gated).
     fn compact_with_grant(
         &self,
         st: &mut MutexGuard<'_, State>,
         pick: CompactionPick,
+        gated: bool,
     ) -> io::Result<()> {
-        let limiter = self.opts.compaction_limiter.as_deref();
+        let limiter = self.opts.compaction_limiter.as_deref().filter(|_| gated);
         let grant = match limiter {
             None => None,
             Some(limiter) => {
@@ -146,17 +157,26 @@ impl DbInner {
     )]
     fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
         let imm = st.imm.as_ref().expect("imm present").clone();
+        let mut imm_wal = st.imm_wal.take();
+        let wal_bytes = imm_wal.as_ref().map_or(0, |wal| wal.len());
         let wal_number = st.wal_number;
         // Level 0 is ordered by file number: the table's is drawn from the
         // shared counter, at or above the `flushing` floor, and flushes are
         // serialized.
         let file_numbers = st.versions.file_number_counter();
 
-        // Build the table without holding the lock: this is real
-        // (simulated) I/O plus compression work.
-        let meta = MutexGuard::unlocked(st, || {
-            write_level0(&self.cache, &file_numbers, &self.opts, &imm)
-        })?;
+        // Without holding the lock, sync the retired log — with
+        // `sync_writes` off its records reach the device here, before any
+        // later log's can — then build the table: real (simulated) I/O
+        // plus compression work. A failed attempt keeps the log for the
+        // next.
+        let written = MutexGuard::unlocked(st, || -> io::Result<_> {
+            let t0 = Instant::now();
+            imm_wal.as_mut().map_or(Ok(()), WalWriter::sync)?;
+            let wal_sync_nanos = t0.elapsed().as_nanos() as u64;
+            Ok((write_level0(&self.cache, &file_numbers, &self.opts, &imm)?, wal_sync_nanos))
+        });
+        let (meta, wal_sync_nanos) = written.inspect_err(|_| st.imm_wal = imm_wal)?;
 
         let mut edit = VersionEdit {
             log_number: Some(wal_number),
@@ -183,13 +203,20 @@ impl DbInner {
         self.metrics
             .flush_count
             .fetch_add(1, AtomicOrdering::Relaxed);
-        self.trace
-            .record("flush_done", &[("sst_bytes", sst_bytes), ("entries", entries)]);
+        self.trace.record(
+            "flush_done",
+            &[
+                ("sst_bytes", sst_bytes),
+                ("entries", entries),
+                ("wal_bytes", wal_bytes),
+                ("wal_sync_nanos", wal_sync_nanos),
+            ],
+        );
         self.sweep(st);
         Ok(())
     }
 
-    pub(super) fn run_compaction(
+    fn run_compaction(
         &self,
         st: &mut MutexGuard<'_, State>,
         pick: CompactionPick,

@@ -3,21 +3,24 @@
 //!
 //! The moving parts follow LevelDB's architecture:
 //!
-//! * Writers append to the WAL and insert into the skiplist memtable under
-//!   one mutex. When the memtable reaches its threshold (paper default:
-//!   4 MB) it becomes immutable and a background flush dumps it into a
-//!   level-0 SSTable (`write`).
+//! * Writers queue; the one at the queue front appends the group's WAL
+//!   record and inserts into the skiplist memtable. When the memtable
+//!   reaches its threshold (paper default: 4 MB) that writer moves it and
+//!   its log into the immutable slot, with no I/O under the lock, and a
+//!   background flush syncs the log and dumps the memtable into a level-0
+//!   SSTable (`write`).
 //! * Two background lanes share the state lock and the version set: the
 //!   flush lane turns the immutable memtable into a level-0 table, the
-//!   compaction lane runs one compaction at a time, so a full memtable is
-//!   flushed while a merge is in flight (`lanes`; DESIGN.md §12
-//!   "Background lanes"). Compactions are picked by
+//!   compaction lane runs every compaction, one at a time and
+//!   [`Db::compact_range`]'s among them, so a full memtable is flushed
+//!   while a merge is in flight (`lanes`; DESIGN.md §12 "Background
+//!   lanes"). Compactions are picked by
 //!   [`crate::version_set::VersionSet::pick_compaction`] and executed by
 //!   the configured [`CompactionExec`] — this is where the paper's
 //!   SCP/PCP/PPCP executors plug in.
 //! * When compaction cannot keep up, level 0 grows: writers first get
-//!   slowed (one millisecond per write once L0 reaches
-//!   `l0_slowdown_files`), then stalled outright at `l0_stop_files` (the
+//!   slowed (one millisecond per write once L0 reaches twice the
+//!   compaction trigger), then stalled outright at three times it (the
 //!   paper's *write pauses*), which is precisely the coupling that makes
 //!   compaction bandwidth determine system throughput (Fig. 10: IOPS vs
 //!   compaction bandwidth).
@@ -96,11 +99,13 @@ const RETRY: RetryPolicy = RetryPolicy {
 struct State {
     mem: Arc<Memtable>,
     imm: Option<Arc<Memtable>>,
-    /// `None` exactly while a group leader holds the WAL inside the
-    /// unlocked I/O window; [`DbInner::rotate_memtable`] waits for it to
-    /// return before swapping logs.
+    /// The log numbered `wal_number`; `None` while a group leader holds it
+    /// inside the unlocked I/O window, and from a rotation until the first
+    /// group after it creates the log.
     wal: Option<WalWriter>,
     wal_number: u64,
+    /// The log holding `imm`'s records, until the flush lane has synced it.
+    imm_wal: Option<WalWriter>,
     versions: VersionSet,
     /// In-progress marker of the flush lane: `Some(floor)` from the moment
     /// it claims `imm` until its obsolete-file sweep is done. `floor` is
@@ -108,9 +113,12 @@ struct State {
     /// is numbered at or above it — what [`State::gc_plan`] keeps out of
     /// the other lane's sweep.
     flushing: Option<u64>,
-    /// The same marker for the one compaction a `Db` runs at a time, taken
-    /// by the compaction lane and by [`Db::compact_range`] alike.
+    /// The same marker for the one compaction a `Db` runs at a time, the
+    /// compaction lane's.
     compacting: Option<u64>,
+    /// A [`Db::compact_range`] level the compaction lane runs ahead of its
+    /// own picks; its poster clears it once `done`.
+    manual: Option<ManualCompaction>,
     bg_error: Option<String>,
     snapshots: BTreeMap<u64, usize>,
     /// FIFO of writers awaiting commit; the front entry's owner is the
@@ -120,6 +128,13 @@ struct State {
     /// message of the group's WAL failure (io::Error is not Clone).
     write_results: std::collections::HashMap<u64, Result<(), String>>,
     next_ticket: u64,
+}
+
+struct ManualCompaction {
+    level: usize,
+    lo: Option<Vec<u8>>,
+    hi: Option<Vec<u8>>,
+    done: bool,
 }
 
 /// What one obsolete-file sweep may delete, captured under the state lock
@@ -158,8 +173,8 @@ struct DbInner {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
-    /// Wakes queued writers: followers whose result arrived, the next
-    /// leader after a group completes, and WAL-rotation waiters.
+    /// Wakes queued writers: followers whose result arrived and the next
+    /// queue front after a turn completes.
     writers_cv: Condvar,
     shutdown: AtomicBool,
     metrics: Metrics,
@@ -281,9 +296,11 @@ impl Db {
                 imm: None,
                 wal: Some(wal),
                 wal_number,
+                imm_wal: None,
                 versions,
                 flushing: None,
                 compacting: None,
+                manual: None,
                 bg_error: None,
                 snapshots: BTreeMap::new(),
                 write_queue: std::collections::VecDeque::new(),
@@ -351,17 +368,8 @@ impl Db {
         if st.mem.is_empty() && st.imm.is_none() {
             return Ok(());
         }
-        if !st.mem.is_empty() {
-            // Rotate, waiting for any previous imm first. A failed flush
-            // leaves `imm` in place with the lane parked; the latch wakes
-            // this wait, so check the error on every turn.
-            while st.imm.is_some() {
-                inner.check_bg_error(&st)?;
-                inner.done_cv.wait(&mut st);
-            }
-            inner.check_bg_error(&st)?;
-            inner.rotate_memtable(&mut st)?;
-        }
+        // Only the writer queue's front rotates.
+        inner.queue(&mut st, None)?;
         // Until the flush lane has installed the table and swept.
         while st.imm.is_some() || st.flushing.is_some() {
             inner.check_bg_error(&st)?;
@@ -380,6 +388,7 @@ impl Db {
             let busy = st.imm.is_some()
                 || st.flushing.is_some()
                 || st.compacting.is_some()
+                || st.manual.as_ref().is_some_and(|m| !m.done)
                 || st.versions.pick_compaction(&inner.opts.policy).is_some();
             if !busy {
                 return Ok(());
@@ -389,29 +398,33 @@ impl Db {
     }
 
     /// Synchronously compacts every level containing data in `[lo, hi]`
-    /// (unbounded when `None`), top down.
+    /// (unbounded when `None`), top down: the compaction lane runs one
+    /// manual pick per level while this caller waits.
     pub fn compact_range(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> io::Result<()> {
         self.flush()?;
         let inner = &*self.inner;
+        let mut st = inner.state.lock();
         for level in 0..NUM_LEVELS - 1 {
-            // One pass per level, each under the compaction marker the
-            // background lane also takes: never two merges in one `Db`.
-            let mut st = inner.state.lock();
-            while st.compacting.is_some() {
+            // Another caller's request holds the slot until it clears it.
+            while st.manual.is_some() {
+                inner.check_bg_error(&st)?;
                 inner.done_cv.wait(&mut st);
             }
             inner.check_bg_error(&st)?;
-            if let Some(pick) = st.versions.pick_range(level, lo, hi) {
-                st.compacting = Some(st.versions.next_file_number());
-                // Manual compactions bypass the scheduler: the caller asked
-                // for this work explicitly, so it runs unpaced.
-                let result = inner.run_compaction(&mut st, pick, None);
-                st.compacting = None;
-                inner.done_cv.notify_all();
-                inner.work_cv.notify_all();
-                drop(st);
-                result?;
+            st.manual = Some(ManualCompaction {
+                level,
+                lo: lo.map(<[u8]>::to_vec),
+                hi: hi.map(<[u8]>::to_vec),
+                done: false,
+            });
+            inner.work_cv.notify_all();
+            // A latched error ends the wait; none is posted after it.
+            while !st.manual.as_ref().is_some_and(|m| m.done) && st.bg_error.is_none() {
+                inner.done_cv.wait(&mut st);
             }
+            st.manual = None;
+            inner.done_cv.notify_all();
+            inner.check_bg_error(&st)?;
         }
         Ok(())
     }

@@ -21,12 +21,10 @@ pub struct Options {
     pub block_bytes: usize,
     /// Compress data blocks (paper: snappy on).
     pub compression: bool,
-    /// Compaction trigger thresholds.
+    /// Compaction trigger thresholds. Level 0 at twice `l0_trigger` tables
+    /// also slows each write by 1 ms, and at three times stops writers
+    /// until compaction catches up.
     pub policy: CompactionPolicy,
-    /// L0 file count that slows writers by 1 ms each.
-    pub l0_slowdown_files: usize,
-    /// L0 file count that stops writers until compaction catches up.
-    pub l0_stop_files: usize,
     /// Sync the WAL on every write.
     pub sync_writes: bool,
     /// Decoded-block cache budget for the read path; 0 disables it (the
@@ -59,8 +57,6 @@ impl Default for Options {
             block_bytes: 4096,
             compression: true,
             policy: CompactionPolicy::default(),
-            l0_slowdown_files: 8,
-            l0_stop_files: 12,
             sync_writes: false,
             block_cache_bytes: 0,
             executor: Arc::new(pcp_core::PipelinedExec::default()),

@@ -1,5 +1,6 @@
 //! The write path: group commit through the WAL, write back-pressure
-//! (slowdown, stall) and memtable rotation.
+//! (slowdown, stall) and memtable rotation — every one of them the turn of
+//! the writer at the queue front.
 
 use super::{Db, DbInner, State, WriteBatch, RETRY};
 use crate::memtable::Memtable;
@@ -12,8 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One queued writer. The batch is `Some` until a leader claims it into a
-/// commit group; the entry itself stays in the queue until the group
-/// completes, so the queue front always identifies the active leader.
+/// commit group, and `None` from the start for a forced rotation
+/// ([`Db::flush`]), which no group takes; the entry itself stays in the
+/// queue until its turn completes, so the queue front always identifies
+/// the active leader.
 pub(super) struct PendingWrite {
     ticket: u64,
     batch: Option<WriteBatch>,
@@ -25,7 +28,7 @@ pub(super) struct PendingWrite {
 enum StallCause {
     /// The previous memtable is still being flushed.
     ImmPending = 0,
-    /// Level 0 holds `l0_stop_files` tables.
+    /// Level 0 holds three times `l0_trigger` tables.
     L0Stop = 1,
 }
 
@@ -64,53 +67,59 @@ impl Db {
         if batch.is_empty() {
             return Ok(());
         }
-        let inner = &*self.inner;
-        let mut st = inner.state.lock();
+        self.inner.queue(&mut self.inner.state.lock(), Some(batch))
+    }
+}
+
+impl DbInner {
+    /// Queues `batch` — `None` asks for a forced rotation — and returns its
+    /// outcome: filed by the leader whose group carried it, or produced by
+    /// this thread's own turn at the queue front.
+    pub(super) fn queue(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        batch: Option<WriteBatch>,
+    ) -> io::Result<()> {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        st.write_queue.push_back(PendingWrite {
-            ticket,
-            batch: Some(batch),
-        });
+        let force = batch.is_none();
+        st.write_queue.push_back(PendingWrite { ticket, batch });
         loop {
             if let Some(result) = st.write_results.remove(&ticket) {
                 // A leader committed (or failed) our batch for us.
                 return result.map_err(io::Error::other);
             }
             if st.write_queue.front().is_some_and(|w| w.ticket == ticket) {
-                break; // queue front: we lead the next group
+                break; // queue front: our turn
             }
-            inner.writers_cv.wait(&mut st);
+            self.writers_cv.wait(st);
         }
-        inner.commit_group(&mut st, ticket)
+        let room = self.make_room_for_write(st, force);
+        if room.is_err() || force {
+            // A failed admission (latched error) or a finished rotation
+            // ends the turn. Followers stay queued: the next one takes the
+            // front and observes the same latch itself.
+            st.write_queue.pop_front();
+            self.writers_cv.notify_all();
+            return room;
+        }
+        self.commit_group(st, ticket)
     }
-}
 
-impl DbInner {
     /// Leader path of [`Db::write`]: called by the writer at the queue
-    /// front with the state lock held. Merges the pending batches into one
-    /// group, commits it through the WAL with the lock released, then
-    /// publishes and distributes the outcome.
+    /// front with the state lock held, once its memtable has room. Merges
+    /// the pending batches into one group, commits it through the WAL with
+    /// the lock released, then publishes and distributes the outcome.
     #[expect(
         clippy::expect_used,
         reason = "group-commit invariants, each held under the state lock: the leader is the \
-                  queue front, a queued batch stays unclaimed until its leader takes it, and \
-                  `st.wal` is resident whenever no leader is inside its I/O window"
+                  queue front, and a queued batch stays unclaimed until its leader takes it"
     )]
     fn commit_group(&self, st: &mut MutexGuard<'_, State>, leader_ticket: u64) -> io::Result<()> {
-        if let Err(e) = self.make_room_for_write(st) {
-            // The leader's own admission failed (latched error). Followers
-            // stay queued: the next one becomes leader and observes the
-            // same latch itself.
-            let w = st.write_queue.pop_front().expect("leader at queue front");
-            debug_assert_eq!(w.ticket, leader_ticket);
-            self.writers_cv.notify_all();
-            return Err(e);
-        }
-
-        // Claim batches from the queue front up to the cap. Entries stay
-        // queued (their tickets mark group membership and keep this leader
-        // at the front); only the payloads move.
+        // Claim batches from the queue front up to the cap, or up to a
+        // forced rotation, which takes its own turn. Entries stay queued
+        // (their tickets mark group membership and keep this leader at the
+        // front); only the payloads move.
         let leader_bytes = st
             .write_queue
             .front()
@@ -124,7 +133,9 @@ impl DbInner {
         let mut group: Vec<(u64, WriteBatch)> = Vec::new();
         let mut group_bytes = 0usize;
         for w in st.write_queue.iter_mut() {
-            let size = w.batch.as_ref().expect("queued batch unclaimed").approximate_bytes();
+            let Some(size) = w.batch.as_ref().map(WriteBatch::approximate_bytes) else {
+                break;
+            };
             if !group.is_empty() && group_bytes + size > cap {
                 break;
             }
@@ -142,15 +153,23 @@ impl DbInner {
             b.encode_entries(&mut record);
         }
 
-        // The I/O window: take the WAL out of the state (rotation waits
-        // for it to return) and run the append + single amortized sync
-        // with the lock released, so arriving writers enqueue and the
-        // background lanes keep flushing/compacting meanwhile. New
+        // The I/O window: take the WAL out of the state and run the append
+        // + single amortized sync — after a rotation, the log's creation
+        // first — with the lock released, so arriving writers enqueue and
+        // the background lanes keep flushing/compacting meanwhile. New
         // arrivals see this leader's ticket still at the queue front and
-        // block; no second leader can enter the WAL.
-        let mut wal = st.wal.take().expect("wal open");
-        let wal_result = MutexGuard::unlocked(st, || self.log_record(&mut wal, &record));
-        st.wal = Some(wal);
+        // block; neither a second leader nor a rotation can touch the WAL.
+        let (mut wal, number) = (st.wal.take(), st.wal_number);
+        let wal_result = MutexGuard::unlocked(st, || {
+            let wal = match &mut wal {
+                Some(wal) => wal,
+                None => wal.insert(pcp_storage::with_retry(&RETRY, || {
+                    WalWriter::create(&*self.env, &wal_file(number))
+                })?),
+            };
+            self.log_record(wal, &record)
+        });
+        st.wal = wal;
 
         if let Err(e) = wal_result {
             // Every writer in the failed group gets the error.
@@ -212,16 +231,19 @@ impl DbInner {
         self.writers_cv.notify_all();
     }
 
-    /// Ensures the memtable has room, applying slowdown/stall policy.
-    pub(super) fn make_room_for_write(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
-        let mut slowdown_done = false;
+    /// Ensures the memtable has room, applying slowdown/stall policy:
+    /// level 0 at twice `l0_trigger` tables slows each write once, at three
+    /// times stops a writer that needs a new memtable (LevelDB's 4 / 8 / 12).
+    /// A forced rotation ([`Db::flush`]) is neither slowed nor stopped: it
+    /// waits out a pending `imm` without counting a stall and rotates a
+    /// non-empty memtable.
+    fn make_room_for_write(&self, st: &mut MutexGuard<'_, State>, force: bool) -> io::Result<()> {
+        let l0_trigger = self.opts.policy.l0_trigger;
+        let mut slowdown_done = force;
         loop {
             self.check_bg_error(st)?;
             let l0_files = st.versions.current().level_files(0);
-            if !slowdown_done
-                && l0_files >= self.opts.l0_slowdown_files
-                && l0_files < self.opts.l0_stop_files
-            {
+            if !slowdown_done && (2 * l0_trigger..3 * l0_trigger).contains(&l0_files) {
                 // Gentle backpressure: hand the compaction lane 1 ms of
                 // this writer's time, once per write.
                 slowdown_done = true;
@@ -231,19 +253,25 @@ impl DbInner {
                 MutexGuard::unlocked(st, || std::thread::sleep(Duration::from_millis(1)));
                 continue;
             }
-            if st.mem.approximate_bytes() < self.opts.memtable_bytes {
+            let full = st.mem.approximate_bytes() >= self.opts.memtable_bytes;
+            if st.mem.is_empty() || !(force || full) {
                 return Ok(());
             }
             if st.imm.is_some() {
-                // Previous memtable still flushing: write pause.
-                self.stall_wait(st, StallCause::ImmPending);
+                // Previous memtable still flushing: write pause. A failed
+                // flush leaves `imm` in place; the latch wakes this wait.
+                if force {
+                    self.done_cv.wait(st);
+                } else {
+                    self.stall_wait(st, StallCause::ImmPending);
+                }
                 continue;
             }
-            if l0_files >= self.opts.l0_stop_files {
+            if !force && l0_files >= 3 * l0_trigger {
                 self.stall_wait(st, StallCause::L0Stop);
                 continue;
             }
-            self.rotate_memtable(st)?;
+            self.rotate_memtable(st);
         }
     }
 
@@ -266,42 +294,27 @@ impl DbInner {
         );
     }
 
-    pub(super) fn rotate_memtable(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
-        debug_assert!(st.imm.is_none());
-        // A group leader may hold the WAL inside its unlocked I/O window
-        // (`st.wal` is `None` exactly then). Rotating underneath it would
-        // strand the group's record in a log older than the manifest's log
-        // number, so wait for the leader to put the WAL back.
-        while st.wal.is_none() {
-            self.writers_cv.wait(st);
-        }
-        // The wait released the state lock, so another thread may have
-        // rotated in the meantime (e.g. the next group leader via
-        // make_room_for_write racing a parked flush()). Overwriting that
-        // fresh `imm` would drop an unflushed memtable; both callers
-        // re-evaluate, so just report success.
-        if st.imm.is_some() {
-            return Ok(());
-        }
-        let new_wal_number = st.versions.allocate_file_number();
-        let new_wal = pcp_storage::with_retry(&RETRY, || {
-            WalWriter::create(&*self.env, &wal_file(new_wal_number))
-        })?;
-        if let Some(mut old) = st.wal.replace(new_wal) {
-            pcp_storage::with_retry(&RETRY, || old.sync())?;
-        }
-        st.wal_number = new_wal_number;
+    /// Moves `mem` and its log into the `imm` slot and numbers the next
+    /// log, which the first group to write creates in its I/O window; the
+    /// flush lane syncs the retired one. Only the queue front rotates, so
+    /// no leader's window is open meanwhile.
+    fn rotate_memtable(&self, st: &mut State) {
+        debug_assert!(st.imm.is_none() && st.imm_wal.is_none());
+        st.imm_wal = st.wal.take();
+        st.wal_number = st.versions.allocate_file_number();
         st.imm = Some(std::mem::replace(&mut st.mem, Arc::new(Memtable::new())));
         self.work_cv.notify_all();
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::Options;
-    use pcp_storage::{Env, EnvRef, RandomReadFile, SimDevice, SimEnv, WritableFile};
+    use crate::db::{DbHealth, Options};
+    use pcp_storage::{
+        Env, EnvRef, FaultEnv, FaultKind, FaultOp, RandomReadFile, SimDevice, SimEnv,
+        WritableFile,
+    };
     // The gate is test scaffolding outside the engine's lock graph.
     use std::sync::{mpsc, Mutex};
 
@@ -424,5 +437,142 @@ mod tests {
         for i in 0..=FOLLOWERS {
             assert_eq!(db.get(&key(i)).unwrap(), Some(b"v".to_vec()), "k{i} after reopen");
         }
+    }
+
+    fn mem_env() -> EnvRef {
+        Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))))
+    }
+
+    /// A small memtable, so a few dozen puts of [`VALUE`] rotate.
+    fn small_memtable() -> Options {
+        Options {
+            memtable_bytes: 64 << 10,
+            ..Options::default()
+        }
+    }
+
+    const VALUE: [u8; 100] = [b'v'; 100];
+
+    fn key(i: usize) -> Vec<u8> {
+        format!("key{i:05}").into_bytes()
+    }
+
+    /// Reopens `image` and checks that it holds a prefix of the first
+    /// `acked` keys, each with [`VALUE`], and no later key; returns the
+    /// prefix length.
+    fn recovered_prefix(image: EnvRef, acked: usize, written: usize) -> usize {
+        let db = Db::open(image, small_memtable()).unwrap();
+        let present = |i: usize| db.get(&key(i)).unwrap().is_some_and(|v| v == VALUE);
+        let prefix = (0..acked).take_while(|&i| present(i)).count();
+        for i in prefix..written {
+            assert_eq!(db.get(&key(i)).unwrap(), None, "key {i} recovered past a hole at {prefix}");
+        }
+        prefix
+    }
+
+    /// With every `.log` sync failing for good, the flush lane's sync of
+    /// the first retired log latches the error: later puts get it, no put
+    /// creates a log of its own, and the image holds a prefix of the
+    /// acknowledged puts.
+    #[test]
+    fn a_failed_sync_of_the_retired_log_latches_and_leaks_no_log() {
+        const PUTS: usize = 6000;
+        let inner = mem_env();
+        let fault = FaultEnv::new(Arc::clone(&inner), 3);
+        fault
+            .set_probability(FaultOp::Sync, 1.0)
+            .set_probabilistic_kind(FaultKind::Permanent)
+            .set_file_filter(".log");
+        let db = Db::open(Arc::new(fault), small_memtable()).unwrap();
+        let results: Vec<io::Result<()>> = (0..PUTS).map(|i| db.put(&key(i), &VALUE)).collect();
+        let acked = results.iter().take_while(|r| r.is_ok()).count();
+        assert!(acked < PUTS, "no put failed");
+
+        let DbHealth::BackgroundError(latched) = db.health() else {
+            panic!("the failed log sync was not latched");
+        };
+        assert!(latched.contains("injected permanent fault"), "{latched}");
+        for (i, r) in results.iter().enumerate().skip(acked) {
+            let e = r.as_ref().expect_err("a put went through after one failed");
+            assert_eq!(e.to_string(), latched, "put {i}");
+        }
+        let logs = inner.list().unwrap().into_iter().filter(|n| n.ends_with(".log")).count();
+        assert!(logs <= 2, "{logs} logs on disk");
+
+        drop(db);
+        recovered_prefix(inner, acked, PUTS);
+    }
+
+    /// While the flush lane is parked in the retired log's sync, a `get`,
+    /// an iterator and a `put` that needs no rotation all complete.
+    #[test]
+    fn a_parked_sync_of_the_retired_log_blocks_nobody() {
+        // 100 puts of 1 KiB: one rotation, and room in the next memtable.
+        const PUTS: usize = 100;
+        let value = [b'w'; 1024];
+        let gate = Arc::new(Mutex::new(None));
+        let env: EnvRef = Arc::new(GateEnv {
+            inner: mem_env(),
+            gate: Arc::clone(&gate),
+        });
+        // `sync_writes` is off: the only log sync is the flush lane's.
+        let db = Db::open(env, small_memtable()).unwrap();
+
+        std::thread::scope(|s| {
+            let db = &db;
+            let (parked_tx, parked) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            *gate.lock().unwrap() = Some((parked_tx, release_rx));
+            s.spawn(move || (0..PUTS).for_each(|i| db.put(&key(i), &value).unwrap()));
+            parked.recv().unwrap();
+            let (done_tx, done) = mpsc::channel();
+            s.spawn(move || {
+                assert_eq!(db.get(&key(0)).unwrap().as_deref(), Some(&value[..]));
+                let mut it = db.iter();
+                it.seek_to_first();
+                assert!(it.valid() && it.key() == key(0));
+                db.put(b"late", b"write").unwrap();
+                done_tx.send(()).unwrap();
+            });
+            // The timeout only turns a hang into a failure: a passing run
+            // never waits for it.
+            let finished = done.recv_timeout(Duration::from_secs(30));
+            release.send(()).unwrap();
+            assert!(finished.is_ok(), "a reader or a writer waited for the parked log sync");
+        });
+
+        db.flush().unwrap();
+        assert_eq!(db.metrics().flush_count, 2);
+        for i in 0..PUTS {
+            assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&value[..]), "key {i}");
+        }
+        assert_eq!(db.get(b"late").unwrap(), Some(b"write".to_vec()));
+    }
+
+    /// A crash in the retired log's sync: the image holds the flushed table
+    /// and, after it, a prefix of the acknowledged puts — nothing past a
+    /// hole.
+    #[test]
+    fn a_crash_in_the_retired_log_sync_recovers_a_prefix() {
+        const FLUSHED: usize = 100;
+        const PUTS: usize = 3000;
+        let inner = mem_env();
+        let fault = FaultEnv::new(Arc::clone(&inner), 5);
+        let db = Db::open(Arc::new(fault.clone()), small_memtable()).unwrap();
+        for i in 0..FLUSHED {
+            db.put(&key(i), &VALUE).unwrap();
+        }
+        db.flush().unwrap();
+
+        fault.schedule_on_file(FaultOp::Sync, 1, FaultKind::Crash, ".log");
+        // The crash latches, so a put fails before the memtables run out.
+        let acked = FLUSHED
+            + (FLUSHED..PUTS)
+                .take_while(|&i| db.put(&key(i), &VALUE).is_ok())
+                .count();
+        assert!(acked < PUTS && fault.crashed(), "the crash did not stop the writes");
+        drop(db);
+        let prefix = recovered_prefix(inner, acked, PUTS);
+        assert!(prefix >= FLUSHED, "the flushed table lost keys: prefix {prefix}");
     }
 }

@@ -311,8 +311,6 @@ fn write_stalls_are_recorded_under_pressure() {
             base_level_bytes: 32 << 10,
             level_multiplier: 10,
         },
-        l0_slowdown_files: 2,
-        l0_stop_files: 4,
         ..Default::default()
     };
     let db = Db::open(ram_env(), opts).unwrap();

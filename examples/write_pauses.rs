@@ -32,8 +32,6 @@ fn engine(executor: Arc<dyn CompactionExec>) -> Db {
             base_level_bytes: 2 << 20,
             level_multiplier: 10,
         },
-        l0_slowdown_files: 6,
-        l0_stop_files: 10,
         executor,
         ..Default::default()
     };

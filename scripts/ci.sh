@@ -51,6 +51,8 @@ lane "vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a
     vendor_declares_no_dependencies
 lane "cargo test -q --features lock_order (runtime lock-order witness; includes tests/background_lanes.rs)" \
     cargo test -q --features lock_order
+lane "cargo test -q -p pcp-lsm --features lock_order (the witness over the engine's own suites: group commit, rotation, the lanes' unit tests)" \
+    cargo test -q -p pcp-lsm --features lock_order
 lane "cargo test -q -p pcp-shard --features lock_order (the witness over the suites that start a KvServer)" \
     cargo test -q -p pcp-shard --features lock_order
 lane "cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)" \

@@ -505,42 +505,39 @@ fn stall_causes(db: &Db) -> Vec<u64> {
         .collect()
 }
 
-/// The slowdown band delays each write once and lets it through while the
-/// compaction lane is parked; at `l0_stop_files` a writer that needs a new
-/// memtable stops, says why, and goes on when the merge installs.
+/// The slowdown band (level 0 at 2–3× `l0_trigger`, here 4–5 tables)
+/// delays each write once and lets it through while the compaction lane is
+/// parked; at the stop (3×, 6 tables) a writer that needs a new memtable
+/// stops, says why, and goes on when the merge installs.
 #[test]
 fn slowdown_delays_each_write_once_and_l0_stop_waits_for_the_merge() {
     let gate = GateExec::new(SimpleMergeExec);
-    let db = Db::open(
-        mem_env(),
-        Options {
-            l0_slowdown_files: 3,
-            l0_stop_files: 4,
-            ..opts(gate.clone())
-        },
-    )
-    .unwrap();
+    let db = Db::open(mem_env(), opts(gate.clone())).unwrap();
     let mut model = Model::new();
     let parked = park_a_merge(&db, &gate, &mut model);
-    fill(&db, &mut model, 2);
-    db.flush().unwrap();
-    assert_eq!(db.level_summary()[0].0, 3);
+    for batch in 2..4 {
+        fill(&db, &mut model, batch);
+        db.flush().unwrap();
+    }
+    assert_eq!(db.level_summary()[0].0, 4);
     assert_eq!(db.metrics().slowdown_events, 0);
 
-    fill(&db, &mut model, 3); // 80 writes in the slowdown band
+    for batch in 4..6 {
+        fill(&db, &mut model, batch); // 80 writes in the slowdown band
+        db.flush().unwrap();
+    }
     let m = db.metrics();
-    assert_eq!((m.slowdown_events, m.stall_events), (80, 0));
+    assert_eq!((m.slowdown_events, m.stall_events), (160, 0));
 
-    db.flush().unwrap();
-    assert_eq!(db.level_summary()[0].0, 4);
-    fill(&db, &mut model, 4); // at the stop there is no slowdown, and room
+    assert_eq!(db.level_summary()[0].0, 6);
+    fill(&db, &mut model, 6); // at the stop there is no slowdown, and room
     let m = db.metrics();
-    assert_eq!((m.slowdown_events, m.stall_events), (80, 0));
+    assert_eq!((m.slowdown_events, m.stall_events), (160, 0));
     std::thread::scope(|s| {
         // A second batch overflows the memtable: the rotation has to wait.
         let writer = s.spawn(|| {
             let mut written = Model::new();
-            fill(&db, &mut written, 5);
+            fill(&db, &mut written, 7);
             written
         });
         spin_until(|| db.metrics().stall_events >= 1);
