@@ -135,6 +135,10 @@ impl DbInner {
             match attempt(st) {
                 Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
                     self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "backoff between attempts of a transient background error"
+                    )]
                     MutexGuard::unlocked(st, || std::thread::sleep(backoff));
                     backoff = (backoff * 2).min(RETRY.max_backoff);
                 }

@@ -250,6 +250,10 @@ impl DbInner {
                 self.metrics
                     .slowdown_events
                     .fetch_add(1, AtomicOrdering::Relaxed);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "write slowdown: the writer yields 1 ms to the compaction lane"
+                )]
                 MutexGuard::unlocked(st, || std::thread::sleep(Duration::from_millis(1)));
                 continue;
             }

@@ -23,12 +23,18 @@ use pcp_storage::{
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
 
 fn sharded(n: usize) -> Arc<ShardedDb> {
-    let envs: Vec<EnvRef> = (0..n)
-        .map(|_| Arc::new(SimEnv::new(Arc::new(SimDevice::mem(256 << 20)))) as EnvRef)
-        .collect();
+    sharded_on((0..n).map(|_| mem_env()).collect())
+}
+
+fn mem_env() -> EnvRef {
+    Arc::new(SimEnv::new(Arc::new(SimDevice::mem(256 << 20))))
+}
+
+/// One shard per env, with small memtables and tables.
+fn sharded_on(envs: Vec<EnvRef>) -> Arc<ShardedDb> {
+    let n = envs.len();
     let opts = Options {
         memtable_bytes: 32 << 10,
         sstable_bytes: 32 << 10,
@@ -196,42 +202,49 @@ fn pipelined_err_keeps_window_usable() {
 #[test]
 #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
 fn shutdown_flushes_accepted_pipelined_requests() {
-    const N: u64 = 200;
-    let db = sharded(2);
+    const N: usize = 200;
+    let (gate, parked, release) = Gate::new();
+    let gated = GateEnv {
+        inner: mem_env(),
+        gate: Arc::clone(&gate),
+    };
+    let db = sharded_on(vec![Arc::new(gated) as EnvRef, mem_env()]);
+    // Every key but the last lands on the ungated shard.
+    let key = |i: usize| format!("drain{i:05}").into_bytes();
+    let mut keys: Vec<Vec<u8>> = (0..)
+        .map(key)
+        .filter(|k| db.shard_of(k) == 1)
+        .take(N - 1)
+        .collect();
+    keys.push((0..).map(key).find(|k| db.shard_of(k) == 0).unwrap());
     let mut server = start(Arc::clone(&db), ReactorConfig::default());
-    let addr = server.local_addr();
 
-    let mut client = KvClient::connect(addr).unwrap();
-    for i in 0..N {
+    let mut client = KvClient::connect(server.local_addr()).unwrap();
+    gate.arm();
+    for key in &keys {
         client
-            .send(&Request::Put(
-                format!("drain{i:05}").into_bytes(),
-                b"v".to_vec(),
-            ))
+            .send(&Request::Put(key.clone(), b"v".to_vec()))
             .unwrap();
     }
-    // Wait until the server has executed every accepted op, so shutdown
-    // races only with response delivery, not with acceptance.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().ops < N {
-        assert!(Instant::now() < deadline, "server never executed the window");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The last op parks in its WAL append. Every op before it on the
+    // connection has executed by then, so shutdown races only with the
+    // last op and with response delivery, not with acceptance.
+    parked.recv().unwrap();
     let shutdown = std::thread::spawn(move || {
         server.shutdown();
         server
     });
+    release.send(()).unwrap();
     let responses = client.recv_all().unwrap();
-    assert_eq!(responses.len(), N as usize);
+    assert_eq!(responses.len(), N);
     for (i, (token, resp)) in responses.iter().enumerate() {
         assert_eq!(*token, i as u64);
         assert!(matches!(resp, Response::Ok), "op {i} got {resp:?}");
     }
     shutdown.join().unwrap();
     // The writes are durable in the engine underneath.
-    for i in (0..N).step_by(37) {
-        let key = format!("drain{i:05}").into_bytes();
-        assert_eq!(db.get(&key).unwrap(), Some(b"v".to_vec()));
+    for key in keys.iter().step_by(37).chain(keys.last()) {
+        assert_eq!(db.get(key).unwrap(), Some(b"v".to_vec()));
     }
 }
 
@@ -344,8 +357,8 @@ fn connections_are_dealt_round_robin_to_the_loops() {
     server.shutdown();
 }
 
-/// Parks the first `.sst` read after [`Gate::arm`] until the test
-/// releases it.
+/// Parks the first `.sst` read or `.log` append after [`Gate::arm`]
+/// until the test releases it.
 #[derive(Debug)]
 struct Gate {
     armed: AtomicBool,
@@ -369,6 +382,15 @@ impl Gate {
     fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
+
+    /// Parks the caller until the release if the gate is armed, and
+    /// disarms it.
+    fn pass(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.parked.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -384,11 +406,32 @@ struct GatedFile {
 
 impl RandomReadFile for GatedFile {
     fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Bytes> {
-        if self.gate.armed.swap(false, Ordering::SeqCst) {
-            self.gate.parked.lock().unwrap().send(()).unwrap();
-            self.gate.release.lock().unwrap().recv().unwrap();
-        }
+        self.gate.pass();
         self.inner.read_at(offset, len)
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+struct GatedLog {
+    inner: Box<dyn WritableFile>,
+    gate: Arc<Gate>,
+}
+
+impl WritableFile for GatedLog {
+    fn append(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.gate.pass();
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.inner.sync()
     }
 
     fn len(&self) -> u64 {
@@ -398,7 +441,14 @@ impl RandomReadFile for GatedFile {
 
 impl Env for GateEnv {
     fn create(&self, name: &str) -> std::io::Result<Box<dyn WritableFile>> {
-        self.inner.create(name)
+        let inner = self.inner.create(name)?;
+        if !name.ends_with(".log") {
+            return Ok(inner);
+        }
+        Ok(Box::new(GatedLog {
+            inner,
+            gate: Arc::clone(&self.gate),
+        }))
     }
 
     fn open(&self, name: &str) -> std::io::Result<Arc<dyn RandomReadFile>> {

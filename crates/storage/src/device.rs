@@ -143,6 +143,10 @@ impl SimDevice {
         if self.time_scale > 0.0 {
             let sleep = total.mul_f64(self.time_scale);
             if !sleep.is_zero() {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the device model realizes its service time as wall time"
+                )]
                 std::thread::sleep(sleep);
             }
         }

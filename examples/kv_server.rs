@@ -83,6 +83,10 @@ fn main() {
         // Serve until interrupted.
         println!("press Ctrl-C to stop");
         loop {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the server runs on its own threads; main idles until Ctrl-C"
+            )]
             std::thread::sleep(std::time::Duration::from_secs(60));
         }
     }
