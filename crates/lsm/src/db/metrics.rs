@@ -265,6 +265,21 @@ impl Db {
                 inner.upgrade().map_or(0, |inner| get(&inner.cache))
             });
         }
+        {
+            let inner = Arc::downgrade(&self.inner);
+            registry.register_fn_gauge(
+                "pcp_engine_memtable_arena_bytes",
+                "arena chunk bytes held by the memtable and the one being flushed",
+                base.clone(),
+                move || {
+                    inner.upgrade().map_or(0.0, |inner| {
+                        let st = inner.state.lock();
+                        let imm = st.imm.as_ref().map_or(0, |imm| imm.arena_bytes());
+                        (st.mem.arena_bytes() + imm) as f64
+                    })
+                },
+            );
+        }
         registry.register_histogram(
             "pcp_engine_group_commit_batches",
             "writers merged per commit group",
@@ -395,6 +410,30 @@ mod tests {
             assert!(merged > 0, "no merge ran");
             assert_eq!(written > 0, block_cache_bytes > 0, "written {written}");
         }
+    }
+
+    /// The arena gauge reads the chunks of `mem` plus `imm`: it grows with
+    /// the memtable, stays below the 4 MiB accounting budget for the
+    /// paper's entry shape, and falls back to one chunk after a flush.
+    #[test]
+    fn memtable_arena_gauge_follows_the_memtable() {
+        let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
+        let db = Db::open(env, Options::default()).unwrap();
+        let registry = pcp_obs::Registry::new();
+        db.register_metrics(&registry, &[]);
+        let arena = || registry.snapshot().gauge("pcp_engine_memtable_arena_bytes", &[]);
+        let empty = arena();
+        assert!(empty > 0.0);
+        for i in 0..20_000u32 {
+            db.put(format!("{i:016}").as_bytes(), &[7u8; 100]).unwrap();
+        }
+        let full = arena();
+        assert!(full > 20.0 * empty, "arena {full} B after 20k puts");
+        assert!(full < (4 << 20) as f64, "arena {full} B over the accounting budget");
+        db.flush().unwrap();
+        assert_eq!(arena(), empty);
+        drop(db);
+        assert_eq!(arena(), 0.0);
     }
 
     #[test]

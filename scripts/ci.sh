@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, lint-clean under clippy.
+# Tier-1 gate: release build, full test suite, lint-clean under clippy, the
+# memtable's unit tests under AddressSanitizer when a nightly is installed.
 #   ./scripts/ci.sh                        the gate
 #   ./scripts/ci.sh --bench-compare <rev|dir>  the gate, then the benchmark against a base revision or checkout
 set -euo pipefail
@@ -55,6 +56,15 @@ lane "cargo test -q -p pcp-lsm --features lock_order (the witness over the engin
     cargo test -q -p pcp-lsm --features lock_order
 lane "cargo test -q -p pcp-shard --features lock_order (the witness over the suites that start a KvServer)" \
     cargo test -q -p pcp-shard --features lock_order
+# The sanitizer needs an explicit --target; take the nightly's own host.
+nightly_host=$(rustc +nightly -vV 2>/dev/null | sed -n 's/^host: //p' || true)
+if [ -n "$nightly_host" ]; then
+    lane "cargo +nightly test -p pcp-lsm --lib under AddressSanitizer (the arena memtable's and the iterators' unit tests; own target dir target/asan)" \
+        env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+        cargo +nightly test -q -p pcp-lsm --lib --target "$nightly_host" -- memtable:: iter::
+else
+    echo "==> not run: cargo +nightly test -p pcp-lsm --lib under AddressSanitizer (no nightly toolchain installed)"
+fi
 lane "cargo test --manifest-path benchmark/Cargo.toml (the benchmark package builds and self-tests against this engine)" \
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
 lane "scripts/bench_gain.py --check bench_results/trajectory.jsonl (the committed trajectory parses and its PR numbers increase)" \
