@@ -33,7 +33,7 @@ use crate::adaptive::{compute_width, CHOICE_LABELS};
 use crate::planner::{plan_subtasks, read_units, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use crate::steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask};
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver};
 use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata, OutputSink};
 use pcp_obs::TraceLog;
 use pcp_sstable::{Result as TableResult, TableReader};
@@ -301,6 +301,13 @@ struct Job<'a> {
     profile: &'a CompactionProfile,
 }
 
+/// A stage's blocking receive, which asks the lock witness first; `None`
+/// once the queue is drained and every sender is gone.
+#[track_caller]
+fn recv<T>(rx: &Receiver<T>) -> Option<T> {
+    pcp_storage::blocking::wait("channel recv", || rx.recv().ok())
+}
+
 impl Job<'_> {
     /// S1 … S7 strictly in order; one resource busy at a time.
     fn run_sequential(&self, writer: &mut SealedWriter) -> TableResult<()> {
@@ -360,7 +367,7 @@ impl Job<'_> {
                 {
                     let read_rx = read_rx.clone();
                     scope.spawn(move || {
-                        while let Ok(item) = read_rx.recv() {
+                        while let Some(item) = recv(&read_rx) {
                             let out = item
                                 .and_then(|data| crate::steps::verify_decompress(data, profile));
                             let failed = out.is_err();
@@ -371,7 +378,7 @@ impl Job<'_> {
                     });
                 }
                 scope.spawn(move || {
-                    while let Ok(item) = dec_rx.recv() {
+                    while let Some(item) = recv(&dec_rx) {
                         let out =
                             item.and_then(|dec| crate::steps::merge_subtask(dec, ccfg, profile));
                         let failed = out.is_err();
@@ -383,7 +390,7 @@ impl Job<'_> {
                 {
                     let comp_tx = comp_tx.clone();
                     scope.spawn(move || {
-                        while let Ok(item) = mrg_rx.recv() {
+                        while let Some(item) = recv(&mrg_rx) {
                             let out =
                                 item.and_then(|m| crate::steps::seal_subtask(m, ccfg, profile));
                             let failed = out.is_err();
@@ -400,7 +407,7 @@ impl Job<'_> {
                     let read_rx = read_rx.clone();
                     let comp_tx = comp_tx.clone();
                     scope.spawn(move || {
-                        while let Ok(item) = read_rx.recv() {
+                        while let Some(item) = recv(&read_rx) {
                             let out = item.and_then(|data| compute_subtask(data, ccfg, profile));
                             let failed = out.is_err();
                             if comp_tx.send(out).is_err() || failed {
@@ -419,7 +426,7 @@ impl Job<'_> {
             let mut pending: BTreeMap<usize, ComputedSubTask> = BTreeMap::new();
             let mut next = 0usize;
             let mut write_all = || -> TableResult<()> {
-                for item in comp_rx.iter() {
+                while let Some(item) = recv(&comp_rx) {
                     let st = item?;
                     pending.insert(st.index, st);
                     while let Some(st) = pending.remove(&next) {

@@ -220,7 +220,7 @@ fn is_char_literal(chars: &[char], i: usize) -> bool {
 }
 
 /// True for characters that may appear inside an identifier.
-pub fn is_ident_char(c: char) -> bool {
+fn is_ident_char(c: char) -> bool {
     c == '_' || c.is_alphanumeric()
 }
 

@@ -4,21 +4,17 @@
 //! It walks every library source file, splits code from comments and
 //! literals with a hand-rolled lexer ([`lexer`]), and enforces the
 //! repo-specific invariants that `rustc`/clippy cannot express (L1–L3 and
-//! L5 are compiler lints now, set in each crate root and `clippy.toml`):
+//! L5 are compiler lints, set in each crate root and `clippy.toml`; lock
+//! order and blocking under a lock are the runtime witness's, the
+//! `lock_order` feature of the vendored `parking_lot`):
 //!
 //! * deterministic model code (L4, [`rules::rule_l4`]): no wall-clock reads;
-//! * workspace rules: the guard-scope analysis ([`guards`]) feeds a
-//!   cross-function lock-acquisition graph ([`graph`]) that reports lock
-//!   cycles as potential deadlocks (L6) and blocking operations performed
-//!   while a guard is live (L7);
 //! * contract drift (L8, [`rules::check_contracts`]): metric/trace names
 //!   against OBSERVABILITY.md's canonical name index, wire opcodes against
 //!   DESIGN.md's canonical opcode table.
 //!
 //! Findings print as `file:line: rule: message`; a nonzero exit fails CI.
-//! Suppressions live in `lint.allow` at the repository root — one line per
-//! file/rule pair, each carrying a human justification. Stale or malformed
-//! allowlist entries are themselves findings, so the allowlist cannot rot.
+//! There are no suppressions: a finding is fixed at its site.
 //!
 //! Run it with `cargo run -p pcp-lint --release` from the workspace root.
 
@@ -33,8 +29,6 @@
               and may crash loudly on its own bugs"
 )]
 
-pub mod graph;
-pub mod guards;
 pub mod lexer;
 pub mod rules;
 
@@ -49,7 +43,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule tag: `L4`, `L6`–`L8`, `stale-allow` or `allow-syntax`.
+    /// Rule tag: `L4` or `L8`.
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -83,109 +77,50 @@ fn is_library(rel: &str) -> bool {
     rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
 }
 
-/// Lints a single library file under its repository-relative path — a
-/// one-file workspace, so the guard-scope rules L6/L7 run too (L8 needs
-/// docs; pass them via [`lint_sources`]). This is the entry point the
-/// fixture tests use.
+/// Lints a single library file under its repository-relative path (L8
+/// needs docs; pass them via [`lint_sources`]). This is the entry point
+/// the fixture tests use.
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     lint_sources(&[(rel.to_string(), source.to_string())], None, None).findings
 }
 
-/// Lints a set of library sources as one workspace: the per-file rule L4,
-/// the cross-function lock rules L6/L7 over all files together, and — when
-/// the docs are provided — the contract-drift rule L8.
+/// Lints a set of library sources as one workspace: the per-file rule L4
+/// and — when the docs are provided — the contract-drift rule L8.
 pub fn lint_sources(
     files: &[(String, String)],
     obs_md: Option<&str>,
     design_md: Option<&str>,
 ) -> Report {
     let mut findings = Vec::new();
-    let mut analyses = Vec::new();
     let mut inventory = rules::ContractInventory::default();
     for (rel, source) in files {
         let src = lexer::prepare(source);
         rules::rule_l4(rel, &src, &mut findings);
         rules::collect_contract_names(rel, &src, &mut inventory);
-        analyses.push(guards::analyze_file(rel, &src));
     }
-    let lock_graph = graph::check(&analyses);
-    findings.extend(lock_graph.findings);
     findings.extend(rules::check_contracts(&inventory, obs_md, design_md));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Report {
         findings,
         files_scanned: files.len(),
-        locks: lock_graph.locks.len(),
-        lock_edges: lock_graph.edges.len(),
-        lock_cycles: lock_graph.cycles.len(),
     }
-}
-
-/// One `lint.allow` suppression: `<rule> <path> <justification…>`.
-struct AllowEntry {
-    rule: String,
-    path: String,
-    line: usize,
-    used: bool,
-}
-
-/// Parses `lint.allow`. Malformed lines (missing path or justification)
-/// become `allow-syntax` findings.
-fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<Finding>) {
-    let mut entries = Vec::new();
-    let mut findings = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, char::is_whitespace);
-        let rule = parts.next().unwrap_or("").to_string();
-        let path = parts.next().unwrap_or("").to_string();
-        let justification = parts.next().unwrap_or("").trim();
-        if path.is_empty() || justification.is_empty() {
-            findings.push(Finding::new(
-                "lint.allow",
-                i + 1,
-                "allow-syntax",
-                "allowlist entry needs `<rule> <path> <justification>`".to_string(),
-            ));
-            continue;
-        }
-        entries.push(AllowEntry {
-            rule,
-            path,
-            line: i + 1,
-            used: false,
-        });
-    }
-    (entries, findings)
 }
 
 /// The result of a full repository scan.
 pub struct Report {
-    /// Surviving findings, sorted by file then line.
+    /// Findings, sorted by file then line.
     pub findings: Vec<Finding>,
     /// Number of library files scanned.
     pub files_scanned: usize,
-    /// Distinct locks in the L6 acquisition graph.
-    pub locks: usize,
-    /// Held→taken edges in the L6 acquisition graph.
-    pub lock_edges: usize,
-    /// Lock cycles found (each one is also an L6 finding).
-    pub lock_cycles: usize,
 }
 
 impl Report {
     /// The CI summary line.
     pub fn summary(&self) -> String {
         format!(
-            "{} files scanned, {} findings; lock graph: {} locks, {} edges, {} cycles",
+            "{} files scanned, {} findings",
             self.files_scanned,
-            self.findings.len(),
-            self.locks,
-            self.lock_edges,
-            self.lock_cycles
+            self.findings.len()
         )
     }
 }
@@ -223,17 +158,10 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Result
     Ok(())
 }
 
-/// Scans the repository at `root`, applies `lint.allow`, and returns the
-/// surviving findings plus scan statistics. The docs feeding L8 are read
-/// from the root when present; a tree without them skips the contract
-/// checks.
+/// Scans the repository at `root` and returns the findings plus scan
+/// statistics. The docs feeding L8 are read from the root when present; a
+/// tree without them skips the contract checks.
 pub fn lint_repo(root: &Path) -> io::Result<Report> {
-    let allow_text = match std::fs::read_to_string(root.join("lint.allow")) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let (mut allow, allow_findings) = parse_allowlist(&allow_text);
     let obs_md = std::fs::read_to_string(root.join("OBSERVABILITY.md")).ok();
     let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
 
@@ -244,36 +172,5 @@ pub fn lint_repo(root: &Path) -> io::Result<Report> {
         let bytes = std::fs::read(path)?;
         files.push((rel, String::from_utf8_lossy(&bytes).into_owned()));
     }
-
-    let mut report = lint_sources(&files, obs_md.as_deref(), design_md.as_deref());
-    report.findings.retain(|finding| {
-        let suppressed = allow
-            .iter_mut()
-            .find(|entry| entry.rule == finding.rule && entry.path == finding.file);
-        match suppressed {
-            Some(entry) => {
-                entry.used = true;
-                false
-            }
-            None => true,
-        }
-    });
-    report.findings.extend(allow_findings);
-    for entry in &allow {
-        if !entry.used {
-            report.findings.push(Finding::new(
-                "lint.allow",
-                entry.line,
-                "stale-allow",
-                format!(
-                    "allowlist entry `{} {}` matched nothing — remove it",
-                    entry.rule, entry.path
-                ),
-            ));
-        }
-    }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(report)
+    Ok(lint_sources(&files, obs_md.as_deref(), design_md.as_deref()))
 }

@@ -4,11 +4,6 @@
 //! |------|-----------|
 //! | L4 | no wall-clock reads in deterministic-model code |
 //! | L8 | metric/trace names and wire opcodes match the docs' canonical tables |
-//!
-//! (L6 — lock-acquisition cycles — and L7 — blocking under a live guard —
-//! are workspace-level rules and live in [`crate::graph`], fed by the
-//! guard-scope analysis in [`crate::guards`].) Suppression lives in
-//! `lint.allow` at the repository root.
 
 use crate::lexer::{token_offsets, PreparedSource};
 use crate::Finding;

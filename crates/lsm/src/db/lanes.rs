@@ -135,16 +135,32 @@ impl DbInner {
             match attempt(st) {
                 Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
                     self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "backoff between attempts of a transient background error"
-                    )]
-                    MutexGuard::unlocked(st, || std::thread::sleep(backoff));
+                    MutexGuard::unlocked(st, || pcp_storage::blocking::sleep(backoff));
                     backoff = (backoff * 2).min(RETRY.max_backoff);
                 }
                 result => return result,
             }
         }
+    }
+
+    /// Logs `edit` to the MANIFEST and installs the version it builds. The
+    /// lane takes the install turn, and the version set builds the next
+    /// version and encodes the record, under the state lock; the append and
+    /// sync run with it released, so readers and writers go on with the
+    /// old version meanwhile and the other lane waits for the turn, not for
+    /// the device. A failed write abandons the manifest: the next install,
+    /// inside its own turn, rolls a fresh one.
+    fn install(&self, st: &mut MutexGuard<'_, State>, edit: VersionEdit) -> io::Result<()> {
+        while st.installing {
+            self.done_cv.wait(st);
+        }
+        st.installing = true;
+        let pending = st.versions.prepare(edit);
+        let logged = MutexGuard::unlocked(st, || pending.write());
+        st.installing = false;
+        self.done_cv.notify_all();
+        st.versions.install(logged?);
+        Ok(())
     }
 
     /// Deletes obsolete files with the lock released: the other lane and
@@ -173,14 +189,16 @@ impl DbInner {
         // `sync_writes` off its records reach the device here, before any
         // later log's can — then build the table: real (simulated) I/O
         // plus compression work. A failed attempt keeps the log for the
-        // next.
+        // next; a successful one closes it here, since closing is I/O too.
         let written = MutexGuard::unlocked(st, || -> io::Result<_> {
             let t0 = Instant::now();
             imm_wal.as_mut().map_or(Ok(()), WalWriter::sync)?;
             let wal_sync_nanos = t0.elapsed().as_nanos() as u64;
-            Ok((write_level0(&self.cache, &file_numbers, &self.opts, &imm)?, wal_sync_nanos))
+            let meta = write_level0(&self.cache, &file_numbers, &self.opts, &imm)?;
+            imm_wal = None;
+            Ok((meta, wal_sync_nanos))
         });
-        let (meta, wal_sync_nanos) = written.inspect_err(|_| st.imm_wal = imm_wal)?;
+        let (meta, wal_sync_nanos) = written.inspect_err(|_| st.imm_wal = imm_wal.take())?;
 
         let mut edit = VersionEdit {
             log_number: Some(wal_number),
@@ -189,7 +207,7 @@ impl DbInner {
         if let Some(meta) = &meta {
             edit.new_files.push((0, Arc::clone(meta)));
         }
-        if let Err(e) = st.versions.log_and_apply(edit) {
+        if let Err(e) = self.install(st, edit) {
             // Written but never installed: the reader and the file go now
             // (a latched error stops every sweep).
             if let Some(meta) = &meta {
@@ -234,7 +252,7 @@ impl DbInner {
                     compact_pointers: vec![(level, file.largest.clone())],
                     ..Default::default()
                 };
-                st.versions.log_and_apply(edit)?;
+                self.install(st, edit)?;
                 self.metrics
                     .trivial_moves
                     .fetch_add(1, AtomicOrdering::Relaxed);
@@ -330,7 +348,7 @@ impl DbInner {
                 // the last installed version, so this merge is abandoned.
                 let installed = self
                     .check_bg_error(st)
-                    .and_then(|()| st.versions.log_and_apply(edit));
+                    .and_then(|()| self.install(st, edit));
                 if let Err(e) = installed {
                     // The new tables were written but never installed:
                     // evict and delete them now so a retry (which re-runs

@@ -116,6 +116,9 @@ struct State {
     /// The same marker for the one compaction a `Db` runs at a time, the
     /// compaction lane's.
     compacting: Option<u64>,
+    /// The install turn: held by the lane whose MANIFEST write is in
+    /// flight with the lock released, so installs stay one at a time.
+    installing: bool,
     /// A [`Db::compact_range`] level the compaction lane runs ahead of its
     /// own picks; its poster clears it once `done`.
     manual: Option<ManualCompaction>,
@@ -300,6 +303,7 @@ impl Db {
                 versions,
                 flushing: None,
                 compacting: None,
+                installing: false,
                 manual: None,
                 bg_error: None,
                 snapshots: BTreeMap::new(),
@@ -644,7 +648,7 @@ impl Drop for Db {
         drop(self.inner.state.lock());
         self.inner.work_cv.notify_all();
         for lane in self.lanes.drain(..) {
-            let _ = lane.join();
+            let _ = pcp_storage::blocking::wait("thread join", || lane.join());
         }
     }
 }

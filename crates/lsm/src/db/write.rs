@@ -7,6 +7,7 @@ use crate::memtable::Memtable;
 use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
 use pcp_compaction::filename::wal_file;
+use pcp_storage::blocking::sleep;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -250,11 +251,7 @@ impl DbInner {
                 self.metrics
                     .slowdown_events
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "write slowdown: the writer yields 1 ms to the compaction lane"
-                )]
-                MutexGuard::unlocked(st, || std::thread::sleep(Duration::from_millis(1)));
+                MutexGuard::unlocked(st, || sleep(Duration::from_millis(1)));
                 continue;
             }
             let full = st.mem.approximate_bytes() >= self.opts.memtable_bytes;

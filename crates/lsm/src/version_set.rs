@@ -17,7 +17,7 @@ use crate::wal::{WalReader, WalWriter};
 use pcp_compaction::filename::{manifest_file, CURRENT};
 use pcp_sstable::key::{internal_key_cmp, user_key};
 use pcp_storage::env::{read_string_file, write_string_file};
-use pcp_storage::EnvRef;
+use pcp_storage::{Env, EnvRef};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::io;
@@ -81,6 +81,72 @@ pub struct VersionSet {
     retained: Vec<Weak<Version>>,
 }
 
+/// The manifest an edit is appended to.
+enum Manifest {
+    Open(WalWriter),
+    /// The last write failed: a fresh manifest file `number` starts with
+    /// the full-state record `snapshot`.
+    Roll { number: u64, snapshot: Vec<u8> },
+}
+
+/// An edit [`VersionSet::prepare`]d under the caller's lock: the next
+/// version is built and the record encoded, so the MANIFEST append and sync
+/// of [`PendingEdit::write`] need no lock. Dropped unwritten or after a
+/// failed write, it abandons the manifest it took: the next edit rolls a
+/// fresh one and repoints CURRENT atomically, since appending after a
+/// possibly torn record would hide every later edit from recovery.
+pub struct PendingEdit {
+    env: EnvRef,
+    edit: VersionEdit,
+    next: Version,
+    record: Vec<u8>,
+    manifest: Manifest,
+}
+
+impl PendingEdit {
+    /// Appends and syncs the record — after rolling a fresh manifest when
+    /// the last write failed.
+    pub fn write(self) -> io::Result<LoggedEdit> {
+        let PendingEdit { env, edit, next, record, manifest } = self;
+        let mut manifest = match manifest {
+            Manifest::Open(writer) => writer,
+            Manifest::Roll { number, snapshot } => roll_manifest(&*env, number, &snapshot)?,
+        };
+        manifest.add_record(&record)?;
+        manifest.sync()?;
+        Ok(LoggedEdit { edit, next, manifest })
+    }
+}
+
+/// An edit on the MANIFEST, ready for [`VersionSet::install`].
+pub struct LoggedEdit {
+    edit: VersionEdit,
+    next: Version,
+    manifest: WalWriter,
+}
+
+/// Creates manifest file `number` holding the record `snapshot`, points
+/// CURRENT at it, and deletes the manifest CURRENT named before.
+fn roll_manifest(env: &dyn Env, number: u64, snapshot: &[u8]) -> io::Result<WalWriter> {
+    let name = manifest_file(number);
+    let mut writer = WalWriter::create(env, &name)?;
+    writer.add_record(snapshot)?;
+    writer.sync()?;
+    let old = if env.exists(CURRENT) {
+        read_string_file(env, CURRENT).ok()
+    } else {
+        None
+    };
+    write_string_file(env, CURRENT, &name)?;
+    if let Some(old) = old {
+        let old = old.trim();
+        if old != name && env.exists(old) {
+            let _ = env.delete(old);
+        }
+    }
+    Ok(writer)
+}
+
 impl VersionSet {
     /// Opens (recovering from an existing CURRENT/MANIFEST) or creates a
     /// fresh version set.
@@ -98,7 +164,8 @@ impl VersionSet {
         if env.exists(CURRENT) {
             vs.recover()?;
         }
-        vs.roll_manifest()?;
+        let number = vs.allocate_file_number();
+        vs.manifest = Some(roll_manifest(&*env, number, &vs.snapshot_edit().encode())?);
         vs.retain_current();
         Ok(vs)
     }
@@ -136,13 +203,9 @@ impl VersionSet {
         Ok(())
     }
 
-    /// Starts a fresh manifest containing a full snapshot, then points
-    /// CURRENT at it.
-    fn roll_manifest(&mut self) -> io::Result<()> {
-        let number = self.allocate_file_number();
-        let name = manifest_file(number);
-        let mut writer = WalWriter::create(&*self.env, &name)?;
-        let snapshot = VersionEdit {
+    /// The full state as one edit: what a fresh manifest starts with.
+    fn snapshot_edit(&self) -> VersionEdit {
+        VersionEdit {
             log_number: Some(self.log_number),
             next_file_number: Some(self.next_file.load(AtomicOrdering::SeqCst)),
             last_sequence: Some(self.last_sequence),
@@ -161,24 +224,7 @@ impl VersionSet {
                 .enumerate()
                 .flat_map(|(l, files)| files.iter().map(move |f| (l, Arc::clone(f))))
                 .collect(),
-        };
-        writer.add_record(&snapshot.encode())?;
-        writer.sync()?;
-        // Clean up the previous manifest after CURRENT moves over.
-        let old = if self.env.exists(CURRENT) {
-            read_string_file(&*self.env, CURRENT).ok()
-        } else {
-            None
-        };
-        write_string_file(&*self.env, CURRENT, &name)?;
-        if let Some(old) = old {
-            let old = old.trim();
-            if old != name && self.env.exists(old) {
-                let _ = self.env.delete(old);
-            }
         }
-        self.manifest = Some(writer);
-        Ok(())
     }
 
     fn apply(base: &Version, edit: &VersionEdit) -> Version {
@@ -198,13 +244,12 @@ impl VersionSet {
         Version { levels }
     }
 
-    /// Applies `edit`, persists it to the manifest, and installs the new
-    /// current version.
-    #[expect(
-        clippy::expect_used,
-        reason = "a missing manifest is rolled just above; `roll_manifest` sets it or errors"
-    )]
-    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> io::Result<()> {
+    /// The part of an install that needs the version set: fills the edit's
+    /// counters, builds the next version, encodes the record, and takes
+    /// the manifest out for [`PendingEdit::write`]. The caller must install
+    /// or drop the result before it prepares another edit: until then no
+    /// manifest is open, and a dropped one stays abandoned.
+    pub fn prepare(&mut self, mut edit: VersionEdit) -> PendingEdit {
         if edit.next_file_number.is_none() {
             edit.next_file_number = Some(self.next_file.load(AtomicOrdering::SeqCst));
         }
@@ -216,35 +261,49 @@ impl VersionSet {
         }
         let next = Self::apply(&self.current, &edit);
         debug_assert!(next.check_invariants().is_ok(), "{:?}", next.check_invariants());
-        // A previous failed write abandoned the manifest (its tail may hold
-        // a torn record); start a fresh one with a full snapshot first.
-        if self.manifest.is_none() {
-            self.roll_manifest()?;
+        let manifest = match self.manifest.take() {
+            Some(writer) => Manifest::Open(writer),
+            // A previous failed write abandoned the manifest (its tail may
+            // hold a torn record): the write starts a fresh one with a full
+            // snapshot of the state this edit applies to.
+            None => Manifest::Roll {
+                number: self.allocate_file_number(),
+                snapshot: self.snapshot_edit().encode(),
+            },
+        };
+        PendingEdit {
+            env: Arc::clone(&self.env),
+            record: edit.encode(),
+            edit,
+            next,
+            manifest,
         }
-        let manifest = self.manifest.as_mut().expect("manifest open");
-        let write_result = manifest
-            .add_record(&edit.encode())
-            .and_then(|()| manifest.sync());
-        if let Err(e) = write_result {
-            // Nothing was installed, so the recoverable prefix of the
-            // manifest still matches our state — but appending after a
-            // possibly-torn record would hide every later edit from
-            // recovery. Abandon this manifest; the next attempt rolls a
-            // fresh one and repoints CURRENT atomically.
-            self.manifest = None;
-            return Err(e);
-        }
+    }
+
+    /// Makes a written edit's version current, with its counters.
+    pub fn install(&mut self, logged: LoggedEdit) {
+        let LoggedEdit { edit, next, manifest } = logged;
+        self.manifest = Some(manifest);
         if let Some(v) = edit.log_number {
             self.log_number = v;
         }
         if let Some(v) = edit.last_sequence {
             self.last_sequence = self.last_sequence.max(v);
         }
-        for (level, key) in &edit.compact_pointers {
-            self.compact_pointers[*level] = key.clone();
+        for (level, key) in edit.compact_pointers {
+            self.compact_pointers[level] = key;
         }
         self.current = Arc::new(next);
         self.retain_current();
+    }
+
+    /// Applies `edit`, persists it to the manifest, and installs the new
+    /// current version in one call — for a caller that owns the version
+    /// set alone (open, repair). The engine's lanes run the three steps
+    /// themselves, the write with the state lock released.
+    pub fn log_and_apply(&mut self, edit: VersionEdit) -> io::Result<()> {
+        let logged = self.prepare(edit).write()?;
+        self.install(logged);
         Ok(())
     }
 

@@ -140,7 +140,7 @@ impl ReactorHandle {
             waker.wake();
         }
         for (thread, _) in self.loops {
-            let _ = thread.join();
+            let _ = pcp_storage::blocking::wait("thread join", || thread.join());
         }
     }
 }

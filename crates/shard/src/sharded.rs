@@ -68,6 +68,7 @@ pub struct ShardedDb {
     router: Arc<dyn Router>,
     /// Writers hold `read` while applying a batch; snapshot acquisition
     /// holds `write` while reading the sequence vector. See module docs.
+    /// The one engine lock held across blocking work (DESIGN.md §8, §11).
     snap_lock: RwLock<()>,
     limiter: Arc<CompactionLimiter>,
 }
@@ -144,7 +145,11 @@ impl ShardedDb {
         Ok(ShardedDb {
             shards,
             router,
-            snap_lock: RwLock::new(()),
+            snap_lock: RwLock::held_across_blocking(
+                (),
+                "a shard's whole write, WAL I/O and stall waits included, runs under the read \
+                 side, so that a snapshot, which takes the write side, is a consistent cut",
+            ),
             limiter,
         })
     }

@@ -6,7 +6,9 @@
 //! realized by *sleeping while holding the lock*. Concurrent callers
 //! therefore queue behind each other exactly like requests at a real
 //! device, and a thread waiting on I/O leaves the CPU to compute threads:
-//! the overlap the pipelined compaction procedure exploits.
+//! the overlap the pipelined compaction procedure exploits. The service
+//! lock is one of the two locks the deadlock witness lets a thread hold
+//! across blocking work (`Mutex::held_across_blocking`).
 
 use crate::model::{IoKind, LatencyModel, ModelState, NullModel};
 use crate::stats::DeviceStats;
@@ -90,11 +92,15 @@ impl SimDevice {
             model: Box::new(model),
             capacity,
             time_scale,
-            inner: Mutex::new(Inner {
-                chunks: HashMap::new(),
-                mstate: ModelState::default(),
-                model_clock: Duration::ZERO,
-            }),
+            inner: Mutex::held_across_blocking(
+                Inner {
+                    chunks: HashMap::new(),
+                    mstate: ModelState::default(),
+                    model_clock: Duration::ZERO,
+                },
+                "the service lock is the device model: one request at a time sleeps its \
+                 service time under it, so concurrent I/O queues as at a real spindle",
+            ),
             stats: DeviceStats::new(),
             epoch: Instant::now(),
         }
@@ -143,11 +149,7 @@ impl SimDevice {
         if self.time_scale > 0.0 {
             let sleep = total.mul_f64(self.time_scale);
             if !sleep.is_zero() {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the device model realizes its service time as wall time"
-                )]
-                std::thread::sleep(sleep);
+                crate::blocking::sleep(sleep);
             }
         }
         match kind {

@@ -388,6 +388,7 @@ impl FaultEnv {
 
 impl Env for FaultEnv {
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+        parking_lot::check_blocking("Env::create");
         self.shared.apply(self.shared.decide(FaultOp::Create, name))?;
         let inner = self.inner.create(name)?;
         Ok(Box::new(FaultWritableFile {
@@ -400,6 +401,7 @@ impl Env for FaultEnv {
     }
 
     fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
+        parking_lot::check_blocking("Env::open");
         self.shared.apply(self.shared.decide(FaultOp::Open, name))?;
         let inner = self.inner.open(name)?;
         Ok(Arc::new(FaultRandomReadFile {
@@ -410,20 +412,24 @@ impl Env for FaultEnv {
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::delete");
         self.shared.apply(self.shared.decide(FaultOp::Delete, name))?;
         self.inner.delete(name)
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::rename");
         self.shared.apply(self.shared.decide(FaultOp::Rename, from))?;
         self.inner.rename(from, to)
     }
 
     fn exists(&self, name: &str) -> bool {
+        parking_lot::check_blocking("Env::exists");
         self.inner.exists(name)
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
+        parking_lot::check_blocking("Env::list");
         if self.shared.frozen.load(Ordering::Acquire) {
             return Err(self.shared.frozen_error());
         }
@@ -431,6 +437,7 @@ impl Env for FaultEnv {
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
+        parking_lot::check_blocking("Env::size");
         if self.shared.frozen.load(Ordering::Acquire) {
             return Err(self.shared.frozen_error());
         }
@@ -463,6 +470,7 @@ impl FaultWritableFile {
 
 impl WritableFile for FaultWritableFile {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::append");
         self.shared
             .apply(self.shared.decide(FaultOp::Append, &self.name))?;
         self.pending.extend_from_slice(data);
@@ -470,6 +478,7 @@ impl WritableFile for FaultWritableFile {
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::flush");
         self.shared
             .apply(self.shared.decide(FaultOp::Flush, &self.name))?;
         self.drain_pending()?;
@@ -477,6 +486,7 @@ impl WritableFile for FaultWritableFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::sync");
         match self.shared.decide(FaultOp::Sync, &self.name) {
             Some((FaultKind::TornSync, prefix_seed)) => {
                 // Persist a strict prefix of what the caller believes was
@@ -514,6 +524,7 @@ struct FaultRandomReadFile {
 
 impl RandomReadFile for FaultRandomReadFile {
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        parking_lot::check_blocking("RandomReadFile::read_at");
         self.shared
             .apply(self.shared.decide(FaultOp::ReadAt, &self.name))?;
         let data = self.inner.read_at(offset, len)?;

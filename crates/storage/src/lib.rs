@@ -28,6 +28,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod alloc;
+pub mod blocking;
 pub mod device;
 pub mod env;
 pub mod fault_env;

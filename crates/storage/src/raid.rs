@@ -152,7 +152,8 @@ impl Raid0 {
                 .map(|(i, entry)| scope.spawn(move || f(i, entry)))
                 .collect();
             for h in handles {
-                let r = h.join().expect("raid worker panicked");
+                let r = crate::blocking::wait("thread join", || h.join())
+                    .expect("raid worker panicked");
                 if r.is_err() && result.is_ok() {
                     result = r;
                 }

@@ -69,11 +69,7 @@ where
             Ok(v) => return Ok(v),
             Err(e) if is_transient(&e) && attempt < policy.max_attempts => {
                 if backoff > Duration::ZERO {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "backoff between attempts of a transient I/O error"
-                    )]
-                    std::thread::sleep(backoff.min(policy.max_backoff));
+                    crate::blocking::sleep(backoff.min(policy.max_backoff));
                 }
                 backoff = (backoff * 2).min(policy.max_backoff);
             }

@@ -123,6 +123,7 @@ impl SimEnv {
 
 impl Env for SimEnv {
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+        parking_lot::check_blocking("Env::create");
         let mut st = self.inner.state.lock();
         if let Some(old) = st.files.remove(name) {
             Inner::free_meta(&mut st, &old);
@@ -139,6 +140,7 @@ impl Env for SimEnv {
     }
 
     fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
+        parking_lot::check_blocking("Env::open");
         let st = self.inner.state.lock();
         let meta = st.files.get(name).ok_or_else(|| Self::not_found(name))?;
         Ok(Arc::new(SimReadable {
@@ -148,6 +150,7 @@ impl Env for SimEnv {
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::delete");
         let mut st = self.inner.state.lock();
         let meta = st
             .files
@@ -158,6 +161,7 @@ impl Env for SimEnv {
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::rename");
         let mut st = self.inner.state.lock();
         let meta = st
             .files
@@ -170,14 +174,17 @@ impl Env for SimEnv {
     }
 
     fn exists(&self, name: &str) -> bool {
+        parking_lot::check_blocking("Env::exists");
         self.inner.state.lock().files.contains_key(name)
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
+        parking_lot::check_blocking("Env::list");
         Ok(self.inner.state.lock().files.keys().cloned().collect())
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
+        parking_lot::check_blocking("Env::size");
         let st = self.inner.state.lock();
         st.files
             .get(name)
@@ -193,6 +200,7 @@ struct SimReadable {
 
 impl RandomReadFile for SimReadable {
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        parking_lot::check_blocking("RandomReadFile::read_at");
         if offset >= self.meta.len {
             return Ok(Bytes::new());
         }
@@ -231,11 +239,13 @@ struct SimWritable {
 
 impl WritableFile for SimWritable {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::append");
         self.buffer.extend_from_slice(data);
         Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::flush");
         if self.buffer.is_empty() {
             return Ok(());
         }
@@ -293,6 +303,7 @@ impl WritableFile for SimWritable {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::sync");
         // The simulated device has no volatile OS cache; flush is durable.
         self.flush()
     }

@@ -40,6 +40,7 @@ impl StdFsEnv {
 
 impl Env for StdFsEnv {
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
+        parking_lot::check_blocking("Env::create");
         let file = fs::File::create(self.path(name))?;
         Ok(Box::new(StdWritable {
             file,
@@ -49,6 +50,7 @@ impl Env for StdFsEnv {
     }
 
     fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
+        parking_lot::check_blocking("Env::open");
         let file = fs::File::open(self.path(name))?;
         let len = file.metadata()?.len();
         Ok(Arc::new(StdReadable {
@@ -58,18 +60,22 @@ impl Env for StdFsEnv {
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::delete");
         fs::remove_file(self.path(name))
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        parking_lot::check_blocking("Env::rename");
         fs::rename(self.path(from), self.path(to))
     }
 
     fn exists(&self, name: &str) -> bool {
+        parking_lot::check_blocking("Env::exists");
         self.path(name).exists()
     }
 
     fn list(&self) -> io::Result<Vec<String>> {
+        parking_lot::check_blocking("Env::list");
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let entry = entry?;
@@ -83,6 +89,7 @@ impl Env for StdFsEnv {
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
+        parking_lot::check_blocking("Env::size");
         Ok(fs::metadata(self.path(name))?.len())
     }
 }
@@ -95,11 +102,13 @@ struct StdWritable {
 
 impl WritableFile for StdWritable {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::append");
         self.buffer.extend_from_slice(data);
         Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::flush");
         if !self.buffer.is_empty() {
             self.file.write_all(&self.buffer)?;
             self.flushed += self.buffer.len() as u64;
@@ -109,6 +118,7 @@ impl WritableFile for StdWritable {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        parking_lot::check_blocking("WritableFile::sync");
         self.flush()?;
         self.file.sync_data()
     }
@@ -133,6 +143,7 @@ struct StdReadable {
 
 impl RandomReadFile for StdReadable {
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        parking_lot::check_blocking("RandomReadFile::read_at");
         if offset >= self.len {
             return Ok(Bytes::new());
         }

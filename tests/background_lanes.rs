@@ -1,8 +1,8 @@
 //! The two background lanes (DESIGN.md §12 "Background lanes"), driven
 //! deterministically: a gate executor parks a merge with its outputs
 //! written but not installed, a gate env parks the flush lane before it
-//! creates its table, and every test steps the lanes through one chosen
-//! interleaving. Nothing here sleeps to synchronise; where a test has to
+//! creates its table or inside the MANIFEST sync of its install, and every
+//! test steps the lanes through one chosen interleaving. Nothing here sleeps to synchronise; where a test has to
 //! wait for the engine it waits on a gate or on a counter the engine
 //! publishes.
 
@@ -110,11 +110,51 @@ impl CompactionExec for GateExec {
     }
 }
 
-/// Parks the flush lane at the gate just before it creates its table.
+/// Parks the flush lane at `gate` just before it creates its table, and
+/// at `manifest_sync` inside the MANIFEST sync of its install.
 #[derive(Debug)]
 struct GateEnv {
     inner: EnvRef,
     gate: Gate,
+    manifest_sync: Arc<Gate>,
+}
+
+impl GateEnv {
+    fn new(inner: EnvRef) -> Arc<GateEnv> {
+        Arc::new(GateEnv {
+            inner,
+            gate: Gate::default(),
+            manifest_sync: Arc::default(),
+        })
+    }
+}
+
+fn on_flush_lane() -> bool {
+    std::thread::current().name() == Some("pcp-lsm-flush")
+}
+
+/// A MANIFEST whose sync passes the gate first.
+struct GatedManifest {
+    inner: Box<dyn WritableFile>,
+    gate: Arc<Gate>,
+}
+
+impl WritableFile for GatedManifest {
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        self.inner.append(data)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        if on_flush_lane() {
+            self.gate.pass();
+        }
+        self.inner.sync()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
 }
 
 impl std::fmt::Debug for Gate {
@@ -125,10 +165,17 @@ impl std::fmt::Debug for Gate {
 
 impl Env for GateEnv {
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
-        if name.ends_with(".sst") && std::thread::current().name() == Some("pcp-lsm-flush") {
+        if name.ends_with(".sst") && on_flush_lane() {
             self.gate.pass();
         }
-        self.inner.create(name)
+        let file = self.inner.create(name)?;
+        if !name.starts_with("MANIFEST") {
+            return Ok(file);
+        }
+        Ok(Box::new(GatedManifest {
+            inner: file,
+            gate: Arc::clone(&self.manifest_sync),
+        }))
     }
     fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
         self.inner.open(name)
@@ -442,10 +489,7 @@ fn crash_with_flush_installed_and_merge_torn_recovers_every_acked_write() {
 fn crash_with_merge_installed_and_flush_torn_recovers_every_acked_write() {
     let inner = mem_env();
     let fault = FaultEnv::new(Arc::clone(&inner), 13);
-    let env = Arc::new(GateEnv {
-        inner: Arc::new(fault.clone()),
-        gate: Gate::default(),
-    });
+    let env = GateEnv::new(Arc::new(fault.clone()));
     let gate = GateExec::new(SimpleMergeExec);
     let db = Db::open(env.clone(), durable(opts(gate.clone()))).unwrap();
     let mut model = Model::new();
@@ -553,10 +597,7 @@ fn slowdown_delays_each_write_once_and_l0_stop_waits_for_the_merge() {
 /// being flushed.
 #[test]
 fn stall_behind_a_pending_flush_says_imm_pending() {
-    let env = Arc::new(GateEnv {
-        inner: mem_env(),
-        gate: Gate::default(),
-    });
+    let env = GateEnv::new(mem_env());
     let db = Db::open(env.clone(), opts(Arc::new(SimpleMergeExec))).unwrap();
     let flush_parked = env.gate.arm();
     let mut model = Model::new();
@@ -575,5 +616,34 @@ fn stall_behind_a_pending_flush_says_imm_pending() {
     });
     db.wait_idle().unwrap();
     assert_eq!(stall_causes(&db)[0], 0, "cause 0 = imm_pending");
+    assert_eq!(full_stream(&db), model);
+}
+
+/// An install appends and syncs its MANIFEST edit with the state lock
+/// released: while the flush lane is parked inside that sync, a `get`, an
+/// iterator build and a `put` each complete against the old version, and
+/// the table appears only once the sync returns.
+#[test]
+fn reads_and_writes_complete_while_an_install_syncs_the_manifest() {
+    let env = GateEnv::new(mem_env());
+    let db = Db::open(env.clone(), opts(Arc::new(SimpleMergeExec))).unwrap();
+    let mut model = Model::new();
+    fill(&db, &mut model, 0);
+    let sync_parked = env.manifest_sync.arm();
+    std::thread::scope(|s| {
+        let flush = s.spawn(|| db.flush());
+        env.manifest_sync.wait_parked();
+        assert_eq!(db.level_summary()[0].0, 0, "installed before the sync");
+        assert_eq!(db.get(b"k002").unwrap().as_ref(), model.get(&b"k002"[..]));
+        let mut it = db.iter();
+        it.seek_to_first();
+        assert!(it.valid());
+        drop(it);
+        db.put(b"fresh", b"value").unwrap();
+        model.insert(b"fresh".to_vec(), b"value".to_vec());
+        drop(sync_parked);
+        flush.join().unwrap().unwrap();
+    });
+    assert_eq!(db.level_summary()[0].0, 1);
     assert_eq!(full_stream(&db), model);
 }

@@ -488,3 +488,58 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         }
     }
 }
+
+/// An install writes its MANIFEST edit between building the next version
+/// and installing it, with the state lock released. A crash inside that
+/// window — the edit appended, its sync torn — recovers to a consistent
+/// version that holds every acked write; and a failed append still
+/// latches, with reads served from the last installed version.
+#[test]
+fn manifest_failure_between_append_and_install_recovers_and_latches() {
+    let mut opts = small_opts(Arc::new(SimpleMergeExec));
+    opts.memtable_bytes = 256 << 10;
+    opts.sync_writes = true;
+    let load = |db: &Db, round: u32| -> BTreeMap<Vec<u8>, Vec<u8>> {
+        let mut model = BTreeMap::new();
+        for i in 0..100u32 {
+            let (k, v) = (format!("k{i:03}").into_bytes(), format!("v{round}-{i}").into_bytes());
+            db.put(&k, &v).unwrap();
+            model.insert(k, v);
+        }
+        model
+    };
+
+    // The flush's edit is appended and its sync torn: the power goes out
+    // before the install.
+    let inner = mem_env();
+    let fault = FaultEnv::new(Arc::clone(&inner), 21);
+    let db = Db::open(Arc::new(fault.clone()), opts.clone()).unwrap();
+    let model = load(&db, 0);
+    fault.schedule_on_file(FaultOp::Sync, 1, FaultKind::TornSync, "MANIFEST");
+    assert!(db.flush().is_err());
+    assert!(fault.crashed());
+    assert_eq!(db.level_summary()[0].0, 0, "a torn edit was installed");
+    drop(db);
+    let db = Db::open(Arc::clone(&inner), opts.clone()).unwrap();
+    db.wait_idle().unwrap();
+    assert_eq!(dump(&db), model, "an acked write was lost");
+    let report = db.verify_integrity().unwrap();
+    assert!(report.is_healthy(), "{:?}", report.errors);
+    assert_eq!(sst_files(&inner).len(), db.level_summary()[0].0, "orphan tables left");
+    drop(db);
+
+    // The append itself fails for good: the error latches, later writes
+    // are refused, and reads keep the version the failed edit never
+    // replaced.
+    let fault = FaultEnv::new(mem_env(), 22);
+    let db = Db::open(Arc::new(fault.clone()), opts).unwrap();
+    let mut model = load(&db, 1);
+    db.flush().unwrap();
+    model.extend(load(&db, 2));
+    fault.schedule_on_file(FaultOp::Append, 1, FaultKind::Permanent, "MANIFEST");
+    assert!(db.flush().is_err());
+    assert!(matches!(db.health(), DbHealth::BackgroundError(_)));
+    assert!(db.put(b"late", b"refused").is_err());
+    assert_eq!(db.level_summary()[0].0, 1);
+    assert_eq!(dump(&db), model);
+}

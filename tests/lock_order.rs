@@ -1,14 +1,23 @@
 //! End-to-end checks of the `lock_order` runtime witness (DESIGN.md §11).
 //!
 //! Built only with `--features lock_order`, the CI lane that runs the
-//! whole suite under the vendored parking_lot shim's acquisition-order
-//! graph. These tests pin down the witness's contract: consistent
-//! ordering stays silent, an inversion panics naming both lock sites.
+//! whole workspace under the vendored parking_lot shim's witness. These
+//! tests pin down its contract: consistent ordering stays silent, an
+//! inversion panics naming both lock sites; `Env` I/O under a lock panics
+//! naming where the lock was taken, and stays silent once the lock is
+//! released or built `held_across_blocking`; a condvar wait panics if it
+//! holds any lock besides the one it waits on.
 
 #![cfg(feature = "lock_order")]
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use pcp::storage::{Env, SimDevice, SimEnv};
 use std::sync::Arc;
+use std::time::Duration;
+
+fn sim_env() -> SimEnv {
+    SimEnv::new(Arc::new(SimDevice::mem(1 << 20)))
+}
 
 /// Runs `f` on a fresh thread with panic output silenced, returning the
 /// panic message if it panicked.
@@ -118,4 +127,73 @@ fn rwlock_participates_in_the_order_graph() {
     })
     .expect("read-vs-write inversion must fire the lock-order witness");
     assert!(message.contains("lock-order inversion"));
+}
+
+#[test]
+fn env_io_under_a_lock_fires_naming_where_the_lock_was_taken() {
+    let env = sim_env();
+    let state = Arc::new(Mutex::new(()));
+    let (state2, taken_at) = (Arc::clone(&state), Arc::new(Mutex::new(0)));
+    let taken_at2 = Arc::clone(&taken_at);
+    let message = panic_message_of(move || {
+        let (_g, line) = (state2.lock(), line!());
+        *taken_at2.try_lock().unwrap() = line;
+        let _ = env.create("000001.log");
+    })
+    .expect("Env I/O under a lock must fire the witness");
+    assert!(message.contains("blocking under a lock"), "unexpected panic: {message}");
+    assert!(message.contains("Env::create"), "the call is not named: {message}");
+    let site = format!("tests/lock_order.rs:{}", *taken_at.lock());
+    assert!(message.contains(&site), "expected the acquisition at {site} in: {message}");
+}
+
+#[test]
+fn env_io_after_unlocking_or_under_an_exempt_lock_stays_silent() {
+    let env = sim_env();
+    let state = Mutex::new(0u32);
+    let mut guard = state.lock();
+    MutexGuard::unlocked(&mut guard, || {
+        let mut f = env.create("000001.log").unwrap();
+        f.append(b"record").unwrap();
+        f.sync().unwrap();
+    });
+    *guard += 1;
+    drop(guard);
+
+    let device = Mutex::held_across_blocking((), "the test's device model");
+    let snapshot = RwLock::held_across_blocking((), "the test's consistent cut");
+    let _d = device.lock();
+    let _s = snapshot.read();
+    let f = env.open("000001.log").unwrap();
+    assert_eq!(&f.read_at(0, 6).unwrap()[..], b"record");
+    pcp::storage::blocking::sleep(Duration::ZERO);
+}
+
+#[test]
+fn condvar_wait_holding_a_second_lock_fires() {
+    let message = panic_message_of(|| {
+        let (outer, inner, cv) = (Mutex::new(()), Mutex::new(()), Condvar::new());
+        let _o = outer.lock();
+        let mut g = inner.lock();
+        cv.wait_for(&mut g, Duration::from_millis(1));
+    })
+    .expect("a condvar wait under a second lock must fire the witness");
+    assert!(
+        message.contains("blocking under a lock: condvar wait"),
+        "unexpected panic: {message}"
+    );
+}
+
+#[test]
+fn condvar_wait_on_its_own_lock_alone_stays_silent() {
+    let (m, cv) = (Mutex::new(()), Condvar::new());
+    let mut g = m.lock();
+    assert!(cv.wait_for(&mut g, Duration::from_millis(1)), "nobody notifies");
+    drop(g);
+    // So is a wait under an exempt lock taken first, as a sharded write
+    // waits out a stall under the snapshot lock.
+    let cut = RwLock::held_across_blocking((), "the test's consistent cut");
+    let _c = cut.read();
+    let mut g = m.lock();
+    assert!(cv.wait_for(&mut g, Duration::from_millis(1)));
 }
