@@ -164,7 +164,7 @@ impl CompactionExec for SimpleMergeExec {
             .chain(req.lower.iter())
             .map(|t| Box::new(t.iter()) as Box<dyn KvIter>)
             .collect();
-        let mut merged = MergingIter::new(children, pcp_sstable::internal_key_cmp);
+        let mut merged = MergingIter::new(children);
         let mut filter = VersionKeepFilter::new(req.smallest_snapshot, req.bottom_level);
         let mut out = req.output_sink();
         let result = {

@@ -18,7 +18,7 @@
 use crate::planner::{KeyRange, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use bytes::Bytes;
-use pcp_sstable::key::{internal_key_cmp, make_internal_key, user_key, ValueType};
+use pcp_sstable::key::{make_internal_key, user_key, ValueType};
 use pcp_sstable::table::{
     compress_block, decompress_block, make_trailer, verify_block, CompressionKind, SealedBlock,
 };
@@ -129,7 +129,7 @@ impl BlocksIter {
 
     fn advance_block(&mut self) {
         while self.pos < self.blocks.len() {
-            let mut it = self.blocks[self.pos].iter(internal_key_cmp);
+            let mut it = self.blocks[self.pos].iter();
             it.seek_to_first();
             self.pos += 1;
             if it.valid() {
@@ -157,7 +157,7 @@ impl KvIter for BlocksIter {
         // the first candidate is nearly always the one.
         self.cur = None;
         for (i, block) in self.blocks.iter().enumerate() {
-            let mut it = block.iter(internal_key_cmp);
+            let mut it = block.iter();
             it.seek(target);
             if it.valid() {
                 self.pos = i + 1;
@@ -264,7 +264,7 @@ pub fn merge_subtask(
         .filter(|r| !r.is_empty())
         .map(|r| Box::new(BlocksIter::new(r)) as Box<dyn KvIter>)
         .collect();
-    let mut merged = MergingIter::new(children, internal_key_cmp);
+    let mut merged = MergingIter::new(children);
     let mut filter = VersionKeepFilter::new(cfg.smallest_snapshot, cfg.bottom_level);
     let mut cutter = BlockCutter::new(cfg.block_size, cfg.restart_interval);
     let mut blocks = Vec::new();
@@ -451,7 +451,7 @@ mod tests {
             let (payload, kind) = verify_block(&sb.raw).unwrap();
             let contents = decompress_block(payload, kind).unwrap();
             let block = Block::new(Bytes::from(contents)).unwrap();
-            let mut it = block.iter(internal_key_cmp);
+            let mut it = block.iter();
             it.seek_to_first();
             while it.valid() {
                 let p = pcp_sstable::parse_internal_key(it.key()).unwrap();

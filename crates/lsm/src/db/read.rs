@@ -6,7 +6,7 @@ use crate::iter::{DbIter, LevelIter};
 use crate::memtable::Memtable;
 use crate::version::{Version, NUM_LEVELS};
 use pcp_sstable::key::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
-use pcp_sstable::{internal_key_cmp, KvIter, MergingIter};
+use pcp_sstable::KvIter;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -60,11 +60,7 @@ impl Db {
         for run in level0.chain(deeper) {
             children.push(Box::new(LevelIter::new(run, Arc::clone(&inner.cache))));
         }
-        DbIter::new(
-            MergingIter::new(children, internal_key_cmp),
-            snapshot,
-        )
-        .pin_version(version)
+        DbIter::new(children, snapshot).pin_version(version)
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::version::{FileMetadata, Version};
 use pcp_compaction::TableCache;
 use pcp_sstable::key::{
-    internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType,
+    internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE,
 };
 use pcp_sstable::{KvIter, MergingIter, TableError, TableIter};
 use std::cmp::Ordering;
@@ -117,39 +117,64 @@ impl KvIter for LevelIter {
     }
 }
 
-/// User-facing scan cursor: merges every source, then applies snapshot
-/// visibility (sequence ≤ snapshot), per-user-key version collapse, and
-/// tombstone suppression. Yields **user** keys and live values only.
+/// User-facing scan cursor: one internal-key merge over every source,
+/// then snapshot visibility (each source's entries at sequence ≤ its read
+/// sequence), per-user-key version collapse, and tombstone suppression.
+/// Yields **user** keys and live values only.
+///
+/// One database's sources all read at one sequence. [`DbIter::merge`]
+/// joins the cursors of several databases whose user keys are disjoint —
+/// the shards of one keyspace — into a single merge in which each source
+/// keeps its own database's sequence.
 pub struct DbIter {
     merged: MergingIter,
-    snapshot: SequenceNumber,
+    /// The read sequence of each child of `merged`, by child index.
+    sequences: Vec<SequenceNumber>,
     current_key: Vec<u8>,
     current_value: Vec<u8>,
     valid: bool,
-    /// Keeps the source version alive so file GC cannot delete (and the
+    /// Keeps the source versions alive so file GC cannot delete (and the
     /// simulated filesystem cannot reuse the extents of) tables this
     /// cursor still reads. See `VersionSet::live_files`.
-    _pinned_version: Option<Arc<Version>>,
+    pinned: Vec<Arc<Version>>,
 }
 
 impl DbIter {
-    /// Wraps an internal-key merge of all sources at `snapshot`.
-    pub fn new(merged: MergingIter, snapshot: SequenceNumber) -> DbIter {
+    /// Merges `sources` (sorted by internal key, newest first on ties) and
+    /// reads them all at `snapshot`.
+    pub fn new(sources: Vec<Box<dyn KvIter>>, snapshot: SequenceNumber) -> DbIter {
         DbIter {
-            merged,
-            snapshot,
+            sequences: vec![snapshot; sources.len()],
+            merged: MergingIter::new(sources),
             current_key: Vec::new(),
             current_value: Vec::new(),
             valid: false,
-            _pinned_version: None,
+            pinned: Vec::new(),
         }
     }
 
     /// Pins `version` for this cursor's lifetime (required when the
     /// sources include on-disk tables of a live database).
     pub fn pin_version(mut self, version: Arc<Version>) -> DbIter {
-        self._pinned_version = Some(version);
+        self.pinned.push(version);
         self
+    }
+
+    /// One cursor over every part's sources, taking over their sources,
+    /// read sequences and pinned versions. The parts' user keys must be
+    /// disjoint: a user key's versions then all come from one part, so
+    /// reading each source at its own part's sequence yields exactly what
+    /// the parts would yield one after another, in one key order.
+    pub fn merge(parts: Vec<DbIter>) -> DbIter {
+        let mut all = DbIter::new(Vec::new(), 0);
+        let mut sources = Vec::new();
+        for part in parts {
+            sources.extend(part.merged.into_children());
+            all.sequences.extend(part.sequences);
+            all.pinned.extend(part.pinned);
+        }
+        all.merged = MergingIter::new(sources);
+        all
     }
 
     /// True if positioned on a live user entry.
@@ -178,55 +203,51 @@ impl DbIter {
     /// Positions at the first live user key.
     pub fn seek_to_first(&mut self) {
         self.merged.seek_to_first();
-        self.find_next_user_entry(None);
+        self.find_next_user_entry(false);
     }
 
     /// Positions at the first live user key `>= target`.
     pub fn seek(&mut self, target: &[u8]) {
-        self.merged.seek(&lookup_key(target, self.snapshot));
-        self.find_next_user_entry(None);
+        // Before every version of `target`: the sources read at different
+        // sequences, so the visibility check below does the skipping.
+        self.merged.seek(&lookup_key(target, MAX_SEQUENCE));
+        self.find_next_user_entry(false);
     }
 
     /// Advances to the next live user key.
     pub fn next(&mut self) {
         debug_assert!(self.valid);
-        let skip = std::mem::take(&mut self.current_key);
-        self.find_next_user_entry(Some(&skip));
+        self.find_next_user_entry(true);
     }
 
-    /// Scans forward for the newest visible version of the next user key
-    /// not equal to `skip_user_key`, skipping tombstoned keys.
+    /// Scans forward for the newest visible version of the next user key,
+    /// skipping tombstoned keys and, when `skipping`, every further
+    /// version of `current_key`. Allocates nothing per step: the key it
+    /// skips is `current_key` itself.
     #[expect(
         clippy::expect_used,
         reason = "every source yields internal keys: memtable keys from `make_internal_key`, \
                   table keys out of checksum-verified blocks this engine wrote"
     )]
-    fn find_next_user_entry(&mut self, skip_user_key: Option<&[u8]>) {
-        let mut skip: Option<Vec<u8>> = skip_user_key.map(|k| k.to_vec());
+    fn find_next_user_entry(&mut self, mut skipping: bool) {
         self.valid = false;
-        while self.merged.valid() {
-            let ikey = self.merged.key();
-            let parsed = parse_internal_key(ikey).expect("well-formed internal key");
-            if parsed.sequence > self.snapshot {
-                self.merged.next();
-                continue;
-            }
-            if skip
-                .as_deref()
-                .is_some_and(|s| s == parsed.user_key)
+        while let Some(child) = self.merged.current_child() {
+            let parsed = parse_internal_key(self.merged.key()).expect("well-formed internal key");
+            if parsed.sequence > self.sequences[child]
+                || (skipping && parsed.user_key == self.current_key.as_slice())
             {
                 self.merged.next();
                 continue;
             }
+            self.current_key.clear();
+            self.current_key.extend_from_slice(parsed.user_key);
             match parsed.value_type {
                 ValueType::Deletion => {
                     // Key is dead at this snapshot; skip all its versions.
-                    skip = Some(parsed.user_key.to_vec());
+                    skipping = true;
                     self.merged.next();
                 }
                 ValueType::Value => {
-                    self.current_key.clear();
-                    self.current_key.extend_from_slice(parsed.user_key);
                     self.current_value.clear();
                     self.current_value.extend_from_slice(self.merged.value());
                     self.valid = true;
@@ -346,6 +367,7 @@ mod level_iter_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtable::Memtable;
     use pcp_sstable::key::make_internal_key;
     use pcp_sstable::VecIter;
 
@@ -355,11 +377,11 @@ mod tests {
             .map(|(k, s, t, val)| (make_internal_key(k, s, t), val.to_vec()))
             .collect();
         v.sort_by(|a, b| internal_key_cmp(&a.0, &b.0));
-        Box::new(VecIter::new(v, internal_key_cmp))
+        Box::new(VecIter::new(v))
     }
 
     fn db_iter(sources: Vec<Box<dyn KvIter>>, snapshot: u64) -> DbIter {
-        DbIter::new(MergingIter::new(sources, internal_key_cmp), snapshot)
+        DbIter::new(sources, snapshot)
     }
 
     fn drain(it: &mut DbIter) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -456,6 +478,45 @@ mod tests {
                 (b"k".to_vec(), b"mem".to_vec()),
                 (b"z".to_vec(), b"zz".to_vec())
             ]
+        );
+    }
+
+    /// Two arena memtables with disjoint user keys, like two shards, each
+    /// read at its own sequence in one merge. The parts' own handles are
+    /// gone before the cursor drains: the merged cursor keeps the arenas.
+    #[test]
+    fn merge_reads_each_part_at_its_own_sequence() {
+        let left = Arc::new(Memtable::new());
+        for i in 0..100u64 {
+            left.insert(format!("a{i:02}").as_bytes(), i + 1, ValueType::Value, b"old");
+        }
+        left.insert(b"a05", 101, ValueType::Value, b"new");
+        left.insert(b"a06", 102, ValueType::Deletion, b"");
+        let right = Arc::new(Memtable::new());
+        for i in 0..5u64 {
+            right.insert(format!("b{i}").as_bytes(), i + 1, ValueType::Value, b"old");
+        }
+        right.insert(b"b0", 6, ValueType::Value, b"new");
+        right.insert(b"b1", 7, ValueType::Deletion, b"");
+        right.insert(b"b9", 8, ValueType::Value, b"new");
+
+        let at = |mem: &Arc<Memtable>, seq| DbIter::new(vec![Box::new(mem.iter())], seq);
+        let mut it = DbIter::merge(vec![at(&left, 100), at(&right, 5)]);
+        drop((left, right));
+
+        it.seek_to_first();
+        let got = drain(&mut it);
+        let want: Vec<(Vec<u8>, Vec<u8>)> = (0..100)
+            .map(|i| format!("a{i:02}"))
+            .chain((0..5).map(|i| format!("b{i}")))
+            .map(|k| (k.into_bytes(), b"old".to_vec()))
+            .collect();
+        assert_eq!(got, want, "a source was read at the other part's sequence");
+
+        it.seek(b"a99");
+        assert_eq!(
+            drain(&mut it).into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            [&b"a99"[..], b"b0", b"b1", b"b2", b"b3", b"b4"]
         );
     }
 }

@@ -5,12 +5,12 @@
 //! level up, partitioning the whole keyspace so N databases can flush and
 //! compact with zero coordination. Two placements are provided:
 //!
-//! * [`HashRouter`] — FNV-1a over the key. Spreads any workload evenly,
-//!   at the price of scatter-gather scans (every shard participates in
-//!   every range scan).
+//! * [`HashRouter`] — FNV-1a over the key. Spreads any workload evenly.
 //! * [`RangeRouter`] — a boundary table of split keys. Keeps each shard a
-//!   contiguous key range, so range scans touch only the shards that can
-//!   contain the range and shard-local SSTables stay range-clustered.
+//!   contiguous key range, so shard-local SSTables stay range-clustered.
+//!
+//! Under either placement a range scan seeks every shard: it is one merge
+//! over every shard's runs (`ShardedDb::iter_at`).
 
 use std::fmt;
 

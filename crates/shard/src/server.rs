@@ -234,11 +234,6 @@ impl KvServer {
         self.local_addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active_conns.load(Ordering::SeqCst)
-    }
-
     /// Server-side view of the same statistics STATS returns.
     pub fn stats(&self) -> ServiceStats {
         self.shared.stats()

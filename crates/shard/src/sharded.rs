@@ -11,8 +11,9 @@
 //!   numbers taken under a lock that excludes in-flight cross-shard
 //!   batches, so a multi-shard [`WriteBatch`] is either entirely visible
 //!   or entirely invisible to any snapshot (writers share the lock;
-//!   only snapshot acquisition is exclusive, and only for the microseconds
-//!   it takes to read N sequence counters).
+//!   only snapshot and scan-cursor acquisition is exclusive, and only for
+//!   the microseconds it takes to read N sequence counters or capture N
+//!   cursors).
 //! * **Compaction admission.** All shards share one
 //!   [`pcp_lsm::CompactionLimiter`] capping concurrently compacting
 //!   shards to the available cores — the C-PPCP resource argument across
@@ -25,9 +26,7 @@ use pcp_lsm::{
     BatchOp, CompactionLimiter, Db, DbHealth, DbIter, MetricsSnapshot, Options, Snapshot,
     WriteBatch, NUM_LEVELS,
 };
-use pcp_sstable::{KvIter, MergingIter, TableError};
 use pcp_storage::{EnvRef, StdFsEnv};
-use std::cmp::Ordering;
 use std::io;
 use std::sync::Arc;
 
@@ -62,12 +61,16 @@ impl ShardSnapshot {
     }
 }
 
+/// Snapshot-consistent scan cursor over every shard, in global key order:
+/// one [`DbIter`] merging every shard's sources.
+pub type ShardedIter = DbIter;
+
 /// A keyspace partitioned over N independent [`Db`] instances.
 pub struct ShardedDb {
     shards: Vec<Db>,
     router: Arc<dyn Router>,
-    /// Writers hold `read` while applying a batch; snapshot acquisition
-    /// holds `write` while reading the sequence vector. See module docs.
+    /// Writers hold `read` while applying a batch; snapshot and cursor
+    /// acquisition hold `write` while reading every shard. See module docs.
     /// The one engine lock held across blocking work (DESIGN.md §8, §11).
     snap_lock: RwLock<()>,
     limiter: Arc<CompactionLimiter>,
@@ -239,27 +242,25 @@ impl ShardedDb {
         self.shards[s].get_at(key, snapshot.shards[s].sequence)
     }
 
-    /// Merged scan cursor over every shard at the latest consistent view.
+    /// Scan cursor over every shard at the latest consistent view: each
+    /// shard's cursor is captured inside the same exclusive hold that
+    /// [`ShardedDb::snapshot`] takes, so no cross-shard batch is half in it.
     pub fn iter(&self) -> ShardedIter {
-        self.iter_at(&self.snapshot())
+        let _g = self.snap_lock.write();
+        DbIter::merge(self.shards.iter().map(Db::iter).collect())
     }
 
-    /// Merged scan cursor at an explicit snapshot. Built on the same
-    /// k-way [`MergingIter`] the engine uses for compaction and reads —
-    /// here over per-shard user-key cursors, whose key sets are disjoint
-    /// by construction.
+    /// Scan cursor at an explicit snapshot: one internal-key merge over
+    /// every shard's sources, each read at its own shard's sequence (see
+    /// [`DbIter::merge`]; shards' user keys are disjoint by construction).
     pub fn iter_at(&self, snapshot: &ShardSnapshot) -> ShardedIter {
-        let children: Vec<Box<dyn KvIter>> = self
-            .shards
-            .iter()
-            .zip(&snapshot.shards)
-            .map(|(db, snap)| {
-                Box::new(ShardCursor(db.iter_at(snap.sequence))) as Box<dyn KvIter>
-            })
-            .collect();
-        ShardedIter {
-            merged: MergingIter::new(children, user_key_cmp),
-        }
+        DbIter::merge(
+            self.shards
+                .iter()
+                .zip(&snapshot.shards)
+                .map(|(db, snap)| db.iter_at(snap.sequence))
+                .collect(),
+        )
     }
 
     /// Collects up to `limit` live entries with key `>= start`, in key
@@ -421,88 +422,6 @@ impl ShardedDb {
             );
         }
         out
-    }
-}
-
-/// Bytewise user-key order (the cross-shard merge operates on the user
-/// keys that [`DbIter`] yields, not internal keys).
-fn user_key_cmp(a: &[u8], b: &[u8]) -> Ordering {
-    a.cmp(b)
-}
-
-/// Adapts a shard's [`DbIter`] (user keys, live values) to the [`KvIter`]
-/// protocol so [`MergingIter`] can drive it.
-struct ShardCursor(DbIter);
-
-impl KvIter for ShardCursor {
-    fn valid(&self) -> bool {
-        self.0.valid()
-    }
-
-    fn seek_to_first(&mut self) {
-        self.0.seek_to_first();
-    }
-
-    fn seek(&mut self, target: &[u8]) {
-        self.0.seek(target);
-    }
-
-    fn next(&mut self) {
-        self.0.next();
-    }
-
-    fn key(&self) -> &[u8] {
-        self.0.key()
-    }
-
-    fn value(&self) -> &[u8] {
-        self.0.value()
-    }
-
-    fn status(&self) -> Result<(), TableError> {
-        self.0.status().map_err(TableError::Io)
-    }
-}
-
-/// Snapshot-consistent scan cursor over every shard, in global key order.
-pub struct ShardedIter {
-    merged: MergingIter,
-}
-
-impl ShardedIter {
-    /// True if positioned on a live entry.
-    pub fn valid(&self) -> bool {
-        self.merged.valid()
-    }
-
-    /// Positions at the first live key of the whole keyspace.
-    pub fn seek_to_first(&mut self) {
-        self.merged.seek_to_first();
-    }
-
-    /// Positions at the first live key `>= target`.
-    pub fn seek(&mut self, target: &[u8]) {
-        self.merged.seek(target);
-    }
-
-    /// Advances one entry. Requires `valid()`.
-    pub fn next(&mut self) {
-        self.merged.next();
-    }
-
-    /// Current user key. Requires `valid()`.
-    pub fn key(&self) -> &[u8] {
-        self.merged.key()
-    }
-
-    /// Current value. Requires `valid()`.
-    pub fn value(&self) -> &[u8] {
-        self.merged.value()
-    }
-
-    /// The first shard read error that ended the scan early, if one did.
-    pub fn status(&self) -> io::Result<()> {
-        self.merged.status().map_err(io::Error::from)
     }
 }
 

@@ -381,6 +381,78 @@ fn snapshot_sequence_vector_isolates_reads() {
     assert_eq!(n, 50);
 }
 
+/// A sharded scan is one merge over every shard's sources, and each source
+/// is read at its own shard's sequence. The shards' sequences here differ
+/// a hundredfold, and later versions sit in memtables and level-0 tables
+/// alike, so a merge that read every source at one sequence would show
+/// the snapshot later writes or hide earlier ones.
+#[test]
+fn one_merge_reads_each_shard_at_its_own_sequence() {
+    let db = sharded(Arc::new(RangeRouter::new(vec![b"m".to_vec()])), small_opts());
+    let mut model = BTreeMap::new();
+    let put = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>, key: String, value: String| {
+        db.put(key.as_bytes(), value.as_bytes()).unwrap();
+        model.insert(key.into_bytes(), value.into_bytes());
+    };
+    for i in 0..1000u32 {
+        put(&mut model, format!("a{i:04}"), format!("a-before-{i}"));
+    }
+    for i in 0..10u32 {
+        put(&mut model, format!("z{i:02}"), format!("z-before-{i}"));
+    }
+    let before = model.clone();
+    let snap = db.snapshot();
+    let seqs = snap.sequences();
+    assert!(seqs[0] >= 100 * seqs[1], "sequences {seqs:?}");
+
+    for i in (0..1000u32).step_by(7) {
+        put(&mut model, format!("a{i:04}"), format!("a-after-{i}"));
+    }
+    for i in 0..5u32 {
+        put(&mut model, format!("z{i:02}"), format!("z-after-{i}"));
+        put(&mut model, format!("z{:02}", 20 + i), format!("z-new-{i}"));
+        put(&mut model, format!("a{:04}", 2000 + i), format!("a-new-{i}"));
+    }
+    for key in ["a0003", "a0500", "z07", "z08"] {
+        db.delete(key.as_bytes()).unwrap();
+        model.remove(key.as_bytes());
+    }
+    db.flush().unwrap();
+    put(&mut model, "a0001".into(), "a-in-memtable".into());
+    put(&mut model, "z09".into(), "z-in-memtable".into());
+    assert!(db.level_summary()[0].0 > 0, "no level-0 table holds a later write");
+
+    let from = |it: &mut pcp_shard::ShardedIter, start: Option<&[u8]>| {
+        match start {
+            Some(key) => it.seek(key),
+            None => it.seek_to_first(),
+        }
+        let mut out = Vec::new();
+        while it.valid() {
+            out.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        it.status().unwrap();
+        out
+    };
+    let tail = |m: &BTreeMap<Vec<u8>, Vec<u8>>, start: &[u8]| -> Vec<(Vec<u8>, Vec<u8>)> {
+        m.range(start.to_vec()..).map(|(k, v)| (k.clone(), v.clone())).collect()
+    };
+    let mut it = db.iter_at(&snap);
+    assert_eq!(from(&mut it, None), tail(&before, b""), "full scan at the snapshot");
+    for start in [&b"a0500"[..], b"z05"] {
+        assert_eq!(
+            from(&mut it, Some(start)),
+            tail(&before, start),
+            "seek to {:?} at the snapshot",
+            String::from_utf8_lossy(start)
+        );
+    }
+    assert_eq!(full_scan(&db), tail(&model, b""), "full scan after the writes");
+    let mut it = db.iter();
+    assert_eq!(from(&mut it, Some(b"z05")), tail(&model, b"z05"));
+}
+
 /// Constructor misuse is rejected, not mis-sharded.
 #[test]
 fn constructor_validation() {

@@ -15,14 +15,14 @@
 //! writer cuts its blocks through it.
 
 use crate::bloom::BloomFilter;
-use crate::key::user_key;
+use crate::key::{internal_key_cmp, user_key};
 use crate::{Result, TableError};
 use bytes::Bytes;
 use std::cmp::Ordering;
 
-/// Builds one block. Keys must be added in strictly increasing order
-/// (by the caller's comparator — the builder only checks non-decreasing
-/// byte order of full keys at restart boundaries in debug builds).
+/// Builds one block. Keys must be added in strictly increasing
+/// internal-key order (the builder only checks non-decreasing byte order
+/// of full keys at restart boundaries in debug builds).
 pub struct BlockBuilder {
     buf: Vec<u8>,
     restarts: Vec<u32>,
@@ -225,11 +225,10 @@ impl Block {
         pcp_codec::read_u32_le(&self.data, off).unwrap_or(0) as usize
     }
 
-    /// Iterator over the block's entries, ordered by `cmp`.
-    pub fn iter(&self, cmp: fn(&[u8], &[u8]) -> Ordering) -> BlockIter {
+    /// Iterator over the block's entries, in internal-key order.
+    pub fn iter(&self) -> BlockIter {
         BlockIter {
             block: self.clone(),
-            cmp,
             offset: 0,
             key: Vec::new(),
             value_range: (0, 0),
@@ -257,7 +256,6 @@ impl Block {
 #[derive(Clone)]
 pub struct BlockIter {
     block: Block,
-    cmp: fn(&[u8], &[u8]) -> Ordering,
     /// Offset of the *next* entry to decode.
     offset: usize,
     key: Vec<u8>,
@@ -297,15 +295,15 @@ impl BlockIter {
         self.parse_next();
     }
 
-    /// Positions at the first entry with `key >= target` under the
-    /// iterator's comparator.
+    /// Positions at the first entry with `key >= target` in internal-key
+    /// order.
     pub fn seek(&mut self, target: &[u8]) {
         // Binary search restart points for the last full key < target.
         let (mut lo, mut hi) = (0usize, self.block.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
             let key = self.full_key_at_restart(mid);
-            if (self.cmp)(&key, target) == Ordering::Less {
+            if internal_key_cmp(&key, target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -316,7 +314,7 @@ impl BlockIter {
         self.valid = false;
         loop {
             self.parse_next();
-            if !self.valid || (self.cmp)(&self.key, target) != Ordering::Less {
+            if !self.valid || internal_key_cmp(&self.key, target) != Ordering::Less {
                 return;
             }
         }
@@ -389,6 +387,17 @@ impl BlockIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::{lookup_key, make_internal_key, ValueType, MAX_SEQUENCE};
+
+    /// `user` at sequence 1.
+    fn ik(user: &[u8]) -> Vec<u8> {
+        make_internal_key(user, 1, ValueType::Value)
+    }
+
+    /// A seek target before every version of `user`.
+    fn at(user: &[u8]) -> Vec<u8> {
+        lookup_key(user, MAX_SEQUENCE)
+    }
 
     fn build(entries: &[(&[u8], &[u8])]) -> Block {
         let mut b = BlockBuilder::new(4);
@@ -399,7 +408,7 @@ mod tests {
     }
 
     fn collect(block: &Block) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut it = block.iter(Ord::cmp);
+        let mut it = block.iter();
         let mut out = Vec::new();
         it.seek_to_first();
         while it.valid() {
@@ -414,7 +423,7 @@ mod tests {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..100)
             .map(|i| {
                 (
-                    format!("key{:04}", i).into_bytes(),
+                    ik(format!("key{:04}", i).as_bytes()),
                     format!("value{i}").into_bytes(),
                 )
             })
@@ -449,37 +458,37 @@ mod tests {
     #[test]
     fn seek_finds_exact_and_successor() {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
-            .map(|i| (format!("k{:03}", i * 2).into_bytes(), vec![i as u8]))
+            .map(|i| (ik(format!("k{:03}", i * 2).as_bytes()), vec![i as u8]))
             .collect();
         let refs: Vec<(&[u8], &[u8])> = entries
             .iter()
             .map(|(k, v)| (k.as_slice(), v.as_slice()))
             .collect();
         let block = build(&refs);
-        let mut it = block.iter(Ord::cmp);
+        let mut it = block.iter();
 
-        it.seek(b"k010");
+        it.seek(&at(b"k010"));
         assert!(it.valid());
-        assert_eq!(it.key(), b"k010");
+        assert_eq!(user_key(it.key()), b"k010");
 
-        it.seek(b"k011"); // between k010 and k012
+        it.seek(&at(b"k011")); // between k010 and k012
         assert!(it.valid());
-        assert_eq!(it.key(), b"k012");
+        assert_eq!(user_key(it.key()), b"k012");
 
-        it.seek(b"k000");
-        assert_eq!(it.key(), b"k000");
+        it.seek(&at(b"k000"));
+        assert_eq!(user_key(it.key()), b"k000");
 
-        it.seek(b"zzz");
+        it.seek(&at(b"zzz"));
         assert!(!it.valid(), "seek past end invalidates");
     }
 
     #[test]
     fn seek_to_first_on_single_entry() {
-        let block = build(&[(b"only".as_slice(), b"one".as_slice())]);
-        let mut it = block.iter(Ord::cmp);
+        let block = build(&[(ik(b"only").as_slice(), b"one".as_slice())]);
+        let mut it = block.iter();
         it.seek_to_first();
         assert!(it.valid());
-        assert_eq!(it.key(), b"only");
+        assert_eq!(user_key(it.key()), b"only");
         assert_eq!(it.value(), b"one");
         it.next();
         assert!(!it.valid());
@@ -488,18 +497,19 @@ mod tests {
     #[test]
     fn restart_interval_one_disables_sharing() {
         let mut b = BlockBuilder::new(1);
-        b.add(b"aaaa1", b"v");
-        b.add(b"aaaa2", b"v");
+        b.add(&ik(b"aaaa1"), b"v");
+        b.add(&ik(b"aaaa2"), b"v");
         let block = Block::new(Bytes::from(b.finish())).unwrap();
         assert_eq!(block.num_restarts, 2);
-        let mut it = block.iter(Ord::cmp);
-        it.seek(b"aaaa2");
-        assert_eq!(it.key(), b"aaaa2");
+        let mut it = block.iter();
+        it.seek(&at(b"aaaa2"));
+        assert_eq!(user_key(it.key()), b"aaaa2");
     }
 
     #[test]
     fn empty_values_roundtrip() {
-        let block = build(&[(b"a".as_slice(), b"".as_slice()), (b"b", b"")]);
+        let (a, b) = (ik(b"a"), ik(b"b"));
+        let block = build(&[(a.as_slice(), b"".as_slice()), (&b, b"")]);
         let got = collect(&block);
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|(_, v)| v.is_empty()));
@@ -528,27 +538,26 @@ mod tests {
     #[test]
     fn builder_reuse_after_finish() {
         let mut b = BlockBuilder::new(4);
-        b.add(b"x", b"1");
+        b.add(&ik(b"x"), b"1");
         let first = b.finish();
         assert!(b.is_empty());
-        b.add(b"y", b"2");
+        b.add(&ik(b"y"), b"2");
         let second = b.finish();
         let b1 = Block::new(Bytes::from(first)).unwrap();
         let b2 = Block::new(Bytes::from(second)).unwrap();
-        assert_eq!(collect(&b1), vec![(b"x".to_vec(), b"1".to_vec())]);
-        assert_eq!(collect(&b2), vec![(b"y".to_vec(), b"2".to_vec())]);
+        assert_eq!(collect(&b1), vec![(ik(b"x"), b"1".to_vec())]);
+        assert_eq!(collect(&b2), vec![(ik(b"y"), b"2".to_vec())]);
     }
 
     #[test]
     fn seek_with_internal_key_comparator() {
-        use crate::key::{internal_key_cmp, make_internal_key, ValueType};
         let mut b = BlockBuilder::new(4);
         // Same user key, sequences 9,5,2 (descending order = sorted order).
         for seq in [9u64, 5, 2] {
             b.add(&make_internal_key(b"k", seq, ValueType::Value), b"v");
         }
         let block = Block::new(Bytes::from(b.finish())).unwrap();
-        let mut it = block.iter(internal_key_cmp);
+        let mut it = block.iter();
         // Seek to snapshot 6: should land on seq 5 (first with seq <= 6).
         it.seek(&make_internal_key(b"k", 6, ValueType::Value));
         assert!(it.valid());
@@ -561,7 +570,6 @@ mod tests {
     /// the remainder once, then nothing.
     #[test]
     fn cutter_ends_a_block_at_the_entry_that_fills_it() {
-        use crate::key::{make_internal_key, ValueType};
         let keys: Vec<Vec<u8>> = (0..10u64)
             .map(|i| make_internal_key(format!("k{i}").as_bytes(), i + 1, ValueType::Value))
             .collect();

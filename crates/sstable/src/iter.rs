@@ -1,10 +1,11 @@
 //! Key-value cursors and the merging iterator.
 //!
 //! [`MergingIter`] is the heart of compaction step S4 (SORT/MERGE): it
-//! yields the union of its children's entries in comparator order. It is
-//! also the scan path's way of unifying memtable + L0 tables + leveled
-//! tables into one sorted stream.
+//! yields the union of its children's entries in internal-key order. It is
+//! also the scan path's way of unifying every shard's memtables, level-0
+//! tables and leveled runs into one sorted stream.
 
+use crate::key::internal_key_cmp;
 use crate::Result;
 use std::cmp::Ordering;
 
@@ -35,23 +36,22 @@ pub trait KvIter: Send {
     }
 }
 
-/// An iterator over an owned, already-sorted entry vector.
-///
-/// Used for memtable snapshots in tests and as a building block in
-/// benchmarks. The entries must already be sorted under the comparator
-/// passed at construction.
+/// An iterator over an owned entry vector, for tests: a source with no
+/// table or memtable behind it. The entries must already be sorted by
+/// internal key.
 pub struct VecIter {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
-    cmp: fn(&[u8], &[u8]) -> Ordering,
     pos: usize,
 }
 
 impl VecIter {
-    /// Wraps `entries`, which must be sorted by `cmp`.
-    pub fn new(entries: Vec<(Vec<u8>, Vec<u8>)>, cmp: fn(&[u8], &[u8]) -> Ordering) -> Self {
-        debug_assert!(entries.windows(2).all(|w| cmp(&w[0].0, &w[1].0) == Ordering::Less));
+    /// Wraps `entries`, which must be strictly increasing internal keys.
+    pub fn new(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| internal_key_cmp(&w[0].0, &w[1].0) == Ordering::Less));
         let pos = entries.len();
-        VecIter { entries, cmp, pos }
+        VecIter { entries, pos }
     }
 }
 
@@ -67,7 +67,7 @@ impl KvIter for VecIter {
     fn seek(&mut self, target: &[u8]) {
         self.pos = self
             .entries
-            .partition_point(|(k, _)| (self.cmp)(k, target) == Ordering::Less);
+            .partition_point(|(k, _)| internal_key_cmp(k, target) == Ordering::Less);
     }
 
     fn next(&mut self) {
@@ -84,36 +84,46 @@ impl KvIter for VecIter {
     }
 }
 
-/// Merges N sorted children into one sorted stream.
+/// Merges N children, each sorted by internal key, into one stream in
+/// internal-key order.
 ///
 /// Ties go to the child with the lowest index, so callers should order
 /// children newest-first when duplicate keys are possible (internal keys
 /// never tie, since sequence numbers are unique).
 ///
 /// Child counts in this system are small (a handful of tables per
-/// compaction, ≤ ~12 sources per scan), so the smallest-child search is a
-/// linear scan — measurably faster than a binary heap at these widths and
-/// free of per-advance allocation.
+/// compaction; shards × runs per scan, about 8 per shard), so the
+/// smallest-child search is a linear scan — measurably faster than a
+/// binary heap at these widths and free of per-advance allocation.
 ///
 /// A merge with a failed child would silently miss that child's remaining
 /// keys, so the first child error ends the merge: it turns `!valid()` and
 /// reports the error through [`KvIter::status`] until the next `seek*`.
 pub struct MergingIter {
     children: Vec<Box<dyn KvIter>>,
-    cmp: fn(&[u8], &[u8]) -> Ordering,
     current: Option<usize>,
     status: Result<()>,
 }
 
 impl MergingIter {
     /// Builds a merging iterator over `children`.
-    pub fn new(children: Vec<Box<dyn KvIter>>, cmp: fn(&[u8], &[u8]) -> Ordering) -> Self {
+    pub fn new(children: Vec<Box<dyn KvIter>>) -> Self {
         MergingIter {
             children,
-            cmp,
             current: None,
             status: Ok(()),
         }
+    }
+
+    /// The index of the child the current entry comes from; `None` when
+    /// `!valid()`.
+    pub fn current_child(&self) -> Option<usize> {
+        self.current
+    }
+
+    /// Gives the children back, in their original order.
+    pub fn into_children(self) -> Vec<Box<dyn KvIter>> {
+        self.children
     }
 
     /// Records why `child` just turned invalid, if it was an error. Only
@@ -137,7 +147,7 @@ impl MergingIter {
             best = match best {
                 None => Some(i),
                 Some(b) => {
-                    if (self.cmp)(child.key(), self.children[b].key()) == Ordering::Less {
+                    if internal_key_cmp(child.key(), self.children[b].key()) == Ordering::Less {
                         Some(i)
                     } else {
                         Some(b)
@@ -218,45 +228,56 @@ pub fn collect_remaining(it: &mut dyn KvIter) -> Vec<(Vec<u8>, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::{lookup_key, make_internal_key, user_key, ValueType, MAX_SEQUENCE};
     use crate::TableError;
 
+    /// One version of each user key, all at sequence 1.
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
         pairs
             .iter()
-            .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+            .map(|(k, v)| {
+                let ikey = make_internal_key(k.as_bytes(), 1, ValueType::Value);
+                (ikey, v.as_bytes().to_vec())
+            })
             .collect()
+    }
+
+    /// A seek target before every version of `user`.
+    fn at(user: &str) -> Vec<u8> {
+        lookup_key(user.as_bytes(), MAX_SEQUENCE)
     }
 
     #[test]
     fn vec_iter_seek_semantics() {
-        let mut it = VecIter::new(entries(&[("b", "1"), ("d", "2"), ("f", "3")]), Ord::cmp);
-        it.seek(b"c");
+        let mut it = VecIter::new(entries(&[("b", "1"), ("d", "2"), ("f", "3")]));
+        it.seek(&at("c"));
         assert!(it.valid());
-        assert_eq!(it.key(), b"d");
-        it.seek(b"d");
-        assert_eq!(it.key(), b"d");
-        it.seek(b"g");
+        assert_eq!(user_key(it.key()), b"d");
+        it.seek(&at("d"));
+        assert_eq!(user_key(it.key()), b"d");
+        it.seek(&at("g"));
         assert!(!it.valid());
         it.seek_to_first();
-        assert_eq!(it.key(), b"b");
+        assert_eq!(user_key(it.key()), b"b");
     }
 
     #[test]
     fn merge_two_interleaved_streams() {
-        let a = VecIter::new(entries(&[("a", "1"), ("c", "3"), ("e", "5")]), Ord::cmp);
-        let b = VecIter::new(entries(&[("b", "2"), ("d", "4"), ("f", "6")]), Ord::cmp);
-        let mut m = MergingIter::new(vec![Box::new(a), Box::new(b)], Ord::cmp);
+        let a = VecIter::new(entries(&[("a", "1"), ("c", "3"), ("e", "5")]));
+        let b = VecIter::new(entries(&[("b", "2"), ("d", "4"), ("f", "6")]));
+        let mut m = MergingIter::new(vec![Box::new(a), Box::new(b)]);
         m.seek_to_first();
         let got = collect_remaining(&mut m);
-        let keys: Vec<&[u8]> = got.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = got.iter().map(|(k, _)| user_key(k)).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b", b"c", b"d", b"e", b"f"]);
     }
 
     #[test]
     fn merge_ties_prefer_lowest_index() {
-        let newer = VecIter::new(entries(&[("k", "new")]), Ord::cmp);
-        let older = VecIter::new(entries(&[("k", "old")]), Ord::cmp);
-        let mut m = MergingIter::new(vec![Box::new(newer), Box::new(older)], Ord::cmp);
+        // Both children hold the same internal key, k@1: a true tie.
+        let newer = VecIter::new(entries(&[("k", "new")]));
+        let older = VecIter::new(entries(&[("k", "old")]));
+        let mut m = MergingIter::new(vec![Box::new(newer), Box::new(older)]);
         m.seek_to_first();
         assert_eq!(m.value(), b"new");
         m.next();
@@ -267,13 +288,13 @@ mod tests {
 
     #[test]
     fn merge_seek_positions_all_children() {
-        let a = VecIter::new(entries(&[("a", "1"), ("z", "9")]), Ord::cmp);
-        let b = VecIter::new(entries(&[("m", "5")]), Ord::cmp);
-        let mut m = MergingIter::new(vec![Box::new(a), Box::new(b)], Ord::cmp);
-        m.seek(b"b");
-        assert_eq!(m.key(), b"m");
+        let a = VecIter::new(entries(&[("a", "1"), ("z", "9")]));
+        let b = VecIter::new(entries(&[("m", "5")]));
+        let mut m = MergingIter::new(vec![Box::new(a), Box::new(b)]);
+        m.seek(&at("b"));
+        assert_eq!(user_key(m.key()), b"m");
         m.next();
-        assert_eq!(m.key(), b"z");
+        assert_eq!(user_key(m.key()), b"z");
         m.next();
         assert!(!m.valid());
     }
@@ -312,41 +333,41 @@ mod tests {
 
     #[test]
     fn merge_ends_at_the_first_child_error() {
-        let good = VecIter::new(entries(&[("a", "1"), ("c", "3"), ("e", "5")]), Ord::cmp);
-        let bad = FailsAtEnd(VecIter::new(entries(&[("b", "2"), ("d", "4")]), Ord::cmp));
-        let mut m = MergingIter::new(vec![Box::new(good), Box::new(bad)], Ord::cmp);
+        let good = VecIter::new(entries(&[("a", "1"), ("c", "3"), ("e", "5")]));
+        let bad = FailsAtEnd(VecIter::new(entries(&[("b", "2"), ("d", "4")])));
+        let mut m = MergingIter::new(vec![Box::new(good), Box::new(bad)]);
         m.seek_to_first();
         assert!(m.status().is_ok());
         // "e" is withheld: the failed child may have held keys before it.
-        let keys: Vec<Vec<u8>> = collect_remaining(&mut m).into_iter().map(|(k, _)| k).collect();
+        let keys: Vec<Vec<u8>> = collect_remaining(&mut m)
+            .into_iter()
+            .map(|(k, _)| user_key(&k).to_vec())
+            .collect();
         assert_eq!(keys, [b"a", b"b", b"c", b"d"]);
         assert!(matches!(m.status(), Err(TableError::Corruption(_))));
         // The error lasts until the next seek.
-        m.seek(b"a");
+        m.seek(&at("a"));
         assert!(m.valid() && m.status().is_ok());
-        m.seek(b"e");
+        m.seek(&at("e"));
         assert!(!m.valid() && m.status().is_err());
     }
 
     #[test]
     fn merge_with_empty_children() {
-        let a = VecIter::new(Vec::new(), Ord::cmp);
-        let b = VecIter::new(entries(&[("x", "1")]), Ord::cmp);
-        let c = VecIter::new(Vec::new(), Ord::cmp);
-        let mut m = MergingIter::new(
-            vec![Box::new(a), Box::new(b), Box::new(c)],
-            Ord::cmp,
-        );
+        let a = VecIter::new(Vec::new());
+        let b = VecIter::new(entries(&[("x", "1")]));
+        let c = VecIter::new(Vec::new());
+        let mut m = MergingIter::new(vec![Box::new(a), Box::new(b), Box::new(c)]);
         m.seek_to_first();
         assert_eq!(collect_remaining(&mut m).len(), 1);
     }
 
     #[test]
     fn merge_of_nothing_is_invalid() {
-        let mut m = MergingIter::new(Vec::new(), Ord::cmp);
+        let mut m = MergingIter::new(Vec::new());
         m.seek_to_first();
         assert!(!m.valid());
-        m.seek(b"anything");
+        m.seek(&at("anything"));
         assert!(!m.valid());
     }
 
@@ -357,18 +378,18 @@ mod tests {
         for c in 0..8 {
             let ents: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
                 .map(|i| {
-                    (
-                        format!("{:05}", i * 8 + c).into_bytes(),
-                        vec![c as u8],
-                    )
+                    let user = format!("{:05}", i * 8 + c);
+                    (make_internal_key(user.as_bytes(), 1, ValueType::Value), vec![c as u8])
                 })
                 .collect();
-            children.push(Box::new(VecIter::new(ents, Ord::cmp)));
+            children.push(Box::new(VecIter::new(ents)));
         }
-        let mut m = MergingIter::new(children, Ord::cmp);
+        let mut m = MergingIter::new(children);
         m.seek_to_first();
         let got = collect_remaining(&mut m);
         assert_eq!(got.len(), 400);
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(got
+            .windows(2)
+            .all(|w| internal_key_cmp(&w[0].0, &w[1].0) == Ordering::Less));
     }
 }

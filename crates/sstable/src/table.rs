@@ -36,7 +36,7 @@ use crate::block::{Block, BlockBuilder, BlockCutter, BlockIter, CutBlock};
 use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
-use crate::key::{internal_key_cmp, user_key};
+use crate::key::user_key;
 use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS, SPAN_BLOCKS, TRIGGER_BLOCKS};
 use crate::{Result, TableError};
 use bytes::Bytes;
@@ -385,7 +385,7 @@ impl TableBuilder {
     }
 
     /// Appends an entry. `ikey` must sort after all previous keys under
-    /// [`internal_key_cmp`].
+    /// [`internal_key_cmp`](crate::key::internal_key_cmp).
     pub fn add(&mut self, ikey: &[u8], value: &[u8]) -> Result<()> {
         debug_assert!(!self.finished);
         match self.cutter.add(ikey, value) {
@@ -665,7 +665,7 @@ impl TableReader {
     /// Decodes the index into per-block metadata, in key order.
     pub fn block_metas(&self) -> Result<Vec<BlockMeta>> {
         let mut out = Vec::with_capacity(self.stats.data_blocks as usize);
-        let mut it = self.index.iter(internal_key_cmp);
+        let mut it = self.index.iter();
         it.seek_to_first();
         while it.valid() {
             out.push(Self::decode_index_value(it.key(), it.value())?);
@@ -707,13 +707,13 @@ impl TableReader {
                 return Ok(None);
             }
         }
-        let mut idx = self.index.iter(internal_key_cmp);
+        let mut idx = self.index.iter();
         idx.seek(target);
         if !idx.valid() {
             return Ok(None);
         }
         let meta = Self::decode_index_value(idx.key(), idx.value())?;
-        let mut bit = self.read_block(meta.handle)?.iter(internal_key_cmp);
+        let mut bit = self.read_block(meta.handle)?.iter();
         bit.seek(target);
         Ok(bit
             .valid()
@@ -724,7 +724,7 @@ impl TableReader {
     pub fn iter(self: &Arc<Self>) -> TableIter {
         TableIter {
             reader: Arc::clone(self),
-            index_iter: self.index.iter(internal_key_cmp),
+            index_iter: self.index.iter(),
             block_iter: None,
             status: Ok(()),
             span: None,
@@ -829,7 +829,7 @@ impl TableIter {
     fn enter_block(&mut self, position: impl FnOnce(&mut BlockIter)) {
         self.block_iter = match self.load_block() {
             Ok(block) => block.map(|b| {
-                let mut it = b.iter(internal_key_cmp);
+                let mut it = b.iter();
                 position(&mut it);
                 it
             }),
@@ -899,7 +899,7 @@ impl KvIter for TableIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{make_internal_key, ValueType};
+    use crate::key::{internal_key_cmp, make_internal_key, ValueType};
     use pcp_storage::{Env, SimDevice, SimEnv};
     use std::io;
     use std::sync::mpsc::{self, Receiver};

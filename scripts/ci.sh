@@ -58,7 +58,7 @@ lane "cargo test -q --workspace --features lock_order (the deadlock witness over
 # The sanitizer needs an explicit --target; take the nightly's own host.
 nightly_host=$(rustc +nightly -vV 2>/dev/null | sed -n 's/^host: //p' || true)
 if [ -n "$nightly_host" ]; then
-    lane "cargo +nightly test -p pcp-lsm --lib under AddressSanitizer (the arena memtable's and the iterators' unit tests; own target dir target/asan)" \
+    lane "cargo +nightly test -p pcp-lsm --lib under AddressSanitizer (the arena memtable's and the iterators' unit tests, merge_reads_each_part_at_its_own_sequence among them: the merged cursor over two arenas; own target dir target/asan)" \
         env RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
         cargo +nightly test -q -p pcp-lsm --lib --target "$nightly_host" -- memtable:: iter::
 else

@@ -24,6 +24,7 @@ use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
     TableCache,
 };
+use pcp::shard::{HashRouter, ShardedDb};
 use pcp::sstable::key::{make_internal_key, ValueType};
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
@@ -434,7 +435,9 @@ fn load_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
 /// The three ways a table can be unreadable — a failed device read, a
 /// flipped bit (checksum mismatch), a failed open — end a `Db::iter()`
 /// scan the same way: `!valid()`, `status()` is the error, and the keys
-/// yielded so far are a strict prefix of the data.
+/// yielded so far are a strict prefix of the data. A `ShardedDb` scan is
+/// one merge over every shard's runs, so a failed read on one shard ends
+/// it the same way, and `ShardedDb::scan` returns the error.
 #[test]
 fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
     type Arm = fn(&FaultEnv, &EnvRef);
@@ -487,6 +490,38 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
             assert!(it.valid() && it.status().is_ok(), "{what}: error survived a seek");
         }
     }
+
+    // Two shards, keys spread over both; only shard 1 reads through the
+    // fault env.
+    let fault = FaultEnv::new(mem_env(), 9);
+    let envs: Vec<EnvRef> = vec![mem_env(), Arc::new(fault.clone())];
+    let router = Arc::new(HashRouter::new(2));
+    let open = || ShardedDb::open_with_envs(envs.clone(), scan_opts(), router.clone()).unwrap();
+    let model: Vec<Vec<u8>> = {
+        let db = open();
+        for i in 0..2000u32 {
+            let k = format!("k{:05}", (i * 7919) % 2000).into_bytes();
+            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+        db.wait_idle().unwrap();
+        db.scan(b"", usize::MAX).unwrap().into_iter().map(|(k, _)| k).collect()
+    };
+    assert_eq!(model.len(), 2000);
+    let db = open();
+    fault.schedule_on_file(FaultOp::ReadAt, 12, FaultKind::Permanent, ".sst");
+    let mut it = db.iter();
+    it.seek_to_first();
+    let mut got = Vec::new();
+    while it.valid() {
+        got.push(it.key().to_vec());
+        it.next();
+    }
+    assert!(it.status().is_err(), "sharded: scan ended cleanly after {} keys", got.len());
+    assert!(got.len() < model.len(), "sharded: nothing was missing");
+    assert_eq!(got[..], model[..got.len()], "sharded: not a prefix");
+    fault.schedule_on_file(FaultOp::ReadAt, 1, FaultKind::Permanent, ".sst");
+    assert!(db.scan(b"", usize::MAX).is_err(), "sharded: a short scan came back Ok");
 }
 
 /// An install writes its MANIFEST edit between building the next version
