@@ -301,7 +301,7 @@ impl Db {
                 ("pcp_scan_readahead_wasted_total", "span blocks the cursor never reached", |s| {
                     s.wasted()
                 }),
-                ("pcp_scan_sync_blocks_total", "blocks loaded one read each on the caller", |s| {
+                ("pcp_scan_sync_blocks_total", "blocks gets loaded one read each (scans read spans only)", |s| {
                     s.sync_blocks()
                 }),
             ];

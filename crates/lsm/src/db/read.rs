@@ -6,6 +6,7 @@ use crate::iter::{DbIter, LevelIter};
 use crate::memtable::Memtable;
 use crate::version::{Version, NUM_LEVELS};
 use pcp_sstable::key::{lookup_key, parse_internal_key, SequenceNumber, ValueType};
+use pcp_sstable::readahead::first_span_blocks;
 use pcp_sstable::KvIter;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -57,8 +58,16 @@ impl Db {
         // the `LevelIter` opens tables lazily and keeps an open error.
         let level0 = version.levels[0].iter().map(|f| vec![Arc::clone(f)]);
         let deeper = version.levels[1..].iter().filter(|l| !l.is_empty()).cloned();
-        for run in level0.chain(deeper) {
-            children.push(Box::new(LevelIter::new(run, Arc::clone(&inner.cache))));
+        let runs: Vec<_> = level0
+            .chain(deeper)
+            .map(|run| (run.iter().map(|f| f.size).sum::<u64>(), run))
+            .collect();
+        // A seek reads each run once: its first span is the run's share of
+        // the view, the largest run's being the cap.
+        let largest = runs.iter().map(|(bytes, _)| *bytes).max().unwrap_or(0);
+        for (bytes, run) in runs {
+            let first_span = first_span_blocks(bytes, largest);
+            children.push(Box::new(LevelIter::new(run, Arc::clone(&inner.cache), first_span)));
         }
         DbIter::new(children, snapshot).pin_version(version)
     }

@@ -14,9 +14,14 @@ use std::sync::Arc;
 /// Concatenating iterator over one sorted, disjoint run of tables (a
 /// level ≥ 1, or a single level-0 table): walks the file list, opening one
 /// table at a time through the cache.
+///
+/// The run's first span length goes to every table it enters, so crossing
+/// into the next table costs one span read of that length.
 pub struct LevelIter {
     files: Vec<Arc<FileMetadata>>,
     cache: Arc<TableCache>,
+    /// Blocks in a table cursor's first span after it is positioned.
+    first_span: usize,
     /// Index of the file the current cursor is in.
     index: usize,
     table_iter: Option<TableIter>,
@@ -27,12 +32,19 @@ pub struct LevelIter {
 
 impl LevelIter {
     /// Builds a cursor over `files`, which must be sorted by smallest key
-    /// and disjoint (a version's level ≥ 1 file list).
-    pub fn new(files: Vec<Arc<FileMetadata>>, cache: Arc<TableCache>) -> LevelIter {
+    /// and disjoint (a version's level ≥ 1 file list), whose table cursors
+    /// read `first_span` blocks in their first span
+    /// ([`pcp_sstable::readahead::first_span_blocks`]).
+    pub fn new(
+        files: Vec<Arc<FileMetadata>>,
+        cache: Arc<TableCache>,
+        first_span: usize,
+    ) -> LevelIter {
         let index = files.len();
         LevelIter {
             files,
             cache,
+            first_span,
             index,
             table_iter: None,
             opened: Ok(()),
@@ -46,7 +58,7 @@ impl LevelIter {
         self.table_iter = self.files.get(self.index).and_then(|meta| {
             match self.cache.get(meta.number) {
                 Ok(reader) => {
-                    let mut t = reader.iter();
+                    let mut t = reader.iter_with_span(self.first_span);
                     position(&mut t);
                     Some(t)
                 }
@@ -263,17 +275,19 @@ mod level_iter_tests {
     use super::*;
     use pcp_compaction::filename::table_file;
     use pcp_sstable::key::{make_internal_key, user_key, MAX_SEQUENCE};
+    use pcp_sstable::readahead::MAX_SPAN_BLOCKS;
     use pcp_sstable::{TableBuilder, TableBuilderOptions};
     use pcp_storage::{EnvRef, SimDevice, SimEnv};
 
     /// Builds a level of three disjoint tables covering key ranges
-    /// [0,99], [200,299], [400,499].
-    fn level_fixture() -> (Arc<TableCache>, Vec<Arc<FileMetadata>>) {
+    /// [0,99], [200,299], [400,499], in blocks of `block_size` bytes.
+    fn level_fixture(block_size: usize) -> (Arc<TableCache>, Vec<Arc<FileMetadata>>) {
         let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
         let mut files = Vec::new();
         for (number, base) in [(1u64, 0u64), (2, 200), (3, 400)] {
             let f = env.create(&table_file(number)).unwrap();
-            let mut b = TableBuilder::new(f, TableBuilderOptions::default());
+            let opts = TableBuilderOptions { block_size, ..Default::default() };
+            let mut b = TableBuilder::new(f, opts);
             let mut smallest = Vec::new();
             let mut largest = Vec::new();
             for i in 0..100u64 {
@@ -302,8 +316,8 @@ mod level_iter_tests {
 
     #[test]
     fn full_scan_concatenates_all_files() {
-        let (cache, files) = level_fixture();
-        let mut it = LevelIter::new(files, cache);
+        let (cache, files) = level_fixture(4096);
+        let mut it = LevelIter::new(files, cache, MAX_SPAN_BLOCKS);
         it.seek_to_first();
         let mut count = 0;
         let mut prev: Option<Vec<u8>> = None;
@@ -324,8 +338,8 @@ mod level_iter_tests {
 
     #[test]
     fn seek_lands_within_and_between_files() {
-        let (cache, files) = level_fixture();
-        let mut it = LevelIter::new(files, cache);
+        let (cache, files) = level_fixture(4096);
+        let mut it = LevelIter::new(files, cache, MAX_SPAN_BLOCKS);
         // Inside the second file.
         it.seek(&make_internal_key(b"k0250", MAX_SEQUENCE, ValueType::Value));
         assert!(it.valid());
@@ -344,8 +358,8 @@ mod level_iter_tests {
 
     #[test]
     fn next_crosses_file_boundary() {
-        let (cache, files) = level_fixture();
-        let mut it = LevelIter::new(files, cache);
+        let (cache, files) = level_fixture(4096);
+        let mut it = LevelIter::new(files, cache, MAX_SPAN_BLOCKS);
         it.seek(&make_internal_key(b"k0099", MAX_SEQUENCE, ValueType::Value));
         assert_eq!(user_key(it.key()), b"k0099");
         it.next();
@@ -353,10 +367,27 @@ mod level_iter_tests {
         assert_eq!(user_key(it.key()), b"k0200", "crossed into the next file");
     }
 
+    /// Crossing into the next table costs one span read at the run's
+    /// length, not a ramp that starts over.
+    #[test]
+    fn next_table_is_entered_with_one_span_of_the_runs_length() {
+        let (cache, files) = level_fixture(256);
+        let stats = Arc::clone(cache.scan_stats());
+        let mut it = LevelIter::new(files, cache, 3);
+        it.seek(&make_internal_key(b"k0099", MAX_SEQUENCE, ValueType::Value));
+        assert_eq!(user_key(it.key()), b"k0099");
+        let (spans, blocks) = (stats.spans(), stats.blocks_prefetched());
+        it.next();
+        assert_eq!(user_key(it.key()), b"k0200", "crossed into the next file");
+        let read = (stats.spans() - spans, stats.blocks_prefetched() - blocks);
+        assert_eq!(read, (1, 3), "(spans, blocks) read on entering the table");
+        assert_eq!(stats.sync_blocks(), 0);
+    }
+
     #[test]
     fn empty_level_is_always_invalid() {
-        let (cache, _) = level_fixture();
-        let mut it = LevelIter::new(Vec::new(), cache);
+        let (cache, _) = level_fixture(4096);
+        let mut it = LevelIter::new(Vec::new(), cache, MAX_SPAN_BLOCKS);
         it.seek_to_first();
         assert!(!it.valid());
         it.seek(b"anything-with-trailerXX");

@@ -1,26 +1,35 @@
 //! Scan readahead: the paper's sizing of I/O by the span rather than by the
 //! block, applied to the read path on the cursor's own thread.
 //!
-//! Once [`crate::TableIter`] has loaded `TRIGGER_BLOCKS` blocks at
-//! consecutive file offsets, a block-cache miss reads a span: the raw bytes
-//! of the wanted block and the blocks after it, in one device read tagged
-//! [`ReadClass::Readahead`](pcp_storage::ReadClass). The cursor verifies,
-//! decompresses and admits each block of the span only when it reaches it.
-//! Span length doubles from `SPAN_BLOCKS` to `MAX_SPAN_BLOCKS` while the
-//! run lasts and starts over after any seek or break in the sequence — the
-//! shape of RocksDB's auto-readahead.
+//! Every block-cache miss of a [`crate::TableIter`] reads a span: the raw
+//! bytes of the wanted block and the blocks after it, in one device read
+//! tagged [`ReadClass::Readahead`](pcp_storage::ReadClass). The cursor
+//! verifies, decompresses and admits each block of the span only when it
+//! reaches it. A cursor never loads a block outside a span.
+//!
+//! The first span after a seek is as long as the cursor's run was given
+//! ([`first_span_blocks`]: the run's share of the read view, so a seek reads
+//! each run once); each further span doubles, up to [`MAX_SPAN_BLOCKS`].
+//! A whole-table cursor ([`crate::TableReader::iter`]) starts at the cap.
 
 use crate::table::BlockHandle;
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Consecutive sequential block loads before the cursor reads spans.
-pub(crate) const TRIGGER_BLOCKS: usize = 3;
-/// Blocks in the first span of a sequential run.
-pub(crate) const SPAN_BLOCKS: usize = 8;
-/// Cap on the doubling span length: 256 KiB of 4 KiB blocks.
-pub(crate) const MAX_SPAN_BLOCKS: usize = 64;
+/// Cap on the span length: 256 KiB of 4 KiB blocks, which a striped device
+/// serves for about the price of one block.
+pub const MAX_SPAN_BLOCKS: usize = 64;
+
+/// The first span, in blocks, of a run of `run_bytes` in a read view whose
+/// largest run has `largest_run_bytes`: [`MAX_SPAN_BLOCKS`] scaled by the
+/// run's share, rounded up, at least 1. Over evenly spread keys a scan
+/// takes entries from each run in proportion to its bytes.
+pub fn first_span_blocks(run_bytes: u64, largest_run_bytes: u64) -> usize {
+    let scaled = (MAX_SPAN_BLOCKS as u128 * u128::from(run_bytes))
+        .div_ceil(u128::from(largest_run_bytes.max(1)));
+    scaled.clamp(1, MAX_SPAN_BLOCKS as u128) as usize
+}
 
 /// Monotone scan-path counters, shared by every iterator of a table (and,
 /// through the LSM table cache, by every table of a database). Relaxed
@@ -55,8 +64,9 @@ impl ScanStats {
         self.wasted.load(Relaxed)
     }
 
-    /// Blocks loaded one read each on the caller's thread (block-cache
-    /// misses outside any span).
+    /// Blocks loaded one read each on the caller's thread: a point lookup's
+    /// block-cache misses. A scan cursor reads only spans, so none of these
+    /// are a scan's.
     pub fn sync_blocks(&self) -> u64 {
         self.sync_blocks.load(Relaxed)
     }

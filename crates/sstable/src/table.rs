@@ -37,7 +37,7 @@ use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
 use crate::key::user_key;
-use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS, SPAN_BLOCKS, TRIGGER_BLOCKS};
+use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS};
 use crate::{Result, TableError};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
@@ -644,22 +644,16 @@ impl TableReader {
         Ok(block)
     }
 
-    /// A block-cache miss outside any readahead span: S1 of the one block,
-    /// then [`decode_block`](TableReader::decode_block).
-    fn read_uncached(&self, handle: BlockHandle) -> Result<Block> {
+    /// Loads one data block on the calling thread, as a point lookup does:
+    /// from the block cache when one is attached and holds it, else with one
+    /// read (S1+S2+S3 and admission), counted as a sync block.
+    pub fn read_block(&self, handle: BlockHandle) -> Result<Block> {
+        if let Some(block) = self.cached(handle) {
+            return Ok(block);
+        }
         let block = self.decode_block(handle, &self.read_raw_block(handle)?)?;
         self.scan.add_sync_block();
         Ok(block)
-    }
-
-    /// Loads one data block on the calling thread, as a point lookup does:
-    /// from the block cache when one is attached and holds it, else with one
-    /// read (S1+S2+S3 and admission).
-    pub fn read_block(&self, handle: BlockHandle) -> Result<Block> {
-        match self.cached(handle) {
-            Some(block) => Ok(block),
-            None => self.read_uncached(handle),
-        }
     }
 
     /// Decodes the index into per-block metadata, in key order.
@@ -712,32 +706,39 @@ impl TableReader {
         if !idx.valid() {
             return Ok(None);
         }
-        let meta = Self::decode_index_value(idx.key(), idx.value())?;
-        let mut bit = self.read_block(meta.handle)?.iter();
+        let (handle, _) = BlockHandle::decode(idx.value())?;
+        let mut bit = self.read_block(handle)?.iter();
         bit.seek(target);
         Ok(bit
             .valid()
             .then(|| (bit.key().to_vec(), bit.value().to_vec())))
     }
 
-    /// Whole-table cursor.
+    /// Whole-table cursor: its spans start at [`MAX_SPAN_BLOCKS`].
     pub fn iter(self: &Arc<Self>) -> TableIter {
+        self.iter_with_span(MAX_SPAN_BLOCKS)
+    }
+
+    /// Cursor whose first span after each seek is `first_span` blocks (at
+    /// least 1, at most [`MAX_SPAN_BLOCKS`]): the length of the run this
+    /// table belongs to ([`crate::readahead::first_span_blocks`]).
+    pub fn iter_with_span(self: &Arc<Self>, first_span: usize) -> TableIter {
+        let first_span = first_span.clamp(1, MAX_SPAN_BLOCKS);
         TableIter {
             reader: Arc::clone(self),
             index_iter: self.index.iter(),
             block_iter: None,
             status: Ok(()),
             span: None,
-            span_blocks: SPAN_BLOCKS,
-            expected_next: None,
-            seq_run: 0,
+            first_span,
+            span_blocks: first_span,
         }
     }
 }
 
-/// Two-level cursor: index block → data block. A sequential run reads
-/// ahead in spans on the cursor's own thread (`readahead.rs`); a seek ends
-/// the run.
+/// Two-level cursor: index block → data block. Every block-cache miss
+/// reads a span on the cursor's own thread (`readahead.rs`); a seek drops
+/// the span and restarts its length.
 pub struct TableIter {
     reader: Arc<TableReader>,
     index_iter: BlockIter,
@@ -748,28 +749,19 @@ pub struct TableIter {
     status: Result<()>,
     /// Raw blocks read ahead of the cursor by the last span read.
     span: Option<Span>,
+    /// Blocks the first span after a seek asks for.
+    first_span: usize,
     /// Blocks the next span read asks for.
     span_blocks: usize,
-    /// File offset the next block starts at if access stays sequential.
-    expected_next: Option<u64>,
-    /// Length of the current sequential run, in blocks.
-    seq_run: usize,
 }
 
 impl TableIter {
-    /// Clears the error and ends the sequential run (called on seeks).
+    /// Clears the error, drops the span — its unread blocks counted as
+    /// wasted — and restarts the span length (called on seeks).
     fn reset(&mut self) {
         self.status = Ok(());
-        self.end_run();
-    }
-
-    /// Ends the sequential run: the span goes, its unread blocks counted
-    /// as wasted, and the next span starts at `SPAN_BLOCKS` again.
-    fn end_run(&mut self) {
         self.span = None;
-        self.span_blocks = SPAN_BLOCKS;
-        self.expected_next = None;
-        self.seq_run = 0;
+        self.span_blocks = self.first_span;
     }
 
     /// Reads the next span — `first`'s block and up to `span_blocks - 1`
@@ -797,26 +789,18 @@ impl TableIter {
     }
 
     /// Loads the block the index cursor points at (`None` past its end):
-    /// from the block cache, else from the span, else by reading a new span
-    /// once the run is `TRIGGER_BLOCKS` long, else with one read of its own.
+    /// from the block cache, else from the span, else by reading a new span.
     fn load_block(&mut self) -> Result<Option<Block>> {
         if !self.index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode(self.index_iter.value())?;
-        if self.expected_next != Some(handle.offset) {
-            self.end_run();
-        }
-        self.seq_run += 1;
-        self.expected_next = handle.stored_end();
-
         if let Some(block) = self.reader.cached(handle) {
             return Ok(Some(block));
         }
         let raw = match self.span.as_mut().and_then(|span| span.take(handle)) {
             Some(raw) => raw,
-            None if self.seq_run >= TRIGGER_BLOCKS => self.read_span(handle)?,
-            None => return self.reader.read_uncached(handle).map(Some),
+            None => self.read_span(handle)?,
         };
         self.reader.decode_block(handle, &raw).map(Some)
     }
@@ -1229,7 +1213,11 @@ mod tests {
     }
 
     fn collect_all(reader: &Arc<TableReader>) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut it = reader.iter();
+        drain(reader.iter())
+    }
+
+    /// Every entry of `it` from its first, with a clean status.
+    fn drain(mut it: TableIter) -> Vec<(Vec<u8>, Vec<u8>)> {
         it.seek_to_first();
         let mut out = Vec::new();
         while it.valid() {
@@ -1302,36 +1290,38 @@ mod tests {
         spans.map(count).collect()
     }
 
+    /// Every block comes from a span: spans start at the cursor's first
+    /// length and double to the cap, and none of their blocks go unread.
     #[test]
     fn full_scan_matches_model_and_spans_double_to_the_cap() {
         let n = 10_000;
-        let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
-        assert_eq!(collect_all(&reader), model(n));
-        // The first TRIGGER_BLOCKS - 1 blocks are read one at a time, the
-        // rest in spans of 8, 16, 32, 64, 64, …
-        let stats = &reader.scan;
-        assert_eq!(stats.sync_blocks(), TRIGGER_BLOCKS as u64 - 1);
-        let spans = span_lengths(&blocks, &reads);
-        let (tail, full) = spans.split_last().unwrap();
-        let want: Vec<_> = (0..full.len()).map(|i| MAX_SPAN_BLOCKS.min(SPAN_BLOCKS << i)).collect();
-        assert!(full.len() >= 5 && full == want && *tail <= MAX_SPAN_BLOCKS, "{spans:?}");
-        assert_eq!(spans.iter().sum::<usize>(), blocks.len() - (TRIGGER_BLOCKS - 1));
-        assert_eq!((stats.spans(), stats.hits()), (spans.len() as u64, stats.blocks_prefetched()));
-        assert_eq!(stats.wasted(), 0);
+        for first in [1, MAX_SPAN_BLOCKS] {
+            let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
+            assert_eq!(drain(reader.iter_with_span(first)), model(n));
+            let stats = &reader.scan;
+            assert_eq!(stats.sync_blocks(), 0, "a block was read outside a span");
+            let spans = span_lengths(&blocks, &reads);
+            let (tail, full) = spans.split_last().unwrap();
+            let want: Vec<_> = (0..full.len()).map(|i| MAX_SPAN_BLOCKS.min(first << i)).collect();
+            assert!(full.len() >= 3 && full == want && *tail <= MAX_SPAN_BLOCKS, "{spans:?}");
+            assert_eq!(spans.iter().sum::<usize>(), blocks.len());
+            assert_eq!((stats.spans(), stats.hits()), (spans.len() as u64, stats.blocks_prefetched()));
+            assert_eq!(stats.wasted(), 0);
+        }
     }
 
     #[test]
     fn seek_ends_the_run_and_restarts_the_span_length() {
         let n = 3000;
         let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
-        let mut it = reader.iter();
+        let mut it = reader.iter_with_span(2);
         it.seek_to_first();
         // Scan deep enough to grow the span...
         for _ in 0..n / 2 {
             it.next();
         }
         let grown = span_lengths(&blocks, &reads);
-        assert_eq!(grown[..3], [SPAN_BLOCKS, 2 * SPAN_BLOCKS, 4 * SPAN_BLOCKS]);
+        assert_eq!(grown[..3], [2, 4, 8]);
         // ...then seek back to the start: the span is dropped unread, the
         // scan stays correct, and the next span is short again.
         it.seek(&make_internal_key(b"key00000000", u64::MAX >> 8, ValueType::Value));
@@ -1342,7 +1332,7 @@ mod tests {
             it.next();
         }
         assert!(count == n && it.status().is_ok());
-        assert_eq!(span_lengths(&blocks, &reads)[..2], [SPAN_BLOCKS, 2 * SPAN_BLOCKS]);
+        assert_eq!(span_lengths(&blocks, &reads)[..2], [2, 4]);
     }
 
     #[test]
@@ -1364,7 +1354,8 @@ mod tests {
         let largest_block: fn(&[BlockMeta]) -> usize =
             |blocks| blocks.iter().map(|b| b.stored_size() as usize).max().unwrap();
         let (reader, _, _reads) = recorded(n, largest_block, None);
-        let mut it = reader.iter();
+        // A one-block first span succeeds; the two-block span after it fails.
+        let mut it = reader.iter_with_span(1);
         it.seek_to_first();
         let mut got = Vec::new();
         while it.valid() {

@@ -443,7 +443,10 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
     type Arm = fn(&FaultEnv, &EnvRef);
     let cases: [(&str, Arm); 3] = [
         ("read error", |fault, _| {
-            fault.schedule_on_file(FaultOp::ReadAt, 12, FaultKind::Permanent, ".sst");
+            // Each of the three or more tables the scan enters costs two
+            // open reads and at least one span, so the ninth read is the
+            // scan's.
+            fault.schedule_on_file(FaultOp::ReadAt, 9, FaultKind::Permanent, ".sst");
         }),
         ("bit flip", |_, inner| {
             // One bit in the middle (a data block) of every table.
@@ -509,7 +512,8 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
     };
     assert_eq!(model.len(), 2000);
     let db = open();
-    fault.schedule_on_file(FaultOp::ReadAt, 12, FaultKind::Permanent, ".sst");
+    // Shard 1's three tables cost two open reads and one span each.
+    fault.schedule_on_file(FaultOp::ReadAt, 9, FaultKind::Permanent, ".sst");
     let mut it = db.iter();
     it.seek_to_first();
     let mut got = Vec::new();

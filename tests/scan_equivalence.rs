@@ -4,7 +4,7 @@
 //! reads slice by — differ), a scan must produce exactly what a `BTreeMap`
 //! model predicts: for full scans, for short-range seeks landing mid-table,
 //! and for the sharded engine's merged cursor. And every read a scan issues
-//! runs on the scanning thread.
+//! is a span read on the scanning thread: a short seek reads one per run.
 //!
 //! A block cache starts warm after writes — a flushed or merged table's
 //! blocks enter it as the table is written — so the `Db` case scans once
@@ -29,8 +29,7 @@ fn mem_env() -> EnvRef {
 }
 
 /// Tiny thresholds so even small corpora span several tables, and tiny
-/// blocks so every table spans enough blocks for the sequential-run
-/// trigger to actually read spans.
+/// blocks so every table spans many blocks and a scan reads several spans.
 fn scan_opts(compression: bool, block_cache_bytes: usize) -> Options {
     Options {
         memtable_bytes: 16 << 10,
@@ -247,12 +246,11 @@ impl Env for ReadLogEnv {
     }
 }
 
-/// Readahead has no thread of its own: a full scan over three levels
-/// issues every read — the spans included — from the thread that scans.
-#[test]
-fn every_read_of_a_scan_runs_on_the_scanning_thread() {
-    let log = ReadLog::default();
-    let env: EnvRef = Arc::new(ReadLogEnv { inner: mem_env(), log: Arc::clone(&log) });
+/// A store over a `ReadLogEnv` with no block cache whose keys span three
+/// levels, one table staying in level 0 (its trigger is two), and its
+/// model.
+fn three_level_store(log: &ReadLog) -> (Db, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let env: EnvRef = Arc::new(ReadLogEnv { inner: mem_env(), log: Arc::clone(log) });
     let db = Db::open(env, scan_opts(true, 0)).unwrap();
     let mut model = BTreeMap::new();
     let mut put = |k: String, v: Vec<u8>| {
@@ -264,7 +262,6 @@ fn every_read_of_a_scan_runs_on_the_scanning_thread() {
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
-    // One table more stays in level 0 (its trigger is two).
     for i in 0..20u32 {
         put(format!("key-{:06}", i * 200), b"newer".to_vec());
     }
@@ -272,6 +269,15 @@ fn every_read_of_a_scan_runs_on_the_scanning_thread() {
     db.wait_idle().unwrap();
     let levels = db.level_summary().iter().filter(|(files, _)| *files > 0).count();
     assert!(levels >= 3, "want three levels: {:?}", db.level_summary());
+    (db, model)
+}
+
+/// Readahead has no thread of its own: a full scan over three levels
+/// issues every read — the spans included — from the thread that scans.
+#[test]
+fn every_read_of_a_scan_runs_on_the_scanning_thread() {
+    let log = ReadLog::default();
+    let (db, model) = three_level_store(&log);
 
     log.lock().unwrap().clear();
     assert_eq!(full_scan_db(&db), model.into_iter().collect::<Vec<_>>());
@@ -279,4 +285,30 @@ fn every_read_of_a_scan_runs_on_the_scanning_thread() {
     let me = thread::current().id();
     assert!(reads.iter().all(|(thread, _)| *thread == me), "a read ran on another thread");
     assert!(reads.iter().any(|(_, class)| *class == ReadClass::Readahead), "no span was read");
+}
+
+/// A seek reads each run once: with no block cache, a seek and a scan
+/// that stays in the first block of every run issue exactly one span read
+/// per run (level-0 table or deeper level) and no read of a single block;
+/// a longer scan still reads only spans.
+#[test]
+fn a_seek_reads_each_run_with_one_span() {
+    let log = ReadLog::default();
+    let (db, _) = three_level_store(&log);
+    let summary = db.level_summary();
+    let runs = summary[0].0 + summary[1..].iter().filter(|(files, _)| *files > 0).count();
+    full_scan_db(&db);
+
+    // Every run holds keys from `key-000000` on, and a 256-byte block holds
+    // at least three entries of these sizes, so two keys and the step past
+    // the second keep every run's cursor in the first block it loaded: one
+    // table entered per run, one span read each.
+    log.lock().unwrap().clear();
+    assert_eq!(range_scan_db(&db, b"key-000000", 2).len(), 2);
+    let classes: Vec<_> = log.lock().unwrap().drain(..).map(|(_, class)| class).collect();
+    assert_eq!(classes, vec![ReadClass::Readahead; runs], "{summary:?}");
+
+    assert_eq!(range_scan_db(&db, b"key-001000", 500).len(), 500);
+    let reads = std::mem::take(&mut *log.lock().unwrap());
+    assert!(reads.iter().all(|(_, class)| *class == ReadClass::Readahead), "a block read alone");
 }
