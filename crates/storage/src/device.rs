@@ -1,14 +1,16 @@
 //! Block devices.
 //!
 //! [`SimDevice`] pairs an in-memory sparse backing store with a
-//! [`LatencyModel`]. Every request is serviced under a per-device mutex —
-//! one disk arm, one firmware queue — and the modeled service time is
-//! realized by *sleeping while holding the lock*. Concurrent callers
-//! therefore queue behind each other exactly like requests at a real
-//! device, and a thread waiting on I/O leaves the CPU to compute threads:
-//! the overlap the pipelined compaction procedure exploits. The service
-//! lock is one of the two locks the deadlock witness lets a thread hold
-//! across blocking work (`Mutex::held_across_blocking`).
+//! [`LatencyModel`]. The device keeps a timeline: the model instant its last
+//! booked request completes. A request is booked under a per-device mutex —
+//! one disk arm, one firmware queue — which it holds only to charge its
+//! modeled service time after the request ahead of it (or from now, on an
+//! idle device), copy its data and record its stats. The caller then sleeps
+//! to the booked completion with no lock held ([`BlockDevice::read_at`],
+//! [`BlockDevice::write_at`]). Concurrent callers therefore queue in booking
+//! order exactly like requests at a real device, without one waking late
+//! delaying the next, and a thread waiting on I/O leaves the CPU to compute
+//! threads: the overlap the pipelined compaction procedure exploits.
 
 use crate::model::{IoKind, LatencyModel, ModelState, NullModel};
 use crate::stats::DeviceStats;
@@ -22,12 +24,32 @@ use std::time::{Duration, Instant};
 ///
 /// Implementations must be safe for concurrent use; whether requests are
 /// serviced serially (one arm) or in parallel (RAID) is up to the device.
+/// A device implements the non-blocking pair `submit_read` / `submit_write`,
+/// which transfer the data at once and return the instant the request
+/// completes; the provided `read_at` / `write_at` sleep to that instant,
+/// the one place device time is waited out.
 pub trait BlockDevice: Send + Sync + std::fmt::Debug {
-    /// Reads `len` bytes at `offset`. Unwritten ranges read as zeros.
-    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes>;
+    /// Reads `len` bytes at `offset` and books the read without waiting for
+    /// it: returns the data and the instant the request completes.
+    /// Unwritten ranges read as zeros.
+    fn submit_read(&self, offset: u64, len: usize) -> io::Result<(Bytes, Instant)>;
 
-    /// Writes `data` at `offset`.
-    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()>;
+    /// Writes `data` at `offset` and books the write without waiting for
+    /// it: returns the instant the request completes.
+    fn submit_write(&self, offset: u64, data: &[u8]) -> io::Result<Instant>;
+
+    /// Reads `len` bytes at `offset`, returning once the request completes.
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        let (data, done) = self.submit_read(offset, len)?;
+        sleep_until(done);
+        Ok(data)
+    }
+
+    /// Writes `data` at `offset`, returning once the request completes.
+    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
+        sleep_until(self.submit_write(offset, data)?);
+        Ok(())
+    }
 
     /// Addressable capacity in bytes.
     fn capacity(&self) -> u64;
@@ -42,6 +64,25 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
     fn model_name(&self) -> &'static str;
 }
 
+/// Sleeps until `done`, if it is still ahead.
+fn sleep_until(done: Instant) {
+    let left = done.saturating_duration_since(Instant::now());
+    if !left.is_zero() {
+        crate::blocking::sleep(left);
+    }
+}
+
+/// Rejects a request to device `name` that does not end within `capacity`.
+pub(crate) fn check_bounds(name: &str, capacity: u64, offset: u64, len: usize) -> io::Result<()> {
+    if offset.checked_add(len as u64).is_none_or(|end| end > capacity) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("request [{offset}, +{len}) beyond capacity {capacity} of {name}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Size of one backing-store chunk. Sparse: chunks materialize on first
 /// write, so a 1 TB device costs memory proportional to live data only.
 const CHUNK: usize = 64 * 1024;
@@ -49,7 +90,7 @@ const CHUNK: usize = 64 * 1024;
 struct Inner {
     chunks: HashMap<u64, Box<[u8]>>,
     mstate: ModelState,
-    /// Monotone model-time clock; see [`SimDevice::model_now_locked`].
+    /// The timeline: the model instant the last booked request completes.
     model_clock: Duration,
 }
 
@@ -58,9 +99,9 @@ pub struct SimDevice {
     name: String,
     model: Box<dyn LatencyModel>,
     capacity: u64,
-    /// Multiplier applied to modeled durations before sleeping. `1.0` is
-    /// real time; `0.0` disables sleeping entirely (pure correctness runs).
-    /// Stats always record the *unscaled* modeled durations.
+    /// Multiplier mapping model time to wall time. `1.0` is real time;
+    /// `0.0` disables sleeping entirely (pure correctness runs). Stats
+    /// always record the *unscaled* modeled durations.
     time_scale: f64,
     inner: Mutex<Inner>,
     stats: DeviceStats,
@@ -92,15 +133,11 @@ impl SimDevice {
             model: Box::new(model),
             capacity,
             time_scale,
-            inner: Mutex::held_across_blocking(
-                Inner {
-                    chunks: HashMap::new(),
-                    mstate: ModelState::default(),
-                    model_clock: Duration::ZERO,
-                },
-                "the service lock is the device model: one request at a time sleeps its \
-                 service time under it, so concurrent I/O queues as at a real spindle",
-            ),
+            inner: Mutex::new(Inner {
+                chunks: HashMap::new(),
+                mstate: ModelState::default(),
+                model_clock: Duration::ZERO,
+            }),
             stats: DeviceStats::new(),
             epoch: Instant::now(),
         }
@@ -126,47 +163,30 @@ impl SimDevice {
         }
     }
 
-    fn check_bounds(&self, offset: u64, len: usize) -> io::Result<()> {
-        if offset.checked_add(len as u64).is_none_or(|end| end > self.capacity) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "request [{offset}, +{len}) beyond capacity {} of {}",
-                    self.capacity, self.name
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn service(&self, kind: IoKind, offset: u64, len: usize, inner: &mut Inner) -> Duration {
+    /// Books a request on the timeline: charges its modeled service time
+    /// from `max(now, model_clock)` and records it. Returns the wall instant
+    /// the request completes (the epoch itself at time scale zero).
+    fn book(&self, kind: IoKind, offset: u64, len: usize, inner: &mut Inner) -> Instant {
         let now = self.model_now(inner);
         let t = self
             .model
             .service_time(kind, offset, len, now, &mut inner.mstate);
         let total = t.total();
         inner.model_clock = now + total;
-        if self.time_scale > 0.0 {
-            let sleep = total.mul_f64(self.time_scale);
-            if !sleep.is_zero() {
-                crate::blocking::sleep(sleep);
-            }
-        }
         match kind {
             IoKind::Read => self.stats.record_read(len as u64, total, t.position),
             IoKind::Write => self.stats.record_write(len as u64, total, t.position),
         }
-        total
+        self.epoch + inner.model_clock.mul_f64(self.time_scale)
     }
 }
 
 impl BlockDevice for SimDevice {
-    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
-        self.check_bounds(offset, len)?;
-        let mut inner = self.inner.lock();
-        self.service(IoKind::Read, offset, len, &mut inner);
-
+    fn submit_read(&self, offset: u64, len: usize) -> io::Result<(Bytes, Instant)> {
+        check_bounds(&self.name, self.capacity, offset, len)?;
         let mut out = vec![0u8; len];
+        let mut inner = self.inner.lock();
+        let done = self.book(IoKind::Read, offset, len, &mut inner);
         let mut copied = 0usize;
         while copied < len {
             let abs = offset + copied as u64;
@@ -178,14 +198,13 @@ impl BlockDevice for SimDevice {
             }
             copied += n;
         }
-        Ok(Bytes::from(out))
+        Ok((Bytes::from(out), done))
     }
 
-    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        self.check_bounds(offset, data.len())?;
+    fn submit_write(&self, offset: u64, data: &[u8]) -> io::Result<Instant> {
+        check_bounds(&self.name, self.capacity, offset, data.len())?;
         let mut inner = self.inner.lock();
-        self.service(IoKind::Write, offset, data.len(), &mut inner);
-
+        let done = self.book(IoKind::Write, offset, data.len(), &mut inner);
         let mut copied = 0usize;
         while copied < data.len() {
             let abs = offset + copied as u64;
@@ -199,7 +218,7 @@ impl BlockDevice for SimDevice {
             chunk[within..within + n].copy_from_slice(&data[copied..copied + n]);
             copied += n;
         }
-        Ok(())
+        Ok(done)
     }
 
     fn capacity(&self) -> u64 {
@@ -284,28 +303,57 @@ mod tests {
         assert!(dev.stats().busy() > Duration::from_millis(10), "modeled time accrues");
     }
 
+    /// An HDD whose every read away from the head seeks for `seek`: with a
+    /// long seek, reads booked back to back always find the device busy.
+    fn slow_hdd(name: &str, seek: Duration, time_scale: f64) -> SimDevice {
+        let model = HddModel {
+            min_seek: seek,
+            max_seek: seek,
+            ..HddModel::default()
+        };
+        SimDevice::new(name, model, 1 << 30, time_scale)
+    }
+
     #[test]
-    fn scaled_sleep_is_roughly_proportional() {
-        // Eight scattered 4 KiB reads on the physical HDD model: ~5 ms of
-        // modeled seek + rotation each and no data handling to speak of,
-        // so wall time is the scaled sleeps plus their overshoot — about
-        // half the modeled time at scale 0.5. A sleep is never short, so
-        // the lower bound holds on every attempt; a busy host only makes
-        // sleeps longer, so the upper bound takes the best of three.
-        let dev = SimDevice::new("hdd0", HddModel::sata_7200(), 1 << 30, 0.5);
-        let mut best_ratio = f64::INFINITY;
-        for attempt in 0..3u64 {
-            let before = dev.stats().busy();
-            let t0 = Instant::now();
-            for i in 0..8u64 {
-                dev.read_at(((attempt * 8 + i) * 37 % 16) << 26, 4096).unwrap();
-            }
-            let wall = t0.elapsed();
-            let modeled = dev.stats().busy() - before;
-            assert!(wall >= modeled.mul_f64(0.4), "wall {wall:?} vs modeled {modeled:?}");
-            best_ratio = best_ratio.min(wall.as_secs_f64() / modeled.as_secs_f64());
+    fn back_to_back_bookings_chain() {
+        // Booking does not sleep, so the second request is booked long
+        // before the first completes: it queues behind it and completes
+        // exactly its scaled service time later (up to the scale's 1 ns
+        // rounding).
+        let dev = slow_hdd("hdd0", Duration::from_secs(10), 0.5);
+        let (_, first) = dev.submit_read(1 << 29, 4096).unwrap();
+        let busy = dev.stats().busy();
+        let (_, second) = dev.submit_read(0, 4096).unwrap();
+        let service = dev.stats().busy() - busy;
+        let gap = second - first;
+        let want = service.mul_f64(0.5);
+        assert!(gap.abs_diff(want) <= Duration::from_nanos(1), "gap {gap:?}, want {want:?}");
+    }
+
+    #[test]
+    fn an_idle_device_completes_one_service_after_arrival() {
+        let dev = slow_hdd("hdd0", Duration::from_secs(1), 1.0);
+        let before = Instant::now();
+        let (_, done) = dev.submit_read(1 << 29, 4096).unwrap();
+        let after = Instant::now();
+        let service = dev.stats().busy();
+        assert!(done >= before + service, "{:?} early", before + service - done);
+        assert!(done <= after + service, "{:?} late", done - (after + service));
+    }
+
+    #[test]
+    fn read_at_never_returns_before_its_instant() {
+        // Each request completes a service after it is booked, and the
+        // next is booked only once `read_at` returned: the wall time of the
+        // loop is at least the modeled time at scale 1.
+        let dev = SimDevice::new("ssd0", crate::model::SsdModel::default(), 1 << 30, 1.0);
+        let t0 = Instant::now();
+        for i in 0..8u64 {
+            dev.read_at((i * 37 % 16) << 20, 4096).unwrap();
         }
-        assert!(best_ratio < 2.0, "best wall/modeled = {best_ratio:.2}");
+        let wall = t0.elapsed();
+        let modeled = dev.stats().busy();
+        assert!(wall >= modeled, "wall {wall:?} vs modeled {modeled:?}");
     }
 
     #[test]

@@ -6,19 +6,24 @@
 //! The paper's experiments ran on real 7200 RPM SATA disks and an Intel
 //! X25-M SSD. To make the reproduction deterministic and host-independent,
 //! this crate provides *simulated* block devices whose service times follow
-//! published device characteristics and are realized with real sleeps —
-//! so a thread doing simulated I/O genuinely leaves the CPU free for the
-//! compute stage, which is exactly the overlap PCP exploits.
+//! published device characteristics. A device books each request on its
+//! timeline and the caller sleeps to the booked completion with no lock
+//! held — so a thread doing simulated I/O genuinely leaves the CPU free for
+//! the compute stage, which is exactly the overlap PCP exploits.
 //!
 //! Layers, bottom to top:
 //!
 //! * [`model`] — [`LatencyModel`]s: [`HddModel`] (seek + rotation + media
 //!   rate + write buffer), [`SsdModel`] (access latency, internal-channel
 //!   parallelism, erase-penalty writes), [`NullModel`] (no latency).
-//! * [`device`] — [`BlockDevice`] trait and [`SimDevice`], an in-memory
-//!   sparse backing store behind a per-device service lock (one "disk arm").
-//! * [`raid`] — [`Raid0`], striping across k devices with parallel chunk
-//!   service, as the paper builds with the Linux `md` driver for S-PPCP.
+//! * [`device`] — [`BlockDevice`] trait (a non-blocking `submit_read` /
+//!   `submit_write` pair that returns each request's completion instant,
+//!   and the `read_at` / `write_at` that sleep to it) and [`SimDevice`], an
+//!   in-memory sparse backing store with one timeline (one "disk arm").
+//! * [`raid`] — [`Raid0`], striping across k devices whose timelines serve
+//!   their shares in parallel, as the paper builds with the Linux `md`
+//!   driver for S-PPCP.
+//! * [`trace`] — [`TraceDevice`], a wrapper that records every request.
 //! * [`env`](mod@env) + [`sim_env`] / [`std_env`] — the filesystem abstraction the
 //!   LSM engine programs against (create/append/read/rename/delete), with a
 //!   simulated implementation backed by a [`BlockDevice`] plus extent

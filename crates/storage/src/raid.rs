@@ -3,16 +3,16 @@
 //! For S-PPCP the paper builds a RAID0 array with the Linux `md` driver so
 //! that Step 1 and Step 7 of different sub-tasks land on different spindles.
 //! [`Raid0`] reproduces that: a logical request is split at stripe-unit
-//! boundaries, the per-device segments are serviced concurrently (scoped
-//! threads — each segment sleeps on its own device's service lock), and the
-//! logical request completes when the slowest segment does.
+//! boundaries, each member books its share on its own timeline, so the
+//! members serve their shares concurrently, and the logical request
+//! completes when the latest member's share does.
 
-use crate::device::BlockDevice;
+use crate::device::{check_bounds, BlockDevice};
 use crate::stats::DeviceStats;
 use crate::DeviceRef;
 use bytes::Bytes;
 use std::io;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A RAID0 (striping, no redundancy) array of homogeneous devices.
 pub struct Raid0 {
@@ -70,7 +70,7 @@ impl Raid0 {
     }
 
     /// Maps `[offset, offset+len)` in the logical address space onto
-    /// per-device segments, in logical order.
+    /// per-device segments, in logical order. The range must be in bounds.
     fn map(&self, offset: u64, len: usize) -> Vec<Segment> {
         let k = self.devices.len() as u64;
         let mut segments = Vec::new();
@@ -98,12 +98,13 @@ impl Raid0 {
     /// layer's request merging, without which concurrent lanes (S-PPCP)
     /// would interleave stripe-sized requests into head-thrashing on
     /// seek-bound members.
-    fn device_plan(&self, segments: &[Segment]) -> Vec<(usize, u64, usize, Vec<Segment>)> {
-        let mut plan: Vec<(usize, u64, usize, Vec<Segment>)> = Vec::new();
-        for d in 0..self.devices.len() {
+    fn device_plan(&self, offset: u64, len: usize) -> Vec<MemberSpan> {
+        let segments = self.map(offset, len);
+        let mut plan = Vec::new();
+        for device in 0..self.devices.len() {
             let chunks: Vec<Segment> = segments
                 .iter()
-                .filter(|s| s.device == d)
+                .filter(|s| s.device == device)
                 .copied()
                 .collect();
             let (Some(start), Some(end)) = (
@@ -117,106 +118,69 @@ impl Raid0 {
                 chunks.iter().map(|c| c.len).sum::<usize>(),
                 "device span must be dense"
             );
-            plan.push((d, start, (end - start) as usize, chunks));
+            plan.push(MemberSpan {
+                device,
+                start,
+                len: (end - start) as usize,
+                chunks,
+            });
         }
         plan
     }
+}
 
-    /// Runs `f` once per member device touched by the plan, concurrently
-    /// (each member sleeps on its own service lock).
-    #[expect(
-        clippy::expect_used,
-        reason = "`f` returns its I/O errors; a panic in it is a bug, re-raised here as \
-                  `thread::scope` would"
-    )]
-    fn for_each_device<F>(
-        &self,
-        plan: &[(usize, u64, usize, Vec<Segment>)],
-        f: F,
-    ) -> io::Result<()>
-    where
-        F: Fn(usize, &(usize, u64, usize, Vec<Segment>)) -> io::Result<()> + Sync + Send,
-    {
-        if plan.len() <= 1 {
-            for (i, entry) in plan.iter().enumerate() {
-                f(i, entry)?;
-            }
-            return Ok(());
-        }
-        let mut result: io::Result<()> = Ok(());
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .iter()
-                .enumerate()
-                .map(|(i, entry)| scope.spawn(move || f(i, entry)))
-                .collect();
-            for h in handles {
-                let r = crate::blocking::wait("thread join", || h.join())
-                    .expect("raid worker panicked");
-                if r.is_err() && result.is_ok() {
-                    result = r;
-                }
-            }
-        });
-        result
+/// One member's share of a logical request: a dense span on the member,
+/// and the chunks that scatter it into (or gather it from) the buffer.
+struct MemberSpan {
+    device: usize,
+    start: u64,
+    len: usize,
+    chunks: Vec<Segment>,
+}
+
+impl MemberSpan {
+    /// The byte range of `chunk` within this span.
+    fn within(&self, chunk: &Segment) -> std::ops::Range<usize> {
+        let s0 = (chunk.dev_offset - self.start) as usize;
+        s0..s0 + chunk.len
     }
 }
 
-
 impl BlockDevice for Raid0 {
-    #[expect(
-        clippy::expect_used,
-        reason = "`for_each_device` returned `Ok`, so every member's closure stored its span"
-    )]
-    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
-        let segments = self.map(offset, len);
-        let plan = self.device_plan(&segments);
-        let parts: Vec<parking_lot::Mutex<Option<Bytes>>> =
-            plan.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        let t0 = Instant::now();
-        self.for_each_device(&plan, |i, (d, start, span_len, _)| {
-            let data = self.devices[*d].read_at(*start, *span_len)?;
-            *parts[i].lock() = Some(data);
-            Ok(())
-        })?;
+    /// Books each member's span and completes with the latest of them. The
+    /// array's busy time is that span, from arrival to the latest member's
+    /// completion.
+    fn submit_read(&self, offset: u64, len: usize) -> io::Result<(Bytes, Instant)> {
+        check_bounds(&self.name, self.capacity(), offset, len)?;
+        let arrival = Instant::now();
+        let mut done = arrival;
         let mut buf = vec![0u8; len];
-        for ((_, start, _, chunks), part) in plan.iter().zip(&parts) {
-            let span = part.lock().take().expect("span read completed");
-            for c in chunks {
-                let s0 = (c.dev_offset - start) as usize;
-                buf[c.buf_offset..c.buf_offset + c.len]
-                    .copy_from_slice(&span[s0..s0 + c.len]);
+        for span in self.device_plan(offset, len) {
+            let (data, at) = self.devices[span.device].submit_read(span.start, span.len)?;
+            done = done.max(at);
+            for c in &span.chunks {
+                buf[c.buf_offset..c.buf_offset + c.len].copy_from_slice(&data[span.within(c)]);
             }
         }
         self.stats
-            .record_read(len as u64, t0.elapsed(), std::time::Duration::ZERO);
-        Ok(Bytes::from(buf))
+            .record_read(len as u64, done.duration_since(arrival), Duration::ZERO);
+        Ok((Bytes::from(buf), done))
     }
 
-    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let segments = self.map(offset, data.len());
-        let plan = self.device_plan(&segments);
-        // Gather each member's chunks into one dense span buffer.
-        let spans: Vec<Vec<u8>> = plan
-            .iter()
-            .map(|(_, start, span_len, chunks)| {
-                let mut span = vec![0u8; *span_len];
-                for c in chunks {
-                    let s0 = (c.dev_offset - start) as usize;
-                    span[s0..s0 + c.len]
-                        .copy_from_slice(&data[c.buf_offset..c.buf_offset + c.len]);
-                }
-                span
-            })
-            .collect();
-        let t0 = Instant::now();
-        self.for_each_device(&plan, |i, (d, start, _, _)| {
-            self.devices[*d].write_at(*start, &spans[i])
-        })?;
+    fn submit_write(&self, offset: u64, data: &[u8]) -> io::Result<Instant> {
+        check_bounds(&self.name, self.capacity(), offset, data.len())?;
+        let arrival = Instant::now();
+        let mut done = arrival;
+        for span in self.device_plan(offset, data.len()) {
+            let mut gathered = vec![0u8; span.len];
+            for c in &span.chunks {
+                gathered[span.within(c)].copy_from_slice(&data[c.buf_offset..c.buf_offset + c.len]);
+            }
+            done = done.max(self.devices[span.device].submit_write(span.start, &gathered)?);
+        }
         self.stats
-            .record_write(data.len() as u64, t0.elapsed(), std::time::Duration::ZERO);
-        Ok(())
+            .record_write(data.len() as u64, done.duration_since(arrival), Duration::ZERO);
+        Ok(done)
     }
 
     fn capacity(&self) -> u64 {
@@ -299,47 +263,44 @@ mod tests {
     }
 
     #[test]
-    fn parallel_stripes_overlap_their_sleeps() {
-        // Two HDD-modeled members at real time: a 2-stripe read should take
-        // about one stripe's time, not two.
-        let mk = |n: &str| {
-            Arc::new(SimDevice::new(
-                n,
-                HddModel {
-                    min_seek: std::time::Duration::from_millis(20),
-                    max_seek: std::time::Duration::from_millis(20),
-                    ..HddModel::default()
-                },
-                1 << 30,
-                1.0,
-            )) as DeviceRef
-        };
-        let raid = Raid0::new("r", vec![mk("a"), mk("b")], 512 * 1024);
-        // 1 MiB = one stripe per member: each member sleeps ~25 ms (a
-        // 20 ms seek dominates) while the data handled stays small, so
-        // overlap must show over thread-spawn and copy overhead.
-        // Wall-clock timing on a noisy host: accept the best of three.
-        let mut best_ratio = f64::INFINITY;
-        for attempt in 0..3 {
-            let before: std::time::Duration =
-                raid.members().iter().map(|d| d.stats().busy()).sum();
-            let t0 = Instant::now();
-            raid.read_at((attempt as u64) * (8 << 20), 1 << 20).unwrap();
-            let wall = t0.elapsed();
-            let serial: std::time::Duration = raid
-                .members()
-                .iter()
-                .map(|d| d.stats().busy())
-                .sum::<std::time::Duration>()
-                - before;
-            best_ratio = best_ratio.min(wall.as_secs_f64() / serial.as_secs_f64());
+    fn out_of_bounds_is_rejected() {
+        let raid = mem_array(2, 4096);
+        let cap = raid.capacity();
+        for (offset, len) in [(u64::MAX - 5, 16), (cap - 8, 16), (cap, 1)] {
+            let read = raid.read_at(offset, len).unwrap_err();
+            assert_eq!(read.kind(), io::ErrorKind::InvalidInput, "read [{offset}, +{len})");
+            let write = raid.write_at(offset, &vec![0u8; len]).unwrap_err();
+            assert_eq!(write.kind(), io::ErrorKind::InvalidInput, "write [{offset}, +{len})");
         }
-        // Without overlap, wall ≥ serial (ratio ≥ 1.0 plus sleep
-        // overshoot); any ratio below 1 proves the stripes overlapped.
-        // 0.95 leaves margin for vCPU-steal-inflated sleeps.
-        assert!(
-            best_ratio < 0.95,
-            "parallel stripes never overlapped: best wall/serial = {best_ratio:.2}"
-        );
+        assert_eq!(raid.members()[0].stats().snapshot().read_ops, 0, "no member touched");
+        // Exactly at capacity is fine.
+        raid.write_at(cap - 16, &[1u8; 16]).unwrap();
+    }
+
+    #[test]
+    fn the_array_completes_with_its_latest_member() {
+        // Two members with different seeks: a request striped over both
+        // completes when the slower member's share does (the max of their
+        // service times, not the sum), and the array is busy for that span.
+        let mk = |n: &str, seek_secs| {
+            let model = HddModel {
+                min_seek: Duration::from_secs(seek_secs),
+                max_seek: Duration::from_secs(seek_secs),
+                ..HddModel::default()
+            };
+            Arc::new(SimDevice::new(n, model, 1 << 30, 1.0)) as DeviceRef
+        };
+        let raid = Raid0::new("r", vec![mk("a", 2), mk("b", 3)], 512 * 1024);
+        let before = Instant::now();
+        // 256 MiB in: each member's share is 128 MiB from its head.
+        let (_, done) = raid.submit_read(1 << 28, 1 << 20).unwrap();
+        let after = Instant::now();
+        let slowest = raid.members().iter().map(|d| d.stats().busy()).max().unwrap();
+        let total: Duration = raid.members().iter().map(|d| d.stats().busy()).sum();
+        assert!(total > slowest + Duration::from_secs(1), "both members served a share");
+        assert!(done >= before + slowest, "{:?} early", before + slowest - done);
+        assert!(done <= after + slowest, "{:?} late", done - (after + slowest));
+        let busy = raid.stats().busy();
+        assert!(busy >= slowest && busy <= slowest + (after - before), "array busy {busy:?}");
     }
 }

@@ -17,8 +17,9 @@ pub struct DeviceStats {
     read_bytes: AtomicU64,
     write_ops: AtomicU64,
     write_bytes: AtomicU64,
-    /// Modeled device busy time, nanoseconds. With `time_scale == 1` this
-    /// is (approximately) the wall time spent inside the service lock.
+    /// Busy time, nanoseconds: for a device, the sum of its requests'
+    /// modeled service times; for a RAID0 array, the sum of its requests'
+    /// wall spans from arrival to the latest member's completion.
     busy_nanos: AtomicU64,
     /// Modeled seek/access overhead within `busy_nanos`, nanoseconds.
     seek_nanos: AtomicU64,
@@ -129,8 +130,9 @@ impl DeviceStats {
 /// atomics, read at scrape time); the latency histograms are shared by
 /// `Arc`, so the registry sees every sample the device records. Works for
 /// any [`BlockDevice`](crate::BlockDevice) — [`SimDevice`](crate::SimDevice),
-/// [`Raid0`](crate::Raid0) (whose array-level stats aggregate its members),
-/// or a trace wrapper.
+/// [`Raid0`](crate::Raid0) (whose array-level stats count logical requests,
+/// busy for each from its arrival to its latest member's completion; its
+/// members keep their own stats), or a trace wrapper.
 pub fn register_device_metrics(
     registry: &pcp_obs::Registry,
     label: &str,

@@ -1,10 +1,10 @@
 //! I/O-tracing device wrapper.
 //!
-//! [`TraceDevice`] records every request against the wrapped device —
-//! direction, offset, length, and modeled service time — so experiments
-//! can assert *what I/O actually happened* (e.g. "PCP issues one read per
-//! sub-task per run", "compaction writes are sequential") rather than
-//! inferring it from aggregate counters.
+//! [`TraceDevice`] records every request booked on the wrapped device —
+//! direction, offset and length — so experiments can assert *what I/O
+//! actually happened* (e.g. "PCP issues one read per sub-task per run",
+//! "compaction writes are sequential") rather than inferring it from
+//! aggregate counters.
 
 use crate::device::BlockDevice;
 use crate::model::IoKind;
@@ -21,8 +21,6 @@ pub struct TraceRecord {
     pub kind: IoKind,
     pub offset: u64,
     pub len: usize,
-    /// Wall-clock service duration (includes queueing on the device lock).
-    pub service_nanos: u64,
 }
 
 /// A [`BlockDevice`] decorator that records the request stream.
@@ -49,7 +47,7 @@ impl TraceDevice {
         }
     }
 
-    /// Snapshot of the recorded requests, in completion order.
+    /// Snapshot of the recorded requests, in booking order.
     pub fn trace(&self) -> Vec<TraceRecord> {
         self.trace.lock().clone()
     }
@@ -102,28 +100,24 @@ impl TraceDevice {
 }
 
 impl BlockDevice for TraceDevice {
-    fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
-        let t0 = Instant::now();
-        let out = self.inner.read_at(offset, len)?;
+    fn submit_read(&self, offset: u64, len: usize) -> io::Result<(Bytes, Instant)> {
+        let booked = self.inner.submit_read(offset, len)?;
         self.trace.lock().push(TraceRecord {
             kind: IoKind::Read,
             offset,
             len,
-            service_nanos: t0.elapsed().as_nanos() as u64,
         });
-        Ok(out)
+        Ok(booked)
     }
 
-    fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let t0 = Instant::now();
-        self.inner.write_at(offset, data)?;
+    fn submit_write(&self, offset: u64, data: &[u8]) -> io::Result<Instant> {
+        let done = self.inner.submit_write(offset, data)?;
         self.trace.lock().push(TraceRecord {
             kind: IoKind::Write,
             offset,
             len: data.len(),
-            service_nanos: t0.elapsed().as_nanos() as u64,
         });
-        Ok(())
+        Ok(done)
     }
 
     fn capacity(&self) -> u64 {

@@ -5,8 +5,8 @@
 //! tests pin down its contract: consistent ordering stays silent, an
 //! inversion panics naming both lock sites; `Env` I/O under a lock panics
 //! naming where the lock was taken, and stays silent once the lock is
-//! released or built `held_across_blocking`; a condvar wait panics if it
-//! holds any lock besides the one it waits on.
+//! released or is an `RwLock` built `held_across_blocking`; a condvar wait
+//! panics if it holds any lock besides the one it waits on.
 
 #![cfg(feature = "lock_order")]
 
@@ -160,9 +160,7 @@ fn env_io_after_unlocking_or_under_an_exempt_lock_stays_silent() {
     *guard += 1;
     drop(guard);
 
-    let device = Mutex::held_across_blocking((), "the test's device model");
     let snapshot = RwLock::held_across_blocking((), "the test's consistent cut");
-    let _d = device.lock();
     let _s = snapshot.read();
     let f = env.open("000001.log").unwrap();
     assert_eq!(&f.read_at(0, 6).unwrap()[..], b"record");
