@@ -557,6 +557,7 @@ mod tests {
         let mut broken = data.raw_blocks[0][0].to_vec();
         broken[0] ^= 0xFF;
         data.raw_blocks[0][0] = Bytes::from(broken);
-        assert!(compute_subtask(data, &cfg(), &profile).is_err());
+        let err = compute_subtask(data, &cfg(), &profile).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 }

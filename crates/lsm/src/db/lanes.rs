@@ -290,14 +290,7 @@ impl DbInner {
                     ],
                 );
                 let open = |metas: &[Arc<FileMetadata>]| -> io::Result<Vec<_>> {
-                    metas
-                        .iter()
-                        .map(|m| {
-                            self.cache
-                                .get(m.number)
-                                .map_err(|e| io::Error::other(e.to_string()))
-                        })
-                        .collect()
+                    metas.iter().map(|m| self.cache.get(m.number)).collect()
                 };
                 // The unlocked window: input-table opens (device reads only
                 // for a table found at open) and the merge itself, whose

@@ -82,15 +82,16 @@ fn write_level0(
         Ok(mut tables) => Ok(tables.pop()),
         Err(e) => {
             sink.abort();
-            Err(e.into())
+            Err(e)
         }
     }
 }
 
-/// Retry policy for transient I/O failures in the WAL and the background
-/// flush/compaction paths. Non-transient failures are never retried; they
-/// latch the background-error state (see [`Db::health`]).
-const RETRY: RetryPolicy = RetryPolicy {
+/// Retry policy for transient I/O failures in the WAL, the background
+/// flush/compaction paths and [`crate::repair`]. Non-transient failures are
+/// never retried; they latch the background-error state (see
+/// [`Db::health`]).
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 4,
     base_backoff: Duration::from_millis(1),
     max_backoff: Duration::from_millis(50),

@@ -36,11 +36,6 @@ pub struct Options {
     /// field to pin one shape (e.g. `PipelinedExec::pcp`, or
     /// `PipelinedExec::s_ppcp` over a striped env).
     pub executor: Arc<dyn CompactionExec>,
-    /// Directory this database lives in, for constructors that build their
-    /// own [`pcp_storage::StdFsEnv`] (e.g. a sharded engine stamping one
-    /// subdirectory per shard). [`Db::open`](super::Db::open) itself takes
-    /// an explicit env and treats this field as advisory.
-    pub dir: Option<std::path::PathBuf>,
     /// Shared admission gate bounding how many databases compact at once
     /// and handing each admitted compaction an equal share of the
     /// stage-worker budget (see [`crate::CompactionLimiter`]). `None` means
@@ -60,36 +55,12 @@ impl Default for Options {
             sync_writes: false,
             block_cache_bytes: 0,
             executor: Arc::new(pcp_core::PipelinedExec::default()),
-            dir: None,
             compaction_limiter: None,
         }
     }
 }
 
 impl Options {
-    /// Default options rooted at `dir` (see [`Options::dir`]).
-    pub fn with_dir(dir: impl Into<std::path::PathBuf>) -> Options {
-        Options {
-            dir: Some(dir.into()),
-            ..Options::default()
-        }
-    }
-
-    /// A copy of these options rebased into the subdirectory `name` of
-    /// [`Options::dir`] — how a sharded engine stamps per-shard
-    /// directories without hand-cloning every field.
-    ///
-    /// # Panics
-    /// Panics if `dir` is unset.
-    #[expect(clippy::expect_used, reason = "the documented `# Panics` contract")]
-    pub fn in_subdir(&self, name: impl AsRef<std::path::Path>) -> Options {
-        let base = self.dir.as_ref().expect("Options::dir is unset");
-        Options {
-            dir: Some(base.join(name)),
-            ..self.clone()
-        }
-    }
-
     pub(super) fn table_opts(&self) -> TableBuilderOptions {
         TableBuilderOptions {
             block_size: self.block_bytes,

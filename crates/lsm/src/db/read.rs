@@ -150,16 +150,9 @@ impl DbInner {
         target: &[u8],
         key: &[u8],
     ) -> io::Result<Option<Option<Vec<u8>>>> {
-        let table = self
-            .cache
-            .get(number)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        let hit = table
-            .get(target)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        if let Some((ikey, value)) = hit {
+        if let Some((ikey, value)) = self.cache.get(number)?.get(target)? {
             let parsed = parse_internal_key(&ikey)
-                .ok_or_else(|| io::Error::other("malformed key in table"))?;
+                .ok_or_else(|| pcp_sstable::corruption("malformed key in table"))?;
             if parsed.user_key == key {
                 return Ok(Some(match parsed.value_type {
                     ValueType::Value => Some(value),

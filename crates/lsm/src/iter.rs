@@ -6,7 +6,7 @@ use pcp_compaction::TableCache;
 use pcp_sstable::key::{
     internal_key_cmp, lookup_key, parse_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE,
 };
-use pcp_sstable::{KvIter, MergingIter, TableError, TableIter};
+use pcp_sstable::{copy_status, KvIter, MergingIter, TableIter};
 use std::cmp::Ordering;
 use std::io;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ pub struct LevelIter {
     table_iter: Option<TableIter>,
     /// A table that could not be opened ends the run here, like a failed
     /// block load ends a [`TableIter`].
-    opened: Result<(), TableError>,
+    opened: io::Result<()>,
 }
 
 impl LevelIter {
@@ -123,8 +123,8 @@ impl KvIter for LevelIter {
         self.table_iter.as_ref().expect("valid").value()
     }
 
-    fn status(&self) -> Result<(), TableError> {
-        self.opened.clone()?;
+    fn status(&self) -> io::Result<()> {
+        copy_status(&self.opened)?;
         self.table_iter.as_ref().map_or(Ok(()), |t| t.status())
     }
 }
@@ -197,7 +197,7 @@ impl DbIter {
     /// The read error that ended the scan early, if one did: a cursor that
     /// is `!valid()` has seen every live key only when this is `Ok`.
     pub fn status(&self) -> io::Result<()> {
-        self.merged.status().map_err(io::Error::from)
+        self.merged.status()
     }
 
     /// Current user key.

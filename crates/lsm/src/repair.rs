@@ -6,7 +6,8 @@
 //! 1. scan the directory for `.sst` files; open each, recover its key
 //!    range and entry count from its own index, and verify every block's
 //!    checksum;
-//! 2. quarantine unreadable tables by renaming them to `NNNNNN.sst.bad`;
+//! 2. quarantine corrupt or permanently unreadable tables by renaming them
+//!    to `NNNNNN.sst.bad` (a transient fault is retried first);
 //! 3. discard the old CURRENT/MANIFEST and write a fresh manifest placing
 //!    every recovered table in **level 0** — always safe, since L0 files
 //!    may overlap, and the usual compaction machinery re-levels the data;
@@ -14,13 +15,14 @@
 //!    [`crate::Db::open`] replays all of them (sequence numbers decide
 //!    winners, so replay over recovered tables is idempotent).
 
+use crate::db::RETRY;
 use crate::edit::VersionEdit;
 use crate::version::FileMetadata;
 use crate::version_set::VersionSet;
 use pcp_compaction::filename::{parse_file_name, FileKind, CURRENT};
 use pcp_sstable::key::parse_internal_key;
 use pcp_sstable::{KvIter, TableReader};
-use pcp_storage::EnvRef;
+use pcp_storage::{with_retry, EnvRef};
 use std::io;
 use std::sync::Arc;
 
@@ -39,9 +41,7 @@ pub struct RepairReport {
 
 /// Fully scans `table` (verifying every block checksum via the normal
 /// read path) and returns (smallest, largest, entries, max_sequence).
-fn scan_table(
-    table: &Arc<TableReader>,
-) -> Result<(Vec<u8>, Vec<u8>, u64, u64), pcp_sstable::TableError> {
+fn scan_table(table: &Arc<TableReader>) -> io::Result<(Vec<u8>, Vec<u8>, u64, u64)> {
     let mut it = table.iter();
     it.seek_to_first();
     let mut smallest = Vec::new();
@@ -62,7 +62,7 @@ fn scan_table(
     }
     it.status()?;
     if entries == 0 {
-        return Err(pcp_sstable::TableError::Corruption("empty table".into()));
+        return Err(pcp_sstable::corruption("empty table"));
     }
     Ok((smallest, largest, entries, max_seq))
 }
@@ -91,12 +91,12 @@ pub fn repair(env: EnvRef) -> io::Result<RepairReport> {
     names.sort();
     for (number, name) in names {
         max_file_number = max_file_number.max(number);
-        let result = env
-            .open(&name)
-            .map_err(pcp_sstable::TableError::Io)
-            .and_then(TableReader::open)
-            .map(Arc::new)
-            .and_then(|t| scan_table(&t).map(|meta| (t, meta)));
+        // A transient fault is retried like anywhere else in the engine;
+        // only corruption and permanent errors quarantine a table.
+        let result = with_retry(&RETRY, || {
+            let table = Arc::new(TableReader::open(env.open(&name)?)?);
+            scan_table(&table).map(|meta| (table, meta))
+        });
         match result {
             Ok((table, (smallest, largest, entries, max_seq))) => {
                 report.recovered_tables += 1;
@@ -141,18 +141,17 @@ pub fn repair(env: EnvRef) -> io::Result<RepairReport> {
     Ok(report)
 }
 
-/// Convenience check used by tests: true if `name` looks like a
-/// quarantined table.
-pub fn is_quarantined(name: &str) -> bool {
-    name.ends_with(".sst.bad")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::db::{Db, Options};
     use pcp_compaction::filename::manifest_file;
     use pcp_storage::{SimDevice, SimEnv};
+
+    /// True if `name` looks like a quarantined table.
+    fn is_quarantined(name: &str) -> bool {
+        name.ends_with(".sst.bad")
+    }
 
     fn env() -> EnvRef {
         Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))))

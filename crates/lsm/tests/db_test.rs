@@ -549,11 +549,13 @@ fn blocks_of_a_retired_or_unknown_kind_are_refused_as_corruption() {
         let refused = format!("corruption: bad kind byte {kind}");
         let err = db.get(b"key000000").unwrap_err();
         assert!(err.to_string().contains(&refused), "get: {err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "get: {err}");
         let mut it = db.iter();
         it.seek_to_first();
         assert!(!it.valid());
         let err = it.status().unwrap_err();
         assert!(err.to_string().contains(&refused), "scan: {err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "scan: {err}");
         let report = db.verify_integrity().unwrap();
         assert!(
             report.errors.iter().any(|e| e.contains(&refused)),

@@ -28,6 +28,7 @@ use pcp_lsm::{
 };
 use pcp_storage::{EnvRef, StdFsEnv};
 use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Aggregated health over every shard (see [`pcp_lsm::DbHealth`]).
@@ -87,26 +88,17 @@ impl std::fmt::Debug for ShardedDb {
 
 impl ShardedDb {
     /// Opens (creating or recovering) one database per shard in
-    /// subdirectories `shard-000`, `shard-001`, … of `base.dir`, on real
-    /// files ([`StdFsEnv`]).
-    ///
-    /// Requires `base.dir` (see [`Options::with_dir`]).
-    pub fn open(base: Options, router: Arc<dyn Router>) -> io::Result<ShardedDb> {
-        if base.dir.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "ShardedDb::open needs Options::with_dir; \
-                 use open_with_envs for explicit environments",
-            ));
-        }
+    /// subdirectories `shard-000`, `shard-001`, … of `dir`, on real files
+    /// ([`StdFsEnv`]).
+    pub fn open(
+        dir: impl AsRef<Path>,
+        base: Options,
+        router: Arc<dyn Router>,
+    ) -> io::Result<ShardedDb> {
         let envs = (0..router.shards())
             .map(|i| {
-                let opts = base.in_subdir(format!("shard-{i:03}"));
-                let dir = opts.dir.as_ref().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "shard subdirectory unset")
-                })?;
-                let env: EnvRef = Arc::new(StdFsEnv::new(dir)?);
-                Ok(env)
+                let shard_dir = dir.as_ref().join(format!("shard-{i:03}"));
+                Ok(Arc::new(StdFsEnv::new(shard_dir)?) as EnvRef)
             })
             .collect::<io::Result<Vec<_>>>()?;
         Self::open_with_envs(envs, base, router)
@@ -135,13 +127,9 @@ impl ShardedDb {
             .unwrap_or_else(|| CompactionLimiter::for_shards(n));
         let shards = envs
             .into_iter()
-            .enumerate()
-            .map(|(i, env)| {
+            .map(|env| {
                 let mut opts = base.clone();
                 opts.compaction_limiter = Some(Arc::clone(&limiter));
-                if opts.dir.is_some() {
-                    opts = opts.in_subdir(format!("shard-{i:03}"));
-                }
                 Db::open(env, opts)
             })
             .collect::<io::Result<Vec<_>>>()?;

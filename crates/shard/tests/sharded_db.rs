@@ -1,12 +1,12 @@
 //! ShardedDb acceptance tests: observable equivalence to a single `Db`,
 //! snapshot atomicity of cross-shard batches, per-shard health
 //! attribution under injected faults, compaction admission capping, and
-//! real-filesystem open/reopen through `Options::with_dir`.
+//! real-filesystem open/reopen through `ShardedDb::open`.
 
 #![allow(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "test harness: checks `Options::with_dir` against the real filesystem"
+    reason = "test harness: checks `ShardedDb::open` against the real filesystem"
 )]
 
 use pcp_lsm::{CompactionLimiter, CompactionPolicy, Db, Options, WriteBatch};
@@ -307,8 +307,8 @@ fn compaction_limiter_caps_concurrent_shards() {
     });
 }
 
-/// `Options::with_dir` + `ShardedDb::open`: per-shard subdirectories on a
-/// real filesystem, surviving close and reopen.
+/// `ShardedDb::open`: per-shard subdirectories of its directory on a real
+/// filesystem, surviving close and reopen.
 #[test]
 fn open_with_dir_persists_across_reopen() {
     let dir = std::env::temp_dir().join(format!("pcp-shard-reopen-{}", std::process::id()));
@@ -317,9 +317,10 @@ fn open_with_dir_persists_across_reopen() {
     let mut model = BTreeMap::new();
     {
         let db = ShardedDb::open(
+            &dir,
             Options {
                 sync_writes: true,
-                ..Options::with_dir(&dir)
+                ..Options::default()
             },
             Arc::new(HashRouter::new(3)),
         )
@@ -339,7 +340,7 @@ fn open_with_dir_persists_across_reopen() {
         );
     }
     {
-        let db = ShardedDb::open(Options::with_dir(&dir), Arc::new(HashRouter::new(3))).unwrap();
+        let db = ShardedDb::open(&dir, Options::default(), Arc::new(HashRouter::new(3))).unwrap();
         let scanned: BTreeMap<Vec<u8>, Vec<u8>> = full_scan(&db).into_iter().collect();
         assert_eq!(scanned, model, "reopened engine lost or mangled data");
     }
@@ -456,8 +457,6 @@ fn one_merge_reads_each_shard_at_its_own_sequence() {
 /// Constructor misuse is rejected, not mis-sharded.
 #[test]
 fn constructor_validation() {
-    let err = ShardedDb::open(Options::default(), Arc::new(HashRouter::new(2))).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     let err = ShardedDb::open_with_envs(
         vec![mem_env()],
         Options::default(),

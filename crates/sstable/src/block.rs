@@ -16,7 +16,7 @@
 
 use crate::bloom::BloomFilter;
 use crate::key::{internal_key_cmp, user_key};
-use crate::{Result, TableError};
+use crate::{corruption, Result};
 use bytes::Bytes;
 use std::cmp::Ordering;
 
@@ -198,17 +198,17 @@ impl Block {
     /// Wraps serialized block contents (uncompressed, trailer-free).
     pub fn new(data: Bytes) -> Result<Block> {
         if data.len() < 4 {
-            return Err(TableError::Corruption("block shorter than trailer".into()));
+            return Err(corruption("block shorter than trailer"));
         }
         let n = pcp_codec::read_u32_le(&data, data.len() - 4)
-            .ok_or_else(|| TableError::Corruption("block shorter than trailer".into()))?
+            .ok_or_else(|| corruption("block shorter than trailer"))?
             as usize;
         let restarts_offset = data
             .len()
             .checked_sub(4 + n * 4)
-            .ok_or_else(|| TableError::Corruption("restart array overruns block".into()))?;
+            .ok_or_else(|| corruption("restart array overruns block"))?;
         if n == 0 {
-            return Err(TableError::Corruption("block with zero restarts".into()));
+            return Err(corruption("block with zero restarts"));
         }
         Ok(Block {
             data,

@@ -6,7 +6,7 @@
 //! tables and leveled runs into one sorted stream.
 
 use crate::key::internal_key_cmp;
-use crate::Result;
+use crate::{copy_status, Result};
 use std::cmp::Ordering;
 
 /// A positional cursor over sorted key-value entries.
@@ -210,7 +210,7 @@ impl KvIter for MergingIter {
     }
 
     fn status(&self) -> Result<()> {
-        self.status.clone()
+        copy_status(&self.status)
     }
 }
 
@@ -229,7 +229,7 @@ pub fn collect_remaining(it: &mut dyn KvIter) -> Vec<(Vec<u8>, Vec<u8>)> {
 mod tests {
     use super::*;
     use crate::key::{lookup_key, make_internal_key, user_key, ValueType, MAX_SEQUENCE};
-    use crate::TableError;
+    use crate::corruption;
 
     /// One version of each user key, all at sequence 1.
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -326,7 +326,7 @@ mod tests {
             if self.0.valid() {
                 Ok(())
             } else {
-                Err(TableError::Corruption("unreadable".into()))
+                Err(corruption("unreadable"))
             }
         }
     }
@@ -344,7 +344,7 @@ mod tests {
             .map(|(k, _)| user_key(&k).to_vec())
             .collect();
         assert_eq!(keys, [b"a", b"b", b"c", b"d"]);
-        assert!(matches!(m.status(), Err(TableError::Corruption(_))));
+        assert_eq!(m.status().unwrap_err().kind(), std::io::ErrorKind::InvalidData);
         // The error lasts until the next seek.
         m.seek(&at("a"));
         assert!(m.valid() && m.status().is_ok());

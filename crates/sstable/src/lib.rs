@@ -17,14 +17,19 @@
 //! * [`block`] — block builder/reader with restart-point prefix
 //!   compression, and [`BlockCutter`], the one rule for where a data block
 //!   ends.
-//! * [`readahead`] — scan readahead: once a cursor runs sequentially, it
-//!   reads its next blocks in one growing span on its own thread.
+//! * [`readahead`] — scan readahead: a cursor reads each block-cache miss
+//!   as one span of consecutive blocks, on the caller's thread.
 //! * [`bloom`] — per-table bloom filter.
 //! * [`table`] — [`TableBuilder`] / [`TableReader`]. A builder takes
 //!   entries or sealed blocks, and appends both as sealed blocks; a reader
 //!   serves keys, scans and the raw blocks compaction reads.
 //! * [`iter`] — the [`KvIter`] trait and the merging iterator used by
 //!   compaction step S4 and by scans.
+//!
+//! Errors are [`std::io::Error`]s: the device's, passed through with their
+//! kind so the engine can tell a transient fault from a permanent one, or
+//! the layer's own [`corruption`] (`ErrorKind::InvalidData`), which step S2
+//! and every decoder return for bytes they cannot trust.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -51,53 +56,25 @@ pub use table::{
     TableMeta, TableReader, TableStats,
 };
 
-/// Errors from decoding table structures.
-#[derive(Debug)]
-pub enum TableError {
-    /// Underlying I/O failed.
-    Io(std::io::Error),
-    /// A block failed its CRC check (step S2 would reject it).
-    Corruption(String),
+/// Result alias for table operations. The table layer's errors are the
+/// device's [`std::io::Error`]s, kind intact, so the engine decides
+/// whether to retry one from its kind alone; a table the layer cannot
+/// decode is a [`corruption`].
+pub type Result<T> = std::io::Result<T>;
+
+/// A table the layer cannot decode — a failed checksum (step S2), an
+/// unknown kind byte, a bad handle, a short read: `ErrorKind::InvalidData`,
+/// never retried, with the message prefixed `corruption: `.
+pub fn corruption(what: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("corruption: {what}"))
 }
 
-impl std::fmt::Display for TableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableError::Io(e) => write!(f, "io error: {e}"),
-            TableError::Corruption(m) => write!(f, "corruption: {m}"),
-        }
+/// A copy of a cursor's stored status. `io::Error` is not `Clone`; the copy
+/// keeps the kind and the message, which is all [`KvIter::status`] has to
+/// report more than once.
+pub fn copy_status(status: &Result<()>) -> Result<()> {
+    match status {
+        Ok(()) => Ok(()),
+        Err(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
     }
 }
-
-impl std::error::Error for TableError {}
-
-impl From<std::io::Error> for TableError {
-    fn from(e: std::io::Error) -> Self {
-        TableError::Io(e)
-    }
-}
-
-/// Keeps the `ErrorKind` of an I/O failure — retry classification depends
-/// on it surviving the executor and iterator boundaries.
-impl From<TableError> for std::io::Error {
-    fn from(e: TableError) -> Self {
-        match e {
-            TableError::Io(e) => e,
-            other => std::io::Error::other(other.to_string()),
-        }
-    }
-}
-
-/// `io::Error` is not `Clone`; the copy keeps its kind and message, which
-/// is all an iterator's [`KvIter::status`] has to report more than once.
-impl Clone for TableError {
-    fn clone(&self) -> Self {
-        match self {
-            TableError::Io(e) => TableError::Io(std::io::Error::new(e.kind(), e.to_string())),
-            TableError::Corruption(m) => TableError::Corruption(m.clone()),
-        }
-    }
-}
-
-/// Result alias for table operations.
-pub type Result<T> = std::result::Result<T, TableError>;

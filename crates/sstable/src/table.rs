@@ -38,7 +38,7 @@ use crate::cache::BlockCache;
 use crate::iter::KvIter;
 use crate::key::user_key;
 use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS};
-use crate::{Result, TableError};
+use crate::{copy_status, corruption, Result};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
 use pcp_storage::{RandomReadFile, ReadClass, WritableFile};
@@ -90,9 +90,9 @@ impl BlockHandle {
     /// Decodes a handle, returning it and the bytes consumed.
     pub fn decode(input: &[u8]) -> Result<(BlockHandle, usize)> {
         let (offset, n1) = pcp_codec::decode_u64(input)
-            .map_err(|e| TableError::Corruption(format!("bad handle: {e}")))?;
+            .map_err(|e| corruption(format!("bad handle: {e}")))?;
         let (size, n2) = pcp_codec::decode_u64(&input[n1..])
-            .map_err(|e| TableError::Corruption(format!("bad handle: {e}")))?;
+            .map_err(|e| corruption(format!("bad handle: {e}")))?;
         Ok((BlockHandle { offset, size }, n1 + n2))
     }
 
@@ -194,21 +194,18 @@ impl TableMeta {
     /// Reads and verifies a table's metadata in two reads: the footer, then
     /// the one span that holds filter ‖ index ‖ properties.
     pub fn read(file: &dyn RandomReadFile) -> Result<TableMeta> {
-        let corrupt = |what: &str| TableError::Corruption(what.into());
         let len = file.len();
         let footer_at = len
             .checked_sub(FOOTER_SIZE as u64)
-            .ok_or_else(|| corrupt("file shorter than footer"))?;
+            .ok_or_else(|| corruption("file shorter than footer"))?;
         let footer = file.read_at(footer_at, FOOTER_SIZE)?;
         if footer.len() != FOOTER_SIZE {
-            return Err(corrupt("short footer read"));
+            return Err(corruption("short footer read"));
         }
         let magic = pcp_codec::read_u64_le(&footer, FOOTER_SIZE - 8)
-            .ok_or_else(|| corrupt("short footer read"))?;
+            .ok_or_else(|| corruption("short footer read"))?;
         if magic != TABLE_MAGIC {
-            return Err(TableError::Corruption(format!(
-                "bad table magic {magic:#x}"
-            )));
+            return Err(corruption(format!("bad table magic {magic:#x}")));
         }
         let (filter_handle, n1) = BlockHandle::decode(&footer)?;
         let (index_handle, n2) = BlockHandle::decode(&footer[n1..])?;
@@ -219,17 +216,17 @@ impl TableMeta {
         let end = props_handle
             .stored_end()
             .filter(|&end| start <= end && end <= footer_at)
-            .ok_or_else(|| corrupt("metadata handles outside the table"))?;
+            .ok_or_else(|| corruption("metadata handles outside the table"))?;
         let tail = file.read_at(start, (end - start) as usize)?;
         if tail.len() as u64 != end - start {
-            return Err(corrupt("short metadata read"));
+            return Err(corruption("short metadata read"));
         }
         // Steps S2+S3 on one block of the span.
         let block = |h: BlockHandle| -> Result<Vec<u8>> {
             let raw = (h.offset.checked_sub(start))
                 .zip(h.stored_end())
                 .and_then(|(from, to)| tail.get(from as usize..(to - start) as usize))
-                .ok_or_else(|| corrupt("metadata block outside its span"))?;
+                .ok_or_else(|| corruption("metadata block outside its span"))?;
             TableReader::decode_raw(raw)
         };
 
@@ -237,7 +234,7 @@ impl TableMeta {
         let bloom = if has_filter {
             Some(
                 BloomFilter::decode(&block(filter_handle)?)
-                    .ok_or_else(|| corrupt("undecodable bloom filter"))?,
+                    .ok_or_else(|| corruption("undecodable bloom filter"))?,
             )
         } else {
             None
@@ -245,7 +242,7 @@ impl TableMeta {
         let props = block(props_handle)?;
         let prop = |at: usize| {
             pcp_codec::decode_u64(&props[at..])
-                .map_err(|e| TableError::Corruption(format!("props: {e}")))
+                .map_err(|e| corruption(format!("props: {e}")))
         };
         let (entries, n1) = prop(0)?;
         let (data_blocks, n2) = prop(n1)?;
@@ -294,20 +291,20 @@ pub fn make_trailer(payload: &[u8], kind: CompressionKind) -> [u8; BLOCK_TRAILER
 /// the payload slice and its compression kind.
 pub fn verify_block(raw: &[u8]) -> Result<(&[u8], CompressionKind)> {
     if raw.len() < BLOCK_TRAILER_SIZE {
-        return Err(TableError::Corruption("block shorter than trailer".into()));
+        return Err(corruption("block shorter than trailer"));
     }
     let (payload, trailer) = raw.split_at(raw.len() - BLOCK_TRAILER_SIZE);
     let kind = CompressionKind::from_u8(trailer[0])
-        .ok_or_else(|| TableError::Corruption(format!("bad kind byte {}", trailer[0])))?;
+        .ok_or_else(|| corruption(format!("bad kind byte {}", trailer[0])))?;
     let stored = unmask_crc(
         pcp_codec::read_u32_le(trailer, 1)
-            .ok_or_else(|| TableError::Corruption("block trailer too short".into()))?,
+            .ok_or_else(|| corruption("block trailer too short"))?,
     );
     let mut crc = pcp_codec::Crc32c::new();
     crc.update(payload);
     crc.update(&[kind as u8]);
     if crc.finalize() != stored {
-        return Err(TableError::Corruption("block checksum mismatch".into()));
+        return Err(corruption("block checksum mismatch"));
     }
     Ok((payload, kind))
 }
@@ -319,7 +316,7 @@ pub fn decompress_block(payload: &[u8], kind: CompressionKind) -> Result<Vec<u8>
         CompressionKind::Lz => {
             let mut out = Vec::new();
             lz::decompress(payload, &mut out)
-                .map_err(|e| TableError::Corruption(format!("decompress: {e}")))?;
+                .map_err(|e| corruption(format!("decompress: {e}")))?;
             Ok(out)
         }
     }
@@ -615,10 +612,10 @@ impl TableReader {
         let len = last
             .stored_end()
             .and_then(|end| end.checked_sub(first.offset))
-            .ok_or_else(|| TableError::Corruption("block span ends before it starts".into()))?;
+            .ok_or_else(|| corruption("block span ends before it starts"))?;
         let raw = self.file.read_at_class(first.offset, len as usize, class)?;
         if raw.len() as u64 != len {
-            return Err(TableError::Corruption("short block read".into()));
+            return Err(corruption("short block read"));
         }
         Ok(raw)
     }
@@ -669,7 +666,7 @@ impl TableReader {
     }
 
     fn decode_index_value(last_key: &[u8], value: &[u8]) -> Result<BlockMeta> {
-        let corrupt = |what: &str| TableError::Corruption(format!("index value: {what}"));
+        let corrupt = |what: &str| corruption(format!("index value: {what}"));
         let (handle, n) = BlockHandle::decode(value)?;
         handle
             .stored_end()
@@ -785,7 +782,7 @@ impl TableIter {
         self.span
             .insert(span)
             .take(first)
-            .ok_or_else(|| TableError::Corruption("block outside its span".into()))
+            .ok_or_else(|| corruption("block outside its span"))
     }
 
     /// Loads the block the index cursor points at (`None` past its end):
@@ -876,7 +873,7 @@ impl KvIter for TableIter {
     }
 
     fn status(&self) -> Result<()> {
-        self.status.clone()
+        copy_status(&self.status)
     }
 }
 
@@ -1033,10 +1030,8 @@ mod tests {
         let raw = reader.read_raw_block(metas[0].handle).unwrap();
         let mut corrupt = raw.to_vec();
         corrupt[0] ^= 0x01;
-        assert!(matches!(
-            verify_block(&corrupt),
-            Err(TableError::Corruption(_))
-        ));
+        let err = verify_block(&corrupt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         // Flipping a trailer bit is also caught.
         let mut corrupt = raw.to_vec();
         let last = corrupt.len() - 1;
@@ -1375,7 +1370,7 @@ mod tests {
             pcp_codec::put_u64(&mut value, first_key_len);
             pcp_codec::put_u64(&mut value, 1);
             let err = TableReader::decode_index_value(b"k", &value).unwrap_err();
-            assert!(matches!(err, TableError::Corruption(_)), "{err}");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
     }
 
@@ -1424,7 +1419,7 @@ mod tests {
         w.append(&bytes).unwrap();
         w.sync().unwrap();
         let err = TableReader::open(env.open("bad.sst").unwrap()).unwrap_err();
-        assert!(matches!(err, TableError::Corruption(_)), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn open_engine(dir: Option<&str>) -> Arc<ShardedDb> {
     match dir {
         Some(dir) => {
             // Real files: one subdirectory per shard under `dir`.
-            Arc::new(ShardedDb::open(Options::with_dir(dir), router).unwrap())
+            Arc::new(ShardedDb::open(dir, Options::default(), router).unwrap())
         }
         None => {
             let envs: Vec<EnvRef> = (0..SHARDS)

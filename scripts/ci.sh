@@ -70,8 +70,8 @@ lane "scripts/bench_gain.py --check bench_results/trajectory.jsonl (the committe
     python3 scripts/bench_gain.py --check bench_results/trajectory.jsonl
 lane "git status -- BENCHMARK.json benchmark/ (the benchmark is untouched: an engine change may not edit it, nor may building it rewrite its Cargo.lock)" \
     benchmark_untouched
-lane "cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header)" \
-    cargo clippy --workspace --all-targets -- -D warnings
+lane "cargo clippy -- -D warnings (also L1-L3: clippy.toml plus each crate root's lint header; no incremental cache, whose stale entries can crash clippy on correct code)" \
+    env CARGO_INCREMENTAL=0 cargo clippy --workspace --all-targets -- -D warnings
 lane "cargo doc --no-deps (rustdoc warnings are errors)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

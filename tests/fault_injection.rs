@@ -16,6 +16,8 @@
 //! * A **scan** that cannot read a table stops there and says so through
 //!   `status()`: what it yielded is a prefix of the data, never the data
 //!   with a hole in it.
+//! * A transient fault on a table open keeps its `ErrorKind` through every
+//!   layer: a compaction and `repair` retry it, a `get` returns it.
 
 use pcp::compaction::SimpleMergeExec;
 use pcp::core::PipelinedExec;
@@ -581,4 +583,73 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
     assert!(db.put(b"late", b"refused").is_err());
     assert_eq!(db.level_summary()[0].0, 1);
     assert_eq!(dump(&db), model);
+}
+
+/// Three rounds of 2000 puts on 64 KiB memtables, each round flushed, on
+/// `env`; the store is closed, so the next open finds every table cold.
+/// Returns the keys.
+fn fill_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
+    let opts = Options { memtable_bytes: 64 << 10, ..Options::default() };
+    let db = Db::open(Arc::clone(env), opts).unwrap();
+    let mut keys = Vec::new();
+    for round in 0..3u32 {
+        for i in 0..2000u32 {
+            let k = format!("k{round}-{:05}", (i * 7919) % 2000).into_bytes();
+            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+            keys.push(k);
+        }
+        db.flush().unwrap();
+    }
+    db.wait_idle().unwrap();
+    keys
+}
+
+/// A cold store on a fault env whose next `.sst` open fails once,
+/// transiently.
+fn cold_db_with_one_transient_open() -> (Db, FaultEnv, Vec<Vec<u8>>) {
+    let fault = FaultEnv::new(mem_env(), 31);
+    let env: EnvRef = Arc::new(fault.clone());
+    let keys = fill_and_close(&env);
+    let db = Db::open(env, Options { memtable_bytes: 64 << 10, ..Options::default() }).unwrap();
+    fault.schedule_on_file(FaultOp::Open, 1, FaultKind::Transient, ".sst");
+    (db, fault, keys)
+}
+
+/// A transient fault on opening a compaction input keeps its kind up to
+/// the compaction lane, which retries the merge like any other transient
+/// failure instead of latching a background error.
+#[test]
+fn transient_open_of_a_compaction_input_is_retried() {
+    let (db, fault, keys) = cold_db_with_one_transient_open();
+    db.compact_range(None, None).unwrap();
+    assert_eq!(fault.stats().transient, 1, "the fault never fired");
+    assert!(matches!(db.health(), DbHealth::Ok), "{:?}", db.health());
+    assert_eq!(dump(&db).into_keys().count(), keys.len());
+}
+
+/// A transient fault on a `get`'s table open reaches the caller with its
+/// kind, so the caller can tell it from corruption and retry.
+#[test]
+fn transient_open_on_a_get_keeps_its_kind() {
+    let (db, _fault, keys) = cold_db_with_one_transient_open();
+    let err = db.get(&keys[0]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::Interrupted, "{err}");
+    assert!(db.get(&keys[0]).unwrap().is_some());
+}
+
+/// `repair` retries a table whose open fails transiently instead of
+/// quarantining a healthy table.
+#[test]
+fn repair_retries_a_transient_open() {
+    let fault = FaultEnv::new(mem_env(), 32);
+    let env: EnvRef = Arc::new(fault.clone());
+    let keys = fill_and_close(&env);
+    let tables = sst_files(&env).len();
+    fault.schedule_on_file(FaultOp::Open, 1, FaultKind::Transient, ".sst");
+    let report = pcp::lsm::repair(Arc::clone(&env)).unwrap();
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    assert_eq!(report.recovered_tables as usize, tables);
+    assert_eq!(fault.stats().transient, 1, "the fault never fired");
+    let db = Db::open(env, Options::default()).unwrap();
+    assert_eq!(dump(&db).into_keys().count(), keys.len());
 }
