@@ -81,7 +81,7 @@ impl DbInner {
     /// table (or the error).
     fn job_done(&self, st: &mut MutexGuard<'_, State>, result: io::Result<()>) {
         if let Err(e) = result {
-            self.latch_error(st, e.to_string());
+            self.latch_error(st, e);
         }
         self.done_cv.notify_all();
         self.work_cv.notify_all();

@@ -19,8 +19,6 @@ pub struct Metrics {
     pub stall_events: AtomicU64,
     /// Total time writers spent stalled, nanoseconds.
     pub stall_nanos: AtomicU64,
-    /// Writes delayed by the L0 slowdown trigger.
-    pub slowdown_events: AtomicU64,
     /// Memtable flushes completed.
     pub flush_count: AtomicU64,
     /// SSTable bytes written by flushes.
@@ -81,7 +79,9 @@ pub struct MetricsSnapshot {
     pub stall_events: u64,
     /// Total time writers spent stalled.
     pub stall_time: Duration,
-    /// Writes delayed by the L0 slowdown trigger.
+    /// Retired: always 0. No write is delayed short of a stall
+    /// ([`MetricsSnapshot::stall_events`]); the field stays for readers
+    /// that still sum it.
     pub slowdown_events: u64,
     /// Memtable flushes completed.
     pub flush_count: u64,
@@ -139,7 +139,7 @@ impl Db {
             gets: m.gets.load(AtomicOrdering::Relaxed),
             stall_events: m.stall_events.load(AtomicOrdering::Relaxed),
             stall_time: Duration::from_nanos(m.stall_nanos.load(AtomicOrdering::Relaxed)),
-            slowdown_events: m.slowdown_events.load(AtomicOrdering::Relaxed),
+            slowdown_events: 0,
             flush_count: m.flush_count.load(AtomicOrdering::Relaxed),
             flush_bytes: m.flush_bytes.load(AtomicOrdering::Relaxed),
             compaction_count: m.compaction_count.load(AtomicOrdering::Relaxed),
@@ -188,7 +188,7 @@ impl Db {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         type Getter = fn(&Metrics) -> u64;
-        let counters: [(&str, &str, Getter); 18] = [
+        let counters: [(&str, &str, Getter); 17] = [
             ("pcp_engine_puts_total", "write operations accepted", |m| {
                 m.puts.load(AtomicOrdering::Relaxed)
             }),
@@ -200,9 +200,6 @@ impl Db {
             }),
             ("pcp_engine_stall_nanoseconds_total", "time writers spent stalled", |m| {
                 m.stall_nanos.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_slowdown_events_total", "writes delayed by the L0 slowdown trigger", |m| {
-                m.slowdown_events.load(AtomicOrdering::Relaxed)
             }),
             ("pcp_engine_flushes_total", "memtable flushes completed", |m| {
                 m.flush_count.load(AtomicOrdering::Relaxed)

@@ -123,14 +123,16 @@ struct State {
     /// A [`Db::compact_range`] level the compaction lane runs ahead of its
     /// own picks; its poster clears it once `done`.
     manual: Option<ManualCompaction>,
-    bg_error: Option<String>,
+    /// The first non-transient background failure; every later caller
+    /// gets a copy of its kind and message.
+    bg_error: Option<io::Error>,
     snapshots: BTreeMap<u64, usize>,
     /// FIFO of writers awaiting commit; the front entry's owner is the
     /// group leader.
     write_queue: std::collections::VecDeque<PendingWrite>,
-    /// Results for completed followers, keyed by ticket. `Err` carries the
-    /// message of the group's WAL failure (io::Error is not Clone).
-    write_results: std::collections::HashMap<u64, Result<(), String>>,
+    /// Results for completed followers, keyed by ticket: each a copy of
+    /// the group's outcome.
+    write_results: std::collections::HashMap<u64, io::Result<()>>,
     next_ticket: u64,
 }
 
@@ -438,7 +440,7 @@ impl Db {
     /// error has been latched (see [`DbHealth`]).
     pub fn health(&self) -> DbHealth {
         match &self.inner.state.lock().bg_error {
-            Some(e) => DbHealth::BackgroundError(e.clone()),
+            Some(e) => DbHealth::BackgroundError(e.to_string()),
             None => DbHealth::Ok,
         }
     }
@@ -590,11 +592,10 @@ impl Db {
         }
         let _ = writeln!(
             out,
-            "  writes: {} puts, {} stalls ({:.1} ms), {} slowdowns",
+            "  writes: {} puts, {} stalls ({:.1} ms)",
             m.puts,
             m.stall_events,
             m.stall_time.as_secs_f64() * 1e3,
-            m.slowdown_events
         );
         let _ = writeln!(
             out,
@@ -657,15 +658,15 @@ impl Drop for Db {
 impl DbInner {
     fn check_bg_error(&self, st: &State) -> io::Result<()> {
         match &st.bg_error {
-            Some(e) => Err(io::Error::other(e.clone())),
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
             None => Ok(()),
         }
     }
 
     /// Latches the first non-transient failure — later ones keep it — and
     /// wakes everyone waiting for background progress that will not come.
-    fn latch_error(&self, st: &mut State, message: String) {
-        st.bg_error.get_or_insert(message);
+    fn latch_error(&self, st: &mut State, e: io::Error) {
+        st.bg_error.get_or_insert(e);
         self.done_cv.notify_all();
     }
 
@@ -674,6 +675,6 @@ impl DbInner {
     /// every subsequent write is rejected instead of silently diverging
     /// from the log.
     fn latch_wal_failure(&self, st: &mut State, e: &io::Error) {
-        self.latch_error(st, format!("wal write failed: {e}"));
+        self.latch_error(st, io::Error::new(e.kind(), format!("wal write failed: {e}")));
     }
 }

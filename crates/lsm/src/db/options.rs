@@ -21,9 +21,9 @@ pub struct Options {
     pub block_bytes: usize,
     /// Compress data blocks (paper: snappy on).
     pub compression: bool,
-    /// Compaction trigger thresholds. Level 0 at twice `l0_trigger` tables
-    /// also slows each write by 1 ms, and at three times stops writers
-    /// until compaction catches up.
+    /// Compaction trigger thresholds. Level 0 at three times `l0_trigger`
+    /// tables also stops a writer that needs a new memtable until
+    /// compaction catches up, the only level-0 back-pressure.
     pub policy: CompactionPolicy,
     /// Sync the WAL on every write.
     pub sync_writes: bool,

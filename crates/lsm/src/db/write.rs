@@ -1,5 +1,5 @@
 //! The write path: group commit through the WAL, write back-pressure
-//! (slowdown, stall) and memtable rotation — every one of them the turn of
+//! (the stall) and memtable rotation — every one of them the turn of
 //! the writer at the queue front.
 
 use super::{Db, DbInner, State, WriteBatch, RETRY};
@@ -7,11 +7,10 @@ use crate::memtable::Memtable;
 use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
 use pcp_compaction::filename::wal_file;
-use pcp_storage::blocking::sleep;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One queued writer. The batch is `Some` until a leader claims it into a
 /// commit group, and `None` from the start for a forced rotation
@@ -88,7 +87,7 @@ impl DbInner {
         loop {
             if let Some(result) = st.write_results.remove(&ticket) {
                 // A leader committed (or failed) our batch for us.
-                return result.map_err(io::Error::other);
+                return result;
             }
             if st.write_queue.front().is_some_and(|w| w.ticket == ticket) {
                 break; // queue front: our turn
@@ -175,8 +174,9 @@ impl DbInner {
         if let Err(e) = wal_result {
             // Every writer in the failed group gets the error.
             self.latch_wal_failure(st, &e);
-            self.finish_group(st, &group, leader_ticket, Err(e.to_string()));
-            return Err(e);
+            let failed = Err(e);
+            self.finish_group(st, &group, leader_ticket, &failed);
+            return failed;
         }
         // Publish: memtable inserts and the sequence bump happen back under
         // the lock, so rotation/flush can never split a group between a
@@ -192,7 +192,7 @@ impl DbInner {
             .group_commits
             .fetch_add(1, AtomicOrdering::Relaxed);
         self.group_commit_writers.record(group.len() as u64);
-        self.finish_group(st, &group, leader_ticket, Ok(()));
+        self.finish_group(st, &group, leader_ticket, &Ok(()));
         Ok(())
     }
 
@@ -220,40 +220,27 @@ impl DbInner {
         st: &mut MutexGuard<'_, State>,
         group: &[(u64, WriteBatch)],
         leader_ticket: u64,
-        result: Result<(), String>,
+        result: &io::Result<()>,
     ) {
         for (ticket, _) in group {
             let w = st.write_queue.pop_front().expect("group member queued");
             debug_assert_eq!(w.ticket, *ticket);
             if *ticket != leader_ticket {
-                st.write_results.insert(*ticket, result.clone());
+                st.write_results.insert(*ticket, pcp_sstable::copy_status(result));
             }
         }
         self.writers_cv.notify_all();
     }
 
-    /// Ensures the memtable has room, applying slowdown/stall policy:
-    /// level 0 at twice `l0_trigger` tables slows each write once, at three
-    /// times stops a writer that needs a new memtable (LevelDB's 4 / 8 / 12).
-    /// A forced rotation ([`Db::flush`]) is neither slowed nor stopped: it
-    /// waits out a pending `imm` without counting a stall and rotates a
-    /// non-empty memtable.
+    /// Ensures the memtable has room, stopping a writer that needs a new
+    /// memtable while the previous one is still flushing or while level 0
+    /// holds three times `l0_trigger` tables (LevelDB's 12 for 4); the
+    /// flush or install that frees it wakes it. A forced rotation
+    /// ([`Db::flush`]) is not stopped: it waits out a pending `imm` without
+    /// counting a stall and rotates a non-empty memtable.
     fn make_room_for_write(&self, st: &mut MutexGuard<'_, State>, force: bool) -> io::Result<()> {
-        let l0_trigger = self.opts.policy.l0_trigger;
-        let mut slowdown_done = force;
         loop {
             self.check_bg_error(st)?;
-            let l0_files = st.versions.current().level_files(0);
-            if !slowdown_done && (2 * l0_trigger..3 * l0_trigger).contains(&l0_files) {
-                // Gentle backpressure: hand the compaction lane 1 ms of
-                // this writer's time, once per write.
-                slowdown_done = true;
-                self.metrics
-                    .slowdown_events
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                MutexGuard::unlocked(st, || sleep(Duration::from_millis(1)));
-                continue;
-            }
             let full = st.mem.approximate_bytes() >= self.opts.memtable_bytes;
             if st.mem.is_empty() || !(force || full) {
                 return Ok(());
@@ -268,7 +255,7 @@ impl DbInner {
                 }
                 continue;
             }
-            if !force && l0_files >= 3 * l0_trigger {
+            if !force && st.versions.current().level_files(0) >= 3 * self.opts.policy.l0_trigger {
                 self.stall_wait(st, StallCause::L0Stop);
                 continue;
             }
@@ -316,6 +303,7 @@ mod tests {
         Env, EnvRef, FaultEnv, FaultKind, FaultOp, RandomReadFile, SimDevice, SimEnv,
         WritableFile,
     };
+    use std::time::Duration;
     // The gate is test scaffolding outside the engine's lock graph.
     use std::sync::{mpsc, Mutex};
 

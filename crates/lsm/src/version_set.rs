@@ -27,7 +27,8 @@ use std::sync::{Arc, Weak};
 /// Thresholds steering when and what to compact.
 #[derive(Debug, Clone)]
 pub struct CompactionPolicy {
-    /// L0 file count that makes level 0 eligible.
+    /// L0 file count that makes level 0 eligible; at three times it,
+    /// writers stop until a merge drains level 0.
     pub l0_trigger: usize,
     /// Byte budget of level 1.
     pub base_level_bytes: u64,

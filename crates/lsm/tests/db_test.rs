@@ -1,9 +1,12 @@
 //! End-to-end engine tests over a RAM-backed simulated filesystem.
 
-use pcp_lsm::{CompactionPolicy, Db, Options, WriteBatch};
+use pcp_compaction::SimpleMergeExec;
+use pcp_lsm::{
+    CompactionExec, CompactionPolicy, CompactionRequest, Db, FileMetadata, Options, WriteBatch,
+};
 use pcp_sstable::BlockHandle;
 use pcp_storage::{EnvRef, SimDevice, SimEnv};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn ram_env() -> EnvRef {
     Arc::new(SimEnv::new(Arc::new(SimDevice::mem(2 << 30))))
@@ -299,10 +302,38 @@ fn sequence_numbers_monotone_across_recovery() {
     );
 }
 
+/// Runs [`SimpleMergeExec`] only once [`ParkedExec::release`] is called,
+/// so a test can hold every merge back.
+#[derive(Default)]
+struct ParkedExec {
+    released: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl ParkedExec {
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+}
+
+impl CompactionExec for ParkedExec {
+    fn name(&self) -> &'static str {
+        "parked"
+    }
+
+    fn compact(&self, req: &CompactionRequest) -> pcp_sstable::Result<Vec<Arc<FileMetadata>>> {
+        drop(self.cv.wait_while(self.released.lock().unwrap(), |r| !*r).unwrap());
+        SimpleMergeExec.compact(req)
+    }
+}
+
 #[test]
 fn write_stalls_are_recorded_under_pressure() {
-    // Tiny memtable + aggressive load: writers must hit the slowdown or
-    // stall path while the compaction lane catches up.
+    // Tiny memtable, merges held back: level 0 reaches the stop (3 ×
+    // `l0_trigger` tables) and the writer has to wait for the compaction
+    // lane.
+    let exec = Arc::new(ParkedExec::default());
     let opts = Options {
         memtable_bytes: 16 << 10,
         sstable_bytes: 16 << 10,
@@ -311,18 +342,25 @@ fn write_stalls_are_recorded_under_pressure() {
             base_level_bytes: 32 << 10,
             level_multiplier: 10,
         },
+        executor: exec.clone(),
         ..Default::default()
     };
     let db = Db::open(ram_env(), opts).unwrap();
-    for i in 0..3000 {
-        db.put(format!("key{i:06}").as_bytes(), &[0u8; 100]).unwrap();
-    }
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            for i in 0..3000 {
+                db.put(format!("key{i:06}").as_bytes(), &[0u8; 100]).unwrap();
+            }
+        });
+        while db.metrics().stall_events == 0 {
+            std::thread::yield_now();
+        }
+        exec.release();
+        writer.join().unwrap();
+    });
     db.wait_idle().unwrap();
     let m = db.metrics();
-    assert!(
-        m.slowdown_events + m.stall_events > 0,
-        "backpressure should have engaged: {m:?}"
-    );
+    assert!(m.stall_events > 0, "backpressure should have engaged: {m:?}");
     // And everything is still readable.
     assert_eq!(db.get(b"key000000").unwrap(), Some(vec![0u8; 100]));
     assert_eq!(db.get(b"key002999").unwrap(), Some(vec![0u8; 100]));

@@ -418,7 +418,6 @@ fn merge_metrics(total: &mut MetricsSnapshot, m: &MetricsSnapshot) {
     total.gets += m.gets;
     total.stall_events += m.stall_events;
     total.stall_time += m.stall_time;
-    total.slowdown_events += m.slowdown_events;
     total.flush_count += m.flush_count;
     total.flush_bytes += m.flush_bytes;
     total.compaction_count += m.compaction_count;

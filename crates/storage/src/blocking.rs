@@ -17,15 +17,15 @@ pub fn wait<R>(what: &str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Sleeps for `duration`: the one library sleep site, for backoffs, write
-/// pacing and the device model's service time.
+/// Sleeps for `duration`: the one library sleep site, for backoffs and the
+/// device model's service time.
 #[track_caller]
 pub fn sleep(duration: Duration) {
     parking_lot::check_blocking("sleep");
     #[expect(
         clippy::disallowed_methods,
-        reason = "the library's one sleep: backoff, write pacing and modelled device time, \
-                  each checked by the witness above"
+        reason = "the library's one sleep: backoff and modelled device time, each checked by \
+                  the witness above"
     )]
     std::thread::sleep(duration);
 }

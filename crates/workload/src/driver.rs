@@ -54,7 +54,6 @@ pub struct InsertReport {
     /// Writer stall count and total stalled time (write pauses).
     pub stall_events: u64,
     pub stall_time: Duration,
-    pub slowdown_events: u64,
     /// Compaction bandwidth over the run, bytes/second (Fig. 10b/e).
     pub compaction_bandwidth: f64,
     pub compaction_count: u64,
@@ -99,7 +98,6 @@ pub fn run_inserts<S: KvStore + ?Sized>(db: &S, cfg: &WorkloadConfig) -> io::Res
         sustained_iops: cfg.entries as f64 / (insert_wall + drain).as_secs_f64(),
         stall_events: after.stall_events - before.stall_events,
         stall_time: after.stall_time - before.stall_time,
-        slowdown_events: after.slowdown_events - before.slowdown_events,
         compaction_bandwidth: bandwidth,
         compaction_count: after.compaction_count - before.compaction_count,
         compaction_bytes,

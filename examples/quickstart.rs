@@ -75,10 +75,7 @@ fn main() -> std::io::Result<()> {
         (m.compaction_input_bytes + m.compaction_output_bytes) as f64 / 1048576.0,
         m.compaction_bandwidth() / 1048576.0
     );
-    println!(
-        "  write pauses: {} stalls, {} slowdowns",
-        m.stall_events, m.slowdown_events
-    );
+    println!("  write pauses: {} stalls", m.stall_events);
     println!("\nlevel summary (files, bytes):");
     for (level, (files, bytes)) in db.level_summary().iter().enumerate() {
         if *files > 0 {

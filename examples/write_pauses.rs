@@ -62,10 +62,9 @@ fn main() {
         println!("{name}:");
         println!("  insert throughput: {:8.0} ops/s", r.iops);
         println!(
-            "  write pauses:      {} stalls ({:.0} ms stalled), {} slowdowns",
+            "  write pauses:      {} stalls ({:.0} ms stalled)",
             r.stall_events,
             r.stall_time.as_secs_f64() * 1e3,
-            r.slowdown_events
         );
         println!(
             "  compaction:        {} runs, {:.1} MB moved at {:.1} MB/s\n",

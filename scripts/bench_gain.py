@@ -10,7 +10,11 @@ This prints what a *claim* needs (choosing-metrics §8): per workload and
 end-to-end metric, how many same-seed pairs the change won, both medians, and
 the parent's own quartile distance. A gain counts when the change wins at
 least nine tenths of the pairs (ties count for neither) and the medians
-differ by more than that distance.
+differ by more than that distance. The `sep` column says whether every
+change run reads better than every parent run: a row whose spread is wider
+than its bound is unresolved, not unchanged, unless it is separated so
+(choosing-metrics §6.5). It is printed only; the trajectory does not keep
+it.
 
 Below the end-to-end table, the per-layer rows every untraced run records
 (PER_LAYER) get the same columns, so a layer target is read off the same
@@ -76,7 +80,7 @@ def main():
     rows = {}
     for title, metrics in (("metric", spec["end_to_end"]), ("per-layer", per_layer)):
         print(f"{'workload':<12} {title:<19} {'win/tie/pairs':>13} {'base med':>10} "
-              f"{'change med':>10} {'gap':>8} {'base IQR':>9}  gain")
+              f"{'change med':>10} {'gap':>8} {'base IQR':>9}  gain  sep")
         for workload, paired in seeds.items():
             for metric in metrics:
                 entry = row(workload, paired, metric, base, change)
@@ -103,9 +107,11 @@ def row(workload, paired, metric, base, change):
         gain = "yes" if wins >= 0.9 * len(paired) and gap > iqr else "no"
     else:
         iqr, gain = float("nan"), "n/a"
+    # Separated: the change's worst run beats the parent's best.
+    sep = "yes" if min(sign * y for y in c) > max(sign * x for x in b) else "no"
     print(f"{workload:<12} {name:<19} {f'{wins}/{ties}/{len(paired)}':>13} "
           f"{statistics.median(b):>10.4g} {statistics.median(c):>10.4g} "
-          f"{gap:>+8.3g} {iqr:>9.3g}  {gain}")
+          f"{gap:>+8.3g} {iqr:>9.3g}  {gain:<4}  {sep}")
     # A pair whose base reads 0 has no ratio, unless both read 0.
     ratios = [y / x if x else 1.0 for x, y in zip(b, c) if x or not y]
     if not ratios or not statistics.median(b):

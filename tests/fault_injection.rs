@@ -17,7 +17,9 @@
 //!   `status()`: what it yielded is a prefix of the data, never the data
 //!   with a hole in it.
 //! * A transient fault on a table open keeps its `ErrorKind` through every
-//!   layer: a compaction and `repair` retry it, a `get` returns it.
+//!   layer: a compaction and `repair` retry it, a `get` returns it. A
+//!   latched background error keeps its kind too: corruption a merge meets
+//!   stays `InvalidData` for every caller the latch turns away.
 
 use pcp::compaction::SimpleMergeExec;
 use pcp::core::PipelinedExec;
@@ -434,6 +436,19 @@ fn load_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
     dump(&db).into_keys().collect()
 }
 
+/// Flips one bit in the middle (a data block) of every table in `env`.
+fn flip_a_bit_in_every_table(env: &EnvRef) {
+    for name in sst_files(env) {
+        let f = env.open(&name).unwrap();
+        let mut bytes = f.read_at(0, f.len() as usize).unwrap().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        let mut w = env.create(&name).unwrap();
+        w.append(&bytes).unwrap();
+        w.sync().unwrap();
+    }
+}
+
 /// The three ways a table can be unreadable — a failed device read, a
 /// flipped bit (checksum mismatch), a failed open — end a `Db::iter()`
 /// scan the same way: `!valid()`, `status()` is the error, and the keys
@@ -450,18 +465,7 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
             // scan's.
             fault.schedule_on_file(FaultOp::ReadAt, 9, FaultKind::Permanent, ".sst");
         }),
-        ("bit flip", |_, inner| {
-            // One bit in the middle (a data block) of every table.
-            for name in sst_files(inner) {
-                let f = inner.open(&name).unwrap();
-                let mut bytes = f.read_at(0, f.len() as usize).unwrap().to_vec();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x10;
-                let mut w = inner.create(&name).unwrap();
-                w.append(&bytes).unwrap();
-                w.sync().unwrap();
-            }
-        }),
+        ("bit flip", |_, inner| flip_a_bit_in_every_table(inner)),
         ("failed open", |fault, _| {
             fault.schedule_on_file(FaultOp::Open, 3, FaultKind::Permanent, ".sst");
         }),
@@ -652,4 +656,21 @@ fn repair_retries_a_transient_open() {
     assert_eq!(fault.stats().transient, 1, "the fault never fired");
     let db = Db::open(env, Options::default()).unwrap();
     assert_eq!(dump(&db).into_keys().count(), keys.len());
+}
+
+/// A latched background error keeps its kind: a merge that meets a corrupt
+/// table fails with `InvalidData`, and so does every write the latch turns
+/// away afterwards, as a caller that tells corruption from a device fault
+/// needs.
+#[test]
+fn a_latched_corruption_keeps_its_kind() {
+    let env = mem_env();
+    fill_and_close(&env);
+    flip_a_bit_in_every_table(&env);
+    let db = Db::open(env, Options { memtable_bytes: 64 << 10, ..Options::default() }).unwrap();
+    let err = db.compact_range(None, None).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(matches!(db.health(), DbHealth::BackgroundError(_)), "{:?}", db.health());
+    let err = db.put(b"k", b"v").unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }
