@@ -35,7 +35,7 @@ use crate::profile::{CompactionProfile, Step};
 use crate::steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask};
 use crossbeam::channel::{bounded, Receiver};
 use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata, OutputSink};
-use pcp_obs::TraceLog;
+use pcp_obs::{TraceKind, TraceLog};
 use pcp_sstable::{Result as TableResult, TableReader};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,7 +253,7 @@ impl PipelinedExec {
         Arc::clone(&self.profile)
     }
 
-    fn record(&self, kind: &'static str, fields: &[(&'static str, u64)]) {
+    fn record(&self, kind: TraceKind, fields: &[(&'static str, u64)]) {
         if let Some(t) = &self.trace {
             t.record(kind, fields);
         }
@@ -267,7 +267,7 @@ impl PipelinedExec {
         let choice = usize::from(width > 1); // index into CHOICE_LABELS
         choices[choice].fetch_add(1, Ordering::Relaxed);
         self.record(
-            "adaptive_choice",
+            TraceKind::AdaptiveChoice,
             &[
                 ("choice", choice as u64),
                 ("input_bytes", req.input_bytes()),
@@ -513,7 +513,7 @@ impl CompactionExec for PipelinedExec {
             start.push(("read_workers", read_workers as u64));
             start.push(("compute_workers", compute_workers as u64));
         }
-        self.record("compaction_start", &start);
+        self.record(TraceKind::CompactionStart, &start);
 
         let job = Job {
             readers: &readers,
@@ -540,7 +540,7 @@ impl CompactionExec for PipelinedExec {
                 let occ = self.profile.snapshot().delta(&before).occupancy();
                 self.profile.set_last_occupancy(&occ);
                 self.record(
-                    "compaction_done",
+                    TraceKind::CompactionDone,
                     &[
                         ("outputs", outputs.len() as u64),
                         ("wall_nanos", occ.wall.as_nanos() as u64),
@@ -555,7 +555,10 @@ impl CompactionExec for PipelinedExec {
                 // Sweep partial outputs so a failed compaction leaves no
                 // orphan tables behind.
                 let swept = writer.abort();
-                self.record("compaction_failed", &[("swept_outputs", swept as u64)]);
+                self.record(
+                    TraceKind::CompactionFailed,
+                    &[("swept_outputs", swept as u64)],
+                );
                 Err(e)
             }
         }

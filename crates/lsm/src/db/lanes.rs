@@ -226,7 +226,7 @@ impl DbInner {
             .flush_count
             .fetch_add(1, AtomicOrdering::Relaxed);
         self.trace.record(
-            "flush_done",
+            pcp_obs::TraceKind::FlushDone,
             &[
                 ("sst_bytes", sst_bytes),
                 ("entries", entries),
@@ -257,7 +257,7 @@ impl DbInner {
                     .trivial_moves
                     .fetch_add(1, AtomicOrdering::Relaxed);
                 self.trace.record(
-                    "trivial_move",
+                    pcp_obs::TraceKind::TrivialMove,
                     &[("level", level as u64), ("bytes", file.size)],
                 );
                 Ok(())
@@ -282,7 +282,7 @@ impl DbInner {
                     .unwrap_or_else(|| st.versions.last_sequence());
                 let file_numbers = st.versions.file_number_counter();
                 self.trace.record(
-                    "compaction_picked",
+                    pcp_obs::TraceKind::CompactionPicked,
                     &[
                         ("level", level as u64),
                         ("inputs_upper", inputs_upper.len() as u64),
@@ -375,7 +375,7 @@ impl DbInner {
                 self.metrics.level_compaction_output_bytes[level]
                     .fetch_add(output_bytes, AtomicOrdering::Relaxed);
                 self.trace.record(
-                    "compaction_installed",
+                    pcp_obs::TraceKind::CompactionInstalled,
                     &[
                         ("level", level as u64),
                         ("input_bytes", input_bytes),

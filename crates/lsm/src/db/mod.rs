@@ -330,9 +330,10 @@ impl Db {
                 .metrics
                 .wal_tail_corruptions
                 .store(tail_corruptions, AtomicOrdering::Relaxed);
-            inner
-                .trace
-                .record("wal_tail_corruption", &[("logs", tail_corruptions)]);
+            inner.trace.record(
+                pcp_obs::TraceKind::WalTailCorruption,
+                &[("logs", tail_corruptions)],
+            );
         }
         let plan = inner.state.lock().gc_plan();
         inner.delete_obsolete_files(&plan);

@@ -274,7 +274,7 @@ impl DbInner {
             .stall_nanos
             .fetch_add(waited.as_nanos() as u64, AtomicOrdering::Relaxed);
         self.trace.record(
-            "write_stall",
+            pcp_obs::TraceKind::WriteStall,
             &[
                 ("stall_nanos", waited.as_nanos() as u64),
                 ("cause", cause as u64),

@@ -45,4 +45,4 @@ pub mod trace;
 pub use expo::{validate_exposition, ExpoError};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{MetricsSnapshot, Registry, Sample, SampleValue};
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{TraceEvent, TraceKind, TraceLog};

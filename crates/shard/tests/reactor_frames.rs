@@ -10,7 +10,7 @@
 //! crate denies `clippy::unwrap_used` and friends), and one bad client
 //! must not take down the service.
 
-use pcp_shard::proto::{encode_frame, take_frame};
+use pcp_shard::proto::{encode_frame, take_frame, Request, Response};
 use pcp_shard::FrameDecoder;
 use proptest::prelude::*;
 
@@ -156,5 +156,26 @@ proptest! {
         }
         // Incremental and one-shot agree even on damaged input.
         prop_assert_eq!(got, frames);
+    }
+
+    /// Arbitrary bytes behind every opcode of either range never panic
+    /// either decoder: each refuses them as `InvalidData`, or decodes a
+    /// message that re-encodes to itself. Small bytes are drawn half the
+    /// time, so that length prefixes often fit and some payloads decode.
+    #[test]
+    fn arbitrary_payloads_decode_or_refuse(
+        body in prop::collection::vec(prop_oneof![any::<u8>(), 0u8..3], 0..12),
+    ) {
+        for opcode in (0x00u8..0x10).chain(0x80..0x90) {
+            let payload = [&[opcode][..], &body].concat();
+            match Request::decode(&payload) {
+                Ok(req) => prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req),
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            }
+            match Response::decode(&payload) {
+                Ok(resp) => prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp),
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            }
+        }
     }
 }

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, lint-clean under clippy, the
-# memtable's unit tests under AddressSanitizer when a nightly is installed.
+# Tier-1 gate: release build, full test suite (tests/contracts.rs among it:
+# the metrics, trace-kind and opcode contracts, no clock in model code, each
+# crate root's lint header), the same suites under the deadlock witness,
+# lint-clean under clippy, the memtable's unit tests under AddressSanitizer
+# when a nightly is installed.
 #   ./scripts/ci.sh                        the gate
 #   ./scripts/ci.sh --bench-compare <rev|dir>  the gate, then the benchmark against a base revision or checkout
 set -euo pipefail
@@ -44,10 +47,8 @@ lane "cargo build --release" \
     cargo build --release
 lane "cargo build --examples --release" \
     cargo build --examples --release
-lane "cargo test -q --workspace (every crate's unit, integration and e2e suites)" \
+lane "cargo test -q --workspace (every crate's unit, integration and e2e suites; tests/contracts.rs holds the docs-vs-code contracts)" \
     cargo test -q --workspace
-lane "cargo run -p pcp-lint --release (architectural lint, L4, L8; L1-L3 are the clippy lane's)" \
-    cargo run -q -p pcp-lint --release
 lane "vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a pcp_* crate)" \
     vendor_declares_no_dependencies
 # A witness violation on a background thread can surface only as a hang of
