@@ -26,27 +26,21 @@
 //! * [`pipeline`] — [`PipelinedExec`], the one compaction driver, whose
 //!   shape is data: sequential (SCP, the baseline), a 3-stage
 //!   read|compute|write pipeline of fixed widths (PCP, C-PPCP — k compute
-//!   workers with a resequencer — and S-PPCP — k read lanes over RAID0), or
-//!   the same pipeline with the compute width chosen per compaction (the
-//!   production default).
+//!   workers with a resequencer, the production default at the host's core
+//!   count — and S-PPCP — k read lanes over RAID0).
 //! * [`model`] — the closed-form bandwidth equations Eq. 1–7.
 //! * [`profile`] — per-step time accounting used by the paper's breakdown
 //!   figures (Fig. 5/8/9).
-//! * [`adaptive`] — [`compute_width`], the rule behind that choice: a pure
-//!   function of the previous compaction's occupancy and the scheduler's
-//!   resource grant.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod adaptive;
 pub mod model;
 pub mod pipeline;
 pub mod planner;
 pub mod profile;
 pub mod steps;
 
-pub use adaptive::{compute_width, CHOICE_LABELS};
 pub use model::{Bottleneck, StepTimes};
 pub use pipeline::{PipelineConfig, PipelinedExec, SealedWriter};
 pub use planner::{check_plan, plan_subtasks, read_units, KeyRange, RunBlocks, SubTask};

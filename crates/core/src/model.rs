@@ -210,6 +210,9 @@ mod tests {
                     cppcp_speedup(&times, k) <= cppcp_speedup_bound(&times, k).max(1.0) + 1e-9,
                     "C-PPCP bound violated at k={k}"
                 );
+                // Eq. 6 never loses to Eq. 2: why the default is C-PPCP.
+                let speedup = cppcp_speedup(&times, k);
+                assert!(speedup >= 1.0, "C-PPCP slower than PCP at k={k}");
             }
         }
     }

@@ -22,14 +22,18 @@
 //!     [`pcp_storage::Env`] so the lanes land on different spindles.
 //!     Writes stay on one lane and stripe inside the array, matching the
 //!     paper's md-RAID0 setup.
-//! * [`PipelinedExec::adaptive`] — PCP or C-PPCP(k), the compute width
-//!   chosen per compaction by [`crate::adaptive::compute_width`]; the
-//!   engine's default.
+//!
+//! The engine's default is C-PPCP as wide as the host has cores. Eq. 6's
+//! `max{t_S1, Σt_S2..6 / k, t_S7}` is never above Eq. 2's
+//! `max{t_S1, Σt_S2..6, t_S7}`, and workers that pull whole sub-tasks off
+//! one queue sit idle when compute is not the bottleneck, so the only width
+//! to decide is how many cores exist. Each compaction's
+//! [`pcp_compaction::ResourceGrant`] answers that: it caps every parallel
+//! stage.
 //!
 //! All shapes produce byte-identical output tables for identical inputs
 //! (enforced by the cross-executor integration tests).
 
-use crate::adaptive::{compute_width, CHOICE_LABELS};
 use crate::planner::{plan_subtasks, read_units, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use crate::steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask};
@@ -38,7 +42,6 @@ use pcp_compaction::{CompactionExec, CompactionRequest, FileMetadata, OutputSink
 use pcp_obs::{TraceKind, TraceLog};
 use pcp_sstable::{Result as TableResult, TableReader};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,8 +51,7 @@ use std::time::Instant;
 pub struct PipelineConfig {
     /// Target stored bytes per sub-task.
     pub subtask_bytes: u64,
-    /// Compute-stage workers (k of C-PPCP); the upper bound of the width
-    /// the adaptive shape may choose.
+    /// Compute-stage workers (k of C-PPCP).
     pub compute_workers: usize,
     /// Read-stage lanes (k of S-PPCP).
     pub read_workers: usize,
@@ -152,37 +154,24 @@ impl<'req> SealedWriter<'req> {
     }
 }
 
-/// How a [`PipelinedExec`] runs the sub-tasks of a compaction.
-enum Shape {
-    /// S1…S7 inline on the calling thread (SCP).
-    Sequential,
-    /// Three stages, widths as configured (PCP, S-/C-PPCP, `pcp-deep`).
-    Fixed,
-    /// Three stages, one read lane, compute width chosen per compaction.
-    /// Holds the per-choice pick counts, indexed like [`CHOICE_LABELS`];
-    /// behind an `Arc` so metric-scrape closures can hold them without
-    /// holding the executor itself.
-    Adaptive(Arc<[AtomicU64; 2]>),
-}
-
-/// The compaction executor: SCP, PCP, both parallel variants and the
-/// adaptive default, by shape.
+/// The compaction executor: SCP, PCP and both parallel variants, by
+/// shape.
 pub struct PipelinedExec {
     cfg: PipelineConfig,
-    shape: Shape,
-    /// One profile whatever widths run, so the adaptive shape's occupancy
-    /// history is continuous across width changes.
+    /// S1…S7 inline on the calling thread (SCP) rather than three stages
+    /// of the configured widths (PCP, S-/C-PPCP, `pcp-deep`).
+    sequential: bool,
     profile: Arc<CompactionProfile>,
     trace: Option<Arc<TraceLog>>,
 }
 
 impl PipelinedExec {
-    fn with_shape(cfg: PipelineConfig, shape: Shape) -> PipelinedExec {
+    fn with_shape(cfg: PipelineConfig, sequential: bool) -> PipelinedExec {
         assert!(cfg.compute_workers >= 1 && cfg.read_workers >= 1);
         assert!(cfg.queue_depth >= 1);
         PipelinedExec {
             cfg,
-            shape,
+            sequential,
             profile: Arc::new(CompactionProfile::new()),
             trace: None,
         }
@@ -190,14 +179,14 @@ impl PipelinedExec {
 
     /// Builds a pipelined executor with explicit fixed widths.
     pub fn new(cfg: PipelineConfig) -> PipelinedExec {
-        PipelinedExec::with_shape(cfg, Shape::Fixed)
+        PipelinedExec::with_shape(cfg, false)
     }
 
     /// The sequential baseline (paper §III-A); `subtask_bytes` is simply
     /// the I/O granularity.
     pub fn scp(subtask_bytes: u64) -> PipelinedExec {
         let cfg = PipelineConfig { subtask_bytes, ..Default::default() };
-        PipelinedExec::with_shape(cfg, Shape::Sequential)
+        PipelinedExec::with_shape(cfg, true)
     }
 
     /// Plain PCP: 1 read lane, 1 compute worker, 1 write lane.
@@ -226,23 +215,8 @@ impl PipelinedExec {
         })
     }
 
-    /// PCP or C-PPCP(k ≤ `max_workers`), chosen per compaction from the
-    /// previous compaction's occupancy and the scheduler's stage-token
-    /// grant ([`compute_width`]). Every width produces byte-identical
-    /// tables, so switching between compactions is invisible to
-    /// correctness.
-    pub fn adaptive(subtask_bytes: u64, max_workers: usize) -> PipelinedExec {
-        let cfg = PipelineConfig {
-            subtask_bytes,
-            compute_workers: max_workers,
-            ..Default::default()
-        };
-        PipelinedExec::with_shape(cfg, Shape::Adaptive(Arc::default()))
-    }
-
     /// Attaches a trace log; the executor emits `compaction_start` /
-    /// `compaction_done` / `compaction_failed` lifecycle events into it,
-    /// and the adaptive shape an `adaptive_choice` before each start.
+    /// `compaction_done` / `compaction_failed` lifecycle events into it.
     pub fn with_trace(mut self, trace: Arc<TraceLog>) -> Self {
         self.trace = Some(trace);
         self
@@ -258,37 +232,15 @@ impl PipelinedExec {
             t.record(kind, fields);
         }
     }
-
-    /// The adaptive shape's compute width for `req`, counted and traced.
-    fn choose_width(&self, req: &CompactionRequest, choices: &[AtomicU64; 2]) -> usize {
-        let occ = self.profile.last_occupancy();
-        let tokens = req.grant.stage_tokens();
-        let width = compute_width(&occ, tokens, self.cfg.compute_workers);
-        let choice = usize::from(width > 1); // index into CHOICE_LABELS
-        choices[choice].fetch_add(1, Ordering::Relaxed);
-        self.record(
-            TraceKind::AdaptiveChoice,
-            &[
-                ("choice", choice as u64),
-                ("input_bytes", req.input_bytes()),
-                (
-                    "stage_tokens",
-                    if tokens == usize::MAX { 0 } else { tokens as u64 },
-                ),
-                ("bottleneck_ppm", (occ.bottleneck() * 1e6) as u64),
-            ],
-        );
-        width
-    }
 }
 
-/// The engine's production default: the adaptive shape with the paper's
-/// best sub-task size (512 KB, Fig. 11a), at most as wide as the host has
-/// cores — the paper's C-PPCP argument.
+/// The engine's production default: C-PPCP with the paper's best sub-task
+/// size (512 KB, Fig. 11a), as wide as the host has cores — the paper's
+/// C-PPCP argument. Each compaction runs it at most as wide as its grant.
 impl Default for PipelinedExec {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        PipelinedExec::adaptive(512 << 10, cores)
+        PipelinedExec::c_ppcp(512 << 10, cores)
     }
 }
 
@@ -450,34 +402,23 @@ impl Job<'_> {
 
 impl CompactionExec for PipelinedExec {
     fn name(&self) -> &'static str {
-        match &self.shape {
-            Shape::Sequential => "scp",
-            Shape::Adaptive(_) => "adaptive",
-            Shape::Fixed if self.cfg.deep_compute => "pcp-deep",
-            Shape::Fixed => match (self.cfg.read_workers, self.cfg.compute_workers) {
-                (1, 1) => "pcp",
-                (_, 1) => "s-ppcp",
-                (1, _) => "c-ppcp",
-                _ => "sc-ppcp",
-            },
+        if self.sequential {
+            return "scp";
+        }
+        if self.cfg.deep_compute {
+            return "pcp-deep";
+        }
+        match (self.cfg.read_workers, self.cfg.compute_workers) {
+            (1, 1) => "pcp",
+            (_, 1) => "s-ppcp",
+            (1, _) => "c-ppcp",
+            _ => "sc-ppcp",
         }
     }
 
-    /// Registers the profile under `exec = name()`, plus — for the adaptive
-    /// shape — the `pcp_sched_executor_choice_total{choice=...}` counters.
+    /// Registers the profile under `exec = name()`.
     fn register_metrics(&self, registry: &pcp_obs::Registry) {
         self.profile.register_metrics(registry, self.name());
-        if let Shape::Adaptive(choices) = &self.shape {
-            for (idx, label) in CHOICE_LABELS.iter().enumerate() {
-                let counts = Arc::clone(choices);
-                registry.register_fn_counter(
-                    "pcp_sched_executor_choice_total",
-                    "compactions per pipeline shape picked by the adaptive executor",
-                    vec![("choice".to_string(), label.to_string())],
-                    move || counts[idx].load(Ordering::Relaxed),
-                );
-            }
-        }
     }
 
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
@@ -495,14 +436,12 @@ impl CompactionExec for PipelinedExec {
         // Stage widths, `None` for the sequential shape. The scheduler's
         // grant caps how wide the parallel stages may run this time; an
         // unlimited grant leaves the configured shape alone.
-        let widths = match &self.shape {
-            Shape::Sequential => None,
-            Shape::Fixed => Some((
+        let widths = (!self.sequential).then(|| {
+            (
                 req.grant.clamp_workers(self.cfg.read_workers),
                 req.grant.clamp_workers(self.cfg.compute_workers),
-            )),
-            Shape::Adaptive(choices) => Some((1, self.choose_width(req, choices))),
-        };
+            )
+        });
         let mut start = vec![
             ("exec", u64::from(widths.is_some())), // 0 = scp, 1 = pipelined (see OBSERVABILITY.md)
             ("inputs", readers.len() as u64),
@@ -536,7 +475,8 @@ impl CompactionExec for PipelinedExec {
                 // share one profile concurrently the delta attributes
                 // overlapping step time to whichever finishes last;
                 // occupancies are exact whenever compactions on a profile
-                // are serialized (the common case: one executor per DB).
+                // are serialized (one `Db`; a `ShardedDb` shares one
+                // executor, and so one profile, across its shards).
                 let occ = self.profile.snapshot().delta(&before).occupancy();
                 self.profile.set_last_occupancy(&occ);
                 self.record(
@@ -568,7 +508,6 @@ impl CompactionExec for PipelinedExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Occupancy;
     use pcp_compaction::filename::table_file;
     use pcp_compaction::TableCache;
     use pcp_sstable::key::{make_internal_key, user_key, ValueType, MAX_SEQUENCE};
@@ -788,18 +727,25 @@ mod tests {
         let req = request(&env, vec![upper], vec![]);
         exec.compact(&req).unwrap();
 
-        let occ = exec.profile().last_occupancy();
-        assert!(occ.read > 0.0 && occ.compute > 0.0 && occ.write > 0.0);
-        assert!(occ.read <= 1.0 && occ.compute <= 1.0 && occ.write <= 1.0);
-        assert!(occ.wall > std::time::Duration::ZERO);
-
         let kinds: Vec<&str> = trace.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["compaction_start", "compaction_done"]);
         let done = &trace.events()[1];
         let field = |k: &str| done.fields.iter().find(|(n, _)| *n == k).unwrap().1;
         assert!(field("outputs") > 0);
         assert!(field("wall_nanos") > 0);
-        assert_eq!(field("read_busy_ppm"), (occ.read * 1e6) as u64);
+        for stage in ["read_busy_ppm", "compute_busy_ppm", "write_busy_ppm"] {
+            let ppm = field(stage);
+            assert!((1..=1_000_000).contains(&ppm), "{stage} {ppm}");
+        }
+
+        // The gauge publishes the same occupancy the done event carries.
+        let registry = pcp_obs::Registry::new();
+        exec.register_metrics(&registry);
+        let gauge = registry.snapshot().gauge(
+            "pcp_compaction_last_occupancy",
+            &[("exec", "pcp"), ("stage", "read")],
+        );
+        assert_eq!((gauge * 1e6) as u64, field("read_busy_ppm"));
     }
 
     /// SCP runs its seven steps strictly sequentially, so the three
@@ -812,36 +758,33 @@ mod tests {
         let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
         let req = request(&env, vec![upper], vec![]);
         exec.compact(&req).unwrap();
-        let occ = exec.profile().last_occupancy();
-        assert!(occ.read > 0.0 && occ.compute > 0.0 && occ.write > 0.0);
+        let events = trace.events();
+        assert_eq!(events[0].kind, "compaction_start");
+        let done = &events[1];
+        let field = |k: &str| done.fields.iter().find(|(n, _)| *n == k).unwrap().1;
+        let busy = ["read_busy_ppm", "compute_busy_ppm", "write_busy_ppm"].map(field);
+        assert!(busy.iter().all(|&ppm| ppm > 0), "{busy:?}");
         assert!(
-            occ.read + occ.compute + occ.write <= 1.0 + 1e-6,
-            "sequential executor busy time exceeded wall time: {occ:?}"
+            busy.iter().sum::<u64>() <= 1_000_001,
+            "sequential executor busy time exceeded wall time: {busy:?} ppm"
         );
-        assert_eq!(trace.events()[0].kind, "compaction_start");
     }
 
     #[test]
     fn executor_names() {
         assert_eq!(PipelinedExec::scp(1 << 20).name(), "scp");
-        assert_eq!(PipelinedExec::default().name(), "adaptive");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let default = if cores > 1 { "c-ppcp" } else { "pcp" };
+        assert_eq!(PipelinedExec::default().name(), default);
         assert_eq!(PipelinedExec::pcp(1 << 20).name(), "pcp");
         assert_eq!(PipelinedExec::c_ppcp(1 << 20, 4).name(), "c-ppcp");
         assert_eq!(PipelinedExec::s_ppcp(1 << 20, 4).name(), "s-ppcp");
     }
 
     /// The `compaction_start` of one compaction of `exec` under `grant`.
-    fn start_widths(
-        exec: PipelinedExec,
-        history: Option<(f64, f64, f64)>,
-        grant: pcp_compaction::ResourceGrant,
-    ) -> (u64, u64) {
+    fn start_widths(exec: PipelinedExec, grant: pcp_compaction::ResourceGrant) -> (u64, u64) {
         let trace = Arc::new(TraceLog::new(8));
         let exec = exec.with_trace(Arc::clone(&trace));
-        if let Some((read, compute, write)) = history {
-            let wall = std::time::Duration::from_millis(100);
-            exec.profile().set_last_occupancy(&Occupancy { read, compute, write, wall });
-        }
         let env = env();
         let upper = build_input(&env, "u.sst", 2000, 1, 1, "x");
         let mut req = request(&env, vec![upper], vec![]);
@@ -854,28 +797,16 @@ mod tests {
     }
 
     /// A scheduler grant narrows the pipeline that runs, not only what
-    /// `clamp_workers` and `compute_width` return in isolation.
+    /// `clamp_workers` returns in isolation.
     #[test]
     fn grant_narrows_the_pipeline_that_runs() {
         use pcp_compaction::ResourceGrant;
-        let one = ResourceGrant::new(1);
-        assert_eq!(start_widths(PipelinedExec::c_ppcp(64 << 10, 4), None, one), (1, 1));
-        // A compute-bound history asks for C-PPCP(4); two tokens allow 2.
-        let two = ResourceGrant::new(2);
-        let adaptive = PipelinedExec::adaptive(64 << 10, 4);
-        assert_eq!(start_widths(adaptive, Some((0.2, 0.95, 0.2)), two), (1, 2));
-    }
-
-    /// The adaptive shape widens the compute stage only: a read-bound
-    /// history runs as PCP however many tokens the grant holds.
-    #[test]
-    fn adaptive_shape_widens_compute_and_never_read() {
-        use pcp_compaction::ResourceGrant;
-        let adaptive = || PipelinedExec::adaptive(64 << 10, 3);
-        let unlimited = ResourceGrant::unlimited;
-        assert_eq!(start_widths(adaptive(), Some((0.95, 0.4, 0.3)), unlimited()), (1, 1));
-        assert_eq!(start_widths(adaptive(), Some((0.4, 0.95, 0.3)), unlimited()), (1, 3));
-        assert_eq!(start_widths(adaptive(), None, unlimited()), (1, 1));
+        let c_ppcp = || PipelinedExec::c_ppcp(64 << 10, 4);
+        assert_eq!(start_widths(c_ppcp(), ResourceGrant::unlimited()), (1, 4));
+        assert_eq!(start_widths(c_ppcp(), ResourceGrant::new(2)), (1, 2));
+        assert_eq!(start_widths(c_ppcp(), ResourceGrant::new(1)), (1, 1));
+        let s_ppcp = PipelinedExec::s_ppcp(64 << 10, 3);
+        assert_eq!(start_widths(s_ppcp, ResourceGrant::new(2)), (2, 1));
     }
 
     /// A permanent write failure mid-compaction must terminate every stage

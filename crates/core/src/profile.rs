@@ -81,14 +81,6 @@ pub struct Occupancy {
     pub wall: Duration,
 }
 
-impl Occupancy {
-    /// The largest of the three fractions — the bottleneck resource's
-    /// occupancy, which PCP drives toward 1.0.
-    pub fn bottleneck(&self) -> f64 {
-        self.read.max(self.compute).max(self.write)
-    }
-}
-
 /// Thread-safe accumulator shared by all pipeline stages of one (or many)
 /// compactions.
 #[derive(Debug, Default)]
@@ -108,7 +100,6 @@ pub struct CompactionProfile {
     /// read/compute/write fractions of the most recent compaction, as f64
     /// bits (see [`CompactionProfile::set_last_occupancy`]).
     last_occ: [AtomicU64; 3],
-    last_occ_wall_nanos: AtomicU64,
 }
 
 impl CompactionProfile {
@@ -175,26 +166,13 @@ impl CompactionProfile {
 
     /// Publishes the occupancy of the most recent compaction (executors
     /// call this with the per-compaction snapshot delta's
-    /// [`ProfileSnapshot::occupancy`]). Readable via
-    /// [`CompactionProfile::last_occupancy`] and exported as the
-    /// `pcp_compaction_last_occupancy` gauge.
+    /// [`ProfileSnapshot::occupancy`]), exported as the
+    /// `pcp_compaction_last_occupancy` gauge — the operator's Fig. 5
+    /// readout. Nothing in the engine decides on it.
     pub fn set_last_occupancy(&self, occ: &Occupancy) {
         self.last_occ[0].store(occ.read.to_bits(), Relaxed);
         self.last_occ[1].store(occ.compute.to_bits(), Relaxed);
         self.last_occ[2].store(occ.write.to_bits(), Relaxed);
-        self.last_occ_wall_nanos
-            .store(occ.wall.as_nanos() as u64, Relaxed);
-    }
-
-    /// The occupancy published by the most recent completed compaction
-    /// (all-zero before the first one).
-    pub fn last_occupancy(&self) -> Occupancy {
-        Occupancy {
-            read: f64::from_bits(self.last_occ[0].load(Relaxed)),
-            compute: f64::from_bits(self.last_occ[1].load(Relaxed)),
-            write: f64::from_bits(self.last_occ[2].load(Relaxed)),
-            wall: Duration::from_nanos(self.last_occ_wall_nanos.load(Relaxed)),
-        }
     }
 
     /// Registers every accumulator of this profile in `registry` under the
@@ -465,24 +443,9 @@ mod tests {
         assert!((occ.read - 0.2).abs() < 1e-9);
         assert!((occ.compute - 0.6).abs() < 1e-9);
         assert!((occ.write - 0.3).abs() < 1e-9);
-        assert!((occ.bottleneck() - 0.6).abs() < 1e-9);
         assert_eq!(occ.wall, Duration::from_secs(1));
         // Empty profile → all-zero occupancy, no division by zero.
         assert_eq!(CompactionProfile::new().snapshot().occupancy(), Occupancy::default());
-    }
-
-    #[test]
-    fn last_occupancy_round_trips() {
-        let p = CompactionProfile::new();
-        assert_eq!(p.last_occupancy(), Occupancy::default());
-        let occ = Occupancy {
-            read: 0.25,
-            compute: 0.5,
-            write: 0.125,
-            wall: Duration::from_millis(42),
-        };
-        p.set_last_occupancy(&occ);
-        assert_eq!(p.last_occupancy(), occ);
     }
 
     #[test]

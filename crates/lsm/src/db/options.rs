@@ -30,11 +30,11 @@ pub struct Options {
     /// Decoded-block cache budget for the read path; 0 disables it (the
     /// paper's direct-I/O semantics — compaction always bypasses it).
     pub block_cache_bytes: usize,
-    /// The compaction algorithm. Defaults to the adaptive shape of
-    /// [`pcp_core::PipelinedExec`], which runs each compaction as PCP or
-    /// C-PPCP(k) by the occupancy the previous one published; set this
-    /// field to pin one shape (e.g. `PipelinedExec::pcp`, or
-    /// `PipelinedExec::s_ppcp` over a striped env).
+    /// The compaction algorithm. Defaults to [`pcp_core::PipelinedExec`]'s
+    /// C-PPCP as wide as the host has cores, each compaction narrowed to
+    /// its scheduler grant; set this field to pin another shape (e.g.
+    /// `PipelinedExec::pcp`, or `PipelinedExec::s_ppcp` over a striped
+    /// env).
     pub executor: Arc<dyn CompactionExec>,
     /// Shared admission gate bounding how many databases compact at once
     /// and handing each admitted compaction an equal share of the

@@ -27,9 +27,9 @@
 //! 4. **Consumable from below the engine.** This crate depends on nothing
 //!    in the workspace, so even interface crates can accept a
 //!    [`Registry`]: the executor trait's `register_metrics` hook is how
-//!    the adaptive executor exports its `pcp_sched_executor_choice_total`
-//!    counters and the sharded engine exports the rest of the
-//!    `pcp_sched_*` scheduler family (see `OBSERVABILITY.md` §2.2).
+//!    the executor exports its `pcp_compaction_*` step profile, next to
+//!    the sharded engine's `pcp_sched_*` scheduler family (see
+//!    `OBSERVABILITY.md` §2.1–§2.2).
 //!
 //! [`pcp_lsm::Metrics`]: https://docs.rs/pcp-lsm
 //! [`CompactionProfile`]: https://docs.rs/pcp-core

@@ -43,8 +43,6 @@ macro_rules! trace_kinds {
 }
 
 trace_kinds! {
-    /// The adaptive executor chose a shape for the next compaction.
-    AdaptiveChoice = "adaptive_choice",
     /// An executor started a compaction.
     CompactionStart = "compaction_start",
     /// An executor finished a compaction.

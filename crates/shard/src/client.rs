@@ -42,7 +42,7 @@
     reason = "TCP client endpoint: socket I/O is the wire, not engine storage"
 )]
 
-use crate::proto::{append_frame, BatchItem, Request, Response, ServiceStats};
+use crate::proto::{append_frame, BatchItem, Request, Response};
 use crate::FrameDecoder;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -263,14 +263,6 @@ impl KvClient {
             limit,
         })? {
             Response::Entries(entries) => Ok(entries),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches service + engine statistics.
-    pub fn stats(&mut self) -> io::Result<ServiceStats> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
             other => Err(unexpected(other)),
         }
     }

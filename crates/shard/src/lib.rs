@@ -17,7 +17,7 @@
 //!   compacting shards to the core count (the C-PPCP resource argument
 //!   applied across shards),
 //! * a length-prefixed, CRC-32C-checksummed binary protocol
-//!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/STATS/METRICS,
+//!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/METRICS,
 //! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
 //!   capture, and Prometheus text exposition of the full `pcp-obs`
 //!   registry, served by the event-driven [`reactor`] (one epoll
@@ -37,7 +37,7 @@ pub mod server;
 pub mod sharded;
 
 pub use client::KvClient;
-pub use proto::{BatchItem, Request, Response, ServiceStats};
+pub use proto::{BatchItem, Request, Response};
 pub use reactor::{FrameDecoder, ReactorConfig};
 pub use router::{HashRouter, RangeRouter, Router};
 pub use server::KvServer;

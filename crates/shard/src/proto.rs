@@ -15,8 +15,8 @@
 //! message: an opcode byte followed by varint-length-prefixed fields
 //! ([`pcp_codec::put_u64`]).
 //!
-//! Requests: GET, PUT, DELETE, BATCH, SCAN, STATS, METRICS.
-//! Responses: OK, VALUE, NOT_FOUND, ENTRIES, STATS, ERR, METRICS_TEXT.
+//! Requests: GET, PUT, DELETE, BATCH, SCAN, METRICS.
+//! Responses: OK, VALUE, NOT_FOUND, ENTRIES, ERR, METRICS_TEXT.
 
 use std::io::{self, Read, Write};
 
@@ -156,23 +156,22 @@ fn take_u8(input: &mut &[u8]) -> io::Result<u8> {
 
 // -- messages --------------------------------------------------------------
 
-/// Opcodes. `0x08`–`0x0b` and `0x87`–`0x89` are retired: they carried a
-/// replication protocol that is gone. Both decoders refuse them, and no new
-/// message may take them.
+/// Opcodes. `0x06`, `0x08`–`0x0b`, `0x84` and `0x87`–`0x89` are retired:
+/// `0x06`/`0x84` carried STATS, whose counters METRICS exports, and the rest
+/// a replication protocol that is gone. Both decoders refuse them, and no
+/// new message may take them.
 mod op {
     pub const GET: u8 = 0x01;
     pub const PUT: u8 = 0x02;
     pub const DELETE: u8 = 0x03;
     pub const BATCH: u8 = 0x04;
     pub const SCAN: u8 = 0x05;
-    pub const STATS: u8 = 0x06;
     pub const METRICS: u8 = 0x07;
 
     pub const OK: u8 = 0x80;
     pub const VALUE: u8 = 0x81;
     pub const NOT_FOUND: u8 = 0x82;
     pub const ENTRIES: u8 = 0x83;
-    pub const STATS_REPLY: u8 = 0x84;
     pub const ERR: u8 = 0x85;
     pub const METRICS_TEXT: u8 = 0x86;
 
@@ -203,8 +202,6 @@ pub enum Request {
     Batch(Vec<BatchItem>),
     /// Read up to `limit` entries with key `>= start`, in key order.
     Scan { start: Vec<u8>, limit: u64 },
-    /// Fetch service + engine statistics.
-    Stats,
     /// Fetch the full metrics registry in Prometheus text exposition
     /// format (see `OBSERVABILITY.md` for the metric contract).
     Metrics,
@@ -221,37 +218,10 @@ pub enum Response {
     NotFound,
     /// SCAN result, in key order.
     Entries(Vec<(Vec<u8>, Vec<u8>)>),
-    /// STATS result.
-    Stats(ServiceStats),
     /// METRICS result: Prometheus text exposition (UTF-8).
     MetricsText(String),
     /// The request failed; human-readable reason.
     Err(String),
-}
-
-/// Service-level and engine-level counters returned by STATS.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests served (all opcodes, successful or not).
-    pub ops: u64,
-    /// Requests that returned [`Response::Err`].
-    pub errors: u64,
-    /// Shards behind this service.
-    pub shards: u64,
-    /// Engine put count, summed over shards.
-    pub engine_puts: u64,
-    /// Engine get count, summed over shards.
-    pub engine_gets: u64,
-    /// Memtable flushes, summed over shards.
-    pub flushes: u64,
-    /// Compactions, summed over shards.
-    pub compactions: u64,
-    /// Server-side p99 of read-class ops (GET/SCAN), nanoseconds.
-    pub read_p99_nanos: u64,
-    /// Server-side p99 of write-class ops (PUT/DELETE/BATCH), nanoseconds.
-    pub write_p99_nanos: u64,
-    /// Engine put count per shard — the per-shard load balance.
-    pub per_shard_puts: Vec<u64>,
 }
 
 impl Request {
@@ -294,7 +264,6 @@ impl Request {
                 put_bytes(&mut out, start);
                 pcp_codec::put_u64(&mut out, *limit);
             }
-            Request::Stats => out.push(op::STATS),
             Request::Metrics => out.push(op::METRICS),
         }
         out
@@ -336,7 +305,6 @@ impl Request {
                 let limit = take_u64(&mut input)?;
                 Request::Scan { start, limit }
             }
-            op::STATS => Request::Stats,
             op::METRICS => Request::Metrics,
             t => return Err(bad(format!("unknown request opcode {t:#04x}"))),
         };
@@ -364,26 +332,6 @@ impl Response {
                 for (k, v) in entries {
                     put_bytes(&mut out, k);
                     put_bytes(&mut out, v);
-                }
-            }
-            Response::Stats(s) => {
-                out.push(op::STATS_REPLY);
-                for v in [
-                    s.ops,
-                    s.errors,
-                    s.shards,
-                    s.engine_puts,
-                    s.engine_gets,
-                    s.flushes,
-                    s.compactions,
-                    s.read_p99_nanos,
-                    s.write_p99_nanos,
-                ] {
-                    pcp_codec::put_u64(&mut out, v);
-                }
-                pcp_codec::put_u64(&mut out, s.per_shard_puts.len() as u64);
-                for v in &s.per_shard_puts {
-                    pcp_codec::put_u64(&mut out, *v);
                 }
             }
             Response::MetricsText(text) => {
@@ -418,30 +366,6 @@ impl Response {
                     entries.push((k, v));
                 }
                 Response::Entries(entries)
-            }
-            op::STATS_REPLY => {
-                let mut next = || take_u64(&mut input);
-                let s = ServiceStats {
-                    ops: next()?,
-                    errors: next()?,
-                    shards: next()?,
-                    engine_puts: next()?,
-                    engine_gets: next()?,
-                    flushes: next()?,
-                    compactions: next()?,
-                    read_p99_nanos: next()?,
-                    write_p99_nanos: next()?,
-                    per_shard_puts: Vec::new(),
-                };
-                let n = take_u64(&mut input)?;
-                if n > 1 << 20 {
-                    return Err(bad("absurd shard count in stats"));
-                }
-                let mut s = s;
-                for _ in 0..n {
-                    s.per_shard_puts.push(take_u64(&mut input)?);
-                }
-                Response::Stats(s)
             }
             op::METRICS_TEXT => {
                 let text = take_bytes(&mut input)?;
@@ -489,7 +413,6 @@ mod tests {
             start: b"user/".to_vec(),
             limit: 500,
         });
-        roundtrip_request(Request::Stats);
         roundtrip_request(Request::Metrics);
     }
 
@@ -503,18 +426,6 @@ mod tests {
                 (b"a".to_vec(), b"1".to_vec()),
                 (b"b".to_vec(), Vec::new()),
             ]),
-            Response::Stats(ServiceStats {
-                ops: 1000,
-                errors: 2,
-                shards: 4,
-                engine_puts: 700,
-                engine_gets: 300,
-                flushes: 12,
-                compactions: 5,
-                read_p99_nanos: 180_000,
-                write_p99_nanos: 95_000,
-                per_shard_puts: vec![170, 180, 175, 175],
-            }),
             Response::MetricsText(
                 "# HELP pcp_service_requests_total requests served\n\
                  # TYPE pcp_service_requests_total counter\n\
@@ -625,7 +536,7 @@ mod tests {
         p.push(0);
         assert!(Request::decode(&p).is_err());
         // Retired opcodes, bare and with the varint fields they once took.
-        for opcode in 0x08..=0x0b {
+        for opcode in [0x06, 0x08, 0x09, 0x0a, 0x0b] {
             assert!(Request::decode(&[opcode]).is_err(), "{opcode:#04x}");
             assert!(
                 Request::decode(&[opcode, 0x01, 0x02]).is_err(),
@@ -636,7 +547,7 @@ mod tests {
 
     #[test]
     fn retired_response_opcodes_are_rejected() {
-        for opcode in 0x87..=0x89 {
+        for opcode in [0x84, 0x87, 0x88, 0x89] {
             assert!(Response::decode(&[opcode]).is_err(), "{opcode:#04x}");
             assert!(
                 Response::decode(&[opcode, 0x00, 0x00]).is_err(),

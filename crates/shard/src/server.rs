@@ -23,7 +23,7 @@
               below it stays on Env"
 )]
 
-use crate::proto::{Request, Response, ServiceStats, SCAN_LIMIT_MAX};
+use crate::proto::{Request, Response, SCAN_LIMIT_MAX};
 use crate::reactor::{ReactorConfig, ReactorHandle};
 use crate::sharded::ShardedDb;
 use crate::BatchItem;
@@ -75,22 +75,6 @@ impl ServerShared {
         self.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn stats(&self) -> ServiceStats {
-        let engine = self.db.metrics();
-        ServiceStats {
-            ops: self.ops.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            shards: self.db.shard_count() as u64,
-            engine_puts: engine.puts,
-            engine_gets: engine.gets,
-            flushes: engine.flush_count,
-            compactions: engine.compaction_count,
-            read_p99_nanos: self.read_latency.quantile(0.99),
-            write_p99_nanos: self.write_latency.quantile(0.99),
-            per_shard_puts: self.db.shard_metrics().iter().map(|m| m.puts).collect(),
-        }
-    }
-
     pub(crate) fn handle(&self, req: Request) -> Response {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
@@ -126,7 +110,6 @@ impl ServerShared {
                     .scan(&start, limit)
                     .map(|entries| (Response::Entries(entries), &self.read_latency))
             }
-            Request::Stats => Ok((Response::Stats(self.stats()), &self.read_latency)),
             Request::Metrics => Ok((
                 Response::MetricsText(self.registry.render_prometheus()),
                 &self.read_latency,
@@ -200,7 +183,7 @@ impl KvServer {
             );
             registry.register_histogram(
                 "pcp_service_read_latency_nanoseconds",
-                "server-side latency of read-class ops (GET/SCAN/STATS/METRICS)",
+                "server-side latency of read-class ops (GET/SCAN/METRICS)",
                 Vec::new(),
                 Arc::clone(&read_latency),
             );
@@ -232,11 +215,6 @@ impl KvServer {
     /// The bound address (the actual port when started with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Server-side view of the same statistics STATS returns.
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
     }
 
     /// The Prometheus text exposition METRICS returns, rendered

@@ -324,8 +324,7 @@ impl ShardedDb {
     /// the cross-shard scheduler's token budget and tokens in use
     /// (`pcp_sched_stage_tokens`, `pcp_sched_tokens_in_use`; see
     /// `OBSERVABILITY.md` §2.2), and the shared executor's own series
-    /// (occupancy gauges and, for the adaptive executor, the
-    /// `pcp_sched_executor_choice_total` counter). Scrapes read live
+    /// (its step profile and occupancy gauges). Scrapes read live
     /// atomics or take the scheduler's short state lock — registration is
     /// one-time, snapshotting never blocks compactions for long.
     pub fn register_metrics(&self, registry: &pcp_obs::Registry) {

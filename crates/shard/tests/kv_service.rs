@@ -1,9 +1,10 @@
 //! End-to-end test of the TCP KV service: a real server on an ephemeral
 //! localhost port, a real client, a few thousand mixed operations
-//! mirrored in an in-process model, scans, stats, error surfaces, and
-//! graceful shutdown.
+//! mirrored in an in-process model, scans, the service and engine
+//! counters, error surfaces, and graceful shutdown.
 
 use pcp_lsm::{CompactionPolicy, Options};
+use pcp_obs::{MetricsSnapshot, SampleValue};
 use pcp_shard::{
     BatchItem, HashRouter, KvClient, KvServer, Request, Response, ShardedDb,
 };
@@ -26,6 +27,27 @@ fn sharded(n: usize) -> Arc<ShardedDb> {
         ..Options::default()
     };
     Arc::new(ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(n))).unwrap())
+}
+
+/// The value of `name` in a Prometheus exposition's unlabelled sample.
+fn exposed(text: &str, name: &str) -> u64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("{name} missing"));
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// Every shard's value of the per-shard engine counter `name`.
+fn per_shard(snap: &MetricsSnapshot, name: &str) -> Vec<u64> {
+    snap.samples
+        .iter()
+        .filter(|s| s.name == name && s.labels.iter().any(|(k, _)| k == "shard"))
+        .map(|s| match s.value {
+            SampleValue::Counter(c) => c,
+            ref other => panic!("{name} is not a counter: {other:?}"),
+        })
+        .collect()
 }
 
 /// splitmix64 for a deterministic mixed-op stream.
@@ -107,31 +129,35 @@ fn kv_service_end_to_end() {
         .collect();
     assert_eq!(bounded, expect_bounded);
 
-    // STATS round-trips service counters and engine aggregates.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shards, 4);
-    assert!(stats.ops >= 1500, "server counted {} ops", stats.ops);
-    assert_eq!(stats.errors, 0);
-    assert!(stats.engine_puts > 0);
-    assert!(stats.engine_gets > 0);
-    assert_eq!(stats.per_shard_puts.len(), 4);
+    // METRICS carries the service counters over the wire.
+    let text = client.metrics_text().unwrap();
+    let ops = exposed(&text, "pcp_service_requests_total");
+    assert!(ops >= 1500, "server counted {ops} ops");
+    assert_eq!(exposed(&text, "pcp_service_errors_total"), 0);
+
+    // The registry carries the engine counters per shard.
+    let snap = server.registry().snapshot();
+    let puts = per_shard(&snap, "pcp_engine_puts_total");
+    assert_eq!(puts.len(), 4);
     assert!(
-        stats.per_shard_puts.iter().all(|&p| p > 0),
-        "hash routing left a shard idle: {:?}",
-        stats.per_shard_puts
+        puts.iter().all(|&p| p > 0),
+        "hash routing left a shard idle: {puts:?}"
     );
     assert_eq!(
-        stats.per_shard_puts.iter().sum::<u64>(),
-        stats.engine_puts,
+        puts.iter().sum::<u64>(),
+        db.metrics().puts,
         "per-shard puts must sum to the aggregate"
     );
-    // Latency capture is live (some op took measurable time).
-    assert!(stats.ops > stats.errors);
-
-    // Server-side stats agree with what the client saw.
-    let local = server.stats();
-    assert_eq!(local.shards, 4);
-    assert!(local.ops >= stats.ops);
+    let gets: u64 = per_shard(&snap, "pcp_engine_gets_total").iter().sum();
+    assert!(gets > 0);
+    // Latency capture is live, and the server-side scrape counts at least
+    // what the client saw.
+    let read_latency = snap.get("pcp_service_read_latency_nanoseconds").unwrap();
+    match &read_latency.value {
+        SampleValue::Histogram(h) => assert!(h.count > 0, "no read latency recorded"),
+        other => panic!("read latency is not a histogram: {other:?}"),
+    }
+    assert!(snap.counter("pcp_service_requests_total", &[]) >= ops);
 
     drop(client);
     server.shutdown();
@@ -182,9 +208,9 @@ fn kv_service_concurrent_clients() {
     }
 
     let mut client = KvClient::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert!(stats.ops >= 2000);
-    assert_eq!(stats.errors, 0);
+    let text = client.metrics_text().unwrap();
+    assert!(exposed(&text, "pcp_service_requests_total") >= 2000);
+    assert_eq!(exposed(&text, "pcp_service_errors_total"), 0);
     let all = client.scan(b"", 100_000).unwrap();
     assert_eq!(all.len(), 1000);
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "scan out of order");
@@ -192,7 +218,7 @@ fn kv_service_concurrent_clients() {
 }
 
 /// METRICS round-trips over TCP, the exposition parses line by line, and
-/// the series it carries agree with STATS and the server-side render.
+/// the series it carries agree with the server-side registry and render.
 #[test]
 fn kv_service_metrics_exposition() {
     let db = sharded(2);
@@ -213,17 +239,14 @@ fn kv_service_metrics_exposition() {
     let samples = pcp_obs::validate_exposition(&text).unwrap();
     assert!(samples > 50, "suspiciously small exposition: {samples} samples");
 
-    // Service series are present and consistent with STATS.
-    let stats = client.stats().unwrap();
-    let requests_line = text
-        .lines()
-        .find(|l| l.starts_with("pcp_service_requests_total"))
-        .expect("pcp_service_requests_total missing");
-    let served: u64 = requests_line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    // Service series are present and consistent with a later server-side
+    // scrape.
+    let served = exposed(&text, "pcp_service_requests_total");
+    let snap = server.registry().snapshot();
+    let later = snap.counter("pcp_service_requests_total", &[]);
     assert!(
-        served >= 601 && served <= stats.ops,
-        "served {served} vs stats.ops {}",
-        stats.ops
+        served >= 601 && served <= later,
+        "served {served} vs a later scrape's {later}"
     );
     assert!(text.contains("pcp_service_read_latency_nanoseconds_bucket"));
     assert!(text.contains("pcp_service_active_connections"));

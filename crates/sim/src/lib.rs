@@ -2,10 +2,11 @@
 //!
 //! A discrete-event simulator of the compaction pipeline.
 //!
-//! The host running this reproduction has one CPU core, so wall-clock
-//! measurements cannot show C-PPCP's multi-core scaling. This simulator
-//! fills that gap (documented as a substitution in `DESIGN.md`): it
-//! schedules sub-tasks over *modeled* resources — k read lanes, k compute
+//! The host running this reproduction has two vCPUs, shared with the
+//! writer and the engine's other threads, so wall-clock measurements
+//! cannot show C-PPCP's scaling past two workers. This simulator fills
+//! that gap (documented as a substitution in `DESIGN.md`): it schedules
+//! sub-tasks over *modeled* resources — k read lanes, k compute
 //! servers, write lanes, bounded inter-stage queues, an in-order write
 //! stage — and reports makespan and per-stage utilization. Per-sub-task
 //! stage costs come either from the paper-calibrated device models

@@ -4,7 +4,7 @@
 //! Opens a [`pcp::shard::ShardedDb`] over in-memory simulated devices,
 //! starts the [`pcp::shard::KvServer`] on an ephemeral localhost port,
 //! drives it through the wire with [`pcp::shard::KvClient`], and prints
-//! per-shard throughput plus service statistics.
+//! per-shard throughput plus the service's counters and latencies.
 //!
 //! ```sh
 //! cargo run --release --example kv_server
@@ -15,9 +15,9 @@
 //! With an address argument the server stays up until Ctrl-C so external
 //! clients can connect; without one it runs the scripted demo and exits.
 //!
-//! Each shard compacts with the production default, the adaptive PCP
-//! executor (`Options::default()`), under the shared cross-shard
-//! scheduler — see `DESIGN.md` §15.
+//! Each shard compacts with the production default, C-PPCP
+//! (`Options::default()`), as wide as the shared cross-shard scheduler's
+//! grant — see `DESIGN.md` §15.
 
 #![allow(
     clippy::disallowed_methods,
@@ -26,6 +26,7 @@
 )]
 
 use pcp::lsm::Options;
+use pcp::obs::SampleValue;
 use pcp::shard::{HashRouter, KvClient, KvServer, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use std::sync::Arc;
@@ -115,17 +116,19 @@ fn main() {
     db.wait_idle().unwrap();
     print_shard_throughput(&db, t0.elapsed().as_secs_f64());
 
-    // Service + engine statistics over the wire.
-    let stats = client.stats().unwrap();
+    // The service counters and latencies, from the registry METRICS
+    // serves (the per-shard engine counters are printed above).
+    let snap = server.registry().snapshot();
+    let p99_us = |name: &str| match snap.get(name).map(|s| &s.value) {
+        Some(SampleValue::Histogram(h)) => h.quantile(0.99) as f64 / 1e3,
+        _ => 0.0,
+    };
     println!(
-        "stats: {} service ops, {} errors, {} shards, {} engine puts, \
-         read p99 {:.1} µs, write p99 {:.1} µs",
-        stats.ops,
-        stats.errors,
-        stats.shards,
-        stats.engine_puts,
-        stats.read_p99_nanos as f64 / 1e3,
-        stats.write_p99_nanos as f64 / 1e3,
+        "service: {} ops, {} errors, read p99 {:.1} µs, write p99 {:.1} µs",
+        snap.counter("pcp_service_requests_total", &[]),
+        snap.counter("pcp_service_errors_total", &[]),
+        p99_us("pcp_service_read_latency_nanoseconds"),
+        p99_us("pcp_service_write_latency_nanoseconds"),
     );
     println!("health: {:?}", db.health());
 

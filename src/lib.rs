@@ -19,8 +19,8 @@
 //! // or StdFsEnv for real files).
 //! let env = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))));
 //!
-//! // The default executor is the adaptive pipeline: each compaction runs
-//! // as PCP or C-PPCP(k), by the occupancy the previous one published.
+//! // The default executor is C-PPCP: a read | compute | write pipeline
+//! // whose compute stage runs as many workers as the host has cores.
 //! let db = Db::open(env, Options::default()).unwrap();
 //! db.put(b"key", b"value").unwrap();
 //! assert_eq!(db.get(b"key").unwrap(), Some(b"value".to_vec()));
@@ -47,7 +47,7 @@
 //! | [`sstable`] | `pcp-sstable` | block/table formats, bloom filters, merging iterators |
 //! | [`compaction`] | `pcp-compaction` | `CompactionExec` interface, resource grants, the cross-shard scheduler |
 //! | [`lsm`] | `pcp-lsm` | memtable, WAL, versions, leveled compaction, the `Db` |
-//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, the one executor in its SCP/PCP/C-PPCP/S-PPCP/adaptive shapes, Eq. 1–7, step profiler |
+//! | [`core`] | `pcp-core` | **the paper's contribution**: sub-task planner, the one executor in its SCP/PCP/C-PPCP/S-PPCP shapes, Eq. 1–7, step profiler |
 //! | [`sim`] | `pcp-sim` | discrete-event pipeline simulator |
 //! | [`workload`] | `pcp-workload` | key/value generators and the insert driver |
 //! | [`shard`] | `pcp-shard` | range-sharded multi-DB engine and the TCP KV service (one epoll event loop per core) |

@@ -1,18 +1,17 @@
-//! The adaptive-default production path end to end: the cross-shard
-//! resource scheduler's token invariant under real 8-shard concurrency,
-//! deterministic shape selection, scheduler observability, and
-//! byte-for-byte equivalence of an adaptive-default database against the
-//! reference simple-merge executor.
+//! The production default end to end: the cross-shard resource
+//! scheduler's token invariant under real 8-shard concurrency, the default
+//! executor's compute width as the scheduler's grant, scheduler
+//! observability, and byte-for-byte equivalence of a default database
+//! against the reference simple-merge executor.
 
 use pcp::compaction::SimpleMergeExec;
-use pcp::core::{compute_width, Occupancy, PipelinedExec};
+use pcp::core::PipelinedExec;
 use pcp::lsm::{CompactionLimiter, CompactionPolicy, Db, Options};
-use pcp::obs::Registry;
+use pcp::obs::{Registry, TraceLog};
 use pcp::shard::{HashRouter, ShardedDb};
 use pcp::storage::{EnvRef, SimDevice, SimEnv};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn mem_env() -> EnvRef {
     Arc::new(SimEnv::new(Arc::new(SimDevice::mem(2 << 30))))
@@ -83,57 +82,44 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
     );
 }
 
-/// The shape decision is a pure function of (occupancy, token grant,
-/// worker bound): same snapshot in, same compute width out — every time.
+/// The default executor runs its compute stage as wide as each
+/// compaction's grant: the host's cores under the unlimited grant of a
+/// standalone `Db`, one worker under a budget of 2 tokens for 2 permits.
+/// It drives only the lane's own merges, because a `compact_range` is
+/// never gated.
 #[test]
-fn adaptive_choice_is_deterministic_for_fixed_snapshot() {
-    let snapshots = [
-        // (occupancy, tokens) -> expected compute width (1 = PCP)
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            usize::MAX,
-            4,
-        ),
-        (
-            Occupancy {
-                read: 0.95,
-                compute: 0.3,
-                write: 0.2,
-                wall: Duration::from_millis(80),
-            },
-            usize::MAX,
-            1, // the read stage is never widened
-        ),
-        (
-            Occupancy {
-                read: 0.5,
-                compute: 0.5,
-                write: 0.9,
-                wall: Duration::from_millis(80),
-            },
-            usize::MAX,
-            1,
-        ),
-        (
-            Occupancy {
-                read: 0.3,
-                compute: 0.95,
-                write: 0.4,
-                wall: Duration::from_millis(80),
-            },
-            2, // the scheduler's grant caps the parallel width
-            2,
-        ),
-    ];
-    for (occ, tokens, want) in snapshots {
-        for _ in 0..50 {
-            assert_eq!(compute_width(&occ, tokens, 4), want);
+fn default_compute_width_is_the_grant() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    for (limiter, want) in [
+        (None, cores),
+        (Some(CompactionLimiter::with_budget(2, 2)), 1),
+    ] {
+        let trace = Arc::new(TraceLog::new(4096));
+        let opts = Options {
+            executor: Arc::new(PipelinedExec::default().with_trace(Arc::clone(&trace))),
+            compaction_limiter: limiter,
+            ..small_opts()
+        };
+        let db = Db::open(mem_env(), opts).unwrap();
+        for i in 0..3000u64 {
+            let key = format!("key{:05}", i * 7919 % 1000).into_bytes();
+            let value = format!("v{i}-{}", "x".repeat(48));
+            db.put(&key, value.as_bytes()).unwrap();
         }
+        db.wait_idle().unwrap();
+
+        let widths: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == "compaction_start")
+            .filter_map(|e| e.fields.iter().find(|(n, _)| *n == "compute_workers"))
+            .map(|&(_, width)| width)
+            .collect();
+        assert!(!widths.is_empty(), "the workload must merge");
+        assert!(
+            widths.iter().all(|&w| w == want),
+            "want {want} wide, ran {widths:?}"
+        );
     }
 }
 
@@ -158,12 +144,6 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
     let registry = Registry::new();
     db.register_metrics(&registry);
     let text = registry.render_prometheus();
-    for series in [
-        "pcp_sched_executor_choice_total{choice=\"pcp\"}",
-        "pcp_sched_executor_choice_total{choice=\"c-ppcp\"}",
-    ] {
-        assert!(text.contains(series), "missing series {series} in:\n{text}");
-    }
     let mut names: Vec<&str> = text
         .lines()
         .filter(|l| l.starts_with("pcp_sched_"))
@@ -173,19 +153,16 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
     names.dedup();
     assert_eq!(
         names,
-        [
-            "pcp_sched_executor_choice_total",
-            "pcp_sched_stage_tokens",
-            "pcp_sched_tokens_in_use"
-        ],
+        ["pcp_sched_stage_tokens", "pcp_sched_tokens_in_use"],
         "in:\n{text}"
     );
-    assert!(!text.contains("choice=\"s-ppcp\""), "the chooser has no S-PPCP arm:\n{text}");
-    // The default executor is the adaptive one, and it ran compactions.
-    assert_eq!(db.shard(0).executor().name(), "adaptive");
+    // The default executor is C-PPCP wherever the host has two cores.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let default = if cores > 1 { "c-ppcp" } else { "pcp" };
+    assert_eq!(db.shard(0).executor().name(), default);
 }
 
-/// A database on the adaptive default and one pinned to the reference
+/// A database on the default executor and one pinned to the reference
 /// executor must converge to byte-identical full key/value streams for
 /// the same workload — the repo-wide executor-equivalence invariant
 /// lifted to the production default.
@@ -207,21 +184,17 @@ proptest! {
     })]
 
     #[test]
-    fn adaptive_default_db_matches_simple_merge_db(
+    fn default_db_matches_simple_merge_db(
         ops in prop::collection::vec(
             (prop::num::u16::ANY, prop::bool::ANY, 0usize..80),
             200..800,
         ),
     ) {
-        let adaptive_opts = Options {
-            executor: Arc::new(PipelinedExec::adaptive(8 << 10, 3)),
-            ..small_opts()
-        };
         let simple_opts = Options {
             executor: Arc::new(SimpleMergeExec),
             ..small_opts()
         };
-        let db_a = Db::open(mem_env(), adaptive_opts).unwrap();
+        let db_a = Db::open(mem_env(), small_opts()).unwrap();
         let db_s = Db::open(mem_env(), simple_opts).unwrap();
         for (kx, is_delete, vlen) in &ops {
             let key = format!("key{:04}", kx % 500).into_bytes();

@@ -97,7 +97,7 @@ fn crate_dirs() -> Vec<PathBuf> {
 }
 
 /// A `KvServer` over a 2-shard `ShardedDb` with a block cache and the
-/// default (adaptive) executor, plus each shard's device: every
+/// default executor, plus each shard's device: every
 /// `register_*` call in library code lands in its registry.
 #[test]
 fn a_full_stack_scrape_exports_exactly_the_section_7_metrics() {

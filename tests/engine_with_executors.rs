@@ -75,7 +75,6 @@ fn executors() -> Vec<(&'static str, Arc<dyn CompactionExec>)> {
         ("pcp", Arc::new(PipelinedExec::pcp(16 << 10))),
         ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(16 << 10, 3))),
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(16 << 10, 2))),
-        ("adaptive", Arc::new(PipelinedExec::adaptive(16 << 10, 3))),
     ]
 }
 

@@ -222,10 +222,6 @@ proptest! {
                     ..Default::default()
                 })),
             ),
-            (
-                "adaptive",
-                Box::new(PipelinedExec::adaptive(2 << 10, 3)),
-            ),
         ] {
             let got = run_compaction(&*exec, &upper, &lower, snapshot, bottom, name);
             prop_assert_eq!(

@@ -356,7 +356,6 @@ fn executors() -> Vec<(&'static str, Box<dyn CompactionExec>)> {
         ("pcp", Box::new(PipelinedExec::pcp(2 << 10))),
         ("c-ppcp", Box::new(PipelinedExec::c_ppcp(2 << 10, 2))),
         ("s-ppcp", Box::new(PipelinedExec::s_ppcp(2 << 10, 2))),
-        ("adaptive", Box::new(PipelinedExec::adaptive(2 << 10, 2))),
     ]
 }
 

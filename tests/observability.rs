@@ -49,7 +49,7 @@ fn scp_compaction_has_nonzero_busy_time_in_all_three_stages() {
     let db = Db::open(env, small_opts(exec)).unwrap();
     drive(&db);
 
-    // A pinned executor exports its profile like the adaptive one does.
+    // A pinned executor exports its profile like the default one does.
     let registry = Registry::new();
     db.executor().register_metrics(&registry);
     assert!(registry.snapshot().counter("pcp_compactions_total", &[("exec", "scp")]) > 0);
