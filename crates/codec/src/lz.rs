@@ -283,15 +283,17 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<usize, LzError> {
                 if produced + len > declared {
                     return Err(LzError::LengthMismatch);
                 }
-                // Overlapping copies must be byte-by-byte in the general
-                // case; fast path for non-overlapping ranges.
+                // An overlapping copy (offset < len) repeats the last
+                // `offset` bytes: a run of one byte is a fill, a longer
+                // period is copied in chunks that double as it repeats.
                 let src = out.len() - offset;
-                if offset >= len {
-                    out.extend_from_within(src..src + len);
+                let end = out.len() + len;
+                if offset == 1 {
+                    out.resize(end, out[src]);
                 } else {
-                    for i in 0..len {
-                        let b = out[src + i];
-                        out.push(b);
+                    while out.len() < end {
+                        let n = (end - out.len()).min(out.len() - src);
+                        out.extend_from_within(src..src + n);
                     }
                 }
             }
@@ -387,6 +389,29 @@ mod tests {
         // "aaaa..." forces offset-1 overlapping copies.
         let data = vec![b'a'; 100];
         assert_eq!(roundtrip(&data), data);
+    }
+
+    /// Every overlapping copy — offsets 1..=8, lengths 1..=64 — after a
+    /// prefix long enough for its offset, equals the byte-by-byte copy.
+    #[test]
+    fn overlapping_copies_equal_the_bytewise_reference() {
+        let prefix = b"abcdefgh";
+        for offset in 1..=8usize {
+            for len in 1..=64usize {
+                let mut stream = Vec::new();
+                varint::put_u64(&mut stream, (prefix.len() + len) as u64);
+                emit_literal(&mut stream, prefix);
+                stream.push(0b10 | ((len as u8 - 1) << 2));
+                stream.extend_from_slice(&(offset as u16).to_le_bytes());
+                let mut want = prefix.to_vec();
+                for _ in 0..len {
+                    want.push(want[want.len() - offset]);
+                }
+                let mut got = Vec::new();
+                decompress(&stream, &mut got).unwrap();
+                assert_eq!(got, want, "offset {offset}, len {len}");
+            }
+        }
     }
 
     #[test]

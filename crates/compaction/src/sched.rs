@@ -152,7 +152,14 @@ impl CompactionLimiter {
         }
         st.in_use += 1;
         st.peak = st.peak.max(st.in_use);
-        Some(ResourceGrant::new(self.share))
+        Some(self.share_grant())
+    }
+
+    /// The grant every admitted compaction carries — one share of the
+    /// token budget — without taking a permit: what a manual
+    /// `compact_range`, which skips the permit queue, runs on.
+    pub fn share_grant(&self) -> ResourceGrant {
+        ResourceGrant::new(self.share)
     }
 
     /// Returns the permit taken by [`CompactionLimiter::acquire_grant`].

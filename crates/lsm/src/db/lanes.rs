@@ -44,7 +44,8 @@ impl DbInner {
     /// The compaction lane: pick → grant → `executor.compact` → MANIFEST
     /// edit, one at a time — the only place a `Db` merges. A posted
     /// [`Db::compact_range`] level goes first, ungated: the caller asked
-    /// for this work explicitly, so it runs unpaced.
+    /// for this work explicitly, so it waits for no permit — but it runs
+    /// no wider than the limiter's share.
     pub(super) fn compaction_lane(&self) {
         let mut st = self.state.lock();
         while !self.shutdown.load(AtomicOrdering::SeqCst) {
@@ -88,16 +89,19 @@ impl DbInner {
     }
 
     /// Runs `pick`, under a grant from the shared cross-database admission
-    /// gate when `gated` and one is configured (flushes are never gated).
+    /// gate when one is configured (flushes are never gated). An ungated
+    /// pick — a manual one — skips the permit queue but still runs on one
+    /// share of the token budget.
     fn compact_with_grant(
         &self,
         st: &mut MutexGuard<'_, State>,
         pick: CompactionPick,
         gated: bool,
     ) -> io::Result<()> {
-        let limiter = self.opts.compaction_limiter.as_deref().filter(|_| gated);
+        let configured = self.opts.compaction_limiter.as_deref();
+        let limiter = configured.filter(|_| gated);
         let grant = match limiter {
-            None => None,
+            None => configured.map(|limiter| limiter.share_grant()),
             Some(limiter) => {
                 let acquired = MutexGuard::unlocked(st, || {
                     limiter.acquire_grant(&|| self.shutdown.load(AtomicOrdering::SeqCst))

@@ -16,7 +16,8 @@ use std::sync::Arc;
 /// table at a time through the cache.
 ///
 /// The run's first span length goes to every table it enters, so crossing
-/// into the next table costs one span read of that length.
+/// into the next table costs one span read of that length, and the table's
+/// cursor books the span after it at once (`seek_to_first`).
 pub struct LevelIter {
     files: Vec<Arc<FileMetadata>>,
     cache: Arc<TableCache>,
@@ -368,19 +369,29 @@ mod level_iter_tests {
     }
 
     /// Crossing into the next table costs one span read at the run's
-    /// length, not a ramp that starts over.
+    /// length, not a ramp that starts over, and books the span after it,
+    /// twice as long or to the table's end.
     #[test]
-    fn next_table_is_entered_with_one_span_of_the_runs_length() {
+    fn next_table_is_entered_with_a_span_of_the_runs_length_and_books_the_next() {
         let (cache, files) = level_fixture(256);
         let stats = Arc::clone(cache.scan_stats());
+        let blocks = cache.get(2).unwrap().stats().data_blocks;
+        assert!(blocks > 3, "{blocks} blocks");
         let mut it = LevelIter::new(files, cache, 3);
         it.seek(&make_internal_key(b"k0099", MAX_SEQUENCE, ValueType::Value));
         assert_eq!(user_key(it.key()), b"k0099");
-        let (spans, blocks) = (stats.spans(), stats.blocks_prefetched());
+        let (spans, prefetched) = (stats.spans(), stats.blocks_prefetched());
         it.next();
         assert_eq!(user_key(it.key()), b"k0200", "crossed into the next file");
-        let read = (stats.spans() - spans, stats.blocks_prefetched() - blocks);
-        assert_eq!(read, (1, 3), "(spans, blocks) read on entering the table");
+        let read = (
+            stats.spans() - spans,
+            stats.blocks_prefetched() - prefetched,
+        );
+        assert_eq!(
+            read,
+            (2, 3 + (blocks - 3).min(6)),
+            "(spans, blocks) read on entering the table"
+        );
         assert_eq!(stats.sync_blocks(), 0);
     }
 

@@ -18,7 +18,8 @@
 //!   compression, and [`BlockCutter`], the one rule for where a data block
 //!   ends.
 //! * [`readahead`] — scan readahead: a cursor reads each block-cache miss
-//!   as one span of consecutive blocks, on the caller's thread.
+//!   as one span of consecutive blocks, on the caller's thread, and a long
+//!   scan books its next span on the device while it decodes the current.
 //! * [`bloom`] — per-table bloom filter.
 //! * [`table`] — [`TableBuilder`] / [`TableReader`]. A builder takes
 //!   entries or sealed blocks, and appends both as sealed blocks; a reader

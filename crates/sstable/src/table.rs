@@ -37,12 +37,13 @@ use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
 use crate::key::user_key;
-use crate::readahead::{ScanStats, Span, MAX_SPAN_BLOCKS};
+use crate::readahead::{Booked, ScanStats, Span, MAX_SPAN_BLOCKS};
 use crate::{copy_status, corruption, Result};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
 use pcp_storage::{RandomReadFile, ReadClass, WritableFile};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Bytes appended after every block payload: kind byte + masked CRC.
 pub const BLOCK_TRAILER_SIZE: usize = 5;
@@ -588,7 +589,7 @@ impl TableReader {
     /// Step S1 (READ): fetches one raw block (payload ++ trailer) without
     /// verification or decompression.
     pub fn read_raw_block(&self, handle: BlockHandle) -> Result<Bytes> {
-        self.read_raw_span_class(handle, handle, ReadClass::Foreground)
+        self.read_raw_span(handle, handle)
     }
 
     /// Step S1 at sub-task granularity: fetches the contiguous byte span
@@ -597,24 +598,38 @@ impl TableReader {
     /// block. Slice individual raw blocks out with [`BlockHandle`] offsets
     /// relative to `first.offset`.
     pub fn read_raw_span(&self, first: BlockHandle, last: BlockHandle) -> Result<Bytes> {
-        self.read_raw_span_class(first, last, ReadClass::Foreground)
+        let len = Self::span_len(first, last)?;
+        let raw = self
+            .file
+            .read_at_class(first.offset, len, ReadClass::Foreground)?;
+        Self::check_len(raw, len)
     }
 
-    /// [`read_raw_span`](TableReader::read_raw_span) with a scheduling
-    /// class, so a scan's readahead is accounted separately by the storage
-    /// model.
-    pub fn read_raw_span_class(
+    /// A scan's [`read_raw_span`](TableReader::read_raw_span): tagged
+    /// [`ReadClass::Readahead`] and booked on the device without waiting
+    /// for it — the raw bytes and the instant the read completes.
+    pub(crate) fn submit_raw_span(
         &self,
         first: BlockHandle,
         last: BlockHandle,
-        class: ReadClass,
-    ) -> Result<Bytes> {
-        let len = last
-            .stored_end()
+    ) -> Result<(Bytes, Instant)> {
+        let len = Self::span_len(first, last)?;
+        let (raw, ready) = self
+            .file
+            .submit_read_class(first.offset, len, ReadClass::Readahead)?;
+        Ok((Self::check_len(raw, len)?, ready))
+    }
+
+    /// Bytes from `first`'s offset to the end of `last`'s trailer.
+    fn span_len(first: BlockHandle, last: BlockHandle) -> Result<usize> {
+        last.stored_end()
             .and_then(|end| end.checked_sub(first.offset))
-            .ok_or_else(|| corruption("block span ends before it starts"))?;
-        let raw = self.file.read_at_class(first.offset, len as usize, class)?;
-        if raw.len() as u64 != len {
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or_else(|| corruption("block span ends before it starts"))
+    }
+
+    fn check_len(raw: Bytes, len: usize) -> Result<Bytes> {
+        if raw.len() != len {
             return Err(corruption("short block read"));
         }
         Ok(raw)
@@ -727,15 +742,19 @@ impl TableReader {
             block_iter: None,
             status: Ok(()),
             span: None,
+            booked: None,
+            ahead: None,
             first_span,
             span_blocks: first_span,
+            book_in: 1,
         }
     }
 }
 
 /// Two-level cursor: index block → data block. Every block-cache miss
-/// reads a span on the cursor's own thread (`readahead.rs`); a seek drops
-/// the span and restarts its length.
+/// reads a span on the cursor's own thread, and a continuing cursor books
+/// the span after it (`readahead.rs`); a seek drops both spans and
+/// restarts the span length.
 pub struct TableIter {
     reader: Arc<TableReader>,
     index_iter: BlockIter,
@@ -744,49 +763,83 @@ pub struct TableIter {
     block_iter: Option<BlockIter>,
     /// Why the cursor stopped short of the table's end, until the next seek.
     status: Result<()>,
-    /// Raw blocks read ahead of the cursor by the last span read.
+    /// Raw blocks read ahead of the cursor by the span it is in.
     span: Option<Span>,
+    /// The span after `span`, booked on the device before the cursor
+    /// needs it.
+    booked: Option<Booked>,
+    /// Index cursor on the first block after the newest span; `None` when
+    /// that span reached the table's end.
+    ahead: Option<BlockIter>,
     /// Blocks the first span after a seek asks for.
     first_span: usize,
     /// Blocks the next span read asks for.
     span_blocks: usize,
+    /// Spans the cursor still enters before it books the next one as it
+    /// enters a span: 1 after `seek_to_first`, 2 after `seek`, so a short
+    /// positioned scan books nothing it will not read.
+    book_in: usize,
 }
 
 impl TableIter {
-    /// Clears the error, drops the span — its unread blocks counted as
-    /// wasted — and restarts the span length (called on seeks).
-    fn reset(&mut self) {
+    /// Clears the error, drops both spans — their unread blocks counted as
+    /// wasted — and restarts the span length (called on seeks); the cursor
+    /// books ahead from its `book_in`-th span on.
+    fn reset(&mut self, book_in: usize) {
         self.status = Ok(());
         self.span = None;
+        self.booked = None;
+        self.ahead = None;
         self.span_blocks = self.first_span;
+        self.book_in = book_in;
     }
 
-    /// Reads the next span — `first`'s block and up to `span_blocks - 1`
-    /// blocks after it, in one read — and takes `first`'s raw block from it.
-    fn read_span(&mut self, first: BlockHandle) -> Result<Bytes> {
-        let mut ahead = self.index_iter.clone();
+    /// Books the span of `span_blocks` blocks that starts at the block `at`
+    /// points at — one device read, not waited for — and doubles the next
+    /// span's length. Leaves `ahead` on the block after the span.
+    fn submit_span(&mut self, mut at: BlockIter) -> Result<Booked> {
+        let first = BlockHandle::decode(at.value())?.0;
         let (mut last, mut blocks) = (first, 1);
-        while blocks < self.span_blocks {
-            ahead.next();
-            if !ahead.valid() {
-                break;
-            }
-            last = BlockHandle::decode(ahead.value())?.0;
+        at.next();
+        while blocks < self.span_blocks && at.valid() {
+            last = BlockHandle::decode(at.value())?.0;
             blocks += 1;
+            at.next();
         }
-        let raw = self
-            .reader
-            .read_raw_span_class(first, last, ReadClass::Readahead)?;
-        self.span_blocks = (self.span_blocks * 2).min(MAX_SPAN_BLOCKS);
-        let span = Span::new(first.offset, raw, blocks, &self.reader.scan);
-        self.span
-            .insert(span)
-            .take(first)
-            .ok_or_else(|| corruption("block outside its span"))
+        self.span_blocks = self.span_blocks.saturating_mul(2);
+        self.ahead = at.valid().then_some(at);
+        let range = first.offset..last.stored_end().unwrap_or(u64::MAX);
+        let read = (self.reader.submit_raw_span(first, last))
+            .map(|(raw, ready)| Span::new(first.offset, raw, blocks, ready, &self.reader.scan));
+        Ok(Booked { range, read })
+    }
+
+    /// Makes the span that holds `handle` — the booked one when it covers
+    /// `handle`, else a new one read from the index cursor — the current
+    /// span; a continuing cursor then books the span after it.
+    fn enter_span(&mut self, handle: BlockHandle) -> Result<()> {
+        let booked = self
+            .booked
+            .take()
+            .filter(|b| b.range.contains(&handle.offset));
+        let Booked { read, .. } = match booked {
+            Some(booked) => booked,
+            None => self.submit_span(self.index_iter.clone())?,
+        };
+        self.span = Some(read?);
+        self.book_in = self.book_in.saturating_sub(1);
+        if self.book_in == 0 {
+            // A handle that does not decode books nothing: the cursor meets
+            // the same error when it reaches that block.
+            if let Some(at) = self.ahead.take() {
+                self.booked = self.submit_span(at).ok();
+            }
+        }
+        Ok(())
     }
 
     /// Loads the block the index cursor points at (`None` past its end):
-    /// from the block cache, else from the span, else by reading a new span.
+    /// from the block cache, else from the current span, else from the next.
     fn load_block(&mut self) -> Result<Option<Block>> {
         if !self.index_iter.valid() {
             return Ok(None);
@@ -797,7 +850,11 @@ impl TableIter {
         }
         let raw = match self.span.as_mut().and_then(|span| span.take(handle)) {
             Some(raw) => raw,
-            None => self.read_span(handle)?,
+            None => {
+                self.enter_span(handle)?;
+                (self.span.as_mut().and_then(|span| span.take(handle)))
+                    .ok_or_else(|| corruption("block outside its span"))?
+            }
         };
         self.reader.decode_block(handle, &raw).map(Some)
     }
@@ -836,14 +893,14 @@ impl KvIter for TableIter {
     }
 
     fn seek_to_first(&mut self) {
-        self.reset();
+        self.reset(1);
         self.index_iter.seek_to_first();
         self.enter_block(BlockIter::seek_to_first);
         self.skip_forward();
     }
 
     fn seek(&mut self, target: &[u8]) {
-        self.reset();
+        self.reset(2);
         self.index_iter.seek(target);
         self.enter_block(|it| it.seek(target));
         self.skip_forward();
@@ -1276,33 +1333,100 @@ mod tests {
         (Arc::new(TableReader::new(file, meta, cache, Arc::default())), blocks, reads)
     }
 
-    /// How many of `blocks` each readahead-class read covers, in issue order.
-    fn span_lengths(blocks: &[BlockMeta], reads: &Receiver<Read>) -> Vec<usize> {
+    /// The blocks each readahead-class read covers, as index ranges into
+    /// `blocks`, in the order they were made.
+    fn span_ranges(blocks: &[BlockMeta], reads: &Receiver<Read>) -> Vec<std::ops::Range<usize>> {
         let spans = reads.try_iter().filter(|r| r.2 == ReadClass::Readahead);
-        let count = |(at, len, _): Read| {
-            blocks.iter().filter(|b| (at..at + len as u64).contains(&b.handle.offset)).count()
-        };
-        spans.map(count).collect()
+        let index = |at: u64| blocks.partition_point(|b| b.handle.offset < at);
+        spans
+            .map(|(at, len, _)| index(at)..index(at + len as u64))
+            .collect()
     }
 
-    /// Every block comes from a span: spans start at the cursor's first
-    /// length and double to the cap, and none of their blocks go unread.
+    /// How many of `blocks` each readahead-class read covers, in the order they were made.
+    fn span_lengths(blocks: &[BlockMeta], reads: &Receiver<Read>) -> Vec<usize> {
+        span_ranges(blocks, reads).iter().map(|r| r.len()).collect()
+    }
+
+    /// A full scan reads every block once, from spans that start at the
+    /// cursor's first length and double to the table's end, none of their
+    /// blocks unread; and it books span n+1 as it enters span n — at that
+    /// span's first block, and never more than one span ahead.
     #[test]
-    fn full_scan_matches_model_and_spans_double_to_the_cap() {
+    fn full_scan_books_each_span_as_it_enters_the_one_before() {
         let n = 10_000;
         for first in [1, MAX_SPAN_BLOCKS] {
             let (reader, blocks, reads) = recorded(n, |_| usize::MAX, None);
-            assert_eq!(drain(reader.iter_with_span(first)), model(n));
+            let mut it = reader.iter_with_span(first);
+            it.seek_to_first();
+            let (mut spans, mut got) = (Vec::new(), Vec::new());
+            while it.valid() {
+                spans.extend(span_ranges(&blocks, &reads));
+                let at =
+                    blocks.partition_point(|b| internal_key_cmp(&b.last_key, it.key()).is_lt());
+                let entered = spans.iter().position(|s| s.contains(&at)).unwrap();
+                let booked = usize::from(spans[entered].end < blocks.len());
+                assert_eq!(
+                    spans.len(),
+                    entered + 1 + booked,
+                    "in block {at}: {spans:?}"
+                );
+                got.push((it.key().to_vec(), it.value().to_vec()));
+                it.next();
+            }
+            it.status().unwrap();
+            assert_eq!(got, model(n));
+            assert!(spans.len() >= 3, "{spans:?}");
+            assert!(
+                spans.windows(2).all(|w| w[0].end == w[1].start),
+                "{spans:?}"
+            );
+            assert_eq!(
+                (spans[0].start, spans[spans.len() - 1].end),
+                (0, blocks.len())
+            );
+            let lens: Vec<_> = spans.iter().map(|s| s.len()).collect();
+            let (tail, full) = lens.split_last().unwrap();
+            let want: Vec<_> = (0..full.len()).map(|i| first << i).collect();
+            assert!(full == want && *tail <= first << full.len(), "{lens:?}");
             let stats = &reader.scan;
             assert_eq!(stats.sync_blocks(), 0, "a block was read outside a span");
-            let spans = span_lengths(&blocks, &reads);
-            let (tail, full) = spans.split_last().unwrap();
-            let want: Vec<_> = (0..full.len()).map(|i| MAX_SPAN_BLOCKS.min(first << i)).collect();
-            assert!(full.len() >= 3 && full == want && *tail <= MAX_SPAN_BLOCKS, "{spans:?}");
-            assert_eq!(spans.iter().sum::<usize>(), blocks.len());
-            assert_eq!((stats.spans(), stats.hits()), (spans.len() as u64, stats.blocks_prefetched()));
+            assert_eq!(
+                (stats.spans(), stats.hits()),
+                (spans.len() as u64, stats.blocks_prefetched())
+            );
             assert_eq!(stats.wasted(), 0);
         }
+    }
+
+    /// A positioned seek books nothing while it stays in its first span,
+    /// reads its second span when it gets there, and from then on books
+    /// one span ahead.
+    #[test]
+    fn a_seek_books_ahead_only_from_its_second_span() {
+        let (reader, blocks, reads) = recorded(10_000, |_| usize::MAX, None);
+        let mut it = reader.iter_with_span(2);
+        it.seek(&make_internal_key(
+            b"key00000000",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
+        it.next();
+        assert_eq!(
+            span_lengths(&blocks, &reads),
+            [2],
+            "a short seek booked ahead"
+        );
+        let in_first_span = blocks[0].entries + blocks[1].entries;
+        for _ in 1..in_first_span {
+            it.next();
+        }
+        assert_eq!(
+            span_lengths(&blocks, &reads),
+            [4, 8],
+            "the second span and the booked third"
+        );
+        assert!(it.valid() && it.status().is_ok());
     }
 
     #[test]

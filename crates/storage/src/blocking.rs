@@ -6,7 +6,7 @@
 //! The `Env` implementations of this crate ask the witness at the top of
 //! every filesystem and file method, so all engine I/O is checked too.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs `f`, a call that blocks on `what` (a thread join, a channel
 /// receive), after asking the witness.
@@ -28,4 +28,14 @@ pub fn sleep(duration: Duration) {
                   the witness above"
     )]
     std::thread::sleep(duration);
+}
+
+/// Sleeps until `deadline`, if it is still ahead: how a caller waits out a
+/// device request it booked earlier ([`crate::BlockDevice::submit_read`]).
+#[track_caller]
+pub fn sleep_until(deadline: Instant) {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if !left.is_zero() {
+        sleep(left);
+    }
 }

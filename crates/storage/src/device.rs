@@ -12,6 +12,7 @@
 //! delaying the next, and a thread waiting on I/O leaves the CPU to compute
 //! threads: the overlap the pipelined compaction procedure exploits.
 
+use crate::blocking::sleep_until;
 use crate::model::{IoKind, LatencyModel, ModelState, NullModel};
 use crate::stats::DeviceStats;
 use bytes::Bytes;
@@ -62,14 +63,6 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
 
     /// Latency-model name (e.g. `"hdd-7200rpm"`).
     fn model_name(&self) -> &'static str;
-}
-
-/// Sleeps until `done`, if it is still ahead.
-fn sleep_until(done: Instant) {
-    let left = done.saturating_duration_since(Instant::now());
-    if !left.is_zero() {
-        crate::blocking::sleep(left);
-    }
 }
 
 /// Rejects a request to device `name` that does not end within `capacity`.

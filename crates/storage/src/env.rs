@@ -5,10 +5,22 @@
 //! (simulated HDD/SSD/RAID latencies, used for all paper experiments) and
 //! [`crate::StdFsEnv`] (real files, used to sanity-check the engine on an
 //! actual filesystem).
+//!
+//! A positional read either waits for its data
+//! ([`RandomReadFile::read_at_class`]) or is only booked
+//! ([`RandomReadFile::submit_read_class`]): the data comes back at once
+//! with the instant the device completes the request, and the caller
+//! waits that instant out when it needs the data
+//! ([`crate::blocking::sleep_until`]). A scan cursor books its next span
+//! that way and decodes the current one meanwhile, so the device and the
+//! CPU work at once on the read path as they do in a pipelined
+//! compaction. A file with no device timeline (a real file) reads at once
+//! and reports the read done.
 
 use bytes::Bytes;
 use std::io;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// An append-only file handle (WAL, SSTable under construction, MANIFEST).
 pub trait WritableFile: Send {
@@ -56,6 +68,21 @@ pub trait RandomReadFile: Send + Sync {
     /// override it to tally readahead I/O.
     fn read_at_class(&self, offset: u64, len: usize, _class: ReadClass) -> io::Result<Bytes> {
         self.read_at(offset, len)
+    }
+
+    /// Books [`read_at_class`](RandomReadFile::read_at_class) without
+    /// waiting for it: returns the data and the instant the read completes,
+    /// which the caller sleeps to before it counts the data as read. The
+    /// default reads synchronously and returns `Instant::now()`; files
+    /// over a simulated device override it to book the device's timeline.
+    fn submit_read_class(
+        &self,
+        offset: u64,
+        len: usize,
+        class: ReadClass,
+    ) -> io::Result<(Bytes, Instant)> {
+        let data = self.read_at_class(offset, len, class)?;
+        Ok((data, Instant::now()))
     }
 
     /// File length in bytes.

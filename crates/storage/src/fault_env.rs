@@ -27,7 +27,7 @@
 //! (`fail the 3rd sync`), optionally restricted to file names containing a
 //! substring (so a test can tear exactly the MANIFEST and nothing else).
 
-use crate::env::{Env, RandomReadFile, WritableFile};
+use crate::env::{Env, RandomReadFile, ReadClass, WritableFile};
 use crate::EnvRef;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The fault-site taxonomy: each I/O entry point the wrapper can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +46,8 @@ pub enum FaultOp {
     Flush,
     /// `WritableFile::sync`.
     Sync,
-    /// `RandomReadFile::read_at`.
+    /// `RandomReadFile::read_at` — any of its forms, a booked read
+    /// (`submit_read_class`) included.
     ReadAt,
     /// `Env::create`.
     Create,
@@ -522,18 +524,47 @@ struct FaultRandomReadFile {
     shared: Arc<Shared>,
 }
 
+impl FaultRandomReadFile {
+    /// Fails the read now if a `ReadAt` fault is due.
+    fn inject(&self) -> io::Result<()> {
+        self.shared
+            .apply(self.shared.decide(FaultOp::ReadAt, &self.name))
+    }
+
+    /// `data`, with one bit flipped if a flip is due.
+    fn flip(&self, data: Bytes) -> Bytes {
+        match self.shared.decide_bit_flip(&self.name, data.len()) {
+            Some((byte, bit)) => {
+                let mut corrupted = data.to_vec();
+                corrupted[byte] ^= bit;
+                Bytes::from(corrupted)
+            }
+            None => data,
+        }
+    }
+}
+
 impl RandomReadFile for FaultRandomReadFile {
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
+        self.read_at_class(offset, len, ReadClass::Foreground)
+    }
+
+    fn read_at_class(&self, offset: u64, len: usize, class: ReadClass) -> io::Result<Bytes> {
         parking_lot::check_blocking("RandomReadFile::read_at");
-        self.shared
-            .apply(self.shared.decide(FaultOp::ReadAt, &self.name))?;
-        let data = self.inner.read_at(offset, len)?;
-        if let Some((byte, bit)) = self.shared.decide_bit_flip(&self.name, data.len()) {
-            let mut corrupted = data.to_vec();
-            corrupted[byte] ^= bit;
-            return Ok(Bytes::from(corrupted));
-        }
-        Ok(data)
+        self.inject()?;
+        Ok(self.flip(self.inner.read_at_class(offset, len, class)?))
+    }
+
+    fn submit_read_class(
+        &self,
+        offset: u64,
+        len: usize,
+        class: ReadClass,
+    ) -> io::Result<(Bytes, Instant)> {
+        parking_lot::check_blocking("RandomReadFile::submit_read_class");
+        self.inject()?;
+        let (data, done) = self.inner.submit_read_class(offset, len, class)?;
+        Ok((self.flip(data), done))
     }
 
     fn len(&self) -> u64 {

@@ -12,6 +12,7 @@
 //! step-S7 I/O.
 
 use crate::alloc::{Extent, ExtentAllocator};
+use crate::blocking::sleep_until;
 use crate::env::{Env, RandomReadFile, ReadClass, WritableFile};
 use crate::DeviceRef;
 use bytes::Bytes;
@@ -19,6 +20,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Granule files grow by. One memtable flush (≈2 MB SSTable) spans several
 /// extents, so co-evolving files interleave on the device — the dynamic
@@ -200,28 +202,46 @@ struct SimReadable {
 
 impl RandomReadFile for SimReadable {
     fn read_at(&self, offset: u64, len: usize) -> io::Result<Bytes> {
-        parking_lot::check_blocking("RandomReadFile::read_at");
-        if offset >= self.meta.len {
-            return Ok(Bytes::new());
-        }
-        let len = len.min((self.meta.len - offset) as usize);
-        let ranges = self.meta.map_range(offset, len as u64);
-        if ranges.len() == 1 {
-            return self.device.read_at(ranges[0].0, ranges[0].1);
-        }
-        let mut out = Vec::with_capacity(len);
-        for (dev_off, n) in ranges {
-            out.extend_from_slice(&self.device.read_at(dev_off, n)?);
-        }
-        Ok(Bytes::from(out))
+        self.read_at_class(offset, len, ReadClass::Foreground)
     }
 
     fn read_at_class(&self, offset: u64, len: usize, class: ReadClass) -> io::Result<Bytes> {
-        let data = self.read_at(offset, len)?;
+        let (data, done) = self.submit_read_class(offset, len, class)?;
+        sleep_until(done);
+        Ok(data)
+    }
+
+    /// Books one device read per extent the range crosses, back to back,
+    /// and returns the instant the last of them completes.
+    fn submit_read_class(
+        &self,
+        offset: u64,
+        len: usize,
+        class: ReadClass,
+    ) -> io::Result<(Bytes, Instant)> {
+        parking_lot::check_blocking("RandomReadFile::read_at");
+        if offset >= self.meta.len {
+            return Ok((Bytes::new(), Instant::now()));
+        }
+        let len = len.min((self.meta.len - offset) as usize);
+        let ranges = self.meta.map_range(offset, len as u64);
+        let (data, done) = match ranges[..] {
+            [(dev_off, n)] => self.device.submit_read(dev_off, n)?,
+            _ => {
+                let mut out = Vec::with_capacity(len);
+                let mut done = Instant::now();
+                for (dev_off, n) in ranges {
+                    let (data, at) = self.device.submit_read(dev_off, n)?;
+                    out.extend_from_slice(&data);
+                    done = done.max(at);
+                }
+                (Bytes::from(out), done)
+            }
+        };
         if class == ReadClass::Readahead {
             self.device.stats().record_readahead(data.len() as u64);
         }
-        Ok(data)
+        Ok((data, done))
     }
 
     fn len(&self) -> u64 {
@@ -323,8 +343,11 @@ impl Drop for SimWritable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{BlockDevice, SimDevice};
     use crate::env::{read_string_file, write_string_file};
+    use crate::DeviceStats;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::time::Duration;
 
     fn env() -> SimEnv {
         SimEnv::new(Arc::new(SimDevice::mem(64 << 20)))
@@ -342,6 +365,80 @@ mod tests {
         assert_eq!(r.len(), 11);
         assert_eq!(&r.read_at(0, 11).unwrap()[..], b"hello world");
         assert_eq!(&r.read_at(6, 5).unwrap()[..], b"world");
+    }
+
+    /// A mem device whose n-th read completes n minutes after the device
+    /// was made.
+    #[derive(Debug)]
+    struct MinuteDevice {
+        inner: SimDevice,
+        made: Instant,
+        reads: AtomicU64,
+    }
+
+    impl BlockDevice for MinuteDevice {
+        fn submit_read(&self, offset: u64, len: usize) -> io::Result<(Bytes, Instant)> {
+            let (data, _) = self.inner.submit_read(offset, len)?;
+            let n = self.reads.fetch_add(1, Relaxed) + 1;
+            Ok((data, self.made + Duration::from_secs(60 * n)))
+        }
+
+        fn submit_write(&self, offset: u64, data: &[u8]) -> io::Result<Instant> {
+            self.inner.submit_write(offset, data)
+        }
+
+        fn capacity(&self) -> u64 {
+            self.inner.capacity()
+        }
+
+        fn stats(&self) -> &DeviceStats {
+            self.inner.stats()
+        }
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn model_name(&self) -> &'static str {
+            self.inner.model_name()
+        }
+    }
+
+    /// A booked read returns at once — its device reads complete minutes
+    /// later — with the data of every extent it crosses, one device read
+    /// each, and the instant the last of them completes.
+    #[test]
+    fn a_submitted_read_books_each_extent_and_returns_the_last_completion() {
+        let dev = Arc::new(MinuteDevice {
+            inner: SimDevice::mem(64 << 20),
+            made: Instant::now(),
+            reads: Default::default(),
+        });
+        let env = SimEnv::new(dev.clone());
+        let data: Vec<u8> = (0..2 * SEGMENT as usize + 100)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut f = env.create("f").unwrap();
+        for chunk in data.chunks(SEGMENT as usize) {
+            f.append(chunk).unwrap();
+            f.flush().unwrap();
+        }
+        drop(f);
+        let r = env.open("f").unwrap();
+        let (got, done) = r
+            .submit_read_class(0, data.len(), ReadClass::Readahead)
+            .unwrap();
+        assert_eq!(&got[..], &data[..]);
+        assert_eq!(
+            done,
+            dev.made + Duration::from_secs(180),
+            "the third read's"
+        );
+        assert_eq!(dev.stats().readahead_bytes(), data.len() as u64);
+        let (tail, _) = r
+            .submit_read_class(data.len() as u64, 10, ReadClass::Foreground)
+            .unwrap();
+        assert!(tail.is_empty());
     }
 
     #[test]

@@ -85,8 +85,8 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
 /// The default executor runs its compute stage as wide as each
 /// compaction's grant: the host's cores under the unlimited grant of a
 /// standalone `Db`, one worker under a budget of 2 tokens for 2 permits.
-/// It drives only the lane's own merges, because a `compact_range` is
-/// never gated.
+/// It drives only the lane's own merges; a `compact_range` is the next
+/// test's.
 #[test]
 fn default_compute_width_is_the_grant() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
@@ -121,6 +121,46 @@ fn default_compute_width_is_the_grant() {
             "want {want} wide, ran {widths:?}"
         );
     }
+}
+
+/// A `compact_range` skips the permit queue but not the share: under a
+/// budget of 2 tokens for 2 permits every one of its merges runs 1 wide,
+/// as the lane's do.
+#[test]
+fn compact_range_runs_on_the_limiters_share() {
+    let trace = Arc::new(TraceLog::new(4096));
+    let opts = Options {
+        executor: Arc::new(PipelinedExec::default().with_trace(Arc::clone(&trace))),
+        compaction_limiter: Some(CompactionLimiter::with_budget(2, 2)),
+        ..small_opts()
+    };
+    let db = Db::open(mem_env(), opts).unwrap();
+    for i in 0..3000u64 {
+        let key = format!("key{:05}", i * 7919 % 1000).into_bytes();
+        db.put(&key, format!("v{i}-{}", "x".repeat(48)).as_bytes())
+            .unwrap();
+    }
+    db.wait_idle().unwrap();
+    let lane_merges = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == "compaction_start")
+        .count();
+    db.compact_range(None, None).unwrap();
+
+    let widths: Vec<u64> = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == "compaction_start")
+        .skip(lane_merges)
+        .filter_map(|e| e.fields.iter().find(|(n, _)| *n == "compute_workers"))
+        .map(|&(_, width)| width)
+        .collect();
+    assert!(!widths.is_empty(), "compact_range must merge");
+    assert!(
+        widths.iter().all(|&w| w == 1),
+        "manual merges ran {widths:?} wide"
+    );
 }
 
 /// The sharded engine's registry carries exactly the `pcp_sched_*`

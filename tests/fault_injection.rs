@@ -30,6 +30,7 @@ use pcp::lsm::{
 };
 use pcp::shard::{HashRouter, ShardedDb};
 use pcp::sstable::key::{make_internal_key, ValueType};
+use pcp::sstable::readahead::MAX_SPAN_BLOCKS;
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use proptest::prelude::*;
@@ -453,7 +454,9 @@ fn flip_a_bit_in_every_table(env: &EnvRef) {
 /// scan the same way: `!valid()`, `status()` is the error, and the keys
 /// yielded so far are a strict prefix of the data. A `ShardedDb` scan is
 /// one merge over every shard's runs, so a failed read on one shard ends
-/// it the same way, and `ShardedDb::scan` returns the error.
+/// it the same way, and `ShardedDb::scan` returns the error. A span read
+/// booked ahead of the cursor that fails ends the scan only where that
+/// span starts.
 #[test]
 fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
     type Arm = fn(&FaultEnv, &EnvRef);
@@ -498,6 +501,72 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
             assert!(it.valid() && it.status().is_ok(), "{what}: error survived a seek");
         }
     }
+
+    // A failed booked span. One level-0 table of many small blocks: its
+    // cold scan reads the footer, the metadata, a first span of
+    // `MAX_SPAN_BLOCKS` blocks and — before it decodes any of them — books
+    // the next span, the fourth read. That read's error surfaces only when
+    // the cursor reaches the booked span, after every entry of the first.
+    let inner = mem_env();
+    let fault = FaultEnv::new(Arc::clone(&inner), 11);
+    let env: EnvRef = Arc::new(fault.clone());
+    let opts = Options {
+        memtable_bytes: 1 << 20,
+        sstable_bytes: 4 << 20,
+        block_bytes: 256,
+        ..scan_opts()
+    };
+    let model: Vec<Vec<u8>> = {
+        let db = Db::open(Arc::clone(&env), opts.clone()).unwrap();
+        for i in 0..2000u32 {
+            let k = format!("k{:05}", (i * 7919) % 2000).into_bytes();
+            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes())
+                .unwrap();
+        }
+        db.flush().unwrap();
+        db.wait_idle().unwrap();
+        let tables: usize = db.level_summary().iter().map(|(files, _)| files).sum();
+        assert_eq!(tables, 1, "{:?}", db.level_summary());
+        dump(&db).into_keys().collect()
+    };
+    let table = TableReader::open(inner.open(&sst_files(&inner)[0]).unwrap()).unwrap();
+    let blocks = table.block_metas().unwrap();
+    assert!(
+        blocks.len() > 2 * MAX_SPAN_BLOCKS,
+        "{} blocks",
+        blocks.len()
+    );
+    let first_span: u64 = blocks[..MAX_SPAN_BLOCKS].iter().map(|b| b.entries).sum();
+    let db = Db::open(env, opts).unwrap();
+    fault.schedule_on_file(FaultOp::ReadAt, 4, FaultKind::Permanent, ".sst");
+    let mut it = db.iter();
+    it.seek_to_first();
+    let mut got = Vec::new();
+    while it.valid() {
+        got.push(it.key().to_vec());
+        it.next();
+    }
+    assert!(
+        it.status().is_err(),
+        "booked span: scan ended cleanly after {} keys",
+        got.len()
+    );
+    assert_eq!(
+        got.len() as u64,
+        first_span,
+        "booked span: not every entry before the span"
+    );
+    assert_eq!(got[..], model[..got.len()], "booked span: not a prefix");
+    it.seek_to_first();
+    got.clear();
+    while it.valid() {
+        got.push(it.key().to_vec());
+        it.next();
+    }
+    assert!(
+        it.status().is_ok() && got == model,
+        "booked span: the next seek did not start clean"
+    );
 
     // Two shards, keys spread over both; only shard 1 reads through the
     // fault env.
