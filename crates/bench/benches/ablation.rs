@@ -57,15 +57,38 @@ fn pipeline_depth() {
 
     // 5-stage: split the measured compute proportionally.
     let total: f64 = steps[1..6].iter().sum();
-    let frac = |r: std::ops::Range<usize>| -> f64 {
-        steps[r].iter().sum::<f64>() / total
-    };
+    let frac = |r: std::ops::Range<usize>| -> f64 { steps[r].iter().sum::<f64>() / total };
     let stages5 = vec![
-        StageSpec { name: "read", servers: 1, buffer: usize::MAX, in_order: false },
-        StageSpec { name: "verify", servers: 1, buffer: 4, in_order: false },
-        StageSpec { name: "merge", servers: 1, buffer: 4, in_order: false },
-        StageSpec { name: "seal", servers: 1, buffer: 4, in_order: false },
-        StageSpec { name: "write", servers: 1, buffer: usize::MAX, in_order: true },
+        StageSpec {
+            name: "read",
+            servers: 1,
+            buffer: usize::MAX,
+            in_order: false,
+        },
+        StageSpec {
+            name: "verify",
+            servers: 1,
+            buffer: 4,
+            in_order: false,
+        },
+        StageSpec {
+            name: "merge",
+            servers: 1,
+            buffer: 4,
+            in_order: false,
+        },
+        StageSpec {
+            name: "seal",
+            servers: 1,
+            buffer: 4,
+            in_order: false,
+        },
+        StageSpec {
+            name: "write",
+            servers: 1,
+            buffer: usize::MAX,
+            in_order: true,
+        },
     ];
     let rows: Vec<Vec<Duration>> = costs
         .iter()

@@ -106,8 +106,7 @@ fn main() {
                 mbps(pcp.compaction_bandwidth).trim().to_string(),
                 format!(
                     "{:+.1}",
-                    (pcp.compaction_bandwidth / scp.compaction_bandwidth.max(1.0) - 1.0)
-                        * 100.0
+                    (pcp.compaction_bandwidth / scp.compaction_bandwidth.max(1.0) - 1.0) * 100.0
                 ),
                 format!("{:.0}", scp.stall_time.as_secs_f64() * 1e3),
                 format!("{:.0}", pcp.stall_time.as_secs_f64() * 1e3),

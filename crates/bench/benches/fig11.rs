@@ -15,11 +15,16 @@ use pcp_core::PipelinedExec;
 fn main() {
     // (a) sub-task sweep at fixed compaction size.
     let upper: u64 = if quick_mode() { 4 << 20 } else { 8 << 20 };
-    let mut report = Report::new(
-        "fig11a",
-        &["subtask", "scp_MB/s", "pcp_MB/s", "speedup"],
-    );
-    let sizes: &[u64] = &[64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20];
+    let mut report = Report::new("fig11a", &["subtask", "scp_MB/s", "pcp_MB/s", "speedup"]);
+    let sizes: &[u64] = &[
+        64 << 10,
+        128 << 10,
+        256 << 10,
+        512 << 10,
+        1 << 20,
+        2 << 20,
+        4 << 20,
+    ];
     for &st in sizes {
         let fixture = build_fixture(ssd_env(1.0), upper, VALUE_LEN, 11);
         let scp_bw = run_median3(&fixture, &PipelinedExec::scp(st));

@@ -25,7 +25,13 @@ fn main() {
     // --- S-PPCP on k-disk RAID0 (HDD) ---
     let mut report = Report::new(
         "fig12_sppcp",
-        &["disks", "real_MB/s", "real_speedup", "des_MB/s", "des_speedup"],
+        &[
+            "disks",
+            "real_MB/s",
+            "real_speedup",
+            "des_MB/s",
+            "des_speedup",
+        ],
     );
     let hdd_params = CostParams {
         device: DeviceKind::Hdd(pcp_storage::HddModel::sata_7200()),
@@ -44,7 +50,9 @@ fn main() {
         if k == 1 {
             real_base = bw;
         }
-        let des = simulate(Procedure::s_ppcp(k), &des_costs).makespan.as_secs_f64();
+        let des = simulate(Procedure::s_ppcp(k), &des_costs)
+            .makespan
+            .as_secs_f64();
         // x2: moved bytes (input + output), same units as the real column.
         let des_bw = 2.0 * 64.0 * SUBTASK_BYTES as f64 / des;
         report.row(&[
@@ -75,7 +83,9 @@ fn main() {
     for &k in ks {
         let fixture = build_fixture(ssd_env(1.0), upper, VALUE_LEN, 140 + k as u64);
         let bw = run_median3(&fixture, &PipelinedExec::c_ppcp(SUBTASK_BYTES, k));
-        let des = simulate(Procedure::c_ppcp(k), &des_costs).makespan.as_secs_f64();
+        let des = simulate(Procedure::c_ppcp(k), &des_costs)
+            .makespan
+            .as_secs_f64();
         let des_bw = 2.0 * 64.0 * SUBTASK_BYTES as f64 / des;
         report.row(&[
             k.to_string(),

@@ -18,8 +18,7 @@ fn main() {
         let mut report = Report::new(
             &format!("fig8_{device}"),
             &[
-                "kv_size", "read%", "crc%", "decomp%", "sort%", "comp%", "re-crc%",
-                "write%",
+                "kv_size", "read%", "crc%", "decomp%", "sort%", "comp%", "re-crc%", "write%",
             ],
         );
         for &vs in value_sizes {

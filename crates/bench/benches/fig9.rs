@@ -18,8 +18,8 @@ fn main() {
         let mut report = Report::new(
             &format!("fig9_{device}"),
             &[
-                "subtask", "read%", "crc%", "decomp%", "sort%", "comp%", "re-crc%",
-                "write%", "bw_MB/s",
+                "subtask", "read%", "crc%", "decomp%", "sort%", "comp%", "re-crc%", "write%",
+                "bw_MB/s",
             ],
         );
         for &st in subtask_sizes {

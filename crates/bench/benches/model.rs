@@ -11,8 +11,7 @@
 
 use pcp_bench::*;
 use pcp_core::model::{
-    b_cppcp, b_pcp, b_scp, b_sppcp, classify, cppcp_speedup_bound, sppcp_speedup_bound,
-    StepTimes,
+    b_cppcp, b_pcp, b_scp, b_sppcp, classify, cppcp_speedup_bound, sppcp_speedup_bound, StepTimes,
 };
 use pcp_sim::{simulate, CostParams, DeviceKind, Procedure};
 
@@ -27,7 +26,13 @@ fn main() {
     let mut report = Report::new(
         "model",
         &[
-            "device", "proc", "k", "model_MB/s", "des_MB/s", "err%", "speedup_cap",
+            "device",
+            "proc",
+            "k",
+            "model_MB/s",
+            "des_MB/s",
+            "err%",
+            "speedup_cap",
         ],
     );
     for (device, kind) in [("hdd", DeviceKind::hdd()), ("ssd", DeviceKind::ssd())] {
@@ -38,12 +43,9 @@ fn main() {
             write_amplification: 1.0,
         };
         let costs = params.subtask_costs(n);
-        let mean_read =
-            costs.iter().map(|c| c.read.as_secs_f64()).sum::<f64>() / n as f64;
-        let mean_compute =
-            costs.iter().map(|c| c.compute.as_secs_f64()).sum::<f64>() / n as f64;
-        let mean_write =
-            costs.iter().map(|c| c.write.as_secs_f64()).sum::<f64>() / n as f64;
+        let mean_read = costs.iter().map(|c| c.read.as_secs_f64()).sum::<f64>() / n as f64;
+        let mean_compute = costs.iter().map(|c| c.compute.as_secs_f64()).sum::<f64>() / n as f64;
+        let mean_write = costs.iter().map(|c| c.write.as_secs_f64()).sum::<f64>() / n as f64;
         // Distribute the aggregate compute time over S2–S6 proportionally
         // to the host profile; Eq. 1–7 only use the aggregate.
         let compute_total: f64 = measured_steps[1..6].iter().sum();

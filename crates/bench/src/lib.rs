@@ -16,13 +16,11 @@
               setup (the measurement is void anyway) and writes its reports with std::fs"
 )]
 
-use pcp_core::{CompactionProfile, PipelinedExec};
 use pcp_compaction::filename::table_file;
+use pcp_core::{CompactionProfile, PipelinedExec};
 use pcp_lsm::{CompactionExec, CompactionRequest, FileMetadata, TableCache};
 use pcp_sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
-use pcp_sstable::{
-    CompressionKind, TableBuilder, TableBuilderOptions, TableReader,
-};
+use pcp_sstable::{CompressionKind, TableBuilder, TableBuilderOptions, TableReader};
 use pcp_storage::{DeviceRef, EnvRef, HddModel, Raid0, SimDevice, SimEnv, SsdModel};
 use pcp_workload::ValueGen;
 use std::io::Write as _;
@@ -80,7 +78,11 @@ pub fn raid_hdd_env(k: usize, time_scale: f64) -> EnvRef {
             )) as DeviceRef
         })
         .collect();
-    Arc::new(SimEnv::new(Arc::new(Raid0::new("md0", members, SUBTASK_BYTES))))
+    Arc::new(SimEnv::new(Arc::new(Raid0::new(
+        "md0",
+        members,
+        SUBTASK_BYTES,
+    ))))
 }
 
 /// Table options used by every experiment (4 KB blocks, LZ on).
@@ -362,7 +364,11 @@ pub fn write_obs_json(name: &str, registry: &pcp_obs::Registry) -> std::path::Pa
 /// the committed `bench_results/` for full-size runs, `target/bench_results/`
 /// for quick ones, so that a quick run never rewrites committed numbers.
 pub fn results_dir() -> std::path::PathBuf {
-    let results = if quick_mode() { "target/bench_results" } else { "bench_results" };
+    let results = if quick_mode() {
+        "target/bench_results"
+    } else {
+        "bench_results"
+    };
     let mut dir = std::env::current_dir().unwrap_or_default();
     // Walk up to the workspace root (contains DESIGN.md).
     for _ in 0..4 {
@@ -379,7 +385,9 @@ pub fn results_dir() -> std::path::PathBuf {
 /// True when the harness should shrink workloads; `PCP_BENCH_FULL=1`
 /// selects the full-size runs behind the committed tables.
 pub fn quick_mode() -> bool {
-    std::env::var("PCP_BENCH_FULL").map(|v| v != "1").unwrap_or(true)
+    std::env::var("PCP_BENCH_FULL")
+        .map(|v| v != "1")
+        .unwrap_or(true)
 }
 
 #[cfg(test)]

@@ -33,6 +33,5 @@ pub use crc32c::{crc32c, mask_crc, unmask_crc, Crc32c};
 pub use le::{read_u32_le, read_u64_le};
 pub use lz::{compress, decompress, decompressed_len, max_compressed_len, LzError};
 pub use varint::{
-    decode_u32, decode_u64, encode_u32, encode_u64, encoded_len_u64, put_u32, put_u64,
-    VarintError,
+    decode_u32, decode_u64, encode_u32, encode_u64, encoded_len_u64, put_u32, put_u64, VarintError,
 };

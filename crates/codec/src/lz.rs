@@ -202,8 +202,7 @@ const MAX_DECOMPRESSED: usize = 256 << 20;
 
 /// Decompresses `input`, appending to `out`. Returns bytes appended.
 pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<usize, LzError> {
-    let (declared, mut pos) =
-        varint::decode_u64(input).map_err(|_| LzError::BadHeader)?;
+    let (declared, mut pos) = varint::decode_u64(input).map_err(|_| LzError::BadHeader)?;
     let declared = usize::try_from(declared).map_err(|_| LzError::LengthOverflow)?;
     if declared > MAX_DECOMPRESSED {
         return Err(LzError::LengthOverflow);
@@ -256,8 +255,7 @@ pub fn decompress(input: &[u8], out: &mut Vec<u8>) -> Result<usize, LzError> {
                             return Err(LzError::Truncated);
                         }
                         let len = 1 + (tag >> 2) as usize;
-                        let offset =
-                            u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
+                        let offset = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize;
                         pos += 2;
                         (offset, len)
                     }
@@ -451,10 +449,7 @@ mod tests {
         let mut stream = Vec::new();
         varint::put_u64(&mut stream, (MAX_DECOMPRESSED + 1) as u64);
         let mut dec = Vec::new();
-        assert_eq!(
-            decompress(&stream, &mut dec),
-            Err(LzError::LengthOverflow)
-        );
+        assert_eq!(decompress(&stream, &mut dec), Err(LzError::LengthOverflow));
     }
 
     #[test]
@@ -467,7 +462,9 @@ mod tests {
     #[test]
     fn literal_longer_than_60_bytes() {
         // Incompressible 200-byte literal exercises the extended length path.
-        let data: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(97).wrapping_add(i)).collect();
+        let data: Vec<u8> = (0..200u8)
+            .map(|i| i.wrapping_mul(97).wrapping_add(i))
+            .collect();
         assert_eq!(roundtrip(&data), data);
     }
 }

@@ -15,9 +15,7 @@ use crate::sched::ResourceGrant;
 use crate::sink::OutputSink;
 use crate::table_cache::TableCache;
 use pcp_sstable::key::{parse_internal_key, SequenceNumber, ValueType};
-use pcp_sstable::{
-    KvIter, MergingIter, Result as TableResult, TableBuilderOptions, TableReader,
-};
+use pcp_sstable::{KvIter, MergingIter, Result as TableResult, TableBuilderOptions, TableReader};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -247,9 +245,8 @@ mod tests {
     fn read_all(env: &EnvRef, outputs: &[Arc<FileMetadata>]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut all = Vec::new();
         for meta in outputs {
-            let t = Arc::new(
-                TableReader::open(env.open(&table_file(meta.number)).unwrap()).unwrap(),
-            );
+            let t =
+                Arc::new(TableReader::open(env.open(&table_file(meta.number)).unwrap()).unwrap());
             let mut it = t.iter();
             it.seek_to_first();
             while it.valid() {
@@ -376,9 +373,7 @@ mod tests {
                 .unwrap();
         }
         b.finish().unwrap();
-        let upper = Arc::new(
-            TableReader::open(env.open(&table_file(1)).unwrap()).unwrap(),
-        );
+        let upper = Arc::new(TableReader::open(env.open(&table_file(1)).unwrap()).unwrap());
         let req = CompactionRequest {
             tables: Arc::new(TableCache::new(Arc::clone(&env))),
             upper: vec![upper],
@@ -392,7 +387,11 @@ mod tests {
             grant: ResourceGrant::unlimited(),
         };
         let outputs = SimpleMergeExec.compact(&req).unwrap();
-        assert!(outputs.len() > 2, "expected rotation, got {}", outputs.len());
+        assert!(
+            outputs.len() > 2,
+            "expected rotation, got {}",
+            outputs.len()
+        );
         let total: u64 = outputs.iter().map(|f| f.entries).sum();
         assert_eq!(total, 4000);
         for w in outputs.windows(2) {

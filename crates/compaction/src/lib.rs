@@ -39,6 +39,6 @@ mod table_cache;
 
 pub use exec::{CompactionExec, CompactionRequest, SimpleMergeExec, VersionKeepFilter};
 pub use meta::FileMetadata;
-pub use sink::OutputSink;
 pub use sched::{CompactionLimiter, ResourceGrant};
+pub use sink::OutputSink;
 pub use table_cache::TableCache;

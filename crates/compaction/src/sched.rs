@@ -251,7 +251,10 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test threads, joined before returning"
+    )]
     fn contended_acquires_never_exceed_permits() {
         let limiter = CompactionLimiter::new(3);
         let live = Arc::new(AtomicUsize::new(0));
@@ -308,7 +311,10 @@ mod tests {
             assert_eq!(got, want, "({permits}, {budget})");
             assert_eq!(limiter.tokens_out(), want.iter().sum::<usize>());
             assert!(limiter.tokens_out() <= limiter.stage_tokens());
-            assert!(limiter.acquire_grant(&|| true).is_none(), "({permits}, {budget})");
+            assert!(
+                limiter.acquire_grant(&|| true).is_none(),
+                "({permits}, {budget})"
+            );
             for _ in 0..permits {
                 limiter.release_grant();
             }
@@ -318,7 +324,10 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test threads, joined before returning"
+    )]
     fn token_budget_never_oversubscribed_under_concurrency() {
         let limiter = CompactionLimiter::with_budget(4, 6);
         let held = Arc::new(AtomicUsize::new(0));
@@ -332,8 +341,8 @@ mod tests {
                     for _ in 0..40 {
                         let g = limiter.acquire_grant(&|| false).unwrap();
                         assert!(g.stage_tokens() >= 1);
-                        let now = held.fetch_add(g.stage_tokens(), Ordering::SeqCst)
-                            + g.stage_tokens();
+                        let now =
+                            held.fetch_add(g.stage_tokens(), Ordering::SeqCst) + g.stage_tokens();
                         worst.fetch_max(now, Ordering::SeqCst);
                         std::thread::yield_now();
                         held.fetch_sub(g.stage_tokens(), Ordering::SeqCst);

@@ -164,7 +164,10 @@ mod tests {
         numbers: &'a AtomicU64,
         max_table_bytes: u64,
     ) -> OutputSink<'a> {
-        let opts = TableBuilderOptions { block_size: 256, ..Default::default() };
+        let opts = TableBuilderOptions {
+            block_size: 256,
+            ..Default::default()
+        };
         OutputSink::new(tables, numbers, opts, max_table_bytes)
     }
 
@@ -173,9 +176,13 @@ mod tests {
         for k in 0..keys {
             for version in (0..5u64).rev() {
                 let user = format!("key{k:04}");
-                let ikey = make_internal_key(user.as_bytes(), k * 5 + version + 1, ValueType::Value);
+                let ikey =
+                    make_internal_key(user.as_bytes(), k * 5 + version + 1, ValueType::Value);
                 // Incompressible enough that 1 KiB is crossed every few keys.
-                let value = (k * 5 + version).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes().repeat(8);
+                let value = (k * 5 + version)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .to_le_bytes()
+                    .repeat(8);
                 sink.append(&ikey, &ikey, |b| b.add(&ikey, &value)).unwrap();
             }
         }
@@ -190,10 +197,19 @@ mod tests {
         let mut rotating = sink(&tables, &numbers, 1 << 10);
         fill(&mut rotating, 200);
         let outputs = rotating.finish().unwrap();
-        assert!(outputs.len() > 10, "rotation expected, got {}", outputs.len());
+        assert!(
+            outputs.len() > 10,
+            "rotation expected, got {}",
+            outputs.len()
+        );
         assert_eq!(outputs.iter().map(|f| f.entries).sum::<u64>(), 1000);
         for f in &outputs {
-            assert_eq!(f.entries % 5, 0, "table {} holds part of a version chain", f.number);
+            assert_eq!(
+                f.entries % 5,
+                0,
+                "table {} holds part of a version chain",
+                f.number
+            );
         }
         for w in outputs.windows(2) {
             assert!(user_key(&w[0].largest) < user_key(&w[1].smallest));
@@ -225,7 +241,11 @@ mod tests {
         fill(&mut failed, 50);
         failed.flush().unwrap();
         failed.abort();
-        assert_eq!(tables.len(), outputs.len(), "an aborted output stayed cached");
+        assert_eq!(
+            tables.len(),
+            outputs.len(),
+            "an aborted output stayed cached"
+        );
         assert_eq!(tables.env().list().unwrap().len(), outputs.len());
     }
 }

@@ -110,7 +110,11 @@ impl TableCache {
     /// admit: a table the engine writes starts warm.
     pub fn create(&self, number: u64, opts: TableBuilderOptions) -> io::Result<TableBuilder> {
         let builder = TableBuilder::new(self.env.create(&table_file(number))?, opts);
-        Ok(if self.block_cache.is_some() { builder.keep_blocks() } else { builder })
+        Ok(if self.block_cache.is_some() {
+            builder.keep_blocks()
+        } else {
+            builder
+        })
     }
 
     /// Caches the reader of table `number`, just written, from the `meta`
@@ -164,7 +168,8 @@ mod tests {
         let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(32 << 20))));
         let f = env.create(&table_file(number)).unwrap();
         let mut b = TableBuilder::new(f, TableBuilderOptions::default());
-        b.add(&make_internal_key(b"k", 1, ValueType::Value), b"v").unwrap();
+        b.add(&make_internal_key(b"k", 1, ValueType::Value), b"v")
+            .unwrap();
         let meta = b.finish().unwrap();
         (env, meta)
     }
@@ -210,10 +215,14 @@ mod tests {
         for block_cache in [Some(BlockCache::new(8 << 20)), None] {
             let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(32 << 20))));
             let cache = TableCache::with_block_cache(env, block_cache.clone());
-            let opts = TableBuilderOptions { block_size: 256, ..Default::default() };
+            let opts = TableBuilderOptions {
+                block_size: 256,
+                ..Default::default()
+            };
             let mut b = cache.create(7, opts).unwrap();
             for i in 0..200u64 {
-                let ikey = make_internal_key(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value);
+                let ikey =
+                    make_internal_key(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value);
                 b.add(&ikey, &[b'v'; 40]).unwrap();
             }
             let meta = b.finish().unwrap();
@@ -229,7 +238,9 @@ mod tests {
             assert_eq!(kept, blocks.len());
             assert_eq!(cache.written_blocks(), blocks.len() as u64);
             let id = reader.cache_id().unwrap();
-            assert!(blocks.iter().all(|b| block_cache.get(id, b.handle.offset).is_some()));
+            assert!(blocks
+                .iter()
+                .all(|b| block_cache.get(id, b.handle.offset).is_some()));
         }
     }
 

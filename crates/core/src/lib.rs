@@ -42,8 +42,8 @@ pub mod profile;
 pub mod steps;
 
 pub use model::{Bottleneck, StepTimes};
+pub use pcp_sstable::SealedBlock;
 pub use pipeline::{PipelineConfig, PipelinedExec, SealedWriter};
 pub use planner::{check_plan, plan_subtasks, read_units, KeyRange, RunBlocks, SubTask};
 pub use profile::{CompactionProfile, Occupancy, ProfileSnapshot, Step};
-pub use pcp_sstable::SealedBlock;
 pub use steps::{compute_subtask, read_unit, ComputeConfig, ComputedSubTask, SubTaskData};

@@ -15,7 +15,10 @@ pub struct StepTimes {
 impl StepTimes {
     /// Wraps measured step times.
     pub fn new(t: [f64; 7]) -> StepTimes {
-        assert!(t.iter().all(|&x| x >= 0.0), "step times must be non-negative");
+        assert!(
+            t.iter().all(|&x| x >= 0.0),
+            "step times must be non-negative"
+        );
         StepTimes { t }
     }
 
@@ -70,10 +73,7 @@ pub fn b_scp(l: f64, times: &StepTimes) -> f64 {
 
 /// Eq. 2 — PCP bandwidth: `l / max{t_S1, Σ t_S2..6, t_S7}`.
 pub fn b_pcp(l: f64, times: &StepTimes) -> f64 {
-    l / times
-        .read()
-        .max(times.compute())
-        .max(times.write())
+    l / times.read().max(times.compute()).max(times.write())
 }
 
 /// Eq. 3 — ideal PCP speedup over SCP.
@@ -182,7 +182,10 @@ mod tests {
         let b8 = b_sppcp(1.0, &times, 8);
         assert!(b2 > b1);
         // With k=2, read/k = 0.20 < compute 0.37: already CPU-bound.
-        assert!((b8 - b2).abs() < 1e-9, "extra disks can't help a CPU-bound pipeline");
+        assert!(
+            (b8 - b2).abs() < 1e-9,
+            "extra disks can't help a CPU-bound pipeline"
+        );
         assert!((b8 - 1.0 / times.compute()).abs() < 1e-9);
     }
 

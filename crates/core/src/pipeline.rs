@@ -87,12 +87,8 @@ fn compute_config(req: &CompactionRequest) -> ComputeConfig {
 }
 
 fn gather_runs(req: &CompactionRequest) -> TableResult<(Vec<Arc<TableReader>>, Vec<RunBlocks>)> {
-    let readers: Vec<Arc<TableReader>> = req
-        .upper
-        .iter()
-        .chain(req.lower.iter())
-        .cloned()
-        .collect();
+    let readers: Vec<Arc<TableReader>> =
+        req.upper.iter().chain(req.lower.iter()).cloned().collect();
     let mut runs = Vec::with_capacity(readers.len());
     for r in &readers {
         runs.push(r.block_metas()?);
@@ -115,7 +111,11 @@ pub struct SealedWriter<'req> {
 impl<'req> SealedWriter<'req> {
     /// Creates a writer for `req`'s output level.
     pub fn new(req: &'req CompactionRequest, profile: &'req CompactionProfile) -> Self {
-        SealedWriter { sink: req.output_sink(), profile, sealed_bytes: 0 }
+        SealedWriter {
+            sink: req.output_sink(),
+            profile,
+            sealed_bytes: 0,
+        }
     }
 
     /// Appends one computed sub-task (S7) and flushes it to the device.
@@ -125,7 +125,8 @@ impl<'req> SealedWriter<'req> {
         for sb in st.blocks {
             appended += sb.raw.len() as u64;
             let (first_key, last_key) = (sb.block.first_key.clone(), sb.block.last_key.clone());
-            self.sink.append(&first_key, &last_key, |b| b.add_sealed_block(sb))?;
+            self.sink
+                .append(&first_key, &last_key, |b| b.add_sealed_block(sb))?;
         }
         self.sink.flush()?;
         self.profile.record(Step::Write, t0.elapsed());
@@ -144,7 +145,8 @@ impl<'req> SealedWriter<'req> {
         self.profile.record(Step::Write, t0.elapsed());
         // Index/filter/footer bytes beyond the sealed data blocks.
         let written: u64 = outputs.iter().map(|f| f.size).sum();
-        self.profile.add_output_bytes(written.saturating_sub(self.sealed_bytes));
+        self.profile
+            .add_output_bytes(written.saturating_sub(self.sealed_bytes));
         Ok(outputs)
     }
 
@@ -185,7 +187,10 @@ impl PipelinedExec {
     /// The sequential baseline (paper §III-A); `subtask_bytes` is simply
     /// the I/O granularity.
     pub fn scp(subtask_bytes: u64) -> PipelinedExec {
-        let cfg = PipelineConfig { subtask_bytes, ..Default::default() };
+        let cfg = PipelineConfig {
+            subtask_bytes,
+            ..Default::default()
+        };
         PipelinedExec::with_shape(cfg, true)
     }
 
@@ -280,9 +285,14 @@ impl Job<'_> {
         compute_workers: usize,
         writer: &mut SealedWriter,
     ) -> TableResult<()> {
-        let Job { readers, runs, plan, ccfg, profile } = self;
-        let (read_tx, read_rx) =
-            bounded::<TableResult<crate::steps::SubTaskData>>(cfg.queue_depth);
+        let Job {
+            readers,
+            runs,
+            plan,
+            ccfg,
+            profile,
+        } = self;
+        let (read_tx, read_rx) = bounded::<TableResult<crate::steps::SubTaskData>>(cfg.queue_depth);
         let (comp_tx, comp_rx) = bounded::<TableResult<ComputedSubTask>>(cfg.queue_depth);
 
         std::thread::scope(|scope| {
@@ -394,7 +404,10 @@ impl Job<'_> {
             // `send` fail, which unwinds read and compute workers that
             // would otherwise block forever on a full bounded queue.
             drop(comp_rx);
-            debug_assert!(result.is_err() || next == plan.len(), "all sub-tasks written");
+            debug_assert!(
+                result.is_err() || next == plan.len(),
+                "all sub-tasks written"
+            );
             result
         })
     }
@@ -522,8 +535,7 @@ mod tests {
     /// Deterministic incompressible filler so stored sizes track entry
     /// counts (and are identical across executors).
     fn filler(i: usize, tag: &str, len: usize) -> Vec<u8> {
-        let mut x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (tag.len() as u64) << 32;
+        let mut x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (tag.len() as u64) << 32;
         (0..len)
             .map(|_| {
                 x ^= x << 13;
@@ -560,7 +572,11 @@ mod tests {
         Arc::new(TableReader::open(env.open(name).unwrap()).unwrap())
     }
 
-    fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReader>>) -> CompactionRequest {
+    fn request(
+        env: &EnvRef,
+        upper: Vec<Arc<TableReader>>,
+        lower: Vec<Arc<TableReader>>,
+    ) -> CompactionRequest {
         CompactionRequest {
             tables: Arc::new(TableCache::new(Arc::clone(env))),
             upper,
@@ -580,9 +596,8 @@ mod tests {
     fn read_everything(env: &EnvRef, outputs: &[Arc<FileMetadata>]) -> Kvs {
         let mut all = Vec::new();
         for meta in outputs {
-            let t = Arc::new(
-                TableReader::open(env.open(&table_file(meta.number)).unwrap()).unwrap(),
-            );
+            let t =
+                Arc::new(TableReader::open(env.open(&table_file(meta.number)).unwrap()).unwrap());
             let mut it = t.iter();
             it.seek_to_first();
             while it.valid() {
@@ -674,8 +689,14 @@ mod tests {
     fn empty_inputs_produce_no_outputs() {
         let env = env();
         let req = request(&env, vec![], vec![]);
-        assert!(PipelinedExec::pcp(64 << 10).compact(&req).unwrap().is_empty());
-        assert!(PipelinedExec::scp(64 << 10).compact(&req).unwrap().is_empty());
+        assert!(PipelinedExec::pcp(64 << 10)
+            .compact(&req)
+            .unwrap()
+            .is_empty());
+        assert!(PipelinedExec::scp(64 << 10)
+            .compact(&req)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -689,7 +710,10 @@ mod tests {
             let env = env();
             let upper = build_input(&env, "u.sst", 5000, 1, 1, "x");
             let outputs = exec.compact(&request(&env, vec![upper], vec![])).unwrap();
-            assert!(outputs.len() > 1, "several tables, each with index, filter and footer");
+            assert!(
+                outputs.len() > 1,
+                "several tables, each with index, filter and footer"
+            );
             let written: u64 = outputs.iter().map(|f| f.size).sum();
             assert_eq!(profile.snapshot().output_bytes, written, "{}", exec.name());
         }
@@ -791,7 +815,10 @@ mod tests {
         req.grant = grant;
         exec.compact(&req).unwrap();
         let events = trace.events();
-        let start = events.iter().find(|e| e.kind == "compaction_start").unwrap();
+        let start = events
+            .iter()
+            .find(|e| e.kind == "compaction_start")
+            .unwrap();
         let field = |k: &str| start.fields.iter().find(|(n, _)| *n == k).unwrap().1;
         (field("read_workers"), field("compute_workers"))
     }
@@ -842,7 +869,10 @@ mod tests {
             let out = exec.compact(&req);
             assert!(out.is_err(), "{}: fault must surface", exec.name());
             let events = trace.events();
-            let failed = events.iter().find(|e| e.kind == "compaction_failed").unwrap();
+            let failed = events
+                .iter()
+                .find(|e| e.kind == "compaction_failed")
+                .unwrap();
             // The table whose first flush failed.
             assert_eq!(failed.fields, [("swept_outputs", 1)], "{}", exec.name());
             let left = inner.list().unwrap();

@@ -177,7 +177,9 @@ fn cut_unit(
         let mut total = 0u64;
         for (i, b) in by_last.iter().enumerate() {
             total += b.stored_size();
-            let Some(next) = by_last.get(i + 1) else { break };
+            let Some(next) = by_last.get(i + 1) else {
+                break;
+            };
             let due = (cuts.len() as u128 + 1) * unit_bytes as u128;
             if last_uk(next) > last_uk(b) && total as u128 * n as u128 >= due {
                 cuts.push(last_uk(b));
@@ -199,7 +201,10 @@ fn cut_unit(
                 let of_unit = &run[r.clone()];
                 let skip = of_unit.partition_point(|b| !range.is_past_lo(last_uk(b)));
                 let take = of_unit.partition_point(|b| !range.is_past_hi(first_uk(b)));
-                bytes += of_unit[skip..take].iter().map(BlockMeta::stored_size).sum::<u64>();
+                bytes += of_unit[skip..take]
+                    .iter()
+                    .map(BlockMeta::stored_size)
+                    .sum::<u64>();
                 r.start + skip..r.start + take
             })
             .collect();
@@ -257,7 +262,10 @@ pub fn check_plan(runs: &[RunBlocks], plan: &[SubTask], target_bytes: u64) -> Re
             prev = Some(st);
         }
         if covered != run.len() {
-            return Err(format!("run {r}: {covered} of {} blocks planned", run.len()));
+            return Err(format!(
+                "run {r}: {covered} of {} blocks planned",
+                run.len()
+            ));
         }
     }
 
@@ -274,7 +282,10 @@ pub fn check_plan(runs: &[RunBlocks], plan: &[SubTask], target_bytes: u64) -> Re
                     < blocks_in(runs, &b.blocks).map(first_uk).min()
         };
         if !ok {
-            return Err(format!("sub-tasks {} and {} do not meet on a user key", a.index, b.index));
+            return Err(format!(
+                "sub-tasks {} and {} do not meet on a user key",
+                a.index, b.index
+            ));
         }
     }
     if let (Some(first), Some(last)) = (plan.first(), plan.last()) {
@@ -368,7 +379,11 @@ mod tests {
         // cluster, cut behind "c" and "m"; the upper block straddles the
         // first cut, lower [k, n] the second.
         let upper = vec![block("b", "m", 100)];
-        let lower = vec![block("a", "c", 100), block("k", "n", 100), block("p", "q", 100)];
+        let lower = vec![
+            block("a", "c", 100),
+            block("k", "n", 100),
+            block("p", "q", 100),
+        ];
         let plan = plan_subtasks(&[upper.clone(), lower.clone()], 1);
         check_plan(&[upper, lower], &plan, 1).unwrap();
         let got: Vec<_> = plan
@@ -410,7 +425,12 @@ mod tests {
         let blocks: Vec<_> = plan.iter().map(|st| st.blocks.clone()).collect();
         assert_eq!(
             blocks,
-            vec![vec![0..1, 0..0], vec![1..1, 0..1], vec![1..2, 1..1], vec![2..2, 1..2]]
+            vec![
+                vec![0..1, 0..0],
+                vec![1..1, 0..1],
+                vec![1..2, 1..1],
+                vec![2..2, 1..2]
+            ]
         );
     }
 
@@ -472,7 +492,12 @@ mod tests {
         assert_eq!(read_units(&plan).count(), 1);
         for st in &plan {
             // What it owns plus one straddling block per run.
-            assert!(st.bytes <= 400 + 4 * 100, "sub-task {} lists {}", st.index, st.bytes);
+            assert!(
+                st.bytes <= 400 + 4 * 100,
+                "sub-task {} lists {}",
+                st.index,
+                st.bytes
+            );
         }
     }
 
@@ -486,7 +511,10 @@ mod tests {
         let plan = plan_subtasks(&runs, 200);
         check_plan(&runs, &plan, 200).unwrap();
         assert_eq!(plan.len(), 6);
-        assert!(plan.iter().all(|st| st.blocks[0] == (0..1)), "every sub-task lists it");
+        assert!(
+            plan.iter().all(|st| st.blocks[0] == (0..1)),
+            "every sub-task lists it"
+        );
         let dense_blocks: Vec<_> = plan.iter().map(|st| st.blocks[1].clone()).collect();
         assert_eq!(dense_blocks, vec![0..2, 2..4, 4..6, 6..8, 8..10, 10..10]);
     }
@@ -494,7 +522,11 @@ mod tests {
     #[test]
     fn check_plan_rejects_a_gap_an_unlisted_block_and_an_oversized_subtask() {
         let runs: Vec<RunBlocks> = (0..2)
-            .map(|r| (0..6).map(|i| block(&format!("k{i}{r}"), &format!("k{}{r}", i + 1), 100)).collect())
+            .map(|r| {
+                (0..6)
+                    .map(|i| block(&format!("k{i}{r}"), &format!("k{}{r}", i + 1), 100))
+                    .collect()
+            })
             .collect();
         let plan = plan_subtasks(&runs, 300);
         check_plan(&runs, &plan, 300).unwrap();
@@ -509,6 +541,9 @@ mod tests {
         assert!(check_plan(&runs, &unlisted, 300).is_err());
 
         let whole = plan_subtasks(&runs, u64::MAX);
-        assert!(check_plan(&runs, &whole, 300).is_err(), "1200 bytes uncut at a 300-byte target");
+        assert!(
+            check_plan(&runs, &whole, 300).is_err(),
+            "1200 bytes uncut at a 300-byte target"
+        );
     }
 }

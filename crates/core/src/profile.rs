@@ -195,14 +195,42 @@ impl CompactionProfile {
         }
         type Getter = fn(&CompactionProfile) -> u64;
         let counters: [(&str, &str, Getter); 8] = [
-            ("pcp_compaction_input_bytes_total", "compressed bytes read by S1", |p| p.input_bytes.load(Relaxed)),
-            ("pcp_compaction_output_bytes_total", "compressed bytes written by S7", |p| p.output_bytes.load(Relaxed)),
-            ("pcp_compaction_raw_bytes_total", "uncompressed bytes through the compute stage", |p| p.raw_bytes.load(Relaxed)),
-            ("pcp_compaction_blocks_total", "data blocks processed", |p| p.blocks.load(Relaxed)),
-            ("pcp_compaction_entries_in_total", "entries merged in", |p| p.entries_in.load(Relaxed)),
-            ("pcp_compaction_entries_out_total", "entries surviving to the output", |p| p.entries_out.load(Relaxed)),
-            ("pcp_compaction_subtasks_total", "sub-tasks executed", |p| p.subtasks.load(Relaxed)),
-            ("pcp_compactions_total", "compactions completed", |p| p.compactions.load(Relaxed)),
+            (
+                "pcp_compaction_input_bytes_total",
+                "compressed bytes read by S1",
+                |p| p.input_bytes.load(Relaxed),
+            ),
+            (
+                "pcp_compaction_output_bytes_total",
+                "compressed bytes written by S7",
+                |p| p.output_bytes.load(Relaxed),
+            ),
+            (
+                "pcp_compaction_raw_bytes_total",
+                "uncompressed bytes through the compute stage",
+                |p| p.raw_bytes.load(Relaxed),
+            ),
+            (
+                "pcp_compaction_blocks_total",
+                "data blocks processed",
+                |p| p.blocks.load(Relaxed),
+            ),
+            (
+                "pcp_compaction_entries_in_total",
+                "entries merged in",
+                |p| p.entries_in.load(Relaxed),
+            ),
+            (
+                "pcp_compaction_entries_out_total",
+                "entries surviving to the output",
+                |p| p.entries_out.load(Relaxed),
+            ),
+            ("pcp_compaction_subtasks_total", "sub-tasks executed", |p| {
+                p.subtasks.load(Relaxed)
+            }),
+            ("pcp_compactions_total", "compactions completed", |p| {
+                p.compactions.load(Relaxed)
+            }),
         ];
         for (name, help, get) in counters {
             let p = Arc::clone(self);
@@ -445,7 +473,10 @@ mod tests {
         assert!((occ.write - 0.3).abs() < 1e-9);
         assert_eq!(occ.wall, Duration::from_secs(1));
         // Empty profile → all-zero occupancy, no division by zero.
-        assert_eq!(CompactionProfile::new().snapshot().occupancy(), Occupancy::default());
+        assert_eq!(
+            CompactionProfile::new().snapshot().occupancy(),
+            Occupancy::default()
+        );
     }
 
     #[test]

@@ -18,13 +18,13 @@
 use crate::planner::{KeyRange, RunBlocks, SubTask};
 use crate::profile::{CompactionProfile, Step};
 use bytes::Bytes;
+use pcp_compaction::VersionKeepFilter;
 use pcp_sstable::key::{make_internal_key, user_key, ValueType};
 use pcp_sstable::table::{
     compress_block, decompress_block, make_trailer, verify_block, CompressionKind, SealedBlock,
 };
-use pcp_sstable::{Block, BlockCutter, BlockIter, CutBlock, KvIter, MergingIter, TableReader};
-use pcp_compaction::VersionKeepFilter;
 use pcp_sstable::Result as TableResult;
+use pcp_sstable::{Block, BlockCutter, BlockIter, CutBlock, KvIter, MergingIter, TableReader};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -313,7 +313,13 @@ pub fn seal_subtask(
         raw_bytes += block.contents.len() as u64;
         entries_out += block.entries;
         let (payload, kind) = compress_block(&block.contents, cfg.compression);
-        compressed.push((SealedBlock { raw: payload, block }, kind));
+        compressed.push((
+            SealedBlock {
+                raw: payload,
+                block,
+            },
+            kind,
+        ));
     }
     profile.record(Step::Compress, t0.elapsed());
     profile.add_raw_bytes(raw_bytes);
@@ -434,15 +440,14 @@ mod tests {
         // Same keys, different sequences: upper (newer) must win.
         let newer = build_table(&env, "a", 500, 10_000);
         let older = build_table(&env, "b", 500, 1);
-        let runs = vec![
-            newer.block_metas().unwrap(),
-            older.block_metas().unwrap(),
-        ];
+        let runs = vec![newer.block_metas().unwrap(), older.block_metas().unwrap()];
         let plan = plan_subtasks(&runs, u64::MAX);
         assert_eq!(plan.len(), 1);
         let profile = CompactionProfile::new();
         let readers = vec![newer, older];
-        let data = read_unit(&readers, &runs, &plan, &profile).unwrap().remove(0);
+        let data = read_unit(&readers, &runs, &plan, &profile)
+            .unwrap()
+            .remove(0);
         let computed = compute_subtask(data, &cfg(), &profile).unwrap();
         let survivors: u64 = computed.blocks.iter().map(|b| b.block.entries).sum();
         assert_eq!(survivors, 500, "one version per user key survives");
@@ -466,10 +471,7 @@ mod tests {
         let mk = |keys: &[&str]| {
             let mut bb = BlockBuilder::new(4);
             for k in keys {
-                bb.add(
-                    &make_internal_key(k.as_bytes(), 1, ValueType::Value),
-                    b"v",
-                );
+                bb.add(&make_internal_key(k.as_bytes(), 1, ValueType::Value), b"v");
             }
             Block::new(Bytes::from(bb.finish())).unwrap()
         };
@@ -480,7 +482,16 @@ mod tests {
             keys.push(user_key(it.key()).to_vec());
             it.next();
         }
-        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec(), b"e".to_vec()]);
+        assert_eq!(
+            keys,
+            vec![
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b"c".to_vec(),
+                b"d".to_vec(),
+                b"e".to_vec()
+            ]
+        );
     }
 
     #[test]
@@ -522,7 +533,11 @@ mod tests {
         let plan = plan_subtasks(&runs, target);
         crate::planner::check_plan(&runs, &plan, target).unwrap();
         let units = crate::planner::read_units(&plan).count();
-        assert!(plan.len() > 8 && units < plan.len() / 2, "{units} units, {} sub-tasks", plan.len());
+        assert!(
+            plan.len() > 8 && units < plan.len() / 2,
+            "{units} units, {} sub-tasks",
+            plan.len()
+        );
         let listed: usize = plan.iter().map(|st| st.block_count()).sum();
         let blocks: usize = runs.iter().map(|r| r.len()).sum();
         assert!(listed > blocks, "some block straddles a cut");
@@ -552,7 +567,9 @@ mod tests {
         let runs = vec![table.block_metas().unwrap()];
         let plan = plan_subtasks(&runs, u64::MAX);
         let profile = CompactionProfile::new();
-        let mut data = read_unit(&[Arc::clone(&table)], &runs, &plan, &profile).unwrap().remove(0);
+        let mut data = read_unit(&[Arc::clone(&table)], &runs, &plan, &profile)
+            .unwrap()
+            .remove(0);
         // Corrupt the first raw block.
         let mut broken = data.raw_blocks[0][0].to_vec();
         broken[0] ^= 0xFF;

@@ -85,9 +85,7 @@ impl WriteBatch {
     }
 
     /// The entries as `(type, key, value)` borrows, for memtable insertion.
-    pub(crate) fn entry_refs(
-        &self,
-    ) -> impl Iterator<Item = (ValueType, &[u8], &[u8])> + '_ {
+    pub(crate) fn entry_refs(&self) -> impl Iterator<Item = (ValueType, &[u8], &[u8])> + '_ {
         self.entries
             .iter()
             .map(|(t, k, v)| (*t, k.as_slice(), v.as_slice()))
@@ -121,15 +119,13 @@ impl WriteBatch {
                 .split_first()
                 .ok_or_else(|| corrupt("truncated batch entry"))?;
             let t = ValueType::from_u8(tag).ok_or_else(|| corrupt("bad value type"))?;
-            let (klen, n) =
-                pcp_codec::decode_u64(rest).map_err(|_| corrupt("bad key length"))?;
+            let (klen, n) = pcp_codec::decode_u64(rest).map_err(|_| corrupt("bad key length"))?;
             let rest = &rest[n..];
             if rest.len() < klen as usize {
                 return Err(corrupt("truncated key"));
             }
             let (key, rest) = rest.split_at(klen as usize);
-            let (vlen, n) =
-                pcp_codec::decode_u64(rest).map_err(|_| corrupt("bad value length"))?;
+            let (vlen, n) = pcp_codec::decode_u64(rest).map_err(|_| corrupt("bad value length"))?;
             let rest = &rest[n..];
             if rest.len() < vlen as usize {
                 return Err(corrupt("truncated value"));

@@ -49,9 +49,10 @@ impl DbInner {
     pub(super) fn compaction_lane(&self) {
         let mut st = self.state.lock();
         while !self.shutdown.load(AtomicOrdering::SeqCst) {
-            let manual = (st.manual.as_ref())
-                .filter(|m| !m.done)
-                .map(|m| st.versions.pick_range(m.level, m.lo.as_deref(), m.hi.as_deref()));
+            let manual = (st.manual.as_ref()).filter(|m| !m.done).map(|m| {
+                st.versions
+                    .pick_range(m.level, m.lo.as_deref(), m.hi.as_deref())
+            });
             let is_manual = manual.is_some();
             let pick = manual.unwrap_or_else(|| st.versions.pick_compaction(&self.opts.policy));
             // With an error latched, stay parked as the flush lane does.
@@ -114,7 +115,9 @@ impl DbInner {
         };
         // A failure may have latched while queued for the grant.
         let result = self.check_bg_error(st).and_then(|()| {
-            self.retry_transient(st, |st| self.run_compaction(st, pick.clone(), grant.clone()))
+            self.retry_transient(st, |st| {
+                self.run_compaction(st, pick.clone(), grant.clone())
+            })
         });
         if let Some(limiter) = limiter {
             // The engine lock is never held across the scheduler's.
@@ -138,7 +141,9 @@ impl DbInner {
             attempts += 1;
             match attempt(st) {
                 Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
-                    self.metrics.bg_retries.fetch_add(1, AtomicOrdering::Relaxed);
+                    self.metrics
+                        .bg_retries
+                        .fetch_add(1, AtomicOrdering::Relaxed);
                     MutexGuard::unlocked(st, || pcp_storage::blocking::sleep(backoff));
                     backoff = (backoff * 2).min(RETRY.max_backoff);
                 }
@@ -275,8 +280,7 @@ impl DbInner {
                 let output_level = level + 1;
                 let bottom_level = {
                     let version = st.versions.current();
-                    ((output_level + 1)..NUM_LEVELS)
-                        .all(|l| version.levels[l].is_empty())
+                    ((output_level + 1)..NUM_LEVELS).all(|l| version.levels[l].is_empty())
                 };
                 let smallest_snapshot = st
                     .snapshots
@@ -405,9 +409,7 @@ impl DbInner {
                     self.cache.evict(num);
                     self.count_gc_delete(&name);
                 }
-                Some((FileKind::Wal, num))
-                    if num < plan.log_number && num != plan.wal_number =>
-                {
+                Some((FileKind::Wal, num)) if num < plan.log_number && num != plan.wal_number => {
                     self.count_gc_delete(&name);
                 }
                 _ => {}
@@ -469,7 +471,10 @@ mod tests {
     fn open(executor: Arc<dyn CompactionExec>, fault: &FaultEnv) -> Db {
         let opts = Options {
             memtable_bytes: 1 << 20,
-            policy: CompactionPolicy { l0_trigger: 2, ..Default::default() },
+            policy: CompactionPolicy {
+                l0_trigger: 2,
+                ..Default::default()
+            },
             executor,
             ..Default::default()
         };
@@ -483,7 +488,10 @@ mod tests {
 
     fn put_and_flush(db: &Db, round: u32) -> io::Result<()> {
         for i in 0..200u32 {
-            db.put(format!("key{i:04}").as_bytes(), format!("v{round}-{i}").as_bytes())?;
+            db.put(
+                format!("key{i:04}").as_bytes(),
+                format!("v{round}-{i}").as_bytes(),
+            )?;
         }
         db.flush()
     }
@@ -499,8 +507,15 @@ mod tests {
         put_and_flush(&db, 1).unwrap();
         assert!(db.wait_idle().is_err(), "the install must fail");
         assert_eq!(db.level_summary()[0].0, 2);
-        assert!(exec.1.load(AtomicOrdering::SeqCst) > 2, "the outputs were handed over");
-        assert_eq!(db.inner.cache.len(), 2, "only the two level-0 inputs stay cached");
+        assert!(
+            exec.1.load(AtomicOrdering::SeqCst) > 2,
+            "the outputs were handed over"
+        );
+        assert_eq!(
+            db.inner.cache.len(),
+            2,
+            "only the two level-0 inputs stay cached"
+        );
     }
 
     /// With a block cache every table fits in, and four flushed rounds
@@ -514,14 +529,18 @@ mod tests {
         let opts = Options {
             memtable_bytes: 1 << 20,
             block_cache_bytes: 32 << 20,
-            policy: CompactionPolicy { l0_trigger: 2, ..Default::default() },
+            policy: CompactionPolicy {
+                l0_trigger: 2,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let db = Db::open(env, opts).unwrap();
         for round in 0..4u32 {
             for i in 0..2000u32 {
                 let key = format!("key{:05}", (i * 7 + round) % 2000);
-                db.put(key.as_bytes(), format!("v{round}-{i:060}").as_bytes()).unwrap();
+                db.put(key.as_bytes(), format!("v{round}-{i:060}").as_bytes())
+                    .unwrap();
             }
             db.flush().unwrap();
         }
@@ -539,7 +558,11 @@ mod tests {
                 let (payload, kind) = pcp_sstable::table::verify_block(&raw).unwrap();
                 let decoded = pcp_sstable::table::decompress_block(payload, kind).unwrap();
                 let cached = block_cache.get(id, bm.handle.offset);
-                assert_eq!(cached.as_ref().map(|b| b.data()), Some(&decoded[..]), "table {number}");
+                assert_eq!(
+                    cached.as_ref().map(|b| b.data()),
+                    Some(&decoded[..]),
+                    "table {number}"
+                );
                 checked += 1;
             }
         }

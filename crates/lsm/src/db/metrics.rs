@@ -143,15 +143,9 @@ impl Db {
             flush_count: m.flush_count.load(AtomicOrdering::Relaxed),
             flush_bytes: m.flush_bytes.load(AtomicOrdering::Relaxed),
             compaction_count: m.compaction_count.load(AtomicOrdering::Relaxed),
-            compaction_input_bytes: m
-                .compaction_input_bytes
-                .load(AtomicOrdering::Relaxed),
-            compaction_output_bytes: m
-                .compaction_output_bytes
-                .load(AtomicOrdering::Relaxed),
-            compaction_time: Duration::from_nanos(
-                m.compaction_nanos.load(AtomicOrdering::Relaxed),
-            ),
+            compaction_input_bytes: m.compaction_input_bytes.load(AtomicOrdering::Relaxed),
+            compaction_output_bytes: m.compaction_output_bytes.load(AtomicOrdering::Relaxed),
+            compaction_time: Duration::from_nanos(m.compaction_nanos.load(AtomicOrdering::Relaxed)),
             trivial_moves: m.trivial_moves.load(AtomicOrdering::Relaxed),
             gc_deleted_files: m.gc_deleted_files.load(AtomicOrdering::Relaxed),
             gc_delete_errors: m.gc_delete_errors.load(AtomicOrdering::Relaxed),
@@ -162,8 +156,7 @@ impl Db {
             levels: std::array::from_fn(|l| LevelCompaction {
                 count: m.level_compactions[l].load(AtomicOrdering::Relaxed),
                 input_bytes: m.level_compaction_input_bytes[l].load(AtomicOrdering::Relaxed),
-                output_bytes: m.level_compaction_output_bytes[l]
-                    .load(AtomicOrdering::Relaxed),
+                output_bytes: m.level_compaction_output_bytes[l].load(AtomicOrdering::Relaxed),
             }),
         }
     }
@@ -195,51 +188,81 @@ impl Db {
             ("pcp_engine_gets_total", "point lookups served", |m| {
                 m.gets.load(AtomicOrdering::Relaxed)
             }),
-            ("pcp_engine_stall_events_total", "writes stopped waiting for compaction", |m| {
-                m.stall_events.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_stall_nanoseconds_total", "time writers spent stalled", |m| {
-                m.stall_nanos.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_flushes_total", "memtable flushes completed", |m| {
-                m.flush_count.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_flush_bytes_total", "SSTable bytes written by flushes", |m| {
-                m.flush_bytes.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_compactions_total", "merge compactions completed", |m| {
-                m.compaction_count.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_compaction_input_bytes_total", "bytes read by compactions", |m| {
-                m.compaction_input_bytes.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_compaction_output_bytes_total", "bytes written by compactions", |m| {
-                m.compaction_output_bytes.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_compaction_nanoseconds_total", "wall time inside compactions", |m| {
-                m.compaction_nanos.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_trivial_moves_total", "files moved down without rewrite", |m| {
-                m.trivial_moves.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_gc_deleted_files_total", "obsolete files removed by GC", |m| {
-                m.gc_deleted_files.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_gc_delete_errors_total", "GC deletes that failed", |m| {
-                m.gc_delete_errors.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_bg_retries_total", "background attempts retried after transient errors", |m| {
-                m.bg_retries.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_wal_sync_total", "WAL sync operations issued (one per commit group)", |m| {
-                m.wal_syncs.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_group_commits_total", "commit groups formed by write leaders", |m| {
-                m.group_commits.load(AtomicOrdering::Relaxed)
-            }),
-            ("pcp_engine_wal_tail_corruptions_total", "WAL logs with a torn/corrupt tail at replay", |m| {
-                m.wal_tail_corruptions.load(AtomicOrdering::Relaxed)
-            }),
+            (
+                "pcp_engine_stall_events_total",
+                "writes stopped waiting for compaction",
+                |m| m.stall_events.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_stall_nanoseconds_total",
+                "time writers spent stalled",
+                |m| m.stall_nanos.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_flushes_total",
+                "memtable flushes completed",
+                |m| m.flush_count.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_flush_bytes_total",
+                "SSTable bytes written by flushes",
+                |m| m.flush_bytes.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_compactions_total",
+                "merge compactions completed",
+                |m| m.compaction_count.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_compaction_input_bytes_total",
+                "bytes read by compactions",
+                |m| m.compaction_input_bytes.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_compaction_output_bytes_total",
+                "bytes written by compactions",
+                |m| m.compaction_output_bytes.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_compaction_nanoseconds_total",
+                "wall time inside compactions",
+                |m| m.compaction_nanos.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_trivial_moves_total",
+                "files moved down without rewrite",
+                |m| m.trivial_moves.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_gc_deleted_files_total",
+                "obsolete files removed by GC",
+                |m| m.gc_deleted_files.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_gc_delete_errors_total",
+                "GC deletes that failed",
+                |m| m.gc_delete_errors.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_bg_retries_total",
+                "background attempts retried after transient errors",
+                |m| m.bg_retries.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_wal_sync_total",
+                "WAL sync operations issued (one per commit group)",
+                |m| m.wal_syncs.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_group_commits_total",
+                "commit groups formed by write leaders",
+                |m| m.group_commits.load(AtomicOrdering::Relaxed),
+            ),
+            (
+                "pcp_engine_wal_tail_corruptions_total",
+                "WAL logs with a torn/corrupt tail at replay",
+                |m| m.wal_tail_corruptions.load(AtomicOrdering::Relaxed),
+            ),
         ];
         for (name, help, get) in counters {
             let inner = Arc::downgrade(&self.inner);
@@ -249,12 +272,16 @@ impl Db {
         }
         type TableCacheGetter = fn(&pcp_compaction::TableCache) -> u64;
         let table_cache_counters: [(&str, &str, TableCacheGetter); 2] = [
-            ("pcp_engine_table_opens_total", "tables opened from the device (metadata read back)", |c| {
-                c.cold_opens()
-            }),
-            ("pcp_engine_block_cache_written_total", "blocks admitted to the block cache with a table just written", |c| {
-                c.written_blocks()
-            }),
+            (
+                "pcp_engine_table_opens_total",
+                "tables opened from the device (metadata read back)",
+                |c| c.cold_opens(),
+            ),
+            (
+                "pcp_engine_block_cache_written_total",
+                "blocks admitted to the block cache with a table just written",
+                |c| c.written_blocks(),
+            ),
         ];
         for (name, help, get) in table_cache_counters {
             let inner = Arc::downgrade(&self.inner);
@@ -286,21 +313,31 @@ impl Db {
         {
             type ScanGetter = fn(&pcp_sstable::ScanStats) -> u64;
             let scan_counters: [(&str, &str, ScanGetter); 5] = [
-                ("pcp_scan_readahead_spans_total", "span reads issued by scan cursors", |s| {
-                    s.spans()
-                }),
-                ("pcp_scan_readahead_blocks_total", "blocks fetched by scan span reads", |s| {
-                    s.blocks_prefetched()
-                }),
-                ("pcp_scan_readahead_hits_total", "block loads served from a span", |s| {
-                    s.hits()
-                }),
-                ("pcp_scan_readahead_wasted_total", "span blocks the cursor never reached", |s| {
-                    s.wasted()
-                }),
-                ("pcp_scan_sync_blocks_total", "blocks gets loaded one read each (scans read spans only)", |s| {
-                    s.sync_blocks()
-                }),
+                (
+                    "pcp_scan_readahead_spans_total",
+                    "span reads issued by scan cursors",
+                    |s| s.spans(),
+                ),
+                (
+                    "pcp_scan_readahead_blocks_total",
+                    "blocks fetched by scan span reads",
+                    |s| s.blocks_prefetched(),
+                ),
+                (
+                    "pcp_scan_readahead_hits_total",
+                    "block loads served from a span",
+                    |s| s.hits(),
+                ),
+                (
+                    "pcp_scan_readahead_wasted_total",
+                    "span blocks the cursor never reached",
+                    |s| s.wasted(),
+                ),
+                (
+                    "pcp_scan_sync_blocks_total",
+                    "blocks gets loaded one read each (scans read spans only)",
+                    |s| s.sync_blocks(),
+                ),
             ];
             for (name, help, get) in scan_counters {
                 let stats = Arc::clone(self.inner.cache.scan_stats());
@@ -338,20 +375,28 @@ impl Db {
             };
             type LevelGetter = fn(&Metrics, usize) -> u64;
             let per_level: [(&str, &str, LevelGetter); 3] = [
-                ("pcp_engine_level_compactions_total", "merge compactions per source level", |m, l| {
-                    m.level_compactions[l].load(AtomicOrdering::Relaxed)
-                }),
-                ("pcp_engine_level_compaction_input_bytes_total", "compaction input bytes per source level", |m, l| {
-                    m.level_compaction_input_bytes[l].load(AtomicOrdering::Relaxed)
-                }),
-                ("pcp_engine_level_compaction_output_bytes_total", "compaction output bytes per source level", |m, l| {
-                    m.level_compaction_output_bytes[l].load(AtomicOrdering::Relaxed)
-                }),
+                (
+                    "pcp_engine_level_compactions_total",
+                    "merge compactions per source level",
+                    |m, l| m.level_compactions[l].load(AtomicOrdering::Relaxed),
+                ),
+                (
+                    "pcp_engine_level_compaction_input_bytes_total",
+                    "compaction input bytes per source level",
+                    |m, l| m.level_compaction_input_bytes[l].load(AtomicOrdering::Relaxed),
+                ),
+                (
+                    "pcp_engine_level_compaction_output_bytes_total",
+                    "compaction output bytes per source level",
+                    |m, l| m.level_compaction_output_bytes[l].load(AtomicOrdering::Relaxed),
+                ),
             ];
             for (name, help, get) in per_level {
                 let inner = Arc::downgrade(&self.inner);
                 registry.register_fn_counter(name, help, with_level(&base), move || {
-                    inner.upgrade().map_or(0, |inner| get(&inner.metrics, level))
+                    inner
+                        .upgrade()
+                        .map_or(0, |inner| get(&inner.metrics, level))
                 });
             }
             type VersionGetter = fn(&Version, usize) -> f64;
@@ -389,14 +434,20 @@ mod tests {
     fn block_cache_written_counts_hand_offs() {
         for block_cache_bytes in [8 << 20, 0] {
             let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
-            let opts = Options { block_cache_bytes, ..Default::default() };
+            let opts = Options {
+                block_cache_bytes,
+                ..Default::default()
+            };
             let db = Db::open(env, opts).unwrap();
             let registry = pcp_obs::Registry::new();
             db.register_metrics(&registry, &[]);
             for round in 0..2 {
                 for i in 0..2000u32 {
-                    db.put(format!("key{i:05}").as_bytes(), format!("v{round}-{i:040}").as_bytes())
-                        .unwrap();
+                    db.put(
+                        format!("key{i:05}").as_bytes(),
+                        format!("v{round}-{i:040}").as_bytes(),
+                    )
+                    .unwrap();
                 }
                 db.flush().unwrap();
             }
@@ -418,7 +469,11 @@ mod tests {
         let db = Db::open(env, Options::default()).unwrap();
         let registry = pcp_obs::Registry::new();
         db.register_metrics(&registry, &[]);
-        let arena = || registry.snapshot().gauge("pcp_engine_memtable_arena_bytes", &[]);
+        let arena = || {
+            registry
+                .snapshot()
+                .gauge("pcp_engine_memtable_arena_bytes", &[])
+        };
         let empty = arena();
         assert!(empty > 0.0);
         for i in 0..20_000u32 {
@@ -426,7 +481,10 @@ mod tests {
         }
         let full = arena();
         assert!(full > 20.0 * empty, "arena {full} B after 20k puts");
-        assert!(full < (4 << 20) as f64, "arena {full} B over the accounting budget");
+        assert!(
+            full < (4 << 20) as f64,
+            "arena {full} B over the accounting budget"
+        );
         db.flush().unwrap();
         assert_eq!(arena(), empty);
         drop(db);
@@ -448,7 +506,9 @@ mod tests {
         assert!(inner.upgrade().is_none(), "collectors kept DbInner alive");
         // Scraping a closed database is harmless and reads 0.
         assert_eq!(puts(&registry), 0);
-        assert!(registry.render_prometheus().contains("pcp_engine_level_files"));
+        assert!(registry
+            .render_prometheus()
+            .contains("pcp_engine_level_files"));
 
         // The same env reopens while the registry is still alive.
         let db = Db::open(env, Options::default()).unwrap();

@@ -484,9 +484,8 @@ impl Db {
             let st = self.inner.state.lock();
             st.versions.current()
         };
-        let inside = |k: &[u8]| -> bool {
-            lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi)
-        };
+        let inside =
+            |k: &[u8]| -> bool { lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k <= hi) };
         let mut total = 0u64;
         for files in &version.levels {
             for f in files {
@@ -546,8 +545,7 @@ impl Db {
                             let result = table
                                 .read_raw_block(bm.handle)
                                 .and_then(|raw| {
-                                    let (payload, kind) =
-                                        pcp_sstable::table::verify_block(&raw)?;
+                                    let (payload, kind) = pcp_sstable::table::verify_block(&raw)?;
                                     pcp_sstable::table::decompress_block(payload, kind)
                                 })
                                 .map(|_| ());
@@ -676,6 +674,9 @@ impl DbInner {
     /// every subsequent write is rejected instead of silently diverging
     /// from the log.
     fn latch_wal_failure(&self, st: &mut State, e: &io::Error) {
-        self.latch_error(st, io::Error::new(e.kind(), format!("wal write failed: {e}")));
+        self.latch_error(
+            st,
+            io::Error::new(e.kind(), format!("wal write failed: {e}")),
+        );
     }
 }

@@ -19,7 +19,8 @@ impl Db {
         // refs (they must come from the same instant anyway for the read
         // to be consistent).
         let (seq, mem, imm, version) = self.inner.read_view();
-        self.inner.get_in_view(&mem, imm.as_ref(), &version, key, seq)
+        self.inner
+            .get_in_view(&mem, imm.as_ref(), &version, key, seq)
     }
 
     /// Reads `key` at an explicit sequence.
@@ -57,7 +58,10 @@ impl Db {
         // Level-0 tables overlap, so each is a run of its own; either way
         // the `LevelIter` opens tables lazily and keeps an open error.
         let level0 = version.levels[0].iter().map(|f| vec![Arc::clone(f)]);
-        let deeper = version.levels[1..].iter().filter(|l| !l.is_empty()).cloned();
+        let deeper = version.levels[1..]
+            .iter()
+            .filter(|l| !l.is_empty())
+            .cloned();
         let runs: Vec<_> = level0
             .chain(deeper)
             .map(|run| (run.iter().map(|f| f.size).sum::<u64>(), run))
@@ -67,7 +71,11 @@ impl Db {
         let largest = runs.iter().map(|(bytes, _)| *bytes).max().unwrap_or(0);
         for (bytes, run) in runs {
             let first_span = first_span_blocks(bytes, largest);
-            children.push(Box::new(LevelIter::new(run, Arc::clone(&inner.cache), first_span)));
+            children.push(Box::new(LevelIter::new(
+                run,
+                Arc::clone(&inner.cache),
+                first_span,
+            )));
         }
         DbIter::new(children, snapshot).pin_version(version)
     }

@@ -226,7 +226,8 @@ impl DbInner {
             let w = st.write_queue.pop_front().expect("group member queued");
             debug_assert_eq!(w.ticket, *ticket);
             if *ticket != leader_ticket {
-                st.write_results.insert(*ticket, pcp_sstable::copy_status(result));
+                st.write_results
+                    .insert(*ticket, pcp_sstable::copy_status(result));
             }
         }
         self.writers_cv.notify_all();
@@ -300,8 +301,7 @@ mod tests {
     use super::*;
     use crate::db::{DbHealth, Options};
     use pcp_storage::{
-        Env, EnvRef, FaultEnv, FaultKind, FaultOp, RandomReadFile, SimDevice, SimEnv,
-        WritableFile,
+        Env, EnvRef, FaultEnv, FaultKind, FaultOp, RandomReadFile, SimDevice, SimEnv, WritableFile,
     };
     use std::time::Duration;
     // The gate is test scaffolding outside the engine's lock graph.
@@ -353,7 +353,10 @@ mod tests {
         fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
             let inner = self.inner.create(name)?;
             Ok(if name.ends_with(".log") {
-                Box::new(GateWal { inner, gate: Arc::clone(&self.gate) })
+                Box::new(GateWal {
+                    inner,
+                    gate: Arc::clone(&self.gate),
+                })
             } else {
                 inner
             })
@@ -415,8 +418,15 @@ mod tests {
         });
 
         let m = db.metrics();
-        assert_eq!(m.puts, 1 + FOLLOWERS as u64, "every writer was acknowledged");
-        assert_eq!(m.wal_syncs, 2, "one sync for the leader, one for all who queued behind it");
+        assert_eq!(
+            m.puts,
+            1 + FOLLOWERS as u64,
+            "every writer was acknowledged"
+        );
+        assert_eq!(
+            m.wal_syncs, 2,
+            "one sync for the leader, one for all who queued behind it"
+        );
         assert_eq!(m.group_commits, 2);
         // The series behind `pcp_engine_group_commit_batches`.
         assert_eq!(db.inner.group_commit_writers.max(), FOLLOWERS as u64);
@@ -424,7 +434,11 @@ mod tests {
         drop(db);
         let db = Db::open(inner, opts).unwrap();
         for i in 0..=FOLLOWERS {
-            assert_eq!(db.get(&key(i)).unwrap(), Some(b"v".to_vec()), "k{i} after reopen");
+            assert_eq!(
+                db.get(&key(i)).unwrap(),
+                Some(b"v".to_vec()),
+                "k{i} after reopen"
+            );
         }
     }
 
@@ -454,7 +468,11 @@ mod tests {
         let present = |i: usize| db.get(&key(i)).unwrap().is_some_and(|v| v == VALUE);
         let prefix = (0..acked).take_while(|&i| present(i)).count();
         for i in prefix..written {
-            assert_eq!(db.get(&key(i)).unwrap(), None, "key {i} recovered past a hole at {prefix}");
+            assert_eq!(
+                db.get(&key(i)).unwrap(),
+                None,
+                "key {i} recovered past a hole at {prefix}"
+            );
         }
         prefix
     }
@@ -485,7 +503,12 @@ mod tests {
             let e = r.as_ref().expect_err("a put went through after one failed");
             assert_eq!(e.to_string(), latched, "put {i}");
         }
-        let logs = inner.list().unwrap().into_iter().filter(|n| n.ends_with(".log")).count();
+        let logs = inner
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.ends_with(".log"))
+            .count();
         assert!(logs <= 2, "{logs} logs on disk");
 
         drop(db);
@@ -527,13 +550,20 @@ mod tests {
             // never waits for it.
             let finished = done.recv_timeout(Duration::from_secs(30));
             release.send(()).unwrap();
-            assert!(finished.is_ok(), "a reader or a writer waited for the parked log sync");
+            assert!(
+                finished.is_ok(),
+                "a reader or a writer waited for the parked log sync"
+            );
         });
 
         db.flush().unwrap();
         assert_eq!(db.metrics().flush_count, 2);
         for i in 0..PUTS {
-            assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&value[..]), "key {i}");
+            assert_eq!(
+                db.get(&key(i)).unwrap().as_deref(),
+                Some(&value[..]),
+                "key {i}"
+            );
         }
         assert_eq!(db.get(b"late").unwrap(), Some(b"write".to_vec()));
     }
@@ -559,9 +589,15 @@ mod tests {
             + (FLUSHED..PUTS)
                 .take_while(|&i| db.put(&key(i), &VALUE).is_ok())
                 .count();
-        assert!(acked < PUTS && fault.crashed(), "the crash did not stop the writes");
+        assert!(
+            acked < PUTS && fault.crashed(),
+            "the crash did not stop the writes"
+        );
         drop(db);
         let prefix = recovered_prefix(inner, acked, PUTS);
-        assert!(prefix >= FLUSHED, "the flushed table lost keys: prefix {prefix}");
+        assert!(
+            prefix >= FLUSHED,
+            "the flushed table lost keys: prefix {prefix}"
+        );
     }
 }

@@ -56,19 +56,20 @@ impl LevelIter {
     /// `position`; past the last file there is no cursor.
     fn enter_table(&mut self, position: impl FnOnce(&mut TableIter)) {
         self.opened = Ok(());
-        self.table_iter = self.files.get(self.index).and_then(|meta| {
-            match self.cache.get(meta.number) {
-                Ok(reader) => {
-                    let mut t = reader.iter_with_span(self.first_span);
-                    position(&mut t);
-                    Some(t)
-                }
-                Err(e) => {
-                    self.opened = Err(e);
-                    None
-                }
-            }
-        });
+        self.table_iter =
+            self.files
+                .get(self.index)
+                .and_then(|meta| match self.cache.get(meta.number) {
+                    Ok(reader) => {
+                        let mut t = reader.iter_with_span(self.first_span);
+                        position(&mut t);
+                        Some(t)
+                    }
+                    Err(e) => {
+                        self.opened = Err(e);
+                        None
+                    }
+                });
     }
 
     /// Moves on from exhausted tables — not from a failed one, whose keys
@@ -287,7 +288,10 @@ mod level_iter_tests {
         let mut files = Vec::new();
         for (number, base) in [(1u64, 0u64), (2, 200), (3, 400)] {
             let f = env.create(&table_file(number)).unwrap();
-            let opts = TableBuilderOptions { block_size, ..Default::default() };
+            let opts = TableBuilderOptions {
+                block_size,
+                ..Default::default()
+            };
             let mut b = TableBuilder::new(f, opts);
             let mut smallest = Vec::new();
             let mut largest = Vec::new();
@@ -530,7 +534,12 @@ mod tests {
     fn merge_reads_each_part_at_its_own_sequence() {
         let left = Arc::new(Memtable::new());
         for i in 0..100u64 {
-            left.insert(format!("a{i:02}").as_bytes(), i + 1, ValueType::Value, b"old");
+            left.insert(
+                format!("a{i:02}").as_bytes(),
+                i + 1,
+                ValueType::Value,
+                b"old",
+            );
         }
         left.insert(b"a05", 101, ValueType::Value, b"new");
         left.insert(b"a06", 102, ValueType::Deletion, b"");
@@ -557,7 +566,10 @@ mod tests {
 
         it.seek(b"a99");
         assert_eq!(
-            drain(&mut it).into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            drain(&mut it)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect::<Vec<_>>(),
             [&b"a99"[..], b"b0", b"b1", b"b2", b"b3", b"b4"]
         );
     }

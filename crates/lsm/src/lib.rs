@@ -38,10 +38,6 @@ pub mod wal;
 // the scheduler and its grants, the table cache a request reads from and
 // writes into) lives in `pcp-compaction` so `pcp-core`'s executors can
 // implement it without a dependency cycle.
-pub use pcp_compaction::{
-    CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, TableCache,
-    VersionKeepFilter,
-};
 pub use db::{
     BatchOp, Db, DbHealth, IntegrityReport, LevelCompaction, Metrics, MetricsSnapshot, Options,
     Snapshot, WriteBatch,
@@ -49,6 +45,10 @@ pub use db::{
 pub use edit::VersionEdit;
 pub use iter::{DbIter, LevelIter};
 pub use memtable::{Memtable, MemtableIter};
+pub use pcp_compaction::{
+    CompactionExec, CompactionLimiter, CompactionRequest, ResourceGrant, TableCache,
+    VersionKeepFilter,
+};
 pub use repair::{repair, RepairReport};
 pub use version::{FileMetadata, Version, NUM_LEVELS};
 pub use version_set::{CompactionPick, CompactionPolicy, VersionSet};

@@ -147,7 +147,11 @@ impl Node {
         // written again once the node is published.
         unsafe {
             let height = (*node).height;
-            let key = node.add(1).cast::<AtomicPtr<Node>>().add(height).cast::<u8>();
+            let key = node
+                .add(1)
+                .cast::<AtomicPtr<Node>>()
+                .add(height)
+                .cast::<u8>();
             std::slice::from_raw_parts(key, (*node).user_key_len + TRAILER)
         }
     }
@@ -177,8 +181,14 @@ impl<'a> SplitKey<'a> {
     /// placed before every version of it.
     fn of(ikey: &'a [u8]) -> SplitKey<'a> {
         match ikey.split_last_chunk::<TRAILER>() {
-            Some((user_key, trailer)) => SplitKey { user_key, trailer: u64::from_le_bytes(*trailer) },
-            None => SplitKey { user_key: ikey, trailer: u64::MAX },
+            Some((user_key, trailer)) => SplitKey {
+                user_key,
+                trailer: u64::from_le_bytes(*trailer),
+            },
+            None => SplitKey {
+                user_key: ikey,
+                trailer: u64::MAX,
+            },
         }
     }
 
@@ -213,7 +223,13 @@ impl Chunk {
         let chunk = Box::into_raw(Box::<[u64]>::new_uninit_slice(words)).cast::<Chunk>();
         // SAFETY: the slice is `words * 8 >= size_of::<Chunk>()` bytes,
         // 8-aligned, and ours alone.
-        unsafe { chunk.write(Chunk { prev, words, fill: AtomicUsize::new(fill) }) };
+        unsafe {
+            chunk.write(Chunk {
+                prev,
+                words,
+                fill: AtomicUsize::new(fill),
+            })
+        };
         chunk
     }
 
@@ -272,7 +288,11 @@ struct Arena {
 impl Arena {
     fn new() -> Arena {
         Arena {
-            current: AtomicPtr::new(Chunk::allocate(CHUNK_BYTES, size_of::<Chunk>(), ptr::null_mut())),
+            current: AtomicPtr::new(Chunk::allocate(
+                CHUNK_BYTES,
+                size_of::<Chunk>(),
+                ptr::null_mut(),
+            )),
             bytes: AtomicUsize::new(CHUNK_BYTES),
         }
     }
@@ -424,9 +444,16 @@ impl Memtable {
         value_type: ValueType,
         value: &[u8],
     ) {
-        let target = SplitKey { user_key: user_key_bytes, trailer: (sequence << 8) | value_type as u64 };
+        let target = SplitKey {
+            user_key: user_key_bytes,
+            trailer: (sequence << 8) | value_type as u64,
+        };
         let height = self.random_height();
-        let record = self.arena.alloc(Node::record_bytes(height, user_key_bytes.len(), value.len()));
+        let record = self.arena.alloc(Node::record_bytes(
+            height,
+            user_key_bytes.len(),
+            value.len(),
+        ));
         // SAFETY: fresh arena bytes of exactly this record's size, reachable
         // by no one until the links below publish them.
         let node = unsafe { Node::write(record, height, user_key_bytes, target.trailer, value) };
@@ -489,11 +516,7 @@ impl Memtable {
     /// * `Some(Some(value))` — a live value is visible,
     /// * `Some(None)` — a tombstone is visible (definitely deleted),
     /// * `None` — this memtable has no visible entry (check older sources).
-    pub fn get(
-        &self,
-        user_key_bytes: &[u8],
-        sequence: SequenceNumber,
-    ) -> Option<Option<Vec<u8>>> {
+    pub fn get(&self, user_key_bytes: &[u8], sequence: SequenceNumber) -> Option<Option<Vec<u8>>> {
         let target = SplitKey {
             user_key: user_key_bytes,
             trailer: (sequence << 8) | ValueType::Value as u64,
@@ -567,9 +590,7 @@ impl KvIter for MemtableIter {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        self.node = self
-            .mt
-            .find_greater_or_equal(&SplitKey::of(target), None);
+        self.node = self.mt.find_greater_or_equal(&SplitKey::of(target), None);
     }
 
     fn next(&mut self) {
@@ -697,7 +718,12 @@ mod tests {
         let mut sequence = 0;
         while mt.approximate_bytes() < budget {
             sequence += 1;
-            mt.insert(format!("{sequence:016}").as_bytes(), sequence, ValueType::Value, &value);
+            mt.insert(
+                format!("{sequence:016}").as_bytes(),
+                sequence,
+                ValueType::Value,
+                &value,
+            );
         }
         assert_eq!(mt.len(), 22_311);
         assert_eq!(mt.approximate_bytes(), 22_311 * (16 + 8 + 100 + 64));
@@ -743,7 +769,14 @@ mod tests {
         use crate::db::{Db, Options};
         use pcp_storage::{EnvRef, SimDevice, SimEnv};
         let env: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20))));
-        let db = Db::open(env, Options { memtable_bytes: 64 << 10, ..Default::default() }).unwrap();
+        let db = Db::open(
+            env,
+            Options {
+                memtable_bytes: 64 << 10,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let key = |i: u32| format!("key{i:05}").into_bytes();
         for i in 0..200 {
             db.put(&key(i), format!("old{i:0100}").as_bytes()).unwrap();
@@ -753,7 +786,10 @@ mod tests {
             db.put(&key(i), format!("new{i:0100}").as_bytes()).unwrap();
         }
         db.flush().unwrap();
-        assert!(db.metrics().flush_count >= 2, "the scanned memtable was not rotated out");
+        assert!(
+            db.metrics().flush_count >= 2,
+            "the scanned memtable was not rotated out"
+        );
         drop(db);
         it.seek_to_first();
         for i in 0..200 {
@@ -767,7 +803,10 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test threads, joined before returning"
+    )]
     fn concurrent_readers_during_writes() {
         // One writer inserting; several readers scanning concurrently.
         // Readers must always observe a sorted prefix of the inserts.
@@ -816,7 +855,11 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(mt.len(), 20_000);
-        assert!(mt.chunks() > 8, "crossed only {} chunk boundaries", mt.chunks() - 1);
+        assert!(
+            mt.chunks() > 8,
+            "crossed only {} chunk boundaries",
+            mt.chunks() - 1
+        );
     }
 
     /// Two unserialised writers may lose or misorder entries, but never
@@ -846,13 +889,20 @@ mod tests {
                 }
             });
             assert_eq!(mt.len(), 2 * per_thread as usize);
-            assert!(mt.chunks() > 2, "round {round} crossed {} chunk boundaries", mt.chunks() - 1);
+            assert!(
+                mt.chunks() > 2,
+                "round {round} crossed {} chunk boundaries",
+                mt.chunks() - 1
+            );
             let mt = Arc::new(mt);
             let mut it = mt.iter();
             it.seek_to_first();
             let mut seen = 0;
             while it.valid() {
-                assert!(it.value().starts_with(user_key(it.key())), "a node's key and value came apart");
+                assert!(
+                    it.value().starts_with(user_key(it.key())),
+                    "a node's key and value came apart"
+                );
                 seen += 1;
                 assert!(seen <= mt.len(), "the scan revisits nodes");
                 it.next();
@@ -883,7 +933,11 @@ mod tests {
                 model.insert(key, Some(value));
             }
         }
-        assert!(mt.chunks() > 8, "crossed only {} chunk boundaries", mt.chunks() - 1);
+        assert!(
+            mt.chunks() > 8,
+            "crossed only {} chunk boundaries",
+            mt.chunks() - 1
+        );
         for (key, want) in &model {
             let got = mt.get(key, MAX_SEQUENCE).expect("key was written");
             assert_eq!(&got, want, "mismatch at {key:?}");

@@ -208,7 +208,10 @@ mod tests {
                 .get(format!("key{i:06}").as_bytes())
                 .unwrap()
                 .unwrap_or_else(|| panic!("key {i} lost by repair"));
-            assert!(got.starts_with(format!("v{i}|").as_bytes()), "key {i} value mangled");
+            assert!(
+                got.starts_with(format!("v{i}|").as_bytes()),
+                "key {i} value mangled"
+            );
         }
         db.wait_idle().unwrap();
         assert!(db.verify_integrity().unwrap().is_healthy());
@@ -237,11 +240,10 @@ mod tests {
 
         let report = repair(Arc::clone(&e)).unwrap();
         assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
-        assert!(e
-            .list()
-            .unwrap()
-            .iter()
-            .any(|n| is_quarantined(n)), "quarantined file renamed");
+        assert!(
+            e.list().unwrap().iter().any(|n| is_quarantined(n)),
+            "quarantined file renamed"
+        );
         // The rest of the data survives.
         let db = Db::open(e, small_opts()).unwrap();
         let mut it = db.iter();

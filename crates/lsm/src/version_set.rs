@@ -87,7 +87,10 @@ enum Manifest {
     Open(WalWriter),
     /// The last write failed: a fresh manifest file `number` starts with
     /// the full-state record `snapshot`.
-    Roll { number: u64, snapshot: Vec<u8> },
+    Roll {
+        number: u64,
+        snapshot: Vec<u8>,
+    },
 }
 
 /// An edit [`VersionSet::prepare`]d under the caller's lock: the next
@@ -108,14 +111,24 @@ impl PendingEdit {
     /// Appends and syncs the record — after rolling a fresh manifest when
     /// the last write failed.
     pub fn write(self) -> io::Result<LoggedEdit> {
-        let PendingEdit { env, edit, next, record, manifest } = self;
+        let PendingEdit {
+            env,
+            edit,
+            next,
+            record,
+            manifest,
+        } = self;
         let mut manifest = match manifest {
             Manifest::Open(writer) => writer,
             Manifest::Roll { number, snapshot } => roll_manifest(&*env, number, &snapshot)?,
         };
         manifest.add_record(&record)?;
         manifest.sync()?;
-        Ok(LoggedEdit { edit, next, manifest })
+        Ok(LoggedEdit {
+            edit,
+            next,
+            manifest,
+        })
     }
 }
 
@@ -261,7 +274,11 @@ impl VersionSet {
             edit.log_number = Some(self.log_number);
         }
         let next = Self::apply(&self.current, &edit);
-        debug_assert!(next.check_invariants().is_ok(), "{:?}", next.check_invariants());
+        debug_assert!(
+            next.check_invariants().is_ok(),
+            "{:?}",
+            next.check_invariants()
+        );
         let manifest = match self.manifest.take() {
             Some(writer) => Manifest::Open(writer),
             // A previous failed write abandoned the manifest (its tail may
@@ -283,7 +300,11 @@ impl VersionSet {
 
     /// Makes a written edit's version current, with its counters.
     pub fn install(&mut self, logged: LoggedEdit) {
-        let LoggedEdit { edit, next, manifest } = logged;
+        let LoggedEdit {
+            edit,
+            next,
+            manifest,
+        } = logged;
         self.manifest = Some(manifest);
         if let Some(v) = edit.log_number {
             self.log_number = v;
@@ -427,10 +448,15 @@ impl VersionSet {
         };
 
         match self.merge_pick(level, inputs_upper) {
-            CompactionPick::Merge { mut inputs_upper, inputs_lower, .. }
-                if level > 0 && inputs_upper.len() == 1 && inputs_lower.is_empty() =>
-            {
-                CompactionPick::TrivialMove { level, file: inputs_upper.remove(0) }
+            CompactionPick::Merge {
+                mut inputs_upper,
+                inputs_lower,
+                ..
+            } if level > 0 && inputs_upper.len() == 1 && inputs_lower.is_empty() => {
+                CompactionPick::TrivialMove {
+                    level,
+                    file: inputs_upper.remove(0),
+                }
             }
             pick => pick,
         }
@@ -477,7 +503,9 @@ impl VersionSet {
             .map(|f| user_key(&f.largest))
             .max()
             .expect("inputs_upper is not empty");
-        let inputs_lower = self.current.overlapping_files(level + 1, Some(lo), Some(hi));
+        let inputs_lower = self
+            .current
+            .overlapping_files(level + 1, Some(lo), Some(hi));
         let pointer_key = inputs_upper
             .iter()
             .map(|f| f.largest.clone())
@@ -528,7 +556,10 @@ mod tests {
             let mut vs = VersionSet::open(Arc::clone(&e)).unwrap();
             let edit = VersionEdit {
                 last_sequence: Some(500),
-                new_files: vec![(0, meta(10, b"a", b"m", 1 << 20)), (1, meta(11, b"a", b"z", 2 << 20))],
+                new_files: vec![
+                    (0, meta(10, b"a", b"m", 1 << 20)),
+                    (1, meta(11, b"a", b"z", 2 << 20)),
+                ],
                 ..Default::default()
             };
             vs.log_and_apply(edit).unwrap();
@@ -576,7 +607,9 @@ mod tests {
         let picked = |files: u64| -> Option<Vec<u64>> {
             let mut vs = VersionSet::open(env()).unwrap();
             let edit = VersionEdit {
-                new_files: (1..=files).map(|i| (0, meta(i, b"a", b"z", 1 << 20))).collect(),
+                new_files: (1..=files)
+                    .map(|i| (0, meta(i, b"a", b"z", 1 << 20)))
+                    .collect(),
                 ..Default::default()
             };
             vs.log_and_apply(edit).unwrap();

@@ -223,7 +223,11 @@ fn snapshot_isolation_for_gets_and_scans() {
         keys.push(it.key().to_vec());
         it.next();
     }
-    assert_eq!(keys, vec![b"k".to_vec()], "snapshot sees only pre-existing keys");
+    assert_eq!(
+        keys,
+        vec![b"k".to_vec()],
+        "snapshot sees only pre-existing keys"
+    );
 }
 
 #[test]
@@ -323,7 +327,11 @@ impl CompactionExec for ParkedExec {
     }
 
     fn compact(&self, req: &CompactionRequest) -> pcp_sstable::Result<Vec<Arc<FileMetadata>>> {
-        drop(self.cv.wait_while(self.released.lock().unwrap(), |r| !*r).unwrap());
+        drop(
+            self.cv
+                .wait_while(self.released.lock().unwrap(), |r| !*r)
+                .unwrap(),
+        );
         SimpleMergeExec.compact(req)
     }
 }
@@ -349,7 +357,8 @@ fn write_stalls_are_recorded_under_pressure() {
     std::thread::scope(|s| {
         let writer = s.spawn(|| {
             for i in 0..3000 {
-                db.put(format!("key{i:06}").as_bytes(), &[0u8; 100]).unwrap();
+                db.put(format!("key{i:06}").as_bytes(), &[0u8; 100])
+                    .unwrap();
             }
         });
         while db.metrics().stall_events == 0 {
@@ -360,7 +369,10 @@ fn write_stalls_are_recorded_under_pressure() {
     });
     db.wait_idle().unwrap();
     let m = db.metrics();
-    assert!(m.stall_events > 0, "backpressure should have engaged: {m:?}");
+    assert!(
+        m.stall_events > 0,
+        "backpressure should have engaged: {m:?}"
+    );
     // And everything is still readable.
     assert_eq!(db.get(b"key000000").unwrap(), Some(vec![0u8; 100]));
     assert_eq!(db.get(b"key002999").unwrap(), Some(vec![0u8; 100]));
@@ -431,14 +443,18 @@ fn binary_keys_and_values() {
 fn approximate_size_tracks_ranges() {
     let db = Db::open(ram_env(), small_opts()).unwrap();
     for i in 0..4000 {
-        db.put(format!("key{i:06}").as_bytes(), &[1u8; 100]).unwrap();
+        db.put(format!("key{i:06}").as_bytes(), &[1u8; 100])
+            .unwrap();
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
     let all = db.approximate_size(None, None);
     assert!(all > 30 << 10, "whole-range estimate too small: {all}");
     let half = db.approximate_size(None, Some(b"key002000"));
-    assert!(half > all / 4 && half < all * 3 / 4, "half-range {half} of {all}");
+    assert!(
+        half > all / 4 && half < all * 3 / 4,
+        "half-range {half} of {all}"
+    );
     let none = db.approximate_size(Some(b"zzz"), None);
     assert_eq!(none, 0);
     let point = db.approximate_size(Some(b"key001000"), Some(b"key001001"));
@@ -492,12 +508,20 @@ fn verify_integrity_reads_the_device_not_the_table_cache() {
         db.put(format!("key{i:06}").as_bytes(), &[9u8; 80]).unwrap();
     }
     db.flush().unwrap();
-    assert!(db.get(b"key000042").unwrap().is_some(), "the table is read, so cached");
+    assert!(
+        db.get(b"key000042").unwrap().is_some(),
+        "the table is read, so cached"
+    );
     assert!(db.verify_integrity().unwrap().is_healthy());
 
     // Flip one byte of the index block, which the footer locates: the
     // second of its three handles (filter, index, properties).
-    let name = env.list().unwrap().into_iter().find(|n| n.ends_with(".sst")).unwrap();
+    let name = env
+        .list()
+        .unwrap()
+        .into_iter()
+        .find(|n| n.ends_with(".sst"))
+        .unwrap();
     patch_file(&env, &name, |bytes| {
         let footer = &bytes[bytes.len() - pcp_sstable::table::FOOTER_SIZE..];
         let (_, n) = BlockHandle::decode(footer).unwrap();
@@ -506,7 +530,10 @@ fn verify_integrity_reads_the_device_not_the_table_cache() {
     });
     let report = db.verify_integrity().unwrap();
     assert!(
-        report.errors.iter().any(|e| e.contains("checksum mismatch")),
+        report
+            .errors
+            .iter()
+            .any(|e| e.contains("checksum mismatch")),
         "a corrupt index on the device must be reported: {report:?}"
     );
 }
@@ -519,7 +546,9 @@ fn written_tables_open_with_no_reads_and_found_tables_with_one_each() {
     let opens = |db: &Db| {
         let registry = pcp_obs::Registry::new();
         db.register_metrics(&registry, &[]);
-        registry.snapshot().counter("pcp_engine_table_opens_total", &[])
+        registry
+            .snapshot()
+            .counter("pcp_engine_table_opens_total", &[])
     };
     let env = ram_env();
     let db = Db::open(Arc::clone(&env), small_opts()).unwrap();
@@ -541,7 +570,11 @@ fn written_tables_open_with_no_reads_and_found_tables_with_one_each() {
     assert!(live > 1, "{live} tables");
     assert_eq!(opens(&db), 0);
     assert_eq!(dump(&db), scanned);
-    assert_eq!(opens(&db), live as u64, "one cold open per table found at open");
+    assert_eq!(
+        opens(&db),
+        live as u64,
+        "one cold open per table found at open"
+    );
     assert_eq!(dump(&db), scanned);
     assert_eq!(opens(&db), live as u64);
 }
@@ -573,10 +606,18 @@ fn blocks_of_a_retired_or_unknown_kind_are_refused_as_corruption() {
         drop(db);
 
         // Relabel the first data block of the one table and re-checksum it.
-        let name = env.list().unwrap().into_iter().find(|n| n.ends_with(".sst")).unwrap();
+        let name = env
+            .list()
+            .unwrap()
+            .into_iter()
+            .find(|n| n.ends_with(".sst"))
+            .unwrap();
         let table = pcp_sstable::TableReader::open(env.open(&name).unwrap()).unwrap();
         let handle = table.block_metas().unwrap()[0].handle;
-        let (start, end) = (handle.offset as usize, (handle.offset + handle.size) as usize);
+        let (start, end) = (
+            handle.offset as usize,
+            (handle.offset + handle.size) as usize,
+        );
         patch_file(&env, &name, |bytes| {
             bytes[end] = kind;
             let crc = pcp_codec::mask_crc(pcp_codec::crc32c(&bytes[start..=end]));
@@ -604,7 +645,10 @@ fn blocks_of_a_retired_or_unknown_kind_are_refused_as_corruption() {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn concurrent_writers_and_readers() {
     let db = Arc::new(Db::open(ram_env(), small_opts()).unwrap());
     let writers: Vec<_> = (0..4)
@@ -650,7 +694,8 @@ fn metrics_registry_and_trace_follow_engine_lifecycle() {
     let registry = pcp_obs::Registry::new();
     db.register_metrics(&registry, &[("shard", "0")]);
     for i in 0..3000 {
-        db.put(format!("key{i:06}").as_bytes(), &[9u8; 100]).unwrap();
+        db.put(format!("key{i:06}").as_bytes(), &[9u8; 100])
+            .unwrap();
     }
     db.wait_idle().unwrap();
     db.compact_range(None, None).unwrap();
@@ -705,11 +750,16 @@ fn metrics_registry_and_trace_follow_engine_lifecycle() {
 fn flushed_table_bytes_are_pinned() {
     for block_cache_bytes in [0, 32 << 20] {
         let env = ram_env();
-        let opts = Options { block_cache_bytes, ..Default::default() };
+        let opts = Options {
+            block_cache_bytes,
+            ..Default::default()
+        };
         let db = Db::open(env.clone(), opts).unwrap();
         let mut x: u64 = 42;
         for i in 0..20_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let key = format!("key{:08}", (x >> 33) % 8000);
             if i % 17 == 0 {
                 db.delete(key.as_bytes()).unwrap();
@@ -719,14 +769,21 @@ fn flushed_table_bytes_are_pinned() {
             }
         }
         db.flush().unwrap();
-        let tables: Vec<String> =
-            env.list().unwrap().into_iter().filter(|n| n.ends_with(".sst")).collect();
+        let tables: Vec<String> = env
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.ends_with(".sst"))
+            .collect();
         assert_eq!(tables.len(), 1, "{tables:?}");
         let f = env.open(&tables[0]).unwrap();
         let bytes = f.read_at(0, f.len() as usize).unwrap();
         let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(hash, 0x4ef5_9633_6921_dc7d, "cache {block_cache_bytes}: {hash:#018x}");
+        assert_eq!(
+            hash, 0x4ef5_9633_6921_dc7d,
+            "cache {block_cache_bytes}: {hash:#018x}"
+        );
     }
 }

@@ -27,7 +27,10 @@ fn value(n: u64) -> Vec<u8> {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn single_writer_many_readers_visibility_and_order() {
     let mt = Arc::new(Memtable::new());
     let stop = Arc::new(AtomicBool::new(false));
@@ -41,7 +44,12 @@ fn single_writer_many_readers_visibility_and_order() {
             for batch in 0..BATCHES {
                 for i in 0..BATCH_KEYS {
                     let n = batch * BATCH_KEYS + i;
-                    mt.insert(&key(n), n + 1 as SequenceNumber, ValueType::Value, &value(n));
+                    mt.insert(
+                        &key(n),
+                        n + 1 as SequenceNumber,
+                        ValueType::Value,
+                        &value(n),
+                    );
                 }
                 if ack_tx.send(batch).is_err() {
                     return; // verifier gave up; nothing left to prove
@@ -127,7 +135,10 @@ fn single_writer_many_readers_visibility_and_order() {
 /// `get` in insertion order: a reader at a given snapshot sees exactly
 /// the latest entry at or below it.
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn snapshot_reads_race_with_overwrites() {
     let mt = Arc::new(Memtable::new());
     let (done_tx, done_rx) = channel::bounded::<SequenceNumber>(1);

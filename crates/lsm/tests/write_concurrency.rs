@@ -11,9 +11,7 @@
 //! rode in it.
 
 use pcp_lsm::{Db, Options, WriteBatch};
-use pcp_storage::{
-    EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv, SsdModel,
-};
+use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv, SsdModel};
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -79,10 +77,7 @@ fn check_model(db: &Db) {
             );
         }
     }
-    let first = db
-        .get(b"shared-0")
-        .unwrap()
-        .expect("shared key must exist");
+    let first = db.get(b"shared-0").unwrap().expect("shared key must exist");
     for i in 1..SHARED_KEYS {
         assert_eq!(
             db.get(format!("shared-{i}").as_bytes()).unwrap().as_ref(),

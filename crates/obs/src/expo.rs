@@ -244,12 +244,10 @@ fn parse_labels(rest: &str) -> Result<&str, String> {
         // Quoted value with escapes.
         loop {
             match chars.next() {
-                Some((_, '\\')) => {
-                    match chars.next() {
-                        Some((_, '\\' | '"' | 'n')) => {}
-                        _ => return Err("bad escape in label value".to_string()),
-                    }
-                }
+                Some((_, '\\')) => match chars.next() {
+                    Some((_, '\\' | '"' | 'n')) => {}
+                    _ => return Err("bad escape in label value".to_string()),
+                },
                 Some((_, '"')) => break,
                 Some(_) => {}
                 None => return Err("unterminated label value".to_string()),
@@ -295,7 +293,10 @@ pub fn validate_exposition(text: &str) -> Result<usize, ExpoError> {
                 if !is_name(name) {
                     return Err(err(lineno, format!("bad metric name {name:?} in TYPE")));
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(err(lineno, format!("unknown TYPE kind {kind:?}")));
                 }
                 if parts.next().is_some() {

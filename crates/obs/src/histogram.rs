@@ -265,8 +265,23 @@ mod tests {
     #[test]
     fn bucket_mapping_is_monotone_and_round_trips() {
         let mut prev = 0usize;
-        for v in [0u64, 1, 2, 3, 7, 8, 23, 24, 25, 100, 1000, 1 << 20, 1 << 40, 1 << 62, u64::MAX]
-        {
+        for v in [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            8,
+            23,
+            24,
+            25,
+            100,
+            1000,
+            1 << 20,
+            1 << 40,
+            1 << 62,
+            u64::MAX,
+        ] {
             let b = Histogram::bucket_of(v);
             assert!(b >= prev, "bucket({v}) = {b} < {prev}");
             prev = b;
@@ -349,7 +364,10 @@ mod tests {
     }
 
     #[test]
-    #[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test threads, joined before returning"
+    )]
     fn concurrent_recording_loses_nothing() {
         let h = std::sync::Arc::new(Histogram::new());
         let threads: Vec<_> = (0..8)

@@ -124,13 +124,7 @@ impl Registry {
 
     /// Adopts an existing histogram (e.g. one a device or server already
     /// records into) under `name`.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: Labels,
-        h: Arc<Histogram>,
-    ) {
+    pub fn register_histogram(&self, name: &str, help: &str, labels: Labels, h: Arc<Histogram>) {
         self.insert(name, help, labels, Instrument::Histogram(h));
     }
 
@@ -289,7 +283,9 @@ mod tests {
         let r = Registry::new();
         let ops = Arc::new(AtomicU64::new(0));
         let exported = Arc::clone(&ops);
-        r.register_fn_counter("test_ops_total", "ops", Vec::new(), move || exported.load(Relaxed));
+        r.register_fn_counter("test_ops_total", "ops", Vec::new(), move || {
+            exported.load(Relaxed)
+        });
         let h = r.histogram("test_latency_nanoseconds", "latency");
         r.register_fn_gauge("test_fn_gauge", "external", Vec::new(), || 0.25);
         // Collectors are read at scrape time, not at registration.

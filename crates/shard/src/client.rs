@@ -299,7 +299,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = KvClient::connect(listener.local_addr().unwrap()).unwrap();
         let (peer, _) = listener.accept().unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         (client, peer)
     }
 

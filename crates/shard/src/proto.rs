@@ -369,8 +369,8 @@ impl Response {
             }
             op::METRICS_TEXT => {
                 let text = take_bytes(&mut input)?;
-                let text = String::from_utf8(text)
-                    .map_err(|_| bad("metrics exposition is not UTF-8"))?;
+                let text =
+                    String::from_utf8(text).map_err(|_| bad("metrics exposition is not UTF-8"))?;
                 Response::MetricsText(text)
             }
             op::ERR => {

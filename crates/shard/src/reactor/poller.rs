@@ -161,7 +161,12 @@ impl Poller {
         // SAFETY: `events` is a live buffer of `events.len()`
         // epoll_event slots; the kernel writes at most that many.
         let n = unsafe {
-            epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
+            epoll_wait(
+                self.epfd,
+                events.as_mut_ptr(),
+                events.len() as i32,
+                timeout_ms,
+            )
         };
         let n = match cvt(n) {
             Ok(n) => n as usize,
@@ -224,7 +229,10 @@ mod tests {
         b.write_all(b"x").unwrap();
         events.clear();
         poller.wait(&mut events, 1000).unwrap();
-        let ev = events.iter().find(|e| e.token == 7).expect("readable event");
+        let ev = events
+            .iter()
+            .find(|e| e.token == 7)
+            .expect("readable event");
         assert!(ev.readable);
 
         // Drain (required under edge triggering before the next wait).
@@ -245,7 +253,10 @@ mod tests {
             .unwrap();
         events.clear();
         poller.wait(&mut events, 1000).unwrap();
-        let ev = events.iter().find(|e| e.token == 7).expect("writable event");
+        let ev = events
+            .iter()
+            .find(|e| e.token == 7)
+            .expect("writable event");
         assert!(ev.writable);
 
         poller.deregister(a.as_raw_fd()).unwrap();

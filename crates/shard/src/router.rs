@@ -89,9 +89,7 @@ impl RangeRouter {
     /// random tokens).
     pub fn uniform(n: usize) -> RangeRouter {
         let n = n.max(1);
-        let boundaries = (1..n)
-            .map(|i| vec![((i * 256) / n) as u8])
-            .collect();
+        let boundaries = (1..n).map(|i| vec![((i * 256) / n) as u8]).collect();
         RangeRouter::new(boundaries)
     }
 

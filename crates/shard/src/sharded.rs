@@ -402,7 +402,8 @@ impl ShardedDb {
         );
         for (i, db) in self.shards.iter().enumerate() {
             let m = db.metrics();
-            let _ = writeln!(
+            let _ =
+                writeln!(
                 out,
                 "  shard {i:3}: {:8} puts {:8} gets  {:3} flushes {:3} compactions  health {:?}",
                 m.puts, m.gets, m.flush_count, m.compaction_count, db.health(),

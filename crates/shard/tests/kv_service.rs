@@ -5,9 +5,7 @@
 
 use pcp_lsm::{CompactionPolicy, Options};
 use pcp_obs::{MetricsSnapshot, SampleValue};
-use pcp_shard::{
-    BatchItem, HashRouter, KvClient, KvServer, Request, Response, ShardedDb,
-};
+use pcp_shard::{BatchItem, HashRouter, KvClient, KvServer, Request, Response, ShardedDb};
 use pcp_storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -179,7 +177,10 @@ fn kv_service_end_to_end() {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn kv_service_concurrent_clients() {
     let db = sharded(2);
     let mut server = KvServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
@@ -237,7 +238,10 @@ fn kv_service_metrics_exposition() {
     let text = client.metrics_text().unwrap();
     // Every line is well-formed Prometheus text exposition.
     let samples = pcp_obs::validate_exposition(&text).unwrap();
-    assert!(samples > 50, "suspiciously small exposition: {samples} samples");
+    assert!(
+        samples > 50,
+        "suspiciously small exposition: {samples} samples"
+    );
 
     // Service series are present and consistent with a later server-side
     // scrape.
@@ -316,7 +320,9 @@ fn scan_over_a_shard_that_cannot_read_gets_an_error_response() {
     let mut server = KvServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
     let mut client = KvClient::connect(server.local_addr()).unwrap();
     for i in 0..200 {
-        client.put(format!("user{i:05}").as_bytes(), b"value").unwrap();
+        client
+            .put(format!("user{i:05}").as_bytes(), b"value")
+            .unwrap();
     }
     db.flush().unwrap();
     assert_eq!(client.scan(b"", 1000).unwrap().len(), 200);

@@ -120,7 +120,9 @@ fn expected_transcript(db: &ShardedDb, script: &[Request]) -> Vec<Vec<u8>> {
             }
             db.write(batch).map(|()| Response::Ok).unwrap()
         }
-        Request::Scan { start, limit } => Response::Entries(db.scan(start, *limit as usize).unwrap()),
+        Request::Scan { start, limit } => {
+            Response::Entries(db.scan(start, *limit as usize).unwrap())
+        }
         other => panic!("not a data op: {other:?}"),
     };
     script.iter().map(|req| apply(req).encode()).collect()
@@ -200,7 +202,10 @@ fn pipelined_err_keeps_window_usable() {
 /// Graceful shutdown drains: every request the server accepted gets its
 /// response flushed before the socket closes — none silently dropped.
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn shutdown_flushes_accepted_pipelined_requests() {
     const N: usize = 200;
     let (gate, parked, release) = Gate::new();
@@ -258,7 +263,8 @@ fn backpressure_pauses_reads_under_unread_output() {
     let db = sharded(2);
     // Values big enough that one response overflows the 1 KiB budget.
     for i in 0..8u32 {
-        db.put(format!("big{i}").as_bytes(), &vec![b'x'; 4096]).unwrap();
+        db.put(format!("big{i}").as_bytes(), &vec![b'x'; 4096])
+            .unwrap();
     }
     let mut server = start(
         Arc::clone(&db),
@@ -272,7 +278,11 @@ fn backpressure_pauses_reads_under_unread_output() {
     let mut tokens = Vec::new();
     for _round in 0..8u32 {
         for i in 0..8u32 {
-            tokens.push(client.send(&Request::Get(format!("big{i}").into_bytes())).unwrap());
+            tokens.push(
+                client
+                    .send(&Request::Get(format!("big{i}").into_bytes()))
+                    .unwrap(),
+            );
         }
     }
     let responses = client.recv_all().unwrap();
@@ -302,7 +312,8 @@ fn a_pause_outlasting_the_socket_buffers_resumes_the_decoded_frames() {
     const VALUE: usize = 1 << 20;
     let db = sharded(2);
     for i in 0..4u32 {
-        db.put(format!("huge{i}").as_bytes(), &vec![b'h'; VALUE]).unwrap();
+        db.put(format!("huge{i}").as_bytes(), &vec![b'h'; VALUE])
+            .unwrap();
     }
     db.put(b"small", b"v").unwrap();
     let mut server = start(
@@ -351,7 +362,10 @@ fn connections_are_dealt_round_robin_to_the_loops() {
     }
     let text = server.metrics_text();
     let ops = |worker: &str| {
-        metric_value(&text, &format!("pcp_service_worker_ops_total{{worker=\"{worker}\"}}"))
+        metric_value(
+            &text,
+            &format!("pcp_service_worker_ops_total{{worker=\"{worker}\"}}"),
+        )
     };
     assert_eq!((ops("0"), ops("1")), (10.0, 20.0));
     server.shutdown();

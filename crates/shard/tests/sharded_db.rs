@@ -136,7 +136,10 @@ proptest! {
 /// A multi-shard `WriteBatch` is atomic with respect to snapshots: a
 /// snapshot taken at any moment sees either all of a batch or none of it.
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn cross_shard_batch_never_torn_by_snapshot() {
     // Four range shards with one known key each.
     let router = Arc::new(RangeRouter::new(vec![
@@ -175,10 +178,8 @@ fn cross_shard_batch_never_torn_by_snapshot() {
     let mut observed = 0;
     while observed < SNAPSHOTS && !writer.is_finished() {
         let snap = db.snapshot();
-        let reads: Vec<Option<Vec<u8>>> = keys
-            .iter()
-            .map(|k| db.get_at(k, &snap).unwrap())
-            .collect();
+        let reads: Vec<Option<Vec<u8>>> =
+            keys.iter().map(|k| db.get_at(k, &snap).unwrap()).collect();
         // Pre-first-batch: all four absent. Afterwards: all four present
         // and equal — any mixture is a torn batch.
         let present: Vec<&Vec<u8>> = reads.iter().flatten().collect();
@@ -206,7 +207,10 @@ fn cross_shard_batch_never_torn_by_snapshot() {
         it.next();
     }
     assert_eq!(seen.len(), 4);
-    assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "merged scan order");
+    assert!(
+        seen.windows(2).all(|w| w[0].0 < w[1].0),
+        "merged scan order"
+    );
     assert!(seen.iter().all(|(_, v)| v == &seen[0].1));
 }
 
@@ -218,7 +222,10 @@ fn cross_shard_batch_never_torn_by_snapshot() {
 #[test]
 fn bounded_compact_range_keeps_newer_versions_on_top() {
     // Shard 0 holds keys below "n", shard 1 the rest.
-    let db = sharded(Arc::new(RangeRouter::new(vec![b"n".to_vec()])), Options::default());
+    let db = sharded(
+        Arc::new(RangeRouter::new(vec![b"n".to_vec()])),
+        Options::default(),
+    );
     db.put(b"b", b"old").unwrap();
     db.put(b"p", b"old").unwrap();
     db.flush().unwrap();
@@ -389,7 +396,10 @@ fn snapshot_sequence_vector_isolates_reads() {
 /// the snapshot later writes or hide earlier ones.
 #[test]
 fn one_merge_reads_each_shard_at_its_own_sequence() {
-    let db = sharded(Arc::new(RangeRouter::new(vec![b"m".to_vec()])), small_opts());
+    let db = sharded(
+        Arc::new(RangeRouter::new(vec![b"m".to_vec()])),
+        small_opts(),
+    );
     let mut model = BTreeMap::new();
     let put = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>, key: String, value: String| {
         db.put(key.as_bytes(), value.as_bytes()).unwrap();
@@ -412,7 +422,11 @@ fn one_merge_reads_each_shard_at_its_own_sequence() {
     for i in 0..5u32 {
         put(&mut model, format!("z{i:02}"), format!("z-after-{i}"));
         put(&mut model, format!("z{:02}", 20 + i), format!("z-new-{i}"));
-        put(&mut model, format!("a{:04}", 2000 + i), format!("a-new-{i}"));
+        put(
+            &mut model,
+            format!("a{:04}", 2000 + i),
+            format!("a-new-{i}"),
+        );
     }
     for key in ["a0003", "a0500", "z07", "z08"] {
         db.delete(key.as_bytes()).unwrap();
@@ -421,7 +435,10 @@ fn one_merge_reads_each_shard_at_its_own_sequence() {
     db.flush().unwrap();
     put(&mut model, "a0001".into(), "a-in-memtable".into());
     put(&mut model, "z09".into(), "z-in-memtable".into());
-    assert!(db.level_summary()[0].0 > 0, "no level-0 table holds a later write");
+    assert!(
+        db.level_summary()[0].0 > 0,
+        "no level-0 table holds a later write"
+    );
 
     let from = |it: &mut pcp_shard::ShardedIter, start: Option<&[u8]>| {
         match start {
@@ -437,10 +454,16 @@ fn one_merge_reads_each_shard_at_its_own_sequence() {
         out
     };
     let tail = |m: &BTreeMap<Vec<u8>, Vec<u8>>, start: &[u8]| -> Vec<(Vec<u8>, Vec<u8>)> {
-        m.range(start.to_vec()..).map(|(k, v)| (k.clone(), v.clone())).collect()
+        m.range(start.to_vec()..)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     };
     let mut it = db.iter_at(&snap);
-    assert_eq!(from(&mut it, None), tail(&before, b""), "full scan at the snapshot");
+    assert_eq!(
+        from(&mut it, None),
+        tail(&before, b""),
+        "full scan at the snapshot"
+    );
     for start in [&b"a0500"[..], b"z05"] {
         assert_eq!(
             from(&mut it, Some(start)),
@@ -449,7 +472,11 @@ fn one_merge_reads_each_shard_at_its_own_sequence() {
             String::from_utf8_lossy(start)
         );
     }
-    assert_eq!(full_scan(&db), tail(&model, b""), "full scan after the writes");
+    assert_eq!(
+        full_scan(&db),
+        tail(&model, b""),
+        "full scan after the writes"
+    );
     let mut it = db.iter();
     assert_eq!(from(&mut it, Some(b"z05")), tail(&model, b"z05"));
 }

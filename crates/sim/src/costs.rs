@@ -84,9 +84,8 @@ impl CostParams {
                     now,
                     &mut write_state,
                 );
-                let compute = Duration::from_secs_f64(
-                    self.subtask_bytes as f64 * self.compute_secs_per_byte,
-                );
+                let compute =
+                    Duration::from_secs_f64(self.subtask_bytes as f64 * self.compute_secs_per_byte);
                 now += rt.total() + wt.total() + compute;
                 SubTaskCost {
                     read: rt.total(),
@@ -170,8 +169,7 @@ mod tests {
         let costs = params(DeviceKind::ssd()).subtask_costs(100);
         let scp = simulate(Procedure::Scp, &costs);
         let pcp = simulate(Procedure::pcp(), &costs);
-        let speedup =
-            scp.makespan.as_secs_f64() / pcp.makespan.as_secs_f64();
+        let speedup = scp.makespan.as_secs_f64() / pcp.makespan.as_secs_f64();
         // The synthetic cost model issues ideal contiguous I/O, so its
         // speedup is a floor for what the real pipeline shows (where
         // fragmented spans make I/O a larger share).

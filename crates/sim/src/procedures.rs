@@ -154,11 +154,7 @@ pub fn simulate(proc: Procedure, costs: &[SubTaskCost]) -> SimReport {
             SimReport {
                 makespan: r.makespan,
                 stage_busy: [r.stage_busy[0], r.stage_busy[1], r.stage_busy[2]],
-                stage_blocked: [
-                    r.stage_blocked[0],
-                    r.stage_blocked[1],
-                    r.stage_blocked[2],
-                ],
+                stage_blocked: [r.stage_blocked[0], r.stage_blocked[1], r.stage_blocked[2]],
                 subtasks: costs.len(),
             }
         }
@@ -168,9 +164,7 @@ pub fn simulate(proc: Procedure, costs: &[SubTaskCost]) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcp_core::model::{
-        b_cppcp, b_pcp, b_scp, b_sppcp, StepTimes,
-    };
+    use pcp_core::model::{b_cppcp, b_pcp, b_scp, b_sppcp, StepTimes};
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)

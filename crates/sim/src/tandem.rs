@@ -11,7 +11,7 @@
 //! exactly reproducible.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::time::Duration;
 
 /// One pipeline stage.
@@ -215,10 +215,7 @@ pub fn simulate_tandem(stages: &[StageSpec], costs: &[Vec<Duration>]) -> TandemR
             .iter()
             .map(|s| Duration::from_nanos(s.blocked_ns))
             .collect(),
-        completions: completions
-            .into_iter()
-            .map(Duration::from_nanos)
-            .collect(),
+        completions: completions.into_iter().map(Duration::from_nanos).collect(),
     }
 }
 
@@ -323,13 +320,7 @@ mod tests {
         // write stage must still process 0,1,2,… in order.
         let n = 10;
         let costs: Vec<Vec<Duration>> = (0..n)
-            .map(|j| {
-                vec![
-                    ms(1),
-                    if j % 2 == 0 { ms(30) } else { ms(5) },
-                    ms(1),
-                ]
-            })
+            .map(|j| vec![ms(1), if j % 2 == 0 { ms(30) } else { ms(5) }, ms(1)])
             .collect();
         let r = simulate_tandem(&stages3([1, 2, 1], usize::MAX), &costs);
         // Completion times must be strictly increasing in job index

@@ -142,7 +142,8 @@ impl BlockCutter {
         if self.builder.is_empty() {
             self.first_key = ikey.to_vec();
         }
-        self.bloom_hashes.push(BloomFilter::hash_key(user_key(ikey)));
+        self.bloom_hashes
+            .push(BloomFilter::hash_key(user_key(ikey)));
         self.builder.add(ikey, value);
         (self.builder.size_estimate() >= self.block_size).then(|| self.cut())
     }
@@ -201,8 +202,7 @@ impl Block {
             return Err(corruption("block shorter than trailer"));
         }
         let n = pcp_codec::read_u32_le(&data, data.len() - 4)
-            .ok_or_else(|| corruption("block shorter than trailer"))?
-            as usize;
+            .ok_or_else(|| corruption("block shorter than trailer"))? as usize;
         let restarts_offset = data
             .len()
             .checked_sub(4 + n * 4)
@@ -578,7 +578,10 @@ mod tests {
         for k in &keys {
             let cut = cutter.add(k, &[b'v'; 20]);
             // The entry that completes a block leaves nothing pending.
-            assert_eq!(cutter.last_key(), if cut.is_some() { None } else { Some(&k[..]) });
+            assert_eq!(
+                cutter.last_key(),
+                if cut.is_some() { None } else { Some(&k[..]) }
+            );
             blocks.extend(cut);
         }
         blocks.extend(cutter.finish());
@@ -590,7 +593,10 @@ mod tests {
             let block = Block::new(Bytes::from(b.contents.clone())).unwrap();
             let got: Vec<Vec<u8>> = collect(&block).into_iter().map(|(k, _)| k).collect();
             assert_eq!(got, keys[next..next + n]);
-            assert_eq!((&b.first_key, &b.last_key), (&keys[next], &keys[next + n - 1]));
+            assert_eq!(
+                (&b.first_key, &b.last_key),
+                (&keys[next], &keys[next + n - 1])
+            );
             assert_eq!(b.bloom_hashes.len(), n);
             // Every block but the last is the first to reach the size.
             let full = b.contents.len() >= 100;

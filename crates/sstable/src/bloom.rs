@@ -104,7 +104,9 @@ mod tests {
     use super::*;
 
     fn keys(n: usize, tag: &str) -> Vec<Vec<u8>> {
-        (0..n).map(|i| format!("{tag}-{i:08}").into_bytes()).collect()
+        (0..n)
+            .map(|i| format!("{tag}-{i:08}").into_bytes())
+            .collect()
     }
 
     #[test]
@@ -136,7 +138,10 @@ mod tests {
         };
         let loose = fp(4);
         let tight = fp(16);
-        assert!(tight < loose, "16 bpk ({tight}) should beat 4 bpk ({loose})");
+        assert!(
+            tight < loose,
+            "16 bpk ({tight}) should beat 4 bpk ({loose})"
+        );
     }
 
     #[test]

@@ -133,10 +133,7 @@ impl Shard {
             let Some((key, obs_tick)) = inner.queue.pop_front() else {
                 break;
             };
-            let stale = inner
-                .map
-                .get(&key)
-                .is_some_and(|e| e.tick == obs_tick);
+            let stale = inner.map.get(&key).is_some_and(|e| e.tick == obs_tick);
             if stale {
                 if let Some(e) = inner.map.remove(&key) {
                     inner.used -= e.charge;
@@ -155,7 +152,8 @@ impl Inner {
         self.queue.push_back((key, tick));
         if self.queue.len() > 2 * self.map.len() + QUEUE_SLACK {
             let map = &self.map;
-            self.queue.retain(|(k, t)| map.get(k).is_some_and(|e| e.tick == *t));
+            self.queue
+                .retain(|(k, t)| map.get(k).is_some_and(|e| e.tick == *t));
         }
     }
 }

@@ -228,8 +228,8 @@ pub fn collect_remaining(it: &mut dyn KvIter) -> Vec<(Vec<u8>, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{lookup_key, make_internal_key, user_key, ValueType, MAX_SEQUENCE};
     use crate::corruption;
+    use crate::key::{lookup_key, make_internal_key, user_key, ValueType, MAX_SEQUENCE};
 
     /// One version of each user key, all at sequence 1.
     fn entries(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -344,7 +344,10 @@ mod tests {
             .map(|(k, _)| user_key(&k).to_vec())
             .collect();
         assert_eq!(keys, [b"a", b"b", b"c", b"d"]);
-        assert_eq!(m.status().unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            m.status().unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
         // The error lasts until the next seek.
         m.seek(&at("a"));
         assert!(m.valid() && m.status().is_ok());
@@ -379,7 +382,10 @@ mod tests {
             let ents: Vec<(Vec<u8>, Vec<u8>)> = (0..50)
                 .map(|i| {
                     let user = format!("{:05}", i * 8 + c);
-                    (make_internal_key(user.as_bytes(), 1, ValueType::Value), vec![c as u8])
+                    (
+                        make_internal_key(user.as_bytes(), 1, ValueType::Value),
+                        vec![c as u8],
+                    )
                 })
                 .collect();
             children.push(Box::new(VecIter::new(ents)));

@@ -67,7 +67,10 @@ pub type Result<T> = std::io::Result<T>;
 /// unknown kind byte, a bad handle, a short read: `ErrorKind::InvalidData`,
 /// never retried, with the message prefixed `corruption: `.
 pub fn corruption(what: impl std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("corruption: {what}"))
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("corruption: {what}"),
+    )
 }
 
 /// A copy of a cursor's stored status. `io::Error` is not `Clone`; the copy

@@ -90,8 +90,8 @@ impl BlockHandle {
 
     /// Decodes a handle, returning it and the bytes consumed.
     pub fn decode(input: &[u8]) -> Result<(BlockHandle, usize)> {
-        let (offset, n1) = pcp_codec::decode_u64(input)
-            .map_err(|e| corruption(format!("bad handle: {e}")))?;
+        let (offset, n1) =
+            pcp_codec::decode_u64(input).map_err(|e| corruption(format!("bad handle: {e}")))?;
         let (size, n2) = pcp_codec::decode_u64(&input[n1..])
             .map_err(|e| corruption(format!("bad handle: {e}")))?;
         Ok((BlockHandle { offset, size }, n1 + n2))
@@ -213,7 +213,11 @@ impl TableMeta {
         let (props_handle, _) = BlockHandle::decode(&footer[n1 + n2..])?;
 
         let has_filter = filter_handle.size > 0;
-        let start = if has_filter { filter_handle.offset } else { index_handle.offset };
+        let start = if has_filter {
+            filter_handle.offset
+        } else {
+            index_handle.offset
+        };
         let end = props_handle
             .stored_end()
             .filter(|&end| start <= end && end <= footer_at)
@@ -242,14 +246,23 @@ impl TableMeta {
         };
         let props = block(props_handle)?;
         let prop = |at: usize| {
-            pcp_codec::decode_u64(&props[at..])
-                .map_err(|e| corruption(format!("props: {e}")))
+            pcp_codec::decode_u64(&props[at..]).map_err(|e| corruption(format!("props: {e}")))
         };
         let (entries, n1) = prop(0)?;
         let (data_blocks, n2) = prop(n1)?;
         let (raw_bytes, _) = prop(n1 + n2)?;
-        let stats = TableStats { entries, data_blocks, raw_bytes, file_size: len };
-        Ok(TableMeta { index, bloom, stats, blocks: Vec::new() })
+        let stats = TableStats {
+            entries,
+            data_blocks,
+            raw_bytes,
+            file_size: len,
+        };
+        Ok(TableMeta {
+            index,
+            bloom,
+            stats,
+            blocks: Vec::new(),
+        })
     }
 }
 
@@ -298,8 +311,7 @@ pub fn verify_block(raw: &[u8]) -> Result<(&[u8], CompressionKind)> {
     let kind = CompressionKind::from_u8(trailer[0])
         .ok_or_else(|| corruption(format!("bad kind byte {}", trailer[0])))?;
     let stored = unmask_crc(
-        pcp_codec::read_u32_le(trailer, 1)
-            .ok_or_else(|| corruption("block trailer too short"))?,
+        pcp_codec::read_u32_le(trailer, 1).ok_or_else(|| corruption("block trailer too short"))?,
     );
     let mut crc = pcp_codec::Crc32c::new();
     crc.update(payload);
@@ -421,9 +433,18 @@ impl TableBuilder {
     /// builder that keeps its blocks, its contents.
     pub fn add_sealed_block(&mut self, sealed: SealedBlock) -> Result<()> {
         debug_assert!(!self.finished);
-        debug_assert!(self.cutter.last_key().is_none(), "mixing add() and sealed blocks mid-block");
+        debug_assert!(
+            self.cutter.last_key().is_none(),
+            "mixing add() and sealed blocks mid-block"
+        );
         let SealedBlock { raw, block } = sealed;
-        let CutBlock { contents, first_key, last_key, entries, bloom_hashes } = block;
+        let CutBlock {
+            contents,
+            first_key,
+            last_key,
+            entries,
+            bloom_hashes,
+        } = block;
         debug_assert!(raw.len() >= BLOCK_TRAILER_SIZE);
         let payload_len = raw.len() - BLOCK_TRAILER_SIZE;
         let handle = self.write_raw(&raw[..payload_len], &raw[payload_len..])?;
@@ -438,7 +459,8 @@ impl TableBuilder {
         self.stats.entries += entries;
         self.stats.raw_bytes += contents.len() as u64;
         if self.keep_blocks {
-            self.kept.push((handle.offset, Block::new(Bytes::from(contents))?));
+            self.kept
+                .push((handle.offset, Block::new(Bytes::from(contents))?));
         }
         Ok(())
     }
@@ -556,7 +578,12 @@ impl TableReader {
         cache: Option<Arc<BlockCache>>,
         scan: Arc<ScanStats>,
     ) -> TableReader {
-        let TableMeta { index, bloom, stats, blocks } = meta;
+        let TableMeta {
+            index,
+            bloom,
+            stats,
+            blocks,
+        } = meta;
         let cache = cache.map(|c| {
             let id = c.new_id();
             for (offset, block) in blocks {
@@ -564,7 +591,14 @@ impl TableReader {
             }
             (c, id)
         });
-        TableReader { file, index, bloom, stats, cache, scan }
+        TableReader {
+            file,
+            index,
+            bloom,
+            stats,
+            cache,
+            scan,
+        }
     }
 
     /// Cold open: [`TableMeta::read`] then [`TableReader::new`], with no
@@ -1054,8 +1088,7 @@ mod tests {
         assert_eq!(total, n as u64);
         for w in metas.windows(2) {
             assert!(
-                internal_key_cmp(&w[0].last_key, &w[1].first_key)
-                    == std::cmp::Ordering::Less,
+                internal_key_cmp(&w[0].last_key, &w[1].first_key) == std::cmp::Ordering::Less,
                 "blocks must be disjoint and ordered"
             );
         }
@@ -1136,11 +1169,7 @@ mod tests {
 
         let mut cutter = BlockCutter::new(usize::MAX, 16);
         for i in 0..100 {
-            let ik = make_internal_key(
-                format!("k{i:05}").as_bytes(),
-                i + 1,
-                ValueType::Value,
-            );
+            let ik = make_internal_key(format!("k{i:05}").as_bytes(), i + 1, ValueType::Value);
             assert!(cutter.add(&ik, b"sealed-value").is_none());
         }
         let block = cutter.finish().unwrap();
@@ -1152,10 +1181,13 @@ mod tests {
         let meta = tb.finish().unwrap();
         assert_eq!(meta.stats().entries, 100);
         assert_eq!(meta.stats().data_blocks, 1);
-        assert_eq!(meta.kept_blocks(), 0, "a builder that keeps no blocks kept one");
+        assert_eq!(
+            meta.kept_blocks(),
+            0,
+            "a builder that keeps no blocks kept one"
+        );
 
-        let reader =
-            Arc::new(TableReader::open(env.open("sealed.sst").unwrap()).unwrap());
+        let reader = Arc::new(TableReader::open(env.open("sealed.sst").unwrap()).unwrap());
         let mut it = reader.iter();
         it.seek_to_first();
         let mut n = 0;
@@ -1186,7 +1218,15 @@ mod tests {
         let file = env.open("t.sst").unwrap();
         let (reader, reads) = {
             let (file, reads) = RecordingFile::new(file, usize::MAX);
-            (Arc::new(TableReader::new(file, meta, Some(cache.clone()), Arc::default())), reads)
+            (
+                Arc::new(TableReader::new(
+                    file,
+                    meta,
+                    Some(cache.clone()),
+                    Arc::default(),
+                )),
+                reads,
+            )
         };
         let id = reader.cache_id().unwrap();
         let blocks = reader.block_metas().unwrap();
@@ -1200,8 +1240,9 @@ mod tests {
         assert_eq!(reads.try_iter().count(), 0, "a kept block was read back");
 
         // The same blocks resealed.
-        let mut sealed = TableBuilder::new(env.create("s.sst").unwrap(), TableBuilderOptions::default())
-            .keep_blocks();
+        let mut sealed =
+            TableBuilder::new(env.create("s.sst").unwrap(), TableBuilderOptions::default())
+                .keep_blocks();
         for bm in &blocks {
             let raw = reader.read_raw_block(bm.handle).unwrap().to_vec();
             let contents = TableReader::decode_raw(&raw).unwrap();
@@ -1224,7 +1265,10 @@ mod tests {
         let resealed = TableReader::new(file, meta, Some(cache.clone()), Arc::default());
         let resealed_id = resealed.cache_id().unwrap();
         for bm in &blocks {
-            let (kept, cold) = (cache.get(resealed_id, bm.handle.offset), cache.get(id, bm.handle.offset));
+            let (kept, cold) = (
+                cache.get(resealed_id, bm.handle.offset),
+                cache.get(id, bm.handle.offset),
+            );
             assert_eq!(kept.unwrap().data(), cold.unwrap().data());
         }
 
@@ -1294,7 +1338,14 @@ mod tests {
     impl RecordingFile {
         fn new(inner: Arc<dyn RandomReadFile>, fail_over: usize) -> (Arc<Self>, Receiver<Read>) {
             let (reads, rx) = mpsc::channel();
-            (Arc::new(RecordingFile { inner, reads, fail_over }), rx)
+            (
+                Arc::new(RecordingFile {
+                    inner,
+                    reads,
+                    fail_over,
+                }),
+                rx,
+            )
         }
     }
 
@@ -1330,7 +1381,11 @@ mod tests {
         let (blocks, plain) = (blocks.unwrap(), env.open("t.sst").unwrap());
         let meta = TableMeta::read(&*plain).unwrap();
         let (file, reads) = RecordingFile::new(plain, fail_over(&blocks));
-        (Arc::new(TableReader::new(file, meta, cache, Arc::default())), blocks, reads)
+        (
+            Arc::new(TableReader::new(file, meta, cache, Arc::default())),
+            blocks,
+            reads,
+        )
     }
 
     /// The blocks each readahead-class read covers, as index ranges into
@@ -1443,7 +1498,11 @@ mod tests {
         assert_eq!(grown[..3], [2, 4, 8]);
         // ...then seek back to the start: the span is dropped unread, the
         // scan stays correct, and the next span is short again.
-        it.seek(&make_internal_key(b"key00000000", u64::MAX >> 8, ValueType::Value));
+        it.seek(&make_internal_key(
+            b"key00000000",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
         assert!(reader.scan.wasted() > 0, "the dropped span's unread blocks");
         let mut count = 0;
         while it.valid() {
@@ -1470,8 +1529,13 @@ mod tests {
     #[test]
     fn failed_span_read_ends_the_scan_after_a_prefix() {
         let n = 3000;
-        let largest_block: fn(&[BlockMeta]) -> usize =
-            |blocks| blocks.iter().map(|b| b.stored_size() as usize).max().unwrap();
+        let largest_block: fn(&[BlockMeta]) -> usize = |blocks| {
+            blocks
+                .iter()
+                .map(|b| b.stored_size() as usize)
+                .max()
+                .unwrap()
+        };
         let (reader, _, _reads) = recorded(n, largest_block, None);
         // A one-block first span succeeds; the two-block span after it fails.
         let mut it = reader.iter_with_span(1);
@@ -1481,7 +1545,11 @@ mod tests {
             got.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
-        assert!(it.status().is_err(), "scan ended cleanly after {} of {n} entries", got.len());
+        assert!(
+            it.status().is_err(),
+            "scan ended cleanly after {} of {n} entries",
+            got.len()
+        );
         assert!(!got.is_empty() && got.len() < n, "{} entries", got.len());
         assert_eq!(got[..], model(n)[..got.len()]);
     }
@@ -1505,10 +1573,14 @@ mod tests {
     fn cold_open_reads_the_tail_in_two_reads() {
         for bloom_bits_per_key in [10, 0] {
             let env = test_env();
-            let opts = TableBuilderOptions { bloom_bits_per_key, ..Default::default() };
+            let opts = TableBuilderOptions {
+                bloom_bits_per_key,
+                ..Default::default()
+            };
             let mut b = TableBuilder::new(env.create("t.sst").unwrap(), opts);
             for i in 0..2000u64 {
-                let ikey = make_internal_key(format!("k{i:06}").as_bytes(), i + 1, ValueType::Value);
+                let ikey =
+                    make_internal_key(format!("k{i:06}").as_bytes(), i + 1, ValueType::Value);
                 b.add(&ikey, b"value").unwrap();
             }
             let built = b.finish().unwrap();
@@ -1519,7 +1591,10 @@ mod tests {
             assert_eq!(cold.bloom, built.bloom);
             assert_eq!(cold.bloom.is_some(), bloom_bits_per_key > 0);
             let reader = |meta| TableReader::new(file.clone(), meta, None, Arc::default());
-            assert_eq!(reader(cold).block_metas().unwrap(), reader(built).block_metas().unwrap());
+            assert_eq!(
+                reader(cold).block_metas().unwrap(),
+                reader(built).block_metas().unwrap()
+            );
         }
     }
 
@@ -1534,7 +1609,11 @@ mod tests {
         let footer_at = bytes.len() - FOOTER_SIZE;
         let (_, n) = BlockHandle::decode(&bytes[footer_at..]).unwrap();
         let mut footer = Vec::new();
-        BlockHandle { offset: u64::MAX - 2, size: 1 }.encode_to(&mut footer);
+        BlockHandle {
+            offset: u64::MAX - 2,
+            size: 1,
+        }
+        .encode_to(&mut footer);
         footer.extend_from_slice(&bytes[footer_at + n..]);
         footer.truncate(FOOTER_SIZE - 8);
         footer.extend_from_slice(&TABLE_MAGIC.to_le_bytes());

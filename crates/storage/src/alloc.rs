@@ -152,8 +152,20 @@ mod tests {
         let mut a = ExtentAllocator::new(1000);
         let e1 = a.allocate(100).unwrap();
         let e2 = a.allocate(200).unwrap();
-        assert_eq!(e1, Extent { offset: 0, len: 100 });
-        assert_eq!(e2, Extent { offset: 100, len: 200 });
+        assert_eq!(
+            e1,
+            Extent {
+                offset: 0,
+                len: 100
+            }
+        );
+        assert_eq!(
+            e2,
+            Extent {
+                offset: 100,
+                len: 200
+            }
+        );
         assert_eq!(a.allocated(), 300);
     }
 
@@ -170,7 +182,13 @@ mod tests {
         assert_eq!(a.free_fragments(), 1);
         assert_eq!(a.allocated(), 0);
         // The whole range is allocatable again.
-        assert_eq!(a.allocate(300).unwrap(), Extent { offset: 0, len: 300 });
+        assert_eq!(
+            a.allocate(300).unwrap(),
+            Extent {
+                offset: 0,
+                len: 300
+            }
+        );
     }
 
     #[test]

@@ -67,7 +67,10 @@ pub trait BlockDevice: Send + Sync + std::fmt::Debug {
 
 /// Rejects a request to device `name` that does not end within `capacity`.
 pub(crate) fn check_bounds(name: &str, capacity: u64, offset: u64, len: usize) -> io::Result<()> {
-    if offset.checked_add(len as u64).is_none_or(|end| end > capacity) {
+    if offset
+        .checked_add(len as u64)
+        .is_none_or(|end| end > capacity)
+    {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("request [{offset}, +{len}) beyond capacity {capacity} of {name}"),
@@ -292,8 +295,14 @@ mod tests {
         for i in 0..50 {
             dev.read_at(i * 8192, 4096).unwrap();
         }
-        assert!(t0.elapsed() < Duration::from_millis(100), "no real sleeping");
-        assert!(dev.stats().busy() > Duration::from_millis(10), "modeled time accrues");
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "no real sleeping"
+        );
+        assert!(
+            dev.stats().busy() > Duration::from_millis(10),
+            "modeled time accrues"
+        );
     }
 
     /// An HDD whose every read away from the head seeks for `seek`: with a
@@ -320,7 +329,10 @@ mod tests {
         let service = dev.stats().busy() - busy;
         let gap = second - first;
         let want = service.mul_f64(0.5);
-        assert!(gap.abs_diff(want) <= Duration::from_nanos(1), "gap {gap:?}, want {want:?}");
+        assert!(
+            gap.abs_diff(want) <= Duration::from_nanos(1),
+            "gap {gap:?}, want {want:?}"
+        );
     }
 
     #[test]
@@ -330,8 +342,16 @@ mod tests {
         let (_, done) = dev.submit_read(1 << 29, 4096).unwrap();
         let after = Instant::now();
         let service = dev.stats().busy();
-        assert!(done >= before + service, "{:?} early", before + service - done);
-        assert!(done <= after + service, "{:?} late", done - (after + service));
+        assert!(
+            done >= before + service,
+            "{:?} early",
+            before + service - done
+        );
+        assert!(
+            done <= after + service,
+            "{:?} late",
+            done - (after + service)
+        );
     }
 
     #[test]

@@ -132,6 +132,5 @@ pub fn write_string_file(env: &dyn Env, name: &str, contents: &str) -> io::Resul
 pub fn read_string_file(env: &dyn Env, name: &str) -> io::Result<String> {
     let f = env.open(name)?;
     let data = f.read_at(0, f.len() as usize)?;
-    String::from_utf8(data.to_vec())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    String::from_utf8(data.to_vec()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }

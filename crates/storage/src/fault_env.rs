@@ -391,7 +391,8 @@ impl FaultEnv {
 impl Env for FaultEnv {
     fn create(&self, name: &str) -> io::Result<Box<dyn WritableFile>> {
         parking_lot::check_blocking("Env::create");
-        self.shared.apply(self.shared.decide(FaultOp::Create, name))?;
+        self.shared
+            .apply(self.shared.decide(FaultOp::Create, name))?;
         let inner = self.inner.create(name)?;
         Ok(Box::new(FaultWritableFile {
             name: name.to_string(),
@@ -415,13 +416,15 @@ impl Env for FaultEnv {
 
     fn delete(&self, name: &str) -> io::Result<()> {
         parking_lot::check_blocking("Env::delete");
-        self.shared.apply(self.shared.decide(FaultOp::Delete, name))?;
+        self.shared
+            .apply(self.shared.decide(FaultOp::Delete, name))?;
         self.inner.delete(name)
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         parking_lot::check_blocking("Env::rename");
-        self.shared.apply(self.shared.decide(FaultOp::Rename, from))?;
+        self.shared
+            .apply(self.shared.decide(FaultOp::Rename, from))?;
         self.inner.rename(from, to)
     }
 

@@ -48,9 +48,9 @@ pub mod trace;
 pub use device::{BlockDevice, SimDevice};
 pub use env::{Env, RandomReadFile, ReadClass, WritableFile};
 pub use fault_env::{FaultEnv, FaultKind, FaultOp, FaultStats};
-pub use retry::{is_transient, with_retry, RetryPolicy};
 pub use model::{HddModel, IoKind, LatencyModel, NullModel, SsdModel};
 pub use raid::Raid0;
+pub use retry::{is_transient, with_retry, RetryPolicy};
 pub use sim_env::SimEnv;
 pub use stats::{register_device_metrics, DeviceStats};
 pub use std_env::StdFsEnv;

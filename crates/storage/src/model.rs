@@ -184,8 +184,7 @@ impl LatencyModel for HddModel {
         match kind {
             IoKind::Read => {
                 let position = self.seek(state.head, offset);
-                let transfer =
-                    Duration::from_secs_f64(len as f64 / self.media_rate as f64);
+                let transfer = Duration::from_secs_f64(len as f64 / self.media_rate as f64);
                 state.head = offset + len as u64;
                 ServiceTime {
                     position,
@@ -202,18 +201,14 @@ impl LatencyModel for HddModel {
                 // read" observation.
                 let len64 = len as u64;
                 let mut stall = Duration::ZERO;
-                let overflow =
-                    (state.buffer_level + len64).saturating_sub(self.buffer_capacity);
+                let overflow = (state.buffer_level + len64).saturating_sub(self.buffer_capacity);
                 if overflow > 0 {
-                    stall = Duration::from_secs_f64(
-                        overflow as f64 / self.media_rate as f64,
-                    );
+                    stall = Duration::from_secs_f64(overflow as f64 / self.media_rate as f64);
                     state.buffer_level = self.buffer_capacity;
                 } else {
                     state.buffer_level += len64;
                 }
-                let transfer =
-                    Duration::from_secs_f64(len as f64 / self.burst_rate as f64);
+                let transfer = Duration::from_secs_f64(len as f64 / self.burst_rate as f64);
                 // The drain clock also advances past the stall we just took.
                 state.buffer_drained_to += stall;
                 ServiceTime {
@@ -377,9 +372,15 @@ mod tests {
         let m = HddModel::default();
         let mut st = ModelState::default();
         let w = m.service_time(IoKind::Write, 1 << 30, 1 << 20, Duration::ZERO, &mut st);
-        let mut st2 = ModelState { head: 123, ..Default::default() };
+        let mut st2 = ModelState {
+            head: 123,
+            ..Default::default()
+        };
         let r = m.service_time(IoKind::Read, 1 << 30, 1 << 20, Duration::ZERO, &mut st2);
-        assert!(w.total() < r.total(), "buffered write {w:?} vs seeking read {r:?}");
+        assert!(
+            w.total() < r.total(),
+            "buffered write {w:?} vs seeking read {r:?}"
+        );
     }
 
     #[test]
@@ -445,7 +446,10 @@ mod tests {
         let ssd = SsdModel::default();
         let hdd = HddModel::default();
         let mut s1 = ModelState::default();
-        let mut s2 = ModelState { head: 1 << 35, ..Default::default() };
+        let mut s2 = ModelState {
+            head: 1 << 35,
+            ..Default::default()
+        };
         let st = ssd.service_time(IoKind::Read, 0, 4096, Duration::ZERO, &mut s1);
         let ht = hdd.service_time(IoKind::Read, 0, 4096, Duration::ZERO, &mut s2);
         assert!(st.total() * 5 < ht.total());

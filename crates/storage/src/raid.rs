@@ -178,18 +178,16 @@ impl BlockDevice for Raid0 {
             }
             done = done.max(self.devices[span.device].submit_write(span.start, &gathered)?);
         }
-        self.stats
-            .record_write(data.len() as u64, done.duration_since(arrival), Duration::ZERO);
+        self.stats.record_write(
+            data.len() as u64,
+            done.duration_since(arrival),
+            Duration::ZERO,
+        );
         Ok(done)
     }
 
     fn capacity(&self) -> u64 {
-        let min = self
-            .devices
-            .iter()
-            .map(|d| d.capacity())
-            .min()
-            .unwrap_or(0);
+        let min = self.devices.iter().map(|d| d.capacity()).min().unwrap_or(0);
         min * self.devices.len() as u64
     }
 
@@ -268,11 +266,23 @@ mod tests {
         let cap = raid.capacity();
         for (offset, len) in [(u64::MAX - 5, 16), (cap - 8, 16), (cap, 1)] {
             let read = raid.read_at(offset, len).unwrap_err();
-            assert_eq!(read.kind(), io::ErrorKind::InvalidInput, "read [{offset}, +{len})");
+            assert_eq!(
+                read.kind(),
+                io::ErrorKind::InvalidInput,
+                "read [{offset}, +{len})"
+            );
             let write = raid.write_at(offset, &vec![0u8; len]).unwrap_err();
-            assert_eq!(write.kind(), io::ErrorKind::InvalidInput, "write [{offset}, +{len})");
+            assert_eq!(
+                write.kind(),
+                io::ErrorKind::InvalidInput,
+                "write [{offset}, +{len})"
+            );
         }
-        assert_eq!(raid.members()[0].stats().snapshot().read_ops, 0, "no member touched");
+        assert_eq!(
+            raid.members()[0].stats().snapshot().read_ops,
+            0,
+            "no member touched"
+        );
         // Exactly at capacity is fine.
         raid.write_at(cap - 16, &[1u8; 16]).unwrap();
     }
@@ -295,12 +305,31 @@ mod tests {
         // 256 MiB in: each member's share is 128 MiB from its head.
         let (_, done) = raid.submit_read(1 << 28, 1 << 20).unwrap();
         let after = Instant::now();
-        let slowest = raid.members().iter().map(|d| d.stats().busy()).max().unwrap();
+        let slowest = raid
+            .members()
+            .iter()
+            .map(|d| d.stats().busy())
+            .max()
+            .unwrap();
         let total: Duration = raid.members().iter().map(|d| d.stats().busy()).sum();
-        assert!(total > slowest + Duration::from_secs(1), "both members served a share");
-        assert!(done >= before + slowest, "{:?} early", before + slowest - done);
-        assert!(done <= after + slowest, "{:?} late", done - (after + slowest));
+        assert!(
+            total > slowest + Duration::from_secs(1),
+            "both members served a share"
+        );
+        assert!(
+            done >= before + slowest,
+            "{:?} early",
+            before + slowest - done
+        );
+        assert!(
+            done <= after + slowest,
+            "{:?} late",
+            done - (after + slowest)
+        );
         let busy = raid.stats().busy();
-        assert!(busy >= slowest && busy <= slowest + (after - before), "array busy {busy:?}");
+        assert!(
+            busy >= slowest && busy <= slowest + (after - before),
+            "array busy {busy:?}"
+        );
     }
 }

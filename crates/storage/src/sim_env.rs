@@ -154,10 +154,7 @@ impl Env for SimEnv {
     fn delete(&self, name: &str) -> io::Result<()> {
         parking_lot::check_blocking("Env::delete");
         let mut st = self.inner.state.lock();
-        let meta = st
-            .files
-            .remove(name)
-            .ok_or_else(|| Self::not_found(name))?;
+        let meta = st.files.remove(name).ok_or_else(|| Self::not_found(name))?;
         Inner::free_meta(&mut st, &meta);
         Ok(())
     }
@@ -165,10 +162,7 @@ impl Env for SimEnv {
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         parking_lot::check_blocking("Env::rename");
         let mut st = self.inner.state.lock();
-        let meta = st
-            .files
-            .remove(from)
-            .ok_or_else(|| Self::not_found(from))?;
+        let meta = st.files.remove(from).ok_or_else(|| Self::not_found(from))?;
         if let Some(old) = st.files.insert(to.to_string(), meta) {
             Inner::free_meta(&mut st, &old);
         }
@@ -314,7 +308,9 @@ impl WritableFile for SimWritable {
 
         let mut written = 0usize;
         for (dev_off, n) in ranges {
-            self.inner.device.write_at(dev_off, &data[written..written + n])?;
+            self.inner
+                .device
+                .write_at(dev_off, &data[written..written + n])?;
             written += n;
         }
         debug_assert_eq!(written, data.len());

@@ -141,22 +141,42 @@ pub fn register_device_metrics(
     let labels = vec![("device".to_string(), label.to_string())];
     type Getter = fn(&DeviceStats) -> u64;
     let counters: [(&str, &str, Getter); 8] = [
-        ("pcp_device_read_ops_total", "read operations serviced", |s| s.read_ops()),
-        ("pcp_device_read_bytes_total", "bytes read", |s| s.read_bytes()),
-        ("pcp_device_readahead_ops_total", "read operations issued by scan readahead", |s| {
-            s.readahead_ops()
+        (
+            "pcp_device_read_ops_total",
+            "read operations serviced",
+            |s| s.read_ops(),
+        ),
+        ("pcp_device_read_bytes_total", "bytes read", |s| {
+            s.read_bytes()
         }),
-        ("pcp_device_readahead_bytes_total", "bytes read by scan readahead", |s| {
-            s.readahead_bytes()
+        (
+            "pcp_device_readahead_ops_total",
+            "read operations issued by scan readahead",
+            |s| s.readahead_ops(),
+        ),
+        (
+            "pcp_device_readahead_bytes_total",
+            "bytes read by scan readahead",
+            |s| s.readahead_bytes(),
+        ),
+        (
+            "pcp_device_write_ops_total",
+            "write operations serviced",
+            |s| s.write_ops(),
+        ),
+        ("pcp_device_write_bytes_total", "bytes written", |s| {
+            s.write_bytes()
         }),
-        ("pcp_device_write_ops_total", "write operations serviced", |s| s.write_ops()),
-        ("pcp_device_write_bytes_total", "bytes written", |s| s.write_bytes()),
-        ("pcp_device_busy_nanoseconds_total", "modeled device busy time", |s| {
-            s.busy_nanos.load(Relaxed)
-        }),
-        ("pcp_device_seek_nanoseconds_total", "modeled positioning time within busy time", |s| {
-            s.seek_nanos.load(Relaxed)
-        }),
+        (
+            "pcp_device_busy_nanoseconds_total",
+            "modeled device busy time",
+            |s| s.busy_nanos.load(Relaxed),
+        ),
+        (
+            "pcp_device_seek_nanoseconds_total",
+            "modeled positioning time within busy time",
+            |s| s.seek_nanos.load(Relaxed),
+        ),
     ];
     for (name, help, get) in counters {
         let dev = Arc::clone(device);
@@ -256,10 +276,7 @@ mod tests {
             2
         );
         match &snap
-            .get_with(
-                "pcp_device_read_latency_nanoseconds",
-                &[("device", "mem0")],
-            )
+            .get_with("pcp_device_read_latency_nanoseconds", &[("device", "mem0")])
             .unwrap()
             .value
         {

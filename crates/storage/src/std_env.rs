@@ -166,10 +166,7 @@ mod tests {
     use crate::env::{read_string_file, write_string_file};
 
     fn temp_env(tag: &str) -> (StdFsEnv, PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "pcp-stdenv-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("pcp-stdenv-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         (StdFsEnv::new(&dir).unwrap(), dir)
     }

@@ -28,7 +28,10 @@ impl KeyGen {
     /// keys, seeded deterministically.
     pub fn new(order: KeyOrder, key_len: usize, space: u64, seed: u64) -> KeyGen {
         assert!(space > 0);
-        assert!(key_len >= 8, "keys shorter than 8 bytes can't hold the space");
+        assert!(
+            key_len >= 8,
+            "keys shorter than 8 bytes can't hold the space"
+        );
         KeyGen {
             order,
             key_len,

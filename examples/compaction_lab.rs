@@ -7,8 +7,8 @@
 //! cargo run --release --example compaction_lab
 //! ```
 
-use pcp::core::{PipelinedExec, Step};
 use pcp::compaction::filename::table_file;
+use pcp::core::{PipelinedExec, Step};
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};
@@ -19,7 +19,10 @@ use std::time::Instant;
 
 const SUBTASK: u64 = 512 << 10;
 
-fn build_inputs(env: &EnvRef, entries: usize) -> (Vec<Arc<TableReader>>, Vec<Arc<TableReader>>, u64) {
+fn build_inputs(
+    env: &EnvRef,
+    entries: usize,
+) -> (Vec<Arc<TableReader>>, Vec<Arc<TableReader>>, u64) {
     let mut input_bytes = 0;
     let mk = |name: &str, n: usize, stride: u64, seq0: u64| {
         let f = env.create(name).unwrap();
@@ -74,7 +77,10 @@ fn run(env: EnvRef, name: &str, exec: &dyn CompactionExec, profile: &pcp::core::
     let out_bytes: u64 = outputs.iter().map(|f| f.size).sum();
     let moved = input_bytes + out_bytes;
     let snap = profile.snapshot();
-    print!("{name:28} {:7.2} MB/s  |", moved as f64 / wall.as_secs_f64() / 1048576.0);
+    print!(
+        "{name:28} {:7.2} MB/s  |",
+        moved as f64 / wall.as_secs_f64() / 1048576.0
+    );
     for s in Step::ALL {
         print!(" {}={:4.1}%", s.label(), snap.fraction(s) * 100.0);
     }
@@ -110,7 +116,12 @@ fn main() {
         let pcp = PipelinedExec::pcp(SUBTASK);
         run(mk_env(), "PCP (3-stage pipeline)", &pcp, &pcp.profile());
         let cppcp = PipelinedExec::c_ppcp(SUBTASK, 2);
-        run(mk_env(), "C-PPCP (2 compute workers)", &cppcp, &cppcp.profile());
+        run(
+            mk_env(),
+            "C-PPCP (2 compute workers)",
+            &cppcp,
+            &cppcp.profile(),
+        );
         // S-PPCP gets a 4-member RAID0 like the paper's md array, with a
         // sub-task-sized stripe (see EXPERIMENTS.md, Fig. 12 note).
         let members: Vec<DeviceRef> = (0..4)
@@ -133,11 +144,7 @@ fn main() {
                 dev
             })
             .collect();
-        let raid: EnvRef = Arc::new(SimEnv::new(Arc::new(Raid0::new(
-            "md0",
-            members,
-            SUBTASK,
-        ))));
+        let raid: EnvRef = Arc::new(SimEnv::new(Arc::new(Raid0::new("md0", members, SUBTASK))));
         let sppcp = PipelinedExec::s_ppcp(SUBTASK, 4);
         run(raid, "S-PPCP (4 disks, RAID0)", &sppcp, &sppcp.profile());
         println!();

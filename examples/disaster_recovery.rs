@@ -8,8 +8,8 @@
 //! cargo run --release --example disaster_recovery
 //! ```
 
-use pcp::core::PipelinedExec;
 use pcp::compaction::filename::CURRENT;
+use pcp::core::PipelinedExec;
 use pcp::lsm::{repair, Db, Options};
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::sync::Arc;
@@ -84,7 +84,11 @@ fn main() -> std::io::Result<()> {
     let integrity = db.verify_integrity()?;
     println!(
         "reopened: integrity {} over {} tables / {} blocks",
-        if integrity.is_healthy() { "healthy" } else { "BROKEN" },
+        if integrity.is_healthy() {
+            "healthy"
+        } else {
+            "BROKEN"
+        },
         integrity.tables,
         integrity.blocks
     );
@@ -161,7 +165,11 @@ fn fault_injection_smoke() -> std::io::Result<()> {
     let integrity = db.verify_integrity()?;
     println!(
         "reopened past the dead disk: integrity {} over {} tables, {:?}",
-        if integrity.is_healthy() { "healthy" } else { "BROKEN" },
+        if integrity.is_healthy() {
+            "healthy"
+        } else {
+            "BROKEN"
+        },
         integrity.tables,
         db.health()
     );

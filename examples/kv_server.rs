@@ -43,9 +43,7 @@ fn open_engine(dir: Option<&str>) -> Arc<ShardedDb> {
         }
         None => {
             let envs: Vec<EnvRef> = (0..SHARDS)
-                .map(|_| {
-                    Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30)))) as EnvRef
-                })
+                .map(|_| Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30)))) as EnvRef)
                 .collect();
             Arc::new(ShardedDb::open_with_envs(envs, Options::default(), router).unwrap())
         }
@@ -97,7 +95,10 @@ fn main() {
     let t0 = Instant::now();
     for i in 0..5_000u32 {
         client
-            .put(format!("wire-{i:06}").as_bytes(), format!("value-{i}").as_bytes())
+            .put(
+                format!("wire-{i:06}").as_bytes(),
+                format!("value-{i}").as_bytes(),
+            )
             .unwrap();
     }
     let wire_wall = t0.elapsed();

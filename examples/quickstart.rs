@@ -79,7 +79,10 @@ fn main() -> std::io::Result<()> {
     println!("\nlevel summary (files, bytes):");
     for (level, (files, bytes)) in db.level_summary().iter().enumerate() {
         if *files > 0 {
-            println!("  L{level}: {files:3} files, {:.2} MB", *bytes as f64 / 1048576.0);
+            println!(
+                "  L{level}: {files:3} files, {:.2} MB",
+                *bytes as f64 / 1048576.0
+            );
         }
     }
     Ok(())

@@ -49,7 +49,10 @@ fn main() {
         seed: 0xBEEF,
     };
 
-    println!("insert burst of {} entries on a simulated HDD:\n", cfg.entries);
+    println!(
+        "insert burst of {} entries on a simulated HDD:\n",
+        cfg.entries
+    );
     for (name, exec) in [
         (
             "SCP",

@@ -73,9 +73,12 @@ pub use pcp_workload as workload;
 /// Convenience prelude for applications.
 pub mod prelude {
     pub use pcp_core::{PipelineConfig, PipelinedExec};
-    pub use pcp_obs::{MetricsSnapshot, Registry, TraceLog};
     pub use pcp_lsm::{CompactionLimiter, CompactionPolicy, Db, DbHealth, Options, WriteBatch};
+    pub use pcp_obs::{MetricsSnapshot, Registry, TraceLog};
     pub use pcp_shard::{HashRouter, KvClient, KvServer, RangeRouter, ShardedDb, ShardedHealth};
-    pub use pcp_storage::{Env, FaultEnv, FaultKind, FaultOp, HddModel, Raid0, RetryPolicy, SimDevice, SimEnv, SsdModel, StdFsEnv};
+    pub use pcp_storage::{
+        Env, FaultEnv, FaultKind, FaultOp, HddModel, Raid0, RetryPolicy, SimDevice, SimEnv,
+        SsdModel, StdFsEnv,
+    };
     pub use pcp_workload::{run_inserts, KeyOrder, KvStore, WorkloadConfig};
 }

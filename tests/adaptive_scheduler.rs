@@ -43,8 +43,7 @@ fn sched_token_budget_holds_under_eight_shard_concurrency() {
         ..small_opts()
     };
     let envs: Vec<EnvRef> = (0..SHARDS).map(|_| mem_env()).collect();
-    let db =
-        ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(SHARDS))).unwrap();
+    let db = ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(SHARDS))).unwrap();
 
     // Writer threads keep all shards flushing and compacting.
     std::thread::scope(|s| {
@@ -174,8 +173,7 @@ fn sched_metrics_are_exposed_by_the_sharded_engine() {
         ..small_opts()
     };
     let envs: Vec<EnvRef> = (0..SHARDS).map(|_| mem_env()).collect();
-    let db =
-        ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(SHARDS))).unwrap();
+    let db = ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(SHARDS))).unwrap();
     for i in 0..400u64 {
         db.put(format!("key{i:05}").as_bytes(), b"value").unwrap();
     }

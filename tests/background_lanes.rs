@@ -570,7 +570,10 @@ fn writes_below_the_l0_stop_are_not_delayed_and_the_stop_waits_for_the_merge() {
         db.flush().unwrap();
     }
     assert_eq!(db.metrics().stall_events, 0);
-    assert!(stall_causes(&db).is_empty(), "no write_stall event below the stop");
+    assert!(
+        stall_causes(&db).is_empty(),
+        "no write_stall event below the stop"
+    );
 
     assert_eq!(db.level_summary()[0].0, 6);
     fill(&db, &mut model, 6); // at the stop, but the memtable has room

@@ -2,8 +2,8 @@
 //! put/overwrite/delete workload checked against a BTreeMap oracle,
 //! including across restarts, on latency-free and latency-modeled devices.
 
-use pcp::core::PipelinedExec;
 use pcp::compaction::SimpleMergeExec;
+use pcp::core::PipelinedExec;
 use pcp::lsm::{CompactionExec, CompactionPolicy, Db, Options};
 use pcp::storage::{EnvRef, SimDevice, SimEnv, SsdModel};
 use std::collections::BTreeMap;
@@ -141,7 +141,11 @@ fn executor_swap_between_restarts() {
     // (the on-disk format is executor-independent).
     let env = mem_env();
     let oracle = {
-        let db = Db::open(Arc::clone(&env), small_opts(Arc::new(PipelinedExec::scp(16 << 10)))).unwrap();
+        let db = Db::open(
+            Arc::clone(&env),
+            small_opts(Arc::new(PipelinedExec::scp(16 << 10))),
+        )
+        .unwrap();
         let oracle = apply_workload(&db, 12_000, 0x55);
         db.wait_idle().unwrap();
         oracle

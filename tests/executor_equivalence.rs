@@ -3,9 +3,9 @@
 //! reference — produces the same logical output for the same input, and
 //! the same bytes whether or not the output tables have a block cache.
 
-use pcp::core::{PipelineConfig, PipelinedExec};
 use pcp::compaction::filename::table_file;
 use pcp::compaction::SimpleMergeExec;
+use pcp::core::{PipelineConfig, PipelinedExec};
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::obs::TraceLog;
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
@@ -103,7 +103,9 @@ fn compact_tables(
         tables
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| build_table(&env, &format!("{prefix}{i}.sst"), t, inputs.block_size))
+            .filter_map(|(i, t)| {
+                build_table(&env, &format!("{prefix}{i}.sst"), t, inputs.block_size)
+            })
             .collect()
     };
     let block_cache = inputs.block_cache.then(|| BlockCache::new(64 << 20));
@@ -130,7 +132,8 @@ fn compact_tables(
     };
     for meta in outputs {
         let file = env.open(&table_file(meta.number)).unwrap();
-        out.files.push(file.read_at(0, file.len() as usize).unwrap().to_vec());
+        out.files
+            .push(file.read_at(0, file.len() as usize).unwrap().to_vec());
         let t = Arc::new(TableReader::open(file).unwrap());
         out.data_blocks += t.stats().data_blocks;
         let mut it = t.iter();
@@ -239,8 +242,17 @@ proptest! {
 fn l0_table_strategy(seq_base: u64) -> impl Strategy<Value = Vec<Entry>> {
     entries_strategy(seq_base).prop_map(move |mut entries| {
         for v in 0..12u64 {
-            let t = if v == 7 { ValueType::Deletion } else { ValueType::Value };
-            entries.push((b"key128".to_vec(), seq_base + 1000 + v, t, vec![v as u8; 30]));
+            let t = if v == 7 {
+                ValueType::Deletion
+            } else {
+                ValueType::Value
+            };
+            entries.push((
+                b"key128".to_vec(),
+                seq_base + 1000 + v,
+                t,
+                vec![v as u8; 30],
+            ));
         }
         entries
     })
@@ -352,8 +364,7 @@ fn executors_agree_on_large_structured_input() {
             format!("new{i}").into_bytes(),
         ));
     }
-    let reference =
-        run_compaction(&SimpleMergeExec, &upper, &lower, MAX_SEQUENCE, true, "ref");
+    let reference = run_compaction(&SimpleMergeExec, &upper, &lower, MAX_SEQUENCE, true, "ref");
     // The reference must have collapsed versions.
     assert!(reference.len() <= 2500);
     for exec in [
@@ -392,7 +403,14 @@ fn model_check_merge_semantics_against_btreemap() {
             oracle.insert(k, Some(v));
         }
     }
-    let got = run_compaction(&PipelinedExec::pcp(4 << 10), &upper, &lower, MAX_SEQUENCE, true, "pcp");
+    let got = run_compaction(
+        &PipelinedExec::pcp(4 << 10),
+        &upper,
+        &lower,
+        MAX_SEQUENCE,
+        true,
+        "pcp",
+    );
     let got_map: BTreeMap<Vec<u8>, Vec<u8>> = got
         .into_iter()
         .map(|(ik, v)| {

@@ -21,9 +21,9 @@
 //!   latched background error keeps its kind too: corruption a merge meets
 //!   stays `InvalidData` for every caller the latch turns away.
 
+use pcp::compaction::filename::table_file;
 use pcp::compaction::SimpleMergeExec;
 use pcp::core::PipelinedExec;
-use pcp::compaction::filename::table_file;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
     TableCache,
@@ -143,7 +143,10 @@ fn permanent_compaction_failure_latches_error_and_sweeps_orphans() {
 
     // Reads still serve the data that made it in before the failure.
     let got = db.get(b"k000").unwrap();
-    assert_eq!(got.as_deref(), Some(format!("value-1-0-{}", "x".repeat(80)).as_bytes()));
+    assert_eq!(
+        got.as_deref(),
+        Some(format!("value-1-0-{}", "x".repeat(80)).as_bytes())
+    );
 
     // No orphans: every .sst on disk is referenced by the live version
     // (the aborted compaction's partial outputs were deleted).
@@ -163,10 +166,7 @@ fn permanent_compaction_failure_latches_error_and_sweeps_orphans() {
 /// Runs a fixed workload against one executor; when `arm` is set, four
 /// transient faults are scheduled on table writes with a fixed seed.
 /// Returns the final user-visible state.
-fn run_workload(
-    executor: Arc<dyn CompactionExec>,
-    arm: bool,
-) -> BTreeMap<Vec<u8>, Vec<u8>> {
+fn run_workload(executor: Arc<dyn CompactionExec>, arm: bool) -> BTreeMap<Vec<u8>, Vec<u8>> {
     let inner = mem_env();
     let fault = FaultEnv::new(Arc::clone(&inner), 0xfa17);
     if arm {
@@ -192,10 +192,7 @@ fn run_workload(
         // All scheduled faults target .sst writes, which only happen in
         // background flush/compaction — so the retry counter must move.
         assert!(fault.stats().transient >= 1, "no transient fault fired");
-        assert!(
-            db.metrics().bg_retries >= 1,
-            "no background lane retried"
-        );
+        assert!(db.metrics().bg_retries >= 1, "no background lane retried");
     }
     dump(&db)
 }
@@ -205,7 +202,10 @@ fn transient_faults_retry_and_executors_stay_equivalent() {
     let reference = run_workload(Arc::new(PipelinedExec::pcp(4 << 10)), false);
     assert!(!reference.is_empty());
     for (name, exec) in [
-        ("scp", Arc::new(PipelinedExec::scp(4 << 10)) as Arc<dyn CompactionExec>),
+        (
+            "scp",
+            Arc::new(PipelinedExec::scp(4 << 10)) as Arc<dyn CompactionExec>,
+        ),
         ("pcp", Arc::new(PipelinedExec::pcp(4 << 10))),
         ("c-ppcp", Arc::new(PipelinedExec::c_ppcp(4 << 10, 3))),
         ("s-ppcp", Arc::new(PipelinedExec::s_ppcp(4 << 10, 2))),
@@ -319,7 +319,11 @@ fn compact_inputs(
     exec: &dyn CompactionExec,
 ) -> TableResult<CompactOutcome> {
     for (i, name) in UPPERS.iter().enumerate() {
-        build_table(inner, name, &atomicity_input(1 + i as u64, 10_000 * (1 + i as u64)));
+        build_table(
+            inner,
+            name,
+            &atomicity_input(1 + i as u64, 10_000 * (1 + i as u64)),
+        );
     }
     let (low, high): (Vec<Entry>, Vec<Entry>) = atomicity_input(0, 1)
         .into_iter()
@@ -427,12 +431,16 @@ fn load_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
     let db = Db::open(Arc::clone(env), scan_opts()).unwrap();
     for i in 0..2000u32 {
         let k = format!("k{:05}", (i * 7919) % 2000).into_bytes();
-        db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+        db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes())
+            .unwrap();
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
     let tables: Vec<usize> = db.level_summary().iter().map(|(files, _)| *files).collect();
-    assert!(tables[1..].iter().sum::<usize>() >= 3, "want tables below level 0: {tables:?}");
+    assert!(
+        tables[1..].iter().sum::<usize>() >= 3,
+        "want tables below level 0: {tables:?}"
+    );
     dump(&db).into_keys().collect()
 }
 
@@ -498,7 +506,10 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         // The next seek starts over; a one-shot fault is gone by then.
         if what != "bit flip" {
             it.seek_to_first();
-            assert!(it.valid() && it.status().is_ok(), "{what}: error survived a seek");
+            assert!(
+                it.valid() && it.status().is_ok(),
+                "{what}: error survived a seek"
+            );
         }
     }
 
@@ -578,11 +589,16 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         let db = open();
         for i in 0..2000u32 {
             let k = format!("k{:05}", (i * 7919) % 2000).into_bytes();
-            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes())
+                .unwrap();
         }
         db.flush().unwrap();
         db.wait_idle().unwrap();
-        db.scan(b"", usize::MAX).unwrap().into_iter().map(|(k, _)| k).collect()
+        db.scan(b"", usize::MAX)
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect()
     };
     assert_eq!(model.len(), 2000);
     let db = open();
@@ -595,11 +611,18 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         got.push(it.key().to_vec());
         it.next();
     }
-    assert!(it.status().is_err(), "sharded: scan ended cleanly after {} keys", got.len());
+    assert!(
+        it.status().is_err(),
+        "sharded: scan ended cleanly after {} keys",
+        got.len()
+    );
     assert!(got.len() < model.len(), "sharded: nothing was missing");
     assert_eq!(got[..], model[..got.len()], "sharded: not a prefix");
     fault.schedule_on_file(FaultOp::ReadAt, 1, FaultKind::Permanent, ".sst");
-    assert!(db.scan(b"", usize::MAX).is_err(), "sharded: a short scan came back Ok");
+    assert!(
+        db.scan(b"", usize::MAX).is_err(),
+        "sharded: a short scan came back Ok"
+    );
 }
 
 /// An install writes its MANIFEST edit between building the next version
@@ -615,7 +638,10 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
     let load = |db: &Db, round: u32| -> BTreeMap<Vec<u8>, Vec<u8>> {
         let mut model = BTreeMap::new();
         for i in 0..100u32 {
-            let (k, v) = (format!("k{i:03}").into_bytes(), format!("v{round}-{i}").into_bytes());
+            let (k, v) = (
+                format!("k{i:03}").into_bytes(),
+                format!("v{round}-{i}").into_bytes(),
+            );
             db.put(&k, &v).unwrap();
             model.insert(k, v);
         }
@@ -638,7 +664,11 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
     assert_eq!(dump(&db), model, "an acked write was lost");
     let report = db.verify_integrity().unwrap();
     assert!(report.is_healthy(), "{:?}", report.errors);
-    assert_eq!(sst_files(&inner).len(), db.level_summary()[0].0, "orphan tables left");
+    assert_eq!(
+        sst_files(&inner).len(),
+        db.level_summary()[0].0,
+        "orphan tables left"
+    );
     drop(db);
 
     // The append itself fails for good: the error latches, later writes
@@ -661,13 +691,17 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
 /// `env`; the store is closed, so the next open finds every table cold.
 /// Returns the keys.
 fn fill_and_close(env: &EnvRef) -> Vec<Vec<u8>> {
-    let opts = Options { memtable_bytes: 64 << 10, ..Options::default() };
+    let opts = Options {
+        memtable_bytes: 64 << 10,
+        ..Options::default()
+    };
     let db = Db::open(Arc::clone(env), opts).unwrap();
     let mut keys = Vec::new();
     for round in 0..3u32 {
         for i in 0..2000u32 {
             let k = format!("k{round}-{:05}", (i * 7919) % 2000).into_bytes();
-            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes()).unwrap();
+            db.put(&k, format!("v{i}-{}", "z".repeat(60)).as_bytes())
+                .unwrap();
             keys.push(k);
         }
         db.flush().unwrap();
@@ -682,7 +716,14 @@ fn cold_db_with_one_transient_open() -> (Db, FaultEnv, Vec<Vec<u8>>) {
     let fault = FaultEnv::new(mem_env(), 31);
     let env: EnvRef = Arc::new(fault.clone());
     let keys = fill_and_close(&env);
-    let db = Db::open(env, Options { memtable_bytes: 64 << 10, ..Options::default() }).unwrap();
+    let db = Db::open(
+        env,
+        Options {
+            memtable_bytes: 64 << 10,
+            ..Options::default()
+        },
+    )
+    .unwrap();
     fault.schedule_on_file(FaultOp::Open, 1, FaultKind::Transient, ".sst");
     (db, fault, keys)
 }
@@ -735,10 +776,21 @@ fn a_latched_corruption_keeps_its_kind() {
     let env = mem_env();
     fill_and_close(&env);
     flip_a_bit_in_every_table(&env);
-    let db = Db::open(env, Options { memtable_bytes: 64 << 10, ..Options::default() }).unwrap();
+    let db = Db::open(
+        env,
+        Options {
+            memtable_bytes: 64 << 10,
+            ..Options::default()
+        },
+    )
+    .unwrap();
     let err = db.compact_range(None, None).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert!(matches!(db.health(), DbHealth::BackgroundError(_)), "{:?}", db.health());
+    assert!(
+        matches!(db.health(), DbHealth::BackgroundError(_)),
+        "{:?}",
+        db.health()
+    );
     let err = db.put(b"k", b"v").unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }

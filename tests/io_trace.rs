@@ -4,8 +4,8 @@
 //! however many sub-tasks it is cut into — and step S7 issues roughly
 //! sub-task-sized writes (one flush per sub-task).
 
-use pcp::core::PipelinedExec;
 use pcp::compaction::filename::table_file;
+use pcp::core::PipelinedExec;
 use pcp::lsm::{CompactionExec, CompactionRequest, TableCache};
 use pcp::sstable::key::{make_internal_key, ValueType, MAX_SEQUENCE};
 use pcp::sstable::{TableBuilder, TableBuilderOptions, TableReader};
@@ -21,7 +21,10 @@ type Tables = Vec<Arc<TableReader>>;
 /// Builds a fixture on a traced RAM device; returns (trace handle, env,
 /// upper, lower).
 fn traced_fixture() -> (Arc<TraceDevice>, EnvRef, Tables, Tables) {
-    traced_tables(&[("upper.sst", 4000, 4, 1_000_000)], &[("lower.sst", 8000, 2, 1)])
+    traced_tables(
+        &[("upper.sst", 4000, 4, 1_000_000)],
+        &[("lower.sst", 8000, 2, 1)],
+    )
 }
 
 /// The level-0 shape: four upper tables and one lower over the same keys,
@@ -74,7 +77,11 @@ fn traced_tables(
     (trace, env, upper, lower)
 }
 
-fn request(env: &EnvRef, upper: Vec<Arc<TableReader>>, lower: Vec<Arc<TableReader>>) -> CompactionRequest {
+fn request(
+    env: &EnvRef,
+    upper: Vec<Arc<TableReader>>,
+    lower: Vec<Arc<TableReader>>,
+) -> CompactionRequest {
     CompactionRequest {
         tables: Arc::new(TableCache::new(Arc::clone(env))),
         upper,
@@ -184,7 +191,11 @@ fn l0_shaped_compaction_issues_one_read_per_input_table() {
 #[test]
 fn profile_input_bytes_equal_device_reads() {
     let (trace, env, upper, lower) = traced_l0_fixture();
-    let data_blocks: u64 = upper.iter().chain(&lower).map(|t| t.stats().data_blocks).sum();
+    let data_blocks: u64 = upper
+        .iter()
+        .chain(&lower)
+        .map(|t| t.stats().data_blocks)
+        .sum();
     trace.clear();
     let exec = PipelinedExec::pcp(SUBTASK);
     exec.compact(&request(&env, upper, lower)).unwrap();

@@ -21,7 +21,10 @@ fn sim_env() -> SimEnv {
 
 /// Runs `f` on a fresh thread with panic output silenced, returning the
 /// panic message if it panicked.
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -40,7 +43,10 @@ fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn inverted_mutex_order_on_two_threads_fires_with_both_sites() {
     let a = Arc::new(Mutex::new(0u32));
     let b = Arc::new(Mutex::new(0u32));
@@ -78,7 +84,10 @@ fn inverted_mutex_order_on_two_threads_fires_with_both_sites() {
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn consistent_order_across_many_threads_stays_silent() {
     let outer = Arc::new(Mutex::new(())); // always taken first
     let inner = Arc::new(RwLock::new(0u64));
@@ -98,13 +107,17 @@ fn consistent_order_across_many_threads_stays_silent() {
         })
         .collect();
     for t in threads {
-        t.join().expect("consistent order must not fire the witness");
+        t.join()
+            .expect("consistent order must not fire the witness");
     }
     assert_eq!(*inner.read(), 400);
 }
 
 #[test]
-#[expect(clippy::disallowed_methods, reason = "test threads, joined before returning")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test threads, joined before returning"
+)]
 fn rwlock_participates_in_the_order_graph() {
     let m = Arc::new(Mutex::new(()));
     let rw = Arc::new(RwLock::new(()));
@@ -141,10 +154,19 @@ fn env_io_under_a_lock_fires_naming_where_the_lock_was_taken() {
         let _ = env.create("000001.log");
     })
     .expect("Env I/O under a lock must fire the witness");
-    assert!(message.contains("blocking under a lock"), "unexpected panic: {message}");
-    assert!(message.contains("Env::create"), "the call is not named: {message}");
+    assert!(
+        message.contains("blocking under a lock"),
+        "unexpected panic: {message}"
+    );
+    assert!(
+        message.contains("Env::create"),
+        "the call is not named: {message}"
+    );
     let site = format!("tests/lock_order.rs:{}", *taken_at.lock());
-    assert!(message.contains(&site), "expected the acquisition at {site} in: {message}");
+    assert!(
+        message.contains(&site),
+        "expected the acquisition at {site} in: {message}"
+    );
 }
 
 #[test]
@@ -186,7 +208,10 @@ fn condvar_wait_holding_a_second_lock_fires() {
 fn condvar_wait_on_its_own_lock_alone_stays_silent() {
     let (m, cv) = (Mutex::new(()), Condvar::new());
     let mut g = m.lock();
-    assert!(cv.wait_for(&mut g, Duration::from_millis(1)), "nobody notifies");
+    assert!(
+        cv.wait_for(&mut g, Duration::from_millis(1)),
+        "nobody notifies"
+    );
     drop(g);
     // So is a wait under an exempt lock taken first, as a sharded write
     // waits out a stall under the snapshot lock.

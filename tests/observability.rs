@@ -52,7 +52,12 @@ fn scp_compaction_has_nonzero_busy_time_in_all_three_stages() {
     // A pinned executor exports its profile like the default one does.
     let registry = Registry::new();
     db.executor().register_metrics(&registry);
-    assert!(registry.snapshot().counter("pcp_compactions_total", &[("exec", "scp")]) > 0);
+    assert!(
+        registry
+            .snapshot()
+            .counter("pcp_compactions_total", &[("exec", "scp")])
+            > 0
+    );
 
     let snap = profile.snapshot();
     assert!(snap.compactions > 0, "workload must compact");
@@ -117,7 +122,10 @@ fn pipelined_occupancy_published_through_registry() {
 
     // The executor's trace recorded start/done pairs with ppm occupancy.
     let events = trace.events();
-    let starts = events.iter().filter(|e| e.kind == "compaction_start").count();
+    let starts = events
+        .iter()
+        .filter(|e| e.kind == "compaction_start")
+        .count();
     let dones: Vec<_> = events
         .iter()
         .filter(|e| e.kind == "compaction_done")
@@ -174,7 +182,10 @@ fn l0_merge_runs_as_several_bounded_subtasks() {
 
     // The first merge of a fresh store is `l0_trigger` level-0 tables.
     let events = trace.events();
-    let first = events.iter().find(|e| e.kind == "compaction_start").expect("the fill must compact");
+    let first = events
+        .iter()
+        .find(|e| e.kind == "compaction_start")
+        .expect("the fill must compact");
     let field = |k: &str| first.fields.iter().find(|(n, _)| *n == k).unwrap().1;
     assert_eq!(field("inputs"), 4);
     assert!(
@@ -187,10 +198,21 @@ fn l0_merge_runs_as_several_bounded_subtasks() {
     let registry = Registry::new();
     profile.register_metrics(&registry, "pcp");
     let snap = registry.snapshot();
-    match &snap.get_with("pcp_compaction_subtask_bytes", &[("exec", "pcp")]).unwrap().value {
+    match &snap
+        .get_with("pcp_compaction_subtask_bytes", &[("exec", "pcp")])
+        .unwrap()
+        .value
+    {
         SampleValue::Histogram(h) => {
-            assert_eq!(h.count, snap.counter("pcp_compaction_subtasks_total", &[("exec", "pcp")]));
-            assert!(h.max < 2 * SUBTASK, "a sub-task of {} bytes at a {SUBTASK}-byte target", h.max);
+            assert_eq!(
+                h.count,
+                snap.counter("pcp_compaction_subtasks_total", &[("exec", "pcp")])
+            );
+            assert!(
+                h.max < 2 * SUBTASK,
+                "a sub-task of {} bytes at a {SUBTASK}-byte target",
+                h.max
+            );
         }
         other => panic!("expected histogram, got {other:?}"),
     }
@@ -239,7 +261,10 @@ fn full_stack_registry_renders_and_validates() {
 
     // Latency histograms carried samples.
     match &snap
-        .get_with("pcp_device_write_latency_nanoseconds", &[("device", "mem0")])
+        .get_with(
+            "pcp_device_write_latency_nanoseconds",
+            &[("device", "mem0")],
+        )
         .unwrap()
         .value
     {

@@ -206,7 +206,10 @@ impl RandomReadFile for LoggedFile {
     }
 
     fn read_at_class(&self, offset: u64, len: usize, class: ReadClass) -> io::Result<Bytes> {
-        self.log.lock().unwrap().push((thread::current().id(), class));
+        self.log
+            .lock()
+            .unwrap()
+            .push((thread::current().id(), class));
         self.inner.read_at_class(offset, len, class)
     }
 
@@ -222,7 +225,10 @@ impl Env for ReadLogEnv {
 
     fn open(&self, name: &str) -> io::Result<Arc<dyn RandomReadFile>> {
         let inner = self.inner.open(name)?;
-        Ok(Arc::new(LoggedFile { inner, log: Arc::clone(&self.log) }))
+        Ok(Arc::new(LoggedFile {
+            inner,
+            log: Arc::clone(&self.log),
+        }))
     }
 
     fn delete(&self, name: &str) -> io::Result<()> {
@@ -250,7 +256,10 @@ impl Env for ReadLogEnv {
 /// levels, one table staying in level 0 (its trigger is two), and its
 /// model.
 fn three_level_store(log: &ReadLog) -> (Db, BTreeMap<Vec<u8>, Vec<u8>>) {
-    let env: EnvRef = Arc::new(ReadLogEnv { inner: mem_env(), log: Arc::clone(log) });
+    let env: EnvRef = Arc::new(ReadLogEnv {
+        inner: mem_env(),
+        log: Arc::clone(log),
+    });
     let db = Db::open(env, scan_opts(true, 0)).unwrap();
     let mut model = BTreeMap::new();
     let mut put = |k: String, v: Vec<u8>| {
@@ -258,7 +267,10 @@ fn three_level_store(log: &ReadLog) -> (Db, BTreeMap<Vec<u8>, Vec<u8>>) {
         model.insert(k.into_bytes(), v);
     };
     for i in 0..4000u32 {
-        put(format!("key-{:06}", (i * 7919) % 4000), format!("v{i}-{}", "z".repeat(60)).into());
+        put(
+            format!("key-{:06}", (i * 7919) % 4000),
+            format!("v{i}-{}", "z".repeat(60)).into(),
+        );
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
@@ -267,7 +279,11 @@ fn three_level_store(log: &ReadLog) -> (Db, BTreeMap<Vec<u8>, Vec<u8>>) {
     }
     db.flush().unwrap();
     db.wait_idle().unwrap();
-    let levels = db.level_summary().iter().filter(|(files, _)| *files > 0).count();
+    let levels = db
+        .level_summary()
+        .iter()
+        .filter(|(files, _)| *files > 0)
+        .count();
     assert!(levels >= 3, "want three levels: {:?}", db.level_summary());
     (db, model)
 }
@@ -283,8 +299,16 @@ fn every_read_of_a_scan_runs_on_the_scanning_thread() {
     assert_eq!(full_scan_db(&db), model.into_iter().collect::<Vec<_>>());
     let reads = std::mem::take(&mut *log.lock().unwrap());
     let me = thread::current().id();
-    assert!(reads.iter().all(|(thread, _)| *thread == me), "a read ran on another thread");
-    assert!(reads.iter().any(|(_, class)| *class == ReadClass::Readahead), "no span was read");
+    assert!(
+        reads.iter().all(|(thread, _)| *thread == me),
+        "a read ran on another thread"
+    );
+    assert!(
+        reads
+            .iter()
+            .any(|(_, class)| *class == ReadClass::Readahead),
+        "no span was read"
+    );
 }
 
 /// A seek reads each run once: with no block cache, a seek and a scan
@@ -305,10 +329,20 @@ fn a_seek_reads_each_run_with_one_span() {
     // table entered per run, one span read each.
     log.lock().unwrap().clear();
     assert_eq!(range_scan_db(&db, b"key-000000", 2).len(), 2);
-    let classes: Vec<_> = log.lock().unwrap().drain(..).map(|(_, class)| class).collect();
+    let classes: Vec<_> = log
+        .lock()
+        .unwrap()
+        .drain(..)
+        .map(|(_, class)| class)
+        .collect();
     assert_eq!(classes, vec![ReadClass::Readahead; runs], "{summary:?}");
 
     assert_eq!(range_scan_db(&db, b"key-001000", 500).len(), 500);
     let reads = std::mem::take(&mut *log.lock().unwrap());
-    assert!(reads.iter().all(|(_, class)| *class == ReadClass::Readahead), "a block read alone");
+    assert!(
+        reads
+            .iter()
+            .all(|(_, class)| *class == ReadClass::Readahead),
+        "a block read alone"
+    );
 }

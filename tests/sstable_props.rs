@@ -22,7 +22,14 @@ fn build(
     entries: &[(Vec<u8>, u64, bool, Vec<u8>)],
     block_size: usize,
 ) -> Arc<TableReader> {
-    build_with(env, entries, TableBuilderOptions { block_size, ..Default::default() });
+    build_with(
+        env,
+        entries,
+        TableBuilderOptions {
+            block_size,
+            ..Default::default()
+        },
+    );
     Arc::new(TableReader::open(env.open("t.sst").unwrap()).unwrap())
 }
 
@@ -40,7 +47,11 @@ fn build_with(
                 make_internal_key(
                     k,
                     *seq,
-                    if *del { ValueType::Deletion } else { ValueType::Value },
+                    if *del {
+                        ValueType::Deletion
+                    } else {
+                        ValueType::Value
+                    },
                 ),
                 v.clone(),
             )

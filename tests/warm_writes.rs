@@ -19,7 +19,10 @@ fn gets_after_flush_and_compact_range_issue_no_device_read() {
         memtable_bytes: 256 << 10,
         sstable_bytes: 128 << 10,
         block_cache_bytes: 32 << 20,
-        policy: CompactionPolicy { l0_trigger: 2, ..Default::default() },
+        policy: CompactionPolicy {
+            l0_trigger: 2,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let db = Db::open(env, opts).unwrap();
@@ -41,7 +44,14 @@ fn gets_after_flush_and_compact_range_issue_no_device_read() {
 
     let before = device.stats().read_ops();
     for (key, value) in &model {
-        assert_eq!(db.get(key.as_bytes()).unwrap().as_deref(), Some(value.as_bytes()));
+        assert_eq!(
+            db.get(key.as_bytes()).unwrap().as_deref(),
+            Some(value.as_bytes())
+        );
     }
-    assert_eq!(device.stats().read_ops() - before, 0, "a get read a written block back");
+    assert_eq!(
+        device.stats().read_ops() - before,
+        0,
+        "a get read a written block back"
+    );
 }
