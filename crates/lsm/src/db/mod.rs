@@ -503,9 +503,12 @@ impl Db {
     /// Walks every live table, verifying file-level metadata, block
     /// checksums (the S2 step, applied offline), decompression, entry
     /// ordering, and level disjointness. Each table is opened afresh from
-    /// the device, so what is checked is what is on disk, not what the
-    /// table cache holds. Returns a report; `errors` is empty on a healthy
-    /// store.
+    /// the device and its data blocks read front to back in spans, past the
+    /// block cache ([`pcp_sstable::TableReader::data_spans`]), so what is
+    /// checked is what is on disk, not what the table cache holds. Every bad
+    /// block is reported with its offset, and a failed span read against
+    /// each block it covered. Returns a report; `errors` is empty on a
+    /// healthy store.
     pub fn verify_integrity(&self) -> io::Result<IntegrityReport> {
         let version = {
             let st = self.inner.state.lock();
@@ -519,7 +522,7 @@ impl Db {
             for meta in files {
                 report.tables += 1;
                 let table = match self.inner.cache.open_uncached(meta.number) {
-                    Ok(t) => t,
+                    Ok(t) => Arc::new(t),
                     Err(e) => {
                         report
                             .errors
@@ -539,11 +542,13 @@ impl Db {
                         .errors
                         .push(format!("L{level} table {}: index: {e}", meta.number)),
                     Ok(metas) => {
+                        let mut spans = table.data_spans();
                         for bm in &metas {
                             report.blocks += 1;
                             report.entries += bm.entries;
-                            let result = table
-                                .read_raw_block(bm.handle)
+                            let at = bm.handle.offset;
+                            let result = spans
+                                .read(at..at + bm.stored_size())
                                 .and_then(|raw| {
                                     let (payload, kind) = pcp_sstable::table::verify_block(&raw)?;
                                     pcp_sstable::table::decompress_block(payload, kind)

@@ -189,6 +189,8 @@ impl VersionSet {
         let manifest_name = manifest_name.trim().to_string();
         let mut reader = WalReader::open(&*self.env, &manifest_name)?;
         let mut version = Version::empty();
+        // Replay stops at a torn or corrupt tail: that is an edit that
+        // never committed, and the prefix before it is a consistent state.
         while let Some(record) = reader.next_record()? {
             let edit = VersionEdit::decode(&record)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
@@ -205,10 +207,6 @@ impl VersionSet {
             for (level, key) in edit.compact_pointers {
                 self.compact_pointers[level] = key;
             }
-        }
-        if reader.corruption_detected() {
-            // The valid prefix is still a consistent state; a torn tail is
-            // an edit that never committed.
         }
         version
             .check_invariants()

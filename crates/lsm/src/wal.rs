@@ -6,11 +6,19 @@
 //! fragmentation exists to bound resync scans after corruption in the
 //! middle of a long log; with per-record CRCs and tail-truncation-only
 //! crashes, the simpler framing recovers the same committed prefix.)
+//!
+//! Replay (of a WAL and of the MANIFEST) reads the log front to back
+//! through [`SpanReader`], the engine's one sequential reader: one
+//! foreground device read per span, 256 KiB first and doubling to the
+//! file's end, the next booked while the current one is parsed, never a
+//! read per record. A record across two spans is stitched from both. A read
+//! error ends replay with that error, never as a shorter prefix.
 
 use pcp_codec::{crc32c, mask_crc, unmask_crc};
-use pcp_storage::{Env, RandomReadFile, WritableFile};
+use pcp_sstable::readahead::MAX_SPAN_BLOCKS;
+use pcp_sstable::TableBuilderOptions;
+use pcp_storage::{Env, ReadClass, SpanReader, WritableFile};
 use std::io;
-use std::sync::Arc;
 
 const HEADER: usize = 8;
 
@@ -55,7 +63,10 @@ impl WalWriter {
 
 /// Replays a log, yielding the committed record prefix.
 pub struct WalReader {
-    file: Arc<dyn RandomReadFile>,
+    /// Spans of whole 4 KiB units (a table's default block), so the first
+    /// is a whole-table cursor's 256 KiB.
+    spans: SpanReader<u64>,
+    len: u64,
     offset: u64,
     /// Set when replay stopped because of a torn/corrupt record rather than
     /// clean EOF.
@@ -65,43 +76,44 @@ pub struct WalReader {
 impl WalReader {
     /// Opens `name` for replay.
     pub fn open(env: &dyn Env, name: &str) -> io::Result<WalReader> {
+        let file = env.open(name)?;
+        let len = file.len();
+        let unit = TableBuilderOptions::default().block_size as u64;
         Ok(WalReader {
-            file: env.open(name)?,
+            spans: SpanReader::new(file, ReadClass::Foreground, MAX_SPAN_BLOCKS, unit),
+            len,
             offset: 0,
             corruption_detected: false,
         })
     }
 
-    /// Next committed record, or `None` at end of the valid prefix.
+    /// Next committed record, or `None` at end of the valid prefix. A read
+    /// error is returned as it is: it never ends replay as a torn tail would.
     pub fn next_record(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.offset + HEADER as u64 > self.file.len() {
-            if self.offset != self.file.len() {
-                self.corruption_detected = true;
-            }
+        let at = self.offset + HEADER as u64;
+        if at > self.len {
+            self.corruption_detected |= self.offset != self.len; // torn header
             return Ok(None);
         }
-        let header = self.file.read_at(self.offset, HEADER)?;
+        let header = self.spans.read(self.offset..at)?;
         let (Some(crc_word), Some(len_word)) = (
             pcp_codec::read_u32_le(&header, 0),
             pcp_codec::read_u32_le(&header, 4),
         ) else {
-            self.corruption_detected = true; // short header read
+            self.corruption_detected = true;
             return Ok(None);
         };
-        let stored_crc = unmask_crc(crc_word);
-        let len = len_word as u64;
-        if self.offset + HEADER as u64 + len > self.file.len() {
+        let end = at + u64::from(len_word);
+        if end > self.len {
             self.corruption_detected = true; // torn tail
             return Ok(None);
         }
-        let payload = self
-            .file
-            .read_at(self.offset + HEADER as u64, len as usize)?;
-        if crc32c(&payload) != stored_crc {
+        let payload = self.spans.read(at..end)?;
+        if crc32c(&payload) != unmask_crc(crc_word) {
             self.corruption_detected = true;
             return Ok(None);
         }
-        self.offset += HEADER as u64 + len;
+        self.offset = end;
         Ok(Some(payload.to_vec()))
     }
 
@@ -114,7 +126,8 @@ impl WalReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcp_storage::{SimDevice, SimEnv};
+    use pcp_storage::{BlockDevice, SimDevice, SimEnv};
+    use std::sync::Arc;
 
     fn env() -> SimEnv {
         SimEnv::new(Arc::new(SimDevice::mem(16 << 20)))
@@ -286,5 +299,58 @@ mod tests {
         let mut r = WalReader::open(&env, "l").unwrap();
         assert!(r.next_record().unwrap().is_none());
         assert!(!r.corruption_detected());
+    }
+
+    /// A log longer than three spans (256 KiB, 512 KiB, 1 MiB, then the
+    /// rest), with a record across every span boundary: it replays in full
+    /// and in order from one device read per span; a flipped CRC byte in the
+    /// second span ends replay there; a cut in the last span leaves the
+    /// prefix before it.
+    #[test]
+    fn replay_across_span_boundaries() {
+        let device = Arc::new(SimDevice::mem(16 << 20));
+        let env = SimEnv::new(device.clone());
+        let records: Vec<Vec<u8>> = (0..2600u32)
+            .map(|i| vec![i as u8; 900 + (i as usize * 37) % 200])
+            .collect();
+        let mut w = WalWriter::create(&env, "l").unwrap();
+        let mut starts = Vec::new();
+        for r in &records {
+            starts.push(w.len());
+            w.add_record(r).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        let len = env.size("l").unwrap();
+        let boundaries = [256 << 10, 768 << 10, 1792 << 10];
+        assert!(len > boundaries[2], "{len} bytes is not four spans");
+        for b in boundaries {
+            let i = starts.partition_point(|&s| s < b) - 1;
+            assert!(starts[i] + HEADER as u64 + (records[i].len() as u64) > b);
+        }
+        let replay = |name: &str| {
+            let mut r = WalReader::open(&env, name).unwrap();
+            let got: Vec<Vec<u8>> = std::iter::from_fn(|| r.next_record().unwrap()).collect();
+            (got, r.corruption_detected())
+        };
+        let reads = device.stats().read_ops();
+        assert_eq!(replay("l"), (records.clone(), false));
+        assert_eq!(device.stats().read_ops() - reads, 4, "one read per span");
+
+        let all = env.open("l").unwrap().read_at(0, len as usize).unwrap();
+        let rewrite = |name: &str, bytes: &[u8]| {
+            let mut f = env.create(name).unwrap();
+            f.append(bytes).unwrap();
+            f.sync().unwrap();
+        };
+        let bad = starts.partition_point(|&s| s < 300 << 10);
+        let mut flipped = all.to_vec();
+        flipped[starts[bad] as usize] ^= 0x01;
+        rewrite("flipped", &flipped);
+        assert_eq!(replay("flipped"), (records[..bad].to_vec(), true));
+
+        let cut = starts.partition_point(|&s| s < 2 << 20);
+        rewrite("cut", &all[..starts[cut] as usize + HEADER + 5]);
+        assert_eq!(replay("cut"), (records[..cut].to_vec(), true));
     }
 }

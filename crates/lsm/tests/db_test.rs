@@ -4,8 +4,8 @@ use pcp_compaction::SimpleMergeExec;
 use pcp_lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, FileMetadata, Options, WriteBatch,
 };
-use pcp_sstable::BlockHandle;
-use pcp_storage::{EnvRef, SimDevice, SimEnv};
+use pcp_sstable::{BlockHandle, KvIter};
+use pcp_storage::{BlockDevice, EnvRef, SimDevice, SimEnv, SsdModel};
 use std::sync::{Arc, Condvar, Mutex};
 
 fn ram_env() -> EnvRef {
@@ -494,6 +494,94 @@ fn integrity_check_passes_on_healthy_store_and_catches_corruption() {
     assert!(
         !report.is_healthy(),
         "corruption must be detected: {report:?}"
+    );
+}
+
+/// A store on the SSD model at time scale 0 (model time only), and its
+/// device, whose read count the tests below read.
+fn ssd_env() -> (Arc<SimDevice>, EnvRef) {
+    let device = Arc::new(SimDevice::new("ssd", SsdModel::default(), 1 << 30, 0.0));
+    (Arc::clone(&device), Arc::new(SimEnv::new(device)))
+}
+
+/// Reopening a store whose 20,000 puts are all in its WAL replays the log
+/// in spans: a handful of device reads in all (CURRENT twice, the
+/// MANIFEST, then the log's doubling spans), never two per record, and
+/// every key reads back.
+#[test]
+fn reopen_replays_a_full_wal_in_a_few_reads() {
+    let (device, env) = ssd_env();
+    let key = |i: u32| format!("key{i:013}").into_bytes();
+    let value = |i: u32| format!("value-{i:08}-{}", "v".repeat(105)).into_bytes();
+    {
+        let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+        for i in 0..20_000 {
+            db.put(&key(i), &value(i)).unwrap();
+        }
+    }
+    let files = env.list().unwrap();
+    assert!(!files.iter().any(|n| n.ends_with(".sst")), "{files:?}");
+    let wal: u64 = (files.iter().filter(|n| n.ends_with(".log")))
+        .map(|n| env.size(n).unwrap())
+        .sum();
+    assert!(wal > 3 << 20, "{wal} bytes of WAL");
+
+    let reads = device.stats().read_ops();
+    let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+    let reopen = device.stats().read_ops() - reads;
+    assert!(reopen <= 10, "the reopen made {reopen} device reads");
+    for i in 0..20_000 {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+}
+
+/// `verify_integrity` reads each table as a cold full scan does: its two
+/// tail reads, then the same doubling spans, not one read per block.
+#[test]
+fn verify_integrity_reads_each_table_in_the_spans_of_a_full_scan() {
+    let (device, env) = ssd_env();
+    let opts = Options {
+        memtable_bytes: 1 << 20,
+        sstable_bytes: 1 << 20,
+        ..Default::default()
+    };
+    let db = Db::open(Arc::clone(&env), opts).unwrap();
+    for i in 0..40_000u32 {
+        let key = format!("key{:06}", (i * 7919) % 40_000);
+        db.put(key.as_bytes(), format!("{i:>80}").as_bytes())
+            .unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_idle().unwrap();
+
+    let reads = device.stats().read_ops();
+    let report = db.verify_integrity().unwrap();
+    let verify = device.stats().read_ops() - reads;
+    assert!(report.is_healthy(), "{:?}", report.errors);
+    let tables: Vec<String> = (env.list().unwrap().into_iter())
+        .filter(|n| n.ends_with(".sst"))
+        .collect();
+    assert!(
+        tables.len() > 1 && tables.len() as u64 == report.tables,
+        "{tables:?}"
+    );
+
+    let reads = device.stats().read_ops();
+    for name in &tables {
+        let table = Arc::new(pcp_sstable::TableReader::open(env.open(name).unwrap()).unwrap());
+        let mut it = table.iter();
+        it.seek_to_first();
+        while it.valid() {
+            it.next();
+        }
+        it.status().unwrap();
+    }
+    let scans = device.stats().read_ops() - reads;
+    assert_eq!(verify, scans, "verify_integrity and cold full scans");
+    assert!(
+        verify * 4 < report.blocks,
+        "{verify} reads for {} blocks",
+        report.blocks
     );
 }
 

@@ -1,34 +1,23 @@
-//! Scan readahead: the paper's sizing of I/O by the span rather than by the
-//! block, and its overlap of device and CPU, applied to the read path on
-//! the cursor's own thread.
+//! Scan readahead: a table cursor reads each block-cache miss as a span of
+//! consecutive blocks ([`pcp_storage::SpanReader`]), tagged
+//! [`ReadClass::Readahead`](pcp_storage::ReadClass), and verifies,
+//! decompresses and admits each block only when it reaches it. This module
+//! says where a table's spans end ([`BlockSpans`]), how long the first is,
+//! and what the cursors count ([`ScanStats`]; log replay and the integrity
+//! check read the same way but count nothing here).
 //!
-//! Every block-cache miss of a [`crate::TableIter`] reads a span: the raw
-//! bytes of the wanted block and the blocks after it, in one device read
-//! tagged [`ReadClass::Readahead`](pcp_storage::ReadClass). The cursor
-//! verifies, decompresses and admits each block of the span only when it
-//! reaches it. A cursor never loads a block outside a span.
-//!
-//! The first span after a seek is as long as the cursor's run was given
-//! ([`first_span_blocks`]: the run's share of the read view, so a seek reads
-//! each run once); each further span doubles, up to the table's end — a
-//! span never leaves its table. A whole-table cursor
-//! ([`crate::TableReader::iter`]) starts at [`MAX_SPAN_BLOCKS`].
-//!
-//! A *continuing* cursor — one started by `seek_to_first`, or positioned by
-//! `seek` and already two spans in — books its next span on the device
-//! ([`RandomReadFile::submit_read_class`](pcp_storage::RandomReadFile::submit_read_class))
-//! before it decodes the current one, and on reaching it sleeps only for
-//! what is left of the booked time. A long scan is then bound by the slower
-//! of device and decode, not their sum. A cursor holds at most two spans,
-//! the current one and the booked one, both within its table. A booked read
-//! that failed keeps its error until the cursor reaches its range.
+//! The first span after a seek is the run's share of the read view
+//! ([`first_span_blocks`], so a seek reads each run once); a whole-table
+//! cursor and the integrity check start at [`MAX_SPAN_BLOCKS`]. Spans
+//! double to the table's end. A cursor started by `seek_to_first`, or
+//! positioned by `seek` and two spans in, books its next span while it
+//! decodes the current one, so a long scan costs the slower of device and
+//! decode, not their sum.
 
-use crate::table::BlockHandle;
-use bytes::Bytes;
-use std::ops::Range;
+use crate::table::TableReader;
+use pcp_storage::SpanEnds;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The longest first span: 256 KiB of 4 KiB blocks, which a striped device
 /// serves for about the price of one block. The spans after it double
@@ -90,67 +79,68 @@ impl ScanStats {
     }
 }
 
-/// The raw blocks (payloads and trailers) one span read fetched, ahead of
-/// the cursor, and the instant the device completes that read.
-pub(crate) struct Span {
-    /// File offset of `raw[0]`.
-    offset: u64,
-    raw: Bytes,
-    /// When the read completes; `None` once waited out.
-    ready: Option<Instant>,
-    /// Blocks not yet taken; counted as wasted when the span goes.
+/// Where a table's spans end: after whole data blocks, from its index, so
+/// a block is a slice of its span, never a copy. Also a cursor's tally.
+pub struct BlockSpans {
+    table: Arc<TableReader>,
+    /// Whether the table's [`ScanStats`] count these spans: a cursor's do,
+    /// the integrity check's do not.
+    counted: bool,
+    /// Blocks the spans fetched that the cursor has not taken.
     unread: u64,
-    stats: Arc<ScanStats>,
 }
 
-impl Span {
-    /// The span of `blocks` blocks read as `raw` from `offset`, whose read
-    /// completes at `ready`.
-    pub(crate) fn new(
-        offset: u64,
-        raw: Bytes,
-        blocks: usize,
-        ready: Instant,
-        stats: &Arc<ScanStats>,
-    ) -> Span {
-        stats.spans.fetch_add(1, Relaxed);
-        stats.blocks_prefetched.fetch_add(blocks as u64, Relaxed);
-        Span {
-            offset,
-            raw,
-            ready: Some(ready),
-            unread: blocks as u64,
-            stats: Arc::clone(stats),
+impl BlockSpans {
+    pub(crate) fn new(table: Arc<TableReader>, counted: bool) -> BlockSpans {
+        BlockSpans {
+            table,
+            counted,
+            unread: 0,
         }
     }
 
-    /// The raw block at `handle`, if the span holds it — once the span's
-    /// read has completed: the first block taken sleeps for what is left
-    /// of it.
-    pub(crate) fn take(&mut self, handle: BlockHandle) -> Option<Bytes> {
-        let from = handle.offset.checked_sub(self.offset)?;
-        let to = handle.stored_end()?.checked_sub(self.offset)?;
-        if to > self.raw.len() as u64 {
-            return None;
-        }
-        if let Some(ready) = self.ready.take() {
-            pcp_storage::blocking::sleep_until(ready);
-        }
+    fn stats(&self) -> Option<&ScanStats> {
+        self.counted.then_some(&self.table.scan)
+    }
+
+    /// The cursor took a block from a span.
+    pub(crate) fn took_block(&mut self) {
         self.unread = self.unread.saturating_sub(1);
-        self.stats.hits.fetch_add(1, Relaxed);
-        Some(self.raw.slice(from as usize..to as usize))
+        if let Some(stats) = self.stats() {
+            stats.hits.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// The cursor left its spans (a seek, or its drop): the blocks it did
+    /// not take are wasted.
+    pub(crate) fn leave(&mut self) {
+        if let Some(stats) = self.stats().filter(|_| self.unread > 0) {
+            stats.wasted.fetch_add(self.unread, Relaxed);
+        }
+        self.unread = 0;
     }
 }
 
-/// A span read booked ahead of the cursor: the file range it covers and
-/// what the read returned, kept until the cursor reaches the range.
-pub(crate) struct Booked {
-    pub(crate) range: Range<u64>,
-    pub(crate) read: std::io::Result<Span>,
+impl SpanEnds for BlockSpans {
+    fn span_end(&mut self, start: u64, blocks: usize) -> std::io::Result<u64> {
+        let ends = self.table.block_ends();
+        let first = ends.partition_point(|&end| end <= start);
+        let last = first.saturating_add(blocks).min(ends.len());
+        if last <= first {
+            return Ok(start);
+        }
+        let blocks = (last - first) as u64;
+        if let Some(stats) = self.stats() {
+            stats.spans.fetch_add(1, Relaxed);
+            stats.blocks_prefetched.fetch_add(blocks, Relaxed);
+        }
+        self.unread += blocks;
+        Ok(ends[last - 1])
+    }
 }
 
-impl Drop for Span {
+impl Drop for BlockSpans {
     fn drop(&mut self) {
-        self.stats.wasted.fetch_add(self.unread, Relaxed);
+        self.leave();
     }
 }

@@ -37,13 +37,12 @@ use crate::bloom::BloomFilter;
 use crate::cache::BlockCache;
 use crate::iter::KvIter;
 use crate::key::user_key;
-use crate::readahead::{Booked, ScanStats, Span, MAX_SPAN_BLOCKS};
+use crate::readahead::{BlockSpans, ScanStats, MAX_SPAN_BLOCKS};
 use crate::{copy_status, corruption, Result};
 use bytes::Bytes;
 use pcp_codec::{lz, mask_crc, unmask_crc};
-use pcp_storage::{RandomReadFile, ReadClass, WritableFile};
-use std::sync::Arc;
-use std::time::Instant;
+use pcp_storage::{RandomReadFile, ReadClass, SpanReader, WritableFile};
+use std::sync::{Arc, OnceLock};
 
 /// Bytes appended after every block payload: kind byte + masked CRC.
 pub const BLOCK_TRAILER_SIZE: usize = 5;
@@ -553,7 +552,9 @@ pub struct TableReader {
     /// Optional decoded-block cache and this table's namespace in it.
     cache: Option<(Arc<BlockCache>, u64)>,
     /// Scan-path counters (shared database-wide by the LSM).
-    scan: Arc<ScanStats>,
+    pub(crate) scan: Arc<ScanStats>,
+    /// Where a span may end ([`BlockSpans`]): [`TableReader::block_ends`].
+    block_ends: OnceLock<Vec<u64>>,
 }
 
 impl std::fmt::Debug for TableReader {
@@ -598,6 +599,7 @@ impl TableReader {
             stats,
             cache,
             scan,
+            block_ends: OnceLock::new(),
         }
     }
 
@@ -632,41 +634,50 @@ impl TableReader {
     /// block. Slice individual raw blocks out with [`BlockHandle`] offsets
     /// relative to `first.offset`.
     pub fn read_raw_span(&self, first: BlockHandle, last: BlockHandle) -> Result<Bytes> {
-        let len = Self::span_len(first, last)?;
+        let len = last
+            .stored_end()
+            .and_then(|end| end.checked_sub(first.offset))
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or_else(|| corruption("block span ends before it starts"))?;
         let raw = self
             .file
             .read_at_class(first.offset, len, ReadClass::Foreground)?;
-        Self::check_len(raw, len)
-    }
-
-    /// A scan's [`read_raw_span`](TableReader::read_raw_span): tagged
-    /// [`ReadClass::Readahead`] and booked on the device without waiting
-    /// for it — the raw bytes and the instant the read completes.
-    pub(crate) fn submit_raw_span(
-        &self,
-        first: BlockHandle,
-        last: BlockHandle,
-    ) -> Result<(Bytes, Instant)> {
-        let len = Self::span_len(first, last)?;
-        let (raw, ready) = self
-            .file
-            .submit_read_class(first.offset, len, ReadClass::Readahead)?;
-        Ok((Self::check_len(raw, len)?, ready))
-    }
-
-    /// Bytes from `first`'s offset to the end of `last`'s trailer.
-    fn span_len(first: BlockHandle, last: BlockHandle) -> Result<usize> {
-        last.stored_end()
-            .and_then(|end| end.checked_sub(first.offset))
-            .and_then(|len| usize::try_from(len).ok())
-            .ok_or_else(|| corruption("block span ends before it starts"))
-    }
-
-    fn check_len(raw: Bytes, len: usize) -> Result<Bytes> {
         if raw.len() != len {
             return Err(corruption("short block read"));
         }
         Ok(raw)
+    }
+
+    /// Where each data block's trailer ends, decoded from the index on first
+    /// use, up to the first entry that does not decode.
+    pub(crate) fn block_ends(&self) -> &[u64] {
+        self.block_ends.get_or_init(|| {
+            let mut ends = Vec::with_capacity(self.stats.data_blocks as usize);
+            let mut it = self.index.iter();
+            it.seek_to_first();
+            while let Some(end) = it
+                .valid()
+                .then(|| BlockHandle::decode(it.value()).ok()?.0.stored_end())
+                .flatten()
+            {
+                ends.push(end);
+                it.next();
+            }
+            ends
+        })
+    }
+
+    /// A reader of the data blocks front to back, past the block cache, in
+    /// a whole-table cursor's spans, as [`ReadClass::Foreground`] reads no
+    /// [`ScanStats`] counts.
+    pub fn data_spans(self: &Arc<Self>) -> SpanReader<BlockSpans> {
+        let ends = BlockSpans::new(Arc::clone(self), false);
+        SpanReader::new(
+            Arc::clone(&self.file),
+            ReadClass::Foreground,
+            MAX_SPAN_BLOCKS,
+            ends,
+        )
     }
 
     /// This reader's namespace in its block cache, if it has one.
@@ -770,17 +781,18 @@ impl TableReader {
     /// table belongs to ([`crate::readahead::first_span_blocks`]).
     pub fn iter_with_span(self: &Arc<Self>, first_span: usize) -> TableIter {
         let first_span = first_span.clamp(1, MAX_SPAN_BLOCKS);
+        let ends = BlockSpans::new(Arc::clone(self), true);
         TableIter {
             reader: Arc::clone(self),
             index_iter: self.index.iter(),
             block_iter: None,
             status: Ok(()),
-            span: None,
-            booked: None,
-            ahead: None,
-            first_span,
-            span_blocks: first_span,
-            book_in: 1,
+            spans: SpanReader::new(
+                Arc::clone(&self.file),
+                ReadClass::Readahead,
+                first_span,
+                ends,
+            ),
         }
     }
 }
@@ -797,83 +809,24 @@ pub struct TableIter {
     block_iter: Option<BlockIter>,
     /// Why the cursor stopped short of the table's end, until the next seek.
     status: Result<()>,
-    /// Raw blocks read ahead of the cursor by the span it is in.
-    span: Option<Span>,
-    /// The span after `span`, booked on the device before the cursor
-    /// needs it.
-    booked: Option<Booked>,
-    /// Index cursor on the first block after the newest span; `None` when
-    /// that span reached the table's end.
-    ahead: Option<BlockIter>,
-    /// Blocks the first span after a seek asks for.
-    first_span: usize,
-    /// Blocks the next span read asks for.
-    span_blocks: usize,
-    /// Spans the cursor still enters before it books the next one as it
-    /// enters a span: 1 after `seek_to_first`, 2 after `seek`, so a short
-    /// positioned scan books nothing it will not read.
-    book_in: usize,
+    /// The data blocks, read in spans ahead of the cursor.
+    spans: SpanReader<BlockSpans>,
 }
 
 impl TableIter {
-    /// Clears the error, drops both spans — their unread blocks counted as
-    /// wasted — and restarts the span length (called on seeks); the cursor
-    /// books ahead from its `book_in`-th span on.
+    /// Clears the error and drops both spans — their unread blocks counted
+    /// as wasted — and restarts the span length (called on seeks); the
+    /// cursor books ahead from its `book_in`-th span on: 1 after
+    /// `seek_to_first`, 2 after `seek`, so a short positioned scan books
+    /// nothing it will not read.
     fn reset(&mut self, book_in: usize) {
         self.status = Ok(());
-        self.span = None;
-        self.booked = None;
-        self.ahead = None;
-        self.span_blocks = self.first_span;
-        self.book_in = book_in;
-    }
-
-    /// Books the span of `span_blocks` blocks that starts at the block `at`
-    /// points at — one device read, not waited for — and doubles the next
-    /// span's length. Leaves `ahead` on the block after the span.
-    fn submit_span(&mut self, mut at: BlockIter) -> Result<Booked> {
-        let first = BlockHandle::decode(at.value())?.0;
-        let (mut last, mut blocks) = (first, 1);
-        at.next();
-        while blocks < self.span_blocks && at.valid() {
-            last = BlockHandle::decode(at.value())?.0;
-            blocks += 1;
-            at.next();
-        }
-        self.span_blocks = self.span_blocks.saturating_mul(2);
-        self.ahead = at.valid().then_some(at);
-        let range = first.offset..last.stored_end().unwrap_or(u64::MAX);
-        let read = (self.reader.submit_raw_span(first, last))
-            .map(|(raw, ready)| Span::new(first.offset, raw, blocks, ready, &self.reader.scan));
-        Ok(Booked { range, read })
-    }
-
-    /// Makes the span that holds `handle` — the booked one when it covers
-    /// `handle`, else a new one read from the index cursor — the current
-    /// span; a continuing cursor then books the span after it.
-    fn enter_span(&mut self, handle: BlockHandle) -> Result<()> {
-        let booked = self
-            .booked
-            .take()
-            .filter(|b| b.range.contains(&handle.offset));
-        let Booked { read, .. } = match booked {
-            Some(booked) => booked,
-            None => self.submit_span(self.index_iter.clone())?,
-        };
-        self.span = Some(read?);
-        self.book_in = self.book_in.saturating_sub(1);
-        if self.book_in == 0 {
-            // A handle that does not decode books nothing: the cursor meets
-            // the same error when it reaches that block.
-            if let Some(at) = self.ahead.take() {
-                self.booked = self.submit_span(at).ok();
-            }
-        }
-        Ok(())
+        self.spans.restart(book_in);
+        self.spans.ends_mut().leave();
     }
 
     /// Loads the block the index cursor points at (`None` past its end):
-    /// from the block cache, else from the current span, else from the next.
+    /// from the block cache, else from the spans.
     fn load_block(&mut self) -> Result<Option<Block>> {
         if !self.index_iter.valid() {
             return Ok(None);
@@ -882,14 +835,11 @@ impl TableIter {
         if let Some(block) = self.reader.cached(handle) {
             return Ok(Some(block));
         }
-        let raw = match self.span.as_mut().and_then(|span| span.take(handle)) {
-            Some(raw) => raw,
-            None => {
-                self.enter_span(handle)?;
-                (self.span.as_mut().and_then(|span| span.take(handle)))
-                    .ok_or_else(|| corruption("block outside its span"))?
-            }
-        };
+        let end = handle
+            .stored_end()
+            .ok_or_else(|| corruption("block handle overflows"))?;
+        let raw = self.spans.read(handle.offset..end)?;
+        self.spans.ends_mut().took_block();
         self.reader.decode_block(handle, &raw).map(Some)
     }
 

@@ -28,6 +28,9 @@
 //!   LSM engine programs against (create/append/read/rename/delete), with a
 //!   simulated implementation backed by a [`BlockDevice`] plus extent
 //!   allocator, and a real `std::fs` implementation.
+//! * [`span_reader`] — [`SpanReader`], the one front-to-back reader: a
+//!   range read in doubling spans, the next booked while the caller decodes
+//!   the current one (table scans, log replay, the integrity check).
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -41,6 +44,7 @@ pub mod model;
 pub mod raid;
 pub mod retry;
 pub mod sim_env;
+pub mod span_reader;
 pub mod stats;
 pub mod std_env;
 pub mod trace;
@@ -52,6 +56,7 @@ pub use model::{HddModel, IoKind, LatencyModel, NullModel, SsdModel};
 pub use raid::Raid0;
 pub use retry::{is_transient, with_retry, RetryPolicy};
 pub use sim_env::SimEnv;
+pub use span_reader::{SpanEnds, SpanReader};
 pub use stats::{register_device_metrics, DeviceStats};
 pub use std_env::StdFsEnv;
 pub use trace::{TraceDevice, TraceRecord};

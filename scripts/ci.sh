@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite (tests/contracts.rs among it:
-# the metrics, trace-kind and opcode contracts, no clock in model code, each
-# crate root's lint header), the same suites under the deadlock witness,
+# Tier-1 gate: a rustfmt-clean tree, release build, full test suite
+# (tests/contracts.rs among it: the metrics, trace-kind and opcode
+# contracts, no clock in model code, each crate root's lint header), the
+# same suites under the deadlock witness,
 # lint-clean under clippy, the memtable's unit tests under AddressSanitizer
 # when a nightly is installed.
 #   ./scripts/ci.sh                        the gate
@@ -43,6 +44,8 @@ benchmark_untouched() {
     fi
 }
 
+lane "cargo fmt --all -- --check (the tree stays as rustfmt's defaults leave it; benchmark/ is its own workspace and not checked)" \
+    cargo fmt --all -- --check
 lane "cargo build --release" \
     cargo build --release
 lane "cargo build --examples --release" \

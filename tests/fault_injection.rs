@@ -26,12 +26,13 @@ use pcp::compaction::SimpleMergeExec;
 use pcp::core::PipelinedExec;
 use pcp::lsm::{
     CompactionExec, CompactionPolicy, CompactionRequest, Db, DbHealth, FileMetadata, Options,
-    TableCache,
+    TableCache, VersionEdit, WalReader, WalWriter,
 };
 use pcp::shard::{HashRouter, ShardedDb};
 use pcp::sstable::key::{make_internal_key, ValueType};
 use pcp::sstable::readahead::MAX_SPAN_BLOCKS;
 use pcp::sstable::{KvIter, Result as TableResult, TableBuilder, TableBuilderOptions, TableReader};
+use pcp::storage::env::read_string_file;
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -685,6 +686,66 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
     assert!(db.put(b"late", b"refused").is_err());
     assert_eq!(db.level_summary()[0].0, 1);
     assert_eq!(dump(&db), model);
+}
+
+/// Rewrites the store's MANIFEST with 1 MiB of empty edits ahead of its
+/// own records, so the edits that name its tables lie in its last span.
+fn pad_manifest(env: &EnvRef) {
+    let name = read_string_file(&**env, "CURRENT").unwrap();
+    let mut reader = WalReader::open(&**env, name.trim()).unwrap();
+    let records: Vec<Vec<u8>> = std::iter::from_fn(|| reader.next_record().unwrap()).collect();
+    let mut manifest = WalWriter::create(&**env, name.trim()).unwrap();
+    let empty = VersionEdit::default().encode();
+    while manifest.len() < 1 << 20 {
+        manifest.add_record(&empty).unwrap();
+    }
+    for record in &records {
+        manifest.add_record(record).unwrap();
+    }
+    manifest.sync().unwrap();
+}
+
+/// A read error while a log replays fails `Db::open` with that error: the
+/// store never opens on the records before it. The fault fires on the
+/// second span of a multi-span log, the one booked as replay enters the
+/// first — of a WAL, and of a MANIFEST whose edits naming tables lie past
+/// it.
+#[test]
+fn a_read_error_during_replay_fails_the_open() {
+    for file in [".log", "MANIFEST-"] {
+        let env = mem_env();
+        let mut model = BTreeMap::new();
+        {
+            let db = Db::open(Arc::clone(&env), Options::default()).unwrap();
+            for i in 0..6000u32 {
+                let k = format!("k{i:05}").into_bytes();
+                let v = format!("v{i}-{}", "x".repeat(100)).into_bytes();
+                db.put(&k, &v).unwrap();
+                model.insert(k, v);
+                if i == 2999 {
+                    db.flush().unwrap();
+                }
+            }
+        }
+        if file == "MANIFEST-" {
+            pad_manifest(&env);
+        }
+        let bytes: u64 = (env.list().unwrap().iter())
+            .filter(|n| n.contains(file))
+            .map(|n| env.size(n).unwrap())
+            .sum();
+        assert!(bytes > 256 << 10, "{file}: {bytes} bytes is one span");
+
+        let fault = FaultEnv::new(Arc::clone(&env), 31);
+        fault.schedule_on_file(FaultOp::ReadAt, 2, FaultKind::Permanent, file);
+        let Err(err) = Db::open(Arc::new(fault.clone()), Options::default()) else {
+            panic!("{file}: the open replayed past a read error");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::Other, "{file}: {err}");
+        assert_eq!(fault.stats().permanent, 1, "{file}");
+        let db = Db::open(env, Options::default()).unwrap();
+        assert_eq!(dump(&db), model, "{file}: the failed open lost a write");
+    }
 }
 
 /// Three rounds of 2000 puts on 64 KiB memtables, each round flushed, on
