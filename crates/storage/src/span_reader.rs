@@ -133,7 +133,7 @@ impl<E: SpanEnds> SpanReader<E> {
     /// Books the span from `start` (one device read, not waited for) and
     /// doubles the next span's length.
     fn submit(&mut self, start: u64) -> io::Result<Span> {
-        let end = (self.ends.span_end(start, self.units)?).min(self.file.len());
+        let end = self.ends.span_end(start, self.units)?.min(self.file.len());
         if end <= start {
             return Err(Error::new(
                 InvalidData,
