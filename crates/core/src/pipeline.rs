@@ -860,8 +860,7 @@ mod tests {
             // go through the fault wrapper; every output flush fails while
             // upstream stages still have sub-tasks in flight.
             let fault = FaultEnv::new(Arc::clone(&inner), 33);
-            fault.set_probability(FaultOp::Flush, 1.0);
-            fault.set_probabilistic_kind(FaultKind::Permanent);
+            fault.schedule_on_file(FaultOp::Flush, 1, FaultKind::Permanent, ".sst");
             let mut req = request(&inner, vec![upper], vec![lower]);
             req.tables = Arc::new(TableCache::new(Arc::new(fault)));
             let trace = Arc::new(TraceLog::new(8));
@@ -902,7 +901,7 @@ mod tests {
         let upper = build_input(&inner, "u.sst", n, 100_000, 2, "new");
         let lower = build_input(&inner, "l.sst", n, 1, 3, "old");
         let fault = FaultEnv::new(Arc::clone(&inner), 5);
-        fault.schedule(FaultOp::Flush, 2, FaultKind::Transient);
+        fault.schedule_on_file(FaultOp::Flush, 2, FaultKind::Transient, ".sst");
         let mut req = request(&inner, vec![upper], vec![lower]);
         req.tables = Arc::new(TableCache::new(Arc::new(fault.clone())));
         let exec = PipelinedExec::pcp(32 << 10);

@@ -1,15 +1,13 @@
 //! The two background lanes: flush and compaction jobs, the scheduler grant
 //! around a merge, transient-error retry and the obsolete-file sweep.
 
-use super::{write_level0, DbInner, GcPlan, State, RETRY};
+use super::{retry, write_level0, DbInner, GcPlan, State};
 use crate::edit::VersionEdit;
 use crate::version::{FileMetadata, NUM_LEVELS};
 use crate::version_set::CompactionPick;
-use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
 use pcp_compaction::filename::{parse_file_name, FileKind};
 use pcp_compaction::{CompactionRequest, ResourceGrant};
-use pcp_storage::is_transient;
 use std::io;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -30,12 +28,14 @@ impl DbInner {
         while !self.shutdown.load(AtomicOrdering::SeqCst) {
             // With an error latched, retrying a dead disk in a hot loop
             // helps nobody: stay parked until shutdown.
-            if st.imm.is_none() || st.bg_error.is_some() {
+            if st.imm.is_none() || st.bg_error.is_err() {
                 self.work_cv.wait(&mut st);
                 continue;
             }
             st.flushing = Some(st.versions.next_file_number());
-            let result = self.retry_transient(&mut st, |st| self.run_flush(st));
+            let result = self
+                .sync_retired_log(&mut st)
+                .and_then(|synced| self.retry_transient(&mut st, |st| self.run_flush(st, synced)));
             st.flushing = None;
             self.job_done(&mut st, result);
         }
@@ -56,7 +56,7 @@ impl DbInner {
             let is_manual = manual.is_some();
             let pick = manual.unwrap_or_else(|| st.versions.pick_compaction(&self.opts.policy));
             // With an error latched, stay parked as the flush lane does.
-            if st.bg_error.is_some() || (!is_manual && pick.is_none()) {
+            if st.bg_error.is_err() || (!is_manual && pick.is_none()) {
                 self.work_cv.wait(&mut st);
                 continue;
             }
@@ -126,30 +126,37 @@ impl DbInner {
         result
     }
 
-    /// Runs one flush or compaction attempt, retrying transient I/O
-    /// failures under `RETRY` with the backoff sleeps taken *outside* the
-    /// state lock so writers and the other lane are not blocked behind a
-    /// backoff.
+    /// Runs a flush or compaction attempt through [`retry`], counting each
+    /// retry and taking the backoff sleeps *outside* the state lock so
+    /// writers and the other lane are not blocked behind a backoff.
     fn retry_transient(
         &self,
         st: &mut MutexGuard<'_, State>,
-        mut attempt: impl FnMut(&mut MutexGuard<'_, State>) -> io::Result<()>,
+        attempt: impl FnMut(&mut MutexGuard<'_, State>) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut backoff = RETRY.base_backoff;
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match attempt(st) {
-                Err(e) if is_transient(&e) && attempts < RETRY.max_attempts => {
-                    self.metrics
-                        .bg_retries
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                    MutexGuard::unlocked(st, || pcp_storage::blocking::sleep(backoff));
-                    backoff = (backoff * 2).min(RETRY.max_backoff);
-                }
-                result => return result,
-            }
-        }
+        retry(st, attempt, |st, backoff| {
+            self.metrics
+                .bg_retries
+                .fetch_add(1, AtomicOrdering::Relaxed);
+            MutexGuard::unlocked(st, || pcp_storage::blocking::sleep(backoff));
+        })
+    }
+
+    /// Syncs and closes the log holding `imm`'s records, with the lock
+    /// released — with `sync_writes` off its records reach the device here,
+    /// before any later log's can. Like every WAL write it is tried once:
+    /// a failure abandons the log and latches. Returns the log's bytes and
+    /// the sync's nanoseconds, for the flush's trace event.
+    fn sync_retired_log(&self, st: &mut MutexGuard<'_, State>) -> io::Result<(u64, u64)> {
+        let Some(mut wal) = st.imm_wal.take() else {
+            return Ok((0, 0));
+        };
+        let bytes = wal.len();
+        let t0 = Instant::now();
+        // Closing is I/O too: the log is dropped inside the window.
+        MutexGuard::unlocked(st, move || wal.sync())
+            .inspect_err(|e| self.latch_wal_failure(st, e))?;
+        Ok((bytes, t0.elapsed().as_nanos() as u64))
     }
 
     /// Logs `edit` to the MANIFEST and installs the version it builds. The
@@ -184,30 +191,23 @@ impl DbInner {
         reason = "the flush lane calls this only with `imm` set, checked under the same \
                   state-lock hold, and nothing else clears it"
     )]
-    fn run_flush(&self, st: &mut MutexGuard<'_, State>) -> io::Result<()> {
+    fn run_flush(
+        &self,
+        st: &mut MutexGuard<'_, State>,
+        (wal_bytes, wal_sync_nanos): (u64, u64),
+    ) -> io::Result<()> {
         let imm = st.imm.as_ref().expect("imm present").clone();
-        let mut imm_wal = st.imm_wal.take();
-        let wal_bytes = imm_wal.as_ref().map_or(0, |wal| wal.len());
         let wal_number = st.wal_number;
         // Level 0 is ordered by file number: the table's is drawn from the
         // shared counter, at or above the `flushing` floor, and flushes are
         // serialized.
         let file_numbers = st.versions.file_number_counter();
 
-        // Without holding the lock, sync the retired log — with
-        // `sync_writes` off its records reach the device here, before any
-        // later log's can — then build the table: real (simulated) I/O
-        // plus compression work. A failed attempt keeps the log for the
-        // next; a successful one closes it here, since closing is I/O too.
-        let written = MutexGuard::unlocked(st, || -> io::Result<_> {
-            let t0 = Instant::now();
-            imm_wal.as_mut().map_or(Ok(()), WalWriter::sync)?;
-            let wal_sync_nanos = t0.elapsed().as_nanos() as u64;
-            let meta = write_level0(&self.cache, &file_numbers, &self.opts, &imm)?;
-            imm_wal = None;
-            Ok((meta, wal_sync_nanos))
-        });
-        let (meta, wal_sync_nanos) = written.inspect_err(|_| st.imm_wal = imm_wal.take())?;
+        // Without holding the lock, build the table: real (simulated) I/O
+        // plus compression work. A failed attempt leaves no file behind.
+        let meta = MutexGuard::unlocked(st, || {
+            write_level0(&self.cache, &file_numbers, &self.opts, &imm)
+        })?;
 
         let mut edit = VersionEdit {
             log_number: Some(wal_number),
@@ -444,11 +444,7 @@ mod tests {
 
     /// Makes every later MANIFEST write fail for good.
     fn fail_manifest_writes(fault: &FaultEnv) {
-        fault
-            .set_probability(FaultOp::Append, 1.0)
-            .set_probability(FaultOp::Sync, 1.0)
-            .set_probabilistic_kind(FaultKind::Permanent)
-            .set_file_filter("MANIFEST");
+        fault.schedule_on_file(FaultOp::Append, 1, FaultKind::Permanent, "MANIFEST");
     }
 
     /// Merges, notes how many readers the cache then holds, and breaks the

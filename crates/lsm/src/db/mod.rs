@@ -18,12 +18,15 @@
 //!   [`crate::version_set::VersionSet::pick_compaction`] and executed by
 //!   the configured [`CompactionExec`] — this is where the paper's
 //!   SCP/PCP/PPCP executors plug in.
-//! * When compaction cannot keep up, level 0 grows: writers first get
-//!   slowed (one millisecond per write once L0 reaches twice the
-//!   compaction trigger), then stalled outright at three times it (the
-//!   paper's *write pauses*), which is precisely the coupling that makes
-//!   compaction bandwidth determine system throughput (Fig. 10: IOPS vs
-//!   compaction bandwidth).
+//! * When compaction cannot keep up, level 0 grows: writers stall once it
+//!   holds three times the compaction trigger (the paper's *write
+//!   pauses*), which is precisely the coupling that makes compaction
+//!   bandwidth determine system throughput (Fig. 10: IOPS vs compaction
+//!   bandwidth).
+//! * Failures follow one rule (DESIGN.md §7): a failed WAL or MANIFEST
+//!   write is never retried — the file is abandoned and a WAL failure
+//!   latches — and only whole attempts that write fresh files are retried,
+//!   through `retry`.
 //! * Reads capture memtables and version under one lock acquisition and
 //!   search them newest first (`read`); `options`, `batch` and `metrics`
 //!   hold the configuration, the atomic write unit and the counters.
@@ -49,7 +52,7 @@ use pcp_compaction::filename::{parse_file_name, wal_file, FileKind};
 use pcp_compaction::{CompactionExec, OutputSink, TableCache};
 use pcp_sstable::key::SequenceNumber;
 use pcp_sstable::KvIter;
-use pcp_storage::{EnvRef, RetryPolicy};
+use pcp_storage::{is_transient, EnvRef};
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -87,15 +90,35 @@ fn write_level0(
     }
 }
 
-/// Retry policy for transient I/O failures in the WAL, the background
-/// flush/compaction paths and [`crate::repair`]. Non-transient failures are
-/// never retried; they latch the background-error state (see
-/// [`Db::health`]).
-pub(crate) const RETRY: RetryPolicy = RetryPolicy {
-    max_attempts: 4,
-    base_backoff: Duration::from_millis(1),
-    max_backoff: Duration::from_millis(50),
-};
+/// Attempts [`retry`] makes at most.
+const ATTEMPTS: u32 = 4;
+/// The longest pause between two attempts; the first is 1 ms, and each
+/// later one doubles up to this.
+const MAX_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Runs `attempt` until it succeeds, fails with an error that is not
+/// [`is_transient`], or has failed [`ATTEMPTS`] times, and calls `pause`
+/// with each backoff between two attempts. The engine's one retry loop: it
+/// runs only whole attempts that write fresh files — a flush's table
+/// write, a merge, and [`crate::repair`]'s per-table open and scan —
+/// never a single WAL or MANIFEST call.
+pub(crate) fn retry<S, T>(
+    s: &mut S,
+    mut attempt: impl FnMut(&mut S) -> io::Result<T>,
+    mut pause: impl FnMut(&mut S, Duration),
+) -> io::Result<T> {
+    let mut backoff = Duration::from_millis(1);
+    for _ in 1..ATTEMPTS {
+        match attempt(s) {
+            Err(e) if is_transient(&e) => {
+                pause(s, backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
+            }
+            result => return result,
+        }
+    }
+    attempt(s)
+}
 
 struct State {
     mem: Arc<Memtable>,
@@ -123,9 +146,10 @@ struct State {
     /// A [`Db::compact_range`] level the compaction lane runs ahead of its
     /// own picks; its poster clears it once `done`.
     manual: Option<ManualCompaction>,
-    /// The first non-transient background failure; every later caller
-    /// gets a copy of its kind and message.
-    bg_error: Option<io::Error>,
+    /// The first failure that stopped the engine — a WAL write, or a
+    /// background job that did not succeed within its retries; every later
+    /// caller gets a copy of its kind and message. `Ok` until then.
+    bg_error: io::Result<()>,
     snapshots: BTreeMap<u64, usize>,
     /// FIFO of writers awaiting commit; the front entry's owner is the
     /// group leader.
@@ -200,8 +224,9 @@ pub struct Db {
 
 /// Result of [`Db::health`]: whether background maintenance is alive.
 ///
-/// Once a flush or compaction fails with a non-transient error (after the
-/// configured retries), the database latches that error RocksDB-style:
+/// Once a WAL write fails, or a flush or compaction fails with a
+/// non-transient error or after its retries, the database latches that
+/// error RocksDB-style:
 /// background work stops, every subsequent write is rejected with the same
 /// error, and reads continue from the last consistent version. The latch
 /// clears only on reopen.
@@ -287,6 +312,7 @@ impl Db {
         let cache = Arc::new(TableCache::with_block_cache(Arc::clone(&env), block_cache));
 
         let replayed = write_level0(&cache, &versions.file_number_counter(), &opts, &mem)?;
+        // The open's first edit: it rolls a fresh MANIFEST.
         versions.log_and_apply(VersionEdit {
             log_number: Some(wal_number),
             new_files: replayed.map(|meta| (0, meta)).into_iter().collect(),
@@ -308,7 +334,7 @@ impl Db {
                 compacting: None,
                 installing: false,
                 manual: None,
-                bg_error: None,
+                bg_error: Ok(()),
                 snapshots: BTreeMap::new(),
                 write_queue: std::collections::VecDeque::new(),
                 write_results: std::collections::HashMap::new(),
@@ -427,7 +453,7 @@ impl Db {
             });
             inner.work_cv.notify_all();
             // A latched error ends the wait; none is posted after it.
-            while !st.manual.as_ref().is_some_and(|m| m.done) && st.bg_error.is_none() {
+            while !st.manual.as_ref().is_some_and(|m| m.done) && st.bg_error.is_ok() {
                 inner.done_cv.wait(&mut st);
             }
             st.manual = None;
@@ -441,8 +467,8 @@ impl Db {
     /// error has been latched (see [`DbHealth`]).
     pub fn health(&self) -> DbHealth {
         match &self.inner.state.lock().bg_error {
-            Some(e) => DbHealth::BackgroundError(e.to_string()),
-            None => DbHealth::Ok,
+            Err(e) => DbHealth::BackgroundError(e.to_string()),
+            Ok(()) => DbHealth::Ok,
         }
     }
 
@@ -661,27 +687,78 @@ impl Drop for Db {
 
 impl DbInner {
     fn check_bg_error(&self, st: &State) -> io::Result<()> {
-        match &st.bg_error {
-            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
-            None => Ok(()),
-        }
+        pcp_sstable::copy_status(&st.bg_error)
     }
 
-    /// Latches the first non-transient failure — later ones keep it — and
-    /// wakes everyone waiting for background progress that will not come.
+    /// Latches the first failure that stops the engine — later ones keep
+    /// it — and wakes everyone waiting for background progress that will
+    /// not come.
     fn latch_error(&self, st: &mut State, e: io::Error) {
-        st.bg_error.get_or_insert(e);
+        if st.bg_error.is_ok() {
+            st.bg_error = Err(e);
+        }
         self.done_cv.notify_all();
     }
 
-    /// A failed WAL append or sync means the log can no longer be trusted
-    /// to hold this (or any later) record durably: latch the error so
-    /// every subsequent write is rejected instead of silently diverging
-    /// from the log.
+    /// A failed WAL create, append or sync means the log can no longer be
+    /// trusted to hold this (or any later) record durably, and a retry
+    /// could write a record twice or trust a sync that lost pages: the log
+    /// is abandoned and the error latched at once, so every subsequent
+    /// write is rejected instead of silently diverging from the log.
     fn latch_wal_failure(&self, st: &mut State, e: &io::Error) {
         self.latch_error(
             st,
             io::Error::new(e.kind(), format!("wal write failed: {e}")),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn transient() -> io::Error {
+        io::Error::new(io::ErrorKind::Interrupted, "transient")
+    }
+
+    /// Runs `attempt` through [`retry`], returning its result, the calls
+    /// made, and the pauses taken between them.
+    fn run(
+        mut attempt: impl FnMut(u32) -> io::Result<u32>,
+    ) -> (io::Result<u32>, u32, Vec<Duration>) {
+        let mut calls = 0;
+        let mut pauses = Vec::new();
+        let result = retry(
+            &mut pauses,
+            |_| {
+                calls += 1;
+                attempt(calls)
+            },
+            |pauses, backoff| pauses.push(backoff),
+        );
+        (result, calls, pauses)
+    }
+
+    #[test]
+    fn succeeds_after_transient_failures() {
+        let (result, calls, pauses) = run(|n| if n < 3 { Err(transient()) } else { Ok(7) });
+        assert_eq!(result.unwrap(), 7);
+        assert_eq!(calls, 3);
+        assert_eq!(pauses, [Duration::from_millis(1), Duration::from_millis(2)]);
+    }
+
+    #[test]
+    fn permanent_error_fails_immediately() {
+        let (result, calls, pauses) = run(|_| Err(io::Error::other("dead disk")));
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::Other);
+        assert_eq!((calls, pauses.len()), (1, 0));
+    }
+
+    #[test]
+    fn gives_up_after_max_attempts() {
+        let (result, calls, pauses) = run(|_| Err(transient()));
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::Interrupted);
+        assert_eq!(calls, ATTEMPTS);
+        assert_eq!(pauses.len() as u32, ATTEMPTS - 1);
     }
 }

@@ -2,7 +2,7 @@
 //! (the stall) and memtable rotation — every one of them the turn of
 //! the writer at the queue front.
 
-use super::{Db, DbInner, State, WriteBatch, RETRY};
+use super::{Db, DbInner, State, WriteBatch};
 use crate::memtable::Memtable;
 use crate::wal::WalWriter;
 use parking_lot::MutexGuard;
@@ -163,9 +163,7 @@ impl DbInner {
         let wal_result = MutexGuard::unlocked(st, || {
             let wal = match &mut wal {
                 Some(wal) => wal,
-                None => wal.insert(pcp_storage::with_retry(&RETRY, || {
-                    WalWriter::create(&*self.env, &wal_file(number))
-                })?),
+                None => wal.insert(WalWriter::create(&*self.env, &wal_file(number))?),
             };
             self.log_record(wal, &record)
         });
@@ -197,12 +195,12 @@ impl DbInner {
     }
 
     /// The WAL step of a group leader's I/O window: append `record`, then
-    /// sync it when `sync_writes`, retrying transient failures; a completed
-    /// sync is counted.
+    /// sync it when `sync_writes`; a completed sync is counted. Neither is
+    /// retried: a failure latches (`latch_wal_failure`).
     fn log_record(&self, wal: &mut WalWriter, record: &[u8]) -> io::Result<()> {
-        pcp_storage::with_retry(&RETRY, || wal.add_record(record))?;
+        wal.add_record(record)?;
         if self.opts.sync_writes {
-            pcp_storage::with_retry(&RETRY, || wal.sync())?;
+            wal.sync()?;
             self.metrics.wal_syncs.fetch_add(1, AtomicOrdering::Relaxed);
         }
         Ok(())
@@ -486,10 +484,7 @@ mod tests {
         const PUTS: usize = 6000;
         let inner = mem_env();
         let fault = FaultEnv::new(Arc::clone(&inner), 3);
-        fault
-            .set_probability(FaultOp::Sync, 1.0)
-            .set_probabilistic_kind(FaultKind::Permanent)
-            .set_file_filter(".log");
+        fault.schedule_on_file(FaultOp::Sync, 1, FaultKind::Permanent, ".log");
         let db = Db::open(Arc::new(fault), small_memtable()).unwrap();
         let results: Vec<io::Result<()>> = (0..PUTS).map(|i| db.put(&key(i), &VALUE)).collect();
         let acked = results.iter().take_while(|r| r.is_ok()).count();

@@ -18,9 +18,10 @@
 //!   itself is delegated to a [`CompactionExec`]: `pcp-core`'s
 //!   executor in one of the paper's shapes (SCP/PCP/C-PPCP/S-PPCP, or PCP /
 //!   C-PPCP chosen per compaction, the default).
-//! * **Backpressure** — writers are slowed and then stalled when level 0
-//!   outgrows compaction, reproducing the *write pauses* that tie system
-//!   throughput to compaction bandwidth (the paper's central coupling).
+//! * **Backpressure** — writers stall when level 0 outgrows compaction
+//!   (at three times the compaction trigger), reproducing the *write
+//!   pauses* that tie system throughput to compaction bandwidth (the
+//!   paper's central coupling).
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -15,14 +15,14 @@
 //!    [`crate::Db::open`] replays all of them (sequence numbers decide
 //!    winners, so replay over recovered tables is idempotent).
 
-use crate::db::RETRY;
+use crate::db::retry;
 use crate::edit::VersionEdit;
 use crate::version::FileMetadata;
 use crate::version_set::VersionSet;
 use pcp_compaction::filename::{parse_file_name, FileKind, CURRENT};
 use pcp_sstable::key::parse_internal_key;
 use pcp_sstable::{KvIter, TableReader};
-use pcp_storage::{with_retry, EnvRef};
+use pcp_storage::EnvRef;
 use std::io;
 use std::sync::Arc;
 
@@ -93,10 +93,14 @@ pub fn repair(env: EnvRef) -> io::Result<RepairReport> {
         max_file_number = max_file_number.max(number);
         // A transient fault is retried like anywhere else in the engine;
         // only corruption and permanent errors quarantine a table.
-        let result = with_retry(&RETRY, || {
-            let table = Arc::new(TableReader::open(env.open(&name)?)?);
-            scan_table(&table).map(|meta| (table, meta))
-        });
+        let result = retry(
+            &mut (),
+            |()| {
+                let table = Arc::new(TableReader::open(env.open(&name)?)?);
+                scan_table(&table).map(|meta| (table, meta))
+            },
+            |(), backoff| pcp_storage::blocking::sleep(backoff),
+        );
         match result {
             Ok((table, (smallest, largest, entries, max_seq))) => {
                 report.recovered_tables += 1;

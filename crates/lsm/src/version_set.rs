@@ -73,7 +73,12 @@ pub struct VersionSet {
     next_file: Arc<AtomicU64>,
     last_sequence: u64,
     log_number: u64,
+    /// The manifest edits are appended to; `None` from open until the
+    /// first edit rolls one, and after a failed write abandoned it.
     manifest: Option<WalWriter>,
+    /// The manifest `CURRENT` names, which the next roll replaces; `None`
+    /// for a store that has none yet.
+    manifest_name: Option<String>,
     compact_pointers: Vec<Vec<u8>>,
     /// Every version ever installed that may still be referenced by a
     /// reader (get/iterator snapshot). File GC must keep any file any of
@@ -85,11 +90,12 @@ pub struct VersionSet {
 /// The manifest an edit is appended to.
 enum Manifest {
     Open(WalWriter),
-    /// The last write failed: a fresh manifest file `number` starts with
-    /// the full-state record `snapshot`.
+    /// None is open: a fresh manifest file `number` starts with the
+    /// full-state record `snapshot` and replaces `old`.
     Roll {
         number: u64,
         snapshot: Vec<u8>,
+        old: Option<String>,
     },
 }
 
@@ -98,7 +104,8 @@ enum Manifest {
 /// of [`PendingEdit::write`] need no lock. Dropped unwritten or after a
 /// failed write, it abandons the manifest it took: the next edit rolls a
 /// fresh one and repoints CURRENT atomically, since appending after a
-/// possibly torn record would hide every later edit from recovery.
+/// possibly torn record would hide every later edit from recovery. The
+/// first edit after [`VersionSet::open`] rolls one the same way.
 pub struct PendingEdit {
     env: EnvRef,
     edit: VersionEdit,
@@ -108,8 +115,8 @@ pub struct PendingEdit {
 }
 
 impl PendingEdit {
-    /// Appends and syncs the record — after rolling a fresh manifest when
-    /// the last write failed.
+    /// Appends and syncs the record — into a fresh manifest when none is
+    /// open.
     pub fn write(self) -> io::Result<LoggedEdit> {
         let PendingEdit {
             env,
@@ -118,16 +125,26 @@ impl PendingEdit {
             record,
             manifest,
         } = self;
-        let mut manifest = match manifest {
-            Manifest::Open(writer) => writer,
-            Manifest::Roll { number, snapshot } => roll_manifest(&*env, number, &snapshot)?,
+        let (manifest, rolled) = match manifest {
+            Manifest::Open(mut writer) => {
+                writer.add_record(&record)?;
+                writer.sync()?;
+                (writer, None)
+            }
+            Manifest::Roll {
+                number,
+                snapshot,
+                old,
+            } => {
+                let writer = roll_manifest(&*env, number, [&snapshot, &record], old.as_deref())?;
+                (writer, Some(manifest_file(number)))
+            }
         };
-        manifest.add_record(&record)?;
-        manifest.sync()?;
         Ok(LoggedEdit {
             edit,
             next,
             manifest,
+            rolled,
         })
     }
 }
@@ -137,33 +154,47 @@ pub struct LoggedEdit {
     edit: VersionEdit,
     next: Version,
     manifest: WalWriter,
+    /// The new manifest's name, when the write rolled one.
+    rolled: Option<String>,
 }
 
-/// Creates manifest file `number` holding the record `snapshot`, points
-/// CURRENT at it, and deletes the manifest CURRENT named before.
-fn roll_manifest(env: &dyn Env, number: u64, snapshot: &[u8]) -> io::Result<WalWriter> {
+/// Creates manifest file `number` holding `records`, points CURRENT at it,
+/// and deletes `old`, the manifest CURRENT named before. Until CURRENT
+/// names it the new file is nobody's, so a failure before then deletes
+/// it; CURRENT still names `old`.
+fn roll_manifest(
+    env: &dyn Env,
+    number: u64,
+    records: [&[u8]; 2],
+    old: Option<&str>,
+) -> io::Result<WalWriter> {
     let name = manifest_file(number);
-    let mut writer = WalWriter::create(env, &name)?;
-    writer.add_record(snapshot)?;
-    writer.sync()?;
-    let old = if env.exists(CURRENT) {
-        read_string_file(env, CURRENT).ok()
-    } else {
-        None
-    };
-    write_string_file(env, CURRENT, &name)?;
-    if let Some(old) = old {
-        let old = old.trim();
-        if old != name && env.exists(old) {
-            let _ = env.delete(old);
+    let written = WalWriter::create(env, &name).and_then(|mut writer| {
+        for record in records {
+            writer.add_record(record)?;
         }
+        writer.sync()?;
+        write_string_file(env, CURRENT, &name)?;
+        Ok(writer)
+    });
+    let writer = match written {
+        Ok(writer) => writer,
+        Err(e) => {
+            let _ = env.delete(&name);
+            return Err(e);
+        }
+    };
+    if let Some(old) = old {
+        let _ = env.delete(old);
     }
     Ok(writer)
 }
 
 impl VersionSet {
     /// Opens (recovering from an existing CURRENT/MANIFEST) or creates a
-    /// fresh version set.
+    /// fresh version set. It writes nothing: the first edit rolls a fresh
+    /// manifest, so an open that fails before that leaves the store as it
+    /// found it.
     pub fn open(env: EnvRef) -> io::Result<VersionSet> {
         let mut vs = VersionSet {
             env: Arc::clone(&env),
@@ -172,22 +203,21 @@ impl VersionSet {
             last_sequence: 0,
             log_number: 0,
             manifest: None,
+            manifest_name: None,
             compact_pointers: vec![Vec::new(); NUM_LEVELS],
             retained: Vec::new(),
         };
         if env.exists(CURRENT) {
             vs.recover()?;
         }
-        let number = vs.allocate_file_number();
-        vs.manifest = Some(roll_manifest(&*env, number, &vs.snapshot_edit().encode())?);
         vs.retain_current();
         Ok(vs)
     }
 
     fn recover(&mut self) -> io::Result<()> {
         let manifest_name = read_string_file(&*self.env, CURRENT)?;
-        let manifest_name = manifest_name.trim().to_string();
-        let mut reader = WalReader::open(&*self.env, &manifest_name)?;
+        let manifest_name = self.manifest_name.insert(manifest_name.trim().to_string());
+        let mut reader = WalReader::open(&*self.env, manifest_name)?;
         let mut version = Version::empty();
         // Replay stops at a torn or corrupt tail: that is an edit that
         // never committed, and the prefix before it is a consistent state.
@@ -279,12 +309,14 @@ impl VersionSet {
         );
         let manifest = match self.manifest.take() {
             Some(writer) => Manifest::Open(writer),
-            // A previous failed write abandoned the manifest (its tail may
-            // hold a torn record): the write starts a fresh one with a full
-            // snapshot of the state this edit applies to.
+            // The first edit since open, or a previous failed write
+            // abandoned the manifest (its tail may hold a torn record): the
+            // write starts a fresh one with a full snapshot of the state
+            // this edit applies to.
             None => Manifest::Roll {
                 number: self.allocate_file_number(),
                 snapshot: self.snapshot_edit().encode(),
+                old: self.manifest_name.clone(),
             },
         };
         PendingEdit {
@@ -302,8 +334,12 @@ impl VersionSet {
             edit,
             next,
             manifest,
+            rolled,
         } = logged;
         self.manifest = Some(manifest);
+        if rolled.is_some() {
+            self.manifest_name = rolled;
+        }
         if let Some(v) = edit.log_number {
             self.log_number = v;
         }
@@ -538,13 +574,19 @@ mod tests {
         })
     }
 
+    /// A fresh open writes nothing; its first edit creates the manifest
+    /// and CURRENT.
     #[test]
     fn fresh_open_creates_manifest_and_current() {
         let e = env();
-        let vs = VersionSet::open(Arc::clone(&e)).unwrap();
-        assert!(e.exists(CURRENT));
+        let mut vs = VersionSet::open(Arc::clone(&e)).unwrap();
+        assert_eq!(e.list().unwrap(), Vec::<String>::new());
         assert_eq!(vs.current().total_entries(), 0);
         assert!(vs.pick_compaction(&CompactionPolicy::default()).is_none());
+        vs.log_and_apply(VersionEdit::default()).unwrap();
+        assert!(e.exists(CURRENT));
+        let manifest = read_string_file(&*e, CURRENT).unwrap();
+        assert!(e.exists(manifest.trim()), "{manifest}");
     }
 
     #[test]

@@ -327,10 +327,7 @@ fn scan_over_a_shard_that_cannot_read_gets_an_error_response() {
     db.flush().unwrap();
     assert_eq!(client.scan(b"", 1000).unwrap().len(), 200);
 
-    fault
-        .set_probability(FaultOp::ReadAt, 1.0)
-        .set_probabilistic_kind(FaultKind::Permanent)
-        .set_file_filter(".sst");
+    fault.schedule_on_file(FaultOp::ReadAt, 1, FaultKind::Permanent, ".sst");
     let scan = Request::Scan {
         start: Vec::new(),
         limit: 1000,

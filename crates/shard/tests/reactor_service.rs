@@ -166,10 +166,7 @@ fn pipelined_err_keeps_window_usable() {
     db.flush().unwrap();
     // A key of shard 1, whose env never faults.
     let healthy = (0..200).map(key).find(|k| db.shard_of(k) == 1).unwrap();
-    fault
-        .set_probability(FaultOp::ReadAt, 1.0)
-        .set_probabilistic_kind(FaultKind::Permanent)
-        .set_file_filter(".sst");
+    fault.schedule_on_file(FaultOp::ReadAt, 1, FaultKind::Permanent, ".sst");
     let mut server = start(Arc::clone(&db), ReactorConfig::default());
 
     let mut client = KvClient::connect(server.local_addr()).unwrap();

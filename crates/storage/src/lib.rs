@@ -54,7 +54,7 @@ pub use env::{Env, RandomReadFile, ReadClass, WritableFile};
 pub use fault_env::{FaultEnv, FaultKind, FaultOp, FaultStats};
 pub use model::{HddModel, IoKind, LatencyModel, NullModel, SsdModel};
 pub use raid::Raid0;
-pub use retry::{is_transient, with_retry, RetryPolicy};
+pub use retry::is_transient;
 pub use sim_env::SimEnv;
 pub use span_reader::{SpanEnds, SpanReader};
 pub use stats::{register_device_metrics, DeviceStats};

@@ -258,17 +258,18 @@ impl WritableFile for SimWritable {
         Ok(())
     }
 
+    /// Writes the buffered bytes to the device. On failure the bytes stay
+    /// buffered and the file holds no extent it did not hold before.
     fn flush(&mut self) -> io::Result<()> {
         parking_lot::check_blocking("WritableFile::flush");
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let data = std::mem::take(&mut self.buffer);
-        let write_end = self.flushed + data.len() as u64;
+        let write_end = self.flushed + self.buffer.len() as u64;
 
         // Grow the extent chain (copy-on-write against concurrent readers).
         let mut st = self.inner.state.lock();
-        let meta = st
+        let mut meta = st
             .files
             .get(&self.name)
             .ok_or_else(|| {
@@ -279,27 +280,38 @@ impl WritableFile for SimWritable {
             })?
             .as_ref()
             .clone();
-        let mut meta = meta;
         if meta.extent_capacity() < write_end {
             let shortfall = write_end - meta.extent_capacity();
             let want = shortfall.div_ceil(SEGMENT) * SEGMENT;
             // Prefer one contiguous extent; fall back to SEGMENT pieces
-            // when fragmentation prevents it.
+            // when fragmentation prevents it, and give every piece back
+            // when even they run out.
             match st.alloc.allocate(want) {
                 Ok(e) => meta.extents.push(e),
                 Err(_) => {
+                    let held = meta.extents.len();
                     let mut remaining = want;
                     while remaining > 0 {
-                        let e = st.alloc.allocate(SEGMENT.min(remaining)).map_err(|e| {
-                            io::Error::new(io::ErrorKind::StorageFull, e.to_string())
-                        })?;
-                        remaining = remaining.saturating_sub(e.len);
-                        meta.extents.push(e);
+                        match st.alloc.allocate(SEGMENT.min(remaining)) {
+                            Ok(e) => {
+                                remaining = remaining.saturating_sub(e.len);
+                                meta.extents.push(e);
+                            }
+                            Err(e) => {
+                                for piece in meta.extents.drain(held..) {
+                                    st.alloc.free(piece);
+                                }
+                                return Err(io::Error::new(
+                                    io::ErrorKind::StorageFull,
+                                    e.to_string(),
+                                ));
+                            }
+                        }
                     }
                 }
             }
         }
-        let ranges = meta.map_range(self.flushed, data.len() as u64);
+        let ranges = meta.map_range(self.flushed, self.buffer.len() as u64);
         meta.len = write_end;
         st.files.insert(self.name.clone(), Arc::new(meta));
         // Release the namespace lock before sleeping in the device so other
@@ -310,10 +322,11 @@ impl WritableFile for SimWritable {
         for (dev_off, n) in ranges {
             self.inner
                 .device
-                .write_at(dev_off, &data[written..written + n])?;
+                .write_at(dev_off, &self.buffer[written..written + n])?;
             written += n;
         }
-        debug_assert_eq!(written, data.len());
+        debug_assert_eq!(written, self.buffer.len());
+        self.buffer.clear();
         self.flushed = write_end;
         Ok(())
     }
@@ -545,6 +558,37 @@ mod tests {
         g.append(b"x").unwrap();
         let err = g.sync().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+    }
+
+    /// A flush the device has no room for fails with `StorageFull`, holds
+    /// no extent afterwards, and keeps its bytes for a flush that finds
+    /// room.
+    #[test]
+    fn a_flush_that_runs_out_of_space_frees_what_it_took() {
+        let env = SimEnv::new(Arc::new(SimDevice::mem(4 << 20)));
+        let mut f = env.create("big").unwrap();
+        f.append(&vec![7u8; 6 << 20]).unwrap();
+        assert_eq!(f.flush().unwrap_err().kind(), io::ErrorKind::StorageFull);
+        assert_eq!(env.allocated(), 0);
+        env.delete("big").unwrap();
+        drop(f);
+        assert_eq!(env.allocated(), 0);
+
+        write_string_file(&env, "a", &"a".repeat(2 << 20)).unwrap();
+        let data: Vec<u8> = (0..3 << 20).map(|i| (i % 251) as u8).collect();
+        let mut b = env.create("b").unwrap();
+        b.append(&data).unwrap();
+        assert_eq!(b.sync().unwrap_err().kind(), io::ErrorKind::StorageFull);
+        assert_eq!(env.allocated(), 2 << 20, "only a's extents");
+        env.delete("a").unwrap();
+        b.sync().unwrap();
+        drop(b);
+        assert_eq!(
+            &env.open("b").unwrap().read_at(0, data.len()).unwrap()[..],
+            &data[..]
+        );
+        env.delete("b").unwrap();
+        assert_eq!(env.allocated(), 0);
     }
 
     #[test]

@@ -116,15 +116,16 @@ impl<E: SpanEnds> SpanReader<E> {
     }
 
     /// The span that holds `at`, the booked one if it does; once the reader
-    /// books ahead, it books the span after it too. A span whose end cannot
-    /// be told books nothing: the caller meets that error when it gets there.
+    /// books ahead, it books the span after it too, unless this one's read
+    /// failed and the caller stops here. A span whose end cannot be told
+    /// books nothing: the caller meets that error when it gets there.
     fn enter(&mut self, at: u64) -> io::Result<Span> {
         let span = match self.booked.take() {
             Some(booked) if booked.range.contains(&at) => booked,
             _ => self.submit(at)?,
         };
         self.book_in = self.book_in.saturating_sub(1);
-        if self.book_in == 0 {
+        if self.book_in == 0 && span.read.is_ok() {
             self.booked = self.submit(span.range.end).ok();
         }
         Ok(span)
@@ -234,6 +235,8 @@ mod tests {
         for at in [100, 250, 299] {
             assert_eq!(r.read(at..at + 1).unwrap_err().to_string(), "injected");
         }
+        // Entering the failed span booked nothing after it.
+        assert_eq!(*f.reads.lock().unwrap(), [(0, 100), (100, 200)]);
         assert_eq!(r.read(300..310).unwrap()[..], bytes_of(300..310)[..]);
     }
 }

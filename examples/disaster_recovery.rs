@@ -1,8 +1,9 @@
 //! Disaster recovery: destroy the manifest, corrupt a table, and rebuild
 //! the database with `repair()` — then prove the surviving data is intact.
 //! A second act runs the engine over a fault-injecting filesystem: flaky
-//! writes are retried transparently, a dying disk latches a background
-//! error instead of panicking, and the frozen image reopens cleanly.
+//! table writes are retried transparently, a dying disk latches a
+//! background error instead of panicking, and the frozen image reopens
+//! cleanly.
 //!
 //! ```sh
 //! cargo run --release --example disaster_recovery
@@ -13,6 +14,15 @@ use pcp::core::PipelinedExec;
 use pcp::lsm::{repair, Db, Options};
 use pcp::storage::{EnvRef, FaultEnv, FaultKind, FaultOp, SimDevice, SimEnv};
 use std::sync::Arc;
+
+/// Fails the run with `what` unless `ok`: CI runs this example as a check.
+fn expect(ok: bool, what: &str) -> std::io::Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(std::io::Error::other(what.to_string()))
+    }
+}
 
 fn opts() -> Options {
     Options {
@@ -100,6 +110,7 @@ fn main() -> std::io::Result<()> {
         it.next();
     }
     println!("scan sees {live} live keys (8000 written; any gap is the quarantined table's share, minus WAL replay)");
+    expect(integrity.is_healthy(), "the repaired store is not healthy")?;
 
     fault_injection_smoke()
 }
@@ -109,15 +120,13 @@ fn fault_injection_smoke() -> std::io::Result<()> {
     println!("\n--- fault-injection smoke ---");
     let inner: EnvRef = Arc::new(SimEnv::new(Arc::new(SimDevice::mem(1 << 30))));
     let fault = FaultEnv::new(Arc::clone(&inner), 0xB0_5EED);
-    // A flaky disk: 2% of table flushes and syncs fail transiently, and
-    // the second table flush is guaranteed to hiccup so the demo always
-    // shows a retry.
+    // A flaky disk: a few table flushes, a sync and an append fail once
+    // each, transiently; the lane that hit each retries its whole attempt.
     fault
-        .set_probability(FaultOp::Flush, 0.02)
-        .set_probability(FaultOp::Sync, 0.02)
-        .set_probabilistic_kind(FaultKind::Transient)
-        .set_file_filter(".sst")
-        .schedule_on_file(FaultOp::Flush, 2, FaultKind::Transient, ".sst");
+        .schedule_on_file(FaultOp::Flush, 2, FaultKind::Transient, ".sst")
+        .schedule_on_file(FaultOp::Flush, 7, FaultKind::Transient, ".sst")
+        .schedule_on_file(FaultOp::Sync, 3, FaultKind::Transient, ".sst")
+        .schedule_on_file(FaultOp::Append, 500, FaultKind::Transient, ".sst");
     let env: EnvRef = Arc::new(fault.clone());
 
     let db = Db::open(Arc::clone(&env), opts())?;
@@ -136,12 +145,14 @@ fn fault_injection_smoke() -> std::io::Result<()> {
         db.metrics().bg_retries,
         db.health()
     );
+    expect(
+        stats.transient == 4,
+        "not every scheduled transient fault fired",
+    )?;
+    expect(db.health().is_ok(), "a transient fault latched")?;
 
-    // The disk dies for real: every table write now fails permanently.
-    fault
-        .set_probability(FaultOp::Flush, 1.0)
-        .set_probability(FaultOp::Sync, 1.0)
-        .set_probabilistic_kind(FaultKind::Permanent);
+    // The disk dies for real: from the next table sync on, every one fails.
+    fault.schedule_on_file(FaultOp::Sync, 1, FaultKind::Permanent, ".sst");
     for i in 0..4000u64 {
         if db
             .put(format!("user/{:08}", i % 4000).as_bytes(), b"doomed")
@@ -157,6 +168,7 @@ fn fault_injection_smoke() -> std::io::Result<()> {
         db.health(),
         fault.stats().permanent
     );
+    expect(!db.health().is_ok(), "the dead disk latched no error")?;
     drop(db);
 
     // The data that reached the device is still there: reopen the inner
@@ -173,5 +185,8 @@ fn fault_injection_smoke() -> std::io::Result<()> {
         integrity.tables,
         db.health()
     );
-    Ok(())
+    expect(
+        integrity.is_healthy(),
+        "the image past the dead disk is not healthy",
+    )
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: a rustfmt-clean tree, release build, full test suite
+# Tier-1 gate: a rustfmt-clean tree, release build, a run of the
+# disaster_recovery example, full test suite
 # (tests/contracts.rs among it: the metrics, trace-kind and opcode
 # contracts, no clock in model code, each crate root's lint header), the
 # same suites under the deadlock witness,
@@ -50,6 +51,8 @@ lane "cargo build --release" \
     cargo build --release
 lane "cargo build --examples --release" \
     cargo build --examples --release
+lane "cargo run --release --example disaster_recovery (repair, transient-fault retry, a latched permanent fault, reopening the image; exits non-zero if an act goes wrong)" \
+    cargo run -q --release --example disaster_recovery
 lane "cargo test -q --workspace (every crate's unit, integration and e2e suites; tests/contracts.rs holds the docs-vs-code contracts)" \
     cargo test -q --workspace
 lane "vendor/*/Cargo.toml declare no dependencies (L5: a shim cannot then name a pcp_* crate)" \

@@ -77,8 +77,7 @@ pub mod prelude {
     pub use pcp_obs::{MetricsSnapshot, Registry, TraceLog};
     pub use pcp_shard::{HashRouter, KvClient, KvServer, RangeRouter, ShardedDb, ShardedHealth};
     pub use pcp_storage::{
-        Env, FaultEnv, FaultKind, FaultOp, HddModel, Raid0, RetryPolicy, SimDevice, SimEnv,
-        SsdModel, StdFsEnv,
+        Env, FaultEnv, FaultKind, FaultOp, HddModel, Raid0, SimDevice, SimEnv, SsdModel, StdFsEnv,
     };
     pub use pcp_workload::{run_inserts, KeyOrder, KvStore, WorkloadConfig};
 }

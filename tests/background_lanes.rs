@@ -400,12 +400,7 @@ fn flush_failure_beside_a_merge_latches_once_and_abandons_the_merge() {
     let parked = park_a_merge(&db, &gate, &mut model);
     let inputs: Vec<String> = sst_files(&inner).into_iter().take(2).collect();
 
-    fault
-        .set_probability(FaultOp::Append, 1.0)
-        .set_probability(FaultOp::Flush, 1.0)
-        .set_probability(FaultOp::Sync, 1.0)
-        .set_probabilistic_kind(FaultKind::Permanent)
-        .set_file_filter(".sst");
+    fault.schedule_on_file(FaultOp::Append, 1, FaultKind::Permanent, ".sst");
     fill(&db, &mut model, 2);
     assert!(db.flush().is_err(), "the flush lane's failure must surface");
     let DbHealth::BackgroundError(latched) = db.health() else {

@@ -95,10 +95,7 @@ impl CompactionExec for ArmOnCompact {
 
     fn compact(&self, req: &CompactionRequest) -> TableResult<Vec<Arc<FileMetadata>>> {
         self.fault
-            .set_probability(FaultOp::Flush, 1.0)
-            .set_probability(FaultOp::Sync, 1.0)
-            .set_probabilistic_kind(FaultKind::Permanent)
-            .set_file_filter(".sst");
+            .schedule_on_file(FaultOp::Flush, 1, FaultKind::Permanent, ".sst");
         self.inner.compact(req)
     }
 }
@@ -233,11 +230,7 @@ fn flush_after_latched_flush_failure_errors_instead_of_hanging() {
     // the failing background flush) before the explicit flush call.
     opts.memtable_bytes = 8 << 10;
     let db = Db::open(env, opts).unwrap();
-    fault
-        .set_probability(FaultOp::Flush, 1.0)
-        .set_probability(FaultOp::Sync, 1.0)
-        .set_probabilistic_kind(FaultKind::Permanent)
-        .set_file_filter(".sst");
+    fault.schedule_on_file(FaultOp::Sync, 1, FaultKind::Permanent, ".sst");
     for i in 0..400u32 {
         let k = format!("k{i:03}").into_bytes();
         let v = format!("v{i}-{}", "w".repeat(40)).into_bytes();
@@ -504,8 +497,10 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         );
         assert!(got.len() < model.len(), "{what}: nothing was missing");
         assert_eq!(got[..], model[..got.len()], "{what}: not a prefix");
-        // The next seek starts over; a one-shot fault is gone by then.
+        // The next seek starts over; once the fault is disarmed it reads
+        // clean.
         if what != "bit flip" {
+            fault.reset();
             it.seek_to_first();
             assert!(
                 it.valid() && it.status().is_ok(),
@@ -569,6 +564,7 @@ fn scan_over_an_unreadable_table_yields_a_prefix_and_an_error() {
         "booked span: not every entry before the span"
     );
     assert_eq!(got[..], model[..got.len()], "booked span: not a prefix");
+    fault.reset();
     it.seek_to_first();
     got.clear();
     while it.valid() {
@@ -688,6 +684,84 @@ fn manifest_failure_between_append_and_install_recovers_and_latches() {
     assert_eq!(dump(&db), model);
 }
 
+/// One arm of [`a_failed_wal_write_fails_every_later_put_and_loses_no_acked_one`]:
+/// `kind` on the `nth` `op` of a `.log`, with `sync_writes` on. The puts
+/// stop three after the fault fired, before a flush could hide a damaged
+/// log from the reopen's replay.
+fn wal_fault_arm(op: FaultOp, kind: FaultKind, nth: u64) -> Result<(), String> {
+    // About 90 puts fill a memtable, so the puts create six logs or more.
+    const PUTS: u32 = 600;
+    let opts = Options {
+        memtable_bytes: 16 << 10,
+        sync_writes: true,
+        ..Options::default()
+    };
+    let error = match kind {
+        FaultKind::Transient => std::io::ErrorKind::Interrupted,
+        _ => std::io::ErrorKind::Other,
+    };
+    let key = |i: u32| format!("k{i:05}").into_bytes();
+    let value = |i: u32| format!("v{i}-{}", "w".repeat(100)).into_bytes();
+    let inner = mem_env();
+    let fault = FaultEnv::new(Arc::clone(&inner), 41);
+    fault.schedule_on_file(op, nth, kind, ".log");
+    let injected = || fault.stats().transient + fault.stats().permanent;
+    let db = match Db::open(Arc::new(fault.clone()), opts.clone()) {
+        Err(e) if e.kind() == error && injected() == 1 => return Ok(()),
+        Err(e) => return Err(format!("the open failed with {e}")),
+        Ok(_) if injected() > 0 => return Err("the open went past its fault".into()),
+        Ok(db) => db,
+    };
+    let (mut acked, mut failed) = (Vec::new(), Vec::new());
+    let mut after_the_fault = 0;
+    for i in 0..PUTS {
+        if injected() > 0 {
+            if after_the_fault == 3 {
+                break;
+            }
+            after_the_fault += 1;
+        }
+        match db.put(&key(i), &value(i)) {
+            Ok(()) => acked.push(i),
+            Err(e) if e.kind() == error => failed.push(i),
+            Err(e) => return Err(format!("put {i} failed with {e}")),
+        }
+    }
+    drop(db);
+    let db = Db::open(inner, opts).map_err(|e| format!("the reopen failed with {e}"))?;
+    if let Some(i) = (acked.iter()).find(|&&i| db.get(&key(i)).ok().flatten() != Some(value(i))) {
+        return Err(format!("acked put {i} lost"));
+    }
+    match failed.first() {
+        None => Err("no put failed".into()),
+        Some(&first) if failed.len() != 4 || acked.iter().any(|&i| i > first) => Err(format!(
+            "a put went through after put {first} failed: failed {failed:?}"
+        )),
+        Some(_) => Ok(()),
+    }
+}
+
+/// A failed WAL write is never retried. For a fault on a `.log` create,
+/// append or sync, transient or permanent, at each of the first six such
+/// ops, with `sync_writes` on: a fault inside `Db::open` fails the open;
+/// otherwise the put it hits and every later put fail with the fault's
+/// kind, and after a reopen of the image every acknowledged put reads back.
+/// Every failing arm is reported.
+#[test]
+fn a_failed_wal_write_fails_every_later_put_and_loses_no_acked_one() {
+    let mut failures = Vec::new();
+    for op in [FaultOp::Create, FaultOp::Append, FaultOp::Sync] {
+        for kind in [FaultKind::Transient, FaultKind::Permanent] {
+            for nth in 1..=6 {
+                if let Err(e) = wal_fault_arm(op, kind, nth) {
+                    failures.push(format!("{kind:?} {op:?} of the .log, #{nth}: {e}"));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 /// Rewrites the store's MANIFEST with 1 MiB of empty edits ahead of its
 /// own records, so the edits that name its tables lie in its last span.
 fn pad_manifest(env: &EnvRef) {
@@ -706,10 +780,11 @@ fn pad_manifest(env: &EnvRef) {
 }
 
 /// A read error while a log replays fails `Db::open` with that error: the
-/// store never opens on the records before it. The fault fires on the
-/// second span of a multi-span log, the one booked as replay enters the
-/// first — of a WAL, and of a MANIFEST whose edits naming tables lie past
-/// it.
+/// store never opens on the records before it, and the failed open writes
+/// nothing — the file list and `CURRENT` stay as they were. The fault fires
+/// on the second span of a multi-span log, the one booked as replay enters
+/// the first — of a WAL, and of a MANIFEST whose edits naming tables lie
+/// past it.
 #[test]
 fn a_read_error_during_replay_fails_the_open() {
     for file in [".log", "MANIFEST-"] {
@@ -736,6 +811,12 @@ fn a_read_error_during_replay_fails_the_open() {
             .sum();
         assert!(bytes > 256 << 10, "{file}: {bytes} bytes is one span");
 
+        let listing = || {
+            let mut files = env.list().unwrap();
+            files.sort();
+            (files, read_string_file(&*env, "CURRENT").unwrap())
+        };
+        let before = listing();
         let fault = FaultEnv::new(Arc::clone(&env), 31);
         fault.schedule_on_file(FaultOp::ReadAt, 2, FaultKind::Permanent, file);
         let Err(err) = Db::open(Arc::new(fault.clone()), Options::default()) else {
@@ -743,6 +824,7 @@ fn a_read_error_during_replay_fails_the_open() {
         };
         assert_eq!(err.kind(), std::io::ErrorKind::Other, "{file}: {err}");
         assert_eq!(fault.stats().permanent, 1, "{file}");
+        assert_eq!(listing(), before, "{file}: the failed open wrote");
         let db = Db::open(env, Options::default()).unwrap();
         assert_eq!(dump(&db), model, "{file}: the failed open lost a write");
     }
