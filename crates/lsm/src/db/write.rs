@@ -24,7 +24,7 @@ pub(super) struct PendingWrite {
 
 /// Why [`DbInner::make_room_for_write`] stopped a writer — the `cause`
 /// field of the `write_stall` trace event.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum StallCause {
     /// The previous memtable is still being flushed.
     ImmPending = 0,
@@ -237,47 +237,57 @@ impl DbInner {
     /// flush or install that frees it wakes it. A forced rotation
     /// ([`Db::flush`]) is not stopped: it waits out a pending `imm` without
     /// counting a stall and rotates a non-empty memtable.
+    ///
+    /// A stopped write counts one stall per cause: a wake-up that finds the
+    /// same cause still holding continues that stall, and the stall's
+    /// `write_stall` event carries its whole wait.
     fn make_room_for_write(&self, st: &mut MutexGuard<'_, State>, force: bool) -> io::Result<()> {
-        loop {
-            self.check_bg_error(st)?;
+        let mut stall: Option<(StallCause, Instant)> = None;
+        let room = loop {
+            if let Err(e) = self.check_bg_error(st) {
+                break Err(e);
+            }
             let full = st.mem.approximate_bytes() >= self.opts.memtable_bytes;
             if st.mem.is_empty() || !(force || full) {
-                return Ok(());
+                break Ok(());
             }
-            if st.imm.is_some() {
-                // Previous memtable still flushing: write pause. A failed
-                // flush leaves `imm` in place; the latch wakes this wait.
-                if force {
-                    self.done_cv.wait(st);
-                } else {
-                    self.stall_wait(st, StallCause::ImmPending);
+            // A failed flush leaves `imm` in place; the latch wakes the wait.
+            let cause = if st.imm.is_some() {
+                StallCause::ImmPending
+            } else if !force
+                && st.versions.current().level_files(0) >= 3 * self.opts.policy.l0_trigger
+            {
+                StallCause::L0Stop
+            } else {
+                self.rotate_memtable(st);
+                continue;
+            };
+            if !force && stall.is_none_or(|(held, _)| held != cause) {
+                if let Some(ended) = stall {
+                    self.record_stall(ended);
                 }
-                continue;
+                self.metrics
+                    .stall_events
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                stall = Some((cause, Instant::now()));
             }
-            if !force && st.versions.current().level_files(0) >= 3 * self.opts.policy.l0_trigger {
-                self.stall_wait(st, StallCause::L0Stop);
-                continue;
-            }
-            self.rotate_memtable(st);
+            self.done_cv.wait(st);
+        };
+        if let Some(ended) = stall {
+            self.record_stall(ended);
         }
+        room
     }
 
-    fn stall_wait(&self, st: &mut MutexGuard<'_, State>, cause: StallCause) {
-        self.metrics
-            .stall_events
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        let t0 = Instant::now();
-        self.done_cv.wait(st);
-        let waited = t0.elapsed();
+    /// Books a finished stall's wait and its `write_stall` event.
+    fn record_stall(&self, (cause, since): (StallCause, Instant)) {
+        let waited = since.elapsed().as_nanos() as u64;
         self.metrics
             .stall_nanos
-            .fetch_add(waited.as_nanos() as u64, AtomicOrdering::Relaxed);
+            .fetch_add(waited, AtomicOrdering::Relaxed);
         self.trace.record(
             pcp_obs::TraceKind::WriteStall,
-            &[
-                ("stall_nanos", waited.as_nanos() as u64),
-                ("cause", cause as u64),
-            ],
+            &[("stall_nanos", waited), ("cause", cause as u64)],
         );
     }
 

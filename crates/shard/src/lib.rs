@@ -20,25 +20,23 @@
 //!   ([`proto`]) with GET/PUT/DELETE/BATCH/SCAN/METRICS,
 //! * [`KvServer`] — a TCP service with graceful shutdown, per-op latency
 //!   capture, and Prometheus text exposition of the full `pcp-obs`
-//!   registry, served by the event-driven [`reactor`] (one epoll
-//!   event loop per core running each request to completion, request
-//!   pipelining, bounded output queues with read backpressure) — plus the
-//!   blocking [`KvClient`] and its pipelined `send`/`recv` window for
-//!   many in-flight ops per connection.
+//!   registry, served by one thread per connection (an acceptor thread
+//!   starts them; each runs its requests to completion in order, with
+//!   request pipelining and a bounded output buffer written blocking) —
+//!   plus the blocking [`KvClient`] and its pipelined `send`/`recv`
+//!   window for many in-flight ops per connection.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod client;
 pub mod proto;
-pub mod reactor;
 pub mod router;
 pub mod server;
 pub mod sharded;
 
 pub use client::KvClient;
-pub use proto::{BatchItem, Request, Response};
-pub use reactor::{FrameDecoder, ReactorConfig};
+pub use proto::{BatchItem, FrameDecoder, Request, Response};
 pub use router::{HashRouter, RangeRouter, Router};
 pub use server::KvServer;
 pub use sharded::{ShardSnapshot, ShardedDb, ShardedHealth, ShardedIter};

@@ -40,8 +40,8 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Appends `payload` as one frame to `out` — how the reactor queues a
-/// response straight into its connection's output buffer.
+/// Appends `payload` as one frame to `out` — how a connection thread
+/// queues a response straight into its output buffer.
 pub(crate) fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_FRAME);
     out.reserve(payload.len() + 8);
@@ -85,7 +85,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 /// Extracts one complete frame from the front of `buf` if present,
 /// draining the consumed bytes — the one-shot reference the incremental
-/// [`crate::FrameDecoder`] is property-tested against.
+/// [`FrameDecoder`] is property-tested against.
 pub fn take_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
     let Some((payload, total)) = parse_frame(buf)? else {
         return Ok(None);
@@ -115,6 +115,55 @@ pub(crate) fn parse_frame(buf: &[u8]) -> io::Result<Option<(&[u8], usize)>> {
         .ok_or_else(|| bad("frame trailer shorter than checksum"))?;
     check_crc(payload, crc)?;
     Ok(Some((payload, total)))
+}
+
+/// Incremental CRC-framed frame assembly over arbitrary byte chunks.
+///
+/// Semantically identical to running [`take_frame`] over the fully
+/// buffered stream — `tests/frame_decoder.rs` proptests that equivalence
+/// for adversarial chunkings (1-byte reads, frames spanning reads, many
+/// frames per read, corrupt and truncated tails). Frames are consumed by
+/// advancing an offset; the consumed prefix is shifted out once per
+/// [`FrameDecoder::push`], so a burst of small frames costs one move of
+/// the buffer, not one per frame.
+#[derive(Default)]
+pub struct FrameDecoder {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    pos: usize,
+}
+
+impl FrameDecoder {
+    /// An empty decoder.
+    pub fn new() -> FrameDecoder {
+        FrameDecoder::default()
+    }
+
+    /// Appends freshly read bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Extracts the next complete frame, if any. `Ok(None)` means more
+    /// bytes are needed; an error (oversized length prefix, checksum
+    /// mismatch) poisons the stream and the connection should close.
+    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let Some((payload, total)) = parse_frame(&self.buf[self.pos..])? else {
+            return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.pos += total;
+        Ok(Some(payload))
+    }
+
+    /// Bytes buffered but not yet consumed by a complete frame.
+    pub fn buffered(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 fn check_crc(payload: &[u8], got: u32) -> io::Result<()> {
@@ -523,6 +572,43 @@ mod tests {
         assert_eq!(take_frame(&mut buf).unwrap().unwrap(), b"first");
         assert_eq!(take_frame(&mut buf).unwrap().unwrap(), b"second");
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn decoder_matches_one_shot_for_split_input() {
+        let frames: Vec<Vec<u8>> = vec![b"a".to_vec(), vec![0u8; 300], Vec::new()];
+        let mut stream = Vec::new();
+        for f in &frames {
+            stream.extend_from_slice(&encode_frame(f));
+        }
+        // One byte at a time.
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for b in &stream {
+            dec.push(std::slice::from_ref(b));
+            while let Some(f) = dec.next_frame().unwrap() {
+                got.push(f);
+            }
+        }
+        assert_eq!(got, frames);
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn a_thousand_frames_pushed_at_once_decode_in_order() {
+        let frames: Vec<Vec<u8>> = (0..1000u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            stream.extend_from_slice(&encode_frame(f));
+        }
+        let mut dec = FrameDecoder::new();
+        dec.push(&stream);
+        let mut got = Vec::new();
+        while let Some(f) = dec.next_frame().unwrap() {
+            got.push(f);
+        }
+        assert_eq!(got, frames);
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]

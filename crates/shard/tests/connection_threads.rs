@@ -1,9 +1,9 @@
-//! End-to-end tests for the reactor front end and the pipelined client:
-//! the wire transcript of a pipelined op script against an in-process
-//! model, server-side ERR inside a pipelined window, graceful-shutdown
-//! drain, backpressure, round-robin assignment of connections to loops, a
-//! parked request holding only its own loop, metrics, and malformed or
-//! corrupt frames.
+//! End-to-end tests for the thread-per-connection server and the pipelined
+//! client: the wire transcript of a pipelined op script against an
+//! in-process model, server-side ERR inside a pipelined window,
+//! graceful-shutdown drain, a client that does not read, a parked request
+//! holding only its own connection, metrics, and malformed or corrupt
+//! frames.
 
 #![allow(
     clippy::disallowed_methods,
@@ -14,9 +14,7 @@
 use bytes::Bytes;
 use pcp_lsm::{CompactionPolicy, Options, WriteBatch};
 use pcp_shard::proto::{read_frame, write_frame};
-use pcp_shard::{
-    BatchItem, HashRouter, KvClient, KvServer, ReactorConfig, Request, Response, ShardedDb,
-};
+use pcp_shard::{BatchItem, HashRouter, KvClient, KvServer, Request, Response, ShardedDb};
 use pcp_storage::{
     Env, EnvRef, FaultEnv, FaultKind, FaultOp, RandomReadFile, SimDevice, SimEnv, WritableFile,
 };
@@ -48,8 +46,8 @@ fn sharded_on(envs: Vec<EnvRef>) -> Arc<ShardedDb> {
     Arc::new(ShardedDb::open_with_envs(envs, opts, Arc::new(HashRouter::new(n))).unwrap())
 }
 
-fn start(db: Arc<ShardedDb>, reactor: ReactorConfig) -> KvServer {
-    KvServer::start_with(db, "127.0.0.1:0", reactor).unwrap()
+fn start(db: Arc<ShardedDb>) -> KvServer {
+    KvServer::start(db, "127.0.0.1:0").unwrap()
 }
 
 /// A deterministic mixed op script: puts, gets (hits and misses),
@@ -135,7 +133,7 @@ fn expected_transcript(db: &ShardedDb, script: &[Request]) -> Vec<Vec<u8>> {
 fn pipelined_transcript_matches_in_process_model() {
     let script = op_script();
     let expected = expected_transcript(&sharded(4), &script);
-    let mut server = start(sharded(4), ReactorConfig::default());
+    let mut server = start(sharded(4));
     let got = run_pipelined(server.local_addr(), &script);
     server.shutdown();
     assert_eq!(got.len(), expected.len());
@@ -167,7 +165,7 @@ fn pipelined_err_keeps_window_usable() {
     // A key of shard 1, whose env never faults.
     let healthy = (0..200).map(key).find(|k| db.shard_of(k) == 1).unwrap();
     fault.schedule_on_file(FaultOp::ReadAt, 1, FaultKind::Permanent, ".sst");
-    let mut server = start(Arc::clone(&db), ReactorConfig::default());
+    let mut server = start(Arc::clone(&db));
 
     let mut client = KvClient::connect(server.local_addr()).unwrap();
     let t_get1 = client.send(&Request::Get(healthy.clone())).unwrap();
@@ -219,7 +217,7 @@ fn shutdown_flushes_accepted_pipelined_requests() {
         .take(N - 1)
         .collect();
     keys.push((0..).map(key).find(|k| db.shard_of(k) == 0).unwrap());
-    let mut server = start(Arc::clone(&db), ReactorConfig::default());
+    let mut server = start(Arc::clone(&db));
 
     let mut client = KvClient::connect(server.local_addr()).unwrap();
     gate.arm();
@@ -250,62 +248,13 @@ fn shutdown_flushes_accepted_pipelined_requests() {
     }
 }
 
-/// With a tiny output budget and a client that pipelines gets without
-/// reading, the loop stops executing and reading the connection
-/// (backpressure) instead of queueing unboundedly — and every response
-/// still arrives intact once the client drains: the frames that were
-/// already decoded when the pause began run when it lifts.
+/// A client that pipelines 32 GETs of 1 MiB values and reads nothing
+/// blocks only its own connection's thread, in its write: another
+/// connection's GET completes meanwhile, and the stalled client gets every
+/// answer, in order, once it reads. Each answer fills the 1 MiB output
+/// budget, so each forces a write (counted as a backpressure pause).
 #[test]
-fn backpressure_pauses_reads_under_unread_output() {
-    let db = sharded(2);
-    // Values big enough that one response overflows the 1 KiB budget.
-    for i in 0..8u32 {
-        db.put(format!("big{i}").as_bytes(), &vec![b'x'; 4096])
-            .unwrap();
-    }
-    let mut server = start(
-        Arc::clone(&db),
-        ReactorConfig {
-            max_output_bytes: 1024,
-            ..ReactorConfig::default()
-        },
-    );
-
-    let mut client = KvClient::connect(server.local_addr()).unwrap();
-    let mut tokens = Vec::new();
-    for _round in 0..8u32 {
-        for i in 0..8u32 {
-            tokens.push(
-                client
-                    .send(&Request::Get(format!("big{i}").into_bytes()))
-                    .unwrap(),
-            );
-        }
-    }
-    let responses = client.recv_all().unwrap();
-    assert_eq!(responses.len(), tokens.len());
-    for (token, resp) in responses {
-        match resp {
-            Response::Value(v) => assert_eq!(v.len(), 4096, "token {token}"),
-            other => panic!("token {token}: expected Value, got {other:?}"),
-        }
-    }
-    let text = server.metrics_text();
-    assert!(
-        metric_value(&text, "pcp_service_backpressure_pauses_total") >= 1.0,
-        "no backpressure pause:\n{text}"
-    );
-    server.shutdown();
-}
-
-/// A pause that outlasts the socket buffers lifts on a writable event,
-/// and the loop then runs the frames it had already decoded — frames
-/// edge-triggered epoll will not report again. One loop serves two
-/// connections: by the time it answers the second, it has run the first
-/// one's window until the unread 1 MiB responses filled the socket
-/// buffers (32 MiB asked for) and left it paused with frames decoded.
-#[test]
-fn a_pause_outlasting_the_socket_buffers_resumes_the_decoded_frames() {
+fn a_client_that_does_not_read_blocks_only_its_own_connection() {
     const VALUE: usize = 1 << 20;
     let db = sharded(2);
     for i in 0..4u32 {
@@ -313,13 +262,7 @@ fn a_pause_outlasting_the_socket_buffers_resumes_the_decoded_frames() {
             .unwrap();
     }
     db.put(b"small", b"v").unwrap();
-    let mut server = start(
-        Arc::clone(&db),
-        ReactorConfig {
-            workers: 1,
-            ..ReactorConfig::default()
-        },
-    );
+    let mut server = start(Arc::clone(&db));
     let mut unread = KvClient::connect(server.local_addr()).unwrap();
     let mut other = KvClient::connect(server.local_addr()).unwrap();
     for round in 0..32u32 {
@@ -327,6 +270,7 @@ fn a_pause_outlasting_the_socket_buffers_resumes_the_decoded_frames() {
             .send(&Request::Get(format!("huge{}", round % 4).into_bytes()))
             .unwrap();
     }
+    unread.flush().unwrap();
     assert_eq!(other.get(b"small").unwrap(), Some(b"v".to_vec()));
     for want in 0..32u64 {
         match unread.recv().unwrap() {
@@ -334,37 +278,11 @@ fn a_pause_outlasting_the_socket_buffers_resumes_the_decoded_frames() {
             (token, other) => panic!("token {token}: expected Value, got {other:?}"),
         }
     }
-    server.shutdown();
-}
-
-/// Loop 0 deals accepted connections round-robin, and each loop executes
-/// the requests of its own connections: with two loops, the first
-/// connection's ops are loop 0's and the second's are loop 1's.
-#[test]
-fn connections_are_dealt_round_robin_to_the_loops() {
-    let mut server = start(
-        sharded(2),
-        ReactorConfig {
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    );
-    let mut first = KvClient::connect(server.local_addr()).unwrap();
-    let mut second = KvClient::connect(server.local_addr()).unwrap();
-    for i in 0..10u32 {
-        first.get(format!("a{i}").as_bytes()).unwrap();
-    }
-    for i in 0..20u32 {
-        second.get(format!("b{i}").as_bytes()).unwrap();
-    }
     let text = server.metrics_text();
-    let ops = |worker: &str| {
-        metric_value(
-            &text,
-            &format!("pcp_service_worker_ops_total{{worker=\"{worker}\"}}"),
-        )
-    };
-    assert_eq!((ops("0"), ops("1")), (10.0, 20.0));
+    assert!(
+        metric_value(&text, "pcp_service_backpressure_pauses_total") >= 1.0,
+        "no backpressure pause:\n{text}"
+    );
     server.shutdown();
 }
 
@@ -494,12 +412,12 @@ impl Env for GateEnv {
     }
 }
 
-/// A request that blocks holds only its own loop: while connection 0's
-/// GET is parked in a table read on loop 0, connection 1's GET and PUT
-/// are answered by loop 1; after the release, connection 0's answer
-/// arrives.
+/// A request that blocks holds only its own connection: while the first
+/// connection's GET is parked in a table read, the second connection's GET
+/// and PUT are answered and a connection opened meanwhile is served; after
+/// the release, the first connection's answer arrives.
 #[test]
-fn a_parked_request_holds_only_its_own_loop() {
+fn a_parked_request_holds_only_its_own_connection() {
     let mem = || Arc::new(SimEnv::new(Arc::new(SimDevice::mem(64 << 20)))) as EnvRef;
     let (gate, parked, release) = Gate::new();
     let gated = GateEnv {
@@ -517,18 +435,9 @@ fn a_parked_request_holds_only_its_own_loop() {
     db.wait_idle().unwrap();
     let on_shard = |shard: usize| (0..200).map(key).find(|k| db.shard_of(k) == shard).unwrap();
     let (parked_key, free_key) = (on_shard(0), on_shard(1));
-    let mut server = start(
-        Arc::clone(&db),
-        ReactorConfig {
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    );
+    let mut server = start(Arc::clone(&db));
     let mut first = KvClient::connect(server.local_addr()).unwrap();
     let mut second = KvClient::connect(server.local_addr()).unwrap();
-    // An answer on the second connection means loop 0, which accepts, has
-    // dealt both connections before it parks.
-    assert_eq!(second.get(&free_key).unwrap(), Some(b"value".to_vec()));
 
     gate.arm();
     let token = first.send(&Request::Get(parked_key)).unwrap();
@@ -536,6 +445,8 @@ fn a_parked_request_holds_only_its_own_loop() {
     assert_eq!(second.get(&free_key).unwrap(), Some(b"value".to_vec()));
     second.put(&free_key, b"newer").unwrap();
     assert_eq!(second.get(&free_key).unwrap(), Some(b"newer".to_vec()));
+    let mut third = KvClient::connect(server.local_addr()).unwrap();
+    assert_eq!(third.get(&free_key).unwrap(), Some(b"newer".to_vec()));
 
     release.send(()).unwrap();
     let answer = first.recv().unwrap();
@@ -543,18 +454,12 @@ fn a_parked_request_holds_only_its_own_loop() {
     server.shutdown();
 }
 
-/// The reactor exports its instrumentation contract: connection gauge,
-/// accept/wakeup/pause counters, per-loop ops and busy counters, and the
+/// The service exports its instrumentation contract: connection gauge,
+/// accept/read/forced-write counters, ops and busy counters, and the
 /// output-queue histogram (OBSERVABILITY.md).
 #[test]
-fn reactor_metrics_exposition() {
-    let mut server = start(
-        sharded(2),
-        ReactorConfig {
-            workers: 2,
-            ..ReactorConfig::default()
-        },
-    );
+fn service_metrics_exposition() {
+    let mut server = start(sharded(2));
     let mut client = KvClient::connect(server.local_addr()).unwrap();
     for i in 0..100u32 {
         client.put(format!("m{i}").as_bytes(), b"v").unwrap();
@@ -567,22 +472,16 @@ fn reactor_metrics_exposition() {
         "pcp_service_reactor_wakeups_total",
         "pcp_service_backpressure_pauses_total",
         "pcp_service_output_queue_bytes",
+        "pcp_service_worker_busy_nanoseconds_total",
     ] {
         assert!(text.contains(series), "missing {series} in exposition");
     }
-    assert!(
-        text.contains("pcp_service_worker_ops_total{worker=\"0\"}")
-            && text.contains("pcp_service_worker_ops_total{worker=\"1\"}"),
-        "missing per-loop ops counters"
-    );
-    assert!(text.contains("pcp_service_worker_busy_nanoseconds_total"));
-    assert!(metric_value(&text, "pcp_service_accepts_total") >= 1.0);
-    assert!(metric_value(&text, "pcp_service_active_connections") >= 1.0);
-    let w0 = metric_value(&text, "pcp_service_worker_ops_total{worker=\"0\"}");
-    let w1 = metric_value(&text, "pcp_service_worker_ops_total{worker=\"1\"}");
-    // The METRICS op itself renders before its loop's counter bumps, so
-    // only the 100 puts are guaranteed visible.
-    assert!(w0 + w1 >= 100.0, "loops executed {w0}+{w1} ops");
+    assert_eq!(metric_value(&text, "pcp_service_accepts_total"), 1.0);
+    assert_eq!(metric_value(&text, "pcp_service_active_connections"), 1.0);
+    // Each request was one read: the client waited for every answer.
+    assert!(metric_value(&text, "pcp_service_reactor_wakeups_total") >= 101.0);
+    // The METRICS op itself counts before it renders.
+    assert_eq!(metric_value(&text, "pcp_service_worker_ops_total"), 101.0);
     server.shutdown();
 }
 
@@ -591,7 +490,7 @@ fn reactor_metrics_exposition() {
 /// connection.
 #[test]
 fn bad_request_errs_and_corrupt_frame_closes() {
-    let mut server = start(sharded(2), ReactorConfig::default());
+    let mut server = start(sharded(2));
     let addr = server.local_addr();
 
     // Undecodable payloads inside well-formed frames: an unknown opcode,
@@ -625,6 +524,7 @@ fn bad_request_errs_and_corrupt_frame_closes() {
     stream.write_all(&corrupt).unwrap();
     let mut rest = Vec::new();
     let _ = std::io::Read::read_to_end(&mut stream, &mut rest);
+    assert!(rest.is_empty(), "a corrupt frame got {} bytes", rest.len());
     drop(stream);
     server.shutdown();
 }

@@ -1,14 +1,14 @@
-//! Property tests for the reactor's incremental frame assembly
+//! Property tests for the service's incremental frame assembly
 //! ([`pcp_shard::FrameDecoder`]).
 //!
-//! The reactor reads sockets in arbitrary-sized chunks (whatever
-//! `read(2)` returns under edge-triggered readiness), so the decoder
-//! must reconstruct exactly the frames a one-shot decode of the full
-//! byte stream would produce — for every possible split of the stream
-//! into partial reads. Corrupt or truncated tails must reject or pend
-//! without panicking: the event loop is panic-free library code (its
-//! crate denies `clippy::unwrap_used` and friends), and one bad client
-//! must not take down the service.
+//! A connection thread and the client read sockets in arbitrary-sized
+//! chunks (whatever `read(2)` returns), so the decoder must reconstruct
+//! exactly the frames a one-shot decode of the full byte stream would
+//! produce — for every possible split of the stream into partial reads.
+//! Corrupt or truncated tails must reject or pend without panicking: the
+//! decoder is panic-free library code (its crate denies
+//! `clippy::unwrap_used` and friends), and one bad client must not take
+//! down its connection's thread.
 
 use pcp_shard::proto::{encode_frame, take_frame, Request, Response};
 use pcp_shard::FrameDecoder;

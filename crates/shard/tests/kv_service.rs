@@ -338,3 +338,31 @@ fn scan_over_a_shard_that_cannot_read_gets_an_error_response() {
     }
     server.shutdown();
 }
+
+/// A SCAN whose answer would pass `MAX_FRAME` gets an ERR, counted as an
+/// error, not a frame the client must refuse nor a short page (fewer than
+/// `limit` entries means the end of the data); the connection stays
+/// usable and a smaller page of the same entries is served.
+#[test]
+fn a_scan_answer_over_max_frame_errs_and_keeps_the_connection() {
+    const VALUE: usize = 1 << 20;
+    let db = sharded(2);
+    let mut server = KvServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = KvClient::connect(server.local_addr()).unwrap();
+    for i in 0..40u32 {
+        client
+            .put(format!("big{i:02}").as_bytes(), &vec![b'b'; VALUE])
+            .unwrap();
+    }
+    let err = client.scan(b"big", 40).unwrap_err();
+    assert!(err.to_string().contains("exceeds MAX_FRAME"), "{err}");
+    let page = client.scan(b"big", 8).unwrap();
+    assert_eq!(page.len(), 8);
+    assert!(page.iter().all(|(_, v)| v.len() == VALUE));
+    let text = client.metrics_text().unwrap();
+    assert_eq!(exposed(&text, "pcp_service_errors_total"), 1);
+    // A new connection is served too.
+    let mut fresh = KvClient::connect(server.local_addr()).unwrap();
+    assert_eq!(fresh.get(b"big00").unwrap(), Some(vec![b'b'; VALUE]));
+    server.shutdown();
+}

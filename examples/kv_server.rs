@@ -1,5 +1,5 @@
-//! KV service demo: a range-sharded engine behind the TCP front end (the
-//! epoll event loops of `DESIGN.md` §14).
+//! KV service demo: a range-sharded engine behind the TCP front end (one
+//! thread per connection, `DESIGN.md` §14).
 //!
 //! Opens a [`pcp::shard::ShardedDb`] over in-memory simulated devices,
 //! starts the [`pcp::shard::KvServer`] on an ephemeral localhost port,

@@ -11,7 +11,8 @@ classes are:
     main     the process's first thread (setup, read-back, shutdown)
     client   unnamed threads the main thread started; on serve_ssd these
              are the two KvClient connections
-    loop     pcp-kv-loop-*, the KV server's event loops
+    server   pcp-kv-accept and pcp-kv-conn-*, the KV server's acceptor and
+             its connection threads
     flush    pcp-lsm-flush
     compact  pcp-lsm-compact, with the pipeline workers it starts (a
              thread inherits its creator's name)
@@ -19,7 +20,7 @@ classes are:
 
 A thread's CPU is its last sample, so one that exits loses up to 50 ms.
 The lanes and the main thread also count the setup phase; the client and
-loop classes run only in the timed phase. The request count is `requests`
+server classes run only in the timed phase. The request count is `requests`
 from the run's result file, which the binary writes to `results/` beside
 its `target/` directory (e.g. benchmark/target/release/pcp-benchmark
 writes benchmark/results/<workload>.untraced.json). Only serve_ssd records
@@ -37,7 +38,7 @@ import time
 
 TICK_S = 1.0 / os.sysconf("SC_CLK_TCK")
 INTERVAL_S = 0.05
-CLASSES = ["client", "loop", "flush", "compact", "main"]
+CLASSES = ["client", "server", "flush", "compact", "main"]
 
 
 def sample(pid, threads):
@@ -66,8 +67,8 @@ def thread_class(tid, comm, pid, main_comm):
         return "main"
     if comm == main_comm:
         return "client"
-    if comm.startswith("pcp-kv-loop"):
-        return "loop"
+    if comm == "pcp-kv-accept" or comm.startswith("pcp-kv-conn"):
+        return "server"
     if comm == "pcp-lsm-flush":
         return "flush"
     if comm == "pcp-lsm-compact":

@@ -615,6 +615,57 @@ fn stall_behind_a_pending_flush_says_imm_pending() {
     assert_eq!(full_stream(&db), model);
 }
 
+/// A stopped write counts one stall, however often it wakes: the writer
+/// stops behind a flush parked before its table, a merge's install wakes
+/// it while that flush still holds it, and it waits on. When the flush
+/// goes through, its one `write_stall` event carries the whole wait.
+#[test]
+fn a_stopped_write_counts_one_stall_however_often_it_wakes() {
+    let env = GateEnv::new(mem_env());
+    let gate = GateExec::new(SimpleMergeExec);
+    let db = Db::open(env.clone(), opts(gate.clone())).unwrap();
+    let mut model = Model::new();
+    let merge_parked = park_a_merge(&db, &gate, &mut model);
+    let flush_parked = env.gate.arm();
+    std::thread::scope(|s| {
+        // Over two memtables' worth (a batch is 80 of a memtable's 99
+        // entries): the second memtable needs the first's flush.
+        let writer = s.spawn(|| {
+            let mut written = Model::new();
+            for batch in 2..5 {
+                fill(&db, &mut written, batch);
+            }
+            written
+        });
+        env.gate.wait_parked();
+        spin_until(|| db.metrics().stall_events >= 1);
+        drop(merge_parked);
+        spin_until(|| db.metrics().compaction_count >= 1);
+        assert_eq!(db.metrics().stall_events, 1, "the install woke the writer");
+        drop(flush_parked);
+        model.extend(writer.join().unwrap());
+    });
+    db.wait_idle().unwrap();
+    let m = db.metrics();
+    assert_eq!(m.stall_events, 1);
+    let stalls: Vec<u64> = db
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.kind == "write_stall")
+        .map(|e| {
+            e.fields
+                .iter()
+                .find(|(k, _)| *k == "stall_nanos")
+                .unwrap()
+                .1
+        })
+        .collect();
+    assert_eq!(stalls, vec![m.stall_time.as_nanos() as u64]);
+    assert_eq!(stall_causes(&db), vec![0], "cause 0 = imm_pending");
+    assert_eq!(full_stream(&db), model);
+}
+
 /// An install appends and syncs its MANIFEST edit with the state lock
 /// released: while the flush lane is parked inside that sync, a `get`, an
 /// iterator build and a `put` each complete against the old version, and
